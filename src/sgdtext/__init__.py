@@ -23,7 +23,6 @@ from .features import (
     TfidfModel,
     extract_ngrams,
     fit,
-    idf,
     normalize,
     transform,
 )
@@ -35,7 +34,6 @@ from .sgd import (
     LinearModel,
     LossKind,
     TrainConfig,
-    batch_gd_oracle,
     decision,
     fit_binary,
     fit_multiclass,
@@ -67,7 +65,6 @@ __all__ = [
     "TfidfConfig",
     "TfidfModel",
     "TrainConfig",
-    "batch_gd_oracle",
     "clean_text",
     "compare_runs",
     "confusion",
@@ -80,7 +77,6 @@ __all__ = [
     "fit_multiclass",
     "fit_pipeline",
     "grid_search",
-    "idf",
     "interpolate",
     "knn_indices",
     "load_corpus",

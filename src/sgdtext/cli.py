@@ -38,6 +38,7 @@ from .search import (
     grid_search,
     load_grid_spec,
     params_from_dict,
+    params_to_dict,
     render_grid_table,
 )
 from .seeds import substream
@@ -147,17 +148,6 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", "utf-8")
 
 
-def _params_to_dict(params: ParamSet) -> dict:
-    return {
-        "ngram_range": [params.ngram_range.lo, params.ngram_range.hi],
-        "norm": params.norm,
-        "use_idf": params.use_idf,
-        "smooth_idf": params.smooth_idf,
-        "penalty": params.penalty,
-        "alpha": params.alpha,
-    }
-
-
 def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict]:
     corpus_path = out_dir / "corpus.jsonl"
     manifest_path = out_dir / "split.json"
@@ -260,7 +250,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         config.out_dir / "train_meta.json",
         {
             "loss": config.loss_name,
-            "params": _params_to_dict(config.params),
+            "params": params_to_dict(config.params),
             "epochs": config.epochs,
             "smote": config.smote_config is not None,
             "seed": config.seed,
@@ -281,6 +271,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     loaded, manifest = _load_prepared(out_dir)
     tfidf = features.load_tfidf(out_dir / "tfidf.json")
     model = sgd.load_model(out_dir / "model.json")
+    if model.feature_dim != len(tfidf.vocabulary):
+        raise ValueError(
+            f"{out_dir / 'model.json'} has {model.feature_dim} features but "
+            f"{out_dir / 'tfidf.json'} has a vocabulary of {len(tfidf.vocabulary)}; "
+            "they are not from the same train run"
+        )
 
     key = "train_indices" if args.on == "train" else "test_indices"
     indices = [int(i) for i in manifest[key]]
@@ -336,7 +332,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         config.out_dir / "cv_report.json",
         {
             "loss": config.loss_name,
-            "params": _params_to_dict(config.params),
+            "params": params_to_dict(config.params),
             "k": config.k,
             "seed": config.seed,
             **cv_to_dict(report),
@@ -415,12 +411,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "loss": config.loss_name,
             "k": config.k,
             "seed": config.seed,
-            "default_params": _params_to_dict(DEFAULT_PARAMS),
-            "tuned_params": _params_to_dict(tuned_params),
+            "default_params": params_to_dict(DEFAULT_PARAMS),
+            "tuned_params": params_to_dict(tuned_params),
             "default": cv_to_dict(report.default),
             "tuned": cv_to_dict(report.tuned),
             "mean_delta": report.mean_delta,
-            "time_delta": report.time_delta,
+            "time_delta_seconds": report.time_delta_seconds,
         },
     )
     lines = [

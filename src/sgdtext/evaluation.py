@@ -127,20 +127,6 @@ def per_class_metrics(cm: ConfusionMatrix) -> ClassReport:
     )
 
 
-def micro_averages(cm: ConfusionMatrix) -> tuple[float, float, float]:
-    """Micro precision, recall, F1: pooled counts over all classes.
-
-    On a square confusion matrix all three coincide with accuracy.
-    """
-    counts = cm.counts
-    tp = float(np.trace(counts))
-    total = float(counts.sum())
-    precision = _safe_div(tp, total)
-    recall = _safe_div(tp, total)
-    f1 = _safe_div(2.0 * precision * recall, precision + recall)
-    return precision, recall, f1
-
-
 def stratified_kfold(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
     """Partition indices into k folds preserving per-class proportions within one.
 

@@ -197,15 +197,6 @@ def fit(documents: Sequence[Sequence[str]], config: TfidfConfig) -> TfidfModel:
     )
 
 
-def idf(model: TfidfModel, feature: int) -> float:
-    """Inverse document frequency for one feature index."""
-    if not 0 <= feature < len(model.vocabulary):
-        raise IndexError(
-            f"feature index {feature} outside vocabulary of size {len(model.vocabulary)}"
-        )
-    return float(model.idf_array[feature])
-
-
 def normalize(v: SparseVector, norm: str) -> SparseVector:
     """Scale a vector to unit L1 or L2 norm; 'none' and the zero vector pass through."""
     if norm not in NORMS:

@@ -83,7 +83,7 @@ class CompareReport:
     default: CvReport
     tuned: CvReport
     mean_delta: float
-    time_delta: float
+    time_delta_seconds: float
 
 
 def grid_spec_from_dict(data: dict) -> GridSpec:
@@ -280,7 +280,7 @@ def compare_runs(
         default=default_report,
         tuned=tuned_report,
         mean_delta=tuned_report.mean - default_report.mean,
-        time_delta=tuned_report.total_seconds - default_report.total_seconds,
+        time_delta_seconds=tuned_report.total_seconds - default_report.total_seconds,
     )
 
 
@@ -290,14 +290,19 @@ def candidate_to_dict(candidate: Candidate) -> dict:
         "mean": candidate.mean,
         "std": candidate.std,
         "error": candidate.error,
-        "params": {
-            "ngram_range": [candidate.params.ngram_range.lo, candidate.params.ngram_range.hi],
-            "norm": candidate.params.norm,
-            "use_idf": candidate.params.use_idf,
-            "smooth_idf": candidate.params.smooth_idf,
-            "penalty": candidate.params.penalty,
-            "alpha": candidate.params.alpha,
-        },
+        "params": params_to_dict(candidate.params),
+    }
+
+
+def params_to_dict(params: ParamSet) -> dict:
+    """JSON form of a ParamSet; params_from_dict reads it back."""
+    return {
+        "ngram_range": [params.ngram_range.lo, params.ngram_range.hi],
+        "norm": params.norm,
+        "use_idf": params.use_idf,
+        "smooth_idf": params.smooth_idf,
+        "penalty": params.penalty,
+        "alpha": params.alpha,
     }
 
 

@@ -54,7 +54,6 @@ class TrainConfig:
     alpha: float = 1e-4
     epochs: int = 5
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self) -> None:
         if self.penalty not in PENALTIES:
@@ -131,16 +130,9 @@ def schedule_t0(loss: LossKind, alpha: float) -> float:
 
 
 def epoch_orders(n: int, config: TrainConfig) -> list[np.ndarray]:
-    """Seeded visit order for each epoch.
-
-    fit_multiclass passes the same orders to every one-vs-rest fit so all
-    class rows consume an identical sample schedule.
-    """
+    """Seeded visit order for each epoch: a fresh permutation of range(n) per epoch."""
     rng = np.random.default_rng(config.seed)
-    if config.shuffle_each_epoch:
-        return [rng.permutation(n) for _ in range(config.epochs)]
-    order = rng.permutation(n)
-    return [order] * config.epochs
+    return [rng.permutation(n) for _ in range(config.epochs)]
 
 
 def _check_finite_inputs(X: Sequence[SparseVector]) -> None:
@@ -149,12 +141,73 @@ def _check_finite_inputs(X: Sequence[SparseVector]) -> None:
             raise NumericError(f"sample {position} has non-finite feature values")
 
 
-def _settle_l1(w: np.ndarray, paid: np.ndarray, accrued: float, idx: np.ndarray) -> None:
-    """Charge coordinates idx the penalty accrued since they last paid, clipping at zero."""
-    owed = accrued - paid[idx]
-    z = w[idx]
-    w[idx] = np.sign(z) * np.maximum(0.0, np.abs(z) - owed)
-    paid[idx] = accrued
+def _soft_threshold(z: np.ndarray, owed: np.ndarray | float) -> np.ndarray:
+    return np.sign(z) * np.maximum(0.0, np.abs(z) - owed)
+
+
+def _fit_rows(
+    X: Sequence[SparseVector], Y: np.ndarray, config: TrainConfig, feature_dim: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train one weight row and intercept per column of Y, an n x K matrix of +-1 labels.
+
+    The visit order, step size, wscale and L1 accrual depend only on the step
+    count, so all K rows share one pass. Each margin is its own dot product
+    over a contiguous row, which keeps every row bitwise equal to a lone fit.
+    """
+    _check_finite_inputs(X)
+    if feature_dim is None:
+        feature_dim = 1 + max((int(x.indices[-1]) for x in X if x.nnz), default=-1)
+    alpha = config.alpha
+    loss = config.loss
+    l1 = config.penalty == "l1"
+    W = np.zeros((Y.shape[1], feature_dim), dtype=np.float64)
+    B = [0.0] * Y.shape[1]
+    label_rows = Y.tolist()
+    wscale = 1.0
+    paid = np.zeros(feature_dim, dtype=np.float64)
+    accrued = 0.0
+    t0 = schedule_t0(loss, alpha)
+    t = 0
+    for order in epoch_orders(len(X), config):
+        for i in order:
+            t += 1
+            eta = 1.0 / (alpha * (t0 + t))
+            x = X[i]
+            idx = x.indices
+            sub = W.take(idx, axis=1)
+            if l1:
+                sub = _soft_threshold(sub, accrued - paid[idx])
+            step = [
+                eta * loss_dmargin(loss, y * (wscale * float(row @ x.values) + b)) * y
+                for row, y, b in zip(sub, label_rows[i], B)
+            ]
+            if not l1:
+                wscale *= 1.0 - eta * alpha
+                if wscale < 1e-9:
+                    W *= wscale
+                    sub *= wscale
+                    wscale = 1.0
+            # A row with zero gradient subtracts exact zeros and no weight is
+            # ever -0.0, so that row stays bitwise unchanged.
+            moved = any(step)
+            if moved:
+                sub -= np.array([s / wscale for s in step])[:, None] * x.values
+                B = [b - s for b, s in zip(B, step)]
+            if l1:
+                settled = accrued
+                accrued += eta * alpha
+                sub = _soft_threshold(sub, accrued - settled)
+                paid[idx] = accrued
+            if moved or l1:
+                W[:, idx] = sub
+    if l1:
+        W = _soft_threshold(W, accrued - paid)
+    elif wscale != 1.0:
+        W *= wscale
+    B = np.array(B)
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(B))):
+        raise NumericError("training diverged to non-finite weights")
+    return W, B
 
 
 def fit_binary(
@@ -163,7 +216,6 @@ def fit_binary(
     config: TrainConfig,
     *,
     feature_dim: int | None = None,
-    orders: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Train one binary classifier with labels in {-1, +1}.
 
@@ -178,54 +230,8 @@ def fit_binary(
         raise ValueError(f"labels shape {y_arr.shape} does not match {n} samples")
     if not np.all(np.isin(y_arr, (-1.0, 1.0))):
         raise ValueError("binary labels must be -1 or +1")
-    _check_finite_inputs(X)
-    if feature_dim is None:
-        feature_dim = 1 + max((int(x.indices[-1]) for x in X if x.nnz), default=-1)
-    if orders is None:
-        orders = epoch_orders(n, config)
-
-    alpha = config.alpha
-    loss = config.loss
-    l1 = config.penalty == "l1"
-    w = np.zeros(feature_dim, dtype=np.float64)
-    b = 0.0
-    wscale = 1.0
-    paid = np.zeros(feature_dim, dtype=np.float64) if l1 else None
-    accrued = 0.0
-    t0 = schedule_t0(loss, alpha)
-    t = 0
-    for order in orders:
-        for i in order:
-            t += 1
-            eta = 1.0 / (alpha * (t0 + t))
-            x = X[i]
-            idx = x.indices
-            yi = y_arr[i]
-            if l1 and idx.size:
-                _settle_l1(w, paid, accrued, idx)
-            raw = float(w[idx] @ x.values) if idx.size else 0.0
-            margin = yi * (wscale * raw + b)
-            g = loss_dmargin(loss, margin)
-            if not l1:
-                wscale *= 1.0 - eta * alpha
-                if wscale < 1e-9:
-                    w *= wscale
-                    wscale = 1.0
-            if g != 0.0:
-                if idx.size:
-                    w[idx] -= (eta * g * yi / wscale) * x.values
-                b -= eta * g * yi
-            if l1:
-                accrued += eta * alpha
-                if idx.size:
-                    _settle_l1(w, paid, accrued, idx)
-    if l1:
-        _settle_l1(w, paid, accrued, np.arange(feature_dim))
-    elif wscale != 1.0:
-        w *= wscale
-    if not (np.all(np.isfinite(w)) and math.isfinite(b)):
-        raise NumericError("training diverged to non-finite weights")
-    return w, b
+    W, B = _fit_rows(X, y_arr[:, None], config, feature_dim)
+    return W[0], float(B[0])
 
 
 def fit_multiclass(
@@ -235,88 +241,17 @@ def fit_multiclass(
     *,
     feature_dim: int | None = None,
 ) -> LinearModel:
-    """One fit_binary per class (that class +1, rest -1), sharing the shuffle sequence."""
+    """One-vs-rest: row k is trained on labels +1 for classes[k] and -1 for the rest."""
     if len(X) != len(labels):
         raise ValueError("X and labels must have equal length")
     classes = sorted(set(int(c) for c in labels))
     if len(classes) < 2:
         raise ValueError(f"need at least 2 distinct classes, got {classes}")
-    if feature_dim is None:
-        feature_dim = 1 + max((int(x.indices[-1]) for x in X if x.nnz), default=-1)
-    labels_arr = np.asarray(labels)
-    orders = epoch_orders(len(X), config)
-    weights = np.zeros((len(classes), feature_dim), dtype=np.float64)
-    intercepts = np.zeros(len(classes), dtype=np.float64)
-    for row, cls in enumerate(classes):
-        y = np.where(labels_arr == cls, 1.0, -1.0)
-        w, b = fit_binary(X, y, config, feature_dim=feature_dim, orders=orders)
-        weights[row] = w
-        intercepts[row] = b
+    Y = np.where(np.asarray(labels)[:, None] == np.asarray(classes), 1.0, -1.0)
+    weights, intercepts = _fit_rows(X, Y, config, feature_dim)
     return LinearModel(
-        weights=weights, intercepts=intercepts, classes=classes, feature_dim=feature_dim
+        weights=weights, intercepts=intercepts, classes=classes, feature_dim=weights.shape[1]
     )
-
-
-def regularized_objective(
-    X: Sequence[SparseVector],
-    y: Sequence[float],
-    w: np.ndarray,
-    b: float,
-    loss: LossKind,
-    alpha: float,
-    penalty: str = "l2",
-) -> float:
-    """(1/N) sum loss(y_i * (w.x_i + b)) plus the penalty term."""
-    n = len(X)
-    total = sum(loss_value(loss, float(yi) * (x.dot(w) + b)) for x, yi in zip(X, y))
-    if penalty == "l2":
-        reg = 0.5 * alpha * float(w @ w)
-    else:
-        reg = alpha * float(np.abs(w).sum())
-    return total / n + reg
-
-
-def batch_gd_oracle(
-    X: Sequence[SparseVector],
-    y: Sequence[float],
-    config: TrainConfig,
-    iterations: int,
-    learning_rate: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Full-batch gradient descent on the same L2-regularized objective.
-
-    Test oracle for small problems only; the intercept is trained but not
-    regularized, mirroring fit_binary. The default learning rate is the
-    inverse of a smoothness bound for the log loss, which makes descent
-    monotone on convex problems. Zero iterations returns zero weights.
-    """
-    if config.penalty != "l2":
-        raise ValueError("the batch oracle covers the l2 penalty only")
-    n = len(X)
-    if n == 0:
-        raise ValueError("need at least one training sample")
-    feature_dim = 1 + max((int(x.indices[-1]) for x in X if x.nnz), default=-1)
-    dense = np.zeros((n, feature_dim), dtype=np.float64)
-    for row, x in enumerate(X):
-        dense[row, x.indices] = x.values
-    y_arr = np.asarray(y, dtype=np.float64)
-    if learning_rate is None:
-        # Log-loss curvature is at most 1/4 per sample; +1 covers the intercept column.
-        bound = 0.25 * float(((dense * dense).sum(axis=1) + 1.0).max()) + config.alpha
-        learning_rate = 1.0 / bound
-    w = np.zeros(feature_dim, dtype=np.float64)
-    b = 0.0
-    for _ in range(iterations):
-        margins = y_arr * (dense @ w + b)
-        g = np.fromiter(
-            (loss_dmargin(config.loss, float(m)) for m in margins), dtype=np.float64, count=n
-        )
-        gy = g * y_arr
-        grad_w = dense.T @ gy / n + config.alpha * w
-        grad_b = float(gy.mean())
-        w -= learning_rate * grad_w
-        b -= learning_rate * grad_b
-    return w, b
 
 
 def model_to_dict(model: LinearModel) -> dict:

@@ -23,7 +23,6 @@ from sgdtext.evaluation import (
     ConfusionMatrix,
     confusion,
     cross_validate,
-    micro_averages,
     per_class_metrics,
     stratified_kfold,
 )
@@ -41,12 +40,12 @@ from sgdtext.search import DEFAULT_PARAMS, GridSpec, ParamSet, compare_runs, gri
 from sgdtext.sgd import (
     LossKind,
     TrainConfig,
-    batch_gd_oracle,
     fit_binary,
     loss_dmargin,
     loss_value,
-    regularized_objective,
 )
+
+from oracles import batch_gd_oracle, micro_averages, regularized_objective
 
 ALL_LOSSES = (LossKind.HINGE, LossKind.LOG, LossKind.PERCEPTRON)
 

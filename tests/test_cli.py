@@ -178,13 +178,24 @@ class TestTrainEval:
             run_prepare(labeled_csv, out)
             main(["train", "--out", str(out), "--seed", "9"])
             main(["eval", "--out", str(out), "--seed", "9"])
+            main(["crossval", "--k", "3", "--out", str(out), "--seed", "9"])
+            main(["compare", "--ngram", "1,2", "--k", "3", "--out", str(out), "--seed", "9"])
             outputs.append(out)
         first, second = outputs
-        for artifact in ("corpus.jsonl", "split.json", "tfidf.json", "model.json"):
+        for artifact in (
+            "corpus.jsonl",
+            "split.json",
+            "tfidf.json",
+            "model.json",
+            "eval_report.txt",
+            "cv_report.txt",
+            "compare.txt",
+        ):
             assert (first / artifact).read_bytes() == (second / artifact).read_bytes()
-        assert strip_seconds(read_json(first / "eval_report.json")) == strip_seconds(
-            read_json(second / "eval_report.json")
-        )
+        for artifact in ("eval_report.json", "cv_report.json", "compare.json"):
+            assert strip_seconds(read_json(first / artifact)) == strip_seconds(
+                read_json(second / artifact)
+            )
 
 
 class TestCrossvalGridCompare:
@@ -301,6 +312,17 @@ class TestExitCodes:
         (out / "model.json").write_text("{broken", "utf-8")
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
         assert "JSON" in capsys.readouterr().err
+
+    def test_model_and_tfidf_from_different_runs(self, labeled_csv, tmp_path, capsys):
+        unigram, bigram = tmp_path / "unigram", tmp_path / "bigram"
+        for out, ngram in ((unigram, "1,1"), (bigram, "1,2")):
+            run_prepare(labeled_csv, out)
+            main(["train", "--ngram", ngram, "--out", str(out)])
+        (unigram / "tfidf.json").write_bytes((bigram / "tfidf.json").read_bytes())
+        capsys.readouterr()
+        assert main(["eval", "--out", str(unigram)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "model.json" in err and "tfidf.json" in err
 
     def test_usage_errors_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -14,7 +14,6 @@ from sgdtext.evaluation import (
     confusion,
     cross_validate,
     cv_to_dict,
-    micro_averages,
     per_class_metrics,
     render_class_report,
     render_cv_line,
@@ -23,6 +22,8 @@ from sgdtext.evaluation import (
 )
 from sgdtext.features import EmptyCorpusError, NgramRange
 from sgdtext.pipeline import PipelineConfig
+
+from oracles import micro_averages
 
 
 def random_confusion(rng: np.random.Generator, max_classes: int = 8) -> ConfusionMatrix:

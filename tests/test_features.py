@@ -17,7 +17,6 @@ from sgdtext.features import (
     TfidfFormatError,
     extract_ngrams,
     fit,
-    idf,
     load_tfidf,
     normalize,
     save_tfidf,
@@ -146,24 +145,24 @@ class TestFit:
 class TestIdf:
     def test_plain_formula(self):
         model = fit([["a", "b"], ["b"]], TfidfConfig(smooth_idf=False))
-        assert math.isclose(idf(model, model.vocabulary["a"]), math.log(2 / 1) + 1.0)
-        assert math.isclose(idf(model, model.vocabulary["b"]), math.log(2 / 2) + 1.0)
+        assert math.isclose(model.idf_array[model.vocabulary["a"]], math.log(2 / 1) + 1.0)
+        assert math.isclose(model.idf_array[model.vocabulary["b"]], math.log(2 / 2) + 1.0)
 
     def test_smooth_formula(self):
         model = fit([["a", "b"], ["b"]], TfidfConfig(smooth_idf=True))
-        assert math.isclose(idf(model, model.vocabulary["a"]), math.log(3 / 2) + 1.0)
-        assert math.isclose(idf(model, model.vocabulary["b"]), math.log(3 / 3) + 1.0)
+        assert math.isclose(model.idf_array[model.vocabulary["a"]], math.log(3 / 2) + 1.0)
+        assert math.isclose(model.idf_array[model.vocabulary["b"]], math.log(3 / 3) + 1.0)
 
     def test_disabled_idf_is_exactly_one(self):
         model = fit([["a", "b"], ["b", "c"]], TfidfConfig(use_idf=False))
-        assert all(idf(model, j) == 1.0 for j in range(len(model.vocabulary)))
+        assert np.array_equal(model.idf_array, np.ones(len(model.vocabulary)))
 
     def test_out_of_range_feature(self):
+        # One weight per vocabulary entry, so a feature index past it has none.
         model = fit([["a"]], TfidfConfig())
+        assert model.idf_array.shape == (len(model.vocabulary),)
         with pytest.raises(IndexError):
-            idf(model, 5)
-        with pytest.raises(IndexError):
-            idf(model, -1)
+            model.idf_array[5]
 
 
 class TestNormalize:

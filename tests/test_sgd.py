@@ -1,4 +1,4 @@
-"""Tests for losses, the SGD trainer, and its batch-gradient oracle."""
+"""Tests for losses, the SGD trainer, and the oracles it is checked against."""
 
 from __future__ import annotations
 
@@ -7,14 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from sgdtext.features import SparseVector
+from sgdtext.features import NgramRange, SparseVector, TfidfConfig, fit, transform
 from sgdtext.sgd import (
     LinearModel,
     LossKind,
     ModelFormatError,
     NumericError,
     TrainConfig,
-    batch_gd_oracle,
     decision,
     epoch_orders,
     fit_binary,
@@ -25,9 +24,15 @@ from sgdtext.sgd import (
     model_from_dict,
     model_to_dict,
     predict,
-    regularized_objective,
     save_model,
     schedule_t0,
+)
+
+from oracles import (
+    batch_gd_oracle,
+    fit_binary_alone,
+    fit_multiclass_per_class,
+    regularized_objective,
 )
 
 ALL_LOSSES = (LossKind.HINGE, LossKind.LOG, LossKind.PERCEPTRON)
@@ -122,11 +127,6 @@ class TestEpochOrders:
         for order in orders:
             assert sorted(order.tolist()) == list(range(50))
         assert not all(np.array_equal(orders[0], o) for o in orders[1:])
-
-    def test_fixed_order_reused(self):
-        config = TrainConfig(epochs=3, seed=9, shuffle_each_epoch=False)
-        orders = epoch_orders(20, config)
-        assert all(np.array_equal(orders[0], o) for o in orders)
 
     def test_seed_determines_orders(self):
         config = TrainConfig(epochs=2, seed=5)
@@ -339,6 +339,88 @@ class TestFitMulticlass:
         model = fit_multiclass(X, labels, TrainConfig(epochs=10, seed=0))
         predictions = [predict(model, x) for x in X]
         assert predictions == labels
+
+
+def tfidf_problem(
+    seed: int, n_classes: int, ngram_range: NgramRange, n: int = 36
+) -> tuple[list[SparseVector], list[int]]:
+    """TF-IDF vectors of random documents, a few of which transform to the empty vector.
+
+    The vectorizer is fit on all but the last three documents; those use
+    only tokens it never saw, and one more document has no tokens at all.
+    """
+    rng = np.random.default_rng(seed)
+    labels = [int(c) for c in rng.permutation(np.arange(n) % n_classes)]
+    documents = []
+    for label in labels:
+        words = rng.integers(0, 12, size=int(rng.integers(1, 7)))
+        documents.append([f"c{label}"] * int(rng.integers(0, 2)) + [f"w{w}" for w in words])
+    documents[-4] = []
+    for doc in documents[-3:]:
+        doc[:] = [f"unseen{j}" for j in range(len(doc))]
+    model = fit(documents[:-3], TfidfConfig(ngram_range=ngram_range))
+    X = [transform(model, doc) for doc in documents]
+    assert sum(x.nnz == 0 for x in X) >= 4
+    return X, labels
+
+
+def renormalizes(n: int, config: TrainConfig) -> bool:
+    """Whether an L2 fit of n samples drives wscale under its 1e-9 renormalization floor."""
+    t0 = schedule_t0(config.loss, config.alpha)
+    wscale = 1.0
+    for t in range(1, n * config.epochs + 1):
+        wscale *= 1.0 - (1.0 / (config.alpha * (t0 + t))) * config.alpha
+        if wscale < 1e-9:
+            return True
+    return False
+
+
+class TestSharedPassParity:
+    """The one-pass K-row trainer equals K separate per-class runs, byte for byte."""
+
+    NGRAMS = (NgramRange(1, 1), NgramRange(1, 2))
+
+    def configs(self, alpha: float = 0.01, epochs: int = 3):
+        for kind in ALL_LOSSES:
+            for penalty in ("l1", "l2"):
+                yield TrainConfig(loss=kind, penalty=penalty, alpha=alpha, epochs=epochs, seed=8)
+
+    def assert_multiclass_parity(self, X, labels, config):
+        model = fit_multiclass(X, labels, config)
+        oracle = fit_multiclass_per_class(X, labels, config)
+        assert model.classes == oracle.classes
+        assert model.feature_dim == oracle.feature_dim
+        assert model.weights.tobytes() == oracle.weights.tobytes()
+        assert model.intercepts.tobytes() == oracle.intercepts.tobytes()
+
+    def assert_binary_parity(self, X, y, config):
+        w, b = fit_binary(X, y, config)
+        w_ref, b_ref = fit_binary_alone(X, y, config)
+        assert w.tobytes() == w_ref.tobytes()
+        assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 6])
+    def test_multiclass_rows_equal_per_class_runs(self, n_classes):
+        for ngram_range in self.NGRAMS:
+            X, labels = tfidf_problem(30 + n_classes, n_classes, ngram_range)
+            for config in self.configs():
+                self.assert_multiclass_parity(X, labels, config)
+
+    def test_binary_equals_lone_run(self):
+        for ngram_range in self.NGRAMS:
+            X, labels = tfidf_problem(29, 2, ngram_range)
+            y = np.where(np.asarray(labels) == 0, 1.0, -1.0)
+            for config in self.configs():
+                self.assert_binary_parity(X, y, config)
+
+    def test_wscale_renormalization_branch(self):
+        X, labels = tfidf_problem(37, 3, NgramRange(1, 2))
+        y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+        for config in self.configs(alpha=1e9, epochs=6):
+            if config.penalty == "l2":
+                assert renormalizes(len(X), config)
+            self.assert_multiclass_parity(X, labels, config)
+            self.assert_binary_parity(X, y, config)
 
 
 class TestObjectiveAndOracle:
