@@ -27,7 +27,7 @@ from .features import (
     transform,
 )
 from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipeline
-from .resample import SmoteConfig, SmoteResult, interpolate, knn_indices, smote
+from .resample import SmoteConfig, SmoteResult, interpolate, neighbor_table, smote
 from .search import Candidate, GridSpec, ParamSet, compare_runs, enumerate_grid, grid_search
 from .seeds import substream
 from .sgd import (
@@ -78,11 +78,11 @@ __all__ = [
     "fit_pipeline",
     "grid_search",
     "interpolate",
-    "knn_indices",
     "load_corpus",
     "load_stop_words",
     "loss_dmargin",
     "loss_value",
+    "neighbor_table",
     "normalize",
     "per_class_metrics",
     "predict",

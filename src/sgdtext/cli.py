@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import corpus, features, sgd
+from .artifacts import atomic_write
 from .corpus import LabeledCorpus
 from .evaluation import (
     CrossValidationError,
@@ -37,9 +38,9 @@ from .search import (
     compare_runs,
     grid_search,
     load_grid_spec,
-    params_from_dict,
     params_to_dict,
     render_grid_table,
+    winner_params,
 )
 from .seeds import substream
 from .sgd import LossKind
@@ -144,8 +145,13 @@ def _require_files(*paths: Path) -> None:
             raise FileNotFoundError(f"required file is missing: {path}")
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", "utf-8")
+    _write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict]:
@@ -186,7 +192,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         )
     plan = corpus.split(len(loaded), args.split, substream(args.seed, "split"), loaded.labels)
 
-    with (out_dir / "corpus.jsonl").open("w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "corpus.jsonl") as fh:
         for label, tokens in zip(loaded.labels, loaded.documents):
             fh.write(json.dumps({"label": label, "tokens": tokens}, sort_keys=True) + "\n")
 
@@ -219,7 +225,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         row = histogram[str(cls)]
         lines.append(f"{cls}\t{row['train']}\t{row['test']}")
     lines.append(f"Totals\t{totals['train']}\t{totals['test']}")
-    (out_dir / "histogram.txt").write_text("\n".join(lines) + "\n", "utf-8")
+    _write_text(out_dir / "histogram.txt", "\n".join(lines) + "\n")
 
     print(
         f"prepared {len(loaded)} documents ({result.dropped} dropped) -> "
@@ -244,8 +250,9 @@ def _fit_on_train(config: RunConfig) -> tuple[FittedPipeline, LabeledCorpus, dic
 def cmd_train(args: argparse.Namespace) -> int:
     config = RunConfig.from_args(args)
     fitted, _, _, elapsed = _fit_on_train(config)
+    # The model goes last: a run cut short leaves no new model.json beside
+    # an older tfidf.json or train_meta.json.
     features.save_tfidf(fitted.tfidf, config.out_dir / "tfidf.json")
-    sgd.save_model(fitted.model, config.out_dir / "model.json")
     _write_json(
         config.out_dir / "train_meta.json",
         {
@@ -257,6 +264,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "elapsed_seconds": elapsed,
         },
     )
+    sgd.save_model(fitted.model, config.out_dir / "model.json")
     print(
         f"trained {config.loss_name} on {len(fitted.model.classes)} classes, "
         f"{fitted.model.feature_dim} features"
@@ -264,9 +272,41 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.TfidfModel) -> None:
+    """Raise ValueError if a pipeline flag given to eval disagrees with the train run."""
+    tfidf_path = out_dir / "tfidf.json"
+    recorded = {
+        "ngram": (tfidf.ngram_range, tfidf_path),
+        "norm": (tfidf.norm, tfidf_path),
+        "use_idf": (tfidf.use_idf, tfidf_path),
+        "smooth_idf": (tfidf.smooth_idf, tfidf_path),
+    }
+    given = vars(args)
+    meta_flags = ("loss", "penalty", "alpha", "epochs", "smote")
+    if any(flag in given for flag in meta_flags):
+        meta_path = out_dir / "train_meta.json"
+        _require_files(meta_path)
+        meta = json.loads(meta_path.read_text("utf-8"))
+        try:
+            recorded.update(
+                loss=(meta["loss"], meta_path),
+                penalty=(meta["params"]["penalty"], meta_path),
+                alpha=(meta["params"]["alpha"], meta_path),
+                epochs=(meta["epochs"], meta_path),
+                smote=(meta["smote"], meta_path),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{meta_path} is malformed: missing {exc}") from exc
+    for flag, (value, path) in recorded.items():
+        if flag in given and given[flag] != value:
+            raise ValueError(
+                f"eval was given --{flag.replace('_', '-')} {given[flag]!r} but {path} "
+                f"records {value!r} from the train run"
+            )
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    out_dir = config.out_dir
+    out_dir = Path(args.out)
     _require_files(out_dir / "tfidf.json", out_dir / "model.json")
     loaded, manifest = _load_prepared(out_dir)
     tfidf = features.load_tfidf(out_dir / "tfidf.json")
@@ -277,6 +317,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{out_dir / 'tfidf.json'} has a vocabulary of {len(tfidf.vocabulary)}; "
             "they are not from the same train run"
         )
+    _check_eval_flags(args, out_dir, tfidf)
 
     key = "train_indices" if args.on == "train" else "test_indices"
     indices = [int(i) for i in manifest[key]]
@@ -312,7 +353,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         + f"summary\t{report.accuracy:.5f}\t{weighted_precision:.5f}"
         f"\t{weighted_recall:.5f}\t{weighted_f1:.5f}\n"
     )
-    (out_dir / "eval_report.txt").write_text(text, "utf-8")
+    _write_text(out_dir / "eval_report.txt", text)
     print(f"accuracy on {args.on}: {report.accuracy:.5f}")
     return EXIT_OK
 
@@ -339,7 +380,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         },
     )
     line = f"{config.loss_name}\t{render_cv_line(report)}"
-    (config.out_dir / "cv_report.txt").write_text(line + "\n", "utf-8")
+    _write_text(config.out_dir / "cv_report.txt", line + "\n")
     print(line)
     return EXIT_OK
 
@@ -377,7 +418,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         },
     )
     table = render_grid_table(candidates, config.loss_name)
-    (config.out_dir / "grid_results.txt").write_text(table, "utf-8")
+    _write_text(config.out_dir / "grid_results.txt", table)
     winner = candidates[0]
     print(f"best: {winner.params.label()} mean={winner.mean:.5f} (+/-{winner.std:.5f})")
     return EXIT_OK
@@ -388,9 +429,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     loaded, manifest = _load_prepared(config.out_dir)
     if args.tuned_from:
         _require_files(Path(args.tuned_from))
-        grid_data = json.loads(Path(args.tuned_from).read_text("utf-8"))
-        ranked = sorted(grid_data["candidates"], key=lambda c: c["rank"])
-        tuned_params = params_from_dict(ranked[0]["params"])
+        tuned_params = winner_params(json.loads(Path(args.tuned_from).read_text("utf-8")))
     else:
         tuned_params = config.params
     train_indices = [int(i) for i in manifest["train_indices"]]
@@ -425,24 +464,31 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"tuned\t{config.loss_name}\t{render_cv_line(report.tuned)}",
         f"delta\t{config.loss_name}\t{report.mean_delta:+.5f}",
     ]
-    (config.out_dir / "compare.txt").write_text("\n".join(lines) + "\n", "utf-8")
+    _write_text(config.out_dir / "compare.txt", "\n".join(lines) + "\n")
     print(lines[1])
     print(lines[2])
     return EXIT_OK
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--loss", choices=sorted(LOSSES), default="svm")
-    parser.add_argument("--ngram", type=_ngram_pair, default=features.NgramRange(1, 1),
+def _add_pipeline_flags(parser: argparse.ArgumentParser, *, given_only: bool = False) -> None:
+    """Add the pipeline flags; with given_only, a flag left off is absent from the namespace."""
+
+    def default(value):
+        return argparse.SUPPRESS if given_only else value
+
+    parser.add_argument("--loss", choices=sorted(LOSSES), default=default("svm"))
+    parser.add_argument("--ngram", type=_ngram_pair, default=default(features.NgramRange(1, 1)),
                         metavar="LO,HI", help="n-gram range (default 1,1)")
-    parser.add_argument("--norm", choices=features.NORMS, default="l2")
-    parser.add_argument("--use-idf", action=argparse.BooleanOptionalAction, default=True)
-    parser.add_argument("--smooth-idf", action=argparse.BooleanOptionalAction, default=True)
-    parser.add_argument("--penalty", choices=sgd.PENALTIES, default="l2")
-    parser.add_argument("--alpha", type=_positive_float, default=1e-4)
-    parser.add_argument("--epochs", type=_positive_int, default=5)
-    parser.add_argument("--smote", action="store_true", help="oversample training data")
-    parser.add_argument("--smote-k", type=_positive_int, default=5, metavar="K",
+    parser.add_argument("--norm", choices=features.NORMS, default=default("l2"))
+    parser.add_argument("--use-idf", action=argparse.BooleanOptionalAction, default=default(True))
+    parser.add_argument("--smooth-idf", action=argparse.BooleanOptionalAction,
+                        default=default(True))
+    parser.add_argument("--penalty", choices=sgd.PENALTIES, default=default("l2"))
+    parser.add_argument("--alpha", type=_positive_float, default=default(1e-4))
+    parser.add_argument("--epochs", type=_positive_int, default=default(5))
+    parser.add_argument("--smote", action="store_true", default=default(False),
+                        help="oversample training data")
+    parser.add_argument("--smote-k", type=_positive_int, default=default(5), metavar="K",
                         help="SMOTE neighbor count (default 5)")
 
 
@@ -469,8 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="directory with prepare outputs")
     train.set_defaults(func=cmd_train)
 
-    evaluate = sub.add_parser("eval", help="score a trained model on the held-out split")
-    _add_pipeline_flags(evaluate)
+    evaluate = sub.add_parser(
+        "eval",
+        help="score a trained model on the held-out split",
+        description="Score a trained model. Pipeline flags, where given, must match "
+        "what train recorded in tfidf.json and train_meta.json (--smote-k is not recorded).",
+    )
+    _add_pipeline_flags(evaluate, given_only=True)
     evaluate.add_argument("--on", choices=("test", "train"), default="test")
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--out", required=True, help="directory with prepare+train outputs")

@@ -21,6 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import atomic_write
+
 NORMS = ("l1", "l2", "none")
 
 TFIDF_FORMAT_VERSION = 1
@@ -279,7 +281,8 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(tfidf_to_dict(model), sort_keys=True, indent=1), "utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(tfidf_to_dict(model), sort_keys=True, indent=1))
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:

@@ -83,23 +83,87 @@ def interpolate(a: SparseVector, b: SparseVector, gap: float) -> SparseVector:
     return SparseVector(idx[keep], values[keep])
 
 
-def knn_indices(points: Sequence[SparseVector], query: int, k: int) -> list[int]:
-    """The k nearest points to points[query] by Euclidean distance, excluding itself.
+# Unit roundoff and smallest positive subnormal of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m*u / (1 - m*u): the relative error bound of m roundings."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+def neighbor_table(points: Sequence[SparseVector], k: int) -> list[list[int]]:
+    """Row q lists the k nearest points to points[q] by Euclidean distance, excluding q.
 
     k is clamped to len(points) - 1; exact distance ties resolve to the
-    lower index.
+    lower index. Each row equals a stable argsort of squared_distance from
+    points[q], which defines the order; it is screened with the Gram form
+    |a|^2 + |b|^2 - 2 a.b and recomputed exactly only where the screen
+    cannot separate the candidates.
     """
     n = len(points)
     if n < 2:
         raise ValueError("need at least 2 points to have neighbors")
-    if not 0 <= query < n:
-        raise IndexError(f"query index {query} out of range for {n} points")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, n - 1)
-    d2 = np.empty(n, dtype=np.float64)
-    for i, p in enumerate(points):
-        d2[i] = np.inf if i == query else squared_distance(points[query], p)
-    order = np.argsort(d2, kind="stable")
-    return [int(i) for i in order[:k]]
+
+    # Only columns used by two or more points can add to a dot product
+    # between distinct points, so the rest stay out of the dense block.
+    all_indices = np.concatenate([p.indices for p in points])
+    all_values = np.concatenate([p.values for p in points])
+    rows = np.repeat(np.arange(n), [p.nnz for p in points])
+    _, column, uses = np.unique(all_indices, return_inverse=True, return_counts=True)
+    shared = uses >= 2
+    keep = shared[column]
+    shared_count = int(shared.sum())
+    dense = np.zeros((n, shared_count), dtype=np.float64)
+    dense[rows[keep], (np.cumsum(shared) - 1)[column[keep]]] = all_values[keep]
+    sq = np.array([p.values @ p.values for p in points], dtype=np.float64)
+
+    # Rounding bound, with u the unit roundoff and gamma_m = m*u / (1 - m*u).
+    # Let N be the largest nnz, s the shared-column count, S_i = |x_i|^2 and
+    # T = |a - b|^2 for a pair (a, b) of distinct points.
+    # - Exact value D = squared_distance(a, b): each of its m <= 2N differences
+    #   is rounded once, then squared and summed in some order, so
+    #   |D - T| <= gamma_{m+2} T <= gamma_{2N+2} * 2 (S_a + S_b).
+    # - Screen value A = fl(fl(sq_a + sq_b) - 2 g): sq_i carries
+    #   |sq_i - S_i| <= gamma_N S_i; g, the s-term dot product over the shared
+    #   columns, carries |g - a.b| <= gamma_s sum|a_c b_c| <= gamma_s (S_a + S_b) / 2;
+    #   doubling is exact; the addition and the subtraction round once each
+    #   on operands no larger than about S_a + S_b. So
+    #   |A - T| <= (gamma_N + gamma_s + 3u + O(u^2)) (S_a + S_b)
+    #           <= gamma_{N+s+8} (S_a + S_b).
+    # With S_a + S_b <= 2 M / (1 - gamma_N), M the largest computed sq,
+    # |A - D| <= (gamma_{N+s+8} + 2 gamma_{2N+2}) 2M / (1 - gamma_N)
+    #         <= 8 gamma_K M,  K = 2N + s + 8.
+    # Products that underflow add at most 2^-1075 each, and fewer than 2K
+    # products enter D and A, hence the absolute term. Screen values more
+    # than 2 * bound apart therefore order their exact values strictly the
+    # same way (for finite inputs that do not overflow).
+    max_nnz = max(p.nnz for p in points)
+    terms = 2 * max_nnz + shared_count + 8
+    bound = 8.0 * _gamma(terms) * float(sq.max()) + 2 * terms * _SMALLEST_SUBNORMAL
+
+    table: list[list[int]] = []
+    for q in range(n):
+        approx = sq[q] + sq - 2.0 * (dense @ dense[q])
+        approx[q] = np.inf
+        order = np.argsort(approx, kind="stable")
+        head = approx[order[: k + 1]]
+        if np.all(np.diff(head) > 2.0 * bound):
+            table.append([int(i) for i in order[:k]])
+            continue
+        # Near-tie: only points whose screen value is within 2 * bound of
+        # the k-th can be among the exact k nearest. Rank those exactly,
+        # by (distance, index) as the stable argsort of exact values does.
+        # (Subtracting first keeps the rounding from dropping a candidate.)
+        candidates = np.flatnonzero(approx - head[k - 1] <= 2.0 * bound)
+        exact = [squared_distance(points[q], points[int(i)]) for i in candidates]
+        ranked = sorted(zip(exact, candidates.tolist()))
+        table.append([int(i) for _, i in ranked[:k]])
+    return table
 
 
 def smote(X: Sequence[SparseVector], labels: Sequence[int], config: SmoteConfig) -> SmoteResult:
@@ -138,10 +202,10 @@ def smote(X: Sequence[SparseVector], labels: Sequence[int], config: SmoteConfig)
             continue
         class_points = [X[i] for i in members]
         k = min(config.k_neighbors, len(members) - 1)
-        neighbor_table = [knn_indices(class_points, i, k) for i in range(len(members))]
+        table = neighbor_table(class_points, k)
         for _ in range(need):
             a_local = int(rng.integers(len(members)))
-            b_local = neighbor_table[a_local][int(rng.integers(k))]
+            b_local = table[a_local][int(rng.integers(k))]
             gap = float(rng.random())
             out_vectors.append(interpolate(class_points[a_local], class_points[b_local], gap))
             out_labels.append(cls)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -54,6 +54,10 @@ DEFAULT_PARAMS = ParamSet(
 )
 
 
+# GridSpec's six swept fields, in enumeration order (alpha varies fastest).
+GRID_AXES = ("ngram_ranges", "norms", "use_idf", "smooth_idf", "penalties", "alphas")
+
+
 @dataclass
 class GridSpec:
     ngram_ranges: list[NgramRange] = field(
@@ -86,27 +90,43 @@ class CompareReport:
     time_delta_seconds: float
 
 
-def grid_spec_from_dict(data: dict) -> GridSpec:
-    """Build a GridSpec from a JSON object; absent keys keep their defaults."""
+def grid_spec_from_dict(data: object) -> GridSpec:
+    """Build a GridSpec from a JSON object; absent keys keep their defaults.
+
+    Raises ValueError for anything but an object of GridSpec's keys with
+    values of the right shape.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a grid spec must be a JSON object, got {type(data).__name__}")
+    known = [f.name for f in fields(GridSpec)]
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown grid spec keys {unknown}; expected some of {known}")
+    for axis in GRID_AXES:
+        if axis in data and not isinstance(data[axis], list):
+            raise ValueError(f"malformed grid spec: axis {axis!r} must be a JSON array")
     spec = GridSpec()
-    if "ngram_ranges" in data:
-        spec.ngram_ranges = [NgramRange(int(lo), int(hi)) for lo, hi in data["ngram_ranges"]]
-    if "norms" in data:
-        spec.norms = [str(n) for n in data["norms"]]
-    if "use_idf" in data:
-        spec.use_idf = [bool(v) for v in data["use_idf"]]
-    if "smooth_idf" in data:
-        spec.smooth_idf = [bool(v) for v in data["smooth_idf"]]
-    if "penalties" in data:
-        spec.penalties = [str(p) for p in data["penalties"]]
-    if "alphas" in data:
-        spec.alphas = [float(a) for a in data["alphas"]]
-    if "inner_folds" in data:
-        spec.inner_folds = int(data["inner_folds"])
-    if "dev_fraction" in data:
-        spec.dev_fraction = float(data["dev_fraction"])
-    if "seed" in data:
-        spec.seed = int(data["seed"])
+    try:
+        if "ngram_ranges" in data:
+            spec.ngram_ranges = [NgramRange(int(lo), int(hi)) for lo, hi in data["ngram_ranges"]]
+        if "norms" in data:
+            spec.norms = [str(n) for n in data["norms"]]
+        if "use_idf" in data:
+            spec.use_idf = [bool(v) for v in data["use_idf"]]
+        if "smooth_idf" in data:
+            spec.smooth_idf = [bool(v) for v in data["smooth_idf"]]
+        if "penalties" in data:
+            spec.penalties = [str(p) for p in data["penalties"]]
+        if "alphas" in data:
+            spec.alphas = [float(a) for a in data["alphas"]]
+        if "inner_folds" in data:
+            spec.inner_folds = int(data["inner_folds"])
+        if "dev_fraction" in data:
+            spec.dev_fraction = float(data["dev_fraction"])
+        if "seed" in data:
+            spec.seed = int(data["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed grid spec: {exc}") from exc
     return spec
 
 
@@ -116,17 +136,8 @@ def load_grid_spec(path: str | Path) -> GridSpec:
 
 def enumerate_grid(spec: GridSpec) -> list[ParamSet]:
     """Cartesian product of the six axes in fixed axis order."""
-    axes = (
-        spec.ngram_ranges,
-        spec.norms,
-        spec.use_idf,
-        spec.smooth_idf,
-        spec.penalties,
-        spec.alphas,
-    )
-    for name, axis in zip(
-        ("ngram_ranges", "norms", "use_idf", "smooth_idf", "penalties", "alphas"), axes
-    ):
+    axes = [getattr(spec, name) for name in GRID_AXES]
+    for name, axis in zip(GRID_AXES, axes):
         if not axis:
             raise ValueError(f"grid axis {name!r} is empty")
     return [ParamSet(*combo) for combo in itertools.product(*axes)]
@@ -316,6 +327,21 @@ def params_from_dict(data: dict) -> ParamSet:
         penalty=str(data["penalty"]),
         alpha=float(data["alpha"]),
     )
+
+
+def winner_params(grid_results: object) -> ParamSet:
+    """The rank-1 candidate's parameters from a grid_results.json object.
+
+    Raises ValueError if there is no such candidate to read.
+    """
+    candidates = grid_results.get("candidates") if isinstance(grid_results, dict) else None
+    if not isinstance(candidates, list) or not candidates:
+        raise ValueError("grid results must be a JSON object with a non-empty 'candidates' list")
+    try:
+        best = min(candidates, key=lambda c: c["rank"])
+        return params_from_dict(best["params"])
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"malformed grid results candidate: {exc!r}") from exc
 
 
 def render_grid_table(candidates: Sequence[Candidate], loss_name: str) -> str:

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import atomic_write
 from .features import SparseVector
 
 MODEL_FORMAT_VERSION = 1
@@ -296,7 +297,8 @@ def model_from_dict(data: dict) -> LinearModel:
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True, indent=1), "utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(model_to_dict(model), sort_keys=True, indent=1))
 
 
 def load_model(path: str | Path) -> LinearModel:

@@ -14,6 +14,7 @@ import numpy as np
 
 from sgdtext.evaluation import ConfusionMatrix
 from sgdtext.features import SparseVector
+from sgdtext.resample import squared_distance
 from sgdtext.sgd import (
     LinearModel,
     LossKind,
@@ -182,3 +183,23 @@ def micro_averages(cm: ConfusionMatrix) -> tuple[float, float, float]:
     precision = recall = tp / total if total else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
+
+
+def knn_indices_oracle(points: Sequence[SparseVector], query: int, k: int) -> list[int]:
+    """The k nearest points to points[query] by Euclidean distance, excluding itself.
+
+    The per-query loop resample.neighbor_table replaced: every row of the
+    table must equal it. k is clamped to len(points) - 1; exact distance
+    ties resolve to the lower index.
+    """
+    n = len(points)
+    if n < 2:
+        raise ValueError("need at least 2 points to have neighbors")
+    if not 0 <= query < n:
+        raise IndexError(f"query index {query} out of range for {n} points")
+    k = min(k, n - 1)
+    d2 = np.empty(n, dtype=np.float64)
+    for i, p in enumerate(points):
+        d2[i] = np.inf if i == query else squared_distance(points[query], p)
+    order = np.argsort(d2, kind="stable")
+    return [int(i) for i in order[:k]]

@@ -164,6 +164,45 @@ class TestTrainEval:
         assert main(["eval", "--out", str(prepared)]) == EXIT_DATA
         assert "missing" in capsys.readouterr().err
 
+    def test_eval_accepts_flags_that_match_the_train_run(self, prepared):
+        main(["train", "--ngram", "1,2", "--loss", "logreg", "--alpha", "0.001",
+              "--out", str(prepared)])
+        code = main(["eval", "--ngram", "1,2", "--loss", "logreg", "--alpha", "0.001",
+                     "--norm", "l2", "--use-idf", "--epochs", "5", "--smote-k", "9",
+                     "--out", str(prepared)])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "flags, named, artifact",
+        [
+            (["--ngram", "3,3"], "--ngram", "tfidf.json"),
+            (["--norm", "l1"], "--norm", "tfidf.json"),
+            (["--no-use-idf"], "--use-idf", "tfidf.json"),
+            (["--no-smooth-idf"], "--smooth-idf", "tfidf.json"),
+            (["--loss", "perceptron"], "--loss", "train_meta.json"),
+            (["--penalty", "l1"], "--penalty", "train_meta.json"),
+            (["--alpha", "5"], "--alpha", "train_meta.json"),
+            (["--epochs", "2"], "--epochs", "train_meta.json"),
+            (["--smote"], "--smote", "train_meta.json"),
+        ],
+    )
+    def test_eval_rejects_flags_the_train_run_did_not_use(
+        self, prepared, capsys, flags, named, artifact
+    ):
+        main(["train", "--out", str(prepared)])
+        capsys.readouterr()
+        assert main(["eval", *flags, "--out", str(prepared)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert named in err and artifact in err
+        assert not (prepared / "eval_report.json").exists()
+
+    def test_eval_flags_against_malformed_train_meta(self, prepared, capsys):
+        main(["train", "--out", str(prepared)])
+        (prepared / "train_meta.json").write_text("[]", "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--loss", "svm", "--out", str(prepared)]) == EXIT_DATA
+        assert "train_meta.json is malformed" in capsys.readouterr().err
+
     def test_train_with_smote_and_other_losses(self, prepared):
         code = main(
             ["train", "--out", str(prepared), "--loss", "logreg", "--smote", "--epochs", "3"]
@@ -285,6 +324,42 @@ class TestCrossvalGridCompare:
         )
         assert code == EXIT_OK
         assert read_json(prepared / "compare.json")["tuned_params"]["alpha"] == 0.001
+
+
+class TestMalformedInputFiles:
+    @pytest.fixture
+    def prepared(self, labeled_csv, tmp_path):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        return out
+
+    @pytest.mark.parametrize(
+        "content", ['{"candidates": 5}', "[]", '{"candidates": []}'],
+        ids=["scalar-candidates", "top-level-list", "no-candidates"],
+    )
+    def test_compare_tuned_from(self, prepared, tmp_path, capsys, content):
+        path = tmp_path / "results.json"
+        path.write_text(content, "utf-8")
+        code = main(["compare", "--tuned-from", str(path), "--k", "2", "--out", str(prepared)])
+        assert code == EXIT_DATA
+        assert "candidates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"alphas": 5}', "malformed grid spec"),
+            ('{"ngram_ranges": [5]}', "malformed grid spec"),
+            ('{"alpha": [0.1]}', "unknown grid spec keys"),
+            ("[1, 2]", "JSON object"),
+        ],
+        ids=["scalar-axis", "scalar-ngram-range", "unknown-key", "top-level-list"],
+    )
+    def test_gridsearch_grid(self, prepared, tmp_path, capsys, content, message):
+        path = tmp_path / "grid.json"
+        path.write_text(content, "utf-8")
+        assert main(["gridsearch", "--grid", str(path), "--out", str(prepared)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (prepared / "grid_results.json").exists()
 
 
 class TestExitCodes:

@@ -7,15 +7,19 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgdtext.features import SparseVector
+from sgdtext import resample
+from sgdtext.features import NORMS, NgramRange, SparseVector, TfidfConfig, fit, transform
 from sgdtext.resample import (
     SmoteConfig,
     interpolate,
-    knn_indices,
+    neighbor_table,
     smote,
     squared_distance,
 )
+from tests.oracles import knn_indices_oracle
 
 
 def dense_of(v: SparseVector, dim: int) -> np.ndarray:
@@ -105,7 +109,7 @@ class TestKnnIndices:
         points = random_points(rng, 25)
         dense = np.array([dense_of(p, 12) for p in points])
         for query in range(25):
-            got = knn_indices(points, query, 5)
+            got = knn_indices_oracle(points, query, 5)
             d2 = np.sum((dense - dense[query]) ** 2, axis=1)
             d2[query] = np.inf
             kth = np.sort(d2)[4]
@@ -119,19 +123,182 @@ class TestKnnIndices:
         left = SparseVector.from_pairs({0: 2.0})
         right = SparseVector.from_pairs({0: 2.0})
         points = [base, left, right]
-        assert knn_indices(points, 0, 1) == [1]
+        assert knn_indices_oracle(points, 0, 1) == [1]
 
     def test_k_clamped_to_population(self):
         points = [SparseVector.from_pairs({0: float(i + 1)}) for i in range(3)]
-        assert sorted(knn_indices(points, 0, 10)) == [1, 2]
+        assert sorted(knn_indices_oracle(points, 0, 10)) == [1, 2]
 
     def test_errors(self):
         points = [SparseVector.from_pairs({0: 1.0})]
         with pytest.raises(ValueError, match="at least 2"):
-            knn_indices(points, 0, 1)
+            knn_indices_oracle(points, 0, 1)
         two = points + [SparseVector.from_pairs({0: 2.0})]
         with pytest.raises(IndexError):
-            knn_indices(two, 5, 1)
+            knn_indices_oracle(two, 5, 1)
+
+
+def oracle_table(points: list[SparseVector], k: int) -> list[list[int]]:
+    return [knn_indices_oracle(points, q, k) for q in range(len(points))]
+
+
+def tfidf_classes(
+    seed: int, ngram_range: NgramRange, norm: str
+) -> list[list[SparseVector]]:
+    """TF-IDF vectors of a small Zipf-like corpus, split into three classes.
+
+    Every class repeats some of its documents verbatim and holds one document
+    of out-of-vocabulary tokens, which transforms to an empty vector.
+    """
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(40)]
+    weights = 1.0 / np.arange(1, len(vocab) + 1)
+    weights /= weights.sum()
+    classes: list[list[list[str]]] = []
+    for size in (24, 9, 4):
+        docs = [
+            list(rng.choice(vocab, size=int(rng.integers(3, 9)), p=weights))
+            for _ in range(size)
+        ]
+        docs += [list(docs[int(i)]) for i in rng.integers(0, size, size=3)]
+        docs.append(["unseen", "tokens"])
+        classes.append(docs)
+    model = fit(
+        [doc for docs in classes for doc in docs if doc[0] != "unseen"],
+        TfidfConfig(ngram_range=ngram_range, norm=norm),
+    )
+    return [[transform(model, doc) for doc in docs] for docs in classes]
+
+
+class CountingDistance:
+    """Stands in for resample.squared_distance and counts the exact re-ranks."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, a: SparseVector, b: SparseVector) -> float:
+        self.calls += 1
+        return squared_distance(a, b)
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("ngram", [NgramRange(1, 1), NgramRange(1, 2)])
+    def test_equals_oracle_on_tfidf_classes(self, norm, ngram):
+        for seed in (61, 62):
+            for points in tfidf_classes(seed, ngram, norm):
+                for k in (1, 3, 5):
+                    assert neighbor_table(points, k) == oracle_table(points, k)
+
+    def test_exact_duplicates(self):
+        rng = np.random.default_rng(63)
+        points = random_points(rng, 8)
+        points = points + [points[3], points[0], points[3], points[7]]
+        for k in (1, 2, 4, 11):
+            assert neighbor_table(points, k) == oracle_table(points, k)
+
+    def test_values_whose_products_underflow(self):
+        rng = np.random.default_rng(66)
+        points = [
+            SparseVector(p.indices, p.values * 1e-160) for p in random_points(rng, 10)
+        ]
+        points.append(points[2])
+        for k in (1, 3):
+            assert neighbor_table(points, k) == oracle_table(points, k)
+
+    def test_all_empty_class(self):
+        points = [SparseVector.empty() for _ in range(5)]
+        table = neighbor_table(points, 3)
+        assert table == oracle_table(points, 3)
+        assert table[0] == [1, 2, 3]
+        assert table[4] == [0, 1, 2]
+
+    def test_two_points(self):
+        points = [SparseVector.from_pairs({0: 1.0}), SparseVector.from_pairs({1: 2.0})]
+        assert neighbor_table(points, 1) == [[1], [0]]
+        assert neighbor_table(points, 5) == [[1], [0]]
+
+    def test_k_clamped_to_population(self):
+        rng = np.random.default_rng(64)
+        points = random_points(rng, 6)
+        table = neighbor_table(points, 10)
+        assert table == oracle_table(points, 10)
+        assert all(len(row) == 5 for row in table)
+
+    def test_near_tie_takes_the_exact_rerank(self, monkeypatch):
+        # Both neighbours lie at distance^2 0.7^2 + 0.1^2 from the query, but
+        # the Gram-form screen rounds the second one lower. The exact
+        # distances keep the tie-break to the lower index.
+        points = [
+            SparseVector.from_pairs({0: 0.2, 1: 0.3}),
+            SparseVector.from_pairs({0: 0.9, 1: 0.4}),
+            SparseVector.from_pairs({0: 0.9, 1: 0.2}),
+        ]
+        counting = CountingDistance()
+        monkeypatch.setattr(resample, "squared_distance", counting)
+        table = neighbor_table(points, 1)
+        assert counting.calls > 0
+        assert table[0] == [1]
+        assert table == oracle_table(points, 1)
+
+    def test_separated_points_skip_the_exact_rerank(self, monkeypatch):
+        points = [SparseVector.from_pairs({0: float(2**i)}) for i in range(6)]
+        counting = CountingDistance()
+        monkeypatch.setattr(resample, "squared_distance", counting)
+        assert neighbor_table(points, 2) == oracle_table(points, 2)
+        assert counting.calls == 0
+
+    def test_smote_equals_oracle_driven_smote(self, monkeypatch):
+        classes = tfidf_classes(65, NgramRange(1, 2), "l2")
+        X = [v for points in classes for v in points]
+        labels = [cls for cls, points in enumerate(classes) for _ in points]
+        config = SmoteConfig(k_neighbors=3, seed=10)
+        fast = smote(X, labels, config)
+        monkeypatch.setattr(resample, "neighbor_table", oracle_table)
+        slow = smote(X, labels, config)
+        assert fast.labels == slow.labels
+        assert fast.records == slow.records
+        assert len(fast.vectors) == len(slow.vectors)
+        for a, b in zip(fast.vectors, slow.vectors):
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_errors(self):
+        one = [SparseVector.from_pairs({0: 1.0})]
+        with pytest.raises(ValueError, match="at least 2"):
+            neighbor_table(one, 1)
+        two = one + [SparseVector.from_pairs({0: 2.0})]
+        with pytest.raises(ValueError, match="k must be"):
+            neighbor_table(two, 0)
+
+
+@st.composite
+def sparse_classes(draw) -> list[SparseVector]:
+    """Small classes over few columns with duplicates, empty vectors and 1-ulp nudges."""
+    dim = draw(st.integers(1, 8))
+    magnitude = st.floats(0.01, 4.0)
+    value = st.one_of(magnitude, magnitude.map(lambda v: -v))
+    point = st.dictionaries(st.integers(0, dim - 1), value, max_size=dim)
+    drawn = draw(st.lists(point, min_size=2, max_size=12))
+    points = [SparseVector.from_pairs(pairs) for pairs in drawn]
+    for _ in range(draw(st.integers(0, 4))):
+        source = points[draw(st.integers(0, len(points) - 1))]
+        if draw(st.booleans()) and source.nnz:
+            values = source.values.copy()
+            at = draw(st.integers(0, source.nnz - 1))
+            values[at] = np.nextafter(values[at], np.inf)
+            points.append(SparseVector(source.indices.copy(), values))
+        else:
+            points.append(source)
+    order = draw(st.permutations(range(len(points))))
+    return [points[i] for i in order]
+
+
+class TestNeighborTableProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(points=sparse_classes(), k=st.integers(1, 6))
+    def test_equals_oracle(self, points, k):
+        assert neighbor_table(points, k) == oracle_table(points, k)
 
 
 class TestSmote:
@@ -177,7 +344,7 @@ class TestSmote:
             class_points = [X[i] for i in members]
             local_base = members.index(record.base_index)
             k = min(config.k_neighbors, len(members) - 1)
-            allowed = {members[j] for j in knn_indices(class_points, local_base, k)}
+            allowed = {members[j] for j in knn_indices_oracle(class_points, local_base, k)}
             assert record.neighbor_index in allowed
 
     def test_explicit_target_count(self):

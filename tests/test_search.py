@@ -20,7 +20,9 @@ from sgdtext.search import (
     grid_spec_from_dict,
     load_grid_spec,
     params_from_dict,
+    params_to_dict,
     render_grid_table,
+    winner_params,
 )
 from sgdtext.sgd import LossKind
 
@@ -91,6 +93,46 @@ class TestGridSpecIO:
         spec = load_grid_spec(path)
         assert spec.ngram_ranges == [NgramRange(2, 2)]
         assert spec.seed == 7
+
+    def test_scalar_axis_rejected(self):
+        with pytest.raises(ValueError, match="malformed grid spec"):
+            grid_spec_from_dict({"alphas": 5})
+
+    def test_scalar_ngram_range_rejected(self):
+        with pytest.raises(ValueError, match="malformed grid spec"):
+            grid_spec_from_dict({"ngram_ranges": [5]})
+
+    def test_string_axis_rejected(self):
+        # A string would otherwise be swept character by character.
+        with pytest.raises(ValueError, match="'use_idf' must be a JSON array"):
+            grid_spec_from_dict({"use_idf": "no"})
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown grid spec keys \\['alpha'\\]"):
+            grid_spec_from_dict({"alpha": [0.1]})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object, got list"):
+            grid_spec_from_dict([1, 2])
+
+
+class TestWinnerParams:
+    def test_lowest_rank_wins(self):
+        first = ParamSet(NgramRange(1, 2), "l1", False, True, "l1", 1e-3)
+        data = {
+            "candidates": [
+                {"rank": 2, "params": params_to_dict(DEFAULT_PARAMS)},
+                {"rank": 1, "params": params_to_dict(first)},
+            ]
+        }
+        assert winner_params(data) == first
+
+    @pytest.mark.parametrize(
+        "data", [{"candidates": 5}, [], {"candidates": []}, {"candidates": [{"rank": 1}]}]
+    )
+    def test_malformed_results_rejected(self, data):
+        with pytest.raises(ValueError):
+            winner_params(data)
 
 
 class TestGridSearch:
