@@ -28,7 +28,7 @@ from .features import (
 )
 from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipeline
 from .resample import SmoteConfig, SmoteResult, interpolate, neighbor_table, smote
-from .search import Candidate, GridSpec, ParamSet, compare_runs, enumerate_grid, grid_search
+from .search import Candidate, GridSpec, compare_runs, enumerate_grid, grid_search
 from .seeds import substream
 from .sgd import (
     LinearModel,
@@ -56,7 +56,6 @@ __all__ = [
     "LinearModel",
     "LossKind",
     "NgramRange",
-    "ParamSet",
     "PipelineConfig",
     "SmoteConfig",
     "SmoteResult",

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -31,13 +30,13 @@ from .evaluation import (
 from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipeline
 from .resample import SmoteConfig
 from .search import (
-    DEFAULT_PARAMS,
     GridSpec,
-    ParamSet,
     candidate_to_dict,
     compare_runs,
     grid_search,
     load_grid_spec,
+    params_from_dict,
+    params_label,
     params_to_dict,
     render_grid_table,
     winner_params,
@@ -54,6 +53,7 @@ LOSSES = {
     "logreg": LossKind.LOG,
     "perceptron": LossKind.PERCEPTRON,
 }
+LOSS_NAMES = {kind: name for name, kind in LOSSES.items()}
 
 
 def _fraction(text: str) -> float:
@@ -85,57 +85,30 @@ def _ngram_pair(text: str) -> features.NgramRange:
         raise argparse.ArgumentTypeError(f"expected LO,HI with 1 <= LO <= HI, got {text!r}") from exc
 
 
-@dataclass
-class RunConfig:
-    """Validated flags shared by the model-running subcommands."""
+def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    """The pipeline flags of a model-running subcommand as one PipelineConfig."""
+    return PipelineConfig(
+        ngram_range=args.ngram,
+        norm=args.norm,
+        use_idf=args.use_idf,
+        smooth_idf=args.smooth_idf,
+        penalty=args.penalty,
+        alpha=args.alpha,
+        loss=LOSSES[args.loss],
+        epochs=args.epochs,
+        smote=SmoteConfig(k_neighbors=args.smote_k) if args.smote else None,
+        seed=substream(args.seed, "pipeline"),
+    )
 
-    out_dir: Path
-    seed: int
-    loss_name: str
-    loss: LossKind
-    params: ParamSet
-    epochs: int
-    smote_config: SmoteConfig | None
-    k: int
-    jobs: int
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        params = ParamSet(
-            ngram_range=args.ngram,
-            norm=args.norm,
-            use_idf=args.use_idf,
-            smooth_idf=args.smooth_idf,
-            penalty=args.penalty,
-            alpha=args.alpha,
-        )
-        smote_config = SmoteConfig(k_neighbors=args.smote_k) if args.smote else None
-        return cls(
-            out_dir=Path(args.out),
-            seed=args.seed,
-            loss_name=args.loss,
-            loss=LOSSES[args.loss],
-            params=params,
-            epochs=args.epochs,
-            smote_config=smote_config,
-            k=getattr(args, "k", 10),
-            jobs=getattr(args, "jobs", 1),
-        )
-
-    def pipeline_config(self, params: ParamSet | None = None) -> PipelineConfig:
-        params = params or self.params
-        return PipelineConfig(
-            ngram_range=params.ngram_range,
-            norm=params.norm,
-            use_idf=params.use_idf,
-            smooth_idf=params.smooth_idf,
-            penalty=params.penalty,
-            alpha=params.alpha,
-            loss=self.loss,
-            epochs=self.epochs,
-            smote=self.smote_config,
-            seed=substream(self.seed, "pipeline"),
-        )
+def _train_split(out_dir: Path) -> tuple[list[list[str]], list[int]]:
+    """Documents and labels of the training side of a prepared split."""
+    loaded, manifest = _load_prepared(out_dir)
+    train_indices = [int(i) for i in manifest["train_indices"]]
+    return (
+        [loaded.documents[i] for i in train_indices],
+        [loaded.labels[i] for i in train_indices],
+    )
 
 
 def _require_files(*paths: Path) -> None:
@@ -234,46 +207,39 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fit_on_train(config: RunConfig) -> tuple[FittedPipeline, LabeledCorpus, dict, float]:
-    loaded, manifest = _load_prepared(config.out_dir)
-    train_indices = [int(i) for i in manifest["train_indices"]]
-    started = time.perf_counter()
-    fitted = fit_pipeline(
-        [loaded.documents[i] for i in train_indices],
-        [loaded.labels[i] for i in train_indices],
-        config.pipeline_config(),
-    )
-    elapsed = time.perf_counter() - started
-    return fitted, loaded, manifest, elapsed
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    fitted, _, _, elapsed = _fit_on_train(config)
+    out_dir = Path(args.out)
+    config = _config_from_args(args)
+    documents, labels = _train_split(out_dir)
+    started = time.perf_counter()
+    fitted = fit_pipeline(documents, labels, config)
+    elapsed = time.perf_counter() - started
+    # Free the corpus before the artifacts are serialized, which is train's peak.
+    del documents, labels
     # The model goes last: a run cut short leaves no new model.json beside
     # an older tfidf.json or train_meta.json.
-    features.save_tfidf(fitted.tfidf, config.out_dir / "tfidf.json")
+    features.save_tfidf(fitted.tfidf, out_dir / "tfidf.json")
     _write_json(
-        config.out_dir / "train_meta.json",
+        out_dir / "train_meta.json",
         {
-            "loss": config.loss_name,
-            "params": params_to_dict(config.params),
+            "loss": args.loss,
+            "params": params_to_dict(config),
             "epochs": config.epochs,
-            "smote": config.smote_config is not None,
-            "seed": config.seed,
+            "smote": config.smote is not None,
+            "seed": args.seed,
             "elapsed_seconds": elapsed,
         },
     )
-    sgd.save_model(fitted.model, config.out_dir / "model.json")
+    sgd.save_model(fitted.model, out_dir / "model.json")
     print(
-        f"trained {config.loss_name} on {len(fitted.model.classes)} classes, "
+        f"trained {args.loss} on {len(fitted.model.classes)} classes, "
         f"{fitted.model.feature_dim} features"
     )
     return EXIT_OK
 
 
 def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.TfidfModel) -> None:
-    """Raise ValueError if a pipeline flag given to eval disagrees with the train run."""
+    """Raise ValueError if a pipeline flag or --seed given to eval disagrees with the train run."""
     tfidf_path = out_dir / "tfidf.json"
     recorded = {
         "ngram": (tfidf.ngram_range, tfidf_path),
@@ -282,7 +248,7 @@ def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.T
         "smooth_idf": (tfidf.smooth_idf, tfidf_path),
     }
     given = vars(args)
-    meta_flags = ("loss", "penalty", "alpha", "epochs", "smote")
+    meta_flags = ("loss", "penalty", "alpha", "epochs", "smote", "seed")
     if any(flag in given for flag in meta_flags):
         meta_path = out_dir / "train_meta.json"
         _require_files(meta_path)
@@ -294,6 +260,7 @@ def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.T
                 alpha=(meta["params"]["alpha"], meta_path),
                 epochs=(meta["epochs"], meta_path),
                 smote=(meta["smote"], meta_path),
+                seed=(meta["seed"], meta_path),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{meta_path} is malformed: missing {exc}") from exc
@@ -359,99 +326,81 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    loaded, manifest = _load_prepared(config.out_dir)
-    train_indices = [int(i) for i in manifest["train_indices"]]
-    report = cross_validate(
-        [loaded.documents[i] for i in train_indices],
-        [loaded.labels[i] for i in train_indices],
-        config.pipeline_config(),
-        config.k,
-        substream(config.seed, "crossval"),
-    )
+    out_dir = Path(args.out)
+    config = _config_from_args(args)
+    documents, labels = _train_split(out_dir)
+    report = cross_validate(documents, labels, config, args.k, substream(args.seed, "crossval"))
     _write_json(
-        config.out_dir / "cv_report.json",
+        out_dir / "cv_report.json",
         {
-            "loss": config.loss_name,
-            "params": params_to_dict(config.params),
-            "k": config.k,
-            "seed": config.seed,
+            "loss": args.loss,
+            "params": params_to_dict(config),
+            "k": args.k,
+            "seed": args.seed,
             **cv_to_dict(report),
         },
     )
-    line = f"{config.loss_name}\t{render_cv_line(report)}"
-    _write_text(config.out_dir / "cv_report.txt", line + "\n")
+    line = f"{args.loss}\t{render_cv_line(report)}"
+    _write_text(out_dir / "cv_report.txt", line + "\n")
     print(line)
     return EXIT_OK
 
 
 def cmd_gridsearch(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    loaded, manifest = _load_prepared(config.out_dir)
+    out_dir = Path(args.out)
+    config = _config_from_args(args)
+    documents, labels = _train_split(out_dir)
     if args.grid:
         _require_files(Path(args.grid))
         spec = load_grid_spec(args.grid)
     else:
         spec = GridSpec()
-    spec.seed = substream(config.seed, "grid")
-    train_indices = [int(i) for i in manifest["train_indices"]]
+    spec.seed = substream(args.seed, "grid")
     started = time.perf_counter()
-    candidates = grid_search(
-        [loaded.documents[i] for i in train_indices],
-        [loaded.labels[i] for i in train_indices],
-        config.loss,
-        spec,
-        epochs=config.epochs,
-        smote_config=config.smote_config,
-        jobs=config.jobs,
-    )
+    candidates = grid_search(documents, labels, config, spec, jobs=args.jobs)
     elapsed = time.perf_counter() - started
     _write_json(
-        config.out_dir / "grid_results.json",
+        out_dir / "grid_results.json",
         {
-            "loss": config.loss_name,
-            "seed": config.seed,
+            "loss": args.loss,
+            "seed": args.seed,
             "inner_folds": spec.inner_folds,
             "dev_fraction": spec.dev_fraction,
             "candidates": [candidate_to_dict(c) for c in candidates],
             "elapsed_seconds": elapsed,
         },
     )
-    table = render_grid_table(candidates, config.loss_name)
-    _write_text(config.out_dir / "grid_results.txt", table)
+    _write_text(out_dir / "grid_results.txt", render_grid_table(candidates, args.loss))
     winner = candidates[0]
-    print(f"best: {winner.params.label()} mean={winner.mean:.5f} (+/-{winner.std:.5f})")
+    # Failed candidates rank last, so a failed winner means every one failed.
+    if winner.error is not None:
+        raise ValueError(f"all {len(candidates)} grid candidates failed; first: {winner.error}")
+    print(f"best: {params_label(winner.params)} mean={winner.mean:.5f} (+/-{winner.std:.5f})")
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    loaded, manifest = _load_prepared(config.out_dir)
+    out_dir = Path(args.out)
+    config = _config_from_args(args)
+    documents, labels = _train_split(out_dir)
     if args.tuned_from:
         _require_files(Path(args.tuned_from))
-        tuned_params = winner_params(json.loads(Path(args.tuned_from).read_text("utf-8")))
+        tuned = winner_params(json.loads(Path(args.tuned_from).read_text("utf-8")), config)
     else:
-        tuned_params = config.params
-    train_indices = [int(i) for i in manifest["train_indices"]]
+        tuned = config
+    # The default arm keeps loss, epochs and SMOTE; its six tuned values are the defaults.
+    default = params_from_dict(params_to_dict(PipelineConfig()), config)
     report = compare_runs(
-        [loaded.documents[i] for i in train_indices],
-        [loaded.labels[i] for i in train_indices],
-        config.loss,
-        DEFAULT_PARAMS,
-        tuned_params,
-        k=config.k,
-        seed=substream(config.seed, "compare"),
-        epochs=config.epochs,
-        smote_config=config.smote_config,
+        documents, labels, default, tuned, k=args.k, seed=substream(args.seed, "compare")
     )
     _write_json(
-        config.out_dir / "compare.json",
+        out_dir / "compare.json",
         {
-            "loss": config.loss_name,
-            "k": config.k,
-            "seed": config.seed,
-            "default_params": params_to_dict(DEFAULT_PARAMS),
-            "tuned_params": params_to_dict(tuned_params),
+            "loss": args.loss,
+            "k": args.k,
+            "seed": args.seed,
+            "default_params": params_to_dict(default),
+            "tuned_params": params_to_dict(tuned),
             "default": cv_to_dict(report.default),
             "tuned": cv_to_dict(report.tuned),
             "mean_delta": report.mean_delta,
@@ -460,36 +409,44 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     lines = [
         "Arm\tClassifier\tAccuracy",
-        f"default\t{config.loss_name}\t{render_cv_line(report.default)}",
-        f"tuned\t{config.loss_name}\t{render_cv_line(report.tuned)}",
-        f"delta\t{config.loss_name}\t{report.mean_delta:+.5f}",
+        f"default\t{args.loss}\t{render_cv_line(report.default)}",
+        f"tuned\t{args.loss}\t{render_cv_line(report.tuned)}",
+        f"delta\t{args.loss}\t{report.mean_delta:+.5f}",
     ]
-    _write_text(config.out_dir / "compare.txt", "\n".join(lines) + "\n")
+    _write_text(out_dir / "compare.txt", "\n".join(lines) + "\n")
     print(lines[1])
     print(lines[2])
     return EXIT_OK
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser, *, given_only: bool = False) -> None:
-    """Add the pipeline flags; with given_only, a flag left off is absent from the namespace."""
+    """Add the pipeline flags; with given_only, a flag left off is absent from the namespace.
+
+    Defaults are those of PipelineConfig() and SmoteConfig().
+    """
+    pipeline, smote = PipelineConfig(), SmoteConfig()
+    ngram = f"{pipeline.ngram_range.lo},{pipeline.ngram_range.hi}"
 
     def default(value):
         return argparse.SUPPRESS if given_only else value
 
-    parser.add_argument("--loss", choices=sorted(LOSSES), default=default("svm"))
-    parser.add_argument("--ngram", type=_ngram_pair, default=default(features.NgramRange(1, 1)),
-                        metavar="LO,HI", help="n-gram range (default 1,1)")
-    parser.add_argument("--norm", choices=features.NORMS, default=default("l2"))
-    parser.add_argument("--use-idf", action=argparse.BooleanOptionalAction, default=default(True))
+    parser.add_argument("--loss", choices=sorted(LOSSES),
+                        default=default(LOSS_NAMES[pipeline.loss]))
+    parser.add_argument("--ngram", type=_ngram_pair, default=default(pipeline.ngram_range),
+                        metavar="LO,HI", help=f"n-gram range (default {ngram})")
+    parser.add_argument("--norm", choices=features.NORMS, default=default(pipeline.norm))
+    parser.add_argument("--use-idf", action=argparse.BooleanOptionalAction,
+                        default=default(pipeline.use_idf))
     parser.add_argument("--smooth-idf", action=argparse.BooleanOptionalAction,
-                        default=default(True))
-    parser.add_argument("--penalty", choices=sgd.PENALTIES, default=default("l2"))
-    parser.add_argument("--alpha", type=_positive_float, default=default(1e-4))
-    parser.add_argument("--epochs", type=_positive_int, default=default(5))
-    parser.add_argument("--smote", action="store_true", default=default(False),
+                        default=default(pipeline.smooth_idf))
+    parser.add_argument("--penalty", choices=sgd.PENALTIES, default=default(pipeline.penalty))
+    parser.add_argument("--alpha", type=_positive_float, default=default(pipeline.alpha))
+    parser.add_argument("--epochs", type=_positive_int, default=default(pipeline.epochs))
+    parser.add_argument("--smote", action="store_true",
+                        default=default(pipeline.smote is not None),
                         help="oversample training data")
-    parser.add_argument("--smote-k", type=_positive_int, default=default(5), metavar="K",
-                        help="SMOTE neighbor count (default 5)")
+    parser.add_argument("--smote-k", type=_positive_int, default=default(smote.k_neighbors),
+                        metavar="K", help=f"SMOTE neighbor count (default {smote.k_neighbors})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,12 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser(
         "eval",
         help="score a trained model on the held-out split",
-        description="Score a trained model. Pipeline flags, where given, must match "
-        "what train recorded in tfidf.json and train_meta.json (--smote-k is not recorded).",
+        description="Score a trained model. Pipeline flags and --seed, where given, must "
+        "match what train recorded in tfidf.json and train_meta.json (--smote-k is not "
+        "recorded).",
     )
     _add_pipeline_flags(evaluate, given_only=True)
     evaluate.add_argument("--on", choices=("test", "train"), default="test")
-    evaluate.add_argument("--seed", type=int, default=0)
+    evaluate.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     evaluate.add_argument("--out", required=True, help="directory with prepare+train outputs")
     evaluate.set_defaults(func=cmd_eval)
 

@@ -2,7 +2,9 @@
 
 One PipelineConfig carries the six tunable hyperparameters (n-gram range,
 norm, use_idf, smooth_idf, penalty, alpha) plus loss, epochs, optional
-SMOTE, and the seed every random choice derives from.
+SMOTE, and the seed every random choice derives from. It is the only
+hyperparameter type: the CLI builds one from its flags, and grid search
+sweeps the six tunable fields over a base config.
 """
 
 from __future__ import annotations
@@ -30,6 +32,29 @@ class PipelineConfig:
     smote: SmoteConfig | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # The stage configs check their own values; build them so that an
+        # out-of-range value fails here rather than in the middle of a fit.
+        self.tfidf_config()
+        self.train_config()
+
+    def tfidf_config(self) -> TfidfConfig:
+        return TfidfConfig(
+            ngram_range=self.ngram_range,
+            use_idf=self.use_idf,
+            smooth_idf=self.smooth_idf,
+            norm=self.norm,
+        )
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            loss=self.loss,
+            penalty=self.penalty,
+            alpha=self.alpha,
+            epochs=self.epochs,
+            seed=substream(self.seed, "shuffle"),
+        )
+
 
 @dataclass
 class FittedPipeline:
@@ -51,15 +76,7 @@ def fit_pipeline(
     """
     if len(documents) != len(labels):
         raise ValueError("documents and labels must have equal length")
-    tfidf = features.fit(
-        documents,
-        TfidfConfig(
-            ngram_range=config.ngram_range,
-            use_idf=config.use_idf,
-            smooth_idf=config.smooth_idf,
-            norm=config.norm,
-        ),
-    )
+    tfidf = features.fit(documents, config.tfidf_config())
     vectors = [features.transform(tfidf, doc) for doc in documents]
     train_labels = [int(lab) for lab in labels]
     if config.smote is not None:
@@ -71,16 +88,7 @@ def fit_pipeline(
         vectors = resampled.vectors
         train_labels = resampled.labels
     model = sgd.fit_multiclass(
-        vectors,
-        train_labels,
-        TrainConfig(
-            loss=config.loss,
-            penalty=config.penalty,
-            alpha=config.alpha,
-            epochs=config.epochs,
-            seed=substream(config.seed, "shuffle"),
-        ),
-        feature_dim=len(tfidf.vocabulary),
+        vectors, train_labels, config.train_config(), feature_dim=len(tfidf.vocabulary)
     )
     return FittedPipeline(tfidf=tfidf, model=model)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,42 +20,13 @@ from . import corpus
 from .evaluation import CvReport, cross_validate
 from .features import NgramRange
 from .pipeline import PipelineConfig
-from .resample import SmoteConfig
 from .seeds import substream
-from .sgd import LossKind
-
-
-@dataclass(frozen=True)
-class ParamSet:
-    """One concrete combination of the six tunable values."""
-
-    ngram_range: NgramRange
-    norm: str
-    use_idf: bool
-    smooth_idf: bool
-    penalty: str
-    alpha: float
-
-    def label(self) -> str:
-        return (
-            f"({self.ngram_range.lo}, {self.ngram_range.hi}),"
-            f"{self.norm!r},{self.use_idf},{self.smooth_idf},"
-            f"{self.penalty!r},{self.alpha!r}"
-        )
-
-
-DEFAULT_PARAMS = ParamSet(
-    ngram_range=NgramRange(1, 1),
-    norm="l2",
-    use_idf=True,
-    smooth_idf=True,
-    penalty="l2",
-    alpha=1e-4,
-)
 
 
 # GridSpec's six swept fields, in enumeration order (alpha varies fastest).
 GRID_AXES = ("ngram_ranges", "norms", "use_idf", "smooth_idf", "penalties", "alphas")
+# The PipelineConfig field each axis sets, in the same order.
+TUNED_FIELDS = ("ngram_range", "norm", "use_idf", "smooth_idf", "penalty", "alpha")
 
 
 @dataclass
@@ -75,7 +46,7 @@ class GridSpec:
 
 @dataclass
 class Candidate:
-    params: ParamSet
+    params: PipelineConfig
     mean: float
     std: float
     rank: int = 0
@@ -121,6 +92,8 @@ def grid_spec_from_dict(data: object) -> GridSpec:
             spec.alphas = [float(a) for a in data["alphas"]]
         if "inner_folds" in data:
             spec.inner_folds = int(data["inner_folds"])
+            if spec.inner_folds < 2:
+                raise ValueError(f"inner_folds must be >= 2, got {spec.inner_folds}")
         if "dev_fraction" in data:
             spec.dev_fraction = float(data["dev_fraction"])
         if "seed" in data:
@@ -134,52 +107,32 @@ def load_grid_spec(path: str | Path) -> GridSpec:
     return grid_spec_from_dict(json.loads(Path(path).read_text("utf-8")))
 
 
-def enumerate_grid(spec: GridSpec) -> list[ParamSet]:
-    """Cartesian product of the six axes in fixed axis order."""
+def enumerate_grid(spec: GridSpec, base: PipelineConfig) -> list[PipelineConfig]:
+    """base with its six tuned fields set to each point of the grid, in axis order.
+
+    Raises ValueError for an empty axis or an out-of-range axis value.
+    """
     axes = [getattr(spec, name) for name in GRID_AXES]
     for name, axis in zip(GRID_AXES, axes):
         if not axis:
             raise ValueError(f"grid axis {name!r} is empty")
-    return [ParamSet(*combo) for combo in itertools.product(*axes)]
-
-
-def _pipeline_config(
-    params: ParamSet,
-    loss: LossKind,
-    epochs: int,
-    smote_config: SmoteConfig | None,
-) -> PipelineConfig:
-    return PipelineConfig(
-        ngram_range=params.ngram_range,
-        norm=params.norm,
-        use_idf=params.use_idf,
-        smooth_idf=params.smooth_idf,
-        penalty=params.penalty,
-        alpha=params.alpha,
-        loss=loss,
-        epochs=epochs,
-        smote=smote_config,
-    )
+    try:
+        return [
+            replace(base, **dict(zip(TUNED_FIELDS, combo))) for combo in itertools.product(*axes)
+        ]
+    except ValueError as exc:
+        raise ValueError(f"invalid grid value: {exc}") from exc
 
 
 def _score_candidate(
+    config: PipelineConfig,
     documents: Sequence[Sequence[str]],
     labels: Sequence[int],
-    loss: LossKind,
-    params: ParamSet,
     inner_folds: int,
     seed: int,
-    epochs: int,
-    smote_config: SmoteConfig | None,
 ) -> tuple[float, float, str | None]:
     try:
-        report = cross_validate(
-            documents,
-            labels,
-            _pipeline_config(params, loss, epochs, smote_config),
-            inner_folds,
-            seed,
-        )
+        report = cross_validate(documents, labels, config, inner_folds, seed)
         return report.mean, report.std, None
     except Exception as exc:  # ranked last, sweep continues
         return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
@@ -188,67 +141,45 @@ def _score_candidate(
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(documents, labels, loss, inner_folds, seed, epochs, smote_config) -> None:
-    _WORKER_STATE["args"] = (documents, labels, loss, inner_folds, seed, epochs, smote_config)
+def _worker_init(*state) -> None:
+    _WORKER_STATE["state"] = state
 
 
-def _worker_score(item: tuple[int, ParamSet]) -> tuple[int, float, float, str | None]:
-    index, params = item
-    documents, labels, loss, inner_folds, seed, epochs, smote_config = _WORKER_STATE["args"]
-    mean, std, error = _score_candidate(
-        documents, labels, loss, params, inner_folds, seed, epochs, smote_config
-    )
-    return index, mean, std, error
+def _worker_score(item: tuple[int, PipelineConfig]) -> tuple[int, float, float, str | None]:
+    index, config = item
+    return index, *_score_candidate(config, *_WORKER_STATE["state"])
 
 
 def grid_search(
     documents: Sequence[Sequence[str]],
     labels: Sequence[int],
-    loss: LossKind,
+    base: PipelineConfig,
     spec: GridSpec,
     *,
-    epochs: int = 5,
-    smote_config: SmoteConfig | None = None,
     jobs: int = 1,
 ) -> list[Candidate]:
     """Score every grid candidate on a stratified development subset.
 
+    Each candidate is base with its six tuned fields taken from the grid.
     Every candidate sees the identical development set, fold plan, and
     training seeds, so the ranking is a pure function of the grid seed and
-    is identical for any worker count.
+    is identical for any worker count. No more workers than candidates are
+    started.
     """
-    combos = enumerate_grid(spec)
+    combos = enumerate_grid(spec, base)
     plan = corpus.split(len(documents), spec.dev_fraction, substream(spec.seed, "dev"), labels)
-    dev_documents = [documents[i] for i in plan.train_indices]
-    dev_labels = [labels[i] for i in plan.train_indices]
-    inner_seed = substream(spec.seed, "inner-cv")
-
-    scored: list[tuple[int, float, float, str | None]] = []
-    if jobs <= 1:
-        for index, params in enumerate(combos):
-            mean, std, error = _score_candidate(
-                dev_documents,
-                dev_labels,
-                loss,
-                params,
-                spec.inner_folds,
-                inner_seed,
-                epochs,
-                smote_config,
-            )
-            scored.append((index, mean, std, error))
+    state = (
+        [documents[i] for i in plan.train_indices],
+        [labels[i] for i in plan.train_indices],
+        spec.inner_folds,
+        substream(spec.seed, "inner-cv"),
+    )
+    workers = min(jobs, len(combos))
+    if workers <= 1:
+        scored = [(index, *_score_candidate(c, *state)) for index, c in enumerate(combos)]
     else:
-        init_args = (
-            dev_documents,
-            dev_labels,
-            loss,
-            spec.inner_folds,
-            inner_seed,
-            epochs,
-            smote_config,
-        )
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=init_args
+            max_workers=workers, initializer=_worker_init, initargs=state
         ) as pool:
             scored = list(pool.map(_worker_score, enumerate(combos), chunksize=4))
 
@@ -271,22 +202,14 @@ def grid_search(
 def compare_runs(
     documents: Sequence[Sequence[str]],
     labels: Sequence[int],
-    loss: LossKind,
-    default_params: ParamSet,
-    tuned_params: ParamSet,
+    default: PipelineConfig,
+    tuned: PipelineConfig,
     k: int = 10,
     seed: int = 0,
-    *,
-    epochs: int = 5,
-    smote_config: SmoteConfig | None = None,
 ) -> CompareReport:
-    """Cross-validate two parameter sets on identical fold plans and diff them."""
-    default_report = cross_validate(
-        documents, labels, _pipeline_config(default_params, loss, epochs, smote_config), k, seed
-    )
-    tuned_report = cross_validate(
-        documents, labels, _pipeline_config(tuned_params, loss, epochs, smote_config), k, seed
-    )
+    """Cross-validate two configs on identical fold plans and diff them."""
+    default_report = cross_validate(documents, labels, default, k, seed)
+    tuned_report = cross_validate(documents, labels, tuned, k, seed)
     return CompareReport(
         default=default_report,
         tuned=tuned_report,
@@ -305,21 +228,27 @@ def candidate_to_dict(candidate: Candidate) -> dict:
     }
 
 
-def params_to_dict(params: ParamSet) -> dict:
-    """JSON form of a ParamSet; params_from_dict reads it back."""
-    return {
-        "ngram_range": [params.ngram_range.lo, params.ngram_range.hi],
-        "norm": params.norm,
-        "use_idf": params.use_idf,
-        "smooth_idf": params.smooth_idf,
-        "penalty": params.penalty,
-        "alpha": params.alpha,
-    }
+def params_to_dict(config: PipelineConfig) -> dict:
+    """JSON form of the six tuned fields; params_from_dict reads it back."""
+    data = {name: getattr(config, name) for name in TUNED_FIELDS}
+    data["ngram_range"] = [config.ngram_range.lo, config.ngram_range.hi]
+    return data
 
 
-def params_from_dict(data: dict) -> ParamSet:
+def params_label(config: PipelineConfig) -> str:
+    """The six tuned values as one tuple-like label, as in grid_results.txt."""
+    return (
+        f"({config.ngram_range.lo}, {config.ngram_range.hi}),"
+        f"{config.norm!r},{config.use_idf},{config.smooth_idf},"
+        f"{config.penalty!r},{config.alpha!r}"
+    )
+
+
+def params_from_dict(data: dict, base: PipelineConfig) -> PipelineConfig:
+    """base with its six tuned fields read from a params_to_dict object."""
     lo, hi = data["ngram_range"]
-    return ParamSet(
+    return replace(
+        base,
         ngram_range=NgramRange(int(lo), int(hi)),
         norm=str(data["norm"]),
         use_idf=bool(data["use_idf"]),
@@ -329,19 +258,23 @@ def params_from_dict(data: dict) -> ParamSet:
     )
 
 
-def winner_params(grid_results: object) -> ParamSet:
-    """The rank-1 candidate's parameters from a grid_results.json object.
+def winner_params(grid_results: object, base: PipelineConfig) -> PipelineConfig:
+    """base with the rank-1 candidate's parameters from a grid_results.json object.
 
-    Raises ValueError if there is no such candidate to read.
+    Raises ValueError if there is no such candidate to read, or if it failed.
     """
     candidates = grid_results.get("candidates") if isinstance(grid_results, dict) else None
     if not isinstance(candidates, list) or not candidates:
         raise ValueError("grid results must be a JSON object with a non-empty 'candidates' list")
     try:
         best = min(candidates, key=lambda c: c["rank"])
-        return params_from_dict(best["params"])
+        error = best.get("error")
+        config = params_from_dict(best["params"], base)
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"malformed grid results candidate: {exc!r}") from exc
+    if error is not None:
+        raise ValueError(f"the rank-1 grid candidate failed: {error}")
+    return config
 
 
 def render_grid_table(candidates: Sequence[Candidate], loss_name: str) -> str:
@@ -349,10 +282,10 @@ def render_grid_table(candidates: Sequence[Candidate], loss_name: str) -> str:
     lines = ["Classifier\tmean\t(+/-)\tParameters"]
     for candidate in candidates:
         if candidate.error is not None:
-            lines.append(f"{loss_name}\tfailed\t\t{candidate.params.label()}\t{candidate.error}")
+            lines.append(f"{loss_name}\tfailed\t\t{params_label(candidate.params)}\t{candidate.error}")
             continue
         lines.append(
             f"{loss_name}\t{candidate.mean:.5f}\t(+/-{candidate.std:.5f})"
-            f"\t{candidate.params.label()}"
+            f"\t{params_label(candidate.params)}"
         )
     return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ from sgdtext.features import (
 )
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import SmoteConfig, smote
-from sgdtext.search import DEFAULT_PARAMS, GridSpec, ParamSet, compare_runs, grid_search
+from sgdtext.search import GridSpec, compare_runs, grid_search, params_label
 from sgdtext.sgd import (
     LossKind,
     TrainConfig,
@@ -312,7 +312,7 @@ def test_grid_search_bigram_winner_and_jobs():
         labels.append(1)
 
     spec = GridSpec(seed=3)
-    sequential = grid_search(documents, labels, LossKind.HINGE, spec)
+    sequential = grid_search(documents, labels, PipelineConfig(), spec)
     assert len(sequential) == 96
     winner = sequential[0]
     assert winner.params.ngram_range == NgramRange(1, 2)
@@ -322,14 +322,14 @@ def test_grid_search_bigram_winner_and_jobs():
     ]
     assert max(unigram_means) < 1.0
 
-    parallel = grid_search(documents, labels, LossKind.HINGE, GridSpec(seed=3), jobs=8)
+    parallel = grid_search(documents, labels, PipelineConfig(), GridSpec(seed=3), jobs=8)
     assert [(c.rank, c.params, c.mean, c.std, c.error) for c in sequential] == [
         (c.rank, c.params, c.mean, c.std, c.error) for c in parallel
     ]
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(
-        f"PASS grid-search: 96 candidates, winner {winner.params.label()} "
+        f"PASS grid-search: 96 candidates, winner {params_label(winner.params)} "
         f"mean {winner.mean:.5f}, jobs=1 == jobs=8, {elapsed:.2f}s"
     )
 
@@ -420,10 +420,8 @@ def test_full_corpus_protocol(tmp_path):
         documents = [documents[i] for i in sub.train_indices]
         labels = [labels[i] for i in sub.train_indices]
 
-    tuned = ParamSet(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)
-    report = compare_runs(
-        documents, labels, LossKind.HINGE, DEFAULT_PARAMS, tuned, k=3, seed=0
-    )
+    tuned = PipelineConfig(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)
+    report = compare_runs(documents, labels, PipelineConfig(), tuned, k=3, seed=0)
     assert report.tuned.mean > report.default.mean
     print(
         f"PASS full-corpus: split {totals['train']}/{totals['test']}, tuned "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from sgdtext import search
 from sgdtext.cli import EXIT_DATA, EXIT_OK, main
 
 
@@ -184,6 +186,7 @@ class TestTrainEval:
             (["--alpha", "5"], "--alpha", "train_meta.json"),
             (["--epochs", "2"], "--epochs", "train_meta.json"),
             (["--smote"], "--smote", "train_meta.json"),
+            (["--seed", "1"], "--seed", "train_meta.json"),
         ],
     )
     def test_eval_rejects_flags_the_train_run_did_not_use(
@@ -195,6 +198,10 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert named in err and artifact in err
         assert not (prepared / "eval_report.json").exists()
+
+    def test_eval_accepts_the_seed_of_the_train_run(self, prepared):
+        main(["train", "--seed", "12", "--out", str(prepared)])
+        assert main(["eval", "--seed", "12", "--out", str(prepared)]) == EXIT_OK
 
     def test_eval_flags_against_malformed_train_meta(self, prepared, capsys):
         main(["train", "--out", str(prepared)])
@@ -280,6 +287,24 @@ class TestCrossvalGridCompare:
         table = (prepared / "grid_results.txt").read_text("utf-8")
         assert table.splitlines()[0] == "Classifier\tmean\t(+/-)\tParameters"
 
+    def test_gridsearch_where_every_candidate_fails(self, prepared, tmp_path, capsys):
+        # No document has nine tokens, so no candidate can build a vocabulary.
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(
+            json.dumps({"ngram_ranges": [[9, 9]], "norms": ["l2"], "use_idf": [True],
+                        "smooth_idf": [True], "penalties": ["l2"], "alphas": [1e-3, 1e-4],
+                        "inner_folds": 2}),
+            "utf-8",
+        )
+        code = main(["gridsearch", "--grid", str(grid_path), "--out", str(prepared)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "best:" not in captured.out
+        assert "all 2 grid candidates failed" in captured.err
+        results = read_json(prepared / "grid_results.json")
+        assert all(c["error"] is not None for c in results["candidates"])
+        assert (prepared / "grid_results.txt").read_text("utf-8").count("\tfailed\t") == 2
+
     def test_compare_with_tuned_from(self, prepared, tmp_path):
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(
@@ -326,6 +351,98 @@ class TestCrossvalGridCompare:
         assert read_json(prepared / "compare.json")["tuned_params"]["alpha"] == 0.001
 
 
+class TestGoldenArtifacts:
+    """One seeded run of every command, pinned to the bytes of its artifacts.
+
+    JSON artifacts are hashed in canonical form after dropping the *_seconds
+    wall-clock keys; text artifacts and corpus.jsonl are hashed as written.
+    A refactor that is meant to change no output must leave every digest as is.
+    """
+
+    GRID = {
+        "ngram_ranges": [[1, 1], [1, 2]],
+        "norms": ["l2"],
+        "use_idf": [True],
+        "smooth_idf": [True],
+        "penalties": ["l2"],
+        "alphas": [1e-3, 1e-4],
+        "inner_folds": 2,
+    }
+
+    DIGESTS = {
+        "compare.json": "4f05106c2acde1107e753652099166fb5deb7d0e4abf760d0885db591f690070",
+        "compare.json@tuned-from": "fe89d5a70c2c31a7a478f4af7c8c67dbea5a16c9a9b3a262ac51820a5001244f",
+        "compare.txt": "e39585d01a0471814de2237f5d741dfcc233051b3e40592f015c720b0095ed1c",
+        "compare.txt@tuned-from": "e39585d01a0471814de2237f5d741dfcc233051b3e40592f015c720b0095ed1c",
+        "corpus.jsonl": "21cd67447447b0a92ecf2115e657087aedaab78cdfb178bb23f057fbeec3608f",
+        "cv_report.json": "58f16692c8387f7c79d4977d2b919309f1d7f62609b032676d40cba70db3e0a3",
+        "cv_report.txt": "00327179cee0f408de086761753a47eb10b773f5fc97273f84e75cab349c8a10",
+        "eval_report.json": "9a67d80cec271d6d8fa039a477364d01bc5bd762eb2ed8a364a6763e843427b1",
+        "eval_report.txt": "5eda5fa897ccafdf0a7f144300a23fed00a02956b7f22ea785954f793fc047fb",
+        "grid_results.json": "582530e9651f9e1b483c9cb6ec54ba018c1578efa1c5ae7fa32b741d9d984655",
+        "grid_results.txt": "e00c21aaebda593866e32a603ea4d70c2a77f93a4153fafc6cac2f46d59a78fb",
+        "histogram.txt": "34247faa5fa5e00b07110254ce1a5ab4fcc7b646b6436e721e1272b5cb0629aa",
+        "model.json": "fa6a36b98a88b4ee73faa81de737b85ab7c267f4fb9be21798b28c92cf9ae032",
+        "split.json": "79cb60d2fb30091825eba98d2c12c0e512ea9aa197b6e36c4c123381e5e57d85",
+        "tfidf.json": "1de3db899d529b1eabce19ef8be7a5b162a0a5daf5c84d4305ac6a9ddee73233",
+        "train_meta.json": "5c4a5d26bd2313bb96cfa1cc42a64a34a2bc1a7b4cab346168da5aa1a17264ef",
+    }
+
+    @staticmethod
+    def digest(path) -> str:
+        if path.suffix == ".json":
+            data = strip_seconds(read_json(path))
+            payload = (json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        else:
+            payload = path.read_bytes()
+        return hashlib.sha256(payload).hexdigest()
+
+    def run_all(self, signature_corpus, tmp_path):
+        documents, labels = signature_corpus(n_classes=3, per_class=12)
+        # Digits do not survive cleaning, so spell each class token with letters,
+        # and keep half of the last class so --smote has a minority to grow.
+        letters = str.maketrans("0123456789", "abcdefghij")
+        rows = [
+            f'{label},"{" ".join(doc).translate(letters)}"'
+            for index, (doc, label) in enumerate(zip(documents, labels))
+            if label != 3 or index % 2 == 0
+        ]
+        csv_path = tmp_path / "signature.csv"
+        csv_path.write_text("label,text\n" + "\n".join(rows) + "\n", "utf-8")
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(self.GRID), "utf-8")
+        out = tmp_path / "run"
+
+        def run(*argv):
+            assert main([*argv, "--seed", "7", "--out", str(out)]) == EXIT_OK
+
+        run("prepare", "--input", str(csv_path))
+        run("train", "--ngram", "1,2")
+        run("eval", "--ngram", "1,2")
+        run("crossval", "--smote", "--k", "3")
+        run("gridsearch", "--grid", str(grid_path))
+        run("compare", "--tuned-from", str(out / "grid_results.json"), "--k", "3")
+        tuned_compare = self.digest(out / "compare.json"), self.digest(out / "compare.txt")
+        run("compare", "--ngram", "1,2", "--alpha", "0.001", "--k", "3")
+        digests = {p.name: self.digest(p) for p in sorted(out.iterdir())}
+        digests["compare.json@tuned-from"], digests["compare.txt@tuned-from"] = tuned_compare
+        return out, digests
+
+    def test_every_artifact_matches_its_pinned_digest(self, signature_corpus, tmp_path, capsys):
+        _, digests = self.run_all(signature_corpus, tmp_path)
+        assert "best: (1, 1),'l2',True,True,'l2',0.001 mean=" in capsys.readouterr().out
+        assert digests == self.DIGESTS
+
+    def test_parallel_sweep_writes_the_same_grid_results(self, signature_corpus, tmp_path):
+        out, digests = self.run_all(signature_corpus, tmp_path)
+        grid_path = tmp_path / "grid.json"
+        code = main(["gridsearch", "--grid", str(grid_path), "--jobs", "2", "--seed", "7",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        for name in ("grid_results.json", "grid_results.txt"):
+            assert self.digest(out / name) == digests[name]
+
+
 class TestMalformedInputFiles:
     @pytest.fixture
     def prepared(self, labeled_csv, tmp_path):
@@ -351,15 +468,38 @@ class TestMalformedInputFiles:
             ('{"ngram_ranges": [5]}', "malformed grid spec"),
             ('{"alpha": [0.1]}', "unknown grid spec keys"),
             ("[1, 2]", "JSON object"),
+            ('{"norms": ["l3"]}', "invalid grid value: norm must be one of"),
+            ('{"penalties": ["l3"]}', "invalid grid value: penalty must be one of"),
+            ('{"alphas": [-1.0]}', "invalid grid value: alpha must be positive"),
+            ('{"inner_folds": 1}', "inner_folds must be >= 2"),
+            ('{"inner_folds": 0}', "inner_folds must be >= 2"),
         ],
-        ids=["scalar-axis", "scalar-ngram-range", "unknown-key", "top-level-list"],
+        ids=["scalar-axis", "scalar-ngram-range", "unknown-key", "top-level-list",
+             "bad-norm", "bad-penalty", "negative-alpha", "one-inner-fold", "no-inner-folds"],
     )
-    def test_gridsearch_grid(self, prepared, tmp_path, capsys, content, message):
+    def test_gridsearch_grid(self, prepared, tmp_path, capsys, monkeypatch, content, message):
+        scored = []
+        monkeypatch.setattr(search, "cross_validate", lambda *args: scored.append(args))
         path = tmp_path / "grid.json"
         path.write_text(content, "utf-8")
         assert main(["gridsearch", "--grid", str(path), "--out", str(prepared)]) == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (prepared / "grid_results.json").exists()
+        assert scored == []
+
+    def test_compare_tuned_from_a_failed_winner(self, prepared, tmp_path, capsys):
+        path = tmp_path / "results.json"
+        params = {"ngram_range": [9, 9], "norm": "l2", "use_idf": True, "smooth_idf": True,
+                  "penalty": "l2", "alpha": 1e-4}
+        path.write_text(
+            json.dumps({"candidates": [{"rank": 1, "error": "EmptyCorpusError: no n-grams",
+                                        "params": params}]}),
+            "utf-8",
+        )
+        code = main(["compare", "--tuned-from", str(path), "--k", "2", "--out", str(prepared)])
+        assert code == EXIT_DATA
+        assert "rank-1 grid candidate failed" in capsys.readouterr().err
+        assert not (prepared / "compare.json").exists()
 
 
 class TestExitCodes:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sgdtext.features import NgramRange
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import SmoteConfig
+from sgdtext.seeds import substream
 from sgdtext.sgd import LossKind
 
 
@@ -68,3 +71,34 @@ class TestFitPipeline:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             fit_pipeline([["a"]], [1, 2], PipelineConfig())
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("norm", "l3", "norm must be one of"),
+            ("penalty", "l3", "penalty must be one of"),
+            ("alpha", -1.0, "alpha must be positive"),
+            ("alpha", float("nan"), "alpha must be positive"),
+            ("epochs", 0, "epochs must be >= 1"),
+        ],
+    )
+    def test_out_of_range_value_fails_when_built(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            replace(PipelineConfig(), **{field: value})
+
+    def test_stage_configs_carry_the_fields(self):
+        config = PipelineConfig(NgramRange(1, 2), "l1", False, True, "l1", 1e-3,
+                                loss=LossKind.LOG, epochs=3, seed=4)
+        tfidf = config.tfidf_config()
+        assert (tfidf.ngram_range, tfidf.norm, tfidf.use_idf, tfidf.smooth_idf) == (
+            NgramRange(1, 2), "l1", False, True
+        )
+        train = config.train_config()
+        assert (train.loss, train.penalty, train.alpha, train.epochs) == (
+            LossKind.LOG, "l1", 1e-3, 3
+        )
+        assert train.seed == substream(4, "shuffle")

@@ -7,12 +7,12 @@ import math
 
 import pytest
 
+from sgdtext import search
 from sgdtext.features import NgramRange
+from sgdtext.pipeline import PipelineConfig
 from sgdtext.search import (
-    DEFAULT_PARAMS,
     Candidate,
     GridSpec,
-    ParamSet,
     candidate_to_dict,
     compare_runs,
     enumerate_grid,
@@ -20,11 +20,11 @@ from sgdtext.search import (
     grid_spec_from_dict,
     load_grid_spec,
     params_from_dict,
+    params_label,
     params_to_dict,
     render_grid_table,
     winner_params,
 )
-from sgdtext.sgd import LossKind
 
 
 def tiny_spec(**overrides) -> GridSpec:
@@ -46,12 +46,12 @@ def tiny_spec(**overrides) -> GridSpec:
 
 class TestEnumerateGrid:
     def test_default_grid_has_96_candidates(self):
-        combos = enumerate_grid(GridSpec())
+        combos = enumerate_grid(GridSpec(), PipelineConfig())
         assert len(combos) == 96
         assert len(set(combos)) == 96
 
     def test_axis_order_alpha_varies_fastest(self):
-        combos = enumerate_grid(GridSpec())
+        combos = enumerate_grid(GridSpec(), PipelineConfig())
         assert combos[0].alpha == 1e-3
         assert combos[1].alpha == 1e-4
         assert combos[2].alpha == 1e-5
@@ -60,23 +60,23 @@ class TestEnumerateGrid:
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="alphas"):
-            enumerate_grid(tiny_spec(alphas=[]))
+            enumerate_grid(tiny_spec(alphas=[]), PipelineConfig())
 
 
-class TestParamSet:
+class TestTunedParams:
     def test_label_format(self):
-        params = ParamSet(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)
-        assert params.label() == "(1, 2),'l2',True,True,'l2',1e-05"
+        params = PipelineConfig(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)
+        assert params_label(params) == "(1, 2),'l2',True,True,'l2',1e-05"
 
     def test_default_params_label(self):
-        assert DEFAULT_PARAMS.label() == "(1, 1),'l2',True,True,'l2',0.0001"
+        assert params_label(PipelineConfig()) == "(1, 1),'l2',True,True,'l2',0.0001"
 
     def test_dict_round_trip(self):
-        params = ParamSet(NgramRange(2, 3), "l1", False, True, "l1", 1e-3)
+        params = PipelineConfig(NgramRange(2, 3), "l1", False, True, "l1", 1e-3)
         candidate = Candidate(params=params, mean=0.5, std=0.1, rank=4, error=None)
         data = candidate_to_dict(candidate)
         assert data["rank"] == 4
-        assert params_from_dict(data["params"]) == params
+        assert params_from_dict(data["params"], PipelineConfig()) == params
 
 
 class TestGridSpecIO:
@@ -118,27 +118,32 @@ class TestGridSpecIO:
 
 class TestWinnerParams:
     def test_lowest_rank_wins(self):
-        first = ParamSet(NgramRange(1, 2), "l1", False, True, "l1", 1e-3)
+        first = PipelineConfig(NgramRange(1, 2), "l1", False, True, "l1", 1e-3)
         data = {
             "candidates": [
-                {"rank": 2, "params": params_to_dict(DEFAULT_PARAMS)},
+                {"rank": 2, "params": params_to_dict(PipelineConfig())},
                 {"rank": 1, "params": params_to_dict(first)},
             ]
         }
-        assert winner_params(data) == first
+        assert winner_params(data, PipelineConfig()) == first
+
+    def test_failed_winner_rejected(self):
+        failed = {"rank": 1, "error": "boom", "params": params_to_dict(PipelineConfig())}
+        with pytest.raises(ValueError, match="rank-1 grid candidate failed: boom"):
+            winner_params({"candidates": [failed]}, PipelineConfig())
 
     @pytest.mark.parametrize(
         "data", [{"candidates": 5}, [], {"candidates": []}, {"candidates": [{"rank": 1}]}]
     )
     def test_malformed_results_rejected(self, data):
         with pytest.raises(ValueError):
-            winner_params(data)
+            winner_params(data, PipelineConfig())
 
 
 class TestGridSearch:
     def test_candidates_ranked_by_mean(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        candidates = grid_search(documents, labels, LossKind.HINGE, tiny_spec(seed=2))
+        candidates = grid_search(documents, labels, PipelineConfig(), tiny_spec(seed=2))
         assert [c.rank for c in candidates] == [1, 2]
         assert candidates[0].mean >= candidates[1].mean
         assert all(c.error is None for c in candidates)
@@ -148,7 +153,7 @@ class TestGridSearch:
         spec = tiny_spec(
             ngram_ranges=[NgramRange(1, 1), NgramRange(4, 4)], alphas=[1e-4], seed=2
         )
-        candidates = grid_search(documents, labels, LossKind.HINGE, spec)
+        candidates = grid_search(documents, labels, PipelineConfig(), spec)
         assert len(candidates) == 2
         assert candidates[0].error is None
         assert candidates[1].error is not None
@@ -159,17 +164,47 @@ class TestGridSearch:
     def test_parallel_ranking_matches_sequential(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
         spec = tiny_spec(alphas=[1e-3, 1e-4, 1e-5], seed=4)
-        sequential = grid_search(documents, labels, LossKind.HINGE, spec, jobs=1)
-        parallel = grid_search(documents, labels, LossKind.HINGE, spec, jobs=2)
+        sequential = grid_search(documents, labels, PipelineConfig(), spec, jobs=1)
+        parallel = grid_search(documents, labels, PipelineConfig(), spec, jobs=2)
         assert [(c.rank, c.params, c.mean, c.std, c.error) for c in sequential] == [
             (c.rank, c.params, c.mean, c.std, c.error) for c in parallel
         ]
+
+    def test_workers_clamped_to_candidate_count(self, signature_corpus, monkeypatch):
+        # Stands in for the process pool, so no process is ever started.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(search, "_WORKER_STATE", {})
+        documents, labels = signature_corpus(n_classes=3, per_class=8)
+        sequential = grid_search(documents, labels, PipelineConfig(), tiny_spec(seed=4))
+        pooled = grid_search(documents, labels, PipelineConfig(), tiny_spec(seed=4), jobs=500)
+        assert pools == [2]
+        assert [(c.params, c.mean, c.std) for c in pooled] == [
+            (c.params, c.mean, c.std) for c in sequential
+        ]
+        grid_search(documents, labels, PipelineConfig(), tiny_spec(alphas=[1e-4]), jobs=500)
+        assert pools == [2]
 
     def test_every_candidate_sees_the_same_development_set(self, signature_corpus):
         # Two identical parameter rows in one sweep must score identically.
         documents, labels = signature_corpus(n_classes=3, per_class=8)
         spec = tiny_spec(alphas=[1e-4, 1e-4], seed=5)
-        candidates = grid_search(documents, labels, LossKind.HINGE, spec)
+        candidates = grid_search(documents, labels, PipelineConfig(), spec)
         assert candidates[0].mean == candidates[1].mean
         assert candidates[0].std == candidates[1].std
 
@@ -177,16 +212,14 @@ class TestGridSearch:
 class TestCompareRuns:
     def test_same_params_produce_identical_reports(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        report = compare_runs(
-            documents, labels, LossKind.HINGE, DEFAULT_PARAMS, DEFAULT_PARAMS, k=3, seed=6
-        )
+        report = compare_runs(documents, labels, PipelineConfig(), PipelineConfig(), k=3, seed=6)
         assert report.default.fold_accuracies == report.tuned.fold_accuracies
         assert report.mean_delta == 0.0
 
     def test_mean_delta_sign(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        weak = ParamSet(NgramRange(1, 1), "l2", True, True, "l2", 1e-4)
-        report = compare_runs(documents, labels, LossKind.HINGE, weak, weak, k=3, seed=6)
+        weak = PipelineConfig(NgramRange(1, 1), "l2", True, True, "l2", 1e-4)
+        report = compare_runs(documents, labels, weak, weak, k=3, seed=6)
         assert math.isclose(
             report.mean_delta, report.tuned.mean - report.default.mean, abs_tol=1e-15
         )
@@ -194,7 +227,7 @@ class TestCompareRuns:
 
 class TestRenderGridTable:
     def test_header_and_rows(self):
-        params = ParamSet(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)
+        params = PipelineConfig(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)
         rows = [
             Candidate(params=params, mean=0.8, std=0.12, rank=1),
             Candidate(params=params, mean=float("nan"), std=float("nan"), rank=2, error="boom"),
