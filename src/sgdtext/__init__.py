@@ -18,12 +18,11 @@ from .evaluation import (
 )
 from .features import (
     NgramRange,
-    SparseVector,
+    SparseRows,
     TfidfConfig,
     TfidfModel,
     extract_ngrams,
     fit,
-    normalize,
     transform,
 )
 from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipeline
@@ -59,7 +58,7 @@ __all__ = [
     "PipelineConfig",
     "SmoteConfig",
     "SmoteResult",
-    "SparseVector",
+    "SparseRows",
     "SplitPlan",
     "TfidfConfig",
     "TfidfModel",
@@ -82,7 +81,6 @@ __all__ = [
     "loss_dmargin",
     "loss_value",
     "neighbor_table",
-    "normalize",
     "per_class_metrics",
     "predict",
     "predict_pipeline",

@@ -45,14 +45,6 @@ SCHEMAS = {
 }
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """One CSV row before cleaning."""
-
-    label_code: int
-    text: str
-
-
 @dataclass
 class LabeledCorpus:
     """Cleaned token documents with integer class labels."""

@@ -167,14 +167,13 @@ def cross_validate(
     config: PipelineConfig,
     k: int,
     seed: int,
-    sample_std: bool = False,
 ) -> CvReport:
     """Stratified k-fold accuracy of the full pipeline.
 
     Every fold refits the vectorizer (and the optional resampler) on its
     k-1 training folds only, so the held-out fold never leaks into the
     vocabulary. The fold plan and each fold's training seed derive from
-    the seed argument. std is the population value unless sample_std.
+    the seed argument. std is the population value.
     """
     n = len(documents)
     if len(labels) != n:
@@ -201,7 +200,7 @@ def cross_validate(
         fold_seconds.append(time.perf_counter() - fold_started)
     total_seconds = time.perf_counter() - started
     mean = float(np.mean(accuracies))
-    std = float(np.std(accuracies, ddof=1 if sample_std else 0))
+    std = float(np.std(accuracies))
     return CvReport(
         fold_accuracies=accuracies,
         mean=mean,

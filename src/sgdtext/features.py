@@ -1,4 +1,4 @@
-"""N-gram counting and TF-IDF vectorization producing normalized sparse vectors.
+"""N-gram counting and TF-IDF vectorization into a batch of normalized sparse rows.
 
 The weighting follows the convention
 
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,74 +49,74 @@ class NgramRange:
             raise ValueError(f"need 1 <= lo <= hi, got ({self.lo}, {self.hi})")
 
 
-class SparseVector:
-    """Sorted (index, value) pairs: indices strictly increasing, values nonzero."""
+# One sparse row: its feature indices and the matching values.
+Row = tuple[np.ndarray, np.ndarray]
 
-    __slots__ = ("indices", "values")
 
-    def __init__(self, indices: np.ndarray, values: np.ndarray) -> None:
+class SparseRows:
+    """A batch of sparse rows in CSR form, validated once when built.
+
+    Row i holds the feature indices indices[indptr[i]:indptr[i + 1]] and the
+    matching values; within a row the indices strictly increase, and no
+    value is an explicit zero.
+    """
+
+    __slots__ = ("indptr", "indices", "values")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if indices.ndim != 1 or indices.shape != values.shape:
-            raise ValueError("indices and values must be 1-D arrays of equal length")
+        if indptr.ndim != 1 or indices.ndim != 1 or indices.shape != values.shape:
+            raise ValueError("indptr, indices and values must be 1-D, the last two of equal length")
+        if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError("indptr must start at 0 and end at nnz")
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must never decrease")
         if indices.size:
-            if indices[0] < 0:
+            if indices.min() < 0:
                 raise ValueError("feature indices must be non-negative")
-            if np.any(np.diff(indices) <= 0):
-                raise ValueError("indices must be strictly increasing")
+            # A row may start below where the previous one ended: count the step
+            # into each row's first index as 1, then every step must be positive.
+            step = np.empty_like(indices)
+            np.subtract(indices[1:], indices[:-1], out=step[1:])
+            starts = indptr[:-1]
+            step[starts[starts < indices.size]] = 1
+            if np.any(step <= 0):
+                raise ValueError("indices must be strictly increasing within each row")
             if np.any(values == 0.0):
                 raise ValueError("explicit zeros are not stored")
+        self.indptr = indptr
         self.indices = indices
         self.values = values
 
     @classmethod
-    def empty(cls) -> "SparseVector":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+    def from_rows(cls, rows: Iterable[Row]) -> "SparseRows":
+        """Stack (indices, values) rows into one batch, in order.
 
-    @classmethod
-    def from_pairs(cls, pairs: Mapping[int, float] | Iterable[tuple[int, float]]) -> "SparseVector":
-        """Build from (index, value) pairs; duplicate indices are summed."""
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        acc: dict[int, float] = {}
-        for index, value in items:
-            acc[int(index)] = acc.get(int(index), 0.0) + float(value)
-        kept = sorted((i, v) for i, v in acc.items() if v != 0.0)
-        if not kept:
-            return cls.empty()
-        idx, vals = zip(*kept)
-        return cls(np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
+        Each row is copied in as it arrives, so rows made on the fly by an
+        iterator are never all held at once.
+        """
+        indptr, indices, values = [0], array("q"), array("d")
+        for row_indices, row_values in rows:
+            indices.frombytes(np.asarray(row_indices, dtype=np.int64).tobytes())
+            values.frombytes(np.asarray(row_values, dtype=np.float64).tobytes())
+            if len(values) != len(indices):
+                raise ValueError("each row's indices and values must be of equal length")
+            indptr.append(len(indices))
+        return cls(indptr, np.frombuffer(indices, dtype=np.int64), np.frombuffer(values))
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
 
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def dot(self, dense: np.ndarray) -> float:
-        """Sparse dot product against a dense weight vector."""
-        if self.nnz == 0:
-            return 0.0
-        return float(dense[self.indices] @ self.values)
-
-    def norm_l1(self) -> float:
-        return float(np.abs(self.values).sum())
-
-    def norm_l2(self) -> float:
-        return float(math.sqrt(self.values @ self.values)) if self.nnz else 0.0
-
-    def to_dict(self) -> dict[int, float]:
-        return {int(i): float(v) for i, v in zip(self.indices, self.values)}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.indices.tobytes(), self.values.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"SparseVector({self.to_dict()!r})"
+    def row(self, i: int) -> Row:
+        """Views of row i's (indices, values)."""
+        start, end = self.indptr[i], self.indptr[i + 1]
+        return self.indices[start:end], self.values[start:end]
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class TfidfConfig:
 
 @dataclass(eq=False)
 class TfidfModel:
-    """Fitted vocabulary with document frequencies and weighting flags.
+    """Fitted vocabulary with document frequencies and the TfidfConfig fields.
 
     Immutable after fit; safe to share across concurrent transform calls.
     """
@@ -188,48 +189,43 @@ def fit(documents: Sequence[Sequence[str]], config: TfidfConfig) -> TfidfModel:
     grams = sorted(df_counter)
     vocabulary = {gram: index for index, gram in enumerate(grams)}
     doc_freq = np.asarray([df_counter[g] for g in grams], dtype=np.int64)
-    return TfidfModel(
-        vocabulary=vocabulary,
-        doc_freq=doc_freq,
-        n_docs=len(documents),
-        ngram_range=config.ngram_range,
-        use_idf=config.use_idf,
-        smooth_idf=config.smooth_idf,
-        norm=config.norm,
-    )
+    return TfidfModel(vocabulary, doc_freq, len(documents), **vars(config))
 
 
-def normalize(v: SparseVector, norm: str) -> SparseVector:
-    """Scale a vector to unit L1 or L2 norm; 'none' and the zero vector pass through."""
-    if norm not in NORMS:
-        raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
-    if norm == "none" or v.nnz == 0:
-        return v
-    scale = v.norm_l1() if norm == "l1" else v.norm_l2()
-    scaled = v.values / scale
-    keep = scaled != 0.0
-    if bool(np.all(keep)):
-        return SparseVector(v.indices, scaled)
-    return SparseVector(v.indices[keep], scaled[keep])
-
-
-def transform(model: TfidfModel, tokens: Sequence[str]) -> SparseVector:
-    """Vectorize one document: count known n-grams, weight by IDF, normalize.
+def transform(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRows:
+    """Vectorize documents into one batch: count known n-grams, weight by IDF, normalize.
 
     N-grams absent from the fitted vocabulary are silently dropped; a
-    document with no known n-grams maps to the empty vector.
+    document with no known n-grams maps to an empty row. Each row's L1 or L2
+    norm is reduced over that row alone, and a value the scaling rounds to
+    zero is dropped.
     """
-    counts = extract_ngrams(tokens, model.ngram_range)
-    if not counts:
-        return SparseVector.empty()
     vocab = model.vocabulary
-    pairs = [(j, count) for gram, count in counts.items() if (j := vocab.get(gram)) is not None]
-    if not pairs:
-        return SparseVector.empty()
-    pairs.sort()
-    indices = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    values = np.asarray([p[1] for p in pairs], dtype=np.float64) * model.idf_array[indices]
-    return normalize(SparseVector(indices, values), model.norm)
+    indptr = [0]
+    indices: list[int] = []
+    counts: list[int] = []
+    for tokens in documents:
+        known = sorted(
+            (j, count)
+            for gram, count in extract_ngrams(tokens, model.ngram_range).items()
+            if (j := vocab.get(gram)) is not None
+        )
+        indices.extend(j for j, _ in known)
+        counts.extend(count for _, count in known)
+        indptr.append(len(indices))
+    index_array = np.asarray(indices, dtype=np.int64)
+    values = model.idf_array[index_array]
+    values *= counts
+    if model.norm != "none":
+        # An empty row gets scale 0, which divides nothing.
+        scales = np.empty(len(indptr) - 1, dtype=np.float64)
+        for i, (start, end) in enumerate(zip(indptr[:-1], indptr[1:])):
+            row = values[start:end]
+            scales[i] = np.abs(row).sum() if model.norm == "l1" else math.sqrt(row @ row)
+        values /= np.repeat(scales, np.diff(indptr))
+    keep = values != 0.0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return SparseRows(kept_before[indptr], index_array[keep], values[keep])
 
 
 def tfidf_to_dict(model: TfidfModel) -> dict:
@@ -264,15 +260,18 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         doc_freq = np.zeros(len(rows), dtype=np.int64)
         for _, index, df in rows:
             doc_freq[int(index)] = int(df)
-        model = TfidfModel(
-            vocabulary=vocabulary,
-            doc_freq=doc_freq,
-            n_docs=int(data["n_docs"]),
+        n_docs = int(data["n_docs"])
+        if n_docs < 1:
+            raise TfidfFormatError(f"n_docs must be >= 1, got {n_docs}")
+        if doc_freq.size and not (doc_freq.min() >= 1 and doc_freq.max() <= n_docs):
+            raise TfidfFormatError(f"document frequencies must lie in [1, n_docs = {n_docs}]")
+        config = TfidfConfig(
             ngram_range=NgramRange(int(lo), int(hi)),
             use_idf=bool(data["use_idf"]),
             smooth_idf=bool(data["smooth_idf"]),
             norm=str(data["norm"]),
         )
+        model = TfidfModel(vocabulary, doc_freq, n_docs, **vars(config))
     except TfidfFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -282,7 +281,7 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     with atomic_write(path) as fh:
-        fh.write(json.dumps(tfidf_to_dict(model), sort_keys=True, indent=1))
+        json.dump(tfidf_to_dict(model), fh, sort_keys=True, indent=1)
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:

@@ -77,7 +77,7 @@ def fit_pipeline(
     if len(documents) != len(labels):
         raise ValueError("documents and labels must have equal length")
     tfidf = features.fit(documents, config.tfidf_config())
-    vectors = [features.transform(tfidf, doc) for doc in documents]
+    vectors = features.transform(tfidf, documents)
     train_labels = [int(lab) for lab in labels]
     if config.smote is not None:
         resampled = smote(
@@ -94,6 +94,4 @@ def fit_pipeline(
 
 
 def predict_pipeline(fitted: FittedPipeline, documents: Sequence[Sequence[str]]) -> list[int]:
-    return [
-        sgd.predict(fitted.model, features.transform(fitted.tfidf, doc)) for doc in documents
-    ]
+    return sgd.predict(fitted.model, features.transform(fitted.tfidf, documents))

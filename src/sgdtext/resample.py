@@ -1,6 +1,7 @@
 """SMOTE: oversample minority classes with synthetic points between neighbors.
 
-Operates on feature vectors, after vectorization. Each synthetic sample is
+Operates on a batch of feature rows, after vectorization. A row is an
+(indices, values) pair, as SparseRows.row returns it. Each synthetic sample is
 a + gap * (b - a) for a random class member a, one of its k nearest
 same-class neighbors b (Euclidean distance), and a uniform gap in [0, 1].
 """
@@ -9,21 +10,19 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .features import SparseVector
+from .features import Row, SparseRows
 from .seeds import substream
 
 
 @dataclass(frozen=True)
 class SmoteConfig:
     k_neighbors: int = 5
-    # None equalizes every class to the majority count; classes at or above
-    # the target are never shrunk.
-    target_count: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -33,7 +32,7 @@ class SmoteConfig:
 
 @dataclass(frozen=True)
 class SmoteRecord:
-    """Provenance of one synthetic sample: positions refer to the input list."""
+    """Provenance of one synthetic sample: positions refer to the input rows."""
 
     label: int
     base_index: int
@@ -43,44 +42,43 @@ class SmoteRecord:
 
 @dataclass
 class SmoteResult:
-    vectors: list[SparseVector]
+    vectors: SparseRows
     labels: list[int]
     records: list[SmoteRecord]
 
 
-def _aligned(a: SparseVector, b: SparseVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _aligned(a: Row, b: Row) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense values of a and b over the union of their indices."""
-    idx = np.union1d(a.indices, b.indices)
+    (a_idx, a_vals), (b_idx, b_vals) = a, b
+    idx = np.union1d(a_idx, b_idx)
     av = np.zeros(idx.size, dtype=np.float64)
     bv = np.zeros(idx.size, dtype=np.float64)
-    if a.nnz:
-        av[np.searchsorted(idx, a.indices)] = a.values
-    if b.nnz:
-        bv[np.searchsorted(idx, b.indices)] = b.values
+    av[np.searchsorted(idx, a_idx)] = a_vals
+    bv[np.searchsorted(idx, b_idx)] = b_vals
     return idx, av, bv
 
 
-def squared_distance(a: SparseVector, b: SparseVector) -> float:
+def squared_distance(a: Row, b: Row) -> float:
     idx, av, bv = _aligned(a, b)
     diff = av - bv
     return float(diff @ diff)
 
 
-def interpolate(a: SparseVector, b: SparseVector, gap: float) -> SparseVector:
+def interpolate(a: Row, b: Row, gap: float) -> Row:
     """Point on the segment from a to b: a + gap * (b - a), computed sparsely.
 
-    The endpoints reproduce a and b exactly.
+    The endpoints reproduce a and b exactly, as copies.
     """
     if not 0.0 <= gap <= 1.0:
         raise ValueError(f"gap must be in [0, 1], got {gap}")
     if gap == 0.0:
-        return SparseVector(a.indices.copy(), a.values.copy())
+        return a[0].copy(), a[1].copy()
     if gap == 1.0:
-        return SparseVector(b.indices.copy(), b.values.copy())
+        return b[0].copy(), b[1].copy()
     idx, av, bv = _aligned(a, b)
     values = av + gap * (bv - av)
     keep = values != 0.0
-    return SparseVector(idx[keep], values[keep])
+    return idx[keep], values[keep]
 
 
 # Unit roundoff and smallest positive subnormal of float64.
@@ -93,12 +91,12 @@ def _gamma(m: int) -> float:
     return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
 
 
-def neighbor_table(points: Sequence[SparseVector], k: int) -> list[list[int]]:
-    """Row q lists the k nearest points to points[q] by Euclidean distance, excluding q.
+def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
+    """Row q lists the k nearest points to row q of points by Euclidean distance, excluding q.
 
     k is clamped to len(points) - 1; exact distance ties resolve to the
     lower index. Each row equals a stable argsort of squared_distance from
-    points[q], which defines the order; it is screened with the Gram form
+    row q, which defines the order; it is screened with the Gram form
     |a|^2 + |b|^2 - 2 a.b and recomputed exactly only where the screen
     cannot separate the candidates.
     """
@@ -111,16 +109,15 @@ def neighbor_table(points: Sequence[SparseVector], k: int) -> list[list[int]]:
 
     # Only columns used by two or more points can add to a dot product
     # between distinct points, so the rest stay out of the dense block.
-    all_indices = np.concatenate([p.indices for p in points])
-    all_values = np.concatenate([p.values for p in points])
-    rows = np.repeat(np.arange(n), [p.nnz for p in points])
-    _, column, uses = np.unique(all_indices, return_inverse=True, return_counts=True)
+    lengths = np.diff(points.indptr)
+    rows = np.repeat(np.arange(n), lengths)
+    _, column, uses = np.unique(points.indices, return_inverse=True, return_counts=True)
     shared = uses >= 2
     keep = shared[column]
     shared_count = int(shared.sum())
     dense = np.zeros((n, shared_count), dtype=np.float64)
-    dense[rows[keep], (np.cumsum(shared) - 1)[column[keep]]] = all_values[keep]
-    sq = np.array([p.values @ p.values for p in points], dtype=np.float64)
+    dense[rows[keep], (np.cumsum(shared) - 1)[column[keep]]] = points.values[keep]
+    sq = np.array([values @ values for _, values in map(points.row, range(n))], dtype=np.float64)
 
     # Rounding bound, with u the unit roundoff and gamma_m = m*u / (1 - m*u).
     # Let N be the largest nnz, s the shared-column count, S_i = |x_i|^2 and
@@ -142,7 +139,7 @@ def neighbor_table(points: Sequence[SparseVector], k: int) -> list[list[int]]:
     # products enter D and A, hence the absolute term. Screen values more
     # than 2 * bound apart therefore order their exact values strictly the
     # same way (for finite inputs that do not overflow).
-    max_nnz = max(p.nnz for p in points)
+    max_nnz = int(lengths.max())
     terms = 2 * max_nnz + shared_count + 8
     bound = 8.0 * _gamma(terms) * float(sq.max()) + 2 * terms * _SMALLEST_SUBNORMAL
 
@@ -160,14 +157,14 @@ def neighbor_table(points: Sequence[SparseVector], k: int) -> list[list[int]]:
         # by (distance, index) as the stable argsort of exact values does.
         # (Subtracting first keeps the rounding from dropping a candidate.)
         candidates = np.flatnonzero(approx - head[k - 1] <= 2.0 * bound)
-        exact = [squared_distance(points[q], points[int(i)]) for i in candidates]
+        exact = [squared_distance(points.row(q), points.row(int(i))) for i in candidates]
         ranked = sorted(zip(exact, candidates.tolist()))
         table.append([int(i) for _, i in ranked[:k]])
     return table
 
 
-def smote(X: Sequence[SparseVector], labels: Sequence[int], config: SmoteConfig) -> SmoteResult:
-    """Append synthetic minority samples until every class reaches the target count.
+def smote(X: SparseRows, labels: Sequence[int], config: SmoteConfig) -> SmoteResult:
+    """Append synthetic minority samples until every class reaches the majority count.
 
     Originals come first, bit-identical to the input; synthetic samples
     follow with one provenance record each. Deterministic for a fixed seed
@@ -178,10 +175,10 @@ def smote(X: Sequence[SparseVector], labels: Sequence[int], config: SmoteConfig)
     counts = Counter(int(lab) for lab in labels)
     if len(counts) < 2:
         raise ValueError(f"need at least 2 classes to resample, got {sorted(counts)}")
-    target = config.target_count if config.target_count is not None else max(counts.values())
+    target = max(counts.values())
 
-    out_vectors = list(X)
-    out_labels = [int(lab) for lab in labels]
+    # Draw every synthetic sample's provenance first; the rows themselves
+    # are interpolated one at a time while the output batch is filled.
     records: list[SmoteRecord] = []
     for cls in sorted(counts):
         members = [i for i, lab in enumerate(labels) if int(lab) == cls]
@@ -194,20 +191,18 @@ def smote(X: Sequence[SparseVector], labels: Sequence[int], config: SmoteConfig)
                 f"class {cls} has a single member; oversampling by duplication",
                 stacklevel=2,
             )
-            base = members[0]
-            for _ in range(need):
-                out_vectors.append(interpolate(X[base], X[base], 0.0))
-                out_labels.append(cls)
-                records.append(SmoteRecord(cls, base, base, 0.0))
+            records.extend(SmoteRecord(cls, members[0], members[0], 0.0) for _ in range(need))
             continue
-        class_points = [X[i] for i in members]
         k = min(config.k_neighbors, len(members) - 1)
-        table = neighbor_table(class_points, k)
+        table = neighbor_table(SparseRows.from_rows(X.row(i) for i in members), k)
         for _ in range(need):
             a_local = int(rng.integers(len(members)))
             b_local = table[a_local][int(rng.integers(k))]
             gap = float(rng.random())
-            out_vectors.append(interpolate(class_points[a_local], class_points[b_local], gap))
-            out_labels.append(cls)
             records.append(SmoteRecord(cls, members[a_local], members[b_local], gap))
-    return SmoteResult(vectors=out_vectors, labels=out_labels, records=records)
+    synthetic = (interpolate(X.row(r.base_index), X.row(r.neighbor_index), r.gap) for r in records)
+    return SmoteResult(
+        vectors=SparseRows.from_rows(chain(map(X.row, range(len(X))), synthetic)),
+        labels=[int(lab) for lab in labels] + [r.label for r in records],
+        records=records,
+    )

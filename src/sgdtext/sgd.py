@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import atomic_write
-from .features import SparseVector
+from .features import SparseRows
 
 MODEL_FORMAT_VERSION = 1
 
@@ -103,19 +103,25 @@ def loss_dmargin(kind: LossKind, margin: float) -> float:
     return -1.0 if margin <= 0.0 else 0.0
 
 
-def decision(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """Per-class scores w_k . x + b_k as a length-K array."""
-    if x.nnz == 0:
-        return model.intercepts.copy()
-    top = int(x.indices[-1])
-    if top >= model.feature_dim:
-        raise IndexError(f"feature index {top} out of range for dimension {model.feature_dim}")
-    return model.weights[:, x.indices] @ x.values + model.intercepts
+def _check_feature_range(X: SparseRows, feature_dim: int) -> None:
+    top = int(X.indices.max()) if X.nnz else -1
+    if top >= feature_dim:
+        raise IndexError(f"feature index {top} out of range for dimension {feature_dim}")
 
 
-def predict(model: LinearModel, x: SparseVector) -> int:
-    """Class id with the highest score; ties break toward the lowest class index."""
-    return model.classes[int(np.argmax(decision(model, x)))]
+def decision(model: LinearModel, X: SparseRows) -> np.ndarray:
+    """Per-class scores w_k . x + b_k: an n x K array, one row per sample."""
+    _check_feature_range(X, model.feature_dim)
+    scores = np.empty((len(X), len(model.classes)), dtype=np.float64)
+    for i in range(len(X)):
+        idx, vals = X.row(i)
+        scores[i] = model.weights[:, idx] @ vals
+    return scores + model.intercepts
+
+
+def predict(model: LinearModel, X: SparseRows) -> list[int]:
+    """Class id with the highest score per sample; ties break toward the lowest class index."""
+    return [model.classes[k] for k in np.argmax(decision(model, X), axis=1).tolist()]
 
 
 def schedule_t0(loss: LossKind, alpha: float) -> float:
@@ -136,10 +142,11 @@ def epoch_orders(n: int, config: TrainConfig) -> list[np.ndarray]:
     return [rng.permutation(n) for _ in range(config.epochs)]
 
 
-def _check_finite_inputs(X: Sequence[SparseVector]) -> None:
-    for position, x in enumerate(X):
-        if x.nnz and not np.all(np.isfinite(x.values)):
-            raise NumericError(f"sample {position} has non-finite feature values")
+def _check_finite_inputs(X: SparseRows) -> None:
+    bad = np.flatnonzero(~np.isfinite(X.values))
+    if bad.size:
+        position = int(np.searchsorted(X.indptr, bad[0], side="right")) - 1
+        raise NumericError(f"sample {position} has non-finite feature values")
 
 
 def _soft_threshold(z: np.ndarray, owed: np.ndarray | float) -> np.ndarray:
@@ -147,7 +154,7 @@ def _soft_threshold(z: np.ndarray, owed: np.ndarray | float) -> np.ndarray:
 
 
 def _fit_rows(
-    X: Sequence[SparseVector], Y: np.ndarray, config: TrainConfig, feature_dim: int | None
+    X: SparseRows, Y: np.ndarray, config: TrainConfig, feature_dim: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train one weight row and intercept per column of Y, an n x K matrix of +-1 labels.
 
@@ -157,7 +164,8 @@ def _fit_rows(
     """
     _check_finite_inputs(X)
     if feature_dim is None:
-        feature_dim = 1 + max((int(x.indices[-1]) for x in X if x.nnz), default=-1)
+        feature_dim = 1 + (int(X.indices.max()) if X.nnz else -1)
+    _check_feature_range(X, feature_dim)
     alpha = config.alpha
     loss = config.loss
     l1 = config.penalty == "l1"
@@ -169,17 +177,19 @@ def _fit_rows(
     accrued = 0.0
     t0 = schedule_t0(loss, alpha)
     t = 0
+    indptr = X.indptr.tolist()
     for order in epoch_orders(len(X), config):
         for i in order:
             t += 1
             eta = 1.0 / (alpha * (t0 + t))
-            x = X[i]
-            idx = x.indices
+            start, end = indptr[i], indptr[i + 1]
+            idx = X.indices[start:end]
+            vals = X.values[start:end]
             sub = W.take(idx, axis=1)
             if l1:
                 sub = _soft_threshold(sub, accrued - paid[idx])
             step = [
-                eta * loss_dmargin(loss, y * (wscale * float(row @ x.values) + b)) * y
+                eta * loss_dmargin(loss, y * (wscale * float(row @ vals) + b)) * y
                 for row, y, b in zip(sub, label_rows[i], B)
             ]
             if not l1:
@@ -192,7 +202,7 @@ def _fit_rows(
             # ever -0.0, so that row stays bitwise unchanged.
             moved = any(step)
             if moved:
-                sub -= np.array([s / wscale for s in step])[:, None] * x.values
+                sub -= np.array([s / wscale for s in step])[:, None] * vals
                 B = [b - s for b, s in zip(B, step)]
             if l1:
                 settled = accrued
@@ -212,7 +222,7 @@ def _fit_rows(
 
 
 def fit_binary(
-    X: Sequence[SparseVector],
+    X: SparseRows,
     y: Sequence[float],
     config: TrainConfig,
     *,
@@ -236,7 +246,7 @@ def fit_binary(
 
 
 def fit_multiclass(
-    X: Sequence[SparseVector],
+    X: SparseRows,
     labels: Sequence[int],
     config: TrainConfig,
     *,
@@ -283,14 +293,22 @@ def model_from_dict(data: dict) -> LinearModel:
         intercepts = np.asarray(data["intercepts"], dtype=np.float64)
         weights = np.zeros((len(classes), feature_dim), dtype=np.float64)
         for k, row in enumerate(data["weights"]):
-            for j, value in row:
-                weights[k, int(j)] = float(value)
+            idx = np.asarray([int(j) for j, _ in row], dtype=np.int64)
+            if idx.size and not (
+                idx.min() >= 0 and idx.max() < feature_dim and np.unique(idx).size == idx.size
+            ):
+                raise ModelFormatError(
+                    f"weight row {k} has a negative, duplicate or out-of-range feature index"
+                )
+            weights[k, idx] = [float(value) for _, value in row]
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
     if intercepts.shape != (len(classes),) or len(data["weights"]) != len(classes):
         raise ModelFormatError("class count disagrees between fields")
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(intercepts))):
+        raise ModelFormatError("model file holds a non-finite weight or intercept")
     return LinearModel(
         weights=weights, intercepts=intercepts, classes=classes, feature_dim=feature_dim
     )
@@ -298,7 +316,7 @@ def model_from_dict(data: dict) -> LinearModel:
 
 def save_model(model: LinearModel, path: str | Path) -> None:
     with atomic_write(path) as fh:
-        fh.write(json.dumps(model_to_dict(model), sort_keys=True, indent=1))
+        json.dump(model_to_dict(model), fh, sort_keys=True, indent=1)
 
 
 def load_model(path: str | Path) -> LinearModel:

@@ -1,11 +1,10 @@
-"""Shared fixtures: corpus builders and random sparse-vector generation."""
+"""Shared fixtures: corpus builders and random sparse-row generation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from sgdtext import SparseVector
 
 
 @pytest.fixture
@@ -26,14 +25,16 @@ def signature_corpus():
 
 @pytest.fixture
 def random_vector():
-    """Factory for a random sparse vector with at least one nonzero entry."""
+    """Factory for a random (indices, values) row with at least one nonzero entry."""
 
-    def build(rng: np.random.Generator, dim: int = 50, max_nnz: int = 8) -> SparseVector:
+    def build(
+        rng: np.random.Generator, dim: int = 50, max_nnz: int = 8
+    ) -> tuple[np.ndarray, np.ndarray]:
         nnz = int(rng.integers(1, max_nnz + 1))
         indices = np.sort(rng.choice(dim, size=nnz, replace=False)).astype(np.int64)
         values = rng.normal(size=nnz)
         values[values == 0.0] = 1.0
-        return SparseVector(indices, values)
+        return indices, values
 
     return build
 

@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the library against.
 
-None of these run in the library: they are slow, dense or per-class
-versions of what src/ does, kept so a faster or shared path can be checked
-against them.
+None of these run in the library: they are slow, dense, per-document or
+per-class versions of what src/ does, kept so a faster, batched or shared
+path can be checked against them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from sgdtext.evaluation import ConfusionMatrix
-from sgdtext.features import SparseVector
+from sgdtext.features import NORMS, Row, SparseRows, TfidfModel, extract_ngrams
 from sgdtext.resample import squared_distance
 from sgdtext.sgd import (
     LinearModel,
@@ -27,6 +27,48 @@ from sgdtext.sgd import (
 )
 
 
+def normalize(v: Row, norm: str) -> Row:
+    """Scale one row to unit L1 or L2 norm; 'none' and the empty row pass through."""
+    if norm not in NORMS:
+        raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
+    indices, values = v
+    if norm == "none" or indices.size == 0:
+        return v
+    scale = float(np.abs(values).sum()) if norm == "l1" else float(math.sqrt(values @ values))
+    scaled = values / scale
+    keep = scaled != 0.0
+    if bool(np.all(keep)):
+        return indices, scaled
+    return indices[keep], scaled[keep]
+
+
+def transform_document(model: TfidfModel, tokens: Sequence[str]) -> Row:
+    """One document at a time, as features.transform worked before it took a batch.
+
+    features.transform must equal a batch of these rows byte for byte.
+    """
+    empty = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    counts = extract_ngrams(tokens, model.ngram_range)
+    if not counts:
+        return empty
+    vocab = model.vocabulary
+    pairs = [(j, count) for gram, count in counts.items() if (j := vocab.get(gram)) is not None]
+    if not pairs:
+        return empty
+    pairs.sort()
+    indices = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    values = np.asarray([p[1] for p in pairs], dtype=np.float64) * model.idf_array[indices]
+    return normalize((indices, values), model.norm)
+
+
+def transform_documents(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRows:
+    return SparseRows.from_rows(transform_document(model, tokens) for tokens in documents)
+
+
+def _max_feature(X: SparseRows) -> int:
+    return int(X.indices.max()) if X.nnz else -1
+
+
 def _settle_l1(w: np.ndarray, paid: np.ndarray, accrued: float, idx: np.ndarray) -> None:
     """Charge coordinates idx the penalty accrued since they last paid, clipping at zero."""
     owed = accrued - paid[idx]
@@ -36,7 +78,7 @@ def _settle_l1(w: np.ndarray, paid: np.ndarray, accrued: float, idx: np.ndarray)
 
 
 def fit_binary_alone(
-    X: Sequence[SparseVector],
+    X: SparseRows,
     y: Sequence[float],
     config: TrainConfig,
     feature_dim: int | None = None,
@@ -49,7 +91,7 @@ def fit_binary_alone(
     """
     y_arr = np.asarray(y, dtype=np.float64)
     if feature_dim is None:
-        feature_dim = 1 + max((int(x.indices[-1]) for x in X if x.nnz), default=-1)
+        feature_dim = 1 + _max_feature(X)
     alpha = config.alpha
     loss = config.loss
     l1 = config.penalty == "l1"
@@ -64,12 +106,11 @@ def fit_binary_alone(
         for i in order:
             t += 1
             eta = 1.0 / (alpha * (t0 + t))
-            x = X[i]
-            idx = x.indices
+            idx, vals = X.row(i)
             yi = y_arr[i]
             if l1 and idx.size:
                 _settle_l1(w, paid, accrued, idx)
-            raw = float(w[idx] @ x.values) if idx.size else 0.0
+            raw = float(w[idx] @ vals) if idx.size else 0.0
             margin = yi * (wscale * raw + b)
             g = loss_dmargin(loss, margin)
             if not l1:
@@ -79,7 +120,7 @@ def fit_binary_alone(
                     wscale = 1.0
             if g != 0.0:
                 if idx.size:
-                    w[idx] -= (eta * g * yi / wscale) * x.values
+                    w[idx] -= (eta * g * yi / wscale) * vals
                 b -= eta * g * yi
             if l1:
                 accrued += eta * alpha
@@ -95,11 +136,11 @@ def fit_binary_alone(
 
 
 def fit_multiclass_per_class(
-    X: Sequence[SparseVector], labels: Sequence[int], config: TrainConfig
+    X: SparseRows, labels: Sequence[int], config: TrainConfig
 ) -> LinearModel:
     """One-vs-rest as K separate fit_binary_alone runs, one per sorted class."""
     classes = sorted(set(int(c) for c in labels))
-    feature_dim = 1 + max((int(x.indices[-1]) for x in X if x.nnz), default=-1)
+    feature_dim = 1 + _max_feature(X)
     labels_arr = np.asarray(labels)
     weights = np.zeros((len(classes), feature_dim), dtype=np.float64)
     intercepts = np.zeros(len(classes), dtype=np.float64)
@@ -112,7 +153,7 @@ def fit_multiclass_per_class(
 
 
 def regularized_objective(
-    X: Sequence[SparseVector],
+    X: SparseRows,
     y: Sequence[float],
     w: np.ndarray,
     b: float,
@@ -122,7 +163,10 @@ def regularized_objective(
 ) -> float:
     """(1/N) sum loss(y_i * (w.x_i + b)) plus the penalty term."""
     n = len(X)
-    total = sum(loss_value(loss, float(yi) * (x.dot(w) + b)) for x, yi in zip(X, y))
+    total = 0.0
+    for i, yi in enumerate(y):
+        idx, vals = X.row(i)
+        total += loss_value(loss, float(yi) * (float(w[idx] @ vals) + b))
     if penalty == "l2":
         reg = 0.5 * alpha * float(w @ w)
     else:
@@ -131,7 +175,7 @@ def regularized_objective(
 
 
 def batch_gd_oracle(
-    X: Sequence[SparseVector],
+    X: SparseRows,
     y: Sequence[float],
     config: TrainConfig,
     iterations: int,
@@ -149,16 +193,16 @@ def batch_gd_oracle(
     n = len(X)
     if n == 0:
         raise ValueError("need at least one training sample")
-    feature_dim = 1 + max((int(x.indices[-1]) for x in X if x.nnz), default=-1)
-    dense = np.zeros((n, feature_dim), dtype=np.float64)
-    for row, x in enumerate(X):
-        dense[row, x.indices] = x.values
+    dense = np.zeros((n, 1 + _max_feature(X)), dtype=np.float64)
+    for i in range(n):
+        idx, vals = X.row(i)
+        dense[i, idx] = vals
     y_arr = np.asarray(y, dtype=np.float64)
     if learning_rate is None:
         # Log-loss curvature is at most 1/4 per sample; +1 covers the intercept column.
         bound = 0.25 * float(((dense * dense).sum(axis=1) + 1.0).max()) + config.alpha
         learning_rate = 1.0 / bound
-    w = np.zeros(feature_dim, dtype=np.float64)
+    w = np.zeros(dense.shape[1], dtype=np.float64)
     b = 0.0
     for _ in range(iterations):
         margins = y_arr * (dense @ w + b)
@@ -185,8 +229,8 @@ def micro_averages(cm: ConfusionMatrix) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def knn_indices_oracle(points: Sequence[SparseVector], query: int, k: int) -> list[int]:
-    """The k nearest points to points[query] by Euclidean distance, excluding itself.
+def knn_indices_oracle(points: SparseRows, query: int, k: int) -> list[int]:
+    """The k nearest points to row query of points by Euclidean distance, excluding itself.
 
     The per-query loop resample.neighbor_table replaced: every row of the
     table must equal it. k is clamped to len(points) - 1; exact distance
@@ -199,7 +243,7 @@ def knn_indices_oracle(points: Sequence[SparseVector], query: int, k: int) -> li
         raise IndexError(f"query index {query} out of range for {n} points")
     k = min(k, n - 1)
     d2 = np.empty(n, dtype=np.float64)
-    for i, p in enumerate(points):
-        d2[i] = np.inf if i == query else squared_distance(points[query], p)
+    for i in range(n):
+        d2[i] = np.inf if i == query else squared_distance(points.row(query), points.row(i))
     order = np.argsort(d2, kind="stable")
     return [int(i) for i in order[:k]]

@@ -1,0 +1,63 @@
+"""Small builders for the sparse data the tests feed the library.
+
+A row is an (indices, values) pair of arrays, as SparseRows.row returns it;
+a batch of rows is one SparseRows.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+import numpy as np
+
+from sgdtext.features import Row, SparseRows
+
+
+def row(pairs: Mapping[int, float] | Iterable[tuple[int, float]] = ()) -> Row:
+    """A row from (index, value) pairs; duplicate indices are summed, zero sums dropped."""
+    items = pairs.items() if isinstance(pairs, Mapping) else pairs
+    acc: dict[int, float] = {}
+    for index, value in items:
+        acc[int(index)] = acc.get(int(index), 0.0) + float(value)
+    kept = sorted((i, v) for i, v in acc.items() if v != 0.0)
+    return (
+        np.asarray([i for i, _ in kept], dtype=np.int64),
+        np.asarray([v for _, v in kept], dtype=np.float64),
+    )
+
+
+def rows(*pair_sets: Mapping[int, float] | Iterable[tuple[int, float]]) -> SparseRows:
+    """A batch with one row per argument, each built as row() builds it."""
+    return SparseRows.from_rows(row(pairs) for pairs in pair_sets)
+
+
+def dense_rows(matrix: np.ndarray) -> SparseRows:
+    """The nonzeros of every row of a dense matrix, as one batch."""
+    return SparseRows.from_rows((np.flatnonzero(r), r[np.flatnonzero(r)]) for r in matrix)
+
+
+def to_dict(r: Row) -> dict[int, float]:
+    return {int(i): float(v) for i, v in zip(*r)}
+
+
+def to_dense(batch: SparseRows, dim: int) -> np.ndarray:
+    out = np.zeros((len(batch), dim))
+    for i in range(len(batch)):
+        indices, values = batch.row(i)
+        out[i, indices] = values
+    return out
+
+
+def row_bytes(r: Row) -> tuple[bytes, bytes]:
+    """Bitwise identity of a row: equal bytes mean equal indices and values."""
+    return r[0].tobytes(), r[1].tobytes()
+
+
+def batch_bytes(batch: SparseRows) -> tuple[bytes, bytes, bytes]:
+    """Bitwise identity of a batch: its three CSR arrays as bytes."""
+    return batch.indptr.tobytes(), batch.indices.tobytes(), batch.values.tobytes()
+
+
+def rows_of(batch: SparseRows) -> list[Row]:
+    """Every row of a batch, in order."""
+    return [batch.row(i) for i in range(len(batch))]

@@ -26,14 +26,7 @@ from sgdtext.evaluation import (
     per_class_metrics,
     stratified_kfold,
 )
-from sgdtext.features import (
-    NgramRange,
-    SparseVector,
-    TfidfConfig,
-    fit,
-    normalize,
-    transform,
-)
+from sgdtext.features import NgramRange, SparseRows, TfidfConfig, fit, transform
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import SmoteConfig, smote
 from sgdtext.search import GridSpec, compare_runs, grid_search, params_label
@@ -45,24 +38,32 @@ from sgdtext.sgd import (
     loss_value,
 )
 
-from oracles import batch_gd_oracle, micro_averages, regularized_objective
+from oracles import batch_gd_oracle, micro_averages, normalize, regularized_objective
+from rows import Row, row, row_bytes, rows_of, to_dict
 
 ALL_LOSSES = (LossKind.HINGE, LossKind.LOG, LossKind.PERCEPTRON)
 
 
-def dense_of(v: SparseVector, dim: int) -> np.ndarray:
+def dense_of(v: Row, dim: int) -> np.ndarray:
     out = np.zeros(dim)
-    if v.nnz:
-        out[v.indices] = v.values
+    out[v[0]] = v[1]
     return out
 
 
-def random_sparse(rng: np.random.Generator, dim: int, max_nnz: int) -> SparseVector:
+def random_sparse(rng: np.random.Generator, dim: int, max_nnz: int) -> Row:
     nnz = int(rng.integers(1, max_nnz + 1))
     idx = np.sort(rng.choice(dim, size=nnz, replace=False)).astype(np.int64)
     vals = rng.normal(size=nnz)
     vals[vals == 0.0] = 1.0
-    return SparseVector(idx, vals)
+    return idx, vals
+
+
+def l1(v: Row) -> float:
+    return float(np.abs(v[1]).sum())
+
+
+def l2(v: Row) -> float:
+    return float(math.sqrt(v[1] @ v[1]))
 
 
 def test_tfidf_oracle():
@@ -72,14 +73,14 @@ def test_tfidf_oracle():
     doc = ["a", "b"]
 
     plain = fit(docs, TfidfConfig(use_idf=True, smooth_idf=False, norm="none"))
-    got = transform(plain, doc).to_dict()
+    got = to_dict(transform(plain, [doc]).row(0))
     expected = {plain.vocabulary["a"]: math.log(2.0) + 1.0, plain.vocabulary["b"]: 1.0}
     worst = max(abs(got[k] - expected[k]) for k in expected)
     assert set(got) == set(expected)
     assert worst < 1e-12
 
     smooth = fit(docs, TfidfConfig(use_idf=True, smooth_idf=True, norm="none"))
-    got_smooth = transform(smooth, doc).to_dict()
+    got_smooth = to_dict(transform(smooth, [doc]).row(0))
     expected_smooth = {
         smooth.vocabulary["a"]: math.log(3.0 / 2.0) + 1.0,
         smooth.vocabulary["b"]: 1.0,
@@ -89,7 +90,7 @@ def test_tfidf_oracle():
 
     for smooth_flag in (False, True):
         model = fit(docs, TfidfConfig(use_idf=True, smooth_idf=smooth_flag, norm="l2"))
-        norm_err = abs(transform(model, doc).norm_l2() - 1.0)
+        norm_err = abs(l2(transform(model, [doc]).row(0)) - 1.0)
         worst = max(worst, norm_err)
         assert norm_err < 1e-12
 
@@ -105,10 +106,10 @@ def test_normalization_identities():
     worst = 0.0
     for _ in range(1000):
         v = random_sparse(rng, dim=200, max_nnz=12)
-        worst = max(worst, abs(normalize(v, "l2").norm_l2() - 1.0))
-        worst = max(worst, abs(normalize(v, "l1").norm_l1() - 1.0))
+        worst = max(worst, abs(l2(normalize(v, "l2")) - 1.0))
+        worst = max(worst, abs(l1(normalize(v, "l1")) - 1.0))
     assert worst < 1e-12
-    zero = SparseVector.empty()
+    zero = row()
     assert normalize(zero, "l1") is zero and normalize(zero, "l2") is zero
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -148,7 +149,7 @@ def test_sgd_matches_batch_oracle():
     w_true = rng.normal(size=10)
     noise = rng.normal(size=50)
     y = np.where(dense @ w_true + 0.1 * noise >= 0, 1.0, -1.0)
-    X = [SparseVector(np.arange(10, dtype=np.int64), row.copy()) for row in dense]
+    X = SparseRows.from_rows((np.arange(10), r.copy()) for r in dense)
 
     config = TrainConfig(loss=LossKind.LOG, penalty="l2", alpha=0.05, epochs=200, seed=0)
     w_sgd, b_sgd = fit_binary(X, y, config)
@@ -206,11 +207,12 @@ def test_smote_histogram_and_provenance():
     """40/10/5 equalizes to 40/40/40; synthetics trace to recorded 5-NN pairs."""
     started = time.perf_counter()
     rng = np.random.default_rng(205)
-    X, labels = [], []
+    points, labels = [], []
     for cls, count in ((0, 40), (1, 10), (2, 5)):
         for _ in range(count):
-            X.append(random_sparse(rng, dim=12, max_nnz=6))
+            points.append(random_sparse(rng, dim=12, max_nnz=6))
             labels.append(cls)
+    X = SparseRows.from_rows(points)
 
     config = SmoteConfig(k_neighbors=5, seed=11)
     result = smote(X, labels, config)
@@ -218,12 +220,11 @@ def test_smote_histogram_and_provenance():
     histogram = Counter(result.labels)
     assert histogram == {0: 40, 1: 40, 2: 40}
 
-    for original, kept in zip(X, result.vectors):
-        assert np.array_equal(original.indices, kept.indices)
-        assert np.array_equal(original.values, kept.values)
+    for original, kept in zip(points, rows_of(result.vectors)):
+        assert row_bytes(original) == row_bytes(kept)
 
-    dense = np.array([dense_of(v, 12) for v in X])
-    synthetics = result.vectors[len(X):]
+    dense = np.array([dense_of(v, 12) for v in points])
+    synthetics = rows_of(result.vectors)[len(X):]
     assert len(synthetics) == len(result.records) == 30 + 35
     for record, vector in zip(result.records, synthetics):
         assert 0.0 <= record.gap < 1.0

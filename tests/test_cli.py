@@ -528,6 +528,43 @@ class TestExitCodes:
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
         assert "JSON" in capsys.readouterr().err
 
+    def test_model_with_a_nan_intercept_and_a_negative_index(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "model.json").read_text("utf-8"))
+        data["intercepts"][0] = float("nan")
+        data["weights"][0].append([-1, 0.5])
+        (out / "model.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        assert "feature index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("norm", "l3", "norm must be one of"),
+            ("n_docs", 0, "n_docs must be >= 1"),
+            ("df", 0, "document frequencies"),
+            ("df", -4, "document frequencies"),
+        ],
+    )
+    def test_vectorizer_with_an_out_of_range_value(
+        self, labeled_csv, tmp_path, capsys, field, value, message
+    ):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "tfidf.json").read_text("utf-8"))
+        if field == "df":
+            data["vocabulary"][0][2] = value
+        else:
+            data[field] = value
+        (out / "tfidf.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
     def test_model_and_tfidf_from_different_runs(self, labeled_csv, tmp_path, capsys):
         unigram, bigram = tmp_path / "unigram", tmp_path / "bigram"
         for out, ngram in ((unigram, "1,1"), (bigram, "1,2")):

@@ -1,4 +1,4 @@
-"""Tests for n-gram extraction, TF-IDF weighting, and sparse vectors."""
+"""Tests for n-gram extraction, TF-IDF weighting, and the SparseRows batch."""
 
 from __future__ import annotations
 
@@ -8,22 +8,28 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sgdtext import features
 from sgdtext.features import (
+    NORMS,
     EmptyCorpusError,
     NgramRange,
-    SparseVector,
+    SparseRows,
     TfidfConfig,
     TfidfFormatError,
     extract_ngrams,
     fit,
     load_tfidf,
-    normalize,
     save_tfidf,
     tfidf_from_dict,
     tfidf_to_dict,
     transform,
 )
+
+from oracles import normalize, transform_documents
+from rows import batch_bytes, row, row_bytes, rows, to_dense, to_dict
 
 
 class TestNgramRange:
@@ -41,59 +47,110 @@ class TestNgramRange:
 
 
 class TestSparseVector:
+    """A single row of a SparseRows batch: validation, emptiness, dot products, norms."""
+
     def test_rejects_unsorted_or_duplicate_indices(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            SparseVector(np.array([3, 1]), np.array([1.0, 2.0]))
+            SparseRows([0, 2], np.array([3, 1]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="strictly increasing"):
-            SparseVector(np.array([2, 2]), np.array([1.0, 2.0]))
+            SparseRows([0, 2], np.array([2, 2]), np.array([1.0, 2.0]))
 
     def test_rejects_negative_index_and_explicit_zero(self):
         with pytest.raises(ValueError, match="non-negative"):
-            SparseVector(np.array([-1]), np.array([1.0]))
+            SparseRows([0, 1], np.array([-1]), np.array([1.0]))
         with pytest.raises(ValueError, match="zeros"):
-            SparseVector(np.array([0, 1]), np.array([1.0, 0.0]))
+            SparseRows([0, 2], np.array([0, 1]), np.array([1.0, 0.0]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            SparseVector(np.array([0, 1]), np.array([1.0]))
+            SparseRows([0, 2], np.array([0, 1]), np.array([1.0]))
 
     def test_from_pairs_merges_duplicates_and_drops_zero_sums(self):
-        v = SparseVector.from_pairs([(4, 1.5), (1, 2.0), (4, 0.5), (7, 3.0), (7, -3.0)])
-        assert v.to_dict() == {1: 2.0, 4: 2.0}
+        v = rows([(4, 1.5), (1, 2.0), (4, 0.5), (7, 3.0), (7, -3.0)])
+        assert to_dict(v.row(0)) == {1: 2.0, 4: 2.0}
         assert v.nnz == 2
 
     def test_empty_vector(self):
-        v = SparseVector.empty()
-        assert v.nnz == 0
-        assert v.norm_l1() == 0.0
-        assert v.norm_l2() == 0.0
-        assert v.dot(np.ones(5)) == 0.0
+        v = rows({})
+        indices, values = v.row(0)
+        assert len(v) == 1 and v.nnz == 0
+        assert float(np.abs(values).sum()) == 0.0
+        assert float(math.sqrt(values @ values)) == 0.0
+        assert float(np.ones(5)[indices] @ values) == 0.0
 
     def test_dot_against_dense(self, random_vector):
         rng = np.random.default_rng(31)
-        for _ in range(50):
-            v = random_vector(rng, dim=30)
+        batch = SparseRows.from_rows(random_vector(rng, dim=30) for _ in range(50))
+        dense = to_dense(batch, 30)
+        for i in range(50):
+            indices, values = batch.row(i)
             dense_w = rng.normal(size=30)
-            dense_v = np.zeros(30)
-            dense_v[v.indices] = v.values
-            assert math.isclose(v.dot(dense_w), float(dense_v @ dense_w), rel_tol=1e-12)
+            got = float(dense_w[indices] @ values)
+            assert math.isclose(got, float(dense[i] @ dense_w), rel_tol=1e-12)
 
     def test_norms_match_dense(self, random_vector):
         rng = np.random.default_rng(32)
-        for _ in range(50):
-            v = random_vector(rng, dim=30)
-            assert math.isclose(v.norm_l1(), float(np.abs(v.values).sum()), rel_tol=1e-12)
+        batch = SparseRows.from_rows(random_vector(rng, dim=30) for _ in range(50))
+        dense = to_dense(batch, 30)
+        for i in range(50):
+            _, values = batch.row(i)
             assert math.isclose(
-                v.norm_l2(), float(np.linalg.norm(v.values)), rel_tol=1e-12
+                float(np.abs(values).sum()), float(np.abs(dense[i]).sum()), rel_tol=1e-12
+            )
+            assert math.isclose(
+                float(math.sqrt(values @ values)), float(np.linalg.norm(dense[i])), rel_tol=1e-12
             )
 
     def test_equality_and_hash(self):
-        a = SparseVector.from_pairs({0: 1.0, 3: 2.0})
-        b = SparseVector.from_pairs({0: 1.0, 3: 2.0})
-        c = SparseVector.from_pairs({0: 1.0, 3: 2.5})
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != c
+        a = rows({0: 1.0, 3: 2.0})
+        b = rows({0: 1.0, 3: 2.0})
+        c = rows({0: 1.0, 3: 2.5})
+        assert batch_bytes(a) == batch_bytes(b)
+        assert hash(batch_bytes(a)) == hash(batch_bytes(b))
+        assert batch_bytes(a) != batch_bytes(c)
+
+
+class TestSparseRows:
+    """Batch validation: each case fails only the check it names."""
+
+    def test_rejects_an_unsorted_row_after_a_valid_one(self):
+        SparseRows([0, 2, 4], [0, 5, 1, 3], [1.0, 2.0, 3.0, 4.0])  # a row may start lower
+        with pytest.raises(ValueError, match="strictly increasing within each row"):
+            SparseRows([0, 2, 4], [0, 5, 3, 1], [1.0, 2.0, 3.0, 4.0])
+
+    def test_rejects_a_negative_index(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SparseRows([0, 1, 3], [4, -2, 0], [1.0, 2.0, 3.0])
+
+    def test_rejects_an_explicit_zero(self):
+        with pytest.raises(ValueError, match="explicit zeros"):
+            SparseRows([0, 1, 3], [4, 0, 2], [1.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("indptr", [[0, 1, 2], [0, 1, 4], [1, 3]])
+    def test_rejects_an_indptr_that_disagrees_with_nnz(self, indptr):
+        with pytest.raises(ValueError, match="start at 0 and end at nnz"):
+            SparseRows(indptr, [0, 1, 2], [1.0, 2.0, 3.0])
+
+    def test_rejects_a_decreasing_indptr(self):
+        with pytest.raises(ValueError, match="never decrease"):
+            SparseRows([0, 2, 1, 3], [0, 1, 2], [1.0, 2.0, 3.0])
+
+    def test_rejects_arrays_that_are_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            SparseRows([0, 2], [[0, 1]], [[1.0, 2.0]])
+
+    def test_rows_are_views_and_empty_rows_are_allowed(self):
+        batch = SparseRows([0, 0, 2, 2, 3], [1, 4, 0], [1.0, 2.0, 3.0])
+        assert len(batch) == 4 and batch.nnz == 3
+        indices, values = batch.row(1)
+        assert indices.tolist() == [1, 4] and values.tolist() == [1.0, 2.0]
+        assert indices.base is batch.indices and values.base is batch.values
+        assert batch.row(0)[0].size == 0 and batch.row(3)[1].tolist() == [3.0]
+
+    def test_empty_batch(self):
+        batch = SparseRows.from_rows([])
+        assert len(batch) == 0 and batch.nnz == 0
+        assert batch.indptr.tolist() == [0]
 
 
 class TestExtractNgrams:
@@ -166,30 +223,32 @@ class TestIdf:
 
 
 class TestNormalize:
+    """The per-document normalization kept in tests/oracles.py as the reference."""
+
     def test_l2_produces_unit_norm(self, random_vector):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            v = normalize(random_vector(rng), "l2")
-            assert math.isclose(v.norm_l2(), 1.0, rel_tol=0, abs_tol=1e-12)
+            _, values = normalize(random_vector(rng), "l2")
+            assert math.isclose(math.sqrt(values @ values), 1.0, rel_tol=0, abs_tol=1e-12)
 
     def test_l1_produces_unit_norm(self, random_vector):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            v = normalize(random_vector(rng), "l1")
-            assert math.isclose(v.norm_l1(), 1.0, rel_tol=0, abs_tol=1e-12)
+            _, values = normalize(random_vector(rng), "l1")
+            assert math.isclose(float(np.abs(values).sum()), 1.0, rel_tol=0, abs_tol=1e-12)
 
     def test_none_is_identity(self):
-        v = SparseVector.from_pairs({2: 5.0})
+        v = row({2: 5.0})
         assert normalize(v, "none") is v
 
     def test_zero_vector_is_fixed_point(self):
-        empty = SparseVector.empty()
+        empty = row()
         assert normalize(empty, "l1") is empty
         assert normalize(empty, "l2") is empty
 
     def test_unknown_norm_rejected(self):
         with pytest.raises(ValueError, match="norm"):
-            normalize(SparseVector.empty(), "l3")
+            normalize(row(), "l3")
 
 
 class TestTransform:
@@ -198,37 +257,88 @@ class TestTransform:
 
     def test_plain_idf_weighting(self):
         model = self.corpus_model(smooth_idf=False, norm="none")
-        v = transform(model, ["a", "b"])
-        assert v.to_dict() == pytest.approx(
+        v = transform(model, [["a", "b"]]).row(0)
+        assert to_dict(v) == pytest.approx(
             {model.vocabulary["a"]: math.log(2) + 1.0, model.vocabulary["b"]: 1.0}
         )
 
     def test_term_counts_scale_weights(self):
         model = self.corpus_model(smooth_idf=False, norm="none")
-        v = transform(model, ["a", "a", "b"])
-        assert v.to_dict()[model.vocabulary["a"]] == pytest.approx(2 * (math.log(2) + 1.0))
+        v = transform(model, [["a", "a", "b"]]).row(0)
+        assert to_dict(v)[model.vocabulary["a"]] == pytest.approx(2 * (math.log(2) + 1.0))
 
     def test_unknown_tokens_dropped(self):
         model = self.corpus_model(norm="none")
-        v = transform(model, ["a", "zzz"])
-        assert set(v.indices) == {model.vocabulary["a"]}
-        assert transform(model, ["zzz", "qqq"]).nnz == 0
+        indices, _ = transform(model, [["a", "zzz"]]).row(0)
+        assert set(indices) == {model.vocabulary["a"]}
+        assert transform(model, [["zzz", "qqq"]]).nnz == 0
 
     def test_empty_document_maps_to_empty_vector(self):
         model = self.corpus_model()
-        assert transform(model, []).nnz == 0
+        batch = transform(model, [[]])
+        assert len(batch) == 1 and batch.nnz == 0
 
     def test_l2_norm_applied(self):
         model = self.corpus_model(norm="l2")
-        v = transform(model, ["a", "b", "c"])
-        assert math.isclose(v.norm_l2(), 1.0, abs_tol=1e-12)
+        _, values = transform(model, [["a", "b", "c"]]).row(0)
+        assert math.isclose(math.sqrt(values @ values), 1.0, abs_tol=1e-12)
 
     def test_bigram_transform(self):
         docs = [["bomb", "exploded"], ["bomb", "defused"]]
         model = fit(docs, TfidfConfig(ngram_range=NgramRange(1, 2), norm="none"))
         assert "bomb exploded" in model.vocabulary
-        v = transform(model, ["bomb", "exploded"])
-        assert model.vocabulary["bomb exploded"] in v.indices
+        indices, _ = transform(model, [["bomb", "exploded"]]).row(0)
+        assert model.vocabulary["bomb exploded"] in indices
+
+    def test_one_row_per_document_in_order(self):
+        model = self.corpus_model(norm="l1")
+        docs = [["c"], [], ["zzz"], ["a", "b"], ["b", "b", "c"]]
+        batch = transform(model, docs)
+        assert len(batch) == len(docs)
+        for i, doc in enumerate(docs):
+            assert row_bytes(batch.row(i)) == row_bytes(transform(model, [doc]).row(0))
+        assert transform(model, []).indptr.tolist() == [0]
+
+
+VOCAB = [f"t{i}" for i in range(7)]
+# "zz" never occurs in a fitted corpus, so a document of it has no known n-gram.
+TOKENS = st.sampled_from(VOCAB + ["zz"])
+NGRAMS = (NgramRange(1, 1), NgramRange(1, 2), NgramRange(2, 3))
+
+
+class TestBatchTransformProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fit_docs=st.lists(
+            st.lists(st.sampled_from(VOCAB), min_size=3, max_size=20), min_size=1, max_size=6
+        ),
+        docs=st.lists(st.lists(TOKENS, max_size=20), max_size=10),
+        ngram_range=st.sampled_from(NGRAMS),
+        norm=st.sampled_from(NORMS),
+        use_idf=st.booleans(),
+        smooth_idf=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_per_document_oracle(
+        self, fit_docs, docs, ngram_range, norm, use_idf, smooth_idf, data
+    ):
+        model = fit(fit_docs, TfidfConfig(ngram_range, use_idf, smooth_idf, norm))
+        if data.draw(st.booleans(), label="extreme weights"):
+            # Weights 1e520 apart make the normalization round the small ones
+            # to zero (or, with L2, overflow the norm and zero the whole row).
+            factors = data.draw(
+                st.lists(
+                    st.sampled_from([1.0, 1e-320, 1e200]),
+                    min_size=len(model.vocabulary),
+                    max_size=len(model.vocabulary),
+                ),
+                label="idf factors",
+            )
+            model.idf_array = model.idf_array * np.asarray(factors)
+        with np.errstate(divide="ignore", over="ignore"):
+            expected = transform_documents(model, docs)
+            got = transform(model, docs)
+        assert batch_bytes(got) == batch_bytes(expected)
 
 
 class TestSerialization:
@@ -241,8 +351,7 @@ class TestSerialization:
         assert loaded.vocabulary == model.vocabulary
         assert np.array_equal(loaded.doc_freq, model.doc_freq)
         assert loaded.n_docs == model.n_docs
-        for doc in docs:
-            assert transform(loaded, doc) == transform(model, doc)
+        assert batch_bytes(transform(loaded, docs)) == batch_bytes(transform(model, docs))
 
     def test_version_mismatch_rejected(self):
         data = tfidf_to_dict(fit([["a"]], TfidfConfig()))
@@ -269,3 +378,22 @@ class TestSerialization:
     def test_missing_key_reported_as_format_error(self):
         with pytest.raises(TfidfFormatError, match="malformed"):
             tfidf_from_dict({"version": 1})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("norm", "l3", "norm must be one of"),
+            ("n_docs", 0, "n_docs must be >= 1"),
+            ("df", 0, "document frequencies"),
+            ("df", -4, "document frequencies"),
+            ("df", 3, "document frequencies"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, field, value, message):
+        data = tfidf_to_dict(fit([["a", "b"], ["b"]], TfidfConfig(smooth_idf=False)))
+        if field == "df":
+            data["vocabulary"][0][2] = value
+        else:
+            data[field] = value
+        with pytest.raises(TfidfFormatError, match=message):
+            tfidf_from_dict(data)

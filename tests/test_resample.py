@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdtext import resample
-from sgdtext.features import NORMS, NgramRange, SparseVector, TfidfConfig, fit, transform
+from sgdtext.features import NORMS, NgramRange, SparseRows, TfidfConfig, fit, transform
 from sgdtext.resample import (
     SmoteConfig,
     interpolate,
@@ -19,33 +19,31 @@ from sgdtext.resample import (
     smote,
     squared_distance,
 )
-from tests.oracles import knn_indices_oracle
+from oracles import knn_indices_oracle
+from rows import Row, batch_bytes, row, row_bytes, rows, rows_of, to_dict
 
 
-def dense_of(v: SparseVector, dim: int) -> np.ndarray:
+def dense_of(v: Row, dim: int) -> np.ndarray:
     out = np.zeros(dim)
-    if v.nnz:
-        out[v.indices] = v.values
+    out[v[0]] = v[1]
     return out
 
 
-def random_points(
-    rng: np.random.Generator, count: int, dim: int = 12
-) -> list[SparseVector]:
+def random_points(rng: np.random.Generator, count: int, dim: int = 12) -> SparseRows:
     points = []
     for _ in range(count):
         nnz = int(rng.integers(2, 6))
         idx = np.sort(rng.choice(dim, size=nnz, replace=False)).astype(np.int64)
         vals = rng.normal(size=nnz)
         vals[vals == 0.0] = 0.5
-        points.append(SparseVector(idx, vals))
-    return points
+        points.append((idx, vals))
+    return SparseRows.from_rows(points)
 
 
 class TestSquaredDistance:
     def test_matches_dense_computation(self):
         rng = np.random.default_rng(51)
-        points = random_points(rng, 30)
+        points = rows_of(random_points(rng, 30))
         for _ in range(60):
             i, j = rng.integers(0, 30, size=2)
             expected = float(
@@ -56,37 +54,37 @@ class TestSquaredDistance:
             )
 
     def test_zero_for_identical_points(self):
-        v = SparseVector.from_pairs({1: 2.0, 5: -1.0})
+        v = row({1: 2.0, 5: -1.0})
         assert squared_distance(v, v) == 0.0
 
     def test_disjoint_supports(self):
-        a = SparseVector.from_pairs({0: 3.0})
-        b = SparseVector.from_pairs({4: 4.0})
+        a = row({0: 3.0})
+        b = row({4: 4.0})
         assert squared_distance(a, b) == 25.0
 
 
 class TestInterpolate:
     def test_endpoints_reproduce_inputs_exactly(self):
-        a = SparseVector.from_pairs({0: 1.0, 3: 2.0})
-        b = SparseVector.from_pairs({3: 5.0, 7: -1.0})
-        assert interpolate(a, b, 0.0) == a
-        assert interpolate(a, b, 1.0) == b
-        assert interpolate(a, b, 0.0) is not a
+        a = row({0: 1.0, 3: 2.0})
+        b = row({3: 5.0, 7: -1.0})
+        assert row_bytes(interpolate(a, b, 0.0)) == row_bytes(a)
+        assert row_bytes(interpolate(a, b, 1.0)) == row_bytes(b)
+        assert not any(np.shares_memory(x, y) for x, y in zip(interpolate(a, b, 0.0), a))
 
     def test_midpoint_values(self):
-        a = SparseVector.from_pairs({0: 2.0})
-        b = SparseVector.from_pairs({0: 4.0, 1: 6.0})
+        a = row({0: 2.0})
+        b = row({0: 4.0, 1: 6.0})
         mid = interpolate(a, b, 0.5)
-        assert mid.to_dict() == {0: 3.0, 1: 3.0}
+        assert to_dict(mid) == {0: 3.0, 1: 3.0}
 
     def test_exact_cancellation_drops_coordinate(self):
-        a = SparseVector.from_pairs({0: 1.0})
-        b = SparseVector.from_pairs({0: -1.0})
-        assert interpolate(a, b, 0.5).nnz == 0
+        a = row({0: 1.0})
+        b = row({0: -1.0})
+        assert interpolate(a, b, 0.5)[0].size == 0
 
     def test_matches_dense_formula(self):
         rng = np.random.default_rng(52)
-        points = random_points(rng, 20)
+        points = rows_of(random_points(rng, 20))
         for _ in range(40):
             i, j = rng.integers(0, 20, size=2)
             gap = float(rng.random())
@@ -96,7 +94,7 @@ class TestInterpolate:
             assert np.allclose(got, expected, atol=1e-14)
 
     def test_invalid_gap(self):
-        a = SparseVector.from_pairs({0: 1.0})
+        a = row({0: 1.0})
         with pytest.raises(ValueError, match="gap"):
             interpolate(a, a, 1.5)
         with pytest.raises(ValueError, match="gap"):
@@ -107,7 +105,7 @@ class TestKnnIndices:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(53)
         points = random_points(rng, 25)
-        dense = np.array([dense_of(p, 12) for p in points])
+        dense = np.array([dense_of(p, 12) for p in rows_of(points)])
         for query in range(25):
             got = knn_indices_oracle(points, query, 5)
             d2 = np.sum((dense - dense[query]) ** 2, axis=1)
@@ -119,32 +117,27 @@ class TestKnnIndices:
                 assert d2[j] <= kth * (1 + 1e-9)
 
     def test_ties_resolve_to_lower_index(self):
-        base = SparseVector.from_pairs({0: 1.0})
-        left = SparseVector.from_pairs({0: 2.0})
-        right = SparseVector.from_pairs({0: 2.0})
-        points = [base, left, right]
+        points = rows({0: 1.0}, {0: 2.0}, {0: 2.0})
         assert knn_indices_oracle(points, 0, 1) == [1]
 
     def test_k_clamped_to_population(self):
-        points = [SparseVector.from_pairs({0: float(i + 1)}) for i in range(3)]
+        points = rows(*({0: float(i + 1)} for i in range(3)))
         assert sorted(knn_indices_oracle(points, 0, 10)) == [1, 2]
 
     def test_errors(self):
-        points = [SparseVector.from_pairs({0: 1.0})]
+        points = rows({0: 1.0})
         with pytest.raises(ValueError, match="at least 2"):
             knn_indices_oracle(points, 0, 1)
-        two = points + [SparseVector.from_pairs({0: 2.0})]
+        two = rows({0: 1.0}, {0: 2.0})
         with pytest.raises(IndexError):
             knn_indices_oracle(two, 5, 1)
 
 
-def oracle_table(points: list[SparseVector], k: int) -> list[list[int]]:
+def oracle_table(points: SparseRows, k: int) -> list[list[int]]:
     return [knn_indices_oracle(points, q, k) for q in range(len(points))]
 
 
-def tfidf_classes(
-    seed: int, ngram_range: NgramRange, norm: str
-) -> list[list[SparseVector]]:
+def tfidf_classes(seed: int, ngram_range: NgramRange, norm: str) -> list[SparseRows]:
     """TF-IDF vectors of a small Zipf-like corpus, split into three classes.
 
     Every class repeats some of its documents verbatim and holds one document
@@ -167,7 +160,7 @@ def tfidf_classes(
         [doc for docs in classes for doc in docs if doc[0] != "unseen"],
         TfidfConfig(ngram_range=ngram_range, norm=norm),
     )
-    return [[transform(model, doc) for doc in docs] for docs in classes]
+    return [transform(model, docs) for docs in classes]
 
 
 class CountingDistance:
@@ -176,7 +169,7 @@ class CountingDistance:
     def __init__(self) -> None:
         self.calls = 0
 
-    def __call__(self, a: SparseVector, b: SparseVector) -> float:
+    def __call__(self, a: Row, b: Row) -> float:
         self.calls += 1
         return squared_distance(a, b)
 
@@ -192,29 +185,27 @@ class TestNeighborTable:
 
     def test_exact_duplicates(self):
         rng = np.random.default_rng(63)
-        points = random_points(rng, 8)
-        points = points + [points[3], points[0], points[3], points[7]]
+        points = rows_of(random_points(rng, 8))
+        points = SparseRows.from_rows(points + [points[3], points[0], points[3], points[7]])
         for k in (1, 2, 4, 11):
             assert neighbor_table(points, k) == oracle_table(points, k)
 
     def test_values_whose_products_underflow(self):
         rng = np.random.default_rng(66)
-        points = [
-            SparseVector(p.indices, p.values * 1e-160) for p in random_points(rng, 10)
-        ]
-        points.append(points[2])
+        points = [(idx, vals * 1e-160) for idx, vals in rows_of(random_points(rng, 10))]
+        points = SparseRows.from_rows(points + [points[2]])
         for k in (1, 3):
             assert neighbor_table(points, k) == oracle_table(points, k)
 
     def test_all_empty_class(self):
-        points = [SparseVector.empty() for _ in range(5)]
+        points = rows(*[{}] * 5)
         table = neighbor_table(points, 3)
         assert table == oracle_table(points, 3)
         assert table[0] == [1, 2, 3]
         assert table[4] == [0, 1, 2]
 
     def test_two_points(self):
-        points = [SparseVector.from_pairs({0: 1.0}), SparseVector.from_pairs({1: 2.0})]
+        points = rows({0: 1.0}, {1: 2.0})
         assert neighbor_table(points, 1) == [[1], [0]]
         assert neighbor_table(points, 5) == [[1], [0]]
 
@@ -229,11 +220,7 @@ class TestNeighborTable:
         # Both neighbours lie at distance^2 0.7^2 + 0.1^2 from the query, but
         # the Gram-form screen rounds the second one lower. The exact
         # distances keep the tie-break to the lower index.
-        points = [
-            SparseVector.from_pairs({0: 0.2, 1: 0.3}),
-            SparseVector.from_pairs({0: 0.9, 1: 0.4}),
-            SparseVector.from_pairs({0: 0.9, 1: 0.2}),
-        ]
+        points = rows({0: 0.2, 1: 0.3}, {0: 0.9, 1: 0.4}, {0: 0.9, 1: 0.2})
         counting = CountingDistance()
         monkeypatch.setattr(resample, "squared_distance", counting)
         table = neighbor_table(points, 1)
@@ -242,7 +229,7 @@ class TestNeighborTable:
         assert table == oracle_table(points, 1)
 
     def test_separated_points_skip_the_exact_rerank(self, monkeypatch):
-        points = [SparseVector.from_pairs({0: float(2**i)}) for i in range(6)]
+        points = rows(*({0: float(2**i)} for i in range(6)))
         counting = CountingDistance()
         monkeypatch.setattr(resample, "squared_distance", counting)
         assert neighbor_table(points, 2) == oracle_table(points, 2)
@@ -250,8 +237,8 @@ class TestNeighborTable:
 
     def test_smote_equals_oracle_driven_smote(self, monkeypatch):
         classes = tfidf_classes(65, NgramRange(1, 2), "l2")
-        X = [v for points in classes for v in points]
-        labels = [cls for cls, points in enumerate(classes) for _ in points]
+        X = SparseRows.from_rows(v for points in classes for v in rows_of(points))
+        labels = [cls for cls, points in enumerate(classes) for _ in range(len(points))]
         config = SmoteConfig(k_neighbors=3, seed=10)
         fast = smote(X, labels, config)
         monkeypatch.setattr(resample, "neighbor_table", oracle_table)
@@ -259,39 +246,35 @@ class TestNeighborTable:
         assert fast.labels == slow.labels
         assert fast.records == slow.records
         assert len(fast.vectors) == len(slow.vectors)
-        for a, b in zip(fast.vectors, slow.vectors):
-            assert a.indices.tobytes() == b.indices.tobytes()
-            assert a.values.tobytes() == b.values.tobytes()
+        assert batch_bytes(fast.vectors) == batch_bytes(slow.vectors)
 
     def test_errors(self):
-        one = [SparseVector.from_pairs({0: 1.0})]
+        one = rows({0: 1.0})
         with pytest.raises(ValueError, match="at least 2"):
             neighbor_table(one, 1)
-        two = one + [SparseVector.from_pairs({0: 2.0})]
+        two = rows({0: 1.0}, {0: 2.0})
         with pytest.raises(ValueError, match="k must be"):
             neighbor_table(two, 0)
 
 
 @st.composite
-def sparse_classes(draw) -> list[SparseVector]:
+def sparse_classes(draw) -> SparseRows:
     """Small classes over few columns with duplicates, empty vectors and 1-ulp nudges."""
     dim = draw(st.integers(1, 8))
     magnitude = st.floats(0.01, 4.0)
     value = st.one_of(magnitude, magnitude.map(lambda v: -v))
     point = st.dictionaries(st.integers(0, dim - 1), value, max_size=dim)
     drawn = draw(st.lists(point, min_size=2, max_size=12))
-    points = [SparseVector.from_pairs(pairs) for pairs in drawn]
+    points = [row(pairs) for pairs in drawn]
     for _ in range(draw(st.integers(0, 4))):
-        source = points[draw(st.integers(0, len(points) - 1))]
-        if draw(st.booleans()) and source.nnz:
-            values = source.values.copy()
-            at = draw(st.integers(0, source.nnz - 1))
+        indices, values = points[draw(st.integers(0, len(points) - 1))]
+        if draw(st.booleans()) and indices.size:
+            values = values.copy()
+            at = draw(st.integers(0, indices.size - 1))
             values[at] = np.nextafter(values[at], np.inf)
-            points.append(SparseVector(source.indices.copy(), values))
-        else:
-            points.append(source)
+        points.append((indices, values))
     order = draw(st.permutations(range(len(points))))
-    return [points[i] for i in order]
+    return SparseRows.from_rows(points[i] for i in order)
 
 
 class TestNeighborTableProperty:
@@ -302,14 +285,14 @@ class TestNeighborTableProperty:
 
 
 class TestSmote:
-    def imbalanced(self, seed: int = 54) -> tuple[list[SparseVector], list[int]]:
+    def imbalanced(self, seed: int = 54) -> tuple[SparseRows, list[int]]:
         rng = np.random.default_rng(seed)
         X, labels = [], []
         for cls, count in ((1, 12), (2, 5), (3, 3)):
-            for point in random_points(rng, count):
+            for point in rows_of(random_points(rng, count)):
                 X.append(point)
                 labels.append(cls)
-        return X, labels
+        return SparseRows.from_rows(X), labels
 
     def test_histogram_equalized_to_majority(self):
         X, labels = self.imbalanced()
@@ -321,19 +304,20 @@ class TestSmote:
         X, labels = self.imbalanced()
         result = smote(X, labels, SmoteConfig(seed=2))
         assert result.labels[: len(labels)] == labels
-        for original, kept in zip(X, result.vectors):
-            assert kept == original
+        for original, kept in zip(rows_of(X), rows_of(result.vectors)):
+            assert row_bytes(kept) == row_bytes(original)
 
     def test_records_reproduce_synthetics_exactly(self):
         X, labels = self.imbalanced()
         result = smote(X, labels, SmoteConfig(seed=3))
-        synthetics = result.vectors[len(X):]
+        synthetics = rows_of(result.vectors)[len(X):]
         for record, vector in zip(result.records, synthetics):
             assert labels[record.base_index] == record.label
             assert labels[record.neighbor_index] == record.label
             assert 0.0 <= record.gap < 1.0
-            rebuilt = interpolate(X[record.base_index], X[record.neighbor_index], record.gap)
-            assert rebuilt == vector
+            base, neighbor = X.row(record.base_index), X.row(record.neighbor_index)
+            rebuilt = interpolate(base, neighbor, record.gap)
+            assert row_bytes(rebuilt) == row_bytes(vector)
 
     def test_neighbors_come_from_k_nearest(self):
         X, labels = self.imbalanced()
@@ -341,24 +325,22 @@ class TestSmote:
         result = smote(X, labels, config)
         for record in result.records:
             members = [i for i, lab in enumerate(labels) if lab == record.label]
-            class_points = [X[i] for i in members]
+            class_points = SparseRows.from_rows(X.row(i) for i in members)
             local_base = members.index(record.base_index)
             k = min(config.k_neighbors, len(members) - 1)
             allowed = {members[j] for j in knn_indices_oracle(class_points, local_base, k)}
             assert record.neighbor_index in allowed
 
-    def test_explicit_target_count(self):
-        X, labels = self.imbalanced()
-        result = smote(X, labels, SmoteConfig(target_count=20, seed=5))
-        assert Counter(result.labels) == {1: 20, 2: 20, 3: 20}
-
     def test_classes_at_target_never_shrink(self):
-        X, labels = self.imbalanced()
-        result = smote(X, labels, SmoteConfig(target_count=4, seed=6))
+        # Two classes share the majority count: neither gains or loses a row.
+        X, _ = self.imbalanced()
+        labels = [1] * 8 + [2] * 8 + [3] * 4
+        result = smote(X, labels, SmoteConfig(seed=6))
         counts = Counter(result.labels)
-        assert counts[1] == 12
-        assert counts[2] == 5
-        assert counts[3] == 4
+        assert counts[1] == 8
+        assert counts[2] == 8
+        assert counts[3] == 8
+        assert all(record.label == 3 for record in result.records)
 
     def test_single_member_class_duplicates_with_warning(self):
         rng = np.random.default_rng(55)
@@ -367,10 +349,10 @@ class TestSmote:
         with pytest.warns(UserWarning, match="single member"):
             result = smote(X, labels, SmoteConfig(seed=7))
         synthetics = [
-            v for v, lab in zip(result.vectors[5:], result.labels[5:]) if lab == 2
+            v for v, lab in zip(rows_of(result.vectors)[5:], result.labels[5:]) if lab == 2
         ]
         assert len(synthetics) == 3
-        assert all(v == X[4] for v in synthetics)
+        assert all(row_bytes(v) == row_bytes(X.row(4)) for v in synthetics)
         assert all(r.gap == 0.0 and r.base_index == 4 for r in result.records)
 
     def test_deterministic_per_seed(self):
@@ -378,7 +360,7 @@ class TestSmote:
         first = smote(X, labels, SmoteConfig(seed=8))
         second = smote(X, labels, SmoteConfig(seed=8))
         assert first.records == second.records
-        assert all(a == b for a, b in zip(first.vectors, second.vectors))
+        assert batch_bytes(first.vectors) == batch_bytes(second.vectors)
         third = smote(X, labels, SmoteConfig(seed=9))
         assert first.records != third.records
 

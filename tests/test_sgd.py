@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdtext.features import NgramRange, SparseVector, TfidfConfig, fit, transform
+from sgdtext.features import NgramRange, SparseRows, TfidfConfig, fit, transform
 from sgdtext.sgd import (
     LinearModel,
     LossKind,
@@ -34,17 +34,9 @@ from oracles import (
     fit_multiclass_per_class,
     regularized_objective,
 )
+from rows import dense_rows, rows
 
 ALL_LOSSES = (LossKind.HINGE, LossKind.LOG, LossKind.PERCEPTRON)
-
-
-def dense_rows(matrix: np.ndarray) -> list[SparseVector]:
-    """Wrap every row of a dense matrix as a sparse vector."""
-    out = []
-    for row in matrix:
-        nz = np.nonzero(row)[0]
-        out.append(SparseVector(nz.astype(np.int64), row[nz]))
-    return out
 
 
 class TestLossValues:
@@ -242,18 +234,17 @@ class TestFitBinary:
         with pytest.raises(ValueError, match="shape"):
             fit_binary(X, [1.0, -1.0], TrainConfig())
         with pytest.raises(ValueError, match="at least one"):
-            fit_binary([], [], TrainConfig())
+            fit_binary(SparseRows.from_rows([]), [], TrainConfig())
 
     def test_one_class_input_is_legal(self):
         X = dense_rows(np.abs(np.random.default_rng(0).normal(size=(10, 3))))
         w, b = fit_binary(X, np.ones(10), TrainConfig(epochs=5, seed=0))
-        assert all(x.dot(w) + b > 0 for x in X)
+        assert all(float(w[idx] @ vals) + b > 0 for idx, vals in map(X.row, range(len(X))))
 
     def test_nonfinite_features_raise_numeric_error(self):
-        bad = SparseVector(np.array([0], dtype=np.int64), np.array([np.inf]))
-        good = SparseVector(np.array([0], dtype=np.int64), np.array([1.0]))
-        with pytest.raises(NumericError, match="non-finite"):
-            fit_binary([good, bad], [1.0, -1.0], TrainConfig())
+        X = rows({0: 1.0}, {}, {0: 2.0, 3: np.inf})
+        with pytest.raises(NumericError, match="sample 2 has non-finite"):
+            fit_binary(X, [1.0, -1.0, 1.0], TrainConfig())
 
     def test_feature_dim_extends_weight_vector(self):
         X = dense_rows(np.eye(2))
@@ -277,30 +268,29 @@ class TestDecisionPredict:
         return LinearModel(weights=weights, intercepts=intercepts, classes=[2, 5, 9], feature_dim=2)
 
     def test_scores(self):
-        x = SparseVector.from_pairs({0: 1.0, 1: 1.0})
-        scores = decision(self.model(), x)
-        assert np.allclose(scores, [1.1, 1.8, -2.0])
+        scores = decision(self.model(), rows({0: 1.0, 1: 1.0}, {1: 1.0}))
+        assert np.allclose(scores, [[1.1, 1.8, -2.0], [0.1, 1.8, -1.0]])
 
     def test_empty_vector_scores_are_intercepts(self):
         model = self.model()
-        scores = decision(model, SparseVector.empty())
-        assert np.array_equal(scores, model.intercepts)
-        scores[0] = 99.0
+        scores = decision(model, rows({}))
+        assert np.array_equal(scores[0], model.intercepts)
+        scores[0, 0] = 99.0
         assert model.intercepts[0] == 0.1
 
     def test_out_of_range_feature_raises(self):
         with pytest.raises(IndexError, match="out of range"):
-            decision(self.model(), SparseVector.from_pairs({5: 1.0}))
+            decision(self.model(), rows({1: 1.0}, {5: 1.0}))
 
     def test_predict_returns_class_id(self):
-        assert predict(self.model(), SparseVector.from_pairs({1: 1.0})) == 5
+        assert predict(self.model(), rows({1: 1.0}, {0: 3.0}, {})) == [5, 2, 2]
 
     def test_tie_breaks_toward_first_class(self):
         weights = np.zeros((2, 1))
         model = LinearModel(
             weights=weights, intercepts=np.zeros(2), classes=[3, 8], feature_dim=1
         )
-        assert predict(model, SparseVector.from_pairs({0: 1.0})) == 3
+        assert predict(model, rows({0: 1.0})) == [3]
 
 
 class TestFitMulticlass:
@@ -337,13 +327,13 @@ class TestFitMulticlass:
         dense = np.vstack(blocks)
         X = dense_rows(dense)
         model = fit_multiclass(X, labels, TrainConfig(epochs=10, seed=0))
-        predictions = [predict(model, x) for x in X]
+        predictions = predict(model, X)
         assert predictions == labels
 
 
 def tfidf_problem(
     seed: int, n_classes: int, ngram_range: NgramRange, n: int = 36
-) -> tuple[list[SparseVector], list[int]]:
+) -> tuple[SparseRows, list[int]]:
     """TF-IDF vectors of random documents, a few of which transform to the empty vector.
 
     The vectorizer is fit on all but the last three documents; those use
@@ -359,8 +349,8 @@ def tfidf_problem(
     for doc in documents[-3:]:
         doc[:] = [f"unseen{j}" for j in range(len(doc))]
     model = fit(documents[:-3], TfidfConfig(ngram_range=ngram_range))
-    X = [transform(model, doc) for doc in documents]
-    assert sum(x.nnz == 0 for x in X) >= 4
+    X = transform(model, documents)
+    assert np.count_nonzero(np.diff(X.indptr) == 0) >= 4
     return X, labels
 
 
@@ -501,3 +491,29 @@ class TestModelSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "row, intercept, message",
+        [
+            ([[-1, 0.5]], 0.0, "negative, duplicate or out-of-range"),
+            ([[2, 0.5], [2, 0.25]], 0.0, "negative, duplicate or out-of-range"),
+            ([[6, 0.5]], 0.0, "negative, duplicate or out-of-range"),
+            ([[2, float("nan")]], 0.0, "non-finite"),
+            ([[2, float("inf")]], 0.0, "non-finite"),
+            ([[2, 0.5]], float("nan"), "non-finite"),
+            ([[2, 0.5]], float("-inf"), "non-finite"),
+        ],
+    )
+    def test_bad_weights_rejected(self, row, intercept, message):
+        model = LinearModel(
+            weights=np.zeros((2, 6)), intercepts=np.zeros(2), classes=[1, 2], feature_dim=6
+        )
+        data = model_to_dict(model)
+        data["weights"][1] = row
+        data["intercepts"][0] = intercept
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_dict(data)
+        data["weights"][1] = [[5, 0.5], [0, -1.0]]
+        data["intercepts"][0] = 0.25
+        loaded = model_from_dict(data)
+        assert loaded.weights[1].tolist() == [-1.0, 0, 0, 0, 0, 0.5]
