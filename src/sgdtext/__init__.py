@@ -19,20 +19,18 @@ from .evaluation import (
 from .features import (
     NgramRange,
     SparseRows,
-    TfidfConfig,
     TfidfModel,
     extract_ngrams,
     fit,
     transform,
 )
 from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipeline
-from .resample import SmoteConfig, SmoteResult, interpolate, neighbor_table, smote
+from .resample import SmoteResult, interpolate, neighbor_table, smote
 from .search import Candidate, GridSpec, compare_runs, enumerate_grid, grid_search
 from .seeds import substream
 from .sgd import (
     LinearModel,
     LossKind,
-    TrainConfig,
     decision,
     fit_binary,
     fit_multiclass,
@@ -56,13 +54,10 @@ __all__ = [
     "LossKind",
     "NgramRange",
     "PipelineConfig",
-    "SmoteConfig",
     "SmoteResult",
     "SparseRows",
     "SplitPlan",
-    "TfidfConfig",
     "TfidfModel",
-    "TrainConfig",
     "clean_text",
     "compare_runs",
     "confusion",

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -28,14 +29,13 @@ from .evaluation import (
     report_to_dict,
 )
 from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipeline
-from .resample import SmoteConfig
 from .search import (
+    TUNED_FIELDS,
     GridSpec,
     candidate_to_dict,
     compare_runs,
     grid_search,
     load_grid_spec,
-    params_from_dict,
     params_label,
     params_to_dict,
     render_grid_table,
@@ -96,18 +96,18 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         alpha=args.alpha,
         loss=LOSSES[args.loss],
         epochs=args.epochs,
-        smote=SmoteConfig(k_neighbors=args.smote_k) if args.smote else None,
+        smote=args.smote,
+        smote_k=args.smote_k,
         seed=substream(args.seed, "pipeline"),
     )
 
 
 def _train_split(out_dir: Path) -> tuple[list[list[str]], list[int]]:
     """Documents and labels of the training side of a prepared split."""
-    loaded, manifest = _load_prepared(out_dir)
-    train_indices = [int(i) for i in manifest["train_indices"]]
+    loaded, sides = _load_prepared(out_dir)
     return (
-        [loaded.documents[i] for i in train_indices],
-        [loaded.labels[i] for i in train_indices],
+        [loaded.documents[i] for i in sides["train"]],
+        [loaded.labels[i] for i in sides["train"]],
     )
 
 
@@ -127,7 +127,23 @@ def _write_json(path: Path, data: dict) -> None:
     _write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict]:
+def _split_sides(manifest: object, n: int, path: Path) -> dict[str, list[int]]:
+    """A split manifest's "train" and "test" sides: disjoint lists of distinct ints in [0, n)."""
+    sides = {}
+    for side in ("train", "test"):
+        indices = manifest.get(f"{side}_indices") if isinstance(manifest, dict) else None
+        if not (isinstance(indices, list) and all(type(i) is int and 0 <= i < n for i in indices)):
+            raise ValueError(f"{path}: {side}_indices must be a list of integers in [0, {n})")
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"{path}: {side}_indices lists an index twice")
+        sides[side] = indices
+    if not set(sides["train"]).isdisjoint(sides["test"]):
+        raise ValueError(f"{path}: an index is on both the train and the test side")
+    return sides
+
+
+def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
+    """The prepared corpus and its checked split sides, keyed "train" and "test"."""
     corpus_path = out_dir / "corpus.jsonl"
     manifest_path = out_dir / "split.json"
     _require_files(corpus_path, manifest_path)
@@ -141,12 +157,7 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict]:
             documents.append([str(t) for t in row["tokens"]])
             labels.append(int(row["label"]))
     manifest = json.loads(manifest_path.read_text("utf-8"))
-    loaded = LabeledCorpus(
-        documents=documents,
-        labels=labels,
-        label_names={c: str(c) for c in sorted(set(labels))},
-    )
-    return loaded, manifest
+    return LabeledCorpus(documents, labels), _split_sides(manifest, len(labels), manifest_path)
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
@@ -225,7 +236,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "loss": args.loss,
             "params": params_to_dict(config),
             "epochs": config.epochs,
-            "smote": config.smote is not None,
+            "smote": config.smote,
             "seed": args.seed,
             "elapsed_seconds": elapsed,
         },
@@ -275,7 +286,7 @@ def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.T
 def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     _require_files(out_dir / "tfidf.json", out_dir / "model.json")
-    loaded, manifest = _load_prepared(out_dir)
+    loaded, sides = _load_prepared(out_dir)
     tfidf = features.load_tfidf(out_dir / "tfidf.json")
     model = sgd.load_model(out_dir / "model.json")
     if model.feature_dim != len(tfidf.vocabulary):
@@ -286,8 +297,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     _check_eval_flags(args, out_dir, tfidf)
 
-    key = "train_indices" if args.on == "train" else "test_indices"
-    indices = [int(i) for i in manifest[key]]
+    indices = sides[args.on]
     if not indices:
         raise corpus.CorpusError(f"the {args.on} side of the split is empty")
     started = time.perf_counter()
@@ -389,7 +399,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         tuned = config
     # The default arm keeps loss, epochs and SMOTE; its six tuned values are the defaults.
-    default = params_from_dict(params_to_dict(PipelineConfig()), config)
+    default = replace(config, **{f: getattr(PipelineConfig(), f) for f in TUNED_FIELDS})
     report = compare_runs(
         documents, labels, default, tuned, k=args.k, seed=substream(args.seed, "compare")
     )
@@ -422,9 +432,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _add_pipeline_flags(parser: argparse.ArgumentParser, *, given_only: bool = False) -> None:
     """Add the pipeline flags; with given_only, a flag left off is absent from the namespace.
 
-    Defaults are those of PipelineConfig() and SmoteConfig().
+    Defaults are those of PipelineConfig().
     """
-    pipeline, smote = PipelineConfig(), SmoteConfig()
+    pipeline = PipelineConfig()
     ngram = f"{pipeline.ngram_range.lo},{pipeline.ngram_range.hi}"
 
     def default(value):
@@ -443,10 +453,10 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser, *, given_only: bool = F
     parser.add_argument("--alpha", type=_positive_float, default=default(pipeline.alpha))
     parser.add_argument("--epochs", type=_positive_int, default=default(pipeline.epochs))
     parser.add_argument("--smote", action="store_true",
-                        default=default(pipeline.smote is not None),
+                        default=default(pipeline.smote),
                         help="oversample training data")
-    parser.add_argument("--smote-k", type=_positive_int, default=default(smote.k_neighbors),
-                        metavar="K", help=f"SMOTE neighbor count (default {smote.k_neighbors})")
+    parser.add_argument("--smote-k", type=_positive_int, default=default(pipeline.smote_k),
+                        metavar="K", help=f"SMOTE neighbor count (default {pipeline.smote_k})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,7 +51,6 @@ class LabeledCorpus:
 
     documents: list[list[str]]
     labels: list[int]
-    label_names: dict[int, str]
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -71,8 +70,6 @@ class LoadResult:
 class SplitPlan:
     train_indices: list[int]
     test_indices: list[int]
-    seed: int
-    train_fraction: float
 
 
 def load_stop_words(path: str | Path | None = None) -> frozenset[str]:
@@ -154,12 +151,7 @@ def load_corpus(
             documents.append(tokens)
             labels.append(label)
 
-    corpus = LabeledCorpus(
-        documents=documents,
-        labels=labels,
-        label_names={c: str(c) for c in sorted(set(labels))},
-    )
-    return LoadResult(corpus=corpus, dropped=dropped, total_rows=total)
+    return LoadResult(LabeledCorpus(documents, labels), dropped=dropped, total_rows=total)
 
 
 def split(n: int, train_fraction: float, seed: int, labels: Sequence[int]) -> SplitPlan:
@@ -223,9 +215,4 @@ def split(n: int, train_fraction: float, seed: int, labels: Sequence[int]) -> Sp
         test.extend(int(i) for i in shuffled[split_at:])
     train.sort()
     test.sort()
-    return SplitPlan(
-        train_indices=train,
-        test_indices=test,
-        seed=seed,
-        train_fraction=train_fraction,
-    )
+    return SplitPlan(train_indices=train, test_indices=test)

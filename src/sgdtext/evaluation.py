@@ -50,7 +50,6 @@ class ClassReport:
 @dataclass(frozen=True)
 class FoldPlan:
     folds: list[list[int]]
-    seed: int
 
 
 @dataclass
@@ -158,7 +157,7 @@ def stratified_kfold(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
             position += 1
     for fold in folds:
         fold.sort()
-    return FoldPlan(folds=folds, seed=seed)
+    return FoldPlan(folds=folds)
 
 
 def cross_validate(

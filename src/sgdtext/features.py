@@ -18,11 +18,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .artifacts import atomic_write
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 NORMS = ("l1", "l2", "none")
 
@@ -119,21 +122,9 @@ class SparseRows:
         return self.indices[start:end], self.values[start:end]
 
 
-@dataclass(frozen=True)
-class TfidfConfig:
-    ngram_range: NgramRange = NgramRange(1, 1)
-    use_idf: bool = True
-    smooth_idf: bool = True
-    norm: str = "l2"
-
-    def __post_init__(self) -> None:
-        if self.norm not in NORMS:
-            raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
-
-
 @dataclass(eq=False)
 class TfidfModel:
-    """Fitted vocabulary with document frequencies and the TfidfConfig fields.
+    """Fitted vocabulary with document frequencies and the four TF-IDF settings.
 
     Immutable after fit; safe to share across concurrent transform calls.
     """
@@ -174,8 +165,10 @@ def extract_ngrams(tokens: Sequence[str], ngram_range: NgramRange) -> Counter[st
     return counts
 
 
-def fit(documents: Sequence[Sequence[str]], config: TfidfConfig) -> TfidfModel:
+def fit(documents: Sequence[Sequence[str]], config: PipelineConfig) -> TfidfModel:
     """Build the vocabulary and document frequencies from training documents.
+
+    Reads the config's four TF-IDF fields: ngram_range, use_idf, smooth_idf, norm.
 
     Feature indices are assigned in lexicographic n-gram order, so refitting
     the same corpus always yields the identical model.
@@ -189,7 +182,10 @@ def fit(documents: Sequence[Sequence[str]], config: TfidfConfig) -> TfidfModel:
     grams = sorted(df_counter)
     vocabulary = {gram: index for index, gram in enumerate(grams)}
     doc_freq = np.asarray([df_counter[g] for g in grams], dtype=np.int64)
-    return TfidfModel(vocabulary, doc_freq, len(documents), **vars(config))
+    return TfidfModel(
+        vocabulary, doc_freq, len(documents), ngram_range=config.ngram_range,
+        use_idf=config.use_idf, smooth_idf=config.smooth_idf, norm=config.norm,
+    )
 
 
 def transform(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRows:
@@ -265,13 +261,14 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
             raise TfidfFormatError(f"n_docs must be >= 1, got {n_docs}")
         if doc_freq.size and not (doc_freq.min() >= 1 and doc_freq.max() <= n_docs):
             raise TfidfFormatError(f"document frequencies must lie in [1, n_docs = {n_docs}]")
-        config = TfidfConfig(
-            ngram_range=NgramRange(int(lo), int(hi)),
-            use_idf=bool(data["use_idf"]),
-            smooth_idf=bool(data["smooth_idf"]),
-            norm=str(data["norm"]),
+        ngram_range = NgramRange(int(lo), int(hi))
+        norm = str(data["norm"])
+        if norm not in NORMS:
+            raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
+        model = TfidfModel(
+            vocabulary, doc_freq, n_docs, ngram_range=ngram_range,
+            use_idf=bool(data["use_idf"]), smooth_idf=bool(data["smooth_idf"]), norm=norm,
         )
-        model = TfidfModel(vocabulary, doc_freq, n_docs, **vars(config))
     except TfidfFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

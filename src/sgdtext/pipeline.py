@@ -3,8 +3,9 @@
 One PipelineConfig carries the six tunable hyperparameters (n-gram range,
 norm, use_idf, smooth_idf, penalty, alpha) plus loss, epochs, optional
 SMOTE, and the seed every random choice derives from. It is the only
-hyperparameter type: the CLI builds one from its flags, and grid search
-sweeps the six tunable fields over a base config.
+hyperparameter type: every stage reads its fields from it, the CLI builds
+one from its flags, and grid search sweeps the six tunable fields over a
+base config.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import features, sgd
-from .features import NgramRange, TfidfConfig, TfidfModel
-from .resample import SmoteConfig, smote
+from .features import NgramRange, TfidfModel
+from .resample import smote
 from .seeds import substream
-from .sgd import LinearModel, LossKind, TrainConfig
+from .sgd import LinearModel, LossKind
 
 
 @dataclass(frozen=True)
@@ -29,31 +30,22 @@ class PipelineConfig:
     alpha: float = 1e-4
     loss: LossKind = LossKind.HINGE
     epochs: int = 5
-    smote: SmoteConfig | None = None
+    smote: bool = False
+    smote_k: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # The stage configs check their own values; build them so that an
-        # out-of-range value fails here rather than in the middle of a fit.
-        self.tfidf_config()
-        self.train_config()
-
-    def tfidf_config(self) -> TfidfConfig:
-        return TfidfConfig(
-            ngram_range=self.ngram_range,
-            use_idf=self.use_idf,
-            smooth_idf=self.smooth_idf,
-            norm=self.norm,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            loss=self.loss,
-            penalty=self.penalty,
-            alpha=self.alpha,
-            epochs=self.epochs,
-            seed=substream(self.seed, "shuffle"),
-        )
+        # An out-of-range value fails when the config is built, not in the middle of a fit.
+        if self.norm not in features.NORMS:
+            raise ValueError(f"norm must be one of {features.NORMS}, got {self.norm!r}")
+        if self.penalty not in sgd.PENALTIES:
+            raise ValueError(f"penalty must be one of {sgd.PENALTIES}, got {self.penalty!r}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.smote_k < 1:
+            raise ValueError(f"smote_k must be >= 1, got {self.smote_k}")
 
 
 @dataclass
@@ -70,26 +62,22 @@ def fit_pipeline(
     """Fit the vectorizer and the classifier on training documents only.
 
     SMOTE, when configured, runs in feature space on the training vectors
-    before the classifier sees them. All randomness (resampling draws,
-    shuffle order) derives from config.seed; the seed field of an attached
-    SmoteConfig is replaced by a substream of it.
+    before the classifier sees them. All randomness derives from
+    config.seed: resampling draws and shuffle order each get a substream.
     """
     if len(documents) != len(labels):
         raise ValueError("documents and labels must have equal length")
-    tfidf = features.fit(documents, config.tfidf_config())
+    tfidf = features.fit(documents, config)
     vectors = features.transform(tfidf, documents)
     train_labels = [int(lab) for lab in labels]
-    if config.smote is not None:
+    if config.smote:
         resampled = smote(
-            vectors,
-            train_labels,
-            replace(config.smote, seed=substream(config.seed, "smote")),
+            vectors, train_labels, replace(config, seed=substream(config.seed, "smote"))
         )
         vectors = resampled.vectors
         train_labels = resampled.labels
-    model = sgd.fit_multiclass(
-        vectors, train_labels, config.train_config(), feature_dim=len(tfidf.vocabulary)
-    )
+    shuffle = replace(config, seed=substream(config.seed, "shuffle"))
+    model = sgd.fit_multiclass(vectors, train_labels, shuffle, feature_dim=len(tfidf.vocabulary))
     return FittedPipeline(tfidf=tfidf, model=model)
 
 

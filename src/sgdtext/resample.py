@@ -12,22 +12,15 @@ import warnings
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .features import Row, SparseRows
 from .seeds import substream
 
-
-@dataclass(frozen=True)
-class SmoteConfig:
-    k_neighbors: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -163,12 +156,13 @@ def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
     return table
 
 
-def smote(X: SparseRows, labels: Sequence[int], config: SmoteConfig) -> SmoteResult:
+def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> SmoteResult:
     """Append synthetic minority samples until every class reaches the majority count.
 
-    Originals come first, bit-identical to the input; synthetic samples
-    follow with one provenance record each. Deterministic for a fixed seed
-    (per-class substreams, so class order does not couple the draws).
+    Reads config.smote_k, the neighbor count, and config.seed. Originals
+    come first, bit-identical to the input; synthetic samples follow with
+    one provenance record each. Deterministic for a fixed seed (per-class
+    substreams, so class order does not couple the draws).
     """
     if len(X) != len(labels):
         raise ValueError("X and labels must have equal length")
@@ -193,7 +187,7 @@ def smote(X: SparseRows, labels: Sequence[int], config: SmoteConfig) -> SmoteRes
             )
             records.extend(SmoteRecord(cls, members[0], members[0], 0.0) for _ in range(need))
             continue
-        k = min(config.k_neighbors, len(members) - 1)
+        k = min(config.smote_k, len(members) - 1)
         table = neighbor_table(SparseRows.from_rows(X.row(i) for i in members), k)
         for _ in range(need):
             a_local = int(rng.integers(len(members)))

@@ -29,6 +29,23 @@ GRID_AXES = ("ngram_ranges", "norms", "use_idf", "smooth_idf", "penalties", "alp
 TUNED_FIELDS = ("ngram_range", "norm", "use_idf", "smooth_idf", "penalty", "alpha")
 
 
+def _ngram_range_from_json(value: object) -> NgramRange:
+    lo, hi = value
+    return NgramRange(int(lo), int(hi))
+
+
+# How the JSON value of each tuned field, in a grid spec or a params object,
+# becomes its PipelineConfig value.
+_TUNED_FROM_JSON = {
+    "ngram_range": _ngram_range_from_json,
+    "norm": str,
+    "use_idf": bool,
+    "smooth_idf": bool,
+    "penalty": str,
+    "alpha": float,
+}
+
+
 @dataclass
 class GridSpec:
     ngram_ranges: list[NgramRange] = field(
@@ -73,23 +90,13 @@ def grid_spec_from_dict(data: object) -> GridSpec:
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"unknown grid spec keys {unknown}; expected some of {known}")
-    for axis in GRID_AXES:
-        if axis in data and not isinstance(data[axis], list):
-            raise ValueError(f"malformed grid spec: axis {axis!r} must be a JSON array")
     spec = GridSpec()
     try:
-        if "ngram_ranges" in data:
-            spec.ngram_ranges = [NgramRange(int(lo), int(hi)) for lo, hi in data["ngram_ranges"]]
-        if "norms" in data:
-            spec.norms = [str(n) for n in data["norms"]]
-        if "use_idf" in data:
-            spec.use_idf = [bool(v) for v in data["use_idf"]]
-        if "smooth_idf" in data:
-            spec.smooth_idf = [bool(v) for v in data["smooth_idf"]]
-        if "penalties" in data:
-            spec.penalties = [str(p) for p in data["penalties"]]
-        if "alphas" in data:
-            spec.alphas = [float(a) for a in data["alphas"]]
+        for axis, name in zip(GRID_AXES, TUNED_FIELDS):
+            if axis in data:
+                if not isinstance(data[axis], list):
+                    raise ValueError(f"axis {axis!r} must be a JSON array")
+                setattr(spec, axis, [_TUNED_FROM_JSON[name](v) for v in data[axis]])
         if "inner_folds" in data:
             spec.inner_folds = int(data["inner_folds"])
             if spec.inner_folds < 2:
@@ -246,16 +253,7 @@ def params_label(config: PipelineConfig) -> str:
 
 def params_from_dict(data: dict, base: PipelineConfig) -> PipelineConfig:
     """base with its six tuned fields read from a params_to_dict object."""
-    lo, hi = data["ngram_range"]
-    return replace(
-        base,
-        ngram_range=NgramRange(int(lo), int(hi)),
-        norm=str(data["norm"]),
-        use_idf=bool(data["use_idf"]),
-        smooth_idf=bool(data["smooth_idf"]),
-        penalty=str(data["penalty"]),
-        alpha=float(data["alpha"]),
-    )
+    return replace(base, **{name: _TUNED_FROM_JSON[name](data[name]) for name in TUNED_FIELDS})
 
 
 def winner_params(grid_results: object, base: PipelineConfig) -> PipelineConfig:

@@ -22,12 +22,15 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .artifacts import atomic_write
 from .features import SparseRows
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 MODEL_FORMAT_VERSION = 1
 
@@ -46,23 +49,6 @@ class LossKind(enum.Enum):
     HINGE = "hinge"
     LOG = "log"
     PERCEPTRON = "perceptron"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    loss: LossKind = LossKind.HINGE
-    penalty: str = "l2"
-    alpha: float = 1e-4
-    epochs: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.penalty not in PENALTIES:
-            raise ValueError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(eq=False)
@@ -136,7 +122,7 @@ def schedule_t0(loss: LossKind, alpha: float) -> float:
     return 1.0 / (alpha * eta0)
 
 
-def epoch_orders(n: int, config: TrainConfig) -> list[np.ndarray]:
+def epoch_orders(n: int, config: PipelineConfig) -> list[np.ndarray]:
     """Seeded visit order for each epoch: a fresh permutation of range(n) per epoch."""
     rng = np.random.default_rng(config.seed)
     return [rng.permutation(n) for _ in range(config.epochs)]
@@ -154,7 +140,7 @@ def _soft_threshold(z: np.ndarray, owed: np.ndarray | float) -> np.ndarray:
 
 
 def _fit_rows(
-    X: SparseRows, Y: np.ndarray, config: TrainConfig, feature_dim: int | None
+    X: SparseRows, Y: np.ndarray, config: PipelineConfig, feature_dim: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train one weight row and intercept per column of Y, an n x K matrix of +-1 labels.
 
@@ -224,13 +210,14 @@ def _fit_rows(
 def fit_binary(
     X: SparseRows,
     y: Sequence[float],
-    config: TrainConfig,
+    config: PipelineConfig,
     *,
     feature_dim: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """Train one binary classifier with labels in {-1, +1}.
 
-    Returns (weights, intercept). Deterministic for a fixed seed; a
+    Reads loss, penalty, alpha, epochs and seed from config. Returns
+    (weights, intercept). Deterministic for a fixed seed; a
     one-class input is legal and converges to a constant predictor.
     """
     n = len(X)
@@ -248,7 +235,7 @@ def fit_binary(
 def fit_multiclass(
     X: SparseRows,
     labels: Sequence[int],
-    config: TrainConfig,
+    config: PipelineConfig,
     *,
     feature_dim: int | None = None,
 ) -> LinearModel:
@@ -289,6 +276,9 @@ def model_from_dict(data: dict) -> LinearModel:
                 f"unsupported model format version {version!r}; expected {MODEL_FORMAT_VERSION}"
             )
         classes = [int(c) for c in data["classes"]]
+        # predict breaks ties toward the lowest index, which must be the lowest class id.
+        if any(b <= a for a, b in zip(classes, classes[1:])):
+            raise ModelFormatError(f"classes must be strictly increasing, got {classes}")
         feature_dim = int(data["feature_dim"])
         intercepts = np.asarray(data["intercepts"], dtype=np.float64)
         weights = np.zeros((len(classes), feature_dim), dtype=np.float64)

@@ -14,12 +14,12 @@ import numpy as np
 
 from sgdtext.evaluation import ConfusionMatrix
 from sgdtext.features import NORMS, Row, SparseRows, TfidfModel, extract_ngrams
+from sgdtext.pipeline import PipelineConfig
 from sgdtext.resample import squared_distance
 from sgdtext.sgd import (
     LinearModel,
     LossKind,
     NumericError,
-    TrainConfig,
     epoch_orders,
     loss_dmargin,
     loss_value,
@@ -80,7 +80,7 @@ def _settle_l1(w: np.ndarray, paid: np.ndarray, accrued: float, idx: np.ndarray)
 def fit_binary_alone(
     X: SparseRows,
     y: Sequence[float],
-    config: TrainConfig,
+    config: PipelineConfig,
     feature_dim: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """One complete SGD run for a single {-1, +1} label vector.
@@ -136,7 +136,7 @@ def fit_binary_alone(
 
 
 def fit_multiclass_per_class(
-    X: SparseRows, labels: Sequence[int], config: TrainConfig
+    X: SparseRows, labels: Sequence[int], config: PipelineConfig
 ) -> LinearModel:
     """One-vs-rest as K separate fit_binary_alone runs, one per sorted class."""
     classes = sorted(set(int(c) for c in labels))
@@ -177,7 +177,7 @@ def regularized_objective(
 def batch_gd_oracle(
     X: SparseRows,
     y: Sequence[float],
-    config: TrainConfig,
+    config: PipelineConfig,
     iterations: int,
     learning_rate: float | None = None,
 ) -> tuple[np.ndarray, float]:

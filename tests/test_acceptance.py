@@ -26,13 +26,12 @@ from sgdtext.evaluation import (
     per_class_metrics,
     stratified_kfold,
 )
-from sgdtext.features import NgramRange, SparseRows, TfidfConfig, fit, transform
+from sgdtext.features import NgramRange, SparseRows, fit, transform
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
-from sgdtext.resample import SmoteConfig, smote
+from sgdtext.resample import smote
 from sgdtext.search import GridSpec, compare_runs, grid_search, params_label
 from sgdtext.sgd import (
     LossKind,
-    TrainConfig,
     fit_binary,
     loss_dmargin,
     loss_value,
@@ -72,14 +71,14 @@ def test_tfidf_oracle():
     docs = [["a", "b"], ["b", "c"]]
     doc = ["a", "b"]
 
-    plain = fit(docs, TfidfConfig(use_idf=True, smooth_idf=False, norm="none"))
+    plain = fit(docs, PipelineConfig(use_idf=True, smooth_idf=False, norm="none"))
     got = to_dict(transform(plain, [doc]).row(0))
     expected = {plain.vocabulary["a"]: math.log(2.0) + 1.0, plain.vocabulary["b"]: 1.0}
     worst = max(abs(got[k] - expected[k]) for k in expected)
     assert set(got) == set(expected)
     assert worst < 1e-12
 
-    smooth = fit(docs, TfidfConfig(use_idf=True, smooth_idf=True, norm="none"))
+    smooth = fit(docs, PipelineConfig(use_idf=True, smooth_idf=True, norm="none"))
     got_smooth = to_dict(transform(smooth, [doc]).row(0))
     expected_smooth = {
         smooth.vocabulary["a"]: math.log(3.0 / 2.0) + 1.0,
@@ -89,7 +88,7 @@ def test_tfidf_oracle():
     assert worst < 1e-12
 
     for smooth_flag in (False, True):
-        model = fit(docs, TfidfConfig(use_idf=True, smooth_idf=smooth_flag, norm="l2"))
+        model = fit(docs, PipelineConfig(use_idf=True, smooth_idf=smooth_flag, norm="l2"))
         norm_err = abs(l2(transform(model, [doc]).row(0)) - 1.0)
         worst = max(worst, norm_err)
         assert norm_err < 1e-12
@@ -151,7 +150,7 @@ def test_sgd_matches_batch_oracle():
     y = np.where(dense @ w_true + 0.1 * noise >= 0, 1.0, -1.0)
     X = SparseRows.from_rows((np.arange(10), r.copy()) for r in dense)
 
-    config = TrainConfig(loss=LossKind.LOG, penalty="l2", alpha=0.05, epochs=200, seed=0)
+    config = PipelineConfig(loss=LossKind.LOG, penalty="l2", alpha=0.05, epochs=200, seed=0)
     w_sgd, b_sgd = fit_binary(X, y, config)
     sgd_objective = regularized_objective(X, y, w_sgd, b_sgd, config.loss, config.alpha)
 
@@ -214,7 +213,7 @@ def test_smote_histogram_and_provenance():
             labels.append(cls)
     X = SparseRows.from_rows(points)
 
-    config = SmoteConfig(k_neighbors=5, seed=11)
+    config = PipelineConfig(smote_k=5, seed=11)
     result = smote(X, labels, config)
 
     histogram = Counter(result.labels)
@@ -238,7 +237,7 @@ def test_smote_histogram_and_provenance():
         members = [i for i, lab in enumerate(labels) if lab == record.label]
         d2 = np.sum((dense[members] - dense[record.base_index]) ** 2, axis=1)
         d2[members.index(record.base_index)] = np.inf
-        k = min(config.k_neighbors, len(members) - 1)
+        k = min(config.smote_k, len(members) - 1)
         kth = np.sort(d2)[k - 1]
         neighbor_d2 = d2[members.index(record.neighbor_index)]
         assert neighbor_d2 <= kth * (1 + 1e-9)
@@ -357,9 +356,9 @@ def test_smote_recovers_silent_class():
     test_labels = [labels[i] for i in plan.test_indices]
 
     recalls = {}
-    for name, smote_config in (("none", None), ("smote", SmoteConfig())):
+    for name, smote_on in (("none", False), ("smote", True)):
         config = PipelineConfig(
-            loss=LossKind.LOG, alpha=1e-2, epochs=5, smote=smote_config, seed=7
+            loss=LossKind.LOG, alpha=1e-2, epochs=5, smote=smote_on, seed=7
         )
         fitted = fit_pipeline(train_docs, train_labels, config)
         predictions = predict_pipeline(fitted, test_docs)

@@ -565,6 +565,43 @@ class TestExitCodes:
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("classes", [[1, 1, 1], [2, 1, 0]], ids=["repeated", "unordered"])
+    def test_model_classes_not_strictly_increasing(self, labeled_csv, tmp_path, capsys, classes):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "model.json").read_text("utf-8"))
+        assert data["classes"] == [0, 1, 2]
+        data["classes"] = classes
+        (out / "model.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "crossval"])
+    @pytest.mark.parametrize("fault", ["out-of-range", "negative", "duplicate", "overlapping"])
+    def test_bad_split_indices(self, labeled_csv, tmp_path, capsys, command, fault):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        n_docs = len((out / "corpus.jsonl").read_text("utf-8").splitlines())
+        manifest = json.loads((out / "split.json").read_text("utf-8"))
+        # Spoil the side the command reads: eval scores the test side.
+        side, other = ("test", "train") if command == "eval" else ("train", "test")
+        indices = manifest[f"{side}_indices"]
+        indices.append({
+            "out-of-range": n_docs,
+            "negative": -1,
+            "duplicate": indices[0],
+            "overlapping": manifest[f"{other}_indices"][0],
+        }[fault])
+        (out / "split.json").write_text(json.dumps(manifest), "utf-8")
+        capsys.readouterr()
+        extra = ["--k", "2"] if command == "crossval" else []
+        assert main([command, *extra, "--out", str(out)]) == EXIT_DATA
+        assert "split.json" in capsys.readouterr().err
+
     def test_model_and_tfidf_from_different_runs(self, labeled_csv, tmp_path, capsys):
         unigram, bigram = tmp_path / "unigram", tmp_path / "bigram"
         for out, ngram in ((unigram, "1,1"), (bigram, "1,2")):

@@ -17,7 +17,6 @@ from sgdtext.features import (
     EmptyCorpusError,
     NgramRange,
     SparseRows,
-    TfidfConfig,
     TfidfFormatError,
     extract_ngrams,
     fit,
@@ -27,6 +26,7 @@ from sgdtext.features import (
     tfidf_to_dict,
     transform,
 )
+from sgdtext.pipeline import PipelineConfig
 
 from oracles import normalize, transform_documents
 from rows import batch_bytes, row, row_bytes, rows, to_dense, to_dict
@@ -176,47 +176,47 @@ class TestExtractNgrams:
 
 class TestFit:
     def test_vocabulary_is_lexicographic(self):
-        model = fit([["bravo", "alpha"], ["charlie"]], TfidfConfig())
+        model = fit([["bravo", "alpha"], ["charlie"]], PipelineConfig())
         assert model.vocabulary == {"alpha": 0, "bravo": 1, "charlie": 2}
 
     def test_document_frequency_counts_documents_not_occurrences(self):
-        model = fit([["a", "a", "b"], ["b"]], TfidfConfig())
+        model = fit([["a", "a", "b"], ["b"]], PipelineConfig())
         assert model.doc_freq[model.vocabulary["a"]] == 1
         assert model.doc_freq[model.vocabulary["b"]] == 2
         assert model.n_docs == 2
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
-            fit([], TfidfConfig())
+            fit([], PipelineConfig())
         with pytest.raises(EmptyCorpusError):
-            fit([["a"], ["b"]], TfidfConfig(ngram_range=NgramRange(2, 2)))
+            fit([["a"], ["b"]], PipelineConfig(ngram_range=NgramRange(2, 2)))
 
     def test_refit_is_identical(self):
         docs = [["b", "a"], ["a", "c"], ["c", "c", "b"]]
-        first = fit(docs, TfidfConfig())
-        second = fit(docs, TfidfConfig())
+        first = fit(docs, PipelineConfig())
+        second = fit(docs, PipelineConfig())
         assert first.vocabulary == second.vocabulary
         assert np.array_equal(first.doc_freq, second.doc_freq)
 
 
 class TestIdf:
     def test_plain_formula(self):
-        model = fit([["a", "b"], ["b"]], TfidfConfig(smooth_idf=False))
+        model = fit([["a", "b"], ["b"]], PipelineConfig(smooth_idf=False))
         assert math.isclose(model.idf_array[model.vocabulary["a"]], math.log(2 / 1) + 1.0)
         assert math.isclose(model.idf_array[model.vocabulary["b"]], math.log(2 / 2) + 1.0)
 
     def test_smooth_formula(self):
-        model = fit([["a", "b"], ["b"]], TfidfConfig(smooth_idf=True))
+        model = fit([["a", "b"], ["b"]], PipelineConfig(smooth_idf=True))
         assert math.isclose(model.idf_array[model.vocabulary["a"]], math.log(3 / 2) + 1.0)
         assert math.isclose(model.idf_array[model.vocabulary["b"]], math.log(3 / 3) + 1.0)
 
     def test_disabled_idf_is_exactly_one(self):
-        model = fit([["a", "b"], ["b", "c"]], TfidfConfig(use_idf=False))
+        model = fit([["a", "b"], ["b", "c"]], PipelineConfig(use_idf=False))
         assert np.array_equal(model.idf_array, np.ones(len(model.vocabulary)))
 
     def test_out_of_range_feature(self):
         # One weight per vocabulary entry, so a feature index past it has none.
-        model = fit([["a"]], TfidfConfig())
+        model = fit([["a"]], PipelineConfig())
         assert model.idf_array.shape == (len(model.vocabulary),)
         with pytest.raises(IndexError):
             model.idf_array[5]
@@ -253,7 +253,7 @@ class TestNormalize:
 
 class TestTransform:
     def corpus_model(self, **kwargs) -> features.TfidfModel:
-        return fit([["a", "b"], ["b", "c"]], TfidfConfig(**kwargs))
+        return fit([["a", "b"], ["b", "c"]], PipelineConfig(**kwargs))
 
     def test_plain_idf_weighting(self):
         model = self.corpus_model(smooth_idf=False, norm="none")
@@ -285,7 +285,7 @@ class TestTransform:
 
     def test_bigram_transform(self):
         docs = [["bomb", "exploded"], ["bomb", "defused"]]
-        model = fit(docs, TfidfConfig(ngram_range=NgramRange(1, 2), norm="none"))
+        model = fit(docs, PipelineConfig(ngram_range=NgramRange(1, 2), norm="none"))
         assert "bomb exploded" in model.vocabulary
         indices, _ = transform(model, [["bomb", "exploded"]]).row(0)
         assert model.vocabulary["bomb exploded"] in indices
@@ -322,7 +322,7 @@ class TestBatchTransformProperty:
     def test_equals_per_document_oracle(
         self, fit_docs, docs, ngram_range, norm, use_idf, smooth_idf, data
     ):
-        model = fit(fit_docs, TfidfConfig(ngram_range, use_idf, smooth_idf, norm))
+        model = fit(fit_docs, PipelineConfig(ngram_range=ngram_range, norm=norm, use_idf=use_idf, smooth_idf=smooth_idf))
         if data.draw(st.booleans(), label="extreme weights"):
             # Weights 1e520 apart make the normalization round the small ones
             # to zero (or, with L2, overflow the norm and zero the whole row).
@@ -344,7 +344,7 @@ class TestBatchTransformProperty:
 class TestSerialization:
     def test_round_trip_preserves_transform(self, tmp_path):
         docs = [["alpha", "beta"], ["beta", "gamma"], ["gamma", "alpha", "alpha"]]
-        model = fit(docs, TfidfConfig(ngram_range=NgramRange(1, 2)))
+        model = fit(docs, PipelineConfig(ngram_range=NgramRange(1, 2)))
         path = tmp_path / "tfidf.json"
         save_tfidf(model, path)
         loaded = load_tfidf(path)
@@ -354,13 +354,13 @@ class TestSerialization:
         assert batch_bytes(transform(loaded, docs)) == batch_bytes(transform(model, docs))
 
     def test_version_mismatch_rejected(self):
-        data = tfidf_to_dict(fit([["a"]], TfidfConfig()))
+        data = tfidf_to_dict(fit([["a"]], PipelineConfig()))
         data["version"] = 99
         with pytest.raises(TfidfFormatError, match="version"):
             tfidf_from_dict(data)
 
     def test_sparse_vocabulary_indices_rejected(self):
-        data = tfidf_to_dict(fit([["a", "b"]], TfidfConfig()))
+        data = tfidf_to_dict(fit([["a", "b"]], PipelineConfig()))
         data["vocabulary"] = [["a", 0, 1], ["b", 2, 1]]
         with pytest.raises(TfidfFormatError, match="dense"):
             tfidf_from_dict(data)
@@ -390,7 +390,7 @@ class TestSerialization:
         ],
     )
     def test_out_of_range_values_rejected(self, field, value, message):
-        data = tfidf_to_dict(fit([["a", "b"], ["b"]], TfidfConfig(smooth_idf=False)))
+        data = tfidf_to_dict(fit([["a", "b"], ["b"]], PipelineConfig(smooth_idf=False)))
         if field == "df":
             data["vocabulary"][0][2] = value
         else:

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sgdtext import features, sgd
 from sgdtext.features import NgramRange
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
-from sgdtext.resample import SmoteConfig
+from sgdtext.resample import smote
 from sgdtext.seeds import substream
 from sgdtext.sgd import LossKind
 
@@ -38,22 +39,34 @@ class TestFitPipeline:
         documents, labels = signature_corpus(n_classes=3, per_class=4)
         labels = [1] * 6 + labels[6:]  # skew: 6/2/4 so resampling adds rows
         fitted = fit_pipeline(
-            documents, labels, PipelineConfig(smote=SmoteConfig(), seed=3)
+            documents, labels, PipelineConfig(smote=True, seed=3)
         )
         assert fitted.tfidf.n_docs == len(documents)
 
-    def test_smote_seed_comes_from_pipeline_seed(self, signature_corpus):
-        # The seed carried inside SmoteConfig is replaced by a substream of
-        # the pipeline seed, so it must not influence the result.
+    def test_stages_get_substreams_of_the_pipeline_seed(self, signature_corpus):
+        # fit_pipeline must equal the stages chained by hand, SMOTE seeded with
+        # the "smote" substream and the shuffle with the "shuffle" substream.
         documents, labels = signature_corpus(n_classes=3, per_class=5)
         labels = [1] * 8 + labels[8:]  # histogram 8/2/5 forces synthetic draws
-        one = fit_pipeline(
-            documents, labels, PipelineConfig(smote=SmoteConfig(seed=100), seed=7)
+        config = PipelineConfig(smote=True, smote_k=3, seed=7)
+        fitted = fit_pipeline(documents, labels, config)
+
+        tfidf = features.fit(documents, config)
+        resampled = smote(
+            features.transform(tfidf, documents),
+            labels,
+            replace(config, seed=substream(config.seed, "smote")),
         )
-        two = fit_pipeline(
-            documents, labels, PipelineConfig(smote=SmoteConfig(seed=200), seed=7)
+        model = sgd.fit_multiclass(
+            resampled.vectors,
+            resampled.labels,
+            replace(config, seed=substream(config.seed, "shuffle")),
+            feature_dim=len(tfidf.vocabulary),
         )
-        assert np.array_equal(one.model.weights, two.model.weights)
+        assert len(resampled.records) > 0
+        assert features.tfidf_to_dict(fitted.tfidf) == features.tfidf_to_dict(tfidf)
+        assert fitted.model.weights.tobytes() == model.weights.tobytes()
+        assert fitted.model.intercepts.tobytes() == model.intercepts.tobytes()
 
     def test_feature_dim_is_vocabulary_size(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=4)
@@ -82,6 +95,7 @@ class TestPipelineConfig:
             ("alpha", -1.0, "alpha must be positive"),
             ("alpha", float("nan"), "alpha must be positive"),
             ("epochs", 0, "epochs must be >= 1"),
+            ("smote_k", 0, "smote_k must be >= 1"),
         ],
     )
     def test_out_of_range_value_fails_when_built(self, field, value, message):
@@ -89,16 +103,3 @@ class TestPipelineConfig:
             PipelineConfig(**{field: value})
         with pytest.raises(ValueError, match=message):
             replace(PipelineConfig(), **{field: value})
-
-    def test_stage_configs_carry_the_fields(self):
-        config = PipelineConfig(NgramRange(1, 2), "l1", False, True, "l1", 1e-3,
-                                loss=LossKind.LOG, epochs=3, seed=4)
-        tfidf = config.tfidf_config()
-        assert (tfidf.ngram_range, tfidf.norm, tfidf.use_idf, tfidf.smooth_idf) == (
-            NgramRange(1, 2), "l1", False, True
-        )
-        train = config.train_config()
-        assert (train.loss, train.penalty, train.alpha, train.epochs) == (
-            LossKind.LOG, "l1", 1e-3, 3
-        )
-        assert train.seed == substream(4, "shuffle")

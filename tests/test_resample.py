@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdtext import resample
-from sgdtext.features import NORMS, NgramRange, SparseRows, TfidfConfig, fit, transform
+from sgdtext.features import NORMS, NgramRange, SparseRows, fit, transform
+from sgdtext.pipeline import PipelineConfig
 from sgdtext.resample import (
-    SmoteConfig,
     interpolate,
     neighbor_table,
     smote,
@@ -158,7 +158,7 @@ def tfidf_classes(seed: int, ngram_range: NgramRange, norm: str) -> list[SparseR
         classes.append(docs)
     model = fit(
         [doc for docs in classes for doc in docs if doc[0] != "unseen"],
-        TfidfConfig(ngram_range=ngram_range, norm=norm),
+        PipelineConfig(ngram_range=ngram_range, norm=norm),
     )
     return [transform(model, docs) for docs in classes]
 
@@ -239,7 +239,7 @@ class TestNeighborTable:
         classes = tfidf_classes(65, NgramRange(1, 2), "l2")
         X = SparseRows.from_rows(v for points in classes for v in rows_of(points))
         labels = [cls for cls, points in enumerate(classes) for _ in range(len(points))]
-        config = SmoteConfig(k_neighbors=3, seed=10)
+        config = PipelineConfig(smote_k=3, seed=10)
         fast = smote(X, labels, config)
         monkeypatch.setattr(resample, "neighbor_table", oracle_table)
         slow = smote(X, labels, config)
@@ -296,20 +296,20 @@ class TestSmote:
 
     def test_histogram_equalized_to_majority(self):
         X, labels = self.imbalanced()
-        result = smote(X, labels, SmoteConfig(seed=1))
+        result = smote(X, labels, PipelineConfig(seed=1))
         assert Counter(result.labels) == {1: 12, 2: 12, 3: 12}
         assert len(result.records) == (12 - 5) + (12 - 3)
 
     def test_originals_prefix_untouched(self):
         X, labels = self.imbalanced()
-        result = smote(X, labels, SmoteConfig(seed=2))
+        result = smote(X, labels, PipelineConfig(seed=2))
         assert result.labels[: len(labels)] == labels
         for original, kept in zip(rows_of(X), rows_of(result.vectors)):
             assert row_bytes(kept) == row_bytes(original)
 
     def test_records_reproduce_synthetics_exactly(self):
         X, labels = self.imbalanced()
-        result = smote(X, labels, SmoteConfig(seed=3))
+        result = smote(X, labels, PipelineConfig(seed=3))
         synthetics = rows_of(result.vectors)[len(X):]
         for record, vector in zip(result.records, synthetics):
             assert labels[record.base_index] == record.label
@@ -321,13 +321,13 @@ class TestSmote:
 
     def test_neighbors_come_from_k_nearest(self):
         X, labels = self.imbalanced()
-        config = SmoteConfig(k_neighbors=3, seed=4)
+        config = PipelineConfig(smote_k=3, seed=4)
         result = smote(X, labels, config)
         for record in result.records:
             members = [i for i, lab in enumerate(labels) if lab == record.label]
             class_points = SparseRows.from_rows(X.row(i) for i in members)
             local_base = members.index(record.base_index)
-            k = min(config.k_neighbors, len(members) - 1)
+            k = min(config.smote_k, len(members) - 1)
             allowed = {members[j] for j in knn_indices_oracle(class_points, local_base, k)}
             assert record.neighbor_index in allowed
 
@@ -335,7 +335,7 @@ class TestSmote:
         # Two classes share the majority count: neither gains or loses a row.
         X, _ = self.imbalanced()
         labels = [1] * 8 + [2] * 8 + [3] * 4
-        result = smote(X, labels, SmoteConfig(seed=6))
+        result = smote(X, labels, PipelineConfig(seed=6))
         counts = Counter(result.labels)
         assert counts[1] == 8
         assert counts[2] == 8
@@ -347,7 +347,7 @@ class TestSmote:
         X = random_points(rng, 5)
         labels = [1, 1, 1, 1, 2]
         with pytest.warns(UserWarning, match="single member"):
-            result = smote(X, labels, SmoteConfig(seed=7))
+            result = smote(X, labels, PipelineConfig(seed=7))
         synthetics = [
             v for v, lab in zip(rows_of(result.vectors)[5:], result.labels[5:]) if lab == 2
         ]
@@ -357,18 +357,18 @@ class TestSmote:
 
     def test_deterministic_per_seed(self):
         X, labels = self.imbalanced()
-        first = smote(X, labels, SmoteConfig(seed=8))
-        second = smote(X, labels, SmoteConfig(seed=8))
+        first = smote(X, labels, PipelineConfig(seed=8))
+        second = smote(X, labels, PipelineConfig(seed=8))
         assert first.records == second.records
         assert batch_bytes(first.vectors) == batch_bytes(second.vectors)
-        third = smote(X, labels, SmoteConfig(seed=9))
+        third = smote(X, labels, PipelineConfig(seed=9))
         assert first.records != third.records
 
     def test_validation(self):
         X, labels = self.imbalanced()
         with pytest.raises(ValueError, match="2 classes"):
-            smote(X, [1] * len(X), SmoteConfig())
+            smote(X, [1] * len(X), PipelineConfig())
         with pytest.raises(ValueError, match="equal length"):
-            smote(X, labels[:-1], SmoteConfig())
-        with pytest.raises(ValueError, match="k_neighbors"):
-            SmoteConfig(k_neighbors=0)
+            smote(X, labels[:-1], PipelineConfig())
+        with pytest.raises(ValueError, match="smote_k"):
+            PipelineConfig(smote_k=0)

@@ -11,6 +11,8 @@ from sgdtext import search
 from sgdtext.features import NgramRange
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.search import (
+    GRID_AXES,
+    TUNED_FIELDS,
     Candidate,
     GridSpec,
     candidate_to_dict,
@@ -101,6 +103,21 @@ class TestGridSpecIO:
     def test_scalar_ngram_range_rejected(self):
         with pytest.raises(ValueError, match="malformed grid spec"):
             grid_spec_from_dict({"ngram_ranges": [5]})
+
+    def test_three_bound_ngram_range_rejected(self):
+        with pytest.raises(ValueError, match="malformed grid spec"):
+            grid_spec_from_dict({"ngram_ranges": [[1, 2, 3]]})
+
+    def test_axis_values_parse_as_params_values(self):
+        # Grid axes and params objects share one converter per tuned field.
+        raw = {"ngram_range": [1, 3], "norm": "none", "use_idf": 0, "smooth_idf": 1,
+               "penalty": "l1", "alpha": 2}
+        spec = grid_spec_from_dict(
+            {axis: [raw[name]] for axis, name in zip(GRID_AXES, TUNED_FIELDS)}
+        )
+        (from_grid,) = enumerate_grid(spec, PipelineConfig())
+        assert from_grid == params_from_dict(raw, PipelineConfig())
+        assert from_grid == PipelineConfig(NgramRange(1, 3), "none", False, True, "l1", 2.0)
 
     def test_string_axis_rejected(self):
         # A string would otherwise be swept character by character.

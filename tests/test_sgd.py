@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from sgdtext.features import NgramRange, SparseRows, TfidfConfig, fit, transform
+from sgdtext.features import NgramRange, SparseRows, fit, transform
+from sgdtext.pipeline import PipelineConfig
 from sgdtext.sgd import (
     LinearModel,
     LossKind,
     ModelFormatError,
     NumericError,
-    TrainConfig,
     decision,
     epoch_orders,
     fit_binary,
@@ -113,7 +113,7 @@ class TestSchedule:
 
 class TestEpochOrders:
     def test_fresh_permutation_per_epoch(self):
-        config = TrainConfig(epochs=4, seed=9)
+        config = PipelineConfig(epochs=4, seed=9)
         orders = epoch_orders(50, config)
         assert len(orders) == 4
         for order in orders:
@@ -121,14 +121,14 @@ class TestEpochOrders:
         assert not all(np.array_equal(orders[0], o) for o in orders[1:])
 
     def test_seed_determines_orders(self):
-        config = TrainConfig(epochs=2, seed=5)
+        config = PipelineConfig(epochs=2, seed=5)
         first = epoch_orders(30, config)
         second = epoch_orders(30, config)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def naive_sgd_l2(
-    dense: np.ndarray, y: np.ndarray, config: TrainConfig
+    dense: np.ndarray, y: np.ndarray, config: PipelineConfig
 ) -> tuple[np.ndarray, float]:
     """Direct dense translation of the L2 update rule, without the scale trick."""
     n, d = dense.shape
@@ -150,7 +150,7 @@ def naive_sgd_l2(
 
 
 def naive_sgd_l1(
-    dense: np.ndarray, y: np.ndarray, config: TrainConfig
+    dense: np.ndarray, y: np.ndarray, config: PipelineConfig
 ) -> tuple[np.ndarray, float]:
     """Dense L1 reference: gradient step, then soft-threshold every coordinate."""
     n, d = dense.shape
@@ -183,7 +183,7 @@ class TestFitBinary:
     def test_matches_naive_l2_reference(self):
         for kind in ALL_LOSSES:
             dense, y = toy_problem(13)
-            config = TrainConfig(loss=kind, penalty="l2", alpha=0.01, epochs=4, seed=2)
+            config = PipelineConfig(loss=kind, penalty="l2", alpha=0.01, epochs=4, seed=2)
             w_fast, b_fast = fit_binary(dense_rows(dense), y, config)
             w_ref, b_ref = naive_sgd_l2(dense, y, config)
             assert np.max(np.abs(w_fast - w_ref)) < 1e-10
@@ -192,7 +192,7 @@ class TestFitBinary:
     def test_matches_naive_l1_reference(self):
         for kind in ALL_LOSSES:
             dense, y = toy_problem(14)
-            config = TrainConfig(loss=kind, penalty="l1", alpha=0.01, epochs=4, seed=3)
+            config = PipelineConfig(loss=kind, penalty="l1", alpha=0.01, epochs=4, seed=3)
             w_fast, b_fast = fit_binary(dense_rows(dense), y, config)
             w_ref, b_ref = naive_sgd_l1(dense, y, config)
             assert np.max(np.abs(w_fast - w_ref)) < 1e-10
@@ -201,18 +201,18 @@ class TestFitBinary:
     def test_l1_produces_sparser_weights_than_l2(self):
         dense, y = toy_problem(15, n=60, d=20)
         X = dense_rows(dense)
-        w_l1, _ = fit_binary(X, y, TrainConfig(penalty="l1", alpha=0.05, epochs=10, seed=0))
-        w_l2, _ = fit_binary(X, y, TrainConfig(penalty="l2", alpha=0.05, epochs=10, seed=0))
+        w_l1, _ = fit_binary(X, y, PipelineConfig(penalty="l1", alpha=0.05, epochs=10, seed=0))
+        w_l2, _ = fit_binary(X, y, PipelineConfig(penalty="l2", alpha=0.05, epochs=10, seed=0))
         assert np.sum(w_l1 == 0.0) > np.sum(w_l2 == 0.0)
 
     def test_deterministic_for_seed(self):
         dense, y = toy_problem(16)
         X = dense_rows(dense)
-        config = TrainConfig(epochs=3, seed=21)
+        config = PipelineConfig(epochs=3, seed=21)
         w1, b1 = fit_binary(X, y, config)
         w2, b2 = fit_binary(X, y, config)
         assert np.array_equal(w1, w2) and b1 == b2
-        w3, _ = fit_binary(X, y, TrainConfig(epochs=3, seed=22))
+        w3, _ = fit_binary(X, y, PipelineConfig(epochs=3, seed=22))
         assert not np.array_equal(w1, w3)
 
     def test_learns_a_separable_problem(self):
@@ -223,42 +223,42 @@ class TestFitBinary:
         dense = raw[np.abs(raw[:, 0]) > 0.4][:40]
         y = np.where(dense[:, 0] > 0, 1.0, -1.0)
         for kind in ALL_LOSSES:
-            w, b = fit_binary(dense_rows(dense), y, TrainConfig(loss=kind, epochs=10, seed=1))
+            w, b = fit_binary(dense_rows(dense), y, PipelineConfig(loss=kind, epochs=10, seed=1))
             scores = dense @ w + b
             assert np.all(np.sign(scores) == y)
 
     def test_rejects_bad_labels(self):
         X = dense_rows(np.eye(3))
         with pytest.raises(ValueError, match="-1 or \\+1"):
-            fit_binary(X, [1.0, 0.0, 1.0], TrainConfig())
+            fit_binary(X, [1.0, 0.0, 1.0], PipelineConfig())
         with pytest.raises(ValueError, match="shape"):
-            fit_binary(X, [1.0, -1.0], TrainConfig())
+            fit_binary(X, [1.0, -1.0], PipelineConfig())
         with pytest.raises(ValueError, match="at least one"):
-            fit_binary(SparseRows.from_rows([]), [], TrainConfig())
+            fit_binary(SparseRows.from_rows([]), [], PipelineConfig())
 
     def test_one_class_input_is_legal(self):
         X = dense_rows(np.abs(np.random.default_rng(0).normal(size=(10, 3))))
-        w, b = fit_binary(X, np.ones(10), TrainConfig(epochs=5, seed=0))
+        w, b = fit_binary(X, np.ones(10), PipelineConfig(epochs=5, seed=0))
         assert all(float(w[idx] @ vals) + b > 0 for idx, vals in map(X.row, range(len(X))))
 
     def test_nonfinite_features_raise_numeric_error(self):
         X = rows({0: 1.0}, {}, {0: 2.0, 3: np.inf})
         with pytest.raises(NumericError, match="sample 2 has non-finite"):
-            fit_binary(X, [1.0, -1.0, 1.0], TrainConfig())
+            fit_binary(X, [1.0, -1.0, 1.0], PipelineConfig())
 
     def test_feature_dim_extends_weight_vector(self):
         X = dense_rows(np.eye(2))
-        w, _ = fit_binary(X, [1.0, -1.0], TrainConfig(), feature_dim=7)
+        w, _ = fit_binary(X, [1.0, -1.0], PipelineConfig(), feature_dim=7)
         assert w.shape == (7,)
         assert np.all(w[2:] == 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="penalty"):
-            TrainConfig(penalty="elastic")
+            PipelineConfig(penalty="elastic")
         with pytest.raises(ValueError, match="alpha"):
-            TrainConfig(alpha=0.0)
+            PipelineConfig(alpha=0.0)
         with pytest.raises(ValueError, match="epochs"):
-            TrainConfig(epochs=0)
+            PipelineConfig(epochs=0)
 
 
 class TestDecisionPredict:
@@ -301,19 +301,19 @@ class TestFitMulticlass:
         labels = [0 if v > 0 else 1 for v in y]
         for kind in ALL_LOSSES:
             model = fit_multiclass(
-                dense_rows(dense), labels, TrainConfig(loss=kind, epochs=3, seed=4)
+                dense_rows(dense), labels, PipelineConfig(loss=kind, epochs=3, seed=4)
             )
             assert np.array_equal(model.weights[1], -model.weights[0])
             assert model.intercepts[1] == -model.intercepts[0]
 
     def test_classes_sorted_and_validated(self):
         X = dense_rows(np.eye(4))
-        model = fit_multiclass(X, [7, 2, 7, 2], TrainConfig())
+        model = fit_multiclass(X, [7, 2, 7, 2], PipelineConfig())
         assert model.classes == [2, 7]
         with pytest.raises(ValueError, match="2 distinct"):
-            fit_multiclass(X, [1, 1, 1, 1], TrainConfig())
+            fit_multiclass(X, [1, 1, 1, 1], PipelineConfig())
         with pytest.raises(ValueError, match="equal length"):
-            fit_multiclass(X, [1, 2], TrainConfig())
+            fit_multiclass(X, [1, 2], PipelineConfig())
 
     def test_separable_three_class_problem(self):
         rng = np.random.default_rng(6)
@@ -326,7 +326,7 @@ class TestFitMulticlass:
             labels.extend([cls] * 15)
         dense = np.vstack(blocks)
         X = dense_rows(dense)
-        model = fit_multiclass(X, labels, TrainConfig(epochs=10, seed=0))
+        model = fit_multiclass(X, labels, PipelineConfig(epochs=10, seed=0))
         predictions = predict(model, X)
         assert predictions == labels
 
@@ -348,13 +348,13 @@ def tfidf_problem(
     documents[-4] = []
     for doc in documents[-3:]:
         doc[:] = [f"unseen{j}" for j in range(len(doc))]
-    model = fit(documents[:-3], TfidfConfig(ngram_range=ngram_range))
+    model = fit(documents[:-3], PipelineConfig(ngram_range=ngram_range))
     X = transform(model, documents)
     assert np.count_nonzero(np.diff(X.indptr) == 0) >= 4
     return X, labels
 
 
-def renormalizes(n: int, config: TrainConfig) -> bool:
+def renormalizes(n: int, config: PipelineConfig) -> bool:
     """Whether an L2 fit of n samples drives wscale under its 1e-9 renormalization floor."""
     t0 = schedule_t0(config.loss, config.alpha)
     wscale = 1.0
@@ -373,7 +373,7 @@ class TestSharedPassParity:
     def configs(self, alpha: float = 0.01, epochs: int = 3):
         for kind in ALL_LOSSES:
             for penalty in ("l1", "l2"):
-                yield TrainConfig(loss=kind, penalty=penalty, alpha=alpha, epochs=epochs, seed=8)
+                yield PipelineConfig(loss=kind, penalty=penalty, alpha=alpha, epochs=epochs, seed=8)
 
     def assert_multiclass_parity(self, X, labels, config):
         model = fit_multiclass(X, labels, config)
@@ -429,7 +429,7 @@ class TestObjectiveAndOracle:
     def test_oracle_descends_monotonically(self):
         dense, y = toy_problem(19, n=40, d=5)
         X = dense_rows(dense)
-        config = TrainConfig(loss=LossKind.LOG, alpha=0.05)
+        config = PipelineConfig(loss=LossKind.LOG, alpha=0.05)
         previous = math.log(2.0)  # objective at the zero model
         for iterations in (5, 50, 500):
             w, b = batch_gd_oracle(X, y, config, iterations)
@@ -440,11 +440,11 @@ class TestObjectiveAndOracle:
     def test_oracle_rejects_l1(self):
         X = dense_rows(np.eye(2))
         with pytest.raises(ValueError, match="l2"):
-            batch_gd_oracle(X, [1.0, -1.0], TrainConfig(penalty="l1"), 10)
+            batch_gd_oracle(X, [1.0, -1.0], PipelineConfig(penalty="l1"), 10)
 
     def test_zero_iterations_returns_zero_model(self):
         X = dense_rows(np.eye(2))
-        w, b = batch_gd_oracle(X, [1.0, -1.0], TrainConfig(), 0)
+        w, b = batch_gd_oracle(X, [1.0, -1.0], PipelineConfig(), 0)
         assert np.all(w == 0.0) and b == 0.0
 
 
@@ -452,7 +452,7 @@ class TestModelSerialization:
     def fitted(self) -> LinearModel:
         dense, y = toy_problem(20)
         labels = [0 if v > 0 else 1 for v in y]
-        return fit_multiclass(dense_rows(dense), labels, TrainConfig(epochs=2, seed=1))
+        return fit_multiclass(dense_rows(dense), labels, PipelineConfig(epochs=2, seed=1))
 
     def test_round_trip_is_exact(self, tmp_path):
         model = self.fitted()
