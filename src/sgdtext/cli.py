@@ -85,21 +85,29 @@ def _ngram_pair(text: str) -> features.NgramRange:
         raise argparse.ArgumentTypeError(f"expected LO,HI with 1 <= LO <= HI, got {text!r}") from exc
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    """The pipeline flags of a model-running subcommand as one PipelineConfig."""
-    return PipelineConfig(
-        ngram_range=args.ngram,
-        norm=args.norm,
-        use_idf=args.use_idf,
-        smooth_idf=args.smooth_idf,
-        penalty=args.penalty,
-        alpha=args.alpha,
-        loss=LOSSES[args.loss],
-        epochs=args.epochs,
-        smote=args.smote,
-        smote_k=args.smote_k,
-        seed=substream(args.seed, "pipeline"),
-    )
+# Each pipeline flag by the PipelineConfig field it sets, which is also its
+# argparse dest. A flag left off is absent from the namespace, so every
+# default is PipelineConfig's own.
+PIPELINE_FLAGS = {
+    "loss": ("--loss", {"choices": sorted(LOSSES)}),
+    "ngram_range": ("--ngram", {"type": _ngram_pair, "metavar": "LO,HI", "help": "n-gram range"}),
+    "norm": ("--norm", {"choices": features.NORMS}),
+    "use_idf": ("--use-idf", {"action": argparse.BooleanOptionalAction}),
+    "smooth_idf": ("--smooth-idf", {"action": argparse.BooleanOptionalAction}),
+    "penalty": ("--penalty", {"choices": sgd.PENALTIES}),
+    "alpha": ("--alpha", {"type": _positive_float}),
+    "epochs": ("--epochs", {"type": _positive_int}),
+    "smote": ("--smote", {"action": "store_true", "help": "oversample training data"}),
+    "smote_k": ("--smote-k", {"type": _positive_int, "metavar": "K", "help": "SMOTE neighbors"}),
+}
+
+
+def _config_from_args(args: argparse.Namespace, stream: str) -> PipelineConfig:
+    """The pipeline flags given, as one PipelineConfig seeded with substream(--seed, stream)."""
+    given = {name: getattr(args, name) for name in PIPELINE_FLAGS if hasattr(args, name)}
+    if "loss" in given:
+        given["loss"] = LOSSES[given["loss"]]
+    return PipelineConfig(**given, seed=substream(args.seed, stream))
 
 
 def _train_split(out_dir: Path) -> tuple[list[list[str]], list[int]]:
@@ -150,12 +158,17 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
     documents: list[list[str]] = []
     labels: list[int] = []
     with corpus_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             row = json.loads(line)
-            documents.append([str(t) for t in row["tokens"]])
-            labels.append(int(row["label"]))
+            if not (isinstance(row, dict) and type(row.get("label")) is int and row["label"] >= 0
+                    and isinstance(row.get("tokens"), list)
+                    and all(isinstance(t, str) for t in row["tokens"])):
+                raise ValueError(f"{corpus_path}: line {line_number} needs an integer label >= 0 "
+                                 "and a list of string tokens")
+            documents.append(row["tokens"])
+            labels.append(row["label"])
     manifest = json.loads(manifest_path.read_text("utf-8"))
     return LabeledCorpus(documents, labels), _split_sides(manifest, len(labels), manifest_path)
 
@@ -220,7 +233,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    config = _config_from_args(args)
+    config = _config_from_args(args, "pipeline")
     documents, labels = _train_split(out_dir)
     started = time.perf_counter()
     fitted = fit_pipeline(documents, labels, config)
@@ -233,7 +246,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_json(
         out_dir / "train_meta.json",
         {
-            "loss": args.loss,
+            "loss": LOSS_NAMES[config.loss],
             "params": params_to_dict(config),
             "epochs": config.epochs,
             "smote": config.smote,
@@ -243,7 +256,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     sgd.save_model(fitted.model, out_dir / "model.json")
     print(
-        f"trained {args.loss} on {len(fitted.model.classes)} classes, "
+        f"trained {LOSS_NAMES[config.loss]} on {len(fitted.model.classes)} classes, "
         f"{fitted.model.feature_dim} features"
     )
     return EXIT_OK
@@ -253,7 +266,7 @@ def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.T
     """Raise ValueError if a pipeline flag or --seed given to eval disagrees with the train run."""
     tfidf_path = out_dir / "tfidf.json"
     recorded = {
-        "ngram": (tfidf.ngram_range, tfidf_path),
+        "ngram_range": (tfidf.ngram_range, tfidf_path),
         "norm": (tfidf.norm, tfidf_path),
         "use_idf": (tfidf.use_idf, tfidf_path),
         "smooth_idf": (tfidf.smooth_idf, tfidf_path),
@@ -275,10 +288,11 @@ def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.T
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{meta_path} is malformed: missing {exc}") from exc
-    for flag, (value, path) in recorded.items():
-        if flag in given and given[flag] != value:
+    for name, (value, path) in recorded.items():
+        if name in given and given[name] != value:
+            flag = PIPELINE_FLAGS[name][0] if name in PIPELINE_FLAGS else f"--{name}"
             raise ValueError(
-                f"eval was given --{flag.replace('_', '-')} {given[flag]!r} but {path} "
+                f"eval was given {flag} {given[name]!r} but {path} "
                 f"records {value!r} from the train run"
             )
 
@@ -337,20 +351,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    config = _config_from_args(args)
+    config = _config_from_args(args, "crossval")
     documents, labels = _train_split(out_dir)
-    report = cross_validate(documents, labels, config, args.k, substream(args.seed, "crossval"))
+    report = cross_validate(documents, labels, config, args.k)
+    loss = LOSS_NAMES[config.loss]
     _write_json(
         out_dir / "cv_report.json",
         {
-            "loss": args.loss,
+            "loss": loss,
             "params": params_to_dict(config),
             "k": args.k,
             "seed": args.seed,
             **cv_to_dict(report),
         },
     )
-    line = f"{args.loss}\t{render_cv_line(report)}"
+    line = f"{loss}\t{render_cv_line(report)}"
     _write_text(out_dir / "cv_report.txt", line + "\n")
     print(line)
     return EXIT_OK
@@ -358,21 +373,21 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 def cmd_gridsearch(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    config = _config_from_args(args)
+    config = _config_from_args(args, "grid")
     documents, labels = _train_split(out_dir)
     if args.grid:
         _require_files(Path(args.grid))
         spec = load_grid_spec(args.grid)
     else:
         spec = GridSpec()
-    spec.seed = substream(args.seed, "grid")
     started = time.perf_counter()
     candidates = grid_search(documents, labels, config, spec, jobs=args.jobs)
     elapsed = time.perf_counter() - started
+    loss = LOSS_NAMES[config.loss]
     _write_json(
         out_dir / "grid_results.json",
         {
-            "loss": args.loss,
+            "loss": loss,
             "seed": args.seed,
             "inner_folds": spec.inner_folds,
             "dev_fraction": spec.dev_fraction,
@@ -380,7 +395,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
             "elapsed_seconds": elapsed,
         },
     )
-    _write_text(out_dir / "grid_results.txt", render_grid_table(candidates, args.loss))
+    _write_text(out_dir / "grid_results.txt", render_grid_table(candidates, loss))
     winner = candidates[0]
     # Failed candidates rank last, so a failed winner means every one failed.
     if winner.error is not None:
@@ -391,7 +406,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    config = _config_from_args(args)
+    config = _config_from_args(args, "compare")
     documents, labels = _train_split(out_dir)
     if args.tuned_from:
         _require_files(Path(args.tuned_from))
@@ -400,13 +415,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         tuned = config
     # The default arm keeps loss, epochs and SMOTE; its six tuned values are the defaults.
     default = replace(config, **{f: getattr(PipelineConfig(), f) for f in TUNED_FIELDS})
-    report = compare_runs(
-        documents, labels, default, tuned, k=args.k, seed=substream(args.seed, "compare")
-    )
+    report = compare_runs(documents, labels, default, tuned, args.k)
+    loss = LOSS_NAMES[config.loss]
     _write_json(
         out_dir / "compare.json",
         {
-            "loss": args.loss,
+            "loss": loss,
             "k": args.k,
             "seed": args.seed,
             "default_params": params_to_dict(default),
@@ -419,9 +433,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     lines = [
         "Arm\tClassifier\tAccuracy",
-        f"default\t{args.loss}\t{render_cv_line(report.default)}",
-        f"tuned\t{args.loss}\t{render_cv_line(report.tuned)}",
-        f"delta\t{args.loss}\t{report.mean_delta:+.5f}",
+        f"default\t{loss}\t{render_cv_line(report.default)}",
+        f"tuned\t{loss}\t{render_cv_line(report.tuned)}",
+        f"delta\t{loss}\t{report.mean_delta:+.5f}",
     ]
     _write_text(out_dir / "compare.txt", "\n".join(lines) + "\n")
     print(lines[1])
@@ -429,34 +443,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser, *, given_only: bool = False) -> None:
-    """Add the pipeline flags; with given_only, a flag left off is absent from the namespace.
-
-    Defaults are those of PipelineConfig().
-    """
-    pipeline = PipelineConfig()
-    ngram = f"{pipeline.ngram_range.lo},{pipeline.ngram_range.hi}"
-
-    def default(value):
-        return argparse.SUPPRESS if given_only else value
-
-    parser.add_argument("--loss", choices=sorted(LOSSES),
-                        default=default(LOSS_NAMES[pipeline.loss]))
-    parser.add_argument("--ngram", type=_ngram_pair, default=default(pipeline.ngram_range),
-                        metavar="LO,HI", help=f"n-gram range (default {ngram})")
-    parser.add_argument("--norm", choices=features.NORMS, default=default(pipeline.norm))
-    parser.add_argument("--use-idf", action=argparse.BooleanOptionalAction,
-                        default=default(pipeline.use_idf))
-    parser.add_argument("--smooth-idf", action=argparse.BooleanOptionalAction,
-                        default=default(pipeline.smooth_idf))
-    parser.add_argument("--penalty", choices=sgd.PENALTIES, default=default(pipeline.penalty))
-    parser.add_argument("--alpha", type=_positive_float, default=default(pipeline.alpha))
-    parser.add_argument("--epochs", type=_positive_int, default=default(pipeline.epochs))
-    parser.add_argument("--smote", action="store_true",
-                        default=default(pipeline.smote),
-                        help="oversample training data")
-    parser.add_argument("--smote-k", type=_positive_int, default=default(pipeline.smote_k),
-                        metavar="K", help=f"SMOTE neighbor count (default {pipeline.smote_k})")
+def _add_pipeline_flags(
+    parser: argparse.ArgumentParser, names: Sequence[str] = tuple(PIPELINE_FLAGS)
+) -> None:
+    """Add the flags of the named PipelineConfig fields, by default all ten."""
+    for name in names:
+        flag, options = PIPELINE_FLAGS[name]
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     prepare = sub.add_parser("prepare", help="clean a CSV corpus and write a split manifest")
     prepare.add_argument("--input", required=True, help="labeled CSV file")
     prepare.add_argument("--schema", choices=sorted(corpus.SCHEMAS), default="generic")
-    prepare.add_argument("--stopwords", help="stop-word file; defaults to the packaged list")
-    prepare.add_argument("--no-stopwords", action="store_true", help="disable stop-word removal")
+    stop = prepare.add_mutually_exclusive_group()
+    stop.add_argument("--stopwords", help="stop-word file; defaults to the packaged list")
+    stop.add_argument("--no-stopwords", action="store_true", help="disable stop-word removal")
     prepare.add_argument("--split", type=_fraction, default=0.7, metavar="FRACTION")
     prepare.add_argument("--seed", type=int, default=0)
     prepare.add_argument("--out", required=True, help="output directory")
@@ -486,10 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="score a trained model on the held-out split",
         description="Score a trained model. Pipeline flags and --seed, where given, must "
-        "match what train recorded in tfidf.json and train_meta.json (--smote-k is not "
-        "recorded).",
+        "match what train recorded in tfidf.json and train_meta.json.",
     )
-    _add_pipeline_flags(evaluate, given_only=True)
+    _add_pipeline_flags(evaluate, [name for name in PIPELINE_FLAGS if name != "smote_k"])
     evaluate.add_argument("--on", choices=("test", "train"), default="test")
     evaluate.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     evaluate.add_argument("--out", required=True, help="directory with prepare+train outputs")
@@ -503,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     crossval.set_defaults(func=cmd_crossval)
 
     gridsearch = sub.add_parser("gridsearch", help="exhaustive hyperparameter sweep")
-    _add_pipeline_flags(gridsearch)
+    # The grid sets the six tuned fields.
+    _add_pipeline_flags(gridsearch, ("loss", "epochs", "smote", "smote_k"))
     gridsearch.add_argument("--grid", help="JSON grid spec; omit for the default grid")
     gridsearch.add_argument("--jobs", type=_positive_int, default=1)
     gridsearch.add_argument("--seed", type=int, default=0)
@@ -524,6 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    given = vars(args)
+    if "smote_k" in given and "smote" not in given:
+        parser.error("--smote-k is read only with --smote")
+    tuned = [PIPELINE_FLAGS[name][0] for name in TUNED_FIELDS if name in given]
+    if given.get("tuned_from") and tuned:
+        parser.error(f"--tuned-from sets the tuned values; drop {' '.join(tuned)}")
     try:
         return args.func(args)
     except sgd.NumericError as exc:

@@ -105,7 +105,6 @@ def load_corpus(
     path: str | Path,
     schema: CsvSchema | None = None,
     stop_words: frozenset[str] | set[str] = frozenset(),
-    null_sentinels: frozenset[str] = DEFAULT_NULL_SENTINELS,
 ) -> LoadResult:
     """Load a labeled CSV corpus, dropping rows whose text is null or cleans to nothing.
 
@@ -141,7 +140,7 @@ def load_corpus(
                 raise LabelValueError(f"line {line_number}: label {label} is negative")
             text = row.get(schema.text_column) or ""
             stripped = text.strip()
-            if not stripped or stripped.lower() in null_sentinels:
+            if not stripped or stripped.lower() in DEFAULT_NULL_SENTINELS:
                 dropped += 1
                 continue
             tokens = clean_text(text, stop_words)

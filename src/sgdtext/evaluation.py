@@ -165,19 +165,18 @@ def cross_validate(
     labels: Sequence[int],
     config: PipelineConfig,
     k: int,
-    seed: int,
 ) -> CvReport:
     """Stratified k-fold accuracy of the full pipeline.
 
     Every fold refits the vectorizer (and the optional resampler) on its
     k-1 training folds only, so the held-out fold never leaks into the
     vocabulary. The fold plan and each fold's training seed derive from
-    the seed argument. std is the population value.
+    config.seed. std is the population value.
     """
     n = len(documents)
     if len(labels) != n:
         raise ValueError("documents and labels must have equal length")
-    plan = stratified_kfold(labels, k, substream(seed, "folds"))
+    plan = stratified_kfold(labels, k, substream(config.seed, "folds"))
     all_indices = set(range(n))
     accuracies: list[float] = []
     fold_seconds: list[float] = []
@@ -189,7 +188,7 @@ def cross_validate(
             fitted = fit_pipeline(
                 [documents[i] for i in train_indices],
                 [labels[i] for i in train_indices],
-                replace(config, seed=substream(seed, f"fold-{fold_index}")),
+                replace(config, seed=substream(config.seed, f"fold-{fold_index}")),
             )
             predictions = predict_pipeline(fitted, [documents[i] for i in held_out])
         except Exception as exc:
@@ -236,21 +235,16 @@ def report_to_dict(report: ClassReport) -> dict:
     }
 
 
-def render_class_report(report: ClassReport, names: dict[int, str] | None = None) -> str:
+def render_class_report(report: ClassReport) -> str:
     """Tab-separated table: one 5-decimal row per class plus the avg / total row.
 
-    Default row names are cat<id> built from each class id, so integer labels
-    1..K render as cat1..catK.
+    Row names are cat<id> built from each class id, so integer labels 1..K
+    render as cat1..catK.
     """
-    if names is None:
-        names = {cls: f"cat{cls}" for cls in report.classes}
     lines = ["\tprecision\trecall\tf1-score\tsupport"]
     for cls in report.classes:
         m = report.per_class[cls]
-        lines.append(
-            f"{names.get(cls, str(cls))}\t{m.precision:.5f}\t{m.recall:.5f}"
-            f"\t{m.f1:.5f}\t{m.support}"
-        )
+        lines.append(f"cat{cls}\t{m.precision:.5f}\t{m.recall:.5f}\t{m.f1:.5f}\t{m.support}")
     wp, wr, wf = report.weighted_avg
     lines.append(f"avg / total\t{wp:.5f}\t{wr:.5f}\t{wf:.5f}\t{report.total_support}")
     return "\n".join(lines) + "\n"

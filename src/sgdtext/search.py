@@ -58,7 +58,6 @@ class GridSpec:
     alphas: list[float] = field(default_factory=lambda: [1e-3, 1e-4, 1e-5])
     inner_folds: int = 3
     dev_fraction: float = 0.5
-    seed: int = 0
 
 
 @dataclass
@@ -103,8 +102,8 @@ def grid_spec_from_dict(data: object) -> GridSpec:
                 raise ValueError(f"inner_folds must be >= 2, got {spec.inner_folds}")
         if "dev_fraction" in data:
             spec.dev_fraction = float(data["dev_fraction"])
-        if "seed" in data:
-            spec.seed = int(data["seed"])
+            if not 0.0 < spec.dev_fraction < 1.0:
+                raise ValueError(f"dev_fraction must be in (0, 1), got {spec.dev_fraction}")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed grid spec: {exc}") from exc
     return spec
@@ -139,7 +138,7 @@ def _score_candidate(
     seed: int,
 ) -> tuple[float, float, str | None]:
     try:
-        report = cross_validate(documents, labels, config, inner_folds, seed)
+        report = cross_validate(documents, labels, replace(config, seed=seed), inner_folds)
         return report.mean, report.std, None
     except Exception as exc:  # ranked last, sweep continues
         return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
@@ -169,17 +168,17 @@ def grid_search(
 
     Each candidate is base with its six tuned fields taken from the grid.
     Every candidate sees the identical development set, fold plan, and
-    training seeds, so the ranking is a pure function of the grid seed and
-    is identical for any worker count. No more workers than candidates are
-    started.
+    training seeds, all derived from base.seed, so the ranking is a pure
+    function of that seed and is identical for any worker count. No more
+    workers than candidates are started.
     """
     combos = enumerate_grid(spec, base)
-    plan = corpus.split(len(documents), spec.dev_fraction, substream(spec.seed, "dev"), labels)
+    plan = corpus.split(len(documents), spec.dev_fraction, substream(base.seed, "dev"), labels)
     state = (
         [documents[i] for i in plan.train_indices],
         [labels[i] for i in plan.train_indices],
         spec.inner_folds,
-        substream(spec.seed, "inner-cv"),
+        substream(base.seed, "inner-cv"),
     )
     workers = min(jobs, len(combos))
     if workers <= 1:
@@ -212,11 +211,15 @@ def compare_runs(
     default: PipelineConfig,
     tuned: PipelineConfig,
     k: int = 10,
-    seed: int = 0,
 ) -> CompareReport:
-    """Cross-validate two configs on identical fold plans and diff them."""
-    default_report = cross_validate(documents, labels, default, k, seed)
-    tuned_report = cross_validate(documents, labels, tuned, k, seed)
+    """Cross-validate two configs on identical fold plans and diff them.
+
+    Raises ValueError if the two seeds differ, since the plans would too.
+    """
+    if default.seed != tuned.seed:
+        raise ValueError(f"the two arms need one seed, got {default.seed} and {tuned.seed}")
+    default_report = cross_validate(documents, labels, default, k)
+    tuned_report = cross_validate(documents, labels, tuned, k)
     return CompareReport(
         default=default_report,
         tuned=tuned_report,

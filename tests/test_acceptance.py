@@ -191,7 +191,7 @@ def test_separable_fixture_all_losses():
             1 for pred, lab in zip(predict_pipeline(fitted, documents), labels) if pred == lab
         ) / len(labels)
         assert train_accuracy == 1.0, f"{loss.value}: train accuracy {train_accuracy}"
-        report = cross_validate(documents, labels, config, k=10, seed=7)
+        report = cross_validate(documents, labels, config, k=10)
         assert report.mean == 1.0, f"{loss.value}: CV mean {report.mean}"
         assert report.std == 0.0, f"{loss.value}: CV std {report.std}"
     elapsed = time.perf_counter() - started
@@ -311,8 +311,8 @@ def test_grid_search_bigram_winner_and_jobs():
         documents.append(["y", "x"])
         labels.append(1)
 
-    spec = GridSpec(seed=3)
-    sequential = grid_search(documents, labels, PipelineConfig(), spec)
+    spec = GridSpec()
+    sequential = grid_search(documents, labels, PipelineConfig(seed=3), spec)
     assert len(sequential) == 96
     winner = sequential[0]
     assert winner.params.ngram_range == NgramRange(1, 2)
@@ -322,7 +322,7 @@ def test_grid_search_bigram_winner_and_jobs():
     ]
     assert max(unigram_means) < 1.0
 
-    parallel = grid_search(documents, labels, PipelineConfig(), GridSpec(seed=3), jobs=8)
+    parallel = grid_search(documents, labels, PipelineConfig(seed=3), GridSpec(), jobs=8)
     assert [(c.rank, c.params, c.mean, c.std, c.error) for c in sequential] == [
         (c.rank, c.params, c.mean, c.std, c.error) for c in parallel
     ]
@@ -421,7 +421,7 @@ def test_full_corpus_protocol(tmp_path):
         labels = [labels[i] for i in sub.train_indices]
 
     tuned = PipelineConfig(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)
-    report = compare_runs(documents, labels, PipelineConfig(), tuned, k=3, seed=0)
+    report = compare_runs(documents, labels, PipelineConfig(), tuned, k=3)
     assert report.tuned.mean > report.default.mean
     print(
         f"PASS full-corpus: split {totals['train']}/{totals['test']}, tuned "

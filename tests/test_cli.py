@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -11,7 +12,9 @@ import sys
 import pytest
 
 from sgdtext import search
-from sgdtext.cli import EXIT_DATA, EXIT_OK, main
+from sgdtext.cli import EXIT_DATA, EXIT_OK, _config_from_args, build_parser, main
+from sgdtext.pipeline import PipelineConfig
+from sgdtext.seeds import substream
 
 
 def run_prepare(csv_path, out_dir, *extra: str) -> int:
@@ -170,7 +173,7 @@ class TestTrainEval:
         main(["train", "--ngram", "1,2", "--loss", "logreg", "--alpha", "0.001",
               "--out", str(prepared)])
         code = main(["eval", "--ngram", "1,2", "--loss", "logreg", "--alpha", "0.001",
-                     "--norm", "l2", "--use-idf", "--epochs", "5", "--smote-k", "9",
+                     "--norm", "l2", "--use-idf", "--epochs", "5",
                      "--out", str(prepared)])
         assert code == EXIT_OK
 
@@ -473,9 +476,13 @@ class TestMalformedInputFiles:
             ('{"alphas": [-1.0]}', "invalid grid value: alpha must be positive"),
             ('{"inner_folds": 1}', "inner_folds must be >= 2"),
             ('{"inner_folds": 0}', "inner_folds must be >= 2"),
+            ('{"seed": 7}', "unknown grid spec keys ['seed']"),
+            ('{"dev_fraction": 0}', "dev_fraction must be in (0, 1)"),
+            ('{"dev_fraction": 1.5}', "dev_fraction must be in (0, 1)"),
         ],
         ids=["scalar-axis", "scalar-ngram-range", "unknown-key", "top-level-list",
-             "bad-norm", "bad-penalty", "negative-alpha", "one-inner-fold", "no-inner-folds"],
+             "bad-norm", "bad-penalty", "negative-alpha", "one-inner-fold", "no-inner-folds",
+             "seed", "no-dev-fraction", "dev-fraction-above-one"],
     )
     def test_gridsearch_grid(self, prepared, tmp_path, capsys, monkeypatch, content, message):
         scored = []
@@ -500,6 +507,142 @@ class TestMalformedInputFiles:
         assert code == EXIT_DATA
         assert "rank-1 grid candidate failed" in capsys.readouterr().err
         assert not (prepared / "compare.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"label": 1.5, "tokens": ["bomb"]},
+            {"label": -4, "tokens": ["bomb"]},
+            {"label": True, "tokens": ["bomb"]},
+            {"label": 1, "tokens": "bomb"},
+            {"label": 1, "tokens": 5},
+            [1, 2],
+        ],
+        ids=["float-label", "negative-label", "bool-label", "string-tokens", "scalar-tokens",
+             "list-row"],
+    )
+    def test_corpus_row(self, prepared, capsys, row):
+        path = prepared / "corpus.jsonl"
+        lines = path.read_text("utf-8").splitlines()
+        path.write_text("\n".join([json.dumps(row), *lines[1:]]) + "\n", "utf-8")
+        capsys.readouterr()
+        assert main(["train", "--out", str(prepared)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "corpus.jsonl: line 1" in err
+        assert not (prepared / "model.json").exists()
+
+
+class TestEveryFlagIsRead:
+    """Each command accepts only the flags it reads; none is parsed and then ignored."""
+
+    # A value other than PipelineConfig's default for each pipeline field.
+    NON_DEFAULT = {
+        "loss": ["--loss", "logreg"],
+        "ngram_range": ["--ngram", "1,2"],
+        "norm": ["--norm", "l1"],
+        "use_idf": ["--no-use-idf"],
+        "smooth_idf": ["--no-smooth-idf"],
+        "penalty": ["--penalty", "l1"],
+        "alpha": ["--alpha", "0.5"],
+        "epochs": ["--epochs", "7"],
+        "smote": ["--smote"],
+        "smote_k": ["--smote", "--smote-k", "3"],
+    }
+    ALL = set(NON_DEFAULT)
+    PIPELINE = {
+        "prepare": set(),
+        "train": ALL,
+        "eval": ALL - {"smote_k"},
+        "crossval": ALL,
+        "gridsearch": {"loss", "epochs", "smote", "smote_k"},
+        "compare": ALL,
+    }
+    OTHER = {
+        "prepare": {"input", "schema", "stopwords", "no_stopwords", "split", "seed", "out"},
+        "train": {"seed", "out"},
+        "eval": {"on", "seed", "out"},
+        "crossval": {"k", "seed", "out"},
+        "gridsearch": {"grid", "jobs", "seed", "out"},
+        "compare": {"tuned_from", "k", "seed", "out"},
+    }
+
+    def test_each_accepted_flag_sets_its_field(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(self.PIPELINE)
+        default = PipelineConfig()
+        for command, subparser in sub.choices.items():
+            dests = {a.dest for a in subparser._actions} - {"help"}
+            assert dests - self.ALL == self.OTHER[command], command
+            assert dests & self.ALL == self.PIPELINE[command], command
+            for name in sorted(dests & self.ALL):
+                argv = [command, *self.NON_DEFAULT[name], "--seed", "4", "--out", "x"]
+                config = _config_from_args(parser.parse_args(argv), "s")
+                assert getattr(config, name) != getattr(default, name), (command, name)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "crossval", "gridsearch", "compare"])
+    def test_flags_left_off_keep_the_config_defaults(self, command):
+        args = build_parser().parse_args([command, "--seed", "4", "--out", "x"])
+        assert _config_from_args(args, "s") == PipelineConfig(seed=substream(4, "s"))
+
+
+class TestUsageErrors:
+    @pytest.fixture
+    def prepared(self, labeled_csv, tmp_path):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        return out
+
+    @staticmethod
+    def exit_code(argv) -> int:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        return info.value.code
+
+    TUNED_FLAGS = [["--ngram", "3,3"], ["--norm", "l1"], ["--no-use-idf"], ["--no-smooth-idf"],
+                   ["--penalty", "l1"], ["--alpha", "5"]]
+
+    @pytest.mark.parametrize("flag", TUNED_FLAGS, ids=lambda flag: flag[0])
+    def test_gridsearch_takes_no_tuned_flag(self, prepared, tmp_path, flag):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"alphas": [1e-4], "ngram_ranges": [[1, 1]],
+                                         "norms": ["l2"], "use_idf": [True],
+                                         "smooth_idf": [True], "penalties": ["l2"],
+                                         "inner_folds": 2}), "utf-8")
+        argv = ["gridsearch", "--grid", str(grid_path), *flag, "--out", str(prepared)]
+        assert self.exit_code(argv) == 2
+        assert not (prepared / "grid_results.json").exists()
+
+    @pytest.mark.parametrize("flag", TUNED_FLAGS, ids=lambda flag: flag[0])
+    def test_compare_tuned_from_takes_no_tuned_flag(self, prepared, tmp_path, flag):
+        path = tmp_path / "results.json"
+        params = {"ngram_range": [1, 2], "norm": "l2", "use_idf": True, "smooth_idf": True,
+                  "penalty": "l2", "alpha": 1e-4}
+        path.write_text(json.dumps({"candidates": [{"rank": 1, "params": params}]}), "utf-8")
+        argv = ["compare", "--tuned-from", str(path), *flag, "--k", "2", "--out", str(prepared)]
+        assert self.exit_code(argv) == 2
+        assert not (prepared / "compare.json").exists()
+
+    def test_eval_takes_no_smote_k(self, prepared):
+        main(["train", "--out", str(prepared)])
+        assert self.exit_code(["eval", "--smote-k", "999", "--out", str(prepared)]) == 2
+        assert not (prepared / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "gridsearch", "compare"])
+    def test_smote_k_needs_smote(self, prepared, command):
+        argv = [command, "--smote-k", "3", "--out", str(prepared)]
+        if command == "gridsearch":
+            argv += ["--grid", str(prepared / "missing-grid.json")]
+        assert self.exit_code(argv) == 2
+
+    def test_stopwords_file_and_no_stopwords(self, labeled_csv, tmp_path):
+        stop_path = tmp_path / "stop.txt"
+        stop_path.write_text("the\n", "utf-8")
+        argv = ["prepare", "--input", str(labeled_csv), "--stopwords", str(stop_path),
+                "--no-stopwords", "--out", str(tmp_path / "run")]
+        assert self.exit_code(argv) == 2
+        assert not (tmp_path / "run" / "corpus.jsonl").exists()
 
 
 class TestExitCodes:

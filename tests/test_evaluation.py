@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sgdtext import evaluation
 from sgdtext.evaluation import (
     ConfusionMatrix,
     CrossValidationError,
@@ -22,6 +23,7 @@ from sgdtext.evaluation import (
 )
 from sgdtext.features import EmptyCorpusError, NgramRange
 from sgdtext.pipeline import PipelineConfig
+from sgdtext.seeds import substream
 
 from oracles import micro_averages
 
@@ -144,11 +146,6 @@ class TestRenderClassReport:
         assert lines[1].startswith("cat1\t")
         assert lines[2].startswith("cat2\t")
 
-    def test_custom_names(self):
-        cm = confusion([7, 8], [7, 8], [7, 8])
-        text = render_class_report(per_class_metrics(cm), names={7: "bombing", 8: "assault"})
-        assert "bombing\t" in text and "assault\t" in text
-
     def test_report_to_dict_round_values(self):
         cm = confusion([0, 1], [0, 1], [0, 1])
         data = report_to_dict(per_class_metrics(cm))
@@ -207,7 +204,7 @@ class TestStratifiedKfold:
 class TestCrossValidate:
     def test_separable_corpus_scores_perfectly(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=9)
-        report = cross_validate(documents, labels, PipelineConfig(), k=3, seed=5)
+        report = cross_validate(documents, labels, PipelineConfig(seed=5), k=3)
         assert report.fold_accuracies == [1.0, 1.0, 1.0]
         assert report.mean == 1.0
         assert report.std == 0.0
@@ -218,17 +215,36 @@ class TestCrossValidate:
         documents, labels = signature_corpus(n_classes=2, per_class=4)
         config = PipelineConfig(ngram_range=NgramRange(3, 3))  # every document too short
         with pytest.raises(CrossValidationError, match="fold 0") as info:
-            cross_validate(documents, labels, config, k=2, seed=0)
+            cross_validate(documents, labels, config, k=2)
         assert info.value.fold == 0
         assert isinstance(info.value.__cause__, EmptyCorpusError)
 
+    def test_fold_plan_and_fold_seeds_come_from_the_config_seed(
+        self, signature_corpus, monkeypatch
+    ):
+        documents, labels = signature_corpus(n_classes=2, per_class=6)
+        plan_seeds, fit_seeds = [], []
+        plan = evaluation.stratified_kfold
+        fit = evaluation.fit_pipeline
+        monkeypatch.setattr(
+            evaluation, "stratified_kfold",
+            lambda labels, k, seed: plan_seeds.append(seed) or plan(labels, k, seed),
+        )
+        monkeypatch.setattr(
+            evaluation, "fit_pipeline",
+            lambda docs, labs, config: fit_seeds.append(config.seed) or fit(docs, labs, config),
+        )
+        cross_validate(documents, labels, PipelineConfig(seed=8), k=3)
+        assert plan_seeds == [substream(8, "folds")]
+        assert fit_seeds == [substream(8, f"fold-{i}") for i in range(3)]
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            cross_validate([["a"]], [0, 1], PipelineConfig(), k=2, seed=0)
+            cross_validate([["a"]], [0, 1], PipelineConfig(), k=2)
 
     def test_render_and_dict(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=2, per_class=6)
-        report = cross_validate(documents, labels, PipelineConfig(), k=2, seed=1)
+        report = cross_validate(documents, labels, PipelineConfig(seed=1), k=2)
         assert render_cv_line(report) == "1.00000 (+/- 0.00000)"
         data = cv_to_dict(report)
         assert data["mean"] == 1.0

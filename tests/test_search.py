@@ -39,7 +39,6 @@ def tiny_spec(**overrides) -> GridSpec:
         alphas=[1e-3, 1e-4],
         inner_folds=2,
         dev_fraction=0.5,
-        seed=0,
     )
     for key, value in overrides.items():
         setattr(spec, key, value)
@@ -91,10 +90,9 @@ class TestGridSpecIO:
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps({"ngram_ranges": [[2, 2]], "seed": 7}), "utf-8")
+        path.write_text(json.dumps({"ngram_ranges": [[2, 2]]}), "utf-8")
         spec = load_grid_spec(path)
         assert spec.ngram_ranges == [NgramRange(2, 2)]
-        assert spec.seed == 7
 
     def test_scalar_axis_rejected(self):
         with pytest.raises(ValueError, match="malformed grid spec"):
@@ -118,6 +116,16 @@ class TestGridSpecIO:
         (from_grid,) = enumerate_grid(spec, PipelineConfig())
         assert from_grid == params_from_dict(raw, PipelineConfig())
         assert from_grid == PipelineConfig(NgramRange(1, 3), "none", False, True, "l1", 2.0)
+
+    def test_seed_key_rejected(self):
+        # The seed is the base config's; a grid file cannot set one.
+        with pytest.raises(ValueError, match="unknown grid spec keys \\['seed'\\]"):
+            grid_spec_from_dict({"seed": 7})
+
+    @pytest.mark.parametrize("fraction", [0, 1, 1.5, -0.25])
+    def test_dev_fraction_outside_the_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="dev_fraction must be in \\(0, 1\\)"):
+            grid_spec_from_dict({"dev_fraction": fraction})
 
     def test_string_axis_rejected(self):
         # A string would otherwise be swept character by character.
@@ -160,17 +168,15 @@ class TestWinnerParams:
 class TestGridSearch:
     def test_candidates_ranked_by_mean(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        candidates = grid_search(documents, labels, PipelineConfig(), tiny_spec(seed=2))
+        candidates = grid_search(documents, labels, PipelineConfig(seed=2), tiny_spec())
         assert [c.rank for c in candidates] == [1, 2]
         assert candidates[0].mean >= candidates[1].mean
         assert all(c.error is None for c in candidates)
 
     def test_failing_candidates_ranked_last_with_note(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        spec = tiny_spec(
-            ngram_ranges=[NgramRange(1, 1), NgramRange(4, 4)], alphas=[1e-4], seed=2
-        )
-        candidates = grid_search(documents, labels, PipelineConfig(), spec)
+        spec = tiny_spec(ngram_ranges=[NgramRange(1, 1), NgramRange(4, 4)], alphas=[1e-4])
+        candidates = grid_search(documents, labels, PipelineConfig(seed=2), spec)
         assert len(candidates) == 2
         assert candidates[0].error is None
         assert candidates[1].error is not None
@@ -180,9 +186,9 @@ class TestGridSearch:
 
     def test_parallel_ranking_matches_sequential(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        spec = tiny_spec(alphas=[1e-3, 1e-4, 1e-5], seed=4)
-        sequential = grid_search(documents, labels, PipelineConfig(), spec, jobs=1)
-        parallel = grid_search(documents, labels, PipelineConfig(), spec, jobs=2)
+        spec = tiny_spec(alphas=[1e-3, 1e-4, 1e-5])
+        sequential = grid_search(documents, labels, PipelineConfig(seed=4), spec, jobs=1)
+        parallel = grid_search(documents, labels, PipelineConfig(seed=4), spec, jobs=2)
         assert [(c.rank, c.params, c.mean, c.std, c.error) for c in sequential] == [
             (c.rank, c.params, c.mean, c.std, c.error) for c in parallel
         ]
@@ -208,8 +214,8 @@ class TestGridSearch:
         monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(search, "_WORKER_STATE", {})
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        sequential = grid_search(documents, labels, PipelineConfig(), tiny_spec(seed=4))
-        pooled = grid_search(documents, labels, PipelineConfig(), tiny_spec(seed=4), jobs=500)
+        sequential = grid_search(documents, labels, PipelineConfig(seed=4), tiny_spec())
+        pooled = grid_search(documents, labels, PipelineConfig(seed=4), tiny_spec(), jobs=500)
         assert pools == [2]
         assert [(c.params, c.mean, c.std) for c in pooled] == [
             (c.params, c.mean, c.std) for c in sequential
@@ -220,8 +226,8 @@ class TestGridSearch:
     def test_every_candidate_sees_the_same_development_set(self, signature_corpus):
         # Two identical parameter rows in one sweep must score identically.
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        spec = tiny_spec(alphas=[1e-4, 1e-4], seed=5)
-        candidates = grid_search(documents, labels, PipelineConfig(), spec)
+        spec = tiny_spec(alphas=[1e-4, 1e-4])
+        candidates = grid_search(documents, labels, PipelineConfig(seed=5), spec)
         assert candidates[0].mean == candidates[1].mean
         assert candidates[0].std == candidates[1].std
 
@@ -229,17 +235,24 @@ class TestGridSearch:
 class TestCompareRuns:
     def test_same_params_produce_identical_reports(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        report = compare_runs(documents, labels, PipelineConfig(), PipelineConfig(), k=3, seed=6)
+        config = PipelineConfig(seed=6)
+        report = compare_runs(documents, labels, config, config, k=3)
         assert report.default.fold_accuracies == report.tuned.fold_accuracies
         assert report.mean_delta == 0.0
 
     def test_mean_delta_sign(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=8)
-        weak = PipelineConfig(NgramRange(1, 1), "l2", True, True, "l2", 1e-4)
-        report = compare_runs(documents, labels, weak, weak, k=3, seed=6)
+        weak = PipelineConfig(NgramRange(1, 1), "l2", True, True, "l2", 1e-4, seed=6)
+        report = compare_runs(documents, labels, weak, weak, k=3)
         assert math.isclose(
             report.mean_delta, report.tuned.mean - report.default.mean, abs_tol=1e-15
         )
+
+
+    def test_arms_with_different_seeds_rejected(self, signature_corpus):
+        documents, labels = signature_corpus(n_classes=3, per_class=8)
+        with pytest.raises(ValueError, match="one seed"):
+            compare_runs(documents, labels, PipelineConfig(seed=1), PipelineConfig(seed=2), k=3)
 
 
 class TestRenderGridTable:
