@@ -28,16 +28,7 @@ from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipe
 from .resample import SmoteResult, interpolate, neighbor_table, smote
 from .search import Candidate, GridSpec, compare_runs, enumerate_grid, grid_search
 from .seeds import substream
-from .sgd import (
-    LinearModel,
-    LossKind,
-    decision,
-    fit_binary,
-    fit_multiclass,
-    loss_dmargin,
-    loss_value,
-    predict,
-)
+from .sgd import LinearModel, decision, fit_multiclass, loss_dmargin, predict
 
 __version__ = "0.1.0"
 
@@ -51,7 +42,6 @@ __all__ = [
     "GridSpec",
     "LabeledCorpus",
     "LinearModel",
-    "LossKind",
     "NgramRange",
     "PipelineConfig",
     "SmoteResult",
@@ -66,7 +56,6 @@ __all__ = [
     "enumerate_grid",
     "extract_ngrams",
     "fit",
-    "fit_binary",
     "fit_multiclass",
     "fit_pipeline",
     "grid_search",
@@ -74,7 +63,6 @@ __all__ = [
     "load_corpus",
     "load_stop_words",
     "loss_dmargin",
-    "loss_value",
     "neighbor_table",
     "per_class_metrics",
     "predict",

@@ -42,18 +42,10 @@ from .search import (
     winner_params,
 )
 from .seeds import substream
-from .sgd import LossKind
 
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-LOSSES = {
-    "svm": LossKind.HINGE,
-    "logreg": LossKind.LOG,
-    "perceptron": LossKind.PERCEPTRON,
-}
-LOSS_NAMES = {kind: name for name, kind in LOSSES.items()}
 
 
 def _fraction(text: str) -> float:
@@ -89,7 +81,7 @@ def _ngram_pair(text: str) -> features.NgramRange:
 # argparse dest. A flag left off is absent from the namespace, so every
 # default is PipelineConfig's own.
 PIPELINE_FLAGS = {
-    "loss": ("--loss", {"choices": sorted(LOSSES)}),
+    "loss": ("--loss", {"choices": sgd.LOSSES}),
     "ngram_range": ("--ngram", {"type": _ngram_pair, "metavar": "LO,HI", "help": "n-gram range"}),
     "norm": ("--norm", {"choices": features.NORMS}),
     "use_idf": ("--use-idf", {"action": argparse.BooleanOptionalAction}),
@@ -105,8 +97,6 @@ PIPELINE_FLAGS = {
 def _config_from_args(args: argparse.Namespace, stream: str) -> PipelineConfig:
     """The pipeline flags given, as one PipelineConfig seeded with substream(--seed, stream)."""
     given = {name: getattr(args, name) for name in PIPELINE_FLAGS if hasattr(args, name)}
-    if "loss" in given:
-        given["loss"] = LOSSES[given["loss"]]
     return PipelineConfig(**given, seed=substream(args.seed, stream))
 
 
@@ -246,7 +236,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_json(
         out_dir / "train_meta.json",
         {
-            "loss": LOSS_NAMES[config.loss],
+            "loss": config.loss,
             "params": params_to_dict(config),
             "epochs": config.epochs,
             "smote": config.smote,
@@ -256,7 +246,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     sgd.save_model(fitted.model, out_dir / "model.json")
     print(
-        f"trained {LOSS_NAMES[config.loss]} on {len(fitted.model.classes)} classes, "
+        f"trained {config.loss} on {len(fitted.model.classes)} classes, "
         f"{fitted.model.feature_dim} features"
     )
     return EXIT_OK
@@ -354,18 +344,17 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     config = _config_from_args(args, "crossval")
     documents, labels = _train_split(out_dir)
     report = cross_validate(documents, labels, config, args.k)
-    loss = LOSS_NAMES[config.loss]
     _write_json(
         out_dir / "cv_report.json",
         {
-            "loss": loss,
+            "loss": config.loss,
             "params": params_to_dict(config),
             "k": args.k,
             "seed": args.seed,
             **cv_to_dict(report),
         },
     )
-    line = f"{loss}\t{render_cv_line(report)}"
+    line = f"{config.loss}\t{render_cv_line(report)}"
     _write_text(out_dir / "cv_report.txt", line + "\n")
     print(line)
     return EXIT_OK
@@ -383,11 +372,10 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     candidates = grid_search(documents, labels, config, spec, jobs=args.jobs)
     elapsed = time.perf_counter() - started
-    loss = LOSS_NAMES[config.loss]
     _write_json(
         out_dir / "grid_results.json",
         {
-            "loss": loss,
+            "loss": config.loss,
             "seed": args.seed,
             "inner_folds": spec.inner_folds,
             "dev_fraction": spec.dev_fraction,
@@ -395,7 +383,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
             "elapsed_seconds": elapsed,
         },
     )
-    _write_text(out_dir / "grid_results.txt", render_grid_table(candidates, loss))
+    _write_text(out_dir / "grid_results.txt", render_grid_table(candidates, config.loss))
     winner = candidates[0]
     # Failed candidates rank last, so a failed winner means every one failed.
     if winner.error is not None:
@@ -416,11 +404,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # The default arm keeps loss, epochs and SMOTE; its six tuned values are the defaults.
     default = replace(config, **{f: getattr(PipelineConfig(), f) for f in TUNED_FIELDS})
     report = compare_runs(documents, labels, default, tuned, args.k)
-    loss = LOSS_NAMES[config.loss]
     _write_json(
         out_dir / "compare.json",
         {
-            "loss": loss,
+            "loss": config.loss,
             "k": args.k,
             "seed": args.seed,
             "default_params": params_to_dict(default),
@@ -433,9 +420,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     )
     lines = [
         "Arm\tClassifier\tAccuracy",
-        f"default\t{loss}\t{render_cv_line(report.default)}",
-        f"tuned\t{loss}\t{render_cv_line(report.tuned)}",
-        f"delta\t{loss}\t{report.mean_delta:+.5f}",
+        f"default\t{config.loss}\t{render_cv_line(report.default)}",
+        f"tuned\t{config.loss}\t{render_cv_line(report.tuned)}",
+        f"delta\t{config.loss}\t{report.mean_delta:+.5f}",
     ]
     _write_text(out_dir / "compare.txt", "\n".join(lines) + "\n")
     print(lines[1])

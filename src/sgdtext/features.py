@@ -46,7 +46,7 @@ class NgramRange:
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
+        if not (type(self.lo) is int and type(self.hi) is int):
             raise ValueError(f"n-gram bounds must be integers, got ({self.lo!r}, {self.hi!r})")
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"need 1 <= lo <= hi, got ({self.lo}, {self.hi})")
@@ -250,24 +250,31 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
             )
         lo, hi = data["ngram_range"]
         rows = data["vocabulary"]
-        vocabulary = {gram: int(index) for gram, index, _ in rows}
+        n_docs = data["n_docs"]
+        if type(n_docs) is not int or not all(
+            type(index) is int and type(df) is int for _, index, df in rows
+        ):
+            raise TfidfFormatError(
+                "n_docs, vocabulary indices and document frequencies must be JSON integers"
+            )
+        if not (type(data["use_idf"]) is bool and type(data["smooth_idf"]) is bool):
+            raise TfidfFormatError("use_idf and smooth_idf must be JSON booleans")
+        vocabulary = {gram: index for gram, index, _ in rows}
         if sorted(vocabulary.values()) != list(range(len(vocabulary))):
             raise TfidfFormatError("vocabulary indices are not a dense 0..V-1 range")
         doc_freq = np.zeros(len(rows), dtype=np.int64)
         for _, index, df in rows:
-            doc_freq[int(index)] = int(df)
-        n_docs = int(data["n_docs"])
+            doc_freq[index] = df
         if n_docs < 1:
             raise TfidfFormatError(f"n_docs must be >= 1, got {n_docs}")
         if doc_freq.size and not (doc_freq.min() >= 1 and doc_freq.max() <= n_docs):
             raise TfidfFormatError(f"document frequencies must lie in [1, n_docs = {n_docs}]")
-        ngram_range = NgramRange(int(lo), int(hi))
-        norm = str(data["norm"])
+        norm = data["norm"]
         if norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
         model = TfidfModel(
-            vocabulary, doc_freq, n_docs, ngram_range=ngram_range,
-            use_idf=bool(data["use_idf"]), smooth_idf=bool(data["smooth_idf"]), norm=norm,
+            vocabulary, doc_freq, n_docs, ngram_range=NgramRange(lo, hi),
+            use_idf=data["use_idf"], smooth_idf=data["smooth_idf"], norm=norm,
         )
     except TfidfFormatError:
         raise

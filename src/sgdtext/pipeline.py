@@ -17,7 +17,20 @@ from . import features, sgd
 from .features import NgramRange, TfidfModel
 from .resample import smote
 from .seeds import substream
-from .sgd import LinearModel, LossKind
+from .sgd import LinearModel
+
+# The types each non-string field accepts. bool is an int subclass, but a
+# switch is never a number here, nor a number a switch.
+_FIELD_TYPES = {
+    "ngram_range": (NgramRange,),
+    "use_idf": (bool,),
+    "smooth_idf": (bool,),
+    "alpha": (int, float),
+    "epochs": (int,),
+    "smote": (bool,),
+    "smote_k": (int,),
+    "seed": (int,),
+}
 
 
 @dataclass(frozen=True)
@@ -28,14 +41,21 @@ class PipelineConfig:
     smooth_idf: bool = True
     penalty: str = "l2"
     alpha: float = 1e-4
-    loss: LossKind = LossKind.HINGE
+    loss: str = "svm"
     epochs: int = 5
     smote: bool = False
     smote_k: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # An out-of-range value fails when the config is built, not in the middle of a fit.
+        # A wrongly typed or out-of-range value fails here, not in the middle of a fit.
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                kinds = " or ".join(t.__name__ for t in types)
+                raise ValueError(f"{name} must be {kinds}, got {value!r}")
+        if self.loss not in sgd.LOSSES:
+            raise ValueError(f"loss must be one of {sgd.LOSSES}, got {self.loss!r}")
         if self.norm not in features.NORMS:
             raise ValueError(f"norm must be one of {features.NORMS}, got {self.norm!r}")
         if self.penalty not in sgd.PENALTIES:

@@ -29,21 +29,18 @@ GRID_AXES = ("ngram_ranges", "norms", "use_idf", "smooth_idf", "penalties", "alp
 TUNED_FIELDS = ("ngram_range", "norm", "use_idf", "smooth_idf", "penalty", "alpha")
 
 
-def _ngram_range_from_json(value: object) -> NgramRange:
-    lo, hi = value
-    return NgramRange(int(lo), int(hi))
+def _tuned_from_json(name: str, value: object) -> object:
+    """A tuned field's PipelineConfig value from its JSON value in a grid spec or params object.
 
-
-# How the JSON value of each tuned field, in a grid spec or a params object,
-# becomes its PipelineConfig value.
-_TUNED_FROM_JSON = {
-    "ngram_range": _ngram_range_from_json,
-    "norm": str,
-    "use_idf": bool,
-    "smooth_idf": bool,
-    "penalty": str,
-    "alpha": float,
-}
+    A pair becomes an NgramRange and a number a float alpha, so "alphas": [1]
+    sweeps 1.0. Every other value passes as it is, for PipelineConfig to check.
+    """
+    if name == "ngram_range":
+        lo, hi = value
+        return NgramRange(lo, hi)
+    if name == "alpha" and type(value) in (int, float):
+        return float(value)
+    return value
 
 
 @dataclass
@@ -95,13 +92,17 @@ def grid_spec_from_dict(data: object) -> GridSpec:
             if axis in data:
                 if not isinstance(data[axis], list):
                     raise ValueError(f"axis {axis!r} must be a JSON array")
-                setattr(spec, axis, [_TUNED_FROM_JSON[name](v) for v in data[axis]])
+                setattr(spec, axis, [_tuned_from_json(name, v) for v in data[axis]])
         if "inner_folds" in data:
-            spec.inner_folds = int(data["inner_folds"])
+            spec.inner_folds = data["inner_folds"]
+            if type(spec.inner_folds) is not int:
+                raise ValueError(f"inner_folds must be a JSON integer, got {spec.inner_folds!r}")
             if spec.inner_folds < 2:
                 raise ValueError(f"inner_folds must be >= 2, got {spec.inner_folds}")
         if "dev_fraction" in data:
-            spec.dev_fraction = float(data["dev_fraction"])
+            spec.dev_fraction = data["dev_fraction"]
+            if type(spec.dev_fraction) not in (int, float):
+                raise ValueError(f"dev_fraction must be a JSON number, got {spec.dev_fraction!r}")
             if not 0.0 < spec.dev_fraction < 1.0:
                 raise ValueError(f"dev_fraction must be in (0, 1), got {spec.dev_fraction}")
     except (TypeError, ValueError) as exc:
@@ -116,7 +117,7 @@ def load_grid_spec(path: str | Path) -> GridSpec:
 def enumerate_grid(spec: GridSpec, base: PipelineConfig) -> list[PipelineConfig]:
     """base with its six tuned fields set to each point of the grid, in axis order.
 
-    Raises ValueError for an empty axis or an out-of-range axis value.
+    Raises ValueError for an empty axis or an axis value PipelineConfig rejects.
     """
     axes = [getattr(spec, name) for name in GRID_AXES]
     for name, axis in zip(GRID_AXES, axes):
@@ -256,7 +257,7 @@ def params_label(config: PipelineConfig) -> str:
 
 def params_from_dict(data: dict, base: PipelineConfig) -> PipelineConfig:
     """base with its six tuned fields read from a params_to_dict object."""
-    return replace(base, **{name: _TUNED_FROM_JSON[name](data[name]) for name in TUNED_FIELDS})
+    return replace(base, **{name: _tuned_from_json(name, data[name]) for name in TUNED_FIELDS})
 
 
 def winner_params(grid_results: object, base: PipelineConfig) -> PipelineConfig:

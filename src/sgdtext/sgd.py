@@ -17,7 +17,6 @@ dense inputs reduces exactly to per-step soft thresholding.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ if TYPE_CHECKING:
 
 MODEL_FORMAT_VERSION = 1
 
+LOSSES = ("svm", "logreg", "perceptron")
 PENALTIES = ("l1", "l2")
 
 
@@ -43,12 +43,6 @@ class ModelFormatError(ValueError):
 
 class NumericError(ValueError):
     """Training produced or was fed non-finite values."""
-
-
-class LossKind(enum.Enum):
-    HINGE = "hinge"
-    LOG = "log"
-    PERCEPTRON = "perceptron"
 
 
 @dataclass(eq=False)
@@ -61,27 +55,18 @@ class LinearModel:
     feature_dim: int
 
 
-def loss_value(kind: LossKind, margin: float) -> float:
-    """Loss at margin m = y * f(x)."""
-    if kind is LossKind.HINGE:
-        return max(0.0, 1.0 - margin)
-    if kind is LossKind.LOG:
-        if margin < -30.0:
-            return -margin
-        return math.log1p(math.exp(-margin))
-    return max(0.0, -margin)
+def loss_dmargin(loss: str, margin: float) -> float:
+    """Subgradient of the loss at margin m = y * f(x), with respect to m.
 
-
-def loss_dmargin(kind: LossKind, margin: float) -> float:
-    """Subgradient of loss_value with respect to the margin.
-
-    At the perceptron kink (margin 0) the subgradient is -1, not 0:
-    training starts from zero weights, where every margin is exactly 0,
-    and choosing 0 there would make the zero model a fixed point.
+    The losses are "svm", the hinge max(0, 1 - m); "logreg", the log loss
+    log(1 + exp(-m)); and "perceptron", max(0, -m). At the perceptron kink
+    (margin 0) the subgradient is -1, not 0: training starts from zero
+    weights, where every margin is exactly 0, and choosing 0 there would
+    make the zero model a fixed point.
     """
-    if kind is LossKind.HINGE:
+    if loss == "svm":
         return -1.0 if margin < 1.0 else 0.0
-    if kind is LossKind.LOG:
+    if loss == "logreg":
         if margin >= 0.0:
             em = math.exp(-margin)
             return -em / (1.0 + em)
@@ -110,7 +95,7 @@ def predict(model: LinearModel, X: SparseRows) -> list[int]:
     return [model.classes[k] for k in np.argmax(decision(model, X), axis=1).tolist()]
 
 
-def schedule_t0(loss: LossKind, alpha: float) -> float:
+def schedule_t0(loss: str, alpha: float) -> float:
     """Anchor of the 1/(alpha*(t0+t)) schedule.
 
     Chooses the initial step so a typical-magnitude weight (1/alpha^(1/4),
@@ -207,31 +192,6 @@ def _fit_rows(
     return W, B
 
 
-def fit_binary(
-    X: SparseRows,
-    y: Sequence[float],
-    config: PipelineConfig,
-    *,
-    feature_dim: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Train one binary classifier with labels in {-1, +1}.
-
-    Reads loss, penalty, alpha, epochs and seed from config. Returns
-    (weights, intercept). Deterministic for a fixed seed; a
-    one-class input is legal and converges to a constant predictor.
-    """
-    n = len(X)
-    if n == 0:
-        raise ValueError("need at least one training sample")
-    y_arr = np.asarray(y, dtype=np.float64)
-    if y_arr.shape != (n,):
-        raise ValueError(f"labels shape {y_arr.shape} does not match {n} samples")
-    if not np.all(np.isin(y_arr, (-1.0, 1.0))):
-        raise ValueError("binary labels must be -1 or +1")
-    W, B = _fit_rows(X, y_arr[:, None], config, feature_dim)
-    return W[0], float(B[0])
-
-
 def fit_multiclass(
     X: SparseRows,
     labels: Sequence[int],
@@ -275,15 +235,20 @@ def model_from_dict(data: dict) -> LinearModel:
             raise ModelFormatError(
                 f"unsupported model format version {version!r}; expected {MODEL_FORMAT_VERSION}"
             )
-        classes = [int(c) for c in data["classes"]]
+        classes = data["classes"]
+        feature_dim = data["feature_dim"]
+        if not (all(type(c) is int for c in classes) and type(feature_dim) is int):
+            raise ModelFormatError("classes and feature_dim must be JSON integers")
         # predict breaks ties toward the lowest index, which must be the lowest class id.
         if any(b <= a for a, b in zip(classes, classes[1:])):
             raise ModelFormatError(f"classes must be strictly increasing, got {classes}")
-        feature_dim = int(data["feature_dim"])
         intercepts = np.asarray(data["intercepts"], dtype=np.float64)
         weights = np.zeros((len(classes), feature_dim), dtype=np.float64)
         for k, row in enumerate(data["weights"]):
-            idx = np.asarray([int(j) for j, _ in row], dtype=np.int64)
+            idx = [j for j, _ in row]
+            if not all(type(j) is int for j in idx):
+                raise ModelFormatError(f"weight row {k} has a non-integer feature index")
+            idx = np.asarray(idx, dtype=np.int64)
             if idx.size and not (
                 idx.min() >= 0 and idx.max() < feature_dim and np.unique(idx).size == idx.size
             ):

@@ -2,7 +2,9 @@
 
 None of these run in the library: they are slow, dense, per-document or
 per-class versions of what src/ does, kept so a faster, batched or shared
-path can be checked against them.
+path can be checked against them. loss_value gives the losses whose
+subgradients the trainer uses, and binary_row is the binary classifier the
+tests train through the one-vs-rest trainer.
 """
 
 from __future__ import annotations
@@ -18,13 +20,23 @@ from sgdtext.pipeline import PipelineConfig
 from sgdtext.resample import squared_distance
 from sgdtext.sgd import (
     LinearModel,
-    LossKind,
     NumericError,
     epoch_orders,
+    fit_multiclass,
     loss_dmargin,
-    loss_value,
     schedule_t0,
 )
+
+
+def loss_value(loss: str, margin: float) -> float:
+    """The loss at margin m = y * f(x) whose subgradient sgd.loss_dmargin is."""
+    if loss == "svm":
+        return max(0.0, 1.0 - margin)
+    if loss == "logreg":
+        if margin < -30.0:
+            return -margin
+        return math.log1p(math.exp(-margin))
+    return max(0.0, -margin)
 
 
 def normalize(v: Row, norm: str) -> Row:
@@ -86,8 +98,7 @@ def fit_binary_alone(
     """One complete SGD run for a single {-1, +1} label vector.
 
     This is the trainer as it was before all one-vs-rest rows shared one
-    pass; sgd.fit_binary and every row of sgd.fit_multiclass must equal it
-    bit for bit.
+    pass; every row of sgd.fit_multiclass must equal it bit for bit.
     """
     y_arr = np.asarray(y, dtype=np.float64)
     if feature_dim is None:
@@ -135,6 +146,21 @@ def fit_binary_alone(
     return w, b
 
 
+def binary_row(
+    X: SparseRows,
+    y: Sequence[float],
+    config: PipelineConfig,
+    feature_dim: int | None = None,
+) -> tuple[np.ndarray, float]:
+    """The binary classifier for {-1, +1} labels y: row +1 of the one-vs-rest fit.
+
+    Returns (weights, intercept).
+    """
+    model = fit_multiclass(X, y, config, feature_dim=feature_dim)
+    assert model.classes == [-1, 1]
+    return model.weights[1], float(model.intercepts[1])
+
+
 def fit_multiclass_per_class(
     X: SparseRows, labels: Sequence[int], config: PipelineConfig
 ) -> LinearModel:
@@ -157,7 +183,7 @@ def regularized_objective(
     y: Sequence[float],
     w: np.ndarray,
     b: float,
-    loss: LossKind,
+    loss: str,
     alpha: float,
     penalty: str = "l2",
 ) -> float:
@@ -184,7 +210,7 @@ def batch_gd_oracle(
     """Full-batch gradient descent on the same L2-regularized objective.
 
     For small problems only; the intercept is trained but not regularized,
-    mirroring fit_binary. The default learning rate is the inverse of a
+    mirroring the SGD trainer. The default learning rate is the inverse of a
     smoothness bound for the log loss, which makes descent monotone on
     convex problems. Zero iterations returns zero weights.
     """

@@ -479,10 +479,21 @@ class TestMalformedInputFiles:
             ('{"seed": 7}', "unknown grid spec keys ['seed']"),
             ('{"dev_fraction": 0}', "dev_fraction must be in (0, 1)"),
             ('{"dev_fraction": 1.5}', "dev_fraction must be in (0, 1)"),
+            ('{"use_idf": ["false"]}', "invalid grid value: use_idf must be bool"),
+            ('{"smooth_idf": [0]}', "invalid grid value: smooth_idf must be bool"),
+            ('{"alphas": ["1e-3"]}', "invalid grid value: alpha must be int or float"),
+            ('{"alphas": [true]}', "invalid grid value: alpha must be int or float"),
+            ('{"ngram_ranges": [[1.7, 2]]}', "n-gram bounds must be integers"),
+            ('{"ngram_ranges": [[true, 2]]}', "n-gram bounds must be integers"),
+            ('{"inner_folds": 2.9}', "inner_folds must be a JSON integer"),
+            ('{"inner_folds": true}', "inner_folds must be a JSON integer"),
+            ('{"dev_fraction": "0.5"}', "dev_fraction must be a JSON number"),
         ],
         ids=["scalar-axis", "scalar-ngram-range", "unknown-key", "top-level-list",
              "bad-norm", "bad-penalty", "negative-alpha", "one-inner-fold", "no-inner-folds",
-             "seed", "no-dev-fraction", "dev-fraction-above-one"],
+             "seed", "no-dev-fraction", "dev-fraction-above-one", "string-use-idf",
+             "integer-smooth-idf", "string-alpha", "bool-alpha", "float-ngram-bound",
+             "bool-ngram-bound", "float-inner-folds", "bool-inner-folds", "string-dev-fraction"],
     )
     def test_gridsearch_grid(self, prepared, tmp_path, capsys, monkeypatch, content, message):
         scored = []
@@ -708,6 +719,65 @@ class TestExitCodes:
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, spoil, message",
+        [
+            ("use_idf", lambda v: "false", "use_idf and smooth_idf must be JSON booleans"),
+            ("smooth_idf", int, "use_idf and smooth_idf must be JSON booleans"),
+            ("n_docs", float, "must be JSON integers"),
+            ("n_docs", bool, "must be JSON integers"),
+            ("index", float, "must be JSON integers"),
+            ("df", lambda v: v + 0.5, "must be JSON integers"),
+            ("ngram_range", lambda v: [float(b) for b in v], "n-gram bounds must be integers"),
+            ("ngram_range", lambda v: [True, True], "n-gram bounds must be integers"),
+        ],
+        ids=["string-use-idf", "integer-smooth-idf", "float-n-docs", "bool-n-docs",
+             "float-index", "float-df", "float-ngram-bounds", "bool-ngram-bounds"],
+    )
+    def test_vectorizer_with_a_wrongly_typed_value(
+        self, labeled_csv, tmp_path, capsys, field, spoil, message
+    ):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "tfidf.json").read_text("utf-8"))
+        if field in ("index", "df"):
+            position = 1 if field == "index" else 2
+            data["vocabulary"][0][position] = spoil(data["vocabulary"][0][position])
+        else:
+            data[field] = spoil(data[field])
+        (out / "tfidf.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("float-classes", "classes and feature_dim must be JSON integers"),
+            ("float-feature-dim", "classes and feature_dim must be JSON integers"),
+            ("float-index", "weight row 0 has a non-integer feature index"),
+            ("bool-index", "weight row 0 has a non-integer feature index"),
+        ],
+    )
+    def test_model_with_a_wrongly_typed_value(self, labeled_csv, tmp_path, capsys, fault, message):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "model.json").read_text("utf-8"))
+        if fault == "float-classes":
+            data["classes"] = [0.5, 1.9, 2.2]
+        elif fault == "float-feature-dim":
+            data["feature_dim"] += 0.5
+        else:
+            data["weights"][0] = [[1.5 if fault == "float-index" else True, 0.5]]
+        (out / "model.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
     @pytest.mark.parametrize("classes", [[1, 1, 1], [2, 1, 0]], ids=["repeated", "unordered"])
     def test_model_classes_not_strictly_increasing(self, labeled_csv, tmp_path, capsys, classes):
         out = tmp_path / "run"
@@ -759,6 +829,9 @@ class TestExitCodes:
     def test_usage_errors_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["train", "--out", str(tmp_path), "--alpha", "-1"])
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--out", str(tmp_path), "--loss", "hinge"])
         assert info.value.code == 2
         with pytest.raises(SystemExit) as info:
             main(["unknown-subcommand"])

@@ -12,7 +12,6 @@ from sgdtext.features import NgramRange
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import smote
 from sgdtext.seeds import substream
-from sgdtext.sgd import LossKind
 
 
 class TestFitPipeline:
@@ -23,7 +22,7 @@ class TestFitPipeline:
 
     def test_deterministic_for_seed(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=6)
-        config = PipelineConfig(loss=LossKind.LOG, seed=11)
+        config = PipelineConfig(loss="logreg", seed=11)
         first = fit_pipeline(documents, labels, config)
         second = fit_pipeline(documents, labels, config)
         assert np.array_equal(first.model.weights, second.model.weights)
@@ -96,6 +95,10 @@ class TestPipelineConfig:
             ("alpha", float("nan"), "alpha must be positive"),
             ("epochs", 0, "epochs must be >= 1"),
             ("smote_k", 0, "smote_k must be >= 1"),
+            ("loss", "hinge", "loss must be one of"),
+            ("loss", "log", "loss must be one of"),
+            ("loss", 7, "loss must be one of"),
+            ("loss", None, "loss must be one of"),
         ],
     )
     def test_out_of_range_value_fails_when_built(self, field, value, message):
@@ -103,3 +106,38 @@ class TestPipelineConfig:
             PipelineConfig(**{field: value})
         with pytest.raises(ValueError, match=message):
             replace(PipelineConfig(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ngram_range", (1, 2)),
+            ("use_idf", "no"),
+            ("use_idf", 0),
+            ("smooth_idf", 1),
+            ("smote", "yes"),
+            ("alpha", "1e-3"),
+            ("alpha", True),
+            ("epochs", 2.5),
+            ("epochs", True),
+            ("smote_k", 3.0),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+    )
+    def test_wrongly_typed_value_fails_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            PipelineConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            replace(PipelineConfig(), **{field: value})
+
+    def test_each_loss_trains_its_own_model(self, signature_corpus):
+        documents, labels = signature_corpus(n_classes=3, per_class=4)
+        weights = {
+            loss: fit_pipeline(documents, labels, PipelineConfig(loss=loss, seed=1)).model.weights
+            for loss in sgd.LOSSES
+        }
+        assert not np.array_equal(weights["svm"], weights["perceptron"])
+        assert not np.array_equal(weights["logreg"], weights["perceptron"])
+
+    def test_integer_alpha_is_a_number(self):
+        assert PipelineConfig(alpha=1).alpha == 1

@@ -108,7 +108,7 @@ class TestGridSpecIO:
 
     def test_axis_values_parse_as_params_values(self):
         # Grid axes and params objects share one converter per tuned field.
-        raw = {"ngram_range": [1, 3], "norm": "none", "use_idf": 0, "smooth_idf": 1,
+        raw = {"ngram_range": [1, 3], "norm": "none", "use_idf": False, "smooth_idf": True,
                "penalty": "l1", "alpha": 2}
         spec = grid_spec_from_dict(
             {axis: [raw[name]] for axis, name in zip(GRID_AXES, TUNED_FIELDS)}
@@ -156,6 +156,19 @@ class TestWinnerParams:
         failed = {"rank": 1, "error": "boom", "params": params_to_dict(PipelineConfig())}
         with pytest.raises(ValueError, match="rank-1 grid candidate failed: boom"):
             winner_params({"candidates": [failed]}, PipelineConfig())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", "1e-3"), ("alpha", True), ("use_idf", 1), ("smooth_idf", "false"),
+         ("ngram_range", [1.7, 2]), ("ngram_range", [True, 2])],
+    )
+    def test_wrongly_typed_params_rejected(self, field, value):
+        params = params_to_dict(PipelineConfig())
+        params[field] = value
+        with pytest.raises(ValueError, match="must be"):
+            params_from_dict(params, PipelineConfig())
+        with pytest.raises(ValueError, match="malformed grid results candidate"):
+            winner_params({"candidates": [{"rank": 1, "params": params}]}, PipelineConfig())
 
     @pytest.mark.parametrize(
         "data", [{"candidates": 5}, [], {"candidates": []}, {"candidates": [{"rank": 1}]}]

