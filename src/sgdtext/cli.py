@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import corpus, features, sgd
-from .artifacts import atomic_write
+from .artifacts import atomic_write, read_json
 from .corpus import LabeledCorpus
 from .evaluation import (
     CrossValidationError,
@@ -109,13 +109,6 @@ def _train_split(out_dir: Path) -> tuple[list[list[str]], list[int]]:
     )
 
 
-def _require_files(*paths: Path) -> None:
-    # Fail before any compute if an input is missing.
-    for path in paths:
-        if not path.is_file():
-            raise FileNotFoundError(f"required file is missing: {path}")
-
-
 def _write_text(path: Path, text: str) -> None:
     with atomic_write(path) as fh:
         fh.write(text)
@@ -144,14 +137,17 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
     """The prepared corpus and its checked split sides, keyed "train" and "test"."""
     corpus_path = out_dir / "corpus.jsonl"
     manifest_path = out_dir / "split.json"
-    _require_files(corpus_path, manifest_path)
     documents: list[list[str]] = []
     labels: list[int] = []
-    with corpus_path.open("r", encoding="utf-8") as fh:
+    # Read as bytes, so a line that is not UTF-8 fails json.loads like one that is not JSON.
+    with corpus_path.open("rb") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError):
+                row = None
             if not (isinstance(row, dict) and type(row.get("label")) is int and row["label"] >= 0
                     and isinstance(row.get("tokens"), list)
                     and all(isinstance(t, str) for t in row["tokens"])):
@@ -159,25 +155,22 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
                                  "and a list of string tokens")
             documents.append(row["tokens"])
             labels.append(row["label"])
-    manifest = json.loads(manifest_path.read_text("utf-8"))
+    manifest = read_json(manifest_path)
     return LabeledCorpus(documents, labels), _split_sides(manifest, len(labels), manifest_path)
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    input_path = Path(args.input)
-    stop_path = Path(args.stopwords) if args.stopwords else None
-    _require_files(*(p for p in (input_path, stop_path) if p is not None))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    stop_words = frozenset() if args.no_stopwords else corpus.load_stop_words(stop_path)
-    result = corpus.load_corpus(input_path, corpus.SCHEMAS[args.schema], stop_words)
+    stop_words = frozenset() if args.no_stopwords else corpus.load_stop_words(args.stopwords)
+    result = corpus.load_corpus(args.input, corpus.SCHEMAS[args.schema], stop_words)
     loaded = result.corpus
     if len(loaded) < 2:
         raise corpus.CorpusError(
             f"only {len(loaded)} usable rows after cleaning; need at least 2"
         )
     plan = corpus.split(len(loaded), args.split, substream(args.seed, "split"), loaded.labels)
+    # Only a prepare that got this far creates its output directory.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     with atomic_write(out_dir / "corpus.jsonl") as fh:
         for label, tokens in zip(loaded.labels, loaded.documents):
@@ -265,8 +258,7 @@ def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.T
     meta_flags = ("loss", "penalty", "alpha", "epochs", "smote", "seed")
     if any(flag in given for flag in meta_flags):
         meta_path = out_dir / "train_meta.json"
-        _require_files(meta_path)
-        meta = json.loads(meta_path.read_text("utf-8"))
+        meta = read_json(meta_path)
         try:
             recorded.update(
                 loss=(meta["loss"], meta_path),
@@ -289,8 +281,6 @@ def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.T
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    _require_files(out_dir / "tfidf.json", out_dir / "model.json")
-    loaded, sides = _load_prepared(out_dir)
     tfidf = features.load_tfidf(out_dir / "tfidf.json")
     model = sgd.load_model(out_dir / "model.json")
     if model.feature_dim != len(tfidf.vocabulary):
@@ -300,6 +290,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "they are not from the same train run"
         )
     _check_eval_flags(args, out_dir, tfidf)
+    loaded, sides = _load_prepared(out_dir)
 
     indices = sides[args.on]
     if not indices:
@@ -364,11 +355,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     config = _config_from_args(args, "grid")
     documents, labels = _train_split(out_dir)
-    if args.grid:
-        _require_files(Path(args.grid))
-        spec = load_grid_spec(args.grid)
-    else:
-        spec = GridSpec()
+    spec = load_grid_spec(args.grid) if args.grid else GridSpec()
     started = time.perf_counter()
     candidates = grid_search(documents, labels, config, spec, jobs=args.jobs)
     elapsed = time.perf_counter() - started
@@ -396,11 +383,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     config = _config_from_args(args, "compare")
     documents, labels = _train_split(out_dir)
-    if args.tuned_from:
-        _require_files(Path(args.tuned_from))
-        tuned = winner_params(json.loads(Path(args.tuned_from).read_text("utf-8")), config)
-    else:
-        tuned = config
+    tuned = winner_params(read_json(args.tuned_from), config) if args.tuned_from else config
     # The default arm keeps loss, epochs and SMOTE; its six tuned values are the defaults.
     default = replace(config, **{f: getattr(PipelineConfig(), f) for f in TUNED_FIELDS})
     report = compare_runs(documents, labels, default, tuned, args.k)
@@ -520,13 +503,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.__cause__
         return EXIT_NUMERIC if isinstance(cause, sgd.NumericError) else EXIT_DATA
-    except (
-        FileNotFoundError,
-        corpus.CorpusError,
-        json.JSONDecodeError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except FileNotFoundError as exc:
+        print(f"error: required file is missing: {exc.filename}", file=sys.stderr)
+        return EXIT_DATA
+    except (OSError, corpus.CorpusError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -80,7 +80,10 @@ def load_stop_words(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         text = resources.files("sgdtext").joinpath("data/stopwords.txt").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        try:
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     words = set()
     for line in text.splitlines():
         word = line.strip()
@@ -108,47 +111,47 @@ def load_corpus(
 ) -> LoadResult:
     """Load a labeled CSV corpus, dropping rows whose text is null or cleans to nothing.
 
-    Raises FileNotFoundError, MissingColumnError, or LabelValueError; the
-    latter two carry the offending column or line number.
+    Raises the OSError of an unreadable path, CorpusError naming a file that
+    is not UTF-8 or not CSV, or MissingColumnError or LabelValueError, which
+    carry the offending column or line number.
     """
     schema = schema or SCHEMAS["generic"]
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such corpus file: {path}")
-
     documents: list[list[str]] = []
     labels: list[int] = []
     dropped = 0
     total = 0
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in (schema.label_column, schema.text_column):
-            if column not in header:
-                raise MissingColumnError(f"column {column!r} not found in header {header!r}")
-        # Header is line 1; data starts at line 2.
-        for line_number, row in enumerate(reader, start=2):
-            total += 1
-            raw_label = (row.get(schema.label_column) or "").strip()
-            try:
-                label = int(raw_label)
-            except ValueError:
-                raise LabelValueError(
-                    f"line {line_number}: label {raw_label!r} is not an integer"
-                ) from None
-            if label < 0:
-                raise LabelValueError(f"line {line_number}: label {label} is negative")
-            text = row.get(schema.text_column) or ""
-            stripped = text.strip()
-            if not stripped or stripped.lower() in DEFAULT_NULL_SENTINELS:
-                dropped += 1
-                continue
-            tokens = clean_text(text, stop_words)
-            if not tokens:
-                dropped += 1
-                continue
-            documents.append(tokens)
-            labels.append(label)
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for column in (schema.label_column, schema.text_column):
+                if column not in header:
+                    raise MissingColumnError(f"column {column!r} not found in header {header!r}")
+            # Header is line 1; data starts at line 2.
+            for line_number, row in enumerate(reader, start=2):
+                total += 1
+                raw_label = (row.get(schema.label_column) or "").strip()
+                try:
+                    label = int(raw_label)
+                except ValueError:
+                    raise LabelValueError(
+                        f"line {line_number}: label {raw_label!r} is not an integer"
+                    ) from None
+                if label < 0:
+                    raise LabelValueError(f"line {line_number}: label {label} is negative")
+                text = row.get(schema.text_column) or ""
+                stripped = text.strip()
+                if not stripped or stripped.lower() in DEFAULT_NULL_SENTINELS:
+                    dropped += 1
+                    continue
+                tokens = clean_text(text, stop_words)
+                if not tokens:
+                    dropped += 1
+                    continue
+                documents.append(tokens)
+                labels.append(label)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CorpusError(f"{path} is not a UTF-8 CSV file: {exc}") from exc
 
     return LoadResult(LabeledCorpus(documents, labels), dropped=dropped, total_rows=total)
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_write
+from .artifacts import atomic_write, read_json
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -278,7 +278,7 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         )
     except TfidfFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TfidfFormatError(f"malformed vectorizer file: {exc}") from exc
     return model
 
@@ -289,11 +289,4 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such vectorizer file: {path}")
-    try:
-        data = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TfidfFormatError(f"vectorizer file is not valid JSON: {exc}") from exc
-    return tfidf_from_dict(data)
+    return tfidf_from_dict(read_json(path, TfidfFormatError))

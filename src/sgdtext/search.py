@@ -10,13 +10,13 @@ aborting the sweep.
 from __future__ import annotations
 
 import itertools
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 from . import corpus
+from .artifacts import read_json
 from .evaluation import CvReport, cross_validate
 from .features import NgramRange
 from .pipeline import PipelineConfig
@@ -111,7 +111,7 @@ def grid_spec_from_dict(data: object) -> GridSpec:
 
 
 def load_grid_spec(path: str | Path) -> GridSpec:
-    return grid_spec_from_dict(json.loads(Path(path).read_text("utf-8")))
+    return grid_spec_from_dict(read_json(path))
 
 
 def enumerate_grid(spec: GridSpec, base: PipelineConfig) -> list[PipelineConfig]:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_write
+from .artifacts import atomic_write, read_json
 from .features import SparseRows
 
 if TYPE_CHECKING:
@@ -242,6 +242,9 @@ def model_from_dict(data: dict) -> LinearModel:
         # predict breaks ties toward the lowest index, which must be the lowest class id.
         if any(b <= a for a, b in zip(classes, classes[1:])):
             raise ModelFormatError(f"classes must be strictly increasing, got {classes}")
+        # A JSON number is an int or a float; bool is an int subclass, but not a number.
+        if not all(type(value) in (int, float) for value in data["intercepts"]):
+            raise ModelFormatError("intercepts must be JSON numbers")
         intercepts = np.asarray(data["intercepts"], dtype=np.float64)
         weights = np.zeros((len(classes), feature_dim), dtype=np.float64)
         for k, row in enumerate(data["weights"]):
@@ -255,10 +258,12 @@ def model_from_dict(data: dict) -> LinearModel:
                 raise ModelFormatError(
                     f"weight row {k} has a negative, duplicate or out-of-range feature index"
                 )
-            weights[k, idx] = [float(value) for _, value in row]
+            if not all(type(value) in (int, float) for _, value in row):
+                raise ModelFormatError(f"weight row {k} has a value that is not a JSON number")
+            weights[k, idx] = [value for _, value in row]
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
     if intercepts.shape != (len(classes),) or len(data["weights"]) != len(classes):
         raise ModelFormatError("class count disagrees between fields")
@@ -275,11 +280,4 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such model file: {path}")
-    try:
-        data = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(read_json(path, ModelFormatError))

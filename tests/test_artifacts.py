@@ -1,10 +1,15 @@
-"""Tests for atomic artifact writes."""
+"""Tests for atomic artifact writes and the one JSON reader."""
 
 from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgdtext
 from sgdtext import artifacts
 from sgdtext.sgd import LinearModel, load_model, save_model
 
@@ -48,3 +53,63 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert load_model(path).weights[0, 0] == 1.0
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+class FormatError(ValueError):
+    pass
+
+
+class TestReadJson:
+    def test_reads_the_value(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text('{"a": [1, 2.5, "caf\u00e9"]}', "utf-8")
+        assert artifacts.read_json(path) == {"a": [1, 2.5, "caf\u00e9"]}
+        assert artifacts.read_json(str(path)) == {"a": [1, 2.5, "caf\u00e9"]}
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{broken", b'["caf\xe9"]', b"", b"[" * 100_000],
+        ids=["not-json", "not-utf8", "empty", "nested-too-deep"],
+    )
+    def test_bad_content_raises_the_given_error_naming_the_path(self, tmp_path, content):
+        path = tmp_path / "data.json"
+        path.write_bytes(content)
+        message = re.escape(f"{path} is not valid JSON")
+        with pytest.raises(ValueError, match=message):
+            artifacts.read_json(path)
+        with pytest.raises(FormatError, match=message):
+            artifacts.read_json(path, FormatError)
+
+    def test_unreadable_path_raises_the_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "absent.json"))):
+            artifacts.read_json(tmp_path / "absent.json", FormatError)
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
+            artifacts.read_json(tmp_path, FormatError)
+
+
+def test_files_are_read_through_artifacts():
+    """No module checks a path with is_file before opening it, and JSON is parsed in two places.
+
+    artifacts.read_json parses whole files; cli._load_prepared parses the lines of corpus.jsonl.
+    """
+    allowed = {("artifacts", "read_json"), ("cli", "_load_prepared")}
+    found = []
+    for path in sorted(Path(sgdtext.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        # The outermost function around each node; ast.walk visits outer functions first.
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            name, target = node.func.attr, node.func.value
+            is_json_parse = (name in ("load", "loads") and isinstance(target, ast.Name)
+                             and target.id == "json")
+            if name == "is_file" or (
+                is_json_parse and (path.stem, owner.get(node)) not in allowed
+            ):
+                found.append(f"{path.name}:{node.lineno} calls .{name}(")
+    assert found == []

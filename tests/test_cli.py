@@ -544,6 +544,101 @@ class TestMalformedInputFiles:
         assert not (prepared / "model.json").exists()
 
 
+class TestInputFileErrors:
+    """Every file a command reads: unreadable or undecodable, it exits 3 naming itself.
+
+    main is called directly, so an exception escaping it fails the test.
+    """
+
+    # Each input file by the command that reads it; "RUN" stands for the run directory.
+    READERS = {
+        "corpus.jsonl": ["train"],
+        "split.json": ["train"],
+        "tfidf.json": ["eval"],
+        "model.json": ["eval"],
+        "train_meta.json": ["eval", "--loss", "svm"],
+        "grid.json": ["gridsearch", "--grid", "RUN/grid.json"],
+        "results.json": ["compare", "--tuned-from", "RUN/results.json", "--k", "2"],
+    }
+    FAULTS = {
+        "not-json": b"{broken\n",
+        "not-utf8": '{"label": 0, "tokens": ["caf\xe9"]}\n'.encode("latin-1"),
+        "nested-too-deep": b"[" * 100_000 + b"\n",
+    }
+
+    @pytest.fixture
+    def trained(self, labeled_csv, tmp_path):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        return out
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", *FAULTS])
+    @pytest.mark.parametrize("name", list(READERS))
+    def test_each_input_file(self, trained, capsys, name, fault):
+        path = trained / name
+        path.unlink(missing_ok=True)
+        if fault == "directory":
+            path.mkdir()
+        elif fault in self.FAULTS:
+            path.write_bytes(self.FAULTS[fault])
+        argv = [arg.replace("RUN", str(trained)) for arg in self.READERS[name]]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(trained)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if fault == "directory":
+            assert "missing" not in err
+
+    @pytest.mark.parametrize("fault", ["missing", "not-utf8"])
+    @pytest.mark.parametrize("flag", ["--input", "--stopwords"])
+    def test_prepare_inputs(self, labeled_csv, tmp_path, capsys, flag, fault):
+        path = tmp_path / "input.txt"
+        if fault == "not-utf8":
+            # The CSV gains a row with a Latin-1 "cafe"; the stop-word file lists it.
+            if flag == "--input":
+                text = labeled_csv.read_text("utf-8") + '2,"caf\xe9 carlo"\n'
+            else:
+                text = "the\ncaf\xe9\n"
+            path.write_bytes(text.encode("latin-1"))
+        inputs = {"--input": labeled_csv, flag: path}
+        argv = ["prepare", *(str(part) for pair in inputs.items() for part in pair),
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_prepare_csv_with_an_unclosed_quote(self, labeled_csv, tmp_path, capsys):
+        # The open quote runs to the end of the file, past the csv module's field size limit.
+        path = tmp_path / "input.csv"
+        rows = ["label,text", '0,"unclosed quote'] + ["1,car bomb market"] * 10_000
+        path.write_text("\n".join(rows) + "\n", "utf-8")
+        argv = ["prepare", "--input", str(path), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_prepare_out_is_an_existing_file(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("keep\n", "utf-8")
+        assert run_prepare(labeled_csv, out) == EXIT_DATA
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text("utf-8") == "keep\n"
+
+    def test_train_where_tfidf_json_is_a_directory(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        (out / "tfidf.json").mkdir()
+        (out / "tfidf.json" / "keep.txt").write_text("keep\n", "utf-8")
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert main(["train", "--out", str(out)]) == EXIT_DATA
+        assert "tfidf.json" in capsys.readouterr().err
+        assert [p.name for p in (out / "tfidf.json").iterdir()] == ["keep.txt"]
+        assert (out / "tfidf.json" / "keep.txt").read_text("utf-8") == "keep\n"
+        assert sorted(p.name for p in out.iterdir()) == before
+
+
 class TestEveryFlagIsRead:
     """Each command accepts only the flags it reads; none is parsed and then ignored."""
 
@@ -759,6 +854,10 @@ class TestExitCodes:
             ("float-feature-dim", "classes and feature_dim must be JSON integers"),
             ("float-index", "weight row 0 has a non-integer feature index"),
             ("bool-index", "weight row 0 has a non-integer feature index"),
+            ("string-intercept", "intercepts must be JSON numbers"),
+            ("bool-intercept", "intercepts must be JSON numbers"),
+            ("string-weight", "weight row 0 has a value that is not a JSON number"),
+            ("bool-weight", "weight row 0 has a value that is not a JSON number"),
         ],
     )
     def test_model_with_a_wrongly_typed_value(self, labeled_csv, tmp_path, capsys, fault, message):
@@ -770,6 +869,10 @@ class TestExitCodes:
             data["classes"] = [0.5, 1.9, 2.2]
         elif fault == "float-feature-dim":
             data["feature_dim"] += 0.5
+        elif fault.endswith("intercept"):
+            data["intercepts"][0] = "0.5" if fault == "string-intercept" else True
+        elif fault.endswith("weight"):
+            data["weights"][0] = [[0, "1.5" if fault == "string-weight" else True]]
         else:
             data["weights"][0] = [[1.5 if fault == "float-index" else True, 0.5]]
         (out / "model.json").write_text(json.dumps(data), "utf-8")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -375,6 +376,16 @@ class TestSerialization:
         with pytest.raises(FileNotFoundError):
             load_tfidf(tmp_path / "absent.json")
 
+    def test_directory_raises_the_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
+            load_tfidf(tmp_path)
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "tfidf.json"
+        path.write_bytes(b'{"norm": "caf\xe9"}')
+        with pytest.raises(TfidfFormatError, match=re.escape(f"{path} is not valid JSON")):
+            load_tfidf(path)
+
     def test_missing_key_reported_as_format_error(self):
         with pytest.raises(TfidfFormatError, match="malformed"):
             tfidf_from_dict({"version": 1})
@@ -387,6 +398,7 @@ class TestSerialization:
             ("df", 0, "document frequencies"),
             ("df", -4, "document frequencies"),
             ("df", 3, "document frequencies"),
+            pytest.param("df", 10**30, "malformed vectorizer file", id="df-huge-int"),
         ],
     )
     def test_out_of_range_values_rejected(self, field, value, message):

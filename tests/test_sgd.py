@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -476,6 +477,16 @@ class TestModelSerialization:
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.json")
 
+    def test_directory_raises_the_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
+            load_model(tmp_path)
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"classes": "caf\xe9"}')
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path} is not valid JSON")):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "row, intercept, message",
         [
@@ -486,6 +497,8 @@ class TestModelSerialization:
             ([[2, float("inf")]], 0.0, "non-finite"),
             ([[2, 0.5]], float("nan"), "non-finite"),
             ([[2, 0.5]], float("-inf"), "non-finite"),
+            pytest.param([[2, 10**400]], 0.0, "malformed model file", id="huge-int-weight"),
+            pytest.param([[2, 0.5]], 10**400, "malformed model file", id="huge-int-intercept"),
         ],
     )
     def test_bad_weights_rejected(self, row, intercept, message):
