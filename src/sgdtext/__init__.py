@@ -26,7 +26,7 @@ from .features import (
 )
 from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipeline
 from .resample import SmoteResult, interpolate, neighbor_table, smote
-from .search import Candidate, GridSpec, compare_runs, enumerate_grid, grid_search
+from .search import Candidate, GridSpec, enumerate_grid, grid_search
 from .seeds import substream
 from .sgd import LinearModel, decision, fit_multiclass, loss_dmargin, predict
 
@@ -49,7 +49,6 @@ __all__ = [
     "SplitPlan",
     "TfidfModel",
     "clean_text",
-    "compare_runs",
     "confusion",
     "cross_validate",
     "decision",

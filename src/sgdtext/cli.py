@@ -33,7 +33,6 @@ from .search import (
     TUNED_FIELDS,
     GridSpec,
     candidate_to_dict,
-    compare_runs,
     grid_search,
     load_grid_spec,
     params_label,
@@ -334,7 +333,9 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     config = _config_from_args(args, "crossval")
     documents, labels = _train_split(out_dir)
-    report = cross_validate(documents, labels, config, args.k)
+    [report] = cross_validate(documents, labels, [config], args.k)
+    if isinstance(report, CrossValidationError):
+        raise report
     _write_json(
         out_dir / "cv_report.json",
         {
@@ -386,7 +387,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     tuned = winner_params(read_json(args.tuned_from), config) if args.tuned_from else config
     # The default arm keeps loss, epochs and SMOTE; its six tuned values are the defaults.
     default = replace(config, **{f: getattr(PipelineConfig(), f) for f in TUNED_FIELDS})
-    report = compare_runs(documents, labels, default, tuned, args.k)
+    default_report, tuned_report = cross_validate(documents, labels, [default, tuned], args.k)
+    # A failed arm ends the command; main takes the exit code from its cause.
+    for report in (default_report, tuned_report):
+        if isinstance(report, CrossValidationError):
+            raise report
+    mean_delta = tuned_report.mean - default_report.mean
     _write_json(
         out_dir / "compare.json",
         {
@@ -395,17 +401,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "default_params": params_to_dict(default),
             "tuned_params": params_to_dict(tuned),
-            "default": cv_to_dict(report.default),
-            "tuned": cv_to_dict(report.tuned),
-            "mean_delta": report.mean_delta,
-            "time_delta_seconds": report.time_delta_seconds,
+            "default": cv_to_dict(default_report),
+            "tuned": cv_to_dict(tuned_report),
+            "mean_delta": mean_delta,
+            "time_delta_seconds": tuned_report.total_seconds - default_report.total_seconds,
         },
     )
     lines = [
         "Arm\tClassifier\tAccuracy",
-        f"default\t{config.loss}\t{render_cv_line(report.default)}",
-        f"tuned\t{config.loss}\t{render_cv_line(report.tuned)}",
-        f"delta\t{config.loss}\t{report.mean_delta:+.5f}",
+        f"default\t{config.loss}\t{render_cv_line(default_report)}",
+        f"tuned\t{config.loss}\t{render_cv_line(tuned_report)}",
+        f"delta\t{config.loss}\t{mean_delta:+.5f}",
     ]
     _write_text(out_dir / "compare.txt", "\n".join(lines) + "\n")
     print(lines[1])

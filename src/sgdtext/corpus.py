@@ -113,7 +113,7 @@ def load_corpus(
 
     Raises the OSError of an unreadable path, CorpusError naming a file that
     is not UTF-8 or not CSV, or MissingColumnError or LabelValueError, which
-    carry the offending column or line number.
+    name the file and the offending column or line number.
     """
     schema = schema or SCHEMAS["generic"]
     documents: list[list[str]] = []
@@ -126,7 +126,9 @@ def load_corpus(
             header = reader.fieldnames or []
             for column in (schema.label_column, schema.text_column):
                 if column not in header:
-                    raise MissingColumnError(f"column {column!r} not found in header {header!r}")
+                    raise MissingColumnError(
+                        f"{path}: column {column!r} not found in header {header!r}"
+                    )
             # Header is line 1; data starts at line 2.
             for line_number, row in enumerate(reader, start=2):
                 total += 1
@@ -135,10 +137,10 @@ def load_corpus(
                     label = int(raw_label)
                 except ValueError:
                     raise LabelValueError(
-                        f"line {line_number}: label {raw_label!r} is not an integer"
+                        f"{path}: line {line_number}: label {raw_label!r} is not an integer"
                     ) from None
                 if label < 0:
-                    raise LabelValueError(f"line {line_number}: label {label} is negative")
+                    raise LabelValueError(f"{path}: line {line_number}: label {label} is negative")
                 text = row.get(schema.text_column) or ""
                 stripped = text.strip()
                 if not stripped or stripped.lower() in DEFAULT_NULL_SENTINELS:

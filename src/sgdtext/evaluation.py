@@ -163,49 +163,61 @@ def stratified_kfold(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
 def cross_validate(
     documents: Sequence[Sequence[str]],
     labels: Sequence[int],
-    config: PipelineConfig,
+    configs: Sequence[PipelineConfig],
     k: int,
-) -> CvReport:
-    """Stratified k-fold accuracy of the full pipeline.
+) -> list[CvReport | CrossValidationError]:
+    """Stratified k-fold accuracy of the full pipeline for each config, on one fold plan.
 
-    Every fold refits the vectorizer (and the optional resampler) on its
-    k-1 training folds only, so the held-out fold never leaks into the
-    vocabulary. The fold plan and each fold's training seed derive from
-    config.seed. std is the population value.
+    The configs must share one seed, or this raises ValueError: the fold
+    plan and each fold's training seed derive from it. Every fold refits
+    the vectorizer (and the optional resampler) on its k-1 training folds
+    only, so the held-out fold never leaks into the vocabulary. Returns one
+    CvReport per config, in order; a config whose fold fails gets that
+    fold's CrossValidationError, with the failure as its __cause__, sits
+    out the remaining folds, and the other configs carry on. std is the
+    population value; total_seconds is the sum of fold_seconds.
     """
     n = len(documents)
     if len(labels) != n:
         raise ValueError("documents and labels must have equal length")
-    plan = stratified_kfold(labels, k, substream(config.seed, "folds"))
+    seeds = sorted({config.seed for config in configs})
+    if len(seeds) != 1:
+        raise ValueError(f"the configs need one seed, got {seeds}")
+    plan = stratified_kfold(labels, k, substream(seeds[0], "folds"))
     all_indices = set(range(n))
-    accuracies: list[float] = []
-    fold_seconds: list[float] = []
-    started = time.perf_counter()
+    accuracies: list[list[float]] = [[] for _ in configs]
+    fold_seconds: list[list[float]] = [[] for _ in configs]
+    failed: dict[int, CrossValidationError] = {}
     for fold_index, held_out in enumerate(plan.folds):
-        fold_started = time.perf_counter()
         train_indices = sorted(all_indices.difference(held_out))
-        try:
-            fitted = fit_pipeline(
-                [documents[i] for i in train_indices],
-                [labels[i] for i in train_indices],
-                replace(config, seed=substream(config.seed, f"fold-{fold_index}")),
-            )
-            predictions = predict_pipeline(fitted, [documents[i] for i in held_out])
-        except Exception as exc:
-            raise CrossValidationError(fold_index, str(exc)) from exc
-        correct = sum(1 for i, pred in zip(held_out, predictions) if pred == labels[i])
-        accuracies.append(correct / len(held_out))
-        fold_seconds.append(time.perf_counter() - fold_started)
-    total_seconds = time.perf_counter() - started
-    mean = float(np.mean(accuracies))
-    std = float(np.std(accuracies))
-    return CvReport(
-        fold_accuracies=accuracies,
-        mean=mean,
-        std=std,
-        fold_seconds=fold_seconds,
-        total_seconds=total_seconds,
-    )
+        train_documents = [documents[i] for i in train_indices]
+        train_labels = [labels[i] for i in train_indices]
+        held_out_documents = [documents[i] for i in held_out]
+        for c, config in enumerate(configs):
+            if c in failed:
+                continue
+            started = time.perf_counter()
+            fold_config = replace(config, seed=substream(seeds[0], f"fold-{fold_index}"))
+            try:
+                fitted = fit_pipeline(train_documents, train_labels, fold_config)
+                predictions = predict_pipeline(fitted, held_out_documents)
+            except Exception as exc:  # becomes this config's result; the others carry on
+                failed[c] = CrossValidationError(fold_index, str(exc))
+                failed[c].__cause__ = exc
+                continue
+            correct = sum(1 for i, pred in zip(held_out, predictions) if pred == labels[i])
+            accuracies[c].append(correct / len(held_out))
+            fold_seconds[c].append(time.perf_counter() - started)
+    return [
+        failed[c] if c in failed else CvReport(
+            fold_accuracies=accuracies[c],
+            mean=float(np.mean(accuracies[c])),
+            std=float(np.std(accuracies[c])),
+            fold_seconds=fold_seconds[c],
+            total_seconds=sum(fold_seconds[c]),
+        )
+        for c in range(len(configs))
+    ]
 
 
 def report_to_dict(report: ClassReport) -> dict:

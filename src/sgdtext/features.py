@@ -197,9 +197,7 @@ def transform(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRo
     zero is dropped.
     """
     vocab = model.vocabulary
-    indptr = [0]
-    indices: list[int] = []
-    counts: list[int] = []
+    indptr, indices, counts = [0], array("q"), array("q")
     for tokens in documents:
         known = sorted(
             (j, count)
@@ -209,9 +207,9 @@ def transform(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRo
         indices.extend(j for j, _ in known)
         counts.extend(count for _, count in known)
         indptr.append(len(indices))
-    index_array = np.asarray(indices, dtype=np.int64)
+    index_array = np.frombuffer(indices, dtype=np.int64)
     values = model.idf_array[index_array]
-    values *= counts
+    values *= np.frombuffer(counts, dtype=np.int64)
     if model.norm != "none":
         # An empty row gets scale 0, which divides nothing.
         scales = np.empty(len(indptr) - 1, dtype=np.float64)
@@ -220,6 +218,8 @@ def transform(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRo
             scales[i] = np.abs(row).sum() if model.norm == "l1" else math.sqrt(row @ row)
         values /= np.repeat(scales, np.diff(indptr))
     keep = values != 0.0
+    if keep.all():
+        return SparseRows(indptr, index_array, values)
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     return SparseRows(kept_before[indptr], index_array[keep], values[keep])
 
@@ -289,4 +289,8 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    return tfidf_from_dict(read_json(path, TfidfFormatError))
+    data = read_json(path, TfidfFormatError)
+    try:
+        return tfidf_from_dict(data)
+    except TfidfFormatError as exc:
+        raise TfidfFormatError(f"{path}: {exc}") from exc

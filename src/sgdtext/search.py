@@ -9,6 +9,7 @@ aborting the sweep.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -17,7 +18,7 @@ from typing import Sequence
 
 from . import corpus
 from .artifacts import read_json
-from .evaluation import CvReport, cross_validate
+from .evaluation import CrossValidationError, cross_validate
 from .features import NgramRange
 from .pipeline import PipelineConfig
 from .seeds import substream
@@ -64,14 +65,6 @@ class Candidate:
     std: float
     rank: int = 0
     error: str | None = None
-
-
-@dataclass
-class CompareReport:
-    default: CvReport
-    tuned: CvReport
-    mean_delta: float
-    time_delta_seconds: float
 
 
 def grid_spec_from_dict(data: object) -> GridSpec:
@@ -131,30 +124,19 @@ def enumerate_grid(spec: GridSpec, base: PipelineConfig) -> list[PipelineConfig]
         raise ValueError(f"invalid grid value: {exc}") from exc
 
 
-def _score_candidate(
-    config: PipelineConfig,
+def _score(
     documents: Sequence[Sequence[str]],
     labels: Sequence[int],
     inner_folds: int,
-    seed: int,
-) -> tuple[float, float, str | None]:
-    try:
-        report = cross_validate(documents, labels, replace(config, seed=seed), inner_folds)
-        return report.mean, report.std, None
-    except Exception as exc:  # ranked last, sweep continues
-        return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
-
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(*state) -> None:
-    _WORKER_STATE["state"] = state
-
-
-def _worker_score(item: tuple[int, PipelineConfig]) -> tuple[int, float, float, str | None]:
-    index, config = item
-    return index, *_score_candidate(config, *_WORKER_STATE["state"])
+    configs: Sequence[PipelineConfig],
+) -> list[tuple[float, float, str | None]]:
+    """(mean, std, None) for each config, or (nan, nan, error note) for one whose fold failed."""
+    return [
+        (float("nan"), float("nan"), f"{type(report).__name__}: {report}")
+        if isinstance(report, CrossValidationError)
+        else (report.mean, report.std, None)
+        for report in cross_validate(documents, labels, configs, inner_folds)
+    ]
 
 
 def grid_search(
@@ -170,25 +152,32 @@ def grid_search(
     Each candidate is base with its six tuned fields taken from the grid.
     Every candidate sees the identical development set, fold plan, and
     training seeds, all derived from base.seed, so the ranking is a pure
-    function of that seed and is identical for any worker count. No more
-    workers than candidates are started.
+    function of that seed and is identical for any worker count. With
+    jobs > 1, each of up to jobs workers (no more than there are
+    candidates) scores its share in one cross_validate call. A development
+    set too small for spec.inner_folds raises ValueError before any
+    candidate runs.
     """
     combos = enumerate_grid(spec, base)
     plan = corpus.split(len(documents), spec.dev_fraction, substream(base.seed, "dev"), labels)
-    state = (
+    score_configs = functools.partial(
+        _score,
         [documents[i] for i in plan.train_indices],
         [labels[i] for i in plan.train_indices],
         spec.inner_folds,
-        substream(base.seed, "inner-cv"),
     )
-    workers = min(jobs, len(combos))
+    # Candidate.params keeps base.seed; the scored copies share the inner-CV seed.
+    configs = [replace(c, seed=substream(base.seed, "inner-cv")) for c in combos]
+    workers = min(jobs, len(configs))
     if workers <= 1:
-        scored = [(index, *_score_candidate(c, *state)) for index, c in enumerate(combos)]
+        scores = score_configs(configs)
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=state
-        ) as pool:
-            scored = list(pool.map(_worker_score, enumerate(combos), chunksize=4))
+        scores = [None] * len(configs)
+        # One task per worker, so each worker is sent the development set once.
+        shares = [configs[w::workers] for w in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for w, share in enumerate(pool.map(score_configs, shares)):
+                scores[w::workers] = share
 
     # nan means the candidate errored; force those after every scored one.
     def sort_key(row: tuple[int, float, float, str | None]):
@@ -197,36 +186,13 @@ def grid_search(
             return (1, 0.0, 0.0, index)
         return (0, -mean, std, index)
 
-    scored.sort(key=sort_key)
+    scored = sorted(((index, *score) for index, score in enumerate(scores)), key=sort_key)
     candidates = []
     for rank, (index, mean, std, error) in enumerate(scored, start=1):
         candidates.append(
             Candidate(params=combos[index], mean=mean, std=std, rank=rank, error=error)
         )
     return candidates
-
-
-def compare_runs(
-    documents: Sequence[Sequence[str]],
-    labels: Sequence[int],
-    default: PipelineConfig,
-    tuned: PipelineConfig,
-    k: int = 10,
-) -> CompareReport:
-    """Cross-validate two configs on identical fold plans and diff them.
-
-    Raises ValueError if the two seeds differ, since the plans would too.
-    """
-    if default.seed != tuned.seed:
-        raise ValueError(f"the two arms need one seed, got {default.seed} and {tuned.seed}")
-    default_report = cross_validate(documents, labels, default, k)
-    tuned_report = cross_validate(documents, labels, tuned, k)
-    return CompareReport(
-        default=default_report,
-        tuned=tuned_report,
-        mean_delta=tuned_report.mean - default_report.mean,
-        time_delta_seconds=tuned_report.total_seconds - default_report.total_seconds,
-    )
 
 
 def candidate_to_dict(candidate: Candidate) -> dict:

@@ -280,4 +280,8 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
-    return model_from_dict(read_json(path, ModelFormatError))
+    data = read_json(path, ModelFormatError)
+    try:
+        return model_from_dict(data)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

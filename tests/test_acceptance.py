@@ -29,7 +29,7 @@ from sgdtext.evaluation import (
 from sgdtext.features import NgramRange, SparseRows, fit, transform
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import smote
-from sgdtext.search import GridSpec, compare_runs, grid_search, params_label
+from sgdtext.search import GridSpec, grid_search, params_label
 from sgdtext.sgd import loss_dmargin
 
 from oracles import (
@@ -191,7 +191,7 @@ def test_separable_fixture_all_losses():
             1 for pred, lab in zip(predict_pipeline(fitted, documents), labels) if pred == lab
         ) / len(labels)
         assert train_accuracy == 1.0, f"{loss}: train accuracy {train_accuracy}"
-        report = cross_validate(documents, labels, config, k=10)
+        [report] = cross_validate(documents, labels, [config], k=10)
         assert report.mean == 1.0, f"{loss}: CV mean {report.mean}"
         assert report.std == 0.0, f"{loss}: CV std {report.std}"
     elapsed = time.perf_counter() - started
@@ -421,9 +421,11 @@ def test_full_corpus_protocol(tmp_path):
         labels = [labels[i] for i in sub.train_indices]
 
     tuned = PipelineConfig(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)
-    report = compare_runs(documents, labels, PipelineConfig(), tuned, k=3)
-    assert report.tuned.mean > report.default.mean
+    default_report, tuned_report = cross_validate(
+        documents, labels, [PipelineConfig(), tuned], k=3
+    )
+    assert tuned_report.mean > default_report.mean
     print(
         f"PASS full-corpus: split {totals['train']}/{totals['test']}, tuned "
-        f"{report.tuned.mean:.5f} > default {report.default.mean:.5f}"
+        f"{tuned_report.mean:.5f} > default {default_report.mean:.5f}"
     )

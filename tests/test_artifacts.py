@@ -87,6 +87,21 @@ class TestReadJson:
             artifacts.read_json(tmp_path, FormatError)
 
 
+def package_calls():
+    """(file, outermost enclosing function or None, node) for each call in the package."""
+    for path in sorted(Path(sgdtext.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        # ast.walk visits outer functions first.
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                yield path, owner.get(node), node
+
+
 def test_files_are_read_through_artifacts():
     """No module checks a path with is_file before opening it, and JSON is parsed in two places.
 
@@ -94,22 +109,22 @@ def test_files_are_read_through_artifacts():
     """
     allowed = {("artifacts", "read_json"), ("cli", "_load_prepared")}
     found = []
-    for path in sorted(Path(sgdtext.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text("utf-8"))
-        # The outermost function around each node; ast.walk visits outer functions first.
-        owner = {}
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(func):
-                    owner.setdefault(node, func.name)
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            name, target = node.func.attr, node.func.value
-            is_json_parse = (name in ("load", "loads") and isinstance(target, ast.Name)
-                             and target.id == "json")
-            if name == "is_file" or (
-                is_json_parse and (path.stem, owner.get(node)) not in allowed
-            ):
-                found.append(f"{path.name}:{node.lineno} calls .{name}(")
+    for path, owner, node in package_calls():
+        if not isinstance(node.func, ast.Attribute):
+            continue
+        name, target = node.func.attr, node.func.value
+        is_json_parse = (name in ("load", "loads") and isinstance(target, ast.Name)
+                         and target.id == "json")
+        if name == "is_file" or (is_json_parse and (path.stem, owner) not in allowed):
+            found.append(f"{path.name}:{node.lineno} calls .{name}(")
     assert found == []
+
+
+def test_one_fold_loop():
+    """stratified_kfold has one caller in the package, cross_validate, so every score shares it."""
+    callers = [
+        f"{path.stem}.{owner}"
+        for path, owner, node in package_calls()
+        if "stratified_kfold" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == ["evaluation.cross_validate"]

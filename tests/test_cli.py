@@ -11,8 +11,8 @@ import sys
 
 import pytest
 
-from sgdtext import search
-from sgdtext.cli import EXIT_DATA, EXIT_OK, _config_from_args, build_parser, main
+from sgdtext import evaluation, search, sgd
+from sgdtext.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, _config_from_args, build_parser, main
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.seeds import substream
 
@@ -307,6 +307,42 @@ class TestCrossvalGridCompare:
         results = read_json(prepared / "grid_results.json")
         assert all(c["error"] is not None for c in results["candidates"])
         assert (prepared / "grid_results.txt").read_text("utf-8").count("\tfailed\t") == 2
+
+    @pytest.mark.parametrize("command", ["crossval", "compare"])
+    @pytest.mark.parametrize(
+        "flag, code", [("--ngram", EXIT_DATA), ("--alpha", EXIT_NUMERIC)], ids=["data", "numeric"]
+    )
+    def test_a_failed_fold_exits_by_its_cause(
+        self, prepared, capsys, monkeypatch, command, flag, code
+    ):
+        # compare's tuned arm fails and its default arm trains; crossval's one config fails.
+        fit = sgd.fit_multiclass
+
+        def diverge_at_alpha_1e3(X, labels, config, **kwargs):
+            if config.alpha == 1e-3:
+                raise sgd.NumericError("training diverged to non-finite weights")
+            return fit(X, labels, config, **kwargs)
+
+        monkeypatch.setattr(sgd, "fit_multiclass", diverge_at_alpha_1e3)
+        value = {"--ngram": "9,9", "--alpha": "0.001"}[flag]
+        assert main([command, flag, value, "--k", "2", "--out", str(prepared)]) == code
+        assert "error: fold 0: " in capsys.readouterr().err
+        assert not (prepared / "cv_report.json").exists()
+        assert not (prepared / "compare.json").exists()
+
+    def test_gridsearch_dev_set_smaller_than_inner_folds(
+        self, prepared, tmp_path, capsys, monkeypatch
+    ):
+        fits = []
+        monkeypatch.setattr(evaluation, "fit_pipeline", lambda *args: fits.append(args))
+        # 21 training documents leave a development set of 10 or 11.
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"inner_folds": 12}), "utf-8")
+        code = main(["gridsearch", "--grid", str(grid_path), "--out", str(prepared)])
+        assert code == EXIT_DATA
+        assert "k=12 exceeds the" in capsys.readouterr().err
+        assert not (prepared / "grid_results.json").exists()
+        assert fits == []
 
     def test_compare_with_tuned_from(self, prepared, tmp_path):
         grid_path = tmp_path / "grid.json"
@@ -761,13 +797,14 @@ class TestExitCodes:
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("title,body\nx,y\n", "utf-8")
         assert run_prepare(csv_path, tmp_path / "run") == EXIT_DATA
-        assert "label" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "label" in err and str(csv_path) in err
 
     def test_bad_label_value(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("label,text\nbomb,words\n", "utf-8")
         assert run_prepare(csv_path, tmp_path / "run") == EXIT_DATA
-        assert "line 2" in capsys.readouterr().err
+        assert f"{csv_path}: line 2: label 'bomb' is not an integer" in capsys.readouterr().err
 
     def test_corrupt_model_file(self, labeled_csv, tmp_path, capsys):
         out = tmp_path / "run"
@@ -788,6 +825,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
         assert "feature index" in capsys.readouterr().err
+
+    def test_model_with_a_non_finite_weight(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "model.json").read_text("utf-8"))
+        data["weights"][0] = [[0, float("inf")]]
+        (out / "model.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{out / 'model.json'}: model file holds a non-finite weight" in err
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -812,7 +861,8 @@ class TestExitCodes:
         (out / "tfidf.json").write_text(json.dumps(data), "utf-8")
         capsys.readouterr()
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and str(out / "tfidf.json") in err
 
     @pytest.mark.parametrize(
         "field, spoil, message",

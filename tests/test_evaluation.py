@@ -201,23 +201,74 @@ class TestStratifiedKfold:
         assert first.folds != third.folds
 
 
+def noisy_corpus(n_docs: int = 60) -> tuple[list[list[str]], list[int]]:
+    """Three classes where only every other document carries its class token."""
+    rng = np.random.default_rng(17)
+    documents, labels = [], []
+    for i in range(n_docs):
+        label = i % 3 + 1
+        noise = [f"w{int(t)}" for t in rng.integers(0, 12, size=5)]
+        documents.append(noise + [f"sig{label}"] * (i % 2))
+        labels.append(label)
+    return documents, labels
+
+
+# Differ in every stage, so each scores differently on noisy_corpus.
+SCORED_CONFIGS = [
+    PipelineConfig(seed=5),
+    PipelineConfig(ngram_range=NgramRange(1, 2), norm="l1", penalty="l1", alpha=1e-3, seed=5),
+    PipelineConfig(loss="logreg", use_idf=False, smote=True, smote_k=2, seed=5),
+]
+
+
 class TestCrossValidate:
     def test_separable_corpus_scores_perfectly(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=9)
-        report = cross_validate(documents, labels, PipelineConfig(seed=5), k=3)
+        [report] = cross_validate(documents, labels, [PipelineConfig(seed=5)], k=3)
         assert report.fold_accuracies == [1.0, 1.0, 1.0]
         assert report.mean == 1.0
         assert report.std == 0.0
         assert report.std == float(np.std(report.fold_accuracies))
         assert len(report.fold_seconds) == 3
+        assert report.total_seconds == sum(report.fold_seconds)
 
     def test_fold_failure_wrapped_with_index(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=2, per_class=4)
         config = PipelineConfig(ngram_range=NgramRange(3, 3))  # every document too short
-        with pytest.raises(CrossValidationError, match="fold 0") as info:
-            cross_validate(documents, labels, config, k=2)
-        assert info.value.fold == 0
-        assert isinstance(info.value.__cause__, EmptyCorpusError)
+        [error] = cross_validate(documents, labels, [config], k=2)
+        assert isinstance(error, CrossValidationError)
+        assert str(error).startswith("fold 0: ")
+        assert error.fold == 0
+        assert isinstance(error.__cause__, EmptyCorpusError)
+
+    def test_configs_score_as_they_would_alone(self):
+        documents, labels = noisy_corpus()
+        together = cross_validate(documents, labels, SCORED_CONFIGS, k=4)
+        alone = [cross_validate(documents, labels, [c], k=4)[0] for c in SCORED_CONFIGS]
+        assert len({r.mean for r in alone}) == len(SCORED_CONFIGS)
+        for joint, lone in zip(together, alone):
+            assert joint.fold_accuracies == lone.fold_accuracies
+            assert (joint.mean, joint.std) == (lone.mean, lone.std)
+
+    def test_a_failed_config_leaves_the_others_as_they_would_be_alone(self):
+        documents, labels = noisy_corpus()
+        failing = PipelineConfig(ngram_range=NgramRange(9, 9), seed=5)
+        first, error, last = cross_validate(
+            documents, labels, [SCORED_CONFIGS[0], failing, SCORED_CONFIGS[2]], k=4
+        )
+        assert isinstance(error, CrossValidationError) and error.fold == 0
+        assert isinstance(error.__cause__, EmptyCorpusError)
+        for joint, config in ((first, SCORED_CONFIGS[0]), (last, SCORED_CONFIGS[2])):
+            [lone] = cross_validate(documents, labels, [config], k=4)
+            assert joint.fold_accuracies == lone.fold_accuracies
+            assert (joint.mean, joint.std) == (lone.mean, lone.std)
+
+    def test_configs_with_different_seeds_rejected(self, signature_corpus):
+        documents, labels = signature_corpus(n_classes=3, per_class=8)
+        with pytest.raises(ValueError, match="one seed"):
+            cross_validate(documents, labels, [PipelineConfig(seed=1), PipelineConfig(seed=2)], k=3)
+        with pytest.raises(ValueError, match="one seed"):
+            cross_validate(documents, labels, [], k=3)
 
     def test_fold_plan_and_fold_seeds_come_from_the_config_seed(
         self, signature_corpus, monkeypatch
@@ -234,17 +285,18 @@ class TestCrossValidate:
             evaluation, "fit_pipeline",
             lambda docs, labs, config: fit_seeds.append(config.seed) or fit(docs, labs, config),
         )
-        cross_validate(documents, labels, PipelineConfig(seed=8), k=3)
+        configs = [PipelineConfig(seed=8), PipelineConfig(alpha=1e-3, seed=8)]
+        cross_validate(documents, labels, configs, k=3)
         assert plan_seeds == [substream(8, "folds")]
-        assert fit_seeds == [substream(8, f"fold-{i}") for i in range(3)]
+        assert fit_seeds == [substream(8, f"fold-{i}") for i in range(3) for _ in configs]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            cross_validate([["a"]], [0, 1], PipelineConfig(), k=2)
+            cross_validate([["a"]], [0, 1], [PipelineConfig()], k=2)
 
     def test_render_and_dict(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=2, per_class=6)
-        report = cross_validate(documents, labels, PipelineConfig(seed=1), k=2)
+        [report] = cross_validate(documents, labels, [PipelineConfig(seed=1)], k=2)
         assert render_cv_line(report) == "1.00000 (+/- 0.00000)"
         data = cv_to_dict(report)
         assert data["mean"] == 1.0

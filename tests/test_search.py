@@ -1,4 +1,4 @@
-"""Tests for grid enumeration, candidate ranking, and the comparison runner."""
+"""Tests for grid enumeration, candidate ranking, and the tuned-params files."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from sgdtext import search
+from sgdtext import evaluation, search
 from sgdtext.features import NgramRange
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.search import (
@@ -16,7 +16,6 @@ from sgdtext.search import (
     Candidate,
     GridSpec,
     candidate_to_dict,
-    compare_runs,
     enumerate_grid,
     grid_search,
     grid_spec_from_dict,
@@ -211,9 +210,8 @@ class TestGridSearch:
         pools = []
 
         class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 pools.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -221,11 +219,10 @@ class TestGridSearch:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items, chunksize=1):
+            def map(self, fn, items):
                 return map(fn, items)
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(search, "_WORKER_STATE", {})
         documents, labels = signature_corpus(n_classes=3, per_class=8)
         sequential = grid_search(documents, labels, PipelineConfig(seed=4), tiny_spec())
         pooled = grid_search(documents, labels, PipelineConfig(seed=4), tiny_spec(), jobs=500)
@@ -236,6 +233,18 @@ class TestGridSearch:
         grid_search(documents, labels, PipelineConfig(), tiny_spec(alphas=[1e-4]), jobs=500)
         assert pools == [2]
 
+    def test_one_fold_plan_scores_every_candidate(self, signature_corpus, monkeypatch):
+        plans = []
+        plan = evaluation.stratified_kfold
+        monkeypatch.setattr(
+            evaluation, "stratified_kfold", lambda *args: plans.append(args) or plan(*args)
+        )
+        documents, labels = signature_corpus(n_classes=3, per_class=8)
+        spec = tiny_spec(norms=["l1", "l2"], alphas=[1e-3, 1e-4, 1e-5])
+        candidates = grid_search(documents, labels, PipelineConfig(seed=3), spec, jobs=1)
+        assert len(candidates) == 6
+        assert len(plans) == 1
+
     def test_every_candidate_sees_the_same_development_set(self, signature_corpus):
         # Two identical parameter rows in one sweep must score identically.
         documents, labels = signature_corpus(n_classes=3, per_class=8)
@@ -243,29 +252,6 @@ class TestGridSearch:
         candidates = grid_search(documents, labels, PipelineConfig(seed=5), spec)
         assert candidates[0].mean == candidates[1].mean
         assert candidates[0].std == candidates[1].std
-
-
-class TestCompareRuns:
-    def test_same_params_produce_identical_reports(self, signature_corpus):
-        documents, labels = signature_corpus(n_classes=3, per_class=8)
-        config = PipelineConfig(seed=6)
-        report = compare_runs(documents, labels, config, config, k=3)
-        assert report.default.fold_accuracies == report.tuned.fold_accuracies
-        assert report.mean_delta == 0.0
-
-    def test_mean_delta_sign(self, signature_corpus):
-        documents, labels = signature_corpus(n_classes=3, per_class=8)
-        weak = PipelineConfig(NgramRange(1, 1), "l2", True, True, "l2", 1e-4, seed=6)
-        report = compare_runs(documents, labels, weak, weak, k=3)
-        assert math.isclose(
-            report.mean_delta, report.tuned.mean - report.default.mean, abs_tol=1e-15
-        )
-
-
-    def test_arms_with_different_seeds_rejected(self, signature_corpus):
-        documents, labels = signature_corpus(n_classes=3, per_class=8)
-        with pytest.raises(ValueError, match="one seed"):
-            compare_runs(documents, labels, PipelineConfig(seed=1), PipelineConfig(seed=2), k=3)
 
 
 class TestRenderGridTable:
