@@ -17,9 +17,11 @@ from .evaluation import (
     stratified_kfold,
 )
 from .features import (
+    NgramCounts,
     NgramRange,
     SparseRows,
     TfidfModel,
+    count,
     extract_ngrams,
     fit,
     transform,
@@ -42,6 +44,7 @@ __all__ = [
     "GridSpec",
     "LabeledCorpus",
     "LinearModel",
+    "NgramCounts",
     "NgramRange",
     "PipelineConfig",
     "SmoteResult",
@@ -50,6 +53,7 @@ __all__ = [
     "TfidfModel",
     "clean_text",
     "confusion",
+    "count",
     "cross_validate",
     "decision",
     "enumerate_grid",

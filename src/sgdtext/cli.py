@@ -218,7 +218,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args, "pipeline")
     documents, labels = _train_split(out_dir)
     started = time.perf_counter()
-    fitted = fit_pipeline(documents, labels, config)
+    # Passed without a name here, so fit_pipeline can free the counts before SGD.
+    fitted = fit_pipeline(features.count(documents, config.ngram_range), labels, config)
     elapsed = time.perf_counter() - started
     # Free the corpus before the artifacts are serialized, which is train's peak.
     del documents, labels
@@ -282,10 +283,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     tfidf = features.load_tfidf(out_dir / "tfidf.json")
     model = sgd.load_model(out_dir / "model.json")
-    if model.feature_dim != len(tfidf.vocabulary):
+    if model.feature_dim != len(tfidf.grams):
         raise ValueError(
             f"{out_dir / 'model.json'} has {model.feature_dim} features but "
-            f"{out_dir / 'tfidf.json'} has a vocabulary of {len(tfidf.vocabulary)}; "
+            f"{out_dir / 'tfidf.json'} has a vocabulary of {len(tfidf.grams)}; "
             "they are not from the same train run"
         )
     _check_eval_flags(args, out_dir, tfidf)
@@ -296,7 +297,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise corpus.CorpusError(f"the {args.on} side of the split is empty")
     started = time.perf_counter()
     fitted = FittedPipeline(tfidf=tfidf, model=model)
-    predictions = predict_pipeline(fitted, [loaded.documents[i] for i in indices])
+    counts = features.count((loaded.documents[i] for i in indices), tfidf.ngram_range)
+    predictions = predict_pipeline(fitted, counts)
     elapsed = time.perf_counter() - started
 
     true_labels = [loaded.labels[i] for i in indices]

@@ -9,16 +9,25 @@ from typing import Sequence
 
 import numpy as np
 
+from . import features
 from .pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from .seeds import substream
 
 
 class CrossValidationError(RuntimeError):
-    """A fold failed; carries the fold index and the underlying cause."""
+    """A fold failed; carries the fold index and the underlying cause.
+
+    It pickles with its fold and message, but its __cause__ does not cross
+    a process boundary: an unpickled copy has none.
+    """
 
     def __init__(self, fold: int, message: str) -> None:
         super().__init__(f"fold {fold}: {message}")
         self.fold = fold
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.fold, self.message)
 
 
 @dataclass(eq=False)
@@ -169,13 +178,15 @@ def cross_validate(
     """Stratified k-fold accuracy of the full pipeline for each config, on one fold plan.
 
     The configs must share one seed, or this raises ValueError: the fold
-    plan and each fold's training seed derive from it. Every fold refits
-    the vectorizer (and the optional resampler) on its k-1 training folds
-    only, so the held-out fold never leaks into the vocabulary. Returns one
-    CvReport per config, in order; a config whose fold fails gets that
-    fold's CrossValidationError, with the failure as its __cause__, sits
-    out the remaining folds, and the other configs carry on. std is the
-    population value; total_seconds is the sum of fold_seconds.
+    plan and each fold's training seed derive from it. The documents are
+    counted once per distinct n-gram range, and each fold takes its rows of
+    those counts once. Every fold refits the vectorizer (and the optional
+    resampler) on its k-1 training folds only, so the held-out fold never
+    leaks into the vocabulary. Returns one CvReport per config, in order; a
+    config whose fold fails gets that fold's CrossValidationError, with the
+    failure as its __cause__, sits out the remaining folds, and the other
+    configs carry on. std is the population value; total_seconds is the sum
+    of fold_seconds.
     """
     n = len(documents)
     if len(labels) != n:
@@ -184,23 +195,27 @@ def cross_validate(
     if len(seeds) != 1:
         raise ValueError(f"the configs need one seed, got {seeds}")
     plan = stratified_kfold(labels, k, substream(seeds[0], "folds"))
+    ranges = dict.fromkeys(config.ngram_range for config in configs)
+    counts = {r: features.count(documents, r) for r in ranges}
     all_indices = set(range(n))
     accuracies: list[list[float]] = [[] for _ in configs]
     fold_seconds: list[list[float]] = [[] for _ in configs]
     failed: dict[int, CrossValidationError] = {}
     for fold_index, held_out in enumerate(plan.folds):
         train_indices = sorted(all_indices.difference(held_out))
-        train_documents = [documents[i] for i in train_indices]
         train_labels = [labels[i] for i in train_indices]
-        held_out_documents = [documents[i] for i in held_out]
+        sides = {r: (c.take(train_indices), c.take(held_out)) for r, c in counts.items()}
         for c, config in enumerate(configs):
             if c in failed:
                 continue
             started = time.perf_counter()
             fold_config = replace(config, seed=substream(seeds[0], f"fold-{fold_index}"))
             try:
-                fitted = fit_pipeline(train_documents, train_labels, fold_config)
-                predictions = predict_pipeline(fitted, held_out_documents)
+                train_counts, held_out_counts = sides[config.ngram_range]
+                # No name holds the fitted pipeline, so it is gone before the next one is fitted.
+                predictions = predict_pipeline(
+                    fit_pipeline(train_counts, train_labels, fold_config), held_out_counts
+                )
             except Exception as exc:  # becomes this config's result; the others carry on
                 failed[c] = CrossValidationError(fold_index, str(exc))
                 failed[c].__cause__ = exc
@@ -208,6 +223,7 @@ def cross_validate(
             correct = sum(1 for i, pred in zip(held_out, predictions) if pred == labels[i])
             accuracies[c].append(correct / len(held_out))
             fold_seconds[c].append(time.perf_counter() - started)
+        del sides  # free this fold's rows before the next fold takes its own
     return [
         failed[c] if c in failed else CvReport(
             fold_accuracies=accuracies[c],

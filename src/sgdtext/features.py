@@ -1,5 +1,8 @@
 """N-gram counting and TF-IDF vectorization into a batch of normalized sparse rows.
 
+Documents are counted once into an NgramCounts matrix; fit and transform
+work on counts (or row subsets of them), never on tokens.
+
 The weighting follows the convention
 
     idf(t) = ln(n_docs / df(t)) + 1            (plain)
@@ -15,7 +18,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -126,21 +129,31 @@ class SparseRows:
 class TfidfModel:
     """Fitted vocabulary with document frequencies and the four TF-IDF settings.
 
-    Immutable after fit; safe to share across concurrent transform calls.
+    grams[i] is the n-gram of feature index i, and doc_freq[i] its document
+    frequency. Immutable after fit; safe to share across concurrent
+    transform calls.
     """
 
-    vocabulary: dict[str, int]
+    grams: list[str]
     doc_freq: np.ndarray
     n_docs: int
     ngram_range: NgramRange
     use_idf: bool
     smooth_idf: bool
     norm: str
+    # The gram list of the counts fit read, with each gram's vocabulary index
+    # (-1 if absent): transforming rows of those counts looks up no gram.
+    fitted_on: tuple[list[str], np.ndarray] | None = field(default=None, repr=False)
+
+    @cached_property
+    def vocabulary(self) -> dict[str, int]:
+        """Each n-gram's feature index."""
+        return {gram: index for index, gram in enumerate(self.grams)}
 
     @cached_property
     def idf_array(self) -> np.ndarray:
         if not self.use_idf:
-            return np.ones(len(self.vocabulary), dtype=np.float64)
+            return np.ones(len(self.grams), dtype=np.float64)
         df = self.doc_freq.astype(np.float64)
         if self.smooth_idf:
             return np.log((1.0 + self.n_docs) / (1.0 + df)) + 1.0
@@ -165,71 +178,161 @@ def extract_ngrams(tokens: Sequence[str], ngram_range: NgramRange) -> Counter[st
     return counts
 
 
-def fit(documents: Sequence[Sequence[str]], config: PipelineConfig) -> TfidfModel:
-    """Build the vocabulary and document frequencies from training documents.
+@dataclass(frozen=True, eq=False)
+class NgramCounts:
+    """Per-document n-gram counts of one batch of documents, as a CSR count matrix.
 
-    Reads the config's four TF-IDF fields: ngram_range, use_idf, smooth_idf, norm.
-
-    Feature indices are assigned in lexicographic n-gram order, so refitting
-    the same corpus always yields the identical model.
+    Column j of rows counts grams[j]; grams holds the batch's distinct
+    n-grams in sorted() order, so within a row the columns are in gram order.
     """
-    documents = list(documents)
-    df_counter: Counter[str] = Counter()
+
+    grams: list[str]
+    rows: SparseRows
+    ngram_range: NgramRange
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, positions: Sequence[int]) -> "NgramCounts":
+        """The rows at positions, in that order, sharing this batch's gram list."""
+        positions = np.asarray(positions, dtype=np.int64)
+        starts = self.rows.indptr[positions]
+        lengths = self.rows.indptr[positions + 1] - starts
+        indptr = np.zeros(positions.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        gather = np.repeat(starts - indptr[:-1], lengths)
+        gather += np.arange(indptr[-1])
+        rows = SparseRows(indptr, self.rows.indices[gather], self.rows.values[gather])
+        return NgramCounts(self.grams, rows, self.ngram_range)
+
+
+def count(documents: Iterable[Sequence[str]], ngram_range: NgramRange) -> NgramCounts:
+    """Count every document's n-grams in one pass: one row per document, in order.
+
+    A document shorter than ngram_range.lo gets an empty row.
+    """
+    ids: dict[str, int] = {}
+    indptr, columns, counts = array("q", [0]), array("q"), array("d")
     for tokens in documents:
-        df_counter.update(set(extract_ngrams(tokens, config.ngram_range)))
-    if not df_counter:
+        grams = extract_ngrams(tokens, ngram_range)
+        columns.extend(ids.setdefault(gram, len(ids)) for gram in grams)
+        counts.extend(grams.values())
+        indptr.append(len(columns))
+    grams = sorted(ids)
+    # Renumber the columns from first-seen order to gram order.
+    rank = np.empty(len(grams), dtype=np.int64)
+    rank[np.fromiter(map(ids.__getitem__, grams), dtype=np.int64, count=len(grams))] = (
+        np.arange(len(grams))
+    )
+    del ids
+    ranked, order = _sort_rows(indptr, rank[np.frombuffer(columns, dtype=np.int64)], len(grams))
+    del rank, columns
+    rows = SparseRows(indptr, ranked, np.frombuffer(counts)[order])
+    return NgramCounts(grams, rows, ngram_range)
+
+
+def _check_range(counts: NgramCounts, ngram_range: NgramRange) -> None:
+    if counts.ngram_range != ngram_range:
+        raise ValueError(
+            f"the counts are of n-gram range {counts.ngram_range}, but {ngram_range} is needed"
+        )
+
+
+def fit(counts: NgramCounts, config: PipelineConfig) -> TfidfModel:
+    """Build the vocabulary and document frequencies from training counts.
+
+    Reads the config's four TF-IDF fields: ngram_range, use_idf, smooth_idf,
+    norm; the counts must be of the config's n-gram range, or this raises
+    ValueError. The vocabulary is every gram that occurs in some row,
+    indexed in gram order, so refitting the same corpus always yields the
+    identical model.
+    """
+    _check_range(counts, config.ngram_range)
+    # Columns are distinct within a row, so counting them counts documents.
+    doc_freq = np.bincount(counts.rows.indices, minlength=len(counts.grams))
+    present = np.flatnonzero(doc_freq)
+    if not present.size:
         raise EmptyCorpusError("no n-grams found: corpus is empty or all documents are too short")
-    grams = sorted(df_counter)
-    vocabulary = {gram: index for index, gram in enumerate(grams)}
-    doc_freq = np.asarray([df_counter[g] for g in grams], dtype=np.int64)
+    grams = counts.grams
+    column = np.full(len(grams), -1, dtype=np.int64)
+    column[present] = np.arange(present.size)
+    if present.size < len(grams):  # else every gram occurs, and the model shares the list
+        grams = np.asarray(grams, dtype=object)[present].tolist()
     return TfidfModel(
-        vocabulary, doc_freq, len(documents), ngram_range=config.ngram_range,
-        use_idf=config.use_idf, smooth_idf=config.smooth_idf, norm=config.norm,
+        grams, doc_freq[present], len(counts),
+        ngram_range=config.ngram_range, use_idf=config.use_idf,
+        smooth_idf=config.smooth_idf, norm=config.norm, fitted_on=(counts.grams, column),
     )
 
 
-def transform(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRows:
-    """Vectorize documents into one batch: count known n-grams, weight by IDF, normalize.
+def transform(model: TfidfModel, counts: NgramCounts) -> SparseRows:
+    """Vectorize counted documents into one batch: weight known n-grams by IDF, normalize.
 
-    N-grams absent from the fitted vocabulary are silently dropped; a
-    document with no known n-grams maps to an empty row. Each row's L1 or L2
-    norm is reduced over that row alone, and a value the scaling rounds to
-    zero is dropped.
+    The counts must be of the model's n-gram range, or this raises
+    ValueError. N-grams absent from the fitted vocabulary are silently
+    dropped; a document with no known n-grams maps to an empty row. Each
+    row's L1 or L2 norm is reduced over that row alone, and a value the
+    scaling rounds to zero is dropped.
     """
-    vocab = model.vocabulary
-    indptr, indices, counts = [0], array("q"), array("q")
-    for tokens in documents:
-        known = sorted(
-            (j, count)
-            for gram, count in extract_ngrams(tokens, model.ngram_range).items()
-            if (j := vocab.get(gram)) is not None
+    _check_range(counts, model.ngram_range)
+    if model.fitted_on is not None and model.fitted_on[0] is counts.grams:
+        column = model.fitted_on[1]
+    else:
+        vocab = model.vocabulary
+        column = np.fromiter(
+            (vocab.get(gram, -1) for gram in counts.grams), dtype=np.int64, count=len(counts.grams)
         )
-        indices.extend(j for j, _ in known)
-        counts.extend(count for _, count in known)
-        indptr.append(len(indices))
-    index_array = np.frombuffer(indices, dtype=np.int64)
+    indptr, index_array, tf = counts.rows.indptr, column[counts.rows.indices], counts.rows.values
+    known = index_array >= 0
+    if not known.all():
+        indptr, index_array, tf = _kept(indptr, known), index_array[known], tf[known]
+    known_columns = column[column >= 0]
+    if np.any(known_columns[1:] < known_columns[:-1]):
+        # A vocabulary not indexed in gram order (a hand-made tfidf.json) reorders each row.
+        index_array, order = _sort_rows(indptr, index_array, len(model.grams))
+        tf = tf[order]
     values = model.idf_array[index_array]
-    values *= np.frombuffer(counts, dtype=np.int64)
+    values *= tf
     if model.norm != "none":
         # An empty row gets scale 0, which divides nothing.
-        scales = np.empty(len(indptr) - 1, dtype=np.float64)
-        for i, (start, end) in enumerate(zip(indptr[:-1], indptr[1:])):
+        scales = np.empty(indptr.size - 1, dtype=np.float64)
+        for i, (start, end) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
             row = values[start:end]
             scales[i] = np.abs(row).sum() if model.norm == "l1" else math.sqrt(row @ row)
         values /= np.repeat(scales, np.diff(indptr))
     keep = values != 0.0
     if keep.all():
         return SparseRows(indptr, index_array, values)
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return SparseRows(kept_before[indptr], index_array[keep], values[keep])
+    return SparseRows(_kept(indptr, keep), index_array[keep], values[keep])
+
+
+def _sort_rows(
+    indptr: np.ndarray, columns: np.ndarray, n_columns: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's columns in increasing order, and the permutation that sorts them.
+
+    The rows stay in place: the sort key of an entry is row * n_columns + column.
+    """
+    lengths = np.diff(indptr)
+    key = np.repeat(np.arange(lengths.size) * n_columns, lengths)
+    key += columns
+    del columns  # frees a temporary the caller handed over, before the sort
+    order = np.argsort(key)
+    key = key[order]
+    key %= max(n_columns, 1)
+    return key, order
+
+
+def _kept(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The row boundaries once only the entries where keep holds remain."""
+    return np.concatenate(([0], np.cumsum(keep)))[indptr]
 
 
 def tfidf_to_dict(model: TfidfModel) -> dict:
     """JSON-ready form; the vocabulary is stored as sorted [ngram, index, df] rows."""
-    rows = [
-        [gram, index, int(model.doc_freq[index])]
-        for gram, index in sorted(model.vocabulary.items())
-    ]
+    rows = sorted(
+        [gram, index, int(df)] for index, (gram, df) in enumerate(zip(model.grams, model.doc_freq))
+    )
     return {
         "version": TFIDF_FORMAT_VERSION,
         "ngram_range": [model.ngram_range.lo, model.ngram_range.hi],
@@ -259,12 +362,15 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
             )
         if not (type(data["use_idf"]) is bool and type(data["smooth_idf"]) is bool):
             raise TfidfFormatError("use_idf and smooth_idf must be JSON booleans")
-        vocabulary = {gram: index for gram, index, _ in rows}
-        if sorted(vocabulary.values()) != list(range(len(vocabulary))):
+        if sorted(index for _, index, _ in rows) != list(range(len(rows))):
             raise TfidfFormatError("vocabulary indices are not a dense 0..V-1 range")
+        grams = [""] * len(rows)
         doc_freq = np.zeros(len(rows), dtype=np.int64)
-        for _, index, df in rows:
+        for gram, index, df in rows:
+            grams[index] = gram
             doc_freq[index] = df
+        if len(set(grams)) != len(grams):
+            raise TfidfFormatError("the vocabulary lists an n-gram twice")
         if n_docs < 1:
             raise TfidfFormatError(f"n_docs must be >= 1, got {n_docs}")
         if doc_freq.size and not (doc_freq.min() >= 1 and doc_freq.max() <= n_docs):
@@ -273,7 +379,7 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         if norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")
         model = TfidfModel(
-            vocabulary, doc_freq, n_docs, ngram_range=NgramRange(lo, hi),
+            grams, doc_freq, n_docs, ngram_range=NgramRange(lo, hi),
             use_idf=data["use_idf"], smooth_idf=data["smooth_idf"], norm=norm,
         )
     except TfidfFormatError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import features, sgd
-from .features import NgramRange, TfidfModel
+from .features import NgramCounts, NgramRange, TfidfModel
 from .resample import smote
 from .seeds import substream
 from .sgd import LinearModel
@@ -75,20 +75,22 @@ class FittedPipeline:
 
 
 def fit_pipeline(
-    documents: Sequence[Sequence[str]],
+    counts: NgramCounts,
     labels: Sequence[int],
     config: PipelineConfig,
 ) -> FittedPipeline:
-    """Fit the vectorizer and the classifier on training documents only.
+    """Fit the vectorizer and the classifier on the counts of training documents only.
 
     SMOTE, when configured, runs in feature space on the training vectors
     before the classifier sees them. All randomness derives from
     config.seed: resampling draws and shuffle order each get a substream.
     """
-    if len(documents) != len(labels):
+    if len(counts) != len(labels):
         raise ValueError("documents and labels must have equal length")
-    tfidf = features.fit(documents, config)
-    vectors = features.transform(tfidf, documents)
+    tfidf = features.fit(counts, config)
+    vectors = features.transform(tfidf, counts)
+    # A caller that handed over its only reference frees the counts before SGD.
+    del counts
     train_labels = [int(lab) for lab in labels]
     if config.smote:
         resampled = smote(
@@ -97,9 +99,9 @@ def fit_pipeline(
         vectors = resampled.vectors
         train_labels = resampled.labels
     shuffle = replace(config, seed=substream(config.seed, "shuffle"))
-    model = sgd.fit_multiclass(vectors, train_labels, shuffle, feature_dim=len(tfidf.vocabulary))
+    model = sgd.fit_multiclass(vectors, train_labels, shuffle, feature_dim=len(tfidf.grams))
     return FittedPipeline(tfidf=tfidf, model=model)
 
 
-def predict_pipeline(fitted: FittedPipeline, documents: Sequence[Sequence[str]]) -> list[int]:
-    return sgd.predict(fitted.model, features.transform(fitted.tfidf, documents))
+def predict_pipeline(fitted: FittedPipeline, counts: NgramCounts) -> list[int]:
+    return sgd.predict(fitted.model, features.transform(fitted.tfidf, counts))

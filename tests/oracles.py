@@ -2,20 +2,30 @@
 
 None of these run in the library: they are slow, dense, per-document or
 per-class versions of what src/ does, kept so a faster, batched or shared
-path can be checked against them. loss_value gives the losses whose
-subgradients the trainer uses, and binary_row is the binary classifier the
-tests train through the one-vs-rest trainer.
+path can be checked against them. fit_tokens and transform_documents are
+the TF-IDF stages as they read tokens before documents were counted once.
+loss_value gives the losses whose subgradients the trainer uses, and
+binary_row is the binary classifier the tests train through the one-vs-rest
+trainer.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 from sgdtext.evaluation import ConfusionMatrix
-from sgdtext.features import NORMS, Row, SparseRows, TfidfModel, extract_ngrams
+from sgdtext.features import (
+    NORMS,
+    EmptyCorpusError,
+    Row,
+    SparseRows,
+    TfidfModel,
+    extract_ngrams,
+)
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.resample import squared_distance
 from sgdtext.sgd import (
@@ -52,6 +62,24 @@ def normalize(v: Row, norm: str) -> Row:
     if bool(np.all(keep)):
         return indices, scaled
     return indices[keep], scaled[keep]
+
+
+def fit_tokens(documents: Sequence[Sequence[str]], config: PipelineConfig) -> TfidfModel:
+    """Vocabulary and document frequencies from token lists, one Counter of grams at a time.
+
+    features.fit on the counts of the same documents must equal it.
+    """
+    df_counter: Counter[str] = Counter()
+    for tokens in documents:
+        df_counter.update(set(extract_ngrams(tokens, config.ngram_range)))
+    if not df_counter:
+        raise EmptyCorpusError("no n-grams found: corpus is empty or all documents are too short")
+    grams = sorted(df_counter)
+    return TfidfModel(
+        grams, np.asarray([df_counter[g] for g in grams], dtype=np.int64), len(documents),
+        ngram_range=config.ngram_range, use_idf=config.use_idf,
+        smooth_idf=config.smooth_idf, norm=config.norm,
+    )
 
 
 def transform_document(model: TfidfModel, tokens: Sequence[str]) -> Row:

@@ -1,16 +1,18 @@
 """Small builders for the sparse data the tests feed the library.
 
 A row is an (indices, values) pair of arrays, as SparseRows.row returns it;
-a batch of rows is one SparseRows.
+a batch of rows is one SparseRows. fit_on and vectorize take token lists
+through features.count, as the library does.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from sgdtext.features import Row, SparseRows
+from sgdtext.features import Row, SparseRows, TfidfModel, count, fit, transform
+from sgdtext.pipeline import PipelineConfig
 
 
 def row(pairs: Mapping[int, float] | Iterable[tuple[int, float]] = ()) -> Row:
@@ -61,3 +63,13 @@ def batch_bytes(batch: SparseRows) -> tuple[bytes, bytes, bytes]:
 def rows_of(batch: SparseRows) -> list[Row]:
     """Every row of a batch, in order."""
     return [batch.row(i) for i in range(len(batch))]
+
+
+def fit_on(documents: Sequence[Sequence[str]], config: PipelineConfig) -> TfidfModel:
+    """features.fit on the counts of the documents."""
+    return fit(count(documents, config.ngram_range), config)
+
+
+def vectorize(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRows:
+    """features.transform on the counts of the documents."""
+    return transform(model, count(documents, model.ngram_range))

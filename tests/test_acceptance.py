@@ -26,7 +26,7 @@ from sgdtext.evaluation import (
     per_class_metrics,
     stratified_kfold,
 )
-from sgdtext.features import NgramRange, SparseRows, fit, transform
+from sgdtext.features import NgramRange, SparseRows, count
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import smote
 from sgdtext.search import GridSpec, grid_search, params_label
@@ -40,7 +40,7 @@ from oracles import (
     normalize,
     regularized_objective,
 )
-from rows import Row, row, row_bytes, rows_of, to_dict
+from rows import Row, fit_on, row, row_bytes, rows_of, to_dict, vectorize
 
 
 def dense_of(v: Row, dim: int) -> np.ndarray:
@@ -71,15 +71,15 @@ def test_tfidf_oracle():
     docs = [["a", "b"], ["b", "c"]]
     doc = ["a", "b"]
 
-    plain = fit(docs, PipelineConfig(use_idf=True, smooth_idf=False, norm="none"))
-    got = to_dict(transform(plain, [doc]).row(0))
+    plain = fit_on(docs, PipelineConfig(use_idf=True, smooth_idf=False, norm="none"))
+    got = to_dict(vectorize(plain, [doc]).row(0))
     expected = {plain.vocabulary["a"]: math.log(2.0) + 1.0, plain.vocabulary["b"]: 1.0}
     worst = max(abs(got[k] - expected[k]) for k in expected)
     assert set(got) == set(expected)
     assert worst < 1e-12
 
-    smooth = fit(docs, PipelineConfig(use_idf=True, smooth_idf=True, norm="none"))
-    got_smooth = to_dict(transform(smooth, [doc]).row(0))
+    smooth = fit_on(docs, PipelineConfig(use_idf=True, smooth_idf=True, norm="none"))
+    got_smooth = to_dict(vectorize(smooth, [doc]).row(0))
     expected_smooth = {
         smooth.vocabulary["a"]: math.log(3.0 / 2.0) + 1.0,
         smooth.vocabulary["b"]: 1.0,
@@ -88,8 +88,8 @@ def test_tfidf_oracle():
     assert worst < 1e-12
 
     for smooth_flag in (False, True):
-        model = fit(docs, PipelineConfig(use_idf=True, smooth_idf=smooth_flag, norm="l2"))
-        norm_err = abs(l2(transform(model, [doc]).row(0)) - 1.0)
+        model = fit_on(docs, PipelineConfig(use_idf=True, smooth_idf=smooth_flag, norm="l2"))
+        norm_err = abs(l2(vectorize(model, [doc]).row(0)) - 1.0)
         worst = max(worst, norm_err)
         assert norm_err < 1e-12
 
@@ -186,9 +186,10 @@ def test_separable_fixture_all_losses():
             loss=loss,
             seed=7,
         )
-        fitted = fit_pipeline(documents, labels, config)
+        counts = count(documents, config.ngram_range)
+        fitted = fit_pipeline(counts, labels, config)
         train_accuracy = sum(
-            1 for pred, lab in zip(predict_pipeline(fitted, documents), labels) if pred == lab
+            1 for pred, lab in zip(predict_pipeline(fitted, counts), labels) if pred == lab
         ) / len(labels)
         assert train_accuracy == 1.0, f"{loss}: train accuracy {train_accuracy}"
         [report] = cross_validate(documents, labels, [config], k=10)
@@ -360,8 +361,8 @@ def test_smote_recovers_silent_class():
         config = PipelineConfig(
             loss="logreg", alpha=1e-2, epochs=5, smote=smote_on, seed=7
         )
-        fitted = fit_pipeline(train_docs, train_labels, config)
-        predictions = predict_pipeline(fitted, test_docs)
+        fitted = fit_pipeline(count(train_docs, config.ngram_range), train_labels, config)
+        predictions = predict_pipeline(fitted, count(test_docs, config.ngram_range))
         report = per_class_metrics(confusion(test_labels, predictions, [1, 2, 3]))
         recalls[name] = {cls: report.per_class[cls].recall for cls in (1, 2, 3)}
 

@@ -120,6 +120,16 @@ def test_files_are_read_through_artifacts():
     assert found == []
 
 
+def test_documents_are_tokenized_in_one_place():
+    """extract_ngrams has one caller in the package, features.count; fit and transform read counts."""
+    callers = [
+        f"{path.stem}.{owner}"
+        for path, owner, node in package_calls()
+        if "extract_ngrams" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == ["features.count"]
+
+
 def test_one_fold_loop():
     """stratified_kfold has one caller in the package, cross_validate, so every score shares it."""
     callers = [

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from sgdtext import evaluation
+from sgdtext import evaluation, features
 from sgdtext.evaluation import (
     ConfusionMatrix,
     CrossValidationError,
@@ -23,6 +24,7 @@ from sgdtext.evaluation import (
 )
 from sgdtext.features import EmptyCorpusError, NgramRange
 from sgdtext.pipeline import PipelineConfig
+from sgdtext.search import GridSpec, enumerate_grid
 from sgdtext.seeds import substream
 
 from oracles import micro_averages
@@ -241,6 +243,30 @@ class TestCrossValidate:
         assert error.fold == 0
         assert isinstance(error.__cause__, EmptyCorpusError)
 
+    def test_error_survives_pickling(self):
+        error = CrossValidationError(2, "boom")
+        error.__cause__ = ValueError("boom")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is CrossValidationError
+        assert (copy.fold, str(copy)) == (2, "fold 2: boom")
+        assert copy.__cause__ is None
+
+    def test_documents_are_counted_once_per_ngram_range(self, signature_corpus, monkeypatch):
+        documents, labels = signature_corpus(n_classes=2, per_class=4)
+        configs = enumerate_grid(GridSpec(), PipelineConfig(epochs=1, seed=5))
+        counted, taken = [], []
+        count, take = features.count, features.NgramCounts.take
+        monkeypatch.setattr(
+            features, "count", lambda docs, r: counted.append(r) or count(docs, r)
+        )
+        monkeypatch.setattr(
+            features.NgramCounts, "take", lambda self, rows: taken.append(1) or take(self, rows)
+        )
+        reports = cross_validate(documents, labels, configs, k=2)
+        assert len(configs) == 96 and all(r.mean == 1.0 for r in reports)
+        assert counted == [NgramRange(1, 1), NgramRange(1, 2)]
+        assert len(taken) == 2 * 2 * 2  # folds x n-gram ranges x (train, held out)
+
     def test_configs_score_as_they_would_alone(self):
         documents, labels = noisy_corpus()
         together = cross_validate(documents, labels, SCORED_CONFIGS, k=4)
@@ -283,7 +309,7 @@ class TestCrossValidate:
         )
         monkeypatch.setattr(
             evaluation, "fit_pipeline",
-            lambda docs, labs, config: fit_seeds.append(config.seed) or fit(docs, labs, config),
+            lambda counts, labs, config: fit_seeds.append(config.seed) or fit(counts, labs, config),
         )
         configs = [PipelineConfig(seed=8), PipelineConfig(alpha=1e-3, seed=8)]
         cross_validate(documents, labels, configs, k=3)

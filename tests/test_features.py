@@ -19,6 +19,7 @@ from sgdtext.features import (
     NgramRange,
     SparseRows,
     TfidfFormatError,
+    count,
     extract_ngrams,
     fit,
     load_tfidf,
@@ -29,8 +30,8 @@ from sgdtext.features import (
 )
 from sgdtext.pipeline import PipelineConfig
 
-from oracles import normalize, transform_documents
-from rows import batch_bytes, row, row_bytes, rows, to_dense, to_dict
+from oracles import fit_tokens, normalize, transform_documents
+from rows import batch_bytes, fit_on, row, row_bytes, rows, to_dense, to_dict, vectorize
 
 
 class TestNgramRange:
@@ -175,49 +176,79 @@ class TestExtractNgrams:
         assert counts["a b"] == 2
 
 
+class TestCount:
+    def test_columns_are_the_batch_grams_in_sorted_order(self):
+        counts = count([["b", "a", "b"], [], ["a"], ["c"]], NgramRange(1, 1))
+        assert counts.grams == ["a", "b", "c"] and len(counts) == 4
+        assert counts.rows.indptr.tolist() == [0, 2, 2, 3, 4]
+        assert counts.rows.indices.tolist() == [0, 1, 0, 2]
+        assert counts.rows.values.tolist() == [1.0, 2.0, 1.0, 1.0]
+
+    def test_each_row_counts_its_document_in_gram_order(self):
+        docs = [["x", "y", "x", "y"], ["y"], ["a", "x"]]
+        counts = count(docs, NgramRange(1, 2))
+        for i, tokens in enumerate(docs):
+            indices, values = counts.rows.row(i)
+            expected = sorted(extract_ngrams(tokens, NgramRange(1, 2)).items())
+            assert [(counts.grams[j], v) for j, v in zip(indices, values)] == expected
+
+    def test_no_documents(self):
+        counts = count([], NgramRange(1, 2))
+        assert counts.grams == [] and len(counts) == 0 and counts.rows.nnz == 0
+
+    def test_take_keeps_the_gram_list_and_orders_rows_as_asked(self):
+        counts = count([["a", "b"], [], ["c", "c"], ["b"]], NgramRange(1, 1))
+        taken = counts.take([3, 0, 1, 2])
+        assert taken.grams is counts.grams and taken.ngram_range == counts.ngram_range
+        assert taken.rows.indptr.tolist() == [0, 1, 3, 3, 4]
+        assert taken.rows.indices.tolist() == [1, 0, 1, 2]
+        assert taken.rows.values.tolist() == [1.0, 1.0, 1.0, 2.0]
+        assert len(counts.take([])) == 0
+
+
 class TestFit:
     def test_vocabulary_is_lexicographic(self):
-        model = fit([["bravo", "alpha"], ["charlie"]], PipelineConfig())
+        model = fit_on([["bravo", "alpha"], ["charlie"]], PipelineConfig())
         assert model.vocabulary == {"alpha": 0, "bravo": 1, "charlie": 2}
 
     def test_document_frequency_counts_documents_not_occurrences(self):
-        model = fit([["a", "a", "b"], ["b"]], PipelineConfig())
+        model = fit_on([["a", "a", "b"], ["b"]], PipelineConfig())
         assert model.doc_freq[model.vocabulary["a"]] == 1
         assert model.doc_freq[model.vocabulary["b"]] == 2
         assert model.n_docs == 2
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
-            fit([], PipelineConfig())
+            fit_on([], PipelineConfig())
         with pytest.raises(EmptyCorpusError):
-            fit([["a"], ["b"]], PipelineConfig(ngram_range=NgramRange(2, 2)))
+            fit_on([["a"], ["b"]], PipelineConfig(ngram_range=NgramRange(2, 2)))
 
     def test_refit_is_identical(self):
         docs = [["b", "a"], ["a", "c"], ["c", "c", "b"]]
-        first = fit(docs, PipelineConfig())
-        second = fit(docs, PipelineConfig())
+        first = fit_on(docs, PipelineConfig())
+        second = fit_on(docs, PipelineConfig())
         assert first.vocabulary == second.vocabulary
         assert np.array_equal(first.doc_freq, second.doc_freq)
 
 
 class TestIdf:
     def test_plain_formula(self):
-        model = fit([["a", "b"], ["b"]], PipelineConfig(smooth_idf=False))
+        model = fit_on([["a", "b"], ["b"]], PipelineConfig(smooth_idf=False))
         assert math.isclose(model.idf_array[model.vocabulary["a"]], math.log(2 / 1) + 1.0)
         assert math.isclose(model.idf_array[model.vocabulary["b"]], math.log(2 / 2) + 1.0)
 
     def test_smooth_formula(self):
-        model = fit([["a", "b"], ["b"]], PipelineConfig(smooth_idf=True))
+        model = fit_on([["a", "b"], ["b"]], PipelineConfig(smooth_idf=True))
         assert math.isclose(model.idf_array[model.vocabulary["a"]], math.log(3 / 2) + 1.0)
         assert math.isclose(model.idf_array[model.vocabulary["b"]], math.log(3 / 3) + 1.0)
 
     def test_disabled_idf_is_exactly_one(self):
-        model = fit([["a", "b"], ["b", "c"]], PipelineConfig(use_idf=False))
+        model = fit_on([["a", "b"], ["b", "c"]], PipelineConfig(use_idf=False))
         assert np.array_equal(model.idf_array, np.ones(len(model.vocabulary)))
 
     def test_out_of_range_feature(self):
         # One weight per vocabulary entry, so a feature index past it has none.
-        model = fit([["a"]], PipelineConfig())
+        model = fit_on([["a"]], PipelineConfig())
         assert model.idf_array.shape == (len(model.vocabulary),)
         with pytest.raises(IndexError):
             model.idf_array[5]
@@ -254,51 +285,51 @@ class TestNormalize:
 
 class TestTransform:
     def corpus_model(self, **kwargs) -> features.TfidfModel:
-        return fit([["a", "b"], ["b", "c"]], PipelineConfig(**kwargs))
+        return fit_on([["a", "b"], ["b", "c"]], PipelineConfig(**kwargs))
 
     def test_plain_idf_weighting(self):
         model = self.corpus_model(smooth_idf=False, norm="none")
-        v = transform(model, [["a", "b"]]).row(0)
+        v = vectorize(model, [["a", "b"]]).row(0)
         assert to_dict(v) == pytest.approx(
             {model.vocabulary["a"]: math.log(2) + 1.0, model.vocabulary["b"]: 1.0}
         )
 
     def test_term_counts_scale_weights(self):
         model = self.corpus_model(smooth_idf=False, norm="none")
-        v = transform(model, [["a", "a", "b"]]).row(0)
+        v = vectorize(model, [["a", "a", "b"]]).row(0)
         assert to_dict(v)[model.vocabulary["a"]] == pytest.approx(2 * (math.log(2) + 1.0))
 
     def test_unknown_tokens_dropped(self):
         model = self.corpus_model(norm="none")
-        indices, _ = transform(model, [["a", "zzz"]]).row(0)
+        indices, _ = vectorize(model, [["a", "zzz"]]).row(0)
         assert set(indices) == {model.vocabulary["a"]}
-        assert transform(model, [["zzz", "qqq"]]).nnz == 0
+        assert vectorize(model, [["zzz", "qqq"]]).nnz == 0
 
     def test_empty_document_maps_to_empty_vector(self):
         model = self.corpus_model()
-        batch = transform(model, [[]])
+        batch = vectorize(model, [[]])
         assert len(batch) == 1 and batch.nnz == 0
 
     def test_l2_norm_applied(self):
         model = self.corpus_model(norm="l2")
-        _, values = transform(model, [["a", "b", "c"]]).row(0)
+        _, values = vectorize(model, [["a", "b", "c"]]).row(0)
         assert math.isclose(math.sqrt(values @ values), 1.0, abs_tol=1e-12)
 
     def test_bigram_transform(self):
         docs = [["bomb", "exploded"], ["bomb", "defused"]]
-        model = fit(docs, PipelineConfig(ngram_range=NgramRange(1, 2), norm="none"))
+        model = fit_on(docs, PipelineConfig(ngram_range=NgramRange(1, 2), norm="none"))
         assert "bomb exploded" in model.vocabulary
-        indices, _ = transform(model, [["bomb", "exploded"]]).row(0)
+        indices, _ = vectorize(model, [["bomb", "exploded"]]).row(0)
         assert model.vocabulary["bomb exploded"] in indices
 
     def test_one_row_per_document_in_order(self):
         model = self.corpus_model(norm="l1")
         docs = [["c"], [], ["zzz"], ["a", "b"], ["b", "b", "c"]]
-        batch = transform(model, docs)
+        batch = vectorize(model, docs)
         assert len(batch) == len(docs)
         for i, doc in enumerate(docs):
-            assert row_bytes(batch.row(i)) == row_bytes(transform(model, [doc]).row(0))
-        assert transform(model, []).indptr.tolist() == [0]
+            assert row_bytes(batch.row(i)) == row_bytes(vectorize(model, [doc]).row(0))
+        assert vectorize(model, []).indptr.tolist() == [0]
 
 
 VOCAB = [f"t{i}" for i in range(7)]
@@ -323,7 +354,10 @@ class TestBatchTransformProperty:
     def test_equals_per_document_oracle(
         self, fit_docs, docs, ngram_range, norm, use_idf, smooth_idf, data
     ):
-        model = fit(fit_docs, PipelineConfig(ngram_range=ngram_range, norm=norm, use_idf=use_idf, smooth_idf=smooth_idf))
+        config = PipelineConfig(
+            ngram_range=ngram_range, norm=norm, use_idf=use_idf, smooth_idf=smooth_idf
+        )
+        model = fit_on(fit_docs, config)
         if data.draw(st.booleans(), label="extreme weights"):
             # Weights 1e520 apart make the normalization round the small ones
             # to zero (or, with L2, overflow the norm and zero the whole row).
@@ -338,30 +372,109 @@ class TestBatchTransformProperty:
             model.idf_array = model.idf_array * np.asarray(factors)
         with np.errstate(divide="ignore", over="ignore"):
             expected = transform_documents(model, docs)
-            got = transform(model, docs)
+            got = vectorize(model, docs)
         assert batch_bytes(got) == batch_bytes(expected)
+
+
+# Empty documents, documents shorter than lo = 2, and repeated grams from a small vocabulary.
+FIT_DOCS = st.lists(st.lists(st.sampled_from(VOCAB[:4]), max_size=12), min_size=1, max_size=6)
+
+
+class TestCountedOracle:
+    """count, then fit and transform, equal the token oracles bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fit_docs=FIT_DOCS,
+        docs=st.lists(st.lists(TOKENS, max_size=12), max_size=6),
+        ngram_range=st.sampled_from(NGRAMS),
+        norm=st.sampled_from(NORMS),
+        use_idf=st.booleans(),
+        smooth_idf=st.booleans(),
+    )
+    def test_fit_and_transform_equal_the_token_oracle(
+        self, fit_docs, docs, ngram_range, norm, use_idf, smooth_idf
+    ):
+        config = PipelineConfig(
+            ngram_range=ngram_range, norm=norm, use_idf=use_idf, smooth_idf=smooth_idf
+        )
+        # Fitted alone, or on the rows of a count shared with the held-out
+        # documents, whose grams the training rows may lack.
+        joint = count(fit_docs + docs, ngram_range)
+        fit_counts = [count(fit_docs, ngram_range), joint.take(range(len(fit_docs)))]
+        try:
+            expected = fit_tokens(fit_docs, config)
+        except EmptyCorpusError:
+            for counts in fit_counts:
+                with pytest.raises(EmptyCorpusError):
+                    fit(counts, config)
+            return
+        held_out = joint.take(range(len(fit_docs), len(fit_docs) + len(docs)))
+        for counts, other in zip(fit_counts, (count(docs, ngram_range), held_out)):
+            model = fit(counts, config)
+            assert model.grams == expected.grams
+            assert model.vocabulary == expected.vocabulary
+            assert model.doc_freq.tobytes() == expected.doc_freq.tobytes()
+            assert model.n_docs == expected.n_docs
+            for batch, tokens in ((counts, fit_docs), (other, docs)):
+                got = transform(model, batch)
+                assert batch_bytes(got) == batch_bytes(transform_documents(expected, tokens))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fit_docs=st.lists(
+            st.lists(st.sampled_from(VOCAB), min_size=2, max_size=12), min_size=1, max_size=5
+        ),
+        docs=st.lists(st.lists(TOKENS, max_size=12), max_size=6),
+        ngram_range=st.sampled_from(NGRAMS[:2]),
+        norm=st.sampled_from(NORMS),
+        data=st.data(),
+    )
+    def test_vocabulary_indexed_out_of_gram_order(self, fit_docs, docs, ngram_range, norm, data):
+        saved = tfidf_to_dict(fit_on(fit_docs, PipelineConfig(ngram_range=ngram_range, norm=norm)))
+        permutation = data.draw(st.permutations(range(len(saved["vocabulary"]))))
+        for entry in saved["vocabulary"]:
+            entry[1] = permutation[entry[1]]
+        model = tfidf_from_dict(saved)
+        got = transform(model, count(docs, ngram_range))
+        assert batch_bytes(got) == batch_bytes(transform_documents(model, docs))
+
+    def test_counts_of_another_ngram_range_are_rejected(self):
+        counts = count([["a", "b"], ["b", "c"]], NgramRange(1, 1))
+        bigram = PipelineConfig(ngram_range=NgramRange(1, 2))
+        with pytest.raises(ValueError, match="n-gram range"):
+            fit(counts, bigram)
+        model = fit(count([["a", "b"]], NgramRange(1, 2)), bigram)
+        with pytest.raises(ValueError, match="n-gram range"):
+            transform(model, counts)
 
 
 class TestSerialization:
     def test_round_trip_preserves_transform(self, tmp_path):
         docs = [["alpha", "beta"], ["beta", "gamma"], ["gamma", "alpha", "alpha"]]
-        model = fit(docs, PipelineConfig(ngram_range=NgramRange(1, 2)))
+        model = fit_on(docs, PipelineConfig(ngram_range=NgramRange(1, 2)))
         path = tmp_path / "tfidf.json"
         save_tfidf(model, path)
         loaded = load_tfidf(path)
         assert loaded.vocabulary == model.vocabulary
         assert np.array_equal(loaded.doc_freq, model.doc_freq)
         assert loaded.n_docs == model.n_docs
-        assert batch_bytes(transform(loaded, docs)) == batch_bytes(transform(model, docs))
+        assert batch_bytes(vectorize(loaded, docs)) == batch_bytes(vectorize(model, docs))
 
     def test_version_mismatch_rejected(self):
-        data = tfidf_to_dict(fit([["a"]], PipelineConfig()))
+        data = tfidf_to_dict(fit_on([["a"]], PipelineConfig()))
         data["version"] = 99
         with pytest.raises(TfidfFormatError, match="version"):
             tfidf_from_dict(data)
 
+    def test_an_ngram_listed_twice_is_rejected(self):
+        data = tfidf_to_dict(fit_on([["a", "b"]], PipelineConfig()))
+        data["vocabulary"] = [["a", 0, 1], ["a", 1, 1]]
+        with pytest.raises(TfidfFormatError, match="twice"):
+            tfidf_from_dict(data)
+
     def test_sparse_vocabulary_indices_rejected(self):
-        data = tfidf_to_dict(fit([["a", "b"]], PipelineConfig()))
+        data = tfidf_to_dict(fit_on([["a", "b"]], PipelineConfig()))
         data["vocabulary"] = [["a", 0, 1], ["b", 2, 1]]
         with pytest.raises(TfidfFormatError, match="dense"):
             tfidf_from_dict(data)
@@ -402,7 +515,7 @@ class TestSerialization:
         ],
     )
     def test_out_of_range_values_rejected(self, field, value, message):
-        data = tfidf_to_dict(fit([["a", "b"], ["b"]], PipelineConfig(smooth_idf=False)))
+        data = tfidf_to_dict(fit_on([["a", "b"], ["b"]], PipelineConfig(smooth_idf=False)))
         if field == "df":
             data["vocabulary"][0][2] = value
         else:

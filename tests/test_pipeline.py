@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sgdtext import features, sgd
-from sgdtext.features import NgramRange
+from sgdtext.features import NgramRange, count
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import smote
 from sgdtext.seeds import substream
@@ -17,28 +17,30 @@ from sgdtext.seeds import substream
 class TestFitPipeline:
     def test_learns_and_predicts_training_data(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=4, per_class=6)
-        fitted = fit_pipeline(documents, labels, PipelineConfig(seed=1))
-        assert predict_pipeline(fitted, documents) == labels
+        counts = count(documents, NgramRange(1, 1))
+        fitted = fit_pipeline(counts, labels, PipelineConfig(seed=1))
+        assert predict_pipeline(fitted, counts) == labels
 
     def test_deterministic_for_seed(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=6)
         config = PipelineConfig(loss="logreg", seed=11)
-        first = fit_pipeline(documents, labels, config)
-        second = fit_pipeline(documents, labels, config)
+        first = fit_pipeline(count(documents, NgramRange(1, 1)), labels, config)
+        second = fit_pipeline(count(documents, NgramRange(1, 1)), labels, config)
         assert np.array_equal(first.model.weights, second.model.weights)
         assert np.array_equal(first.model.intercepts, second.model.intercepts)
 
     def test_seed_changes_model(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=6)
-        first = fit_pipeline(documents, labels, PipelineConfig(seed=1))
-        second = fit_pipeline(documents, labels, PipelineConfig(seed=2))
+        counts = count(documents, NgramRange(1, 1))
+        first = fit_pipeline(counts, labels, PipelineConfig(seed=1))
+        second = fit_pipeline(counts, labels, PipelineConfig(seed=2))
         assert not np.array_equal(first.model.weights, second.model.weights)
 
     def test_vectorizer_fitted_before_resampling(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=4)
         labels = [1] * 6 + labels[6:]  # skew: 6/2/4 so resampling adds rows
         fitted = fit_pipeline(
-            documents, labels, PipelineConfig(smote=True, seed=3)
+            count(documents, NgramRange(1, 1)), labels, PipelineConfig(smote=True, seed=3)
         )
         assert fitted.tfidf.n_docs == len(documents)
 
@@ -48,11 +50,12 @@ class TestFitPipeline:
         documents, labels = signature_corpus(n_classes=3, per_class=5)
         labels = [1] * 8 + labels[8:]  # histogram 8/2/5 forces synthetic draws
         config = PipelineConfig(smote=True, smote_k=3, seed=7)
-        fitted = fit_pipeline(documents, labels, config)
+        counts = count(documents, config.ngram_range)
+        fitted = fit_pipeline(counts, labels, config)
 
-        tfidf = features.fit(documents, config)
+        tfidf = features.fit(counts, config)
         resampled = smote(
-            features.transform(tfidf, documents),
+            features.transform(tfidf, counts),
             labels,
             replace(config, seed=substream(config.seed, "smote")),
         )
@@ -69,20 +72,20 @@ class TestFitPipeline:
 
     def test_feature_dim_is_vocabulary_size(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=4)
-        fitted = fit_pipeline(
-            documents, labels, PipelineConfig(ngram_range=NgramRange(1, 2), seed=1)
-        )
+        config = PipelineConfig(ngram_range=NgramRange(1, 2), seed=1)
+        fitted = fit_pipeline(count(documents, config.ngram_range), labels, config)
         assert fitted.model.feature_dim == len(fitted.tfidf.vocabulary)
 
     def test_unknown_tokens_still_predict(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=2, per_class=5)
-        fitted = fit_pipeline(documents, labels, PipelineConfig(seed=1))
-        predictions = predict_pipeline(fitted, [["entirely", "new", "words"]])
+        unigrams = NgramRange(1, 1)
+        fitted = fit_pipeline(count(documents, unigrams), labels, PipelineConfig(seed=1))
+        predictions = predict_pipeline(fitted, count([["entirely", "new", "words"]], unigrams))
         assert predictions[0] in fitted.model.classes
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
-            fit_pipeline([["a"]], [1, 2], PipelineConfig())
+            fit_pipeline(count([["a"]], NgramRange(1, 1)), [1, 2], PipelineConfig())
 
 
 class TestPipelineConfig:
@@ -132,8 +135,9 @@ class TestPipelineConfig:
 
     def test_each_loss_trains_its_own_model(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=4)
+        counts = count(documents, NgramRange(1, 1))
         weights = {
-            loss: fit_pipeline(documents, labels, PipelineConfig(loss=loss, seed=1)).model.weights
+            loss: fit_pipeline(counts, labels, PipelineConfig(loss=loss, seed=1)).model.weights
             for loss in sgd.LOSSES
         }
         assert not np.array_equal(weights["svm"], weights["perceptron"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdtext import resample
-from sgdtext.features import NORMS, NgramRange, SparseRows, fit, transform
+from sgdtext.features import NORMS, NgramRange, SparseRows
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.resample import (
     interpolate,
@@ -20,7 +20,7 @@ from sgdtext.resample import (
     squared_distance,
 )
 from oracles import knn_indices_oracle
-from rows import Row, batch_bytes, row, row_bytes, rows, rows_of, to_dict
+from rows import Row, batch_bytes, fit_on, row, row_bytes, rows, rows_of, to_dict, vectorize
 
 
 def dense_of(v: Row, dim: int) -> np.ndarray:
@@ -156,11 +156,11 @@ def tfidf_classes(seed: int, ngram_range: NgramRange, norm: str) -> list[SparseR
         docs += [list(docs[int(i)]) for i in rng.integers(0, size, size=3)]
         docs.append(["unseen", "tokens"])
         classes.append(docs)
-    model = fit(
+    model = fit_on(
         [doc for docs in classes for doc in docs if doc[0] != "unseen"],
         PipelineConfig(ngram_range=ngram_range, norm=norm),
     )
-    return [transform(model, docs) for docs in classes]
+    return [vectorize(model, docs) for docs in classes]
 
 
 class CountingDistance:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sgdtext import sgd
-from sgdtext.features import NgramRange, SparseRows, fit, transform
+from sgdtext.features import NgramRange, SparseRows
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.sgd import (
     LinearModel,
@@ -35,7 +35,7 @@ from oracles import (
     loss_value,
     regularized_objective,
 )
-from rows import dense_rows, rows
+from rows import dense_rows, fit_on, rows, vectorize
 
 
 class TestLossValues:
@@ -333,8 +333,8 @@ def tfidf_problem(
     documents[-4] = []
     for doc in documents[-3:]:
         doc[:] = [f"unseen{j}" for j in range(len(doc))]
-    model = fit(documents[:-3], PipelineConfig(ngram_range=ngram_range))
-    X = transform(model, documents)
+    model = fit_on(documents[:-3], PipelineConfig(ngram_range=ngram_range))
+    X = vectorize(model, documents)
     assert np.count_nonzero(np.diff(X.indptr) == 0) >= 4
     return X, labels
 
