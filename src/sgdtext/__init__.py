@@ -27,7 +27,7 @@ from .features import (
     transform,
 )
 from .pipeline import FittedPipeline, PipelineConfig, fit_pipeline, predict_pipeline
-from .resample import SmoteResult, interpolate, neighbor_table, smote
+from .resample import SmoteResult, neighbor_table, smote
 from .search import Candidate, GridSpec, enumerate_grid, grid_search
 from .seeds import substream
 from .sgd import LinearModel, decision, fit_multiclass, loss_dmargin, predict
@@ -62,7 +62,6 @@ __all__ = [
     "fit_multiclass",
     "fit_pipeline",
     "grid_search",
-    "interpolate",
     "load_corpus",
     "load_stop_words",
     "loss_dmargin",

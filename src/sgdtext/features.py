@@ -97,20 +97,18 @@ class SparseRows:
         self.values = values
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Row]) -> "SparseRows":
-        """Stack (indices, values) rows into one batch, in order.
+    def concat(cls, batches: Iterable["SparseRows"]) -> "SparseRows":
+        """Stack batches into one, rows in order.
 
-        Each row is copied in as it arrives, so rows made on the fly by an
-        iterator are never all held at once.
+        Each batch is copied in as it arrives, so batches made on the fly by
+        an iterator are never all held at once.
         """
-        indptr, indices, values = [0], array("q"), array("d")
-        for row_indices, row_values in rows:
-            indices.frombytes(np.asarray(row_indices, dtype=np.int64).tobytes())
-            values.frombytes(np.asarray(row_values, dtype=np.float64).tobytes())
-            if len(values) != len(indices):
-                raise ValueError("each row's indices and values must be of equal length")
-            indptr.append(len(indices))
-        return cls(indptr, np.frombuffer(indices, dtype=np.int64), np.frombuffer(values))
+        indptr, indices, values = array("q", [0]), array("q"), array("d")
+        for batch in batches:
+            indptr.frombytes(memoryview(batch.indptr[1:] + len(indices)).cast("B"))
+            indices.frombytes(memoryview(batch.indices).cast("B"))
+            values.frombytes(memoryview(batch.values).cast("B"))
+        return cls(indptr, indices, values)
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -123,6 +121,16 @@ class SparseRows:
         """Views of row i's (indices, values)."""
         start, end = self.indptr[i], self.indptr[i + 1]
         return self.indices[start:end], self.values[start:end]
+
+    def take(self, positions: Sequence[int]) -> "SparseRows":
+        """The rows at positions, in that order, as a new batch."""
+        positions = np.asarray(positions, dtype=np.int64)
+        starts = self.indptr[positions]
+        lengths = self.indptr[positions + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        gather = np.repeat(starts - indptr[:-1], lengths)
+        gather += np.arange(indptr[-1])
+        return SparseRows(indptr, self.indices[gather], self.values[gather])
 
 
 @dataclass(eq=False)
@@ -195,15 +203,7 @@ class NgramCounts:
 
     def take(self, positions: Sequence[int]) -> "NgramCounts":
         """The rows at positions, in that order, sharing this batch's gram list."""
-        positions = np.asarray(positions, dtype=np.int64)
-        starts = self.rows.indptr[positions]
-        lengths = self.rows.indptr[positions + 1] - starts
-        indptr = np.zeros(positions.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        gather = np.repeat(starts - indptr[:-1], lengths)
-        gather += np.arange(indptr[-1])
-        rows = SparseRows(indptr, self.rows.indices[gather], self.rows.values[gather])
-        return NgramCounts(self.grams, rows, self.ngram_range)
+        return NgramCounts(self.grams, self.rows.take(positions), self.ngram_range)
 
 
 def count(documents: Iterable[Sequence[str]], ngram_range: NgramRange) -> NgramCounts:
@@ -360,6 +360,8 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
             raise TfidfFormatError(
                 "n_docs, vocabulary indices and document frequencies must be JSON integers"
             )
+        if not all(type(gram) is str for gram, _, _ in rows):
+            raise TfidfFormatError("vocabulary n-grams must be JSON strings")
         if not (type(data["use_idf"]) is bool and type(data["smooth_idf"]) is bool):
             raise TfidfFormatError("use_idf and smooth_idf must be JSON booleans")
         if sorted(index for _, index, _ in rows) != list(range(len(rows))):

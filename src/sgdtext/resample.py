@@ -1,17 +1,16 @@
 """SMOTE: oversample minority classes with synthetic points between neighbors.
 
-Operates on a batch of feature rows, after vectorization. A row is an
-(indices, values) pair, as SparseRows.row returns it. Each synthetic sample is
-a + gap * (b - a) for a random class member a, one of its k nearest
-same-class neighbors b (Euclidean distance), and a uniform gap in [0, 1].
+Operates on a batch of feature rows, after vectorization. Each synthetic
+sample is a + gap * (b - a) for a random class member a, one of its k nearest
+same-class neighbors b (Euclidean distance), and a uniform gap in [0, 1).
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain, groupby
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -40,38 +39,14 @@ class SmoteResult:
     records: list[SmoteRecord]
 
 
-def _aligned(a: Row, b: Row) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense values of a and b over the union of their indices."""
+def squared_distance(a: Row, b: Row) -> float:
+    """Squared Euclidean distance between two (indices, values) rows."""
     (a_idx, a_vals), (b_idx, b_vals) = a, b
     idx = np.union1d(a_idx, b_idx)
-    av = np.zeros(idx.size, dtype=np.float64)
-    bv = np.zeros(idx.size, dtype=np.float64)
-    av[np.searchsorted(idx, a_idx)] = a_vals
-    bv[np.searchsorted(idx, b_idx)] = b_vals
-    return idx, av, bv
-
-
-def squared_distance(a: Row, b: Row) -> float:
-    idx, av, bv = _aligned(a, b)
-    diff = av - bv
+    diff = np.zeros(idx.size, dtype=np.float64)
+    diff[np.searchsorted(idx, a_idx)] = a_vals
+    diff[np.searchsorted(idx, b_idx)] -= b_vals
     return float(diff @ diff)
-
-
-def interpolate(a: Row, b: Row, gap: float) -> Row:
-    """Point on the segment from a to b: a + gap * (b - a), computed sparsely.
-
-    The endpoints reproduce a and b exactly, as copies.
-    """
-    if not 0.0 <= gap <= 1.0:
-        raise ValueError(f"gap must be in [0, 1], got {gap}")
-    if gap == 0.0:
-        return a[0].copy(), a[1].copy()
-    if gap == 1.0:
-        return b[0].copy(), b[1].copy()
-    idx, av, bv = _aligned(a, b)
-    values = av + gap * (bv - av)
-    keep = values != 0.0
-    return idx[keep], values[keep]
 
 
 # Unit roundoff and smallest positive subnormal of float64.
@@ -156,6 +131,29 @@ def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
     return table
 
 
+def _synthesize(X: SparseRows, records: Sequence[SmoteRecord]) -> SparseRows:
+    """The synthetic rows of records, in order, as one batch: a + gap * (b - a) for each.
+
+    The entries of base a and neighbor b merge by the key row * width + column,
+    and exact zeros are dropped. The operations are those of one pair at a
+    time, so each value is bitwise that pair's; for finite rows, gap 0 gives a.
+    """
+    n = len(records)
+    pairs = X.take([r.base_index for r in records] + [r.neighbor_index for r in records])
+    gap = np.array([r.gap for r in records], dtype=np.float64)
+    width = int(pairs.indices.max(initial=0)) + 1
+    rows = np.repeat(np.tile(np.arange(n), 2), np.diff(pairs.indptr))
+    keys, where = np.unique(rows * width + pairs.indices, return_inverse=True)
+    split = pairs.indptr[n]
+    av, bv = np.zeros(keys.size), np.zeros(keys.size)
+    av[where[:split]] = pairs.values[:split]
+    bv[where[split:]] = pairs.values[split:]
+    values = av + gap[keys // width] * (bv - av)
+    keep = values != 0.0
+    keys = keys[keep]
+    return SparseRows(np.searchsorted(keys, np.arange(n + 1) * width), keys % width, values[keep])
+
+
 def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> SmoteResult:
     """Append synthetic minority samples until every class reaches the majority count.
 
@@ -172,7 +170,7 @@ def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> Smote
     target = max(counts.values())
 
     # Draw every synthetic sample's provenance first; the rows themselves
-    # are interpolated one at a time while the output batch is filled.
+    # are built one class at a time while the output batch is filled.
     records: list[SmoteRecord] = []
     for cls in sorted(counts):
         members = [i for i, lab in enumerate(labels) if int(lab) == cls]
@@ -188,15 +186,15 @@ def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> Smote
             records.extend(SmoteRecord(cls, members[0], members[0], 0.0) for _ in range(need))
             continue
         k = min(config.smote_k, len(members) - 1)
-        table = neighbor_table(SparseRows.from_rows(X.row(i) for i in members), k)
+        table = neighbor_table(X.take(members), k)
         for _ in range(need):
             a_local = int(rng.integers(len(members)))
             b_local = table[a_local][int(rng.integers(k))]
             gap = float(rng.random())
             records.append(SmoteRecord(cls, members[a_local], members[b_local], gap))
-    synthetic = (interpolate(X.row(r.base_index), X.row(r.neighbor_index), r.gap) for r in records)
+    synthetic = (_synthesize(X, list(group)) for _, group in groupby(records, lambda r: r.label))
     return SmoteResult(
-        vectors=SparseRows.from_rows(chain(map(X.row, range(len(X))), synthetic)),
+        vectors=SparseRows.concat(chain([X], synthetic)),
         labels=[int(lab) for lab in labels] + [r.label for r in records],
         records=records,
     )

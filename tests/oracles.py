@@ -6,13 +6,16 @@ path can be checked against them. fit_tokens and transform_documents are
 the TF-IDF stages as they read tokens before documents were counted once.
 loss_value gives the losses whose subgradients the trainer uses, and
 binary_row is the binary classifier the tests train through the one-vs-rest
-trainer.
+trainer. interpolate and smote_per_record build SMOTE's synthetic rows one
+record at a time, as resample.smote did before it built a class at once.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +30,8 @@ from sgdtext.features import (
     extract_ngrams,
 )
 from sgdtext.pipeline import PipelineConfig
-from sgdtext.resample import squared_distance
+from sgdtext.resample import SmoteRecord, SmoteResult, neighbor_table, squared_distance
+from sgdtext.seeds import substream
 from sgdtext.sgd import (
     LinearModel,
     NumericError,
@@ -36,6 +40,8 @@ from sgdtext.sgd import (
     loss_dmargin,
     schedule_t0,
 )
+
+from rows import from_rows
 
 
 def loss_value(loss: str, margin: float) -> float:
@@ -102,7 +108,7 @@ def transform_document(model: TfidfModel, tokens: Sequence[str]) -> Row:
 
 
 def transform_documents(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRows:
-    return SparseRows.from_rows(transform_document(model, tokens) for tokens in documents)
+    return from_rows(transform_document(model, tokens) for tokens in documents)
 
 
 def _max_feature(X: SparseRows) -> int:
@@ -301,3 +307,59 @@ def knn_indices_oracle(points: SparseRows, query: int, k: int) -> list[int]:
         d2[i] = np.inf if i == query else squared_distance(points.row(query), points.row(i))
     order = np.argsort(d2, kind="stable")
     return [int(i) for i in order[:k]]
+
+
+def interpolate(a: Row, b: Row, gap: float) -> Row:
+    """Point on the segment from a to b: a + gap * (b - a), over the union of their indices.
+
+    The endpoints reproduce a and b exactly, as copies; an exact zero is dropped.
+    """
+    if not 0.0 <= gap <= 1.0:
+        raise ValueError(f"gap must be in [0, 1], got {gap}")
+    if gap == 0.0:
+        return a[0].copy(), a[1].copy()
+    if gap == 1.0:
+        return b[0].copy(), b[1].copy()
+    (a_idx, a_vals), (b_idx, b_vals) = a, b
+    idx = np.union1d(a_idx, b_idx)
+    av = np.zeros(idx.size, dtype=np.float64)
+    bv = np.zeros(idx.size, dtype=np.float64)
+    av[np.searchsorted(idx, a_idx)] = a_vals
+    bv[np.searchsorted(idx, b_idx)] = b_vals
+    values = av + gap * (bv - av)
+    keep = values != 0.0
+    return idx[keep], values[keep]
+
+
+def smote_per_record(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> SmoteResult:
+    """SMOTE with one interpolate call per record, stacked row by row after the originals.
+
+    The draws are resample.smote's: the same substream per class, in the
+    same order. resample.smote must equal it bit for bit.
+    """
+    counts = Counter(int(lab) for lab in labels)
+    target = max(counts.values())
+    records: list[SmoteRecord] = []
+    for cls in sorted(counts):
+        members = [i for i, lab in enumerate(labels) if int(lab) == cls]
+        need = target - len(members)
+        if need <= 0:
+            continue
+        rng = np.random.default_rng(substream(config.seed, f"smote-class-{cls}"))
+        if len(members) == 1:
+            warnings.warn(f"class {cls} has a single member; oversampling by duplication")
+            records.extend(SmoteRecord(cls, members[0], members[0], 0.0) for _ in range(need))
+            continue
+        k = min(config.smote_k, len(members) - 1)
+        table = neighbor_table(from_rows(X.row(i) for i in members), k)
+        for _ in range(need):
+            a_local = int(rng.integers(len(members)))
+            b_local = table[a_local][int(rng.integers(k))]
+            gap = float(rng.random())
+            records.append(SmoteRecord(cls, members[a_local], members[b_local], gap))
+    synthetic = (interpolate(X.row(r.base_index), X.row(r.neighbor_index), r.gap) for r in records)
+    return SmoteResult(
+        vectors=from_rows(chain(map(X.row, range(len(X))), synthetic)),
+        labels=[int(lab) for lab in labels] + [r.label for r in records],
+        records=records,
+    )

@@ -28,14 +28,21 @@ def row(pairs: Mapping[int, float] | Iterable[tuple[int, float]] = ()) -> Row:
     )
 
 
+def from_rows(rows: Iterable[Row]) -> SparseRows:
+    """Stack (indices, values) rows into one batch, in order, each checked as a batch of one."""
+    return SparseRows.concat(
+        SparseRows([0, len(indices)], indices, values) for indices, values in rows
+    )
+
+
 def rows(*pair_sets: Mapping[int, float] | Iterable[tuple[int, float]]) -> SparseRows:
     """A batch with one row per argument, each built as row() builds it."""
-    return SparseRows.from_rows(row(pairs) for pairs in pair_sets)
+    return from_rows(row(pairs) for pairs in pair_sets)
 
 
 def dense_rows(matrix: np.ndarray) -> SparseRows:
     """The nonzeros of every row of a dense matrix, as one batch."""
-    return SparseRows.from_rows((np.flatnonzero(r), r[np.flatnonzero(r)]) for r in matrix)
+    return from_rows((np.flatnonzero(r), r[np.flatnonzero(r)]) for r in matrix)
 
 
 def to_dict(r: Row) -> dict[int, float]:

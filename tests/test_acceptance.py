@@ -26,7 +26,7 @@ from sgdtext.evaluation import (
     per_class_metrics,
     stratified_kfold,
 )
-from sgdtext.features import NgramRange, SparseRows, count
+from sgdtext.features import NgramRange, count
 from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import smote
 from sgdtext.search import GridSpec, grid_search, params_label
@@ -40,7 +40,7 @@ from oracles import (
     normalize,
     regularized_objective,
 )
-from rows import Row, fit_on, row, row_bytes, rows_of, to_dict, vectorize
+from rows import Row, fit_on, from_rows, row, row_bytes, rows_of, to_dict, vectorize
 
 
 def dense_of(v: Row, dim: int) -> np.ndarray:
@@ -148,7 +148,7 @@ def test_sgd_matches_batch_oracle():
     w_true = rng.normal(size=10)
     noise = rng.normal(size=50)
     y = np.where(dense @ w_true + 0.1 * noise >= 0, 1.0, -1.0)
-    X = SparseRows.from_rows((np.arange(10), r.copy()) for r in dense)
+    X = from_rows((np.arange(10), r.copy()) for r in dense)
 
     config = PipelineConfig(loss="logreg", penalty="l2", alpha=0.05, epochs=200, seed=0)
     w_sgd, b_sgd = binary_row(X, y, config)
@@ -212,7 +212,7 @@ def test_smote_histogram_and_provenance():
         for _ in range(count):
             points.append(random_sparse(rng, dim=12, max_nnz=6))
             labels.append(cls)
-    X = SparseRows.from_rows(points)
+    X = from_rows(points)
 
     config = PipelineConfig(smote_k=5, seed=11)
     result = smote(X, labels, config)

@@ -138,3 +138,24 @@ def test_one_fold_loop():
         if "stratified_kfold" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert callers == ["evaluation.cross_validate"]
+
+
+def test_rows_are_gathered_by_sparse_rows_take():
+    """SparseRows.take is the one CSR row gather: NgramCounts.take delegates to it, smote
+    gathers with it, and in resample only neighbor_table reads a row at a time."""
+    gathers = sorted(
+        f"{path.stem}.{owner}: {ast.unparse(node.func.value)}"
+        for path, owner, node in package_calls()
+        if path.stem in ("features", "resample") and getattr(node.func, "attr", None) == "take"
+    )
+    assert gathers == [
+        "features.take: self.rows",
+        "resample._synthesize: X",
+        "resample.smote: X",
+    ]
+    row_readers = {
+        owner
+        for path, owner, node in package_calls()
+        if path.stem == "resample" and getattr(node.func, "attr", None) == "row"
+    }
+    assert row_readers == {"neighbor_table"}

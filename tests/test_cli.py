@@ -875,9 +875,12 @@ class TestExitCodes:
             ("df", lambda v: v + 0.5, "must be JSON integers"),
             ("ngram_range", lambda v: [float(b) for b in v], "n-gram bounds must be integers"),
             ("ngram_range", lambda v: [True, True], "n-gram bounds must be integers"),
+            ("gram", lambda v: 12345, "n-grams must be JSON strings"),
+            ("gram", lambda v: None, "n-grams must be JSON strings"),
         ],
         ids=["string-use-idf", "integer-smooth-idf", "float-n-docs", "bool-n-docs",
-             "float-index", "float-df", "float-ngram-bounds", "bool-ngram-bounds"],
+             "float-index", "float-df", "float-ngram-bounds", "bool-ngram-bounds",
+             "number-gram", "null-gram"],
     )
     def test_vectorizer_with_a_wrongly_typed_value(
         self, labeled_csv, tmp_path, capsys, field, spoil, message
@@ -886,15 +889,16 @@ class TestExitCodes:
         run_prepare(labeled_csv, out)
         main(["train", "--out", str(out)])
         data = json.loads((out / "tfidf.json").read_text("utf-8"))
-        if field in ("index", "df"):
-            position = 1 if field == "index" else 2
+        if field in ("gram", "index", "df"):
+            position = ("gram", "index", "df").index(field)
             data["vocabulary"][0][position] = spoil(data["vocabulary"][0][position])
         else:
             data[field] = spoil(data[field])
         (out / "tfidf.json").write_text(json.dumps(data), "utf-8")
         capsys.readouterr()
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and str(out / "tfidf.json") in err
         assert not (out / "eval_report.json").exists()
 
     @pytest.mark.parametrize(

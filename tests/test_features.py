@@ -31,7 +31,9 @@ from sgdtext.features import (
 from sgdtext.pipeline import PipelineConfig
 
 from oracles import fit_tokens, normalize, transform_documents
-from rows import batch_bytes, fit_on, row, row_bytes, rows, to_dense, to_dict, vectorize
+from rows import (
+    batch_bytes, fit_on, from_rows, row, row_bytes, rows, to_dense, to_dict, vectorize,
+)
 
 
 class TestNgramRange:
@@ -82,7 +84,7 @@ class TestSparseVector:
 
     def test_dot_against_dense(self, random_vector):
         rng = np.random.default_rng(31)
-        batch = SparseRows.from_rows(random_vector(rng, dim=30) for _ in range(50))
+        batch = from_rows(random_vector(rng, dim=30) for _ in range(50))
         dense = to_dense(batch, 30)
         for i in range(50):
             indices, values = batch.row(i)
@@ -92,7 +94,7 @@ class TestSparseVector:
 
     def test_norms_match_dense(self, random_vector):
         rng = np.random.default_rng(32)
-        batch = SparseRows.from_rows(random_vector(rng, dim=30) for _ in range(50))
+        batch = from_rows(random_vector(rng, dim=30) for _ in range(50))
         dense = to_dense(batch, 30)
         for i in range(50):
             _, values = batch.row(i)
@@ -150,9 +152,38 @@ class TestSparseRows:
         assert batch.row(0)[0].size == 0 and batch.row(3)[1].tolist() == [3.0]
 
     def test_empty_batch(self):
-        batch = SparseRows.from_rows([])
+        batch = SparseRows.concat([])
         assert len(batch) == 0 and batch.nnz == 0
         assert batch.indptr.tolist() == [0]
+
+    def test_take_orders_rows_as_asked(self):
+        batch = rows({1: 1.0, 0: 1.0}, {}, {2: 2.0}, {1: 1.0})
+        taken = batch.take([3, 0, 1, 2])
+        assert taken.indptr.tolist() == [0, 1, 3, 3, 4]
+        assert taken.indices.tolist() == [1, 0, 1, 2]
+        assert taken.values.tolist() == [1.0, 1.0, 1.0, 2.0]
+
+    def test_take_repeats_rows_and_copies(self):
+        batch = rows({0: 1.0, 4: -2.0}, {3: 5.0})
+        taken = batch.take([1, 1, 0, 1])
+        assert [row_bytes(taken.row(i)) for i in range(4)] == [
+            row_bytes(batch.row(i)) for i in (1, 1, 0, 1)
+        ]
+        assert not np.shares_memory(taken.values, batch.values)
+
+    def test_take_nothing_and_empty_rows(self):
+        assert SparseRows.concat([]).take([]).indptr.tolist() == [0]
+        assert rows({0: 1.0}, {}).take([]).indptr.tolist() == [0]
+        assert batch_bytes(rows({}, {}).take([1, 0, 1])) == batch_bytes(rows({}, {}, {}))
+
+    def test_concat_stacks_batches_in_order(self):
+        first = rows({0: 1.0, 3: 2.0}, {})
+        second = rows({1: -1.0})
+        stacked = SparseRows.concat(iter([first, SparseRows.concat([]), second, first]))
+        assert stacked.indptr.tolist() == [0, 2, 2, 3, 5, 5]
+        assert batch_bytes(stacked) == batch_bytes(
+            rows({0: 1.0, 3: 2.0}, {}, {1: -1.0}, {0: 1.0, 3: 2.0}, {})
+        )
 
 
 class TestExtractNgrams:
@@ -200,10 +231,7 @@ class TestCount:
         counts = count([["a", "b"], [], ["c", "c"], ["b"]], NgramRange(1, 1))
         taken = counts.take([3, 0, 1, 2])
         assert taken.grams is counts.grams and taken.ngram_range == counts.ngram_range
-        assert taken.rows.indptr.tolist() == [0, 1, 3, 3, 4]
-        assert taken.rows.indices.tolist() == [1, 0, 1, 2]
-        assert taken.rows.values.tolist() == [1.0, 1.0, 1.0, 2.0]
-        assert len(counts.take([])) == 0
+        assert batch_bytes(taken.rows) == batch_bytes(counts.rows.take([3, 0, 1, 2]))
 
 
 class TestFit:

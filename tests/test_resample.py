@@ -3,24 +3,22 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgdtext import resample
 from sgdtext.features import NORMS, NgramRange, SparseRows
 from sgdtext.pipeline import PipelineConfig
-from sgdtext.resample import (
-    interpolate,
-    neighbor_table,
-    smote,
-    squared_distance,
+from sgdtext.resample import SmoteRecord, neighbor_table, smote, squared_distance
+from oracles import interpolate, knn_indices_oracle, smote_per_record
+from rows import (
+    Row, batch_bytes, fit_on, from_rows, row, row_bytes, rows, rows_of, to_dict, vectorize,
 )
-from oracles import knn_indices_oracle
-from rows import Row, batch_bytes, fit_on, row, row_bytes, rows, rows_of, to_dict, vectorize
 
 
 def dense_of(v: Row, dim: int) -> np.ndarray:
@@ -37,7 +35,7 @@ def random_points(rng: np.random.Generator, count: int, dim: int = 12) -> Sparse
         vals = rng.normal(size=nnz)
         vals[vals == 0.0] = 0.5
         points.append((idx, vals))
-    return SparseRows.from_rows(points)
+    return from_rows(points)
 
 
 class TestSquaredDistance:
@@ -186,14 +184,14 @@ class TestNeighborTable:
     def test_exact_duplicates(self):
         rng = np.random.default_rng(63)
         points = rows_of(random_points(rng, 8))
-        points = SparseRows.from_rows(points + [points[3], points[0], points[3], points[7]])
+        points = from_rows(points + [points[3], points[0], points[3], points[7]])
         for k in (1, 2, 4, 11):
             assert neighbor_table(points, k) == oracle_table(points, k)
 
     def test_values_whose_products_underflow(self):
         rng = np.random.default_rng(66)
         points = [(idx, vals * 1e-160) for idx, vals in rows_of(random_points(rng, 10))]
-        points = SparseRows.from_rows(points + [points[2]])
+        points = from_rows(points + [points[2]])
         for k in (1, 3):
             assert neighbor_table(points, k) == oracle_table(points, k)
 
@@ -237,7 +235,7 @@ class TestNeighborTable:
 
     def test_smote_equals_oracle_driven_smote(self, monkeypatch):
         classes = tfidf_classes(65, NgramRange(1, 2), "l2")
-        X = SparseRows.from_rows(v for points in classes for v in rows_of(points))
+        X = from_rows(v for points in classes for v in rows_of(points))
         labels = [cls for cls, points in enumerate(classes) for _ in range(len(points))]
         config = PipelineConfig(smote_k=3, seed=10)
         fast = smote(X, labels, config)
@@ -274,7 +272,7 @@ def sparse_classes(draw) -> SparseRows:
             values[at] = np.nextafter(values[at], np.inf)
         points.append((indices, values))
     order = draw(st.permutations(range(len(points))))
-    return SparseRows.from_rows(points[i] for i in order)
+    return from_rows(points[i] for i in order)
 
 
 class TestNeighborTableProperty:
@@ -282,6 +280,57 @@ class TestNeighborTableProperty:
     @given(points=sparse_classes(), k=st.integers(1, 6))
     def test_equals_oracle(self, points, k):
         assert neighbor_table(points, k) == oracle_table(points, k)
+
+
+@st.composite
+def labeled_batches(draw) -> tuple[SparseRows, list[int]]:
+    """A sparse_classes batch dealt into two to four classes, at times one of a single member."""
+    points = draw(sparse_classes())
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(points), max_size=len(points)))
+    if len(set(labels)) < 2 or draw(st.booleans()):
+        labels[draw(st.integers(0, len(labels) - 1))] = 7
+    return points, labels
+
+
+@st.composite
+def cancelling_records(draw) -> tuple[SparseRows, list[SmoteRecord]]:
+    """Rows over few columns and values, with gaps that often cancel a coordinate exactly."""
+    dim = draw(st.integers(1, 4))
+    value = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, 3.0])
+    drawn = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), value), min_size=1, max_size=8))
+    X = from_rows(row(pairs) for pairs in drawn)
+    position = st.integers(0, len(X) - 1)
+    gap = st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
+    records = draw(st.lists(st.builds(SmoteRecord, st.just(0), position, position, gap)))
+    return X, records
+
+
+class TestSmoteProperty:
+    """smote builds each class at once; every byte equals the per-record oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=labeled_batches(), k=st.integers(1, 6), seed=st.integers(0, 2**32))
+    @example(batch=(rows({}, {}, {}), [0, 0, 1]), k=2, seed=0)  # X.nnz == 0
+    @example(batch=(rows({}, {0: 1.0}, {}, {}), [0, 0, 1, 1]), k=1, seed=1)
+    def test_equals_per_record_oracle(self, batch, k, seed):
+        X, labels = batch
+        config = PipelineConfig(smote_k=k, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast, slow = smote(X, labels, config), smote_per_record(X, labels, config)
+        assert fast.records == slow.records
+        assert fast.labels == slow.labels
+        assert batch_bytes(fast.vectors) == batch_bytes(slow.vectors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=cancelling_records())
+    @example(drawn=(rows({0: 1.0}, {0: -1.0}), [SmoteRecord(0, 0, 1, 0.5)]))
+    def test_batch_interpolation_equals_interpolate(self, drawn):
+        X, records = drawn
+        expected = from_rows(
+            interpolate(X.row(r.base_index), X.row(r.neighbor_index), r.gap) for r in records
+        )
+        assert batch_bytes(resample._synthesize(X, records)) == batch_bytes(expected)
 
 
 class TestSmote:
@@ -292,7 +341,7 @@ class TestSmote:
             for point in rows_of(random_points(rng, count)):
                 X.append(point)
                 labels.append(cls)
-        return SparseRows.from_rows(X), labels
+        return from_rows(X), labels
 
     def test_histogram_equalized_to_majority(self):
         X, labels = self.imbalanced()
@@ -325,7 +374,7 @@ class TestSmote:
         result = smote(X, labels, config)
         for record in result.records:
             members = [i for i, lab in enumerate(labels) if lab == record.label]
-            class_points = SparseRows.from_rows(X.row(i) for i in members)
+            class_points = from_rows(X.row(i) for i in members)
             local_base = members.index(record.base_index)
             k = min(config.smote_k, len(members) - 1)
             allowed = {members[j] for j in knn_indices_oracle(class_points, local_base, k)}
@@ -354,6 +403,20 @@ class TestSmote:
         assert len(synthetics) == 3
         assert all(row_bytes(v) == row_bytes(X.row(4)) for v in synthetics)
         assert all(r.gap == 0.0 and r.base_index == 4 for r in result.records)
+
+    def test_interpolates_once_per_growing_class(self, monkeypatch):
+        X, labels = self.imbalanced()
+        calls = []
+
+        def counting(X, records):
+            calls.append([r.label for r in records])
+            return synthesize(X, records)
+
+        synthesize = resample._synthesize
+        monkeypatch.setattr(resample, "_synthesize", counting)
+        result = smote(X, labels, PipelineConfig(seed=5))
+        assert calls == [[2] * 7, [3] * 9]
+        assert sum(map(len, calls)) == len(result.records)
 
     def test_deterministic_per_seed(self):
         X, labels = self.imbalanced()
