@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import features
-from .pipeline import PipelineConfig, fit_pipeline, predict_pipeline
+from .pipeline import PipelineConfig, fit_group, predict_pipeline
 from .seeds import substream
 
 
@@ -182,11 +182,14 @@ def cross_validate(
     counted once per distinct n-gram range, and each fold takes its rows of
     those counts once. Every fold refits the vectorizer (and the optional
     resampler) on its k-1 training folds only, so the held-out fold never
-    leaks into the vocabulary. Returns one CvReport per config, in order; a
-    config whose fold fails gets that fold's CrossValidationError, with the
-    failure as its __cause__, sits out the remaining folds, and the other
-    configs carry on. std is the population value; total_seconds is the sum
-    of fold_seconds.
+    leaks into the vocabulary. Each fold fits the configs that share an
+    n-gram range, loss, penalty and epochs as one group (pipeline.fit_group,
+    one stacked SGD pass), predicts with each, and frees the group before
+    the next. Returns one CvReport per config, in order; a config whose fold
+    fails gets that fold's CrossValidationError, with the failure as its
+    __cause__, sits out the remaining folds, and the other configs carry on.
+    std is the population value. A config's fold_seconds entry is an equal
+    share of its group's wall time in that fold; total_seconds is their sum.
     """
     n = len(documents)
     if len(labels) != n:
@@ -201,28 +204,41 @@ def cross_validate(
     accuracies: list[list[float]] = [[] for _ in configs]
     fold_seconds: list[list[float]] = [[] for _ in configs]
     failed: dict[int, CrossValidationError] = {}
+    groups: dict[tuple, list[int]] = {}
+    for c, config in enumerate(configs):
+        key = (config.ngram_range, config.loss, config.penalty, config.epochs)
+        groups.setdefault(key, []).append(c)
     for fold_index, held_out in enumerate(plan.folds):
         train_indices = sorted(all_indices.difference(held_out))
         train_labels = [labels[i] for i in train_indices]
         sides = {r: (c.take(train_indices), c.take(held_out)) for r, c in counts.items()}
-        for c, config in enumerate(configs):
-            if c in failed:
+        fold_seed = substream(seeds[0], f"fold-{fold_index}")
+        for members in groups.values():
+            live = [c for c in members if c not in failed]
+            if not live:
                 continue
             started = time.perf_counter()
-            fold_config = replace(config, seed=substream(seeds[0], f"fold-{fold_index}"))
-            try:
-                train_counts, held_out_counts = sides[config.ngram_range]
-                # No name holds the fitted pipeline, so it is gone before the next one is fitted.
-                predictions = predict_pipeline(
-                    fit_pipeline(train_counts, train_labels, fold_config), held_out_counts
-                )
-            except Exception as exc:  # becomes this config's result; the others carry on
-                failed[c] = CrossValidationError(fold_index, str(exc))
-                failed[c].__cause__ = exc
-                continue
-            correct = sum(1 for i, pred in zip(held_out, predictions) if pred == labels[i])
-            accuracies[c].append(correct / len(held_out))
-            fold_seconds[c].append(time.perf_counter() - started)
+            train_counts, held_out_counts = sides[configs[live[0]].ngram_range]
+            fitted = fit_group(
+                train_counts, train_labels, [replace(configs[c], seed=fold_seed) for c in live]
+            )
+            scored = []
+            for c, result in zip(live, fitted):
+                try:
+                    if isinstance(result, Exception):
+                        raise result
+                    predictions = predict_pipeline(result, held_out_counts)
+                except Exception as exc:  # becomes this config's result; the others carry on
+                    failed[c] = CrossValidationError(fold_index, str(exc))
+                    failed[c].__cause__ = exc
+                    continue
+                correct = sum(1 for i, pred in zip(held_out, predictions) if pred == labels[i])
+                accuracies[c].append(correct / len(held_out))
+                scored.append(c)
+            del fitted, result  # free this group's models before the next group is fitted
+            share = (time.perf_counter() - started) / len(live)
+            for c in scored:
+                fold_seconds[c].append(share)
         del sides  # free this fold's rows before the next fold takes its own
     return [
         failed[c] if c in failed else CvReport(

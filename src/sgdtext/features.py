@@ -205,6 +205,27 @@ class NgramCounts:
         """The rows at positions, in that order, sharing this batch's gram list."""
         return NgramCounts(self.grams, self.rows.take(positions), self.ngram_range)
 
+    @cached_property
+    def _vocabulary(self) -> tuple[np.ndarray, list[str], np.ndarray]:
+        """The part of a fit that depends on these counts alone, shared by every fit on them.
+
+        The document frequencies and the grams of the columns that occur, and
+        each column's vocabulary index (-1 if absent).
+        """
+        # Columns are distinct within a row, so counting them counts documents.
+        doc_freq = np.bincount(self.rows.indices, minlength=len(self.grams))
+        present = np.flatnonzero(doc_freq)
+        if not present.size:
+            raise EmptyCorpusError(
+                "no n-grams found: corpus is empty or all documents are too short"
+            )
+        grams = self.grams
+        column = np.full(len(grams), -1, dtype=np.int64)
+        column[present] = np.arange(present.size)
+        if present.size < len(grams):  # else every gram occurs, and the model shares the list
+            grams = np.asarray(grams, dtype=object)[present].tolist()
+        return doc_freq[present], grams, column
+
 
 def count(documents: Iterable[Sequence[str]], ngram_range: NgramRange) -> NgramCounts:
     """Count every document's n-grams in one pass: one row per document, in order.
@@ -248,18 +269,10 @@ def fit(counts: NgramCounts, config: PipelineConfig) -> TfidfModel:
     identical model.
     """
     _check_range(counts, config.ngram_range)
-    # Columns are distinct within a row, so counting them counts documents.
-    doc_freq = np.bincount(counts.rows.indices, minlength=len(counts.grams))
-    present = np.flatnonzero(doc_freq)
-    if not present.size:
-        raise EmptyCorpusError("no n-grams found: corpus is empty or all documents are too short")
-    grams = counts.grams
-    column = np.full(len(grams), -1, dtype=np.int64)
-    column[present] = np.arange(present.size)
-    if present.size < len(grams):  # else every gram occurs, and the model shares the list
-        grams = np.asarray(grams, dtype=object)[present].tolist()
+    # Every fit on the same counts shares these arrays, which no model mutates.
+    doc_freq, grams, column = counts._vocabulary
     return TfidfModel(
-        grams, doc_freq[present], len(counts),
+        grams, doc_freq, len(counts),
         ngram_range=config.ngram_range, use_idf=config.use_idf,
         smooth_idf=config.smooth_idf, norm=config.norm, fitted_on=(counts.grams, column),
     )

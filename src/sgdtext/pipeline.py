@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from . import features, sgd
-from .features import NgramCounts, NgramRange, TfidfModel
+from .features import NgramCounts, NgramRange, SparseRows, TfidfModel
 from .resample import smote
 from .seeds import substream
 from .sgd import LinearModel
@@ -91,16 +93,88 @@ def fit_pipeline(
     vectors = features.transform(tfidf, counts)
     # A caller that handed over its only reference frees the counts before SGD.
     del counts
-    train_labels = [int(lab) for lab in labels]
+    return _train(tfidf, vectors, [int(lab) for lab in labels], config)
+
+
+def _train(
+    tfidf: TfidfModel, vectors: SparseRows, labels: list[int], config: PipelineConfig
+) -> FittedPipeline:
+    """The classifier stage of fit_pipeline, in a pass of its own."""
     if config.smote:
         resampled = smote(
-            vectors, train_labels, replace(config, seed=substream(config.seed, "smote"))
+            vectors, labels, replace(config, seed=substream(config.seed, "smote"))
         )
         vectors = resampled.vectors
-        train_labels = resampled.labels
+        labels = resampled.labels
     shuffle = replace(config, seed=substream(config.seed, "shuffle"))
-    model = sgd.fit_multiclass(vectors, train_labels, shuffle, feature_dim=len(tfidf.grams))
+    model = sgd.fit_multiclass(vectors, labels, shuffle, feature_dim=len(tfidf.grams))
     return FittedPipeline(tfidf=tfidf, model=model)
+
+
+def fit_group(
+    counts: NgramCounts,
+    labels: Sequence[int],
+    configs: Sequence[PipelineConfig],
+) -> list[FittedPipeline | Exception]:
+    """fit_pipeline for each config on the same counts, training the classifiers together.
+
+    The configs must share loss, penalty, epochs and seed. Each config fits
+    and applies its own vectorizer. The configs without SMOTE whose vectors
+    have the first such config's pattern (indptr and indices) and dimension
+    train in one sgd.fit_stacked pass, which keeps only their values; any
+    other config trains alone. Each result is bitwise what fit_pipeline
+    gives for its config, or the exception it raises.
+    """
+    if len(counts) != len(labels):
+        raise ValueError("documents and labels must have equal length")
+    train_labels = [int(lab) for lab in labels]
+    results: list[FittedPipeline | Exception | None] = [None] * len(configs)
+    stacked: list[tuple[int, TfidfModel]] = []
+    pattern: SparseRows | None = None  # the first stacked member's vectors
+    values: np.ndarray | None = None  # one row per stacked member, from the second on
+    for c, config in enumerate(configs):
+        try:
+            tfidf = features.fit(counts, config)
+            vectors = features.transform(tfidf, counts)
+            stacks = not config.smote and (pattern is None or (
+                len(tfidf.grams) == len(stacked[0][1].grams)
+                and np.array_equal(vectors.indptr, pattern.indptr)
+                and np.array_equal(vectors.indices, pattern.indices)
+            ))
+            if not stacks:
+                results[c] = _train(tfidf, vectors, train_labels, config)
+                continue
+        except Exception as exc:  # becomes this config's result; the others carry on
+            results[c] = exc
+            continue
+        if pattern is None:
+            pattern = vectors
+        else:
+            if values is None:  # room for the first member and every config left
+                values = np.empty((1 + len(configs) - c, pattern.nnz))
+                values[0] = pattern.values
+            values[len(stacked)] = vectors.values
+        stacked.append((c, tfidf))
+    if len(stacked) == 1:
+        [(c, tfidf)] = stacked
+        try:
+            results[c] = _train(tfidf, pattern, train_labels, configs[c])
+        except Exception as exc:  # as above
+            results[c] = exc
+    elif stacked:
+        shuffle = [
+            replace(configs[c], seed=substream(configs[c].seed, "shuffle")) for c, _ in stacked
+        ]
+        try:
+            models = sgd.fit_stacked(
+                pattern, values[: len(stacked)], train_labels, shuffle,
+                feature_dim=len(stacked[0][1].grams),
+            )
+        except Exception as exc:  # a lone pass would raise it for every member
+            models = [exc] * len(stacked)
+        for (c, tfidf), model in zip(stacked, models):
+            results[c] = model if isinstance(model, Exception) else FittedPipeline(tfidf, model)
+    return results
 
 
 def predict_pipeline(fitted: FittedPipeline, counts: NgramCounts) -> list[int]:

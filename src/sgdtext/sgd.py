@@ -113,83 +113,201 @@ def epoch_orders(n: int, config: PipelineConfig) -> list[np.ndarray]:
     return [rng.permutation(n) for _ in range(config.epochs)]
 
 
-def _check_finite_inputs(X: SparseRows) -> None:
-    bad = np.flatnonzero(~np.isfinite(X.values))
-    if bad.size:
-        position = int(np.searchsorted(X.indptr, bad[0], side="right")) - 1
-        raise NumericError(f"sample {position} has non-finite feature values")
+def _finite_check(indptr: np.ndarray, values: np.ndarray) -> NumericError | None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if not bad.size:
+        return None
+    position = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+    return NumericError(f"sample {position} has non-finite feature values")
 
 
 def _soft_threshold(z: np.ndarray, owed: np.ndarray | float) -> np.ndarray:
     return np.sign(z) * np.maximum(0.0, np.abs(z) - owed)
 
 
-def _fit_rows(
-    X: SparseRows, Y: np.ndarray, config: PipelineConfig, feature_dim: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Train one weight row and intercept per column of Y, an n x K matrix of +-1 labels.
+def _schedule(config: PipelineConfig, steps: int) -> list[np.ndarray]:
+    """One config's per-step scalars, with the arithmetic of a lone pass.
 
-    The visit order, step size, wscale and L1 accrual depend only on the step
-    count, so all K rows share one pass. Each margin is its own dot product
-    over a contiguous row, which keeps every row bitwise equal to a lone fit.
+    For L1: eta, the penalty accrued in each step, and the penalty accrued
+    before each step and after the last. For L2: eta, the wscale before each
+    step, the wscale after it, and the factor the step renormalizes the
+    weights by (0.0 for none; the wscale after is then 1.0).
     """
-    _check_finite_inputs(X)
+    alpha = config.alpha
+    eta = 1.0 / (alpha * (schedule_t0(config.loss, alpha) + np.arange(1.0, steps + 1.0)))
+    # accumulate adds or multiplies in sequence, exactly as a running total does.
+    if config.penalty == "l1":
+        accrued = np.add.accumulate(np.concatenate(([0.0], eta * alpha)))
+        return [eta, np.diff(accrued), accrued]
+    decay = 1.0 - eta * alpha
+    after = np.empty(steps)
+    renorm = np.zeros(steps)
+    wscale, t = 1.0, 0
+    # In chunks: a renormalization restarts the product at 1.0, which rescans one chunk.
+    while t < steps:
+        run = np.multiply.accumulate(np.concatenate(([wscale], decay[t : t + 4096])))[1:]
+        low = np.flatnonzero(run < 1e-9)
+        n = int(low[0]) + 1 if low.size else run.size
+        after[t : t + n] = run[:n]
+        wscale = float(run[n - 1])
+        if low.size:
+            renorm[t + n - 1] = wscale
+            after[t + n - 1] = wscale = 1.0
+        t += n
+    return [eta, np.concatenate(([1.0], after[:-1])), after, renorm]
+
+
+def _logreg_dmargin(margins: np.ndarray) -> np.ndarray:
+    # math.exp per element, as loss_dmargin computes it: np.exp may round differently.
+    flat = [loss_dmargin("logreg", m) for m in margins.ravel().tolist()]
+    return np.array(flat).reshape(margins.shape)
+
+
+def _fit_rows(
+    X: SparseRows,
+    values: np.ndarray,
+    Y: np.ndarray,
+    configs: Sequence[PipelineConfig],
+    feature_dim: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train C x K weight rows and intercepts in one pass: one row per (config, column of Y).
+
+    Y is an n x K matrix of +-1 labels; row c of values holds config c's
+    values in X's pattern. The configs share loss, penalty, epochs and seed,
+    so they share the visit order. Step size, wscale and L1 accrual depend
+    only on the step count and each config's alpha, so they are tabulated
+    up front. Each margin is its own dot product over a contiguous row (a
+    scalar-output matmul runs the same ddot as a 1-D row @ vals), so every
+    row is bitwise equal to a lone fit of its config. Returns (C x K x d
+    weights, C x K intercepts); non-finite rows are left to the caller.
+    """
+    config = configs[0]
+    C, K = len(configs), Y.shape[1]
+    l1 = config.penalty == "l1"
+    steps = len(X) * config.epochs
+    # Step-major (steps x C x 1) tables, so step s reads one contiguous row.
+    tables = [
+        np.stack(column, axis=1)[:, :, None]
+        for column in zip(*(_schedule(c, steps) for c in configs))
+    ]
+    if l1:
+        eta, owed, accrued = tables
+        owed = owed[:, :, :, None]
+        # A weight's L1 debt is the accrual now less the accrual at the step
+        # that last settled it.
+        accrued_by_config = accrued[:, :, 0].T.copy()
+        settled = np.zeros(feature_dim, dtype=np.int64)
+    else:
+        eta, before, after, renorm = tables
+        renormalizes = renorm.any(axis=(1, 2)).tolist()
+    W = np.zeros((C, K, feature_dim), dtype=np.float64)
+    rows = W.reshape(C * K, feature_dim)
+    B = np.zeros((C, K), dtype=np.float64)
+    raw = np.empty((C, K, 1, 1), dtype=np.float64)
+    margins = raw.reshape(C, K)
+    # The hinge losses' dloss/dmargin is -1 or 0, so eta * dloss * y is -eta * y or 0 * y.
+    hinge = {"svm": (np.less, 1.0), "perceptron": (np.less_equal, 0.0)}.get(config.loss)
+    minus_Y, zero_Y = -Y, 0.0 * Y
+    values = values[:, None, :]
+    indptr = X.indptr.tolist()
+    s = -1
+    for order in epoch_orders(len(X), config):
+        for i in order.tolist():
+            s += 1
+            start, end = indptr[i], indptr[i + 1]
+            idx = X.indices[start:end]
+            vals = values[:, :, start:end]
+            sub = rows.take(idx, axis=1).reshape(C, K, end - start)
+            if l1:
+                paid = accrued_by_config.take(settled.take(idx), axis=1)
+                sub = _soft_threshold(sub, (accrued[s] - paid)[:, None, :])
+            np.matmul(sub[:, :, None, :], vals[..., None], out=raw)
+            y = Y[i]
+            # Under L1 the wscale is always 1.0, and 1.0 * m is m.
+            margin = y * ((margins if l1 else before[s] * margins) + B)
+            if hinge:
+                active, kink = hinge
+                step = np.where(active(margin, kink), eta[s] * minus_Y[i], zero_Y[i])
+            else:
+                step = eta[s] * _logreg_dmargin(margin) * y
+            if not l1 and renormalizes[s]:
+                for c in np.flatnonzero(renorm[s, :, 0]):
+                    W[c] *= renorm[s, c, 0]
+                    sub[c] *= renorm[s, c, 0]
+            moved = np.count_nonzero(step)
+            if moved:
+                delta = (step if l1 else step / after[s])[:, :, None] * vals
+                if C == 1:
+                    sub -= delta
+                else:
+                    # A config whose K steps are all zero skips the subtraction, as a
+                    # lone pass does: subtracting -0.0 would turn a -0.0 weight into 0.0.
+                    np.subtract(sub, delta, out=sub, where=step.any(axis=1)[:, None, None])
+                # An intercept is never -0.0, so subtracting a zero step leaves it unchanged.
+                B -= step
+            if l1:
+                sub = _soft_threshold(sub, owed[s])
+                settled[idx] = s + 1
+            if l1 or moved:
+                rows[:, idx] = sub.reshape(C * K, end - start)
+    for c in range(C):
+        if l1:
+            paid = accrued_by_config[c].take(settled)
+            W[c] = _soft_threshold(W[c], accrued[-1, c] - paid)
+        elif after[-1, c, 0] != 1.0:
+            W[c] *= after[-1, c, 0]
+    return W, B
+
+
+def fit_stacked(
+    X: SparseRows,
+    values: np.ndarray,
+    labels: Sequence[int],
+    configs: Sequence[PipelineConfig],
+    *,
+    feature_dim: int | None = None,
+) -> list[LinearModel | NumericError]:
+    """One one-vs-rest model per config, all trained in one pass over X's rows.
+
+    X gives the rows' pattern (indptr and indices); row c of values, a
+    len(configs) x X.nnz array, holds config c's values in that pattern. The
+    configs must share loss, penalty, epochs and seed; alpha may differ.
+    Each model is bitwise what fit_multiclass gives for its config alone on
+    its values. A config whose values are non-finite, or whose training
+    diverges, gets that NumericError in place of its model, and the others
+    are unaffected.
+    """
+    shared = {(c.loss, c.penalty, c.epochs, c.seed) for c in configs}
+    if len(shared) != 1:
+        raise ValueError("stacked configs need one loss, penalty, epochs and seed")
+    if values.shape != (len(configs), X.nnz):
+        raise ValueError("values must hold one row of X.nnz values per config")
+    if len(X) != len(labels):
+        raise ValueError("X and labels must have equal length")
+    classes = sorted(set(int(c) for c in labels))
+    if len(classes) < 2:
+        raise ValueError(f"need at least 2 distinct classes, got {classes}")
+    results: list[LinearModel | NumericError | None] = [
+        _finite_check(X.indptr, row) for row in values
+    ]
+    live = [c for c, error in enumerate(results) if error is None]
+    if not live:
+        return results
     if feature_dim is None:
         feature_dim = 1 + (int(X.indices.max()) if X.nnz else -1)
     _check_feature_range(X, feature_dim)
-    alpha = config.alpha
-    loss = config.loss
-    l1 = config.penalty == "l1"
-    W = np.zeros((Y.shape[1], feature_dim), dtype=np.float64)
-    B = [0.0] * Y.shape[1]
-    label_rows = Y.tolist()
-    wscale = 1.0
-    paid = np.zeros(feature_dim, dtype=np.float64)
-    accrued = 0.0
-    t0 = schedule_t0(loss, alpha)
-    t = 0
-    indptr = X.indptr.tolist()
-    for order in epoch_orders(len(X), config):
-        for i in order:
-            t += 1
-            eta = 1.0 / (alpha * (t0 + t))
-            start, end = indptr[i], indptr[i + 1]
-            idx = X.indices[start:end]
-            vals = X.values[start:end]
-            sub = W.take(idx, axis=1)
-            if l1:
-                sub = _soft_threshold(sub, accrued - paid[idx])
-            step = [
-                eta * loss_dmargin(loss, y * (wscale * float(row @ vals) + b)) * y
-                for row, y, b in zip(sub, label_rows[i], B)
-            ]
-            if not l1:
-                wscale *= 1.0 - eta * alpha
-                if wscale < 1e-9:
-                    W *= wscale
-                    sub *= wscale
-                    wscale = 1.0
-            # A row with zero gradient subtracts exact zeros and no weight is
-            # ever -0.0, so that row stays bitwise unchanged.
-            moved = any(step)
-            if moved:
-                sub -= np.array([s / wscale for s in step])[:, None] * vals
-                B = [b - s for b, s in zip(B, step)]
-            if l1:
-                settled = accrued
-                accrued += eta * alpha
-                sub = _soft_threshold(sub, accrued - settled)
-                paid[idx] = accrued
-            if moved or l1:
-                W[:, idx] = sub
-    if l1:
-        W = _soft_threshold(W, accrued - paid)
-    elif wscale != 1.0:
-        W *= wscale
-    B = np.array(B)
-    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(B))):
-        raise NumericError("training diverged to non-finite weights")
-    return W, B
+    Y = np.where(np.asarray(labels)[:, None] == np.asarray(classes), 1.0, -1.0)
+    if len(live) < len(configs):
+        values = values[live]
+    W, B = _fit_rows(X, values, Y, [configs[c] for c in live], feature_dim)
+    for row, c in enumerate(live):
+        if np.all(np.isfinite(W[row])) and np.all(np.isfinite(B[row])):
+            results[c] = LinearModel(
+                weights=W[row], intercepts=B[row], classes=classes, feature_dim=feature_dim
+            )
+        else:
+            results[c] = NumericError("training diverged to non-finite weights")
+    return results
 
 
 def fit_multiclass(
@@ -199,17 +317,14 @@ def fit_multiclass(
     *,
     feature_dim: int | None = None,
 ) -> LinearModel:
-    """One-vs-rest: row k is trained on labels +1 for classes[k] and -1 for the rest."""
-    if len(X) != len(labels):
-        raise ValueError("X and labels must have equal length")
-    classes = sorted(set(int(c) for c in labels))
-    if len(classes) < 2:
-        raise ValueError(f"need at least 2 distinct classes, got {classes}")
-    Y = np.where(np.asarray(labels)[:, None] == np.asarray(classes), 1.0, -1.0)
-    weights, intercepts = _fit_rows(X, Y, config, feature_dim)
-    return LinearModel(
-        weights=weights, intercepts=intercepts, classes=classes, feature_dim=weights.shape[1]
-    )
+    """One-vs-rest: row k is trained on labels +1 for classes[k] and -1 for the rest.
+
+    This is fit_stacked's case of one config, on X's own values.
+    """
+    [model] = fit_stacked(X, X.values[None], labels, [config], feature_dim=feature_dim)
+    if isinstance(model, NumericError):
+        raise model
+    return model
 
 
 def model_to_dict(model: LinearModel) -> dict:

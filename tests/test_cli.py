@@ -316,14 +316,19 @@ class TestCrossvalGridCompare:
         self, prepared, capsys, monkeypatch, command, flag, code
     ):
         # compare's tuned arm fails and its default arm trains; crossval's one config fails.
-        fit = sgd.fit_multiclass
+        # Both reach sgd.fit_stacked: compare's two arms in one stacked pass, crossval's
+        # config through fit_multiclass.
+        fit = sgd.fit_stacked
 
-        def diverge_at_alpha_1e3(X, labels, config, **kwargs):
-            if config.alpha == 1e-3:
-                raise sgd.NumericError("training diverged to non-finite weights")
-            return fit(X, labels, config, **kwargs)
+        def diverge_at_alpha_1e3(X, values, labels, configs, **kwargs):
+            models = fit(X, values, labels, configs, **kwargs)
+            return [
+                sgd.NumericError("training diverged to non-finite weights")
+                if config.alpha == 1e-3 else model
+                for config, model in zip(configs, models)
+            ]
 
-        monkeypatch.setattr(sgd, "fit_multiclass", diverge_at_alpha_1e3)
+        monkeypatch.setattr(sgd, "fit_stacked", diverge_at_alpha_1e3)
         value = {"--ngram": "9,9", "--alpha": "0.001"}[flag]
         assert main([command, flag, value, "--k", "2", "--out", str(prepared)]) == code
         assert "error: fold 0: " in capsys.readouterr().err
@@ -334,7 +339,7 @@ class TestCrossvalGridCompare:
         self, prepared, tmp_path, capsys, monkeypatch
     ):
         fits = []
-        monkeypatch.setattr(evaluation, "fit_pipeline", lambda *args: fits.append(args))
+        monkeypatch.setattr(evaluation, "fit_group", lambda *args: fits.append(args))
         # 21 training documents leave a development set of 10 or 11.
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps({"inner_folds": 12}), "utf-8")

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sgdtext import evaluation, features
+from sgdtext import evaluation, features, sgd
 from sgdtext.evaluation import (
     ConfusionMatrix,
     CrossValidationError,
@@ -267,6 +267,26 @@ class TestCrossValidate:
         assert counted == [NgramRange(1, 1), NgramRange(1, 2)]
         assert len(taken) == 2 * 2 * 2  # folds x n-gram ranges x (train, held out)
 
+    def test_the_default_grid_trains_one_stacked_pass_per_fold_and_group(
+        self, signature_corpus, monkeypatch
+    ):
+        # Groups share n-gram range, loss, penalty and epochs: 2 ranges x 2 penalties.
+        documents, labels = signature_corpus(n_classes=2, per_class=6)
+        configs = enumerate_grid(GridSpec(), PipelineConfig(epochs=1, seed=5))
+        passes, fits = [], []
+        fit_rows, fit = sgd._fit_rows, features.fit
+        monkeypatch.setattr(
+            sgd, "_fit_rows",
+            lambda X, values, *rest: passes.append(len(values)) or fit_rows(X, values, *rest),
+        )
+        monkeypatch.setattr(
+            features, "fit", lambda counts, config: fits.append(config) or fit(counts, config)
+        )
+        reports = cross_validate(documents, labels, configs, k=3)
+        assert len(configs) == 96 and all(r.mean == 1.0 for r in reports)
+        assert passes == [24] * 12
+        assert len(fits) == 288
+
     def test_configs_score_as_they_would_alone(self):
         documents, labels = noisy_corpus()
         together = cross_validate(documents, labels, SCORED_CONFIGS, k=4)
@@ -302,14 +322,15 @@ class TestCrossValidate:
         documents, labels = signature_corpus(n_classes=2, per_class=6)
         plan_seeds, fit_seeds = [], []
         plan = evaluation.stratified_kfold
-        fit = evaluation.fit_pipeline
+        fit = evaluation.fit_group
         monkeypatch.setattr(
             evaluation, "stratified_kfold",
             lambda labels, k, seed: plan_seeds.append(seed) or plan(labels, k, seed),
         )
         monkeypatch.setattr(
-            evaluation, "fit_pipeline",
-            lambda counts, labs, config: fit_seeds.append(config.seed) or fit(counts, labs, config),
+            evaluation, "fit_group",
+            lambda counts, labs, group: fit_seeds.extend(c.seed for c in group)
+            or fit(counts, labs, group),
         )
         configs = [PipelineConfig(seed=8), PipelineConfig(alpha=1e-3, seed=8)]
         cross_validate(documents, labels, configs, k=3)

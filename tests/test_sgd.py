@@ -7,10 +7,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgdtext import sgd
-from sgdtext.features import NgramRange, SparseRows
-from sgdtext.pipeline import PipelineConfig
+from sgdtext import features, sgd
+from sgdtext.features import NgramRange, SparseRows, count
+from sgdtext.pipeline import PipelineConfig, fit_group, fit_pipeline
 from sgdtext.sgd import (
     LinearModel,
     ModelFormatError,
@@ -18,6 +20,7 @@ from sgdtext.sgd import (
     decision,
     epoch_orders,
     fit_multiclass,
+    fit_stacked,
     load_model,
     loss_dmargin,
     model_from_dict,
@@ -35,7 +38,7 @@ from oracles import (
     loss_value,
     regularized_objective,
 )
-from rows import dense_rows, fit_on, rows, vectorize
+from rows import dense_rows, fit_on, from_rows, rows, rows_of, vectorize
 
 
 class TestLossValues:
@@ -396,6 +399,168 @@ class TestSharedPassParity:
                 assert renormalizes(len(X), config)
             self.assert_multiclass_parity(X, labels, config)
             self.assert_binary_parity(X, y, config)
+
+
+PENALTY_LOSS = [(loss, penalty) for loss in sgd.LOSSES for penalty in sgd.PENALTIES]
+
+
+@st.composite
+def stacked_problems(draw):
+    """A pattern of n rows over d features, labels, and C configs with values in that pattern.
+
+    The configs differ in alpha and draw their values from a few batches,
+    as the TF-IDF variants of one grid group do; rows may be empty.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(4, 14)), draw(st.integers(1, 8))
+    n_classes = draw(st.integers(2, 4))
+    labels = [int(c) for c in rng.permutation(np.arange(n) % n_classes)]
+    pattern = dense_rows(np.where(rng.random((n, d)) < draw(st.sampled_from([0.3, 0.7])), 1.0, 0.0))
+    batches = rng.normal(size=(draw(st.integers(1, 4)), pattern.nnz))
+    batches[batches == 0.0] = 1.0
+    alphas = draw(st.lists(st.sampled_from([1e-6, 1e-4, 1e-2, 1.0, 1e2]), min_size=1, max_size=24))
+    values = batches[[draw(st.integers(0, len(batches) - 1)) for _ in alphas]]
+    epochs, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+    return pattern, values, labels, alphas, epochs, seed
+
+
+class TestStackedParity:
+    """Every config of a stacked pass equals a lone fit_multiclass of it, byte for byte."""
+
+    @staticmethod
+    def assert_lone_parity(X, values, labels, configs, stacked):
+        for row, config, model in zip(values, configs, stacked):
+            lone = fit_multiclass(SparseRows(X.indptr, X.indices, row), labels, config)
+            assert model.classes == lone.classes and model.feature_dim == lone.feature_dim
+            assert model.weights.tobytes() == lone.weights.tobytes()
+            assert model.intercepts.tobytes() == lone.intercepts.tobytes()
+
+    @pytest.mark.parametrize("loss, penalty", PENALTY_LOSS)
+    @settings(max_examples=40, deadline=None)
+    @given(problem=stacked_problems())
+    def test_each_config_equals_its_lone_fit(self, loss, penalty, problem):
+        X, values, labels, alphas, epochs, seed = problem
+        configs = [
+            PipelineConfig(loss=loss, penalty=penalty, alpha=alpha, epochs=epochs, seed=seed)
+            for alpha in alphas
+        ]
+        stacked = fit_stacked(X, values, labels, configs)
+        self.assert_lone_parity(X, values, labels, configs, stacked)
+
+    @pytest.mark.parametrize("loss, penalty", PENALTY_LOSS)
+    def test_wscale_renormalization_branch(self, loss, penalty):
+        X, labels = tfidf_problem(37, 3, NgramRange(1, 2))
+        values = np.stack([X.values, 0.5 * X.values, X.values])
+        configs = [
+            PipelineConfig(loss=loss, penalty=penalty, alpha=alpha, epochs=6, seed=8)
+            for alpha in (1e9, 1e20, 1e-2)
+        ]
+        if penalty == "l2":  # the last config never renormalizes while the others do
+            assert [renormalizes(len(X), config) for config in configs] == [True, True, False]
+        self.assert_lone_parity(X, values, labels, configs, fit_stacked(X, values, labels, configs))
+
+    @pytest.mark.parametrize("penalty", sgd.PENALTIES)
+    def test_a_config_whose_steps_are_all_zero_keeps_its_negative_zeros(self, penalty):
+        # Subnormal values make the renormalization at alpha 1e9 underflow some
+        # negative weights to -0.0. The perceptron's steps for a sample its
+        # intercepts already classify are all zero, while the other config's
+        # move; subtracting those zero steps would turn -0.0 into 0.0. Under L1
+        # the soft threshold after each step maps both zeros to 0.0 anyway.
+        X, labels = tfidf_problem(0, 2, NgramRange(1, 1), n=40)
+        values = np.stack([X.values * 1e-314, X.values])
+        configs = [
+            PipelineConfig(loss="perceptron", penalty=penalty, alpha=alpha, epochs=8, seed=2)
+            for alpha in (1e9, 1e-2)
+        ]
+        stacked = fit_stacked(X, values, labels, configs)
+        if penalty == "l2":
+            zeros = stacked[0].weights[stacked[0].weights == 0.0]
+            assert np.signbit(zeros).any()
+        self.assert_lone_parity(X, values, labels, configs, stacked)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("loss, penalty", PENALTY_LOSS)
+    def test_a_diverging_or_non_finite_config_fails_alone(self, loss, penalty):
+        X, labels = tfidf_problem(41, 3, NgramRange(1, 1))
+        diverging, non_finite = X.values * 1e308, X.values.copy()
+        non_finite[5] = np.nan
+        values = np.stack([X.values, diverging, 2.0 * X.values, non_finite])
+        configs = [
+            PipelineConfig(loss=loss, penalty=penalty, alpha=alpha, epochs=3, seed=1)
+            for alpha in (1e-3, 1e-3, 1e-2, 1e-3)
+        ]
+        first, diverged, third, rejected = fit_stacked(X, values, labels, configs)
+        for error, row in ((diverged, diverging), (rejected, non_finite)):
+            with pytest.raises(NumericError) as lone:
+                fit_multiclass(SparseRows(X.indptr, X.indices, row), labels, configs[1])
+            assert type(error) is NumericError and str(error) == str(lone.value)
+        self.assert_lone_parity(X, values[[0, 2]], labels, configs[::2], [first, third])
+
+    def test_configs_must_share_the_pass(self):
+        X, labels = tfidf_problem(5, 2, NgramRange(1, 1))
+        values = np.stack([X.values, X.values])
+        with pytest.raises(ValueError, match="one loss, penalty, epochs and seed"):
+            fit_stacked(X, values, labels, [PipelineConfig(), PipelineConfig(penalty="l1")])
+        with pytest.raises(ValueError, match="one row of X.nnz values per config"):
+            fit_stacked(X, values, labels, [PipelineConfig()])
+
+    def test_a_member_of_another_pattern_or_with_smote_trains_alone(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        documents = [[f"w{w}" for w in rng.integers(0, 9, size=4)] for _ in range(18)]
+        labels = [i % 3 for i in range(18)]
+        counts = count(documents, NgramRange(1, 1))
+        transform = features.transform
+
+        def change_the_first_row(model, counts):
+            # Under the l1 norm the row loses a value (another indptr); without
+            # IDF its first column moves (the same indptr, other indices).
+            X = transform(model, counts)
+            (indices, values), *rest = rows_of(X)
+            if model.norm == "l1":
+                return from_rows([(indices[1:], values[1:]), *rest])
+            if not model.use_idf:
+                free = np.setdiff1d(np.arange(len(model.grams)), indices)[0]
+                moved = np.sort(np.append(indices[1:], free))
+                return from_rows([(moved, values), *rest])
+            return X
+
+        monkeypatch.setattr(features, "transform", change_the_first_row)
+        passes = []
+        fit_rows = sgd._fit_rows
+        monkeypatch.setattr(
+            sgd, "_fit_rows", lambda X, values, *rest: passes.append(len(values))
+            or fit_rows(X, values, *rest),
+        )
+        configs = [
+            PipelineConfig(norm="l2", alpha=1e-3, seed=3),
+            PipelineConfig(norm="l1", alpha=1e-3, seed=3),
+            PipelineConfig(norm="l2", use_idf=False, alpha=1e-4, seed=3),
+            PipelineConfig(norm="l2", smote=True, alpha=1e-3, seed=3),
+            PipelineConfig(norm="l2", smooth_idf=False, alpha=1e-2, seed=3),
+        ]
+        group = fit_group(counts, labels, configs)
+        assert passes == [1, 1, 1, 2]  # three members alone, then the stack
+        for config, fitted in zip(configs, group):
+            lone = fit_pipeline(counts, labels, config)
+            assert fitted.model.weights.tobytes() == lone.model.weights.tobytes()
+            assert fitted.model.intercepts.tobytes() == lone.model.intercepts.tobytes()
+
+
+def test_scalar_output_matmul_is_the_per_row_dot():
+    # The stacked pass computes all its margins with one matmul of this shape
+    # and relies on it calling the same ddot as a lone pass's 1-D row @ vals.
+    # A numpy whose matmul dispatches otherwise fails here first.
+    rng = np.random.default_rng(0)
+    for C in (1, 2, 5, 24):
+        for K in (1, 2, 6):
+            raw = np.empty((C, K, 1, 1))
+            for n in (0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 257, 1024, 4097):
+                a = rng.normal(size=(C, K, n))
+                wide = rng.normal(size=(C, 1, n + 11))
+                b = wide[:, :, 3 : 3 + n]  # a column slice of a wider values matrix
+                np.matmul(a[:, :, None, :], b[..., None], out=raw)
+                expected = [[a[c, k] @ b[c, 0] for k in range(K)] for c in range(C)]
+                assert raw.reshape(C, K).tobytes() == np.array(expected).tobytes(), (C, K, n)
 
 
 class TestObjectiveAndOracle:
