@@ -1,4 +1,4 @@
-"""Artifact files: atomic writes, and the one reader of JSON files."""
+"""Artifact files: atomic writes, the streaming writer of large JSON files, and the one reader."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import contextlib
 import json
 import os
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 
 @contextlib.contextmanager
@@ -25,6 +25,26 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json_rows(path: str | Path, head: dict, key: str, chunks: Iterable[str]) -> None:
+    """Write json.dumps({**head, key: rows}, sort_keys=True, indent=1) to path, atomically.
+
+    rows is a list, and key sorts after every key of head. chunks yields the
+    rows' text as that dump lays it out, each row's lines indented by two
+    spaces or more, the rows of a chunk joined by ",\n". Only head goes
+    through json.dumps; each chunk is written as it arrives, so the text of
+    the rows is never held whole.
+    """
+    with atomic_write(path) as fh:
+        # Cut head's closing "\n}" so that key's list goes in as its last entry.
+        fh.write(json.dumps(head, sort_keys=True, indent=1)[:-2] + f',\n "{key}": [')
+        separator = "\n"
+        for chunk in chunks:
+            fh.write(separator)
+            fh.write(chunk)
+            separator = ",\n"
+        fh.write("]\n}" if separator == "\n" else "\n ]\n}")
 
 
 def read_json(path: str | Path, error: type[ValueError] = ValueError) -> object:

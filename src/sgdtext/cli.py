@@ -221,7 +221,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # Passed without a name here, so fit_pipeline can free the counts before SGD.
     fitted = fit_pipeline(features.count(documents, config.ngram_range), labels, config)
     elapsed = time.perf_counter() - started
-    # Free the corpus before the artifacts are serialized, which is train's peak.
+    # Free the corpus before the artifacts are written: writing model.json still
+    # sets train's peak memory, if only just above the fit's.
     del documents, labels
     # The model goes last: a run cut short leaves no new model.json beside
     # an older tfidf.json or train_meta.json.

@@ -14,18 +14,18 @@ L2 normalization of the resulting vector.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_write, read_json
+from .artifacts import read_json, write_json_rows
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -341,22 +341,6 @@ def _kept(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(keep)))[indptr]
 
 
-def tfidf_to_dict(model: TfidfModel) -> dict:
-    """JSON-ready form; the vocabulary is stored as sorted [ngram, index, df] rows."""
-    rows = sorted(
-        [gram, index, int(df)] for index, (gram, df) in enumerate(zip(model.grams, model.doc_freq))
-    )
-    return {
-        "version": TFIDF_FORMAT_VERSION,
-        "ngram_range": [model.ngram_range.lo, model.ngram_range.hi],
-        "use_idf": model.use_idf,
-        "smooth_idf": model.smooth_idf,
-        "norm": model.norm,
-        "n_docs": model.n_docs,
-        "vocabulary": rows,
-    }
-
-
 def tfidf_from_dict(data: dict) -> TfidfModel:
     try:
         version = data["version"]
@@ -404,9 +388,35 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
     return model
 
 
+# Vocabulary rows formatted and written at a time: bounds the text held at once.
+_VOCABULARY_BLOCK = 4096
+
+
+def _vocabulary_blocks(model: TfidfModel) -> Iterator[str]:
+    grams, doc_freq = model.grams, model.doc_freq.tolist()
+    # A stable sort: equal grams (in a hand-made model) stay in index order.
+    order = sorted(range(len(grams)), key=grams.__getitem__)
+    for start in range(0, len(order), _VOCABULARY_BLOCK):
+        yield ",\n".join(
+            f"  [\n   {encode_basestring_ascii(grams[i])},\n   {i!r},\n   {doc_freq[i]!r}\n  ]"
+            for i in order[start : start + _VOCABULARY_BLOCK]
+        )
+
+
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(tfidf_to_dict(model), fh, sort_keys=True, indent=1)
+    """Write tfidf.json: sorted keys, a one-space indent, the vocabulary as [ngram, index, df] rows.
+
+    The rows are sorted by n-gram, then index, and written a block at a time.
+    """
+    head = {
+        "version": TFIDF_FORMAT_VERSION,
+        "ngram_range": [model.ngram_range.lo, model.ngram_range.hi],
+        "use_idf": model.use_idf,
+        "smooth_idf": model.smooth_idf,
+        "norm": model.norm,
+        "n_docs": model.n_docs,
+    }
+    write_json_rows(path, head, "vocabulary", _vocabulary_blocks(model))
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:

@@ -17,7 +17,6 @@ dense inputs reduces exactly to per-step soft thresholding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_write, read_json
+from .artifacts import read_json, write_json_rows
 from .features import SparseRows
 
 if TYPE_CHECKING:
@@ -327,22 +326,6 @@ def fit_multiclass(
     return model
 
 
-def model_to_dict(model: LinearModel) -> dict:
-    """JSON-ready form; weight rows are stored sparsely as [index, value] pairs."""
-    rows = []
-    for k in range(len(model.classes)):
-        row = model.weights[k]
-        nz = np.nonzero(row)[0]
-        rows.append([[int(j), float(row[j])] for j in nz])
-    return {
-        "version": MODEL_FORMAT_VERSION,
-        "classes": [int(c) for c in model.classes],
-        "feature_dim": int(model.feature_dim),
-        "intercepts": [float(v) for v in model.intercepts],
-        "weights": rows,
-    }
-
-
 def model_from_dict(data: dict) -> LinearModel:
     try:
         version = data["version"]
@@ -389,9 +372,34 @@ def model_from_dict(data: dict) -> LinearModel:
     )
 
 
+def _weight_row(row: np.ndarray) -> str:
+    """One weight row as model.json lays it out: its nonzero [index, value] pairs."""
+    nz = np.flatnonzero(row)
+    if not nz.size:
+        return "  []"
+    # The reprs are what json's encoder writes for an int and a finite float.
+    pairs = zip(map(int.__repr__, nz.tolist()), map(float.__repr__, row[nz].tolist()))
+    body = "\n   ],\n   [\n    ".join(map(",\n    ".join, pairs))
+    return f"  [\n   [\n    {body}\n   ]\n  ]"
+
+
 def save_model(model: LinearModel, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=1)
+    """Write model.json: sorted keys, a one-space indent, each weight row stored sparsely.
+
+    Row k of "weights" lists the [index, value] pairs of w_k's nonzeros in
+    index order. The rows are written one at a time. A non-finite weight or
+    intercept raises NumericError and leaves path as it was, since
+    load_model would reject the file.
+    """
+    if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.intercepts))):
+        raise NumericError("the model holds a non-finite weight or intercept")
+    head = {
+        "version": MODEL_FORMAT_VERSION,
+        "classes": [int(c) for c in model.classes],
+        "feature_dim": int(model.feature_dim),
+        "intercepts": [float(v) for v in model.intercepts],
+    }
+    write_json_rows(path, head, "weights", map(_weight_row, model.weights))
 
 
 def load_model(path: str | Path) -> LinearModel:

@@ -8,6 +8,9 @@ loss_value gives the losses whose subgradients the trainer uses, and
 binary_row is the binary classifier the tests train through the one-vs-rest
 trainer. interpolate and smote_per_record build SMOTE's synthetic rows one
 record at a time, as resample.smote did before it built a class at once.
+model_to_dict and tfidf_to_dict are the dicts whose json.dump(...,
+sort_keys=True, indent=1) sgd.save_model and features.save_tfidf write byte
+for byte without building them.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from sgdtext.evaluation import ConfusionMatrix
 from sgdtext.features import (
     NORMS,
+    TFIDF_FORMAT_VERSION,
     EmptyCorpusError,
     Row,
     SparseRows,
@@ -33,6 +37,7 @@ from sgdtext.pipeline import PipelineConfig
 from sgdtext.resample import SmoteRecord, SmoteResult, neighbor_table, squared_distance
 from sgdtext.seeds import substream
 from sgdtext.sgd import (
+    MODEL_FORMAT_VERSION,
     LinearModel,
     NumericError,
     epoch_orders,
@@ -109,6 +114,22 @@ def transform_document(model: TfidfModel, tokens: Sequence[str]) -> Row:
 
 def transform_documents(model: TfidfModel, documents: Sequence[Sequence[str]]) -> SparseRows:
     return from_rows(transform_document(model, tokens) for tokens in documents)
+
+
+def tfidf_to_dict(model: TfidfModel) -> dict:
+    """JSON-ready form; the vocabulary is stored as sorted [ngram, index, df] rows."""
+    rows = sorted(
+        [gram, index, int(df)] for index, (gram, df) in enumerate(zip(model.grams, model.doc_freq))
+    )
+    return {
+        "version": TFIDF_FORMAT_VERSION,
+        "ngram_range": [model.ngram_range.lo, model.ngram_range.hi],
+        "use_idf": model.use_idf,
+        "smooth_idf": model.smooth_idf,
+        "norm": model.norm,
+        "n_docs": model.n_docs,
+        "vocabulary": rows,
+    }
 
 
 def _max_feature(X: SparseRows) -> int:
@@ -275,6 +296,22 @@ def batch_gd_oracle(
         w -= learning_rate * grad_w
         b -= learning_rate * grad_b
     return w, b
+
+
+def model_to_dict(model: LinearModel) -> dict:
+    """JSON-ready form; weight rows are stored sparsely as [index, value] pairs."""
+    rows = []
+    for k in range(len(model.classes)):
+        row = model.weights[k]
+        nz = np.nonzero(row)[0]
+        rows.append([[int(j), float(row[j])] for j in nz])
+    return {
+        "version": MODEL_FORMAT_VERSION,
+        "classes": [int(c) for c in model.classes],
+        "feature_dim": int(model.feature_dim),
+        "intercepts": [float(v) for v in model.intercepts],
+        "weights": rows,
+    }
 
 
 def micro_averages(cm: ConfusionMatrix) -> tuple[float, float, float]:

@@ -120,6 +120,36 @@ def test_files_are_read_through_artifacts():
     assert found == []
 
 
+def test_no_module_calls_json_dump():
+    """json.dump with an indent runs the pure-Python encoder, one write per token.
+
+    Small files go through json.dumps; model.json and tfidf.json are streamed
+    a row or a block at a time by artifacts.write_json_rows.
+    """
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, owner, node in package_calls()
+        if getattr(node.func, "attr", None) == "dump"
+        and getattr(node.func.value, "id", None) == "json"
+    ]
+    assert found == []
+
+
+def test_the_dict_forms_of_the_artifacts_are_test_oracles():
+    """model_to_dict and tfidf_to_dict are defined only in tests/oracles.py.
+
+    save_model and save_tfidf write the bytes of their dumps without building them.
+    """
+    files = [*Path(sgdtext.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    defined = sorted(
+        f"{path.parent.name}/{path.name}:{node.name}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in ("model_to_dict", "tfidf_to_dict")
+    )
+    assert defined == ["tests/oracles.py:model_to_dict", "tests/oracles.py:tfidf_to_dict"]
+
+
 def test_documents_are_tokenized_in_one_place():
     """extract_ngrams has one caller in the package, features.count; fit and transform read counts."""
     callers = [

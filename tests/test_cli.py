@@ -432,6 +432,13 @@ class TestGoldenArtifacts:
         "train_meta.json": "5c4a5d26bd2313bb96cfa1cc42a64a34a2bc1a7b4cab346168da5aa1a17264ef",
     }
 
+    # The two large artifacts hashed as written, which pins their layout:
+    # sorted keys and a one-space indent.
+    RAW_DIGESTS = {
+        "model.json": "513a17f32b0b5a4d777daac39a0427d0b347ec62f9ab4c69a57ca314c3bf5cc6",
+        "tfidf.json": "131337c4fb2ca8edf0269585d86b23be45dff1c34622191badafe541d6fff152",
+    }
+
     @staticmethod
     def digest(path) -> str:
         if path.suffix == ".json":
@@ -473,9 +480,12 @@ class TestGoldenArtifacts:
         return out, digests
 
     def test_every_artifact_matches_its_pinned_digest(self, signature_corpus, tmp_path, capsys):
-        _, digests = self.run_all(signature_corpus, tmp_path)
+        out, digests = self.run_all(signature_corpus, tmp_path)
         assert "best: (1, 1),'l2',True,True,'l2',0.001 mean=" in capsys.readouterr().out
         assert digests == self.DIGESTS
+        raw = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self.RAW_DIGESTS}
+        assert raw == self.RAW_DIGESTS
 
     def test_parallel_sweep_writes_the_same_grid_results(self, signature_corpus, tmp_path):
         out, digests = self.run_all(signature_corpus, tmp_path)

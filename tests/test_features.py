@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sgdtext import features
@@ -19,18 +19,18 @@ from sgdtext.features import (
     NgramRange,
     SparseRows,
     TfidfFormatError,
+    TfidfModel,
     count,
     extract_ngrams,
     fit,
     load_tfidf,
     save_tfidf,
     tfidf_from_dict,
-    tfidf_to_dict,
     transform,
 )
 from sgdtext.pipeline import PipelineConfig
 
-from oracles import fit_tokens, normalize, transform_documents
+from oracles import fit_tokens, normalize, tfidf_to_dict, transform_documents
 from rows import (
     batch_bytes, fit_on, from_rows, row, row_bytes, rows, to_dense, to_dict, vectorize,
 )
@@ -477,7 +477,55 @@ class TestCountedOracle:
             transform(model, counts)
 
 
+# Characters json escapes (quotes, backslashes, control characters, DEL, non-ASCII
+# with the line separator U+2028) beside ones it writes as they are (space, letters).
+SPECIAL = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\U0001f600", " ", "a"]
+GRAMS = st.text(st.sampled_from(SPECIAL) | st.characters(), max_size=5)
+
+
+@st.composite
+def tfidf_models(draw) -> TfidfModel:
+    """A vectorizer built by hand: grams in any order, possibly repeated."""
+    grams = draw(st.lists(GRAMS, max_size=8))
+    n_docs = draw(st.integers(1, 2**40))
+    doc_freq = draw(st.lists(st.integers(1, n_docs), min_size=len(grams), max_size=len(grams)))
+    lo = draw(st.integers(1, 3))
+    return TfidfModel(
+        grams, np.array(doc_freq, dtype=np.int64), n_docs,
+        ngram_range=NgramRange(lo, draw(st.integers(lo, 4))), use_idf=draw(st.booleans()),
+        smooth_idf=draw(st.booleans()), norm=draw(st.sampled_from(NORMS)),
+    )
+
+
+EMPTY_VOCABULARY = {
+    "version": 1, "ngram_range": [1, 2], "use_idf": True, "smooth_idf": False, "norm": "l1",
+    "n_docs": 3, "vocabulary": [],
+}
+
+
+def shuffled_vocabulary(size: int) -> TfidfModel:
+    """size distinct grams, indexed in a shuffled order."""
+    grams = [f"g{i:05d}" for i in range(size)]
+    np.random.default_rng(0).shuffle(grams)
+    return TfidfModel(
+        grams, np.arange(1, size + 1), size, ngram_range=NgramRange(1, 1),
+        use_idf=True, smooth_idf=True, norm="l2",
+    )
+
+
 class TestSerialization:
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(model=tfidf_models())
+    @example(model=tfidf_from_dict(EMPTY_VOCABULARY))
+    @example(model=shuffled_vocabulary(2 * features._VOCABULARY_BLOCK + 3))  # three blocks
+    def test_save_writes_the_bytes_of_the_oracle_dump(self, tmp_path, model):
+        path = tmp_path / "tfidf.json"
+        save_tfidf(model, path)
+        expected = json.dumps(tfidf_to_dict(model), sort_keys=True, indent=1)
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_round_trip_preserves_transform(self, tmp_path):
         docs = [["alpha", "beta"], ["beta", "gamma"], ["gamma", "alpha", "alpha"]]
         model = fit_on(docs, PipelineConfig(ngram_range=NgramRange(1, 2)))

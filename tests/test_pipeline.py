@@ -13,6 +13,8 @@ from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from sgdtext.resample import smote
 from sgdtext.seeds import substream
 
+from oracles import tfidf_to_dict
+
 
 class TestFitPipeline:
     def test_learns_and_predicts_training_data(self, signature_corpus):
@@ -66,7 +68,7 @@ class TestFitPipeline:
             feature_dim=len(tfidf.vocabulary),
         )
         assert len(resampled.records) > 0
-        assert features.tfidf_to_dict(fitted.tfidf) == features.tfidf_to_dict(tfidf)
+        assert tfidf_to_dict(fitted.tfidf) == tfidf_to_dict(tfidf)
         assert fitted.model.weights.tobytes() == model.weights.tobytes()
         assert fitted.model.intercepts.tobytes() == model.intercepts.tobytes()
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sgdtext import features, sgd
@@ -24,7 +25,6 @@ from sgdtext.sgd import (
     load_model,
     loss_dmargin,
     model_from_dict,
-    model_to_dict,
     predict,
     save_model,
     schedule_t0,
@@ -36,6 +36,7 @@ from oracles import (
     fit_binary_alone,
     fit_multiclass_per_class,
     loss_value,
+    model_to_dict,
     regularized_objective,
 )
 from rows import dense_rows, fit_on, from_rows, rows, rows_of, vectorize
@@ -598,6 +599,28 @@ class TestObjectiveAndOracle:
         assert np.all(w == 0.0) and b == 0.0
 
 
+# Zeros, with -0.0, which np.nonzero drops, and the extremes of a float's repr.
+WEIGHT_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 2.0, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def linear_models(draw) -> LinearModel:
+    k = draw(st.integers(1, 4))
+    feature_dim = draw(st.integers(0, 6))
+    classes = draw(st.lists(st.integers(-(2**70), 2**70), min_size=k, max_size=k, unique=True))
+    rows = st.lists(WEIGHT_VALUES, min_size=feature_dim, max_size=feature_dim)
+    weights = draw(st.lists(rows, min_size=k, max_size=k))
+    intercepts = draw(st.lists(WEIGHT_VALUES, min_size=k, max_size=k))
+    return LinearModel(
+        weights=np.array(weights, dtype=np.float64).reshape(k, feature_dim),
+        intercepts=np.array(intercepts),
+        classes=sorted(classes),
+        feature_dim=feature_dim,
+    )
+
+
 class TestModelSerialization:
     def fitted(self) -> LinearModel:
         dense, y = toy_problem(20)
@@ -679,3 +702,37 @@ class TestModelSerialization:
         data["intercepts"][0] = 0.25
         loaded = model_from_dict(data)
         assert loaded.weights[1].tolist() == [-1.0, 0, 0, 0, 0, 0.5]
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(model=linear_models())
+    @example(
+        model=LinearModel(
+            weights=np.array([[0.0, -0.0, 0.0], [5e-324, 1e16, 2.0], [-1e308, -0.0, 0.1]]),
+            intercepts=np.array([-0.0, 5e-324, -1e308]),
+            classes=[-3, 7, 2**64],
+            feature_dim=3,
+        )
+    )
+    def test_save_writes_the_bytes_of_the_oracle_dump(self, tmp_path, model):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        expected = json.dumps(model_to_dict(model), sort_keys=True, indent=1)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "weight, intercept", [(float("nan"), 0.5), (float("inf"), 0.5), (1.0, float("-inf"))]
+    )
+    def test_non_finite_model_is_refused_and_the_old_file_kept(self, tmp_path, weight, intercept):
+        path = tmp_path / "model.json"
+        save_model(self.fitted(), path)
+        before = path.read_bytes()
+        bad = LinearModel(
+            weights=np.array([[weight, 0.0]]), intercepts=np.array([intercept]), classes=[1],
+            feature_dim=2,
+        )
+        with pytest.raises(NumericError, match="non-finite"):
+            save_model(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
