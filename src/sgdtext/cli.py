@@ -218,7 +218,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args, "pipeline")
     documents, labels = _train_split(out_dir)
     started = time.perf_counter()
-    # Passed without a name here, so fit_pipeline can free the counts before SGD.
     fitted = fit_pipeline(features.count(documents, config.ngram_range), labels, config)
     elapsed = time.perf_counter() - started
     # Free the corpus before the artifacts are written: writing model.json still
@@ -283,13 +282,7 @@ def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.T
 def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     tfidf = features.load_tfidf(out_dir / "tfidf.json")
-    model = sgd.load_model(out_dir / "model.json")
-    if model.feature_dim != len(tfidf.grams):
-        raise ValueError(
-            f"{out_dir / 'model.json'} has {model.feature_dim} features but "
-            f"{out_dir / 'tfidf.json'} has a vocabulary of {len(tfidf.grams)}; "
-            "they are not from the same train run"
-        )
+    model = sgd.load_model(out_dir / "model.json", (out_dir / "tfidf.json", len(tfidf.grams)))
     _check_eval_flags(args, out_dir, tfidf)
     loaded, sides = _load_prepared(out_dir)
 

@@ -299,11 +299,6 @@ def transform(model: TfidfModel, counts: NgramCounts) -> SparseRows:
     known = index_array >= 0
     if not known.all():
         indptr, index_array, tf = _kept(indptr, known), index_array[known], tf[known]
-    known_columns = column[column >= 0]
-    if np.any(known_columns[1:] < known_columns[:-1]):
-        # A vocabulary not indexed in gram order (a hand-made tfidf.json) reorders each row.
-        index_array, order = _sort_rows(indptr, index_array, len(model.grams))
-        tf = tf[order]
     values = model.idf_array[index_array]
     values *= tf
     if model.norm != "none":
@@ -349,29 +344,33 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
                 f"unsupported vectorizer format version {version!r}; expected {TFIDF_FORMAT_VERSION}"
             )
         lo, hi = data["ngram_range"]
-        rows = data["vocabulary"]
         n_docs = data["n_docs"]
-        if type(n_docs) is not int or not all(
-            type(index) is int and type(df) is int for _, index, df in rows
-        ):
-            raise TfidfFormatError(
-                "n_docs, vocabulary indices and document frequencies must be JSON integers"
-            )
-        if not all(type(gram) is str for gram, _, _ in rows):
-            raise TfidfFormatError("vocabulary n-grams must be JSON strings")
+        integers = "n_docs, vocabulary indices and document frequencies must be JSON integers"
+        if type(n_docs) is not int:
+            raise TfidfFormatError(integers)
         if not (type(data["use_idf"]) is bool and type(data["smooth_idf"]) is bool):
             raise TfidfFormatError("use_idf and smooth_idf must be JSON booleans")
-        if sorted(index for _, index, _ in rows) != list(range(len(rows))):
-            raise TfidfFormatError("vocabulary indices are not a dense 0..V-1 range")
-        grams = [""] * len(rows)
-        doc_freq = np.zeros(len(rows), dtype=np.int64)
-        for gram, index, df in rows:
-            grams[index] = gram
-            doc_freq[index] = df
-        if len(set(grams)) != len(grams):
-            raise TfidfFormatError("the vocabulary lists an n-gram twice")
+        # One walk: row i is [gram, i, df], each gram above the one before.
+        grams: list[str] = []
+        dfs: list[int] = []
+        for row, (gram, index, df) in enumerate(data["vocabulary"]):
+            if type(gram) is not str:
+                raise TfidfFormatError("vocabulary n-grams must be JSON strings")
+            if type(index) is not int or type(df) is not int:
+                raise TfidfFormatError(integers)
+            if index != row:
+                raise TfidfFormatError("vocabulary indices are not a dense 0..V-1 range in order")
+            if grams and gram <= grams[-1]:
+                fault = "lists an n-gram twice" if gram == grams[-1] else "is not in n-gram order"
+                raise TfidfFormatError(f"the vocabulary {fault}")
+            grams.append(gram)
+            dfs.append(df)
+        doc_freq = np.array(dfs, dtype=np.int64)
         if n_docs < 1:
             raise TfidfFormatError(f"n_docs must be >= 1, got {n_docs}")
+        # The int64 range doc_freq lives in; past it the IDF's float arithmetic overflows.
+        if n_docs > np.iinfo(np.int64).max:
+            raise TfidfFormatError("n_docs must be at most 2**63 - 1")
         if doc_freq.size and not (doc_freq.min() >= 1 and doc_freq.max() <= n_docs):
             raise TfidfFormatError(f"document frequencies must lie in [1, n_docs = {n_docs}]")
         norm = data["norm"]
@@ -394,19 +393,18 @@ _VOCABULARY_BLOCK = 4096
 
 def _vocabulary_blocks(model: TfidfModel) -> Iterator[str]:
     grams, doc_freq = model.grams, model.doc_freq.tolist()
-    # A stable sort: equal grams (in a hand-made model) stay in index order.
-    order = sorted(range(len(grams)), key=grams.__getitem__)
-    for start in range(0, len(order), _VOCABULARY_BLOCK):
+    for start in range(0, len(grams), _VOCABULARY_BLOCK):
         yield ",\n".join(
             f"  [\n   {encode_basestring_ascii(grams[i])},\n   {i!r},\n   {doc_freq[i]!r}\n  ]"
-            for i in order[start : start + _VOCABULARY_BLOCK]
+            for i in range(start, min(start + _VOCABULARY_BLOCK, len(grams)))
         )
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     """Write tfidf.json: sorted keys, a one-space indent, the vocabulary as [ngram, index, df] rows.
 
-    The rows are sorted by n-gram, then index, and written a block at a time.
+    The vocabulary is indexed in n-gram order, so its rows are written in
+    index order, a block at a time.
     """
     head = {
         "version": TFIDF_FORMAT_VERSION,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import features, sgd
-from .features import NgramCounts, NgramRange, SparseRows, TfidfModel
+from .features import NgramCounts, NgramRange, TfidfModel
 from .resample import smote
 from .seeds import substream
 from .sgd import LinearModel
@@ -86,29 +86,12 @@ def fit_pipeline(
     SMOTE, when configured, runs in feature space on the training vectors
     before the classifier sees them. All randomness derives from
     config.seed: resampling draws and shuffle order each get a substream.
+    This is fit_group's case of one config.
     """
-    if len(counts) != len(labels):
-        raise ValueError("documents and labels must have equal length")
-    tfidf = features.fit(counts, config)
-    vectors = features.transform(tfidf, counts)
-    # A caller that handed over its only reference frees the counts before SGD.
-    del counts
-    return _train(tfidf, vectors, [int(lab) for lab in labels], config)
-
-
-def _train(
-    tfidf: TfidfModel, vectors: SparseRows, labels: list[int], config: PipelineConfig
-) -> FittedPipeline:
-    """The classifier stage of fit_pipeline, in a pass of its own."""
-    if config.smote:
-        resampled = smote(
-            vectors, labels, replace(config, seed=substream(config.seed, "smote"))
-        )
-        vectors = resampled.vectors
-        labels = resampled.labels
-    shuffle = replace(config, seed=substream(config.seed, "shuffle"))
-    model = sgd.fit_multiclass(vectors, labels, shuffle, feature_dim=len(tfidf.grams))
-    return FittedPipeline(tfidf=tfidf, model=model)
+    [fitted] = fit_group(counts, labels, [config])
+    if isinstance(fitted, Exception):
+        raise fitted
+    return fitted
 
 
 def fit_group(
@@ -119,56 +102,44 @@ def fit_group(
     """fit_pipeline for each config on the same counts, training the classifiers together.
 
     The configs must share loss, penalty, epochs and seed. Each config fits
-    and applies its own vectorizer. The configs without SMOTE whose vectors
-    have the first such config's pattern (indptr and indices) and dimension
-    train in one sgd.fit_stacked pass, which keeps only their values; any
-    other config trains alone. Each result is bitwise what fit_pipeline
-    gives for its config, or the exception it raises.
+    and applies its own vectorizer. Every fit on one counts object keeps the
+    same grams, and each value idf * tf >= 1 stays nonzero when divided by a
+    finite row norm, so all the configs' vectors have one pattern (indptr
+    and indices). The configs without SMOTE train in one sgd.fit_stacked
+    pass on that pattern, which keeps only their values. A SMOTE config, or
+    the one config without SMOTE, trains alone through sgd.fit_multiclass.
+    Each result is a FittedPipeline, or the exception its fit raised.
     """
     if len(counts) != len(labels):
         raise ValueError("documents and labels must have equal length")
     train_labels = [int(lab) for lab in labels]
+    shuffles = [replace(config, seed=substream(config.seed, "shuffle")) for config in configs]
+    alone = sum(not config.smote for config in configs) == 1
     results: list[FittedPipeline | Exception | None] = [None] * len(configs)
     stacked: list[tuple[int, TfidfModel]] = []
-    pattern: SparseRows | None = None  # the first stacked member's vectors
-    values: np.ndarray | None = None  # one row per stacked member, from the second on
     for c, config in enumerate(configs):
         try:
             tfidf = features.fit(counts, config)
-            vectors = features.transform(tfidf, counts)
-            stacks = not config.smote and (pattern is None or (
-                len(tfidf.grams) == len(stacked[0][1].grams)
-                and np.array_equal(vectors.indptr, pattern.indptr)
-                and np.array_equal(vectors.indices, pattern.indices)
-            ))
-            if not stacks:
-                results[c] = _train(tfidf, vectors, train_labels, config)
+            X, y = features.transform(tfidf, counts), train_labels
+            if config.smote:
+                resampled = smote(X, y, replace(config, seed=substream(config.seed, "smote")))
+                X, y = resampled.vectors, resampled.labels
+            if config.smote or alone:
+                model = sgd.fit_multiclass(X, y, shuffles[c], feature_dim=len(tfidf.grams))
+                results[c] = FittedPipeline(tfidf, model)
                 continue
         except Exception as exc:  # becomes this config's result; the others carry on
             results[c] = exc
             continue
-        if pattern is None:
-            pattern = vectors
-        else:
-            if values is None:  # room for the first member and every config left
-                values = np.empty((1 + len(configs) - c, pattern.nnz))
-                values[0] = pattern.values
-            values[len(stacked)] = vectors.values
+        if not stacked:  # the shared pattern, and room for the values of every config left
+            pattern, values = X, np.empty((len(configs) - c, X.nnz))
+        values[len(stacked)] = X.values
         stacked.append((c, tfidf))
-    if len(stacked) == 1:
-        [(c, tfidf)] = stacked
-        try:
-            results[c] = _train(tfidf, pattern, train_labels, configs[c])
-        except Exception as exc:  # as above
-            results[c] = exc
-    elif stacked:
-        shuffle = [
-            replace(configs[c], seed=substream(configs[c].seed, "shuffle")) for c, _ in stacked
-        ]
+    if stacked:
         try:
             models = sgd.fit_stacked(
-                pattern, values[: len(stacked)], train_labels, shuffle,
-                feature_dim=len(stacked[0][1].grams),
+                pattern, values[: len(stacked)], train_labels,
+                [shuffles[c] for c, _ in stacked], feature_dim=len(stacked[0][1].grams),
             )
         except Exception as exc:  # a lone pass would raise it for every member
             models = [exc] * len(stacked)

@@ -326,7 +326,8 @@ def fit_multiclass(
     return model
 
 
-def model_from_dict(data: dict) -> LinearModel:
+def model_from_dict(data: dict, vocabulary: tuple[object, int] | None = None) -> LinearModel:
+    """vocabulary, if given, is (the vectorizer's file, its size): checked before allocating."""
     try:
         version = data["version"]
         if version != MODEL_FORMAT_VERSION:
@@ -337,6 +338,11 @@ def model_from_dict(data: dict) -> LinearModel:
         feature_dim = data["feature_dim"]
         if not (all(type(c) is int for c in classes) and type(feature_dim) is int):
             raise ModelFormatError("classes and feature_dim must be JSON integers")
+        if vocabulary is not None and feature_dim != vocabulary[1]:
+            raise ModelFormatError(
+                f"has {feature_dim} features but {vocabulary[0]} has a vocabulary of "
+                f"{vocabulary[1]}; they are not from the same train run"
+            )
         # predict breaks ties toward the lowest index, which must be the lowest class id.
         if any(b <= a for a, b in zip(classes, classes[1:])):
             raise ModelFormatError(f"classes must be strictly increasing, got {classes}")
@@ -402,9 +408,9 @@ def save_model(model: LinearModel, path: str | Path) -> None:
     write_json_rows(path, head, "weights", map(_weight_row, model.weights))
 
 
-def load_model(path: str | Path) -> LinearModel:
+def load_model(path: str | Path, vocabulary: tuple[object, int] | None = None) -> LinearModel:
     data = read_json(path, ModelFormatError)
     try:
-        return model_from_dict(data)
+        return model_from_dict(data, vocabulary)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc

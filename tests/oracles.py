@@ -10,7 +10,9 @@ trainer. interpolate and smote_per_record build SMOTE's synthetic rows one
 record at a time, as resample.smote did before it built a class at once.
 model_to_dict and tfidf_to_dict are the dicts whose json.dump(...,
 sort_keys=True, indent=1) sgd.save_model and features.save_tfidf write byte
-for byte without building them.
+for byte without building them. fit_pipeline_alone fits one config's
+vectorizer, SMOTE and classifier in passes of their own, as fit_pipeline did
+before it became pipeline.fit_group's case of one config.
 """
 
 from __future__ import annotations
@@ -18,23 +20,26 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from sgdtext import features
 from sgdtext.evaluation import ConfusionMatrix
 from sgdtext.features import (
     NORMS,
     TFIDF_FORMAT_VERSION,
     EmptyCorpusError,
+    NgramCounts,
     Row,
     SparseRows,
     TfidfModel,
     extract_ngrams,
 )
-from sgdtext.pipeline import PipelineConfig
-from sgdtext.resample import SmoteRecord, SmoteResult, neighbor_table, squared_distance
+from sgdtext.pipeline import FittedPipeline, PipelineConfig
+from sgdtext.resample import SmoteRecord, SmoteResult, neighbor_table, smote, squared_distance
 from sgdtext.seeds import substream
 from sgdtext.sgd import (
     MODEL_FORMAT_VERSION,
@@ -231,6 +236,25 @@ def fit_multiclass_per_class(
     return LinearModel(
         weights=weights, intercepts=intercepts, classes=classes, feature_dim=feature_dim
     )
+
+
+def fit_pipeline_alone(
+    counts: NgramCounts, labels: Sequence[int], config: PipelineConfig
+) -> FittedPipeline:
+    """One config's vectorizer, then SMOTE if configured, then its own fit_multiclass pass.
+
+    SMOTE draws from the config seed's "smote" substream and the pass shuffles
+    with its "shuffle" substream; every pipeline.fit_group member must equal it.
+    """
+    tfidf = features.fit(counts, config)
+    vectors = features.transform(tfidf, counts)
+    labels = [int(lab) for lab in labels]
+    if config.smote:
+        resampled = smote(vectors, labels, replace(config, seed=substream(config.seed, "smote")))
+        vectors, labels = resampled.vectors, resampled.labels
+    shuffle = replace(config, seed=substream(config.seed, "shuffle"))
+    model = fit_multiclass(vectors, labels, shuffle, feature_dim=len(tfidf.grams))
+    return FittedPipeline(tfidf=tfidf, model=model)
 
 
 def regularized_objective(

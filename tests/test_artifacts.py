@@ -189,3 +189,32 @@ def test_rows_are_gathered_by_sparse_rows_take():
         if path.stem == "resample" and getattr(node.func, "attr", None) == "row"
     }
     assert row_readers == {"neighbor_table"}
+
+
+def test_pipelines_are_fitted_in_one_place():
+    """pipeline.fit_group is the only code that fits a vectorizer or trains a classifier.
+
+    fit_pipeline is its case of one config, and sgd.fit_multiclass is
+    sgd.fit_stacked's case of one config.
+    """
+    trainers = {"fit_stacked", "fit_multiclass"}
+    calls = sorted(
+        f"{path.stem}.{owner}: {ast.unparse(node.func)}"
+        for path, owner, node in package_calls()
+        if getattr(node.func, "attr", getattr(node.func, "id", None)) in trainers
+        or ast.unparse(node.func) == "features.fit"
+        or (path.stem == "features" and getattr(node.func, "id", None) == "fit")
+    )
+    assert calls == [
+        "pipeline.fit_group: features.fit",
+        "pipeline.fit_group: sgd.fit_multiclass",
+        "pipeline.fit_group: sgd.fit_stacked",
+        "sgd.fit_multiclass: fit_stacked",
+    ]
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in Path(sgdtext.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_train"
+    ]
+    assert defined == []

@@ -858,6 +858,10 @@ class TestExitCodes:
         [
             ("norm", "l3", "norm must be one of"),
             ("n_docs", 0, "n_docs must be >= 1"),
+            # A valid JSON integer, but past int64 the IDF's float arithmetic overflows.
+            pytest.param(
+                "n_docs", 10**400, "n_docs must be at most 2**63 - 1", id="n_docs-huge-int"
+            ),
             ("df", 0, "document frequencies"),
             ("df", -4, "document frequencies"),
         ],
@@ -997,6 +1001,22 @@ class TestExitCodes:
         assert main(["eval", "--out", str(unigram)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "model.json" in err and "tfidf.json" in err
+
+    def test_model_feature_dim_is_checked_before_the_weights_are_allocated(
+        self, labeled_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "model.json").read_text("utf-8"))
+        data["feature_dim"] = 10**15  # three rows of it would need 24 PB
+        (out / "model.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{out / 'model.json'}: has {10**15} features but {out / 'tfidf.json'}" in err
+        assert "not from the same train run" in err
+        assert not (out / "eval_report.json").exists()
 
     def test_usage_errors_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sgdtext import features
@@ -366,6 +366,36 @@ TOKENS = st.sampled_from(VOCAB + ["zz"])
 NGRAMS = (NgramRange(1, 1), NgramRange(1, 2), NgramRange(2, 3))
 
 
+class TestOnePattern:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        docs=st.lists(st.lists(TOKENS, max_size=20), min_size=1, max_size=8),
+        ngram_range=st.sampled_from(NGRAMS),
+        settings_pair=st.lists(
+            st.tuples(st.sampled_from(NORMS), st.booleans(), st.booleans()), min_size=2, max_size=2
+        ),
+        data=st.data(),
+    )
+    def test_every_fit_on_one_counts_gives_one_pattern(
+        self, docs, ngram_range, settings_pair, data
+    ):
+        """fit keeps exactly the grams that occur, and idf * tf >= 1 stays nonzero once
+        divided by a finite row norm: pipeline.fit_group stacks every member on one pattern."""
+        # Rows of a shared count, as a fold's training side takes them, some repeated.
+        positions = data.draw(st.lists(st.integers(0, len(docs) - 1), min_size=1, max_size=10))
+        counts = count(docs, ngram_range).take(positions)
+        assume(counts.rows.nnz)
+        patterns = set()
+        for norm, use_idf, smooth_idf in settings_pair:
+            config = PipelineConfig(
+                ngram_range=ngram_range, norm=norm, use_idf=use_idf, smooth_idf=smooth_idf
+            )
+            X = transform(fit(counts, config), counts)
+            assert X.nnz == counts.rows.nnz
+            patterns.add((X.indptr.tobytes(), X.indices.tobytes()))
+        assert len(patterns) == 1
+
+
 class TestBatchTransformProperty:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -453,19 +483,33 @@ class TestCountedOracle:
         fit_docs=st.lists(
             st.lists(st.sampled_from(VOCAB), min_size=2, max_size=12), min_size=1, max_size=5
         ),
-        docs=st.lists(st.lists(TOKENS, max_size=12), max_size=6),
         ngram_range=st.sampled_from(NGRAMS[:2]),
         norm=st.sampled_from(NORMS),
+        move_rows=st.booleans(),
         data=st.data(),
     )
-    def test_vocabulary_indexed_out_of_gram_order(self, fit_docs, docs, ngram_range, norm, data):
-        saved = tfidf_to_dict(fit_on(fit_docs, PipelineConfig(ngram_range=ngram_range, norm=norm)))
-        permutation = data.draw(st.permutations(range(len(saved["vocabulary"]))))
-        for entry in saved["vocabulary"]:
-            entry[1] = permutation[entry[1]]
-        model = tfidf_from_dict(saved)
-        got = transform(model, count(docs, ngram_range))
-        assert batch_bytes(got) == batch_bytes(transform_documents(model, docs))
+    def test_vocabulary_indexed_out_of_gram_order(
+        self, fit_docs, ngram_range, norm, move_rows, data
+    ):
+        # fit indexes the vocabulary in gram order, and tfidf.json must list it so.
+        model = fit_on(fit_docs, PipelineConfig(ngram_range=ngram_range, norm=norm))
+        saved = tfidf_to_dict(model)
+        vocabulary = saved["vocabulary"]
+        permutation = data.draw(st.permutations(range(len(vocabulary))))
+        if permutation == sorted(permutation):
+            assert tfidf_from_dict(saved).grams == model.grams
+            return
+        if move_rows:  # the rows reordered and numbered 0..V-1 again
+            saved["vocabulary"] = [
+                [vocabulary[p][0], index, vocabulary[p][2]] for index, p in enumerate(permutation)
+            ]
+            message = "not in n-gram order"
+        else:  # the rows in gram order, their indices permuted
+            for entry in vocabulary:
+                entry[1] = permutation[entry[1]]
+            message = "dense"
+        with pytest.raises(TfidfFormatError, match=message):
+            tfidf_from_dict(saved)
 
     def test_counts_of_another_ngram_range_are_rejected(self):
         counts = count([["a", "b"], ["b", "c"]], NgramRange(1, 1))
@@ -485,8 +529,8 @@ GRAMS = st.text(st.sampled_from(SPECIAL) | st.characters(), max_size=5)
 
 @st.composite
 def tfidf_models(draw) -> TfidfModel:
-    """A vectorizer built by hand: grams in any order, possibly repeated."""
-    grams = draw(st.lists(GRAMS, max_size=8))
+    """A vectorizer built by hand: distinct grams, indexed in gram order as fit indexes them."""
+    grams = sorted(draw(st.sets(GRAMS, max_size=8)))
     n_docs = draw(st.integers(1, 2**40))
     doc_freq = draw(st.lists(st.integers(1, n_docs), min_size=len(grams), max_size=len(grams)))
     lo = draw(st.integers(1, 3))
@@ -503,10 +547,9 @@ EMPTY_VOCABULARY = {
 }
 
 
-def shuffled_vocabulary(size: int) -> TfidfModel:
-    """size distinct grams, indexed in a shuffled order."""
+def vocabulary_of(size: int) -> TfidfModel:
+    """size distinct grams, indexed in gram order."""
     grams = [f"g{i:05d}" for i in range(size)]
-    np.random.default_rng(0).shuffle(grams)
     return TfidfModel(
         grams, np.arange(1, size + 1), size, ngram_range=NgramRange(1, 1),
         use_idf=True, smooth_idf=True, norm="l2",
@@ -519,12 +562,13 @@ class TestSerialization:
     )
     @given(model=tfidf_models())
     @example(model=tfidf_from_dict(EMPTY_VOCABULARY))
-    @example(model=shuffled_vocabulary(2 * features._VOCABULARY_BLOCK + 3))  # three blocks
+    @example(model=vocabulary_of(2 * features._VOCABULARY_BLOCK + 3))  # three blocks
     def test_save_writes_the_bytes_of_the_oracle_dump(self, tmp_path, model):
         path = tmp_path / "tfidf.json"
         save_tfidf(model, path)
         expected = json.dumps(tfidf_to_dict(model), sort_keys=True, indent=1)
         assert path.read_bytes() == expected.encode("utf-8")
+        assert load_tfidf(path).grams == model.grams
 
     def test_round_trip_preserves_transform(self, tmp_path):
         docs = [["alpha", "beta"], ["beta", "gamma"], ["gamma", "alpha", "alpha"]]
@@ -584,6 +628,7 @@ class TestSerialization:
         [
             ("norm", "l3", "norm must be one of"),
             ("n_docs", 0, "n_docs must be >= 1"),
+            pytest.param("n_docs", 2**63, "at most 2\\*\\*63 - 1", id="n_docs-past-int64"),
             ("df", 0, "document frequencies"),
             ("df", -4, "document frequencies"),
             ("df", 3, "document frequencies"),
@@ -598,3 +643,8 @@ class TestSerialization:
             data[field] = value
         with pytest.raises(TfidfFormatError, match=message):
             tfidf_from_dict(data)
+
+    def test_the_largest_n_docs_gives_a_finite_idf(self):
+        data = tfidf_to_dict(fit_on([["a", "b"], ["b"]], PipelineConfig(smooth_idf=False)))
+        data["n_docs"] = 2**63 - 1
+        assert np.all(np.isfinite(tfidf_from_dict(data).idf_array))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sgdtext import features, sgd
+from sgdtext import sgd
 from sgdtext.features import NgramRange, SparseRows, count
 from sgdtext.pipeline import PipelineConfig, fit_group, fit_pipeline
 from sgdtext.sgd import (
@@ -35,11 +35,13 @@ from oracles import (
     binary_row,
     fit_binary_alone,
     fit_multiclass_per_class,
+    fit_pipeline_alone,
     loss_value,
     model_to_dict,
     regularized_objective,
+    tfidf_to_dict,
 )
-from rows import dense_rows, fit_on, from_rows, rows, rows_of, vectorize
+from rows import dense_rows, fit_on, rows, vectorize
 
 
 class TestLossValues:
@@ -505,46 +507,39 @@ class TestStackedParity:
         with pytest.raises(ValueError, match="one row of X.nnz values per config"):
             fit_stacked(X, values, labels, [PipelineConfig()])
 
-    def test_a_member_of_another_pattern_or_with_smote_trains_alone(self, monkeypatch):
+    def test_every_member_but_a_smote_one_stacks(self, monkeypatch):
         rng = np.random.default_rng(6)
         documents = [[f"w{w}" for w in rng.integers(0, 9, size=4)] for _ in range(18)]
         labels = [i % 3 for i in range(18)]
         counts = count(documents, NgramRange(1, 1))
-        transform = features.transform
-
-        def change_the_first_row(model, counts):
-            # Under the l1 norm the row loses a value (another indptr); without
-            # IDF its first column moves (the same indptr, other indices).
-            X = transform(model, counts)
-            (indices, values), *rest = rows_of(X)
-            if model.norm == "l1":
-                return from_rows([(indices[1:], values[1:]), *rest])
-            if not model.use_idf:
-                free = np.setdiff1d(np.arange(len(model.grams)), indices)[0]
-                moved = np.sort(np.append(indices[1:], free))
-                return from_rows([(moved, values), *rest])
-            return X
-
-        monkeypatch.setattr(features, "transform", change_the_first_row)
-        passes = []
-        fit_rows = sgd._fit_rows
+        passes, lone = [], []
+        fit_rows, fit_alone = sgd._fit_rows, sgd.fit_multiclass
         monkeypatch.setattr(
             sgd, "_fit_rows", lambda X, values, *rest: passes.append(len(values))
             or fit_rows(X, values, *rest),
         )
+        # A pass of one member goes through fit_multiclass, the one-config trainer.
+        monkeypatch.setattr(
+            sgd, "fit_multiclass", lambda *args, **kwargs: lone.append(args[2])
+            or fit_alone(*args, **kwargs),
+        )
         configs = [
             PipelineConfig(norm="l2", alpha=1e-3, seed=3),
             PipelineConfig(norm="l1", alpha=1e-3, seed=3),
-            PipelineConfig(norm="l2", use_idf=False, alpha=1e-4, seed=3),
+            PipelineConfig(norm="none", use_idf=False, alpha=1e-4, seed=3),
             PipelineConfig(norm="l2", smote=True, alpha=1e-3, seed=3),
             PipelineConfig(norm="l2", smooth_idf=False, alpha=1e-2, seed=3),
         ]
         group = fit_group(counts, labels, configs)
-        assert passes == [1, 1, 1, 2]  # three members alone, then the stack
+        assert passes == [1, 4]  # the SMOTE member alone, then the stack
+        assert [config.smote for config in lone] == [True]
         for config, fitted in zip(configs, group):
-            lone = fit_pipeline(counts, labels, config)
-            assert fitted.model.weights.tobytes() == lone.model.weights.tobytes()
-            assert fitted.model.intercepts.tobytes() == lone.model.intercepts.tobytes()
+            for got in (fitted, fit_pipeline(counts, labels, config)):
+                expected = fit_pipeline_alone(counts, labels, config)
+                assert tfidf_to_dict(got.tfidf) == tfidf_to_dict(expected.tfidf)
+                assert got.model.weights.tobytes() == expected.model.weights.tobytes()
+                assert got.model.intercepts.tobytes() == expected.model.intercepts.tobytes()
+        assert len(lone) == 1 + len(configs)  # and so does each fit_pipeline
 
 
 def test_scalar_output_matmul_is_the_per_row_dot():
