@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -253,27 +253,12 @@ def cross_validate(
 
 
 def report_to_dict(report: ClassReport) -> dict:
+    names = ("precision", "recall", "f1")
     return {
         "classes": report.classes,
-        "per_class": {
-            str(cls): {
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "support": m.support,
-            }
-            for cls, m in report.per_class.items()
-        },
-        "macro_avg": {
-            "precision": report.macro_avg[0],
-            "recall": report.macro_avg[1],
-            "f1": report.macro_avg[2],
-        },
-        "weighted_avg": {
-            "precision": report.weighted_avg[0],
-            "recall": report.weighted_avg[1],
-            "f1": report.weighted_avg[2],
-        },
+        "per_class": {str(cls): asdict(m) for cls, m in report.per_class.items()},
+        "macro_avg": dict(zip(names, report.macro_avg)),
+        "weighted_avg": dict(zip(names, report.weighted_avg)),
         "accuracy": report.accuracy,
         "total_support": report.total_support,
     }

@@ -177,7 +177,9 @@ def _fit_rows(
     only on the step count and each config's alpha, so they are tabulated
     up front. Each margin is its own dot product over a contiguous row (a
     scalar-output matmul runs the same ddot as a 1-D row @ vals), so every
-    row is bitwise equal to a lone fit of its config. Returns (C x K x d
+    row is bitwise equal to a lone fit of its config. A hinge step with no
+    class active skips the step's arithmetic: each entry would be +-0.0,
+    which moves nothing, so the skip changes no byte. Returns (C x K x d
     weights, C x K intercepts); non-finite rows are left to the caller.
     """
     config = configs[0]
@@ -191,7 +193,7 @@ def _fit_rows(
     ]
     if l1:
         eta, owed, accrued = tables
-        owed = owed[:, :, :, None]
+        owed = owed[:, :, :, None, None]
         # A weight's L1 debt is the accrual now less the accrual at the step
         # that last settled it.
         accrued_by_config = accrued[:, :, 0].T.copy()
@@ -199,15 +201,21 @@ def _fit_rows(
     else:
         eta, before, after, renorm = tables
         renormalizes = renorm.any(axis=(1, 2)).tolist()
+        before = np.repeat(before, K, axis=2)  # C x K per step, as the margins are
     W = np.zeros((C, K, feature_dim), dtype=np.float64)
-    rows = W.reshape(C * K, feature_dim)
+    blocks = W.reshape(C, K, 1, feature_dim)
     B = np.zeros((C, K), dtype=np.float64)
     raw = np.empty((C, K, 1, 1), dtype=np.float64)
     margins = raw.reshape(C, K)
     # The hinge losses' dloss/dmargin is -1 or 0, so eta * dloss * y is -eta * y or 0 * y.
     hinge = {"svm": (np.less, 1.0), "perceptron": (np.less_equal, 0.0)}.get(config.loss)
+    less, kink = hinge or (None, 0.0)
     minus_Y, zero_Y = -Y, 0.0 * Y
-    values = values[:, None, :]
+    # Operands shaped once as the steps use them, since numpy's calls are slower
+    # on operands they broadcast or on a float they convert. A take from blocks
+    # and a slice of columns are matmul's C x K x 1 x n and C x 1 x n x 1 as they come.
+    Y, kink = np.repeat(Y[:, None, :], C, axis=1), np.array(kink)
+    columns, values = values[:, None, :, None], values[:, None, None, :]
     indptr = X.indptr.tolist()
     s = -1
     for order in epoch_orders(len(X), config):
@@ -215,40 +223,41 @@ def _fit_rows(
             s += 1
             start, end = indptr[i], indptr[i + 1]
             idx = X.indices[start:end]
-            vals = values[:, :, start:end]
-            sub = rows.take(idx, axis=1).reshape(C, K, end - start)
+            sub = blocks.take(idx, axis=3)
             if l1:
                 paid = accrued_by_config.take(settled.take(idx), axis=1)
-                sub = _soft_threshold(sub, (accrued[s] - paid)[:, None, :])
-            np.matmul(sub[:, :, None, :], vals[..., None], out=raw)
+                sub = _soft_threshold(sub, (accrued[s] - paid)[:, None, None, :])
+            np.matmul(sub, columns[:, :, start:end], out=raw)
             y = Y[i]
             # Under L1 the wscale is always 1.0, and 1.0 * m is m.
             margin = y * ((margins if l1 else before[s] * margins) + B)
-            if hinge:
-                active, kink = hinge
-                step = np.where(active(margin, kink), eta[s] * minus_Y[i], zero_Y[i])
-            else:
+            if not less:
                 step = eta[s] * _logreg_dmargin(margin) * y
+            elif np.count_nonzero(active := less(margin, kink)):
+                step = np.where(active, eta[s] * minus_Y[i], zero_Y[i])
+            else:  # every step would be +-0.0, so the sample moves nothing
+                step = None
             if not l1 and renormalizes[s]:
                 for c in np.flatnonzero(renorm[s, :, 0]):
                     W[c] *= renorm[s, c, 0]
                     sub[c] *= renorm[s, c, 0]
-            moved = np.count_nonzero(step)
+            # An active class's step is 0.0 too, where eta underflows at a huge alpha.
+            moved = step is not None and np.count_nonzero(step)
             if moved:
-                delta = (step if l1 else step / after[s])[:, :, None] * vals
+                delta = (step if l1 else step / after[s])[:, :, None, None] * values[..., start:end]
                 if C == 1:
                     sub -= delta
                 else:
                     # A config whose K steps are all zero skips the subtraction, as a
                     # lone pass does: subtracting -0.0 would turn a -0.0 weight into 0.0.
-                    np.subtract(sub, delta, out=sub, where=step.any(axis=1)[:, None, None])
+                    np.subtract(sub, delta, out=sub, where=step.any(axis=1)[:, None, None, None])
                 # An intercept is never -0.0, so subtracting a zero step leaves it unchanged.
                 B -= step
             if l1:
                 sub = _soft_threshold(sub, owed[s])
                 settled[idx] = s + 1
             if l1 or moved:
-                rows[:, idx] = sub.reshape(C * K, end - start)
+                blocks[..., idx] = sub
     for c in range(C):
         if l1:
             paid = accrued_by_config[c].take(settled)

@@ -12,7 +12,9 @@ model_to_dict and tfidf_to_dict are the dicts whose json.dump(...,
 sort_keys=True, indent=1) sgd.save_model and features.save_tfidf write byte
 for byte without building them. fit_pipeline_alone fits one config's
 vectorizer, SMOTE and classifier in passes of their own, as fit_pipeline did
-before it became pipeline.fit_group's case of one config.
+before it became pipeline.fit_group's case of one config. fit_rows_every_step
+is sgd._fit_rows as it was before it skipped the hinge steps that move
+nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ from sgdtext.sgd import (
     MODEL_FORMAT_VERSION,
     LinearModel,
     NumericError,
+    _logreg_dmargin,
+    _schedule,
+    _soft_threshold,
     epoch_orders,
     fit_multiclass,
     loss_dmargin,
@@ -236,6 +241,98 @@ def fit_multiclass_per_class(
     return LinearModel(
         weights=weights, intercepts=intercepts, classes=classes, feature_dim=feature_dim
     )
+
+
+def fit_rows_every_step(
+    X: SparseRows,
+    values: np.ndarray,
+    Y: np.ndarray,
+    configs: Sequence[PipelineConfig],
+    feature_dim: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sgd._fit_rows as it was before it skipped a hinge step with no class active.
+
+    It builds every step, even one whose entries are all +-0.0, and gathers
+    and multiplies through per-step views of 3-D operands. Its arithmetic
+    is that of sgd._fit_rows, every weight and intercept of which must equal
+    it byte for byte.
+    """
+    config = configs[0]
+    C, K = len(configs), Y.shape[1]
+    l1 = config.penalty == "l1"
+    steps = len(X) * config.epochs
+    # Step-major (steps x C x 1) tables, so step s reads one contiguous row.
+    tables = [
+        np.stack(column, axis=1)[:, :, None]
+        for column in zip(*(_schedule(c, steps) for c in configs))
+    ]
+    if l1:
+        eta, owed, accrued = tables
+        owed = owed[:, :, :, None]
+        # A weight's L1 debt is the accrual now less the accrual at the step
+        # that last settled it.
+        accrued_by_config = accrued[:, :, 0].T.copy()
+        settled = np.zeros(feature_dim, dtype=np.int64)
+    else:
+        eta, before, after, renorm = tables
+        renormalizes = renorm.any(axis=(1, 2)).tolist()
+    W = np.zeros((C, K, feature_dim), dtype=np.float64)
+    rows = W.reshape(C * K, feature_dim)
+    B = np.zeros((C, K), dtype=np.float64)
+    raw = np.empty((C, K, 1, 1), dtype=np.float64)
+    margins = raw.reshape(C, K)
+    # The hinge losses' dloss/dmargin is -1 or 0, so eta * dloss * y is -eta * y or 0 * y.
+    hinge = {"svm": (np.less, 1.0), "perceptron": (np.less_equal, 0.0)}.get(config.loss)
+    minus_Y, zero_Y = -Y, 0.0 * Y
+    values = values[:, None, :]
+    indptr = X.indptr.tolist()
+    s = -1
+    for order in epoch_orders(len(X), config):
+        for i in order.tolist():
+            s += 1
+            start, end = indptr[i], indptr[i + 1]
+            idx = X.indices[start:end]
+            vals = values[:, :, start:end]
+            sub = rows.take(idx, axis=1).reshape(C, K, end - start)
+            if l1:
+                paid = accrued_by_config.take(settled.take(idx), axis=1)
+                sub = _soft_threshold(sub, (accrued[s] - paid)[:, None, :])
+            np.matmul(sub[:, :, None, :], vals[..., None], out=raw)
+            y = Y[i]
+            # Under L1 the wscale is always 1.0, and 1.0 * m is m.
+            margin = y * ((margins if l1 else before[s] * margins) + B)
+            if hinge:
+                active, kink = hinge
+                step = np.where(active(margin, kink), eta[s] * minus_Y[i], zero_Y[i])
+            else:
+                step = eta[s] * _logreg_dmargin(margin) * y
+            if not l1 and renormalizes[s]:
+                for c in np.flatnonzero(renorm[s, :, 0]):
+                    W[c] *= renorm[s, c, 0]
+                    sub[c] *= renorm[s, c, 0]
+            moved = np.count_nonzero(step)
+            if moved:
+                delta = (step if l1 else step / after[s])[:, :, None] * vals
+                if C == 1:
+                    sub -= delta
+                else:
+                    # A config whose K steps are all zero skips the subtraction, as a
+                    # lone pass does: subtracting -0.0 would turn a -0.0 weight into 0.0.
+                    np.subtract(sub, delta, out=sub, where=step.any(axis=1)[:, None, None])
+                # An intercept is never -0.0, so subtracting a zero step leaves it unchanged.
+                B -= step
+            if l1:
+                sub = _soft_threshold(sub, owed[s])
+                settled[idx] = s + 1
+            if l1 or moved:
+                rows[:, idx] = sub.reshape(C * K, end - start)
+    for c in range(C):
+        if l1:
+            paid = accrued_by_config[c].take(settled)
+            W[c] = _soft_threshold(W[c], accrued[-1, c] - paid)
+        elif after[-1, c, 0] != 1.0:
+            W[c] *= after[-1, c, 0]
+    return W, B
 
 
 def fit_pipeline_alone(

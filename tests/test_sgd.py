@@ -30,12 +30,14 @@ from sgdtext.sgd import (
     schedule_t0,
 )
 
+import oracles
 from oracles import (
     batch_gd_oracle,
     binary_row,
     fit_binary_alone,
     fit_multiclass_per_class,
     fit_pipeline_alone,
+    fit_rows_every_step,
     loss_value,
     model_to_dict,
     regularized_objective,
@@ -542,21 +544,129 @@ class TestStackedParity:
         assert len(lone) == 1 + len(configs)  # and so does each fit_pipeline
 
 
+class HingeRecorder:
+    """numpy as the oracle sees it, but keeping the margins of each hinge comparison.
+
+    The oracle compares once per step, so margins[s] is step s's C x K margins.
+    """
+
+    def __init__(self):
+        self.margins = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def less(self, margin, kink):
+        self.margins.append(margin.copy())
+        return np.less(margin, kink)
+
+    def less_equal(self, margin, kink):
+        self.margins.append(margin.copy())
+        return np.less_equal(margin, kink)
+
+
+class TestEveryStepOracle:
+    """sgd._fit_rows equals fit_rows_every_step, which builds every step, byte for byte.
+
+    The pass skips a hinge step with no class active; these cases put the
+    skip's edges in front of the oracle.
+    """
+
+    @staticmethod
+    def assert_oracle_parity(X, values, labels, configs) -> np.ndarray:
+        """Both passes on the same inputs; returns the oracle's margins, steps x C x K."""
+        classes = sorted(set(labels))
+        Y = np.where(np.asarray(labels)[:, None] == np.asarray(classes), 1.0, -1.0)
+        feature_dim = 1 + (int(X.indices.max()) if X.nnz else -1)
+        W, B = sgd._fit_rows(X, values, Y, configs, feature_dim)
+        recorder = HingeRecorder()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "np", recorder)
+            W_ref, B_ref = fit_rows_every_step(X, values, Y, configs, feature_dim)
+        assert W.tobytes() == W_ref.tobytes() and B.tobytes() == B_ref.tobytes()
+        return np.array(recorder.margins)
+
+    @pytest.mark.parametrize("loss, penalty", PENALTY_LOSS)
+    @settings(max_examples=40, deadline=None)
+    @given(problem=stacked_problems())
+    def test_every_config_alone_and_all_stacked(self, loss, penalty, problem):
+        X, values, labels, alphas, epochs, seed = problem
+        configs = [
+            PipelineConfig(loss=loss, penalty=penalty, alpha=alpha, epochs=epochs, seed=seed)
+            for alpha in alphas
+        ]
+        for c in range(len(configs)):  # C = 1
+            self.assert_oracle_parity(X, values[c : c + 1], labels, configs[c : c + 1])
+        self.assert_oracle_parity(X, values, labels, configs)  # C = len(alphas), up to 24
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_renormalization_on_a_step_with_no_class_active(self, stacked):
+        # At alpha 1e9 the L2 wscale falls under its floor once, on step 177. No
+        # class of either config is active there, and the weights must still be
+        # rescaled.
+        X, labels = tfidf_problem(1, 3, NgramRange(1, 2))
+        values = np.stack([X.values, 2.0 * X.values])[: 1 + stacked]
+        configs = [
+            PipelineConfig(loss="perceptron", alpha=alpha, epochs=6, seed=1)
+            for alpha in (1e9, 1e-2)
+        ][: 1 + stacked]
+        margins = self.assert_oracle_parity(X, values, labels, configs)
+        renormalized = np.flatnonzero(sgd._schedule(configs[0], len(X) * 6)[3])
+        assert renormalized.tolist() == [177]
+        assert not (margins[177] <= 0.0).any() and (margins <= 0.0).any()
+
+    @pytest.mark.parametrize("loss, kink", [("svm", 1.0), ("perceptron", 0.0)])
+    @pytest.mark.parametrize("penalty", sgd.PENALTIES)
+    def test_a_margin_exactly_at_the_kink(self, loss, kink, penalty):
+        # eta_1 is exactly 1.0 at this alpha, so the first step sets each intercept
+        # to exactly +-1.0, and a later sample with an empty row has margins of
+        # exactly +-1.0: an svm class at 1.0 is not active. The perceptron's first
+        # margins are all exactly 0.0, which is active.
+        alpha = 0.2755080409994844
+        X = dense_rows(np.kron(np.eye(6), [[1.0], [0.0]]).repeat(2, axis=1))
+        labels = [i % 3 for i in range(12)]
+        config = PipelineConfig(loss=loss, penalty=penalty, alpha=alpha, epochs=2, seed=4)
+        assert sgd._schedule(config, 1)[0][0] == 1.0
+        margins = self.assert_oracle_parity(X, X.values[None], labels, [config])
+        assert (margins == kink).any()
+        if loss == "perceptron":
+            assert (margins[0] == 0.0).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # alpha * (t0 + t) overflows
+    @pytest.mark.parametrize("loss", ["svm", "perceptron"])
+    @pytest.mark.parametrize("penalty", sgd.PENALTIES)
+    def test_eta_underflows_while_classes_are_active(self, loss, penalty):
+        # At alpha 1e308 every step after the first has eta 0.0, so an active
+        # class's step is 0.0 too and must write nothing.
+        X, labels = tfidf_problem(2, 3, NgramRange(1, 1))
+        config = PipelineConfig(loss=loss, penalty=penalty, alpha=1e308, epochs=2, seed=5)
+        eta = sgd._schedule(config, len(X) * 2)[0]
+        assert eta[0] > 0.0 and not eta[1:].any()
+        margins = self.assert_oracle_parity(X, X.values[None], labels, [config])
+        active = margins < 1.0 if loss == "svm" else margins <= 0.0
+        assert active[1:].any()
+
+
 def test_scalar_output_matmul_is_the_per_row_dot():
-    # The stacked pass computes all its margins with one matmul of this shape
-    # and relies on it calling the same ddot as a lone pass's 1-D row @ vals.
-    # A numpy whose matmul dispatches otherwise fails here first.
+    # The pass computes all its margins with one matmul of a take along the
+    # last axis of the C x K x 1 x d weight block and a slice of the
+    # C x 1 x nnz x 1 values, and relies on it calling the same ddot as a lone
+    # pass's 1-D row @ vals; the oracle's per-step views of 3-D operands must
+    # do the same. A numpy whose matmul dispatches otherwise fails here first.
     rng = np.random.default_rng(0)
     for C in (1, 2, 5, 24):
         for K in (1, 2, 6):
-            raw = np.empty((C, K, 1, 1))
+            raw, old = np.empty((C, K, 1, 1)), np.empty((C, K, 1, 1))
             for n in (0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 257, 1024, 4097):
-                a = rng.normal(size=(C, K, n))
-                wide = rng.normal(size=(C, 1, n + 11))
-                b = wide[:, :, 3 : 3 + n]  # a column slice of a wider values matrix
-                np.matmul(a[:, :, None, :], b[..., None], out=raw)
-                expected = [[a[c, k] @ b[c, 0] for k in range(K)] for c in range(C)]
+                blocks = rng.normal(size=(C, K, 1, n + 13))
+                a = blocks.take(np.sort(rng.choice(n + 13, size=n, replace=False)), axis=3)
+                columns = rng.normal(size=(C, 1, n + 11, 1))
+                b = columns[:, :, 3 : 3 + n]  # a column slice of a wider values matrix
+                np.matmul(a, b, out=raw)
+                np.matmul(a[:, :, 0][:, :, None, :], b[..., 0][..., None], out=old)
+                expected = [[a[c, k, 0] @ b[c, 0, :, 0] for k in range(K)] for c in range(C)]
                 assert raw.reshape(C, K).tobytes() == np.array(expected).tobytes(), (C, K, n)
+                assert old.tobytes() == raw.tobytes(), (C, K, n)
 
 
 class TestObjectiveAndOracle:
