@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +22,6 @@ from .evaluation import (
     CrossValidationError,
     confusion,
     cross_validate,
-    cv_to_dict,
     per_class_metrics,
     render_class_report,
     render_cv_line,
@@ -56,8 +55,8 @@ def _fraction(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -65,6 +64,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _fold_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 folds, got {text!r}")
     return value
 
 
@@ -339,7 +345,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
             "params": params_to_dict(config),
             "k": args.k,
             "seed": args.seed,
-            **cv_to_dict(report),
+            **asdict(report),
         },
     )
     line = f"{config.loss}\t{render_cv_line(report)}"
@@ -397,8 +403,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "default_params": params_to_dict(default),
             "tuned_params": params_to_dict(tuned),
-            "default": cv_to_dict(default_report),
-            "tuned": cv_to_dict(tuned_report),
+            "default": asdict(default_report),
+            "tuned": asdict(tuned_report),
             "mean_delta": mean_delta,
             "time_delta_seconds": tuned_report.total_seconds - default_report.total_seconds,
         },
@@ -462,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     crossval = sub.add_parser("crossval", help="stratified k-fold CV on the training split")
     _add_pipeline_flags(crossval)
-    crossval.add_argument("--k", type=_positive_int, default=10)
+    crossval.add_argument("--k", type=_fold_count, default=10)
     crossval.add_argument("--seed", type=int, default=0)
     crossval.add_argument("--out", required=True)
     crossval.set_defaults(func=cmd_crossval)
@@ -479,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="default-vs-tuned CV comparison")
     _add_pipeline_flags(compare)
     compare.add_argument("--tuned-from", help="grid_results.json to take the winner from")
-    compare.add_argument("--k", type=_positive_int, default=10)
+    compare.add_argument("--k", type=_fold_count, default=10)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--out", required=True)
     compare.set_defaults(func=cmd_compare)

@@ -63,6 +63,12 @@ class FoldPlan:
 
 @dataclass
 class CvReport:
+    """One config's fold accuracies and timings; asdict gives its JSON form.
+
+    Wall-clock values sit in their own keys, so determinism checks can
+    compare everything else byte for byte.
+    """
+
     fold_accuracies: list[float]
     mean: float
     std: float
@@ -277,18 +283,6 @@ def render_class_report(report: ClassReport) -> str:
     wp, wr, wf = report.weighted_avg
     lines.append(f"avg / total\t{wp:.5f}\t{wr:.5f}\t{wf:.5f}\t{report.total_support}")
     return "\n".join(lines) + "\n"
-
-
-def cv_to_dict(report: CvReport) -> dict:
-    # Wall-clock values sit in their own keys so determinism checks can
-    # compare everything else byte for byte.
-    return {
-        "fold_accuracies": report.fold_accuracies,
-        "mean": report.mean,
-        "std": report.std,
-        "fold_seconds": report.fold_seconds,
-        "total_seconds": report.total_seconds,
-    }
 
 
 def render_cv_line(report: CvReport) -> str:

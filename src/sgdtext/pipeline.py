@@ -10,6 +10,7 @@ base config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -62,8 +63,8 @@ class PipelineConfig:
             raise ValueError(f"norm must be one of {features.NORMS}, got {self.norm!r}")
         if self.penalty not in sgd.PENALTIES:
             raise ValueError(f"penalty must be one of {sgd.PENALTIES}, got {self.penalty!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.smote_k < 1:
@@ -105,10 +106,12 @@ def fit_group(
     and applies its own vectorizer. Every fit on one counts object keeps the
     same grams, and each value idf * tf >= 1 stays nonzero when divided by a
     finite row norm, so all the configs' vectors have one pattern (indptr
-    and indices). The configs without SMOTE train in one sgd.fit_stacked
-    pass on that pattern, which keeps only their values. A SMOTE config, or
-    the one config without SMOTE, trains alone through sgd.fit_multiclass.
-    Each result is a FittedPipeline, or the exception its fit raised.
+    and indices), in which every gram occurs: each model, as wide as its
+    rows, has one weight column per gram. The configs without SMOTE train
+    in one sgd.fit_stacked pass on that pattern, which keeps only their
+    values. A SMOTE config, or the one config without SMOTE, trains alone
+    through sgd.fit_multiclass. Each result is a FittedPipeline, or the
+    exception its fit raised.
     """
     if len(counts) != len(labels):
         raise ValueError("documents and labels must have equal length")
@@ -125,8 +128,7 @@ def fit_group(
                 resampled = smote(X, y, replace(config, seed=substream(config.seed, "smote")))
                 X, y = resampled.vectors, resampled.labels
             if config.smote or alone:
-                model = sgd.fit_multiclass(X, y, shuffles[c], feature_dim=len(tfidf.grams))
-                results[c] = FittedPipeline(tfidf, model)
+                results[c] = FittedPipeline(tfidf, sgd.fit_multiclass(X, y, shuffles[c]))
                 continue
         except Exception as exc:  # becomes this config's result; the others carry on
             results[c] = exc
@@ -138,8 +140,7 @@ def fit_group(
     if stacked:
         try:
             models = sgd.fit_stacked(
-                pattern, values[: len(stacked)], train_labels,
-                [shuffles[c] for c, _ in stacked], feature_dim=len(stacked[0][1].grams),
+                pattern, values[: len(stacked)], train_labels, [shuffles[c] for c, _ in stacked]
             )
         except Exception as exc:  # a lone pass would raise it for every member
             models = [exc] * len(stacked)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -124,21 +124,6 @@ def enumerate_grid(spec: GridSpec, base: PipelineConfig) -> list[PipelineConfig]
         raise ValueError(f"invalid grid value: {exc}") from exc
 
 
-def _score(
-    documents: Sequence[Sequence[str]],
-    labels: Sequence[int],
-    inner_folds: int,
-    configs: Sequence[PipelineConfig],
-) -> list[tuple[float, float, str | None]]:
-    """(mean, std, None) for each config, or (nan, nan, error note) for one whose fold failed."""
-    return [
-        (float("nan"), float("nan"), f"{type(report).__name__}: {report}")
-        if isinstance(report, CrossValidationError)
-        else (report.mean, report.std, None)
-        for report in cross_validate(documents, labels, configs, inner_folds)
-    ]
-
-
 def grid_search(
     documents: Sequence[Sequence[str]],
     labels: Sequence[int],
@@ -161,48 +146,38 @@ def grid_search(
     combos = enumerate_grid(spec, base)
     plan = corpus.split(len(documents), spec.dev_fraction, substream(base.seed, "dev"), labels)
     score_configs = functools.partial(
-        _score,
+        cross_validate,
         [documents[i] for i in plan.train_indices],
         [labels[i] for i in plan.train_indices],
-        spec.inner_folds,
+        k=spec.inner_folds,
     )
     # Candidate.params keeps base.seed; the scored copies share the inner-CV seed.
     configs = [replace(c, seed=substream(base.seed, "inner-cv")) for c in combos]
     workers = min(jobs, len(configs))
     if workers <= 1:
-        scores = score_configs(configs)
+        reports = score_configs(configs)
     else:
-        scores = [None] * len(configs)
+        reports = [None] * len(configs)
         # One task per worker, so each worker is sent the development set once.
         shares = [configs[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for w, share in enumerate(pool.map(score_configs, shares)):
-                scores[w::workers] = share
-
-    # nan means the candidate errored; force those after every scored one.
-    def sort_key(row: tuple[int, float, float, str | None]):
-        index, mean, std, error = row
-        if error is not None:
-            return (1, 0.0, 0.0, index)
-        return (0, -mean, std, index)
-
-    scored = sorted(((index, *score) for index, score in enumerate(scores)), key=sort_key)
-    candidates = []
-    for rank, (index, mean, std, error) in enumerate(scored, start=1):
-        candidates.append(
-            Candidate(params=combos[index], mean=mean, std=std, rank=rank, error=error)
-        )
-    return candidates
+                reports[w::workers] = share
+    candidates = [
+        Candidate(params, float("nan"), float("nan"), error=f"{type(report).__name__}: {report}")
+        if isinstance(report, CrossValidationError)
+        else Candidate(params, report.mean, report.std)
+        for params, report in zip(combos, reports)
+    ]
+    # A failed candidate ranks after every scored one; the stable sort keeps ties in grid order.
+    ranked = sorted(candidates, key=lambda c: (1,) if c.error is not None else (0, -c.mean, c.std))
+    for rank, candidate in enumerate(ranked, start=1):
+        candidate.rank = rank
+    return ranked
 
 
 def candidate_to_dict(candidate: Candidate) -> dict:
-    return {
-        "rank": candidate.rank,
-        "mean": candidate.mean,
-        "std": candidate.std,
-        "error": candidate.error,
-        "params": params_to_dict(candidate.params),
-    }
+    return {**asdict(candidate), "params": params_to_dict(candidate.params)}
 
 
 def params_to_dict(config: PipelineConfig) -> dict:

@@ -51,7 +51,10 @@ class LinearModel:
     weights: np.ndarray
     intercepts: np.ndarray
     classes: list[int]
-    feature_dim: int
+
+    @property
+    def feature_dim(self) -> int:
+        return self.weights.shape[1]
 
 
 def loss_dmargin(loss: str, margin: float) -> float:
@@ -272,18 +275,17 @@ def fit_stacked(
     values: np.ndarray,
     labels: Sequence[int],
     configs: Sequence[PipelineConfig],
-    *,
-    feature_dim: int | None = None,
 ) -> list[LinearModel | NumericError]:
     """One one-vs-rest model per config, all trained in one pass over X's rows.
 
     X gives the rows' pattern (indptr and indices); row c of values, a
     len(configs) x X.nnz array, holds config c's values in that pattern. The
-    configs must share loss, penalty, epochs and seed; alpha may differ.
-    Each model is bitwise what fit_multiclass gives for its config alone on
-    its values. A config whose values are non-finite, or whose training
-    diverges, gets that NumericError in place of its model, and the others
-    are unaffected.
+    configs must share loss, penalty, epochs and seed; alpha may differ. A
+    model's width is one more than X's largest feature index (0 if X has no
+    nonzeros). Each model is bitwise what fit_multiclass gives for its
+    config alone on its values. A config whose values are non-finite, or
+    whose training diverges, gets that NumericError in place of its model,
+    and the others are unaffected.
     """
     shared = {(c.loss, c.penalty, c.epochs, c.seed) for c in configs}
     if len(shared) != 1:
@@ -301,35 +303,25 @@ def fit_stacked(
     live = [c for c, error in enumerate(results) if error is None]
     if not live:
         return results
-    if feature_dim is None:
-        feature_dim = 1 + (int(X.indices.max()) if X.nnz else -1)
-    _check_feature_range(X, feature_dim)
+    feature_dim = 1 + (int(X.indices.max()) if X.nnz else -1)
     Y = np.where(np.asarray(labels)[:, None] == np.asarray(classes), 1.0, -1.0)
     if len(live) < len(configs):
         values = values[live]
     W, B = _fit_rows(X, values, Y, [configs[c] for c in live], feature_dim)
     for row, c in enumerate(live):
         if np.all(np.isfinite(W[row])) and np.all(np.isfinite(B[row])):
-            results[c] = LinearModel(
-                weights=W[row], intercepts=B[row], classes=classes, feature_dim=feature_dim
-            )
+            results[c] = LinearModel(weights=W[row], intercepts=B[row], classes=classes)
         else:
             results[c] = NumericError("training diverged to non-finite weights")
     return results
 
 
-def fit_multiclass(
-    X: SparseRows,
-    labels: Sequence[int],
-    config: PipelineConfig,
-    *,
-    feature_dim: int | None = None,
-) -> LinearModel:
+def fit_multiclass(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> LinearModel:
     """One-vs-rest: row k is trained on labels +1 for classes[k] and -1 for the rest.
 
     This is fit_stacked's case of one config, on X's own values.
     """
-    [model] = fit_stacked(X, X.values[None], labels, [config], feature_dim=feature_dim)
+    [model] = fit_stacked(X, X.values[None], labels, [config])
     if isinstance(model, NumericError):
         raise model
     return model
@@ -353,8 +345,8 @@ def model_from_dict(data: dict, vocabulary: tuple[object, int] | None = None) ->
                 f"{vocabulary[1]}; they are not from the same train run"
             )
         # predict breaks ties toward the lowest index, which must be the lowest class id.
-        if any(b <= a for a, b in zip(classes, classes[1:])):
-            raise ModelFormatError(f"classes must be strictly increasing, got {classes}")
+        if not classes or any(b <= a for a, b in zip(classes, classes[1:])):
+            raise ModelFormatError(f"classes must be nonempty, strictly increasing, got {classes}")
         # A JSON number is an int or a float; bool is an int subclass, but not a number.
         if not all(type(value) in (int, float) for value in data["intercepts"]):
             raise ModelFormatError("intercepts must be JSON numbers")
@@ -382,9 +374,7 @@ def model_from_dict(data: dict, vocabulary: tuple[object, int] | None = None) ->
         raise ModelFormatError("class count disagrees between fields")
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(intercepts))):
         raise ModelFormatError("model file holds a non-finite weight or intercept")
-    return LinearModel(
-        weights=weights, intercepts=intercepts, classes=classes, feature_dim=feature_dim
-    )
+    return LinearModel(weights=weights, intercepts=intercepts, classes=classes)
 
 
 def _weight_row(row: np.ndarray) -> str:

@@ -212,16 +212,13 @@ def fit_binary_alone(
 
 
 def binary_row(
-    X: SparseRows,
-    y: Sequence[float],
-    config: PipelineConfig,
-    feature_dim: int | None = None,
+    X: SparseRows, y: Sequence[float], config: PipelineConfig
 ) -> tuple[np.ndarray, float]:
     """The binary classifier for {-1, +1} labels y: row +1 of the one-vs-rest fit.
 
     Returns (weights, intercept).
     """
-    model = fit_multiclass(X, y, config, feature_dim=feature_dim)
+    model = fit_multiclass(X, y, config)
     assert model.classes == [-1, 1]
     return model.weights[1], float(model.intercepts[1])
 
@@ -238,9 +235,7 @@ def fit_multiclass_per_class(
     for row, cls in enumerate(classes):
         y = np.where(labels_arr == cls, 1.0, -1.0)
         weights[row], intercepts[row] = fit_binary_alone(X, y, config, feature_dim)
-    return LinearModel(
-        weights=weights, intercepts=intercepts, classes=classes, feature_dim=feature_dim
-    )
+    return LinearModel(weights=weights, intercepts=intercepts, classes=classes)
 
 
 def fit_rows_every_step(
@@ -350,7 +345,7 @@ def fit_pipeline_alone(
         resampled = smote(vectors, labels, replace(config, seed=substream(config.seed, "smote")))
         vectors, labels = resampled.vectors, resampled.labels
     shuffle = replace(config, seed=substream(config.seed, "shuffle"))
-    model = fit_multiclass(vectors, labels, shuffle, feature_dim=len(tfidf.grams))
+    model = fit_multiclass(vectors, labels, shuffle)
     return FittedPipeline(tfidf=tfidf, model=model)
 
 

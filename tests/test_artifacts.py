@@ -15,9 +15,7 @@ from sgdtext.sgd import LinearModel, load_model, save_model
 
 
 def tiny_model(weight: float) -> LinearModel:
-    return LinearModel(
-        weights=np.array([[weight, 0.0]]), intercepts=np.array([0.5]), classes=[1], feature_dim=2
-    )
+    return LinearModel(weights=np.array([[weight, 0.0]]), intercepts=np.array([0.5]), classes=[1])
 
 
 class TestAtomicWrite:
@@ -218,3 +216,38 @@ def test_pipelines_are_fitted_in_one_place():
         if isinstance(node, ast.FunctionDef) and node.name == "_train"
     ]
     assert defined == []
+
+
+def test_each_fact_is_stated_once():
+    """A trainer works out a model's width, and a report's JSON form is its dataclass's.
+
+    Only the pass itself and the range check take feature_dim; LinearModel
+    derives it from its weights; CvReport serializes through asdict and grid
+    search ranks cross_validate's reports without a scoring wrapper.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text("utf-8"))
+        for path in Path(sgdtext.__file__).parent.glob("*.py")
+    }
+    functions = [
+        (stem, node)
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    takes_width = sorted(
+        f"{stem}.{node.name}"
+        for stem, node in functions
+        if "feature_dim" in [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
+    )
+    assert takes_width == ["sgd._check_feature_range", "sgd._fit_rows"]
+    [linear_model] = [
+        node for node in ast.walk(trees["sgd"])
+        if isinstance(node, ast.ClassDef) and node.name == "LinearModel"
+    ]
+    fields = [ast.unparse(n.target) for n in linear_model.body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["weights", "intercepts", "classes"]
+    restated = [
+        f"{stem}.{node.name}" for stem, node in functions if node.name in ("cv_to_dict", "_score")
+    ]
+    assert restated == []

@@ -525,6 +525,7 @@ class TestMalformedInputFiles:
             ('{"norms": ["l3"]}', "invalid grid value: norm must be one of"),
             ('{"penalties": ["l3"]}', "invalid grid value: penalty must be one of"),
             ('{"alphas": [-1.0]}', "invalid grid value: alpha must be positive"),
+            ('{"alphas": [Infinity]}', "invalid grid value: alpha must be positive and finite"),
             ('{"inner_folds": 1}', "inner_folds must be >= 2"),
             ('{"inner_folds": 0}', "inner_folds must be >= 2"),
             ('{"seed": 7}', "unknown grid spec keys ['seed']"),
@@ -541,10 +542,11 @@ class TestMalformedInputFiles:
             ('{"dev_fraction": "0.5"}', "dev_fraction must be a JSON number"),
         ],
         ids=["scalar-axis", "scalar-ngram-range", "unknown-key", "top-level-list",
-             "bad-norm", "bad-penalty", "negative-alpha", "one-inner-fold", "no-inner-folds",
-             "seed", "no-dev-fraction", "dev-fraction-above-one", "string-use-idf",
-             "integer-smooth-idf", "string-alpha", "bool-alpha", "float-ngram-bound",
-             "bool-ngram-bound", "float-inner-folds", "bool-inner-folds", "string-dev-fraction"],
+             "bad-norm", "bad-penalty", "negative-alpha", "infinite-alpha", "one-inner-fold",
+             "no-inner-folds", "seed", "no-dev-fraction", "dev-fraction-above-one",
+             "string-use-idf", "integer-smooth-idf", "string-alpha", "bool-alpha",
+             "float-ngram-bound", "bool-ngram-bound", "float-inner-folds", "bool-inner-folds",
+             "string-dev-fraction"],
     )
     def test_gridsearch_grid(self, prepared, tmp_path, capsys, monkeypatch, content, message):
         scored = []
@@ -793,6 +795,17 @@ class TestUsageErrors:
             argv += ["--grid", str(prepared / "missing-grid.json")]
         assert self.exit_code(argv) == 2
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha(self, prepared, capsys, alpha):
+        assert self.exit_code(["train", "--alpha", alpha, "--out", str(prepared)]) == 2
+        assert "argument --alpha: expected a positive finite number" in capsys.readouterr().err
+        assert not (prepared / "model.json").exists()
+
+    @pytest.mark.parametrize("command", ["crossval", "compare"])
+    def test_one_fold(self, prepared, capsys, command):
+        assert self.exit_code([command, "--k", "1", "--out", str(prepared)]) == 2
+        assert "argument --k: expected at least 2 folds" in capsys.readouterr().err
+
     def test_stopwords_file_and_no_stopwords(self, labeled_csv, tmp_path):
         stop_path = tmp_path / "stop.txt"
         stop_path.write_text("the\n", "utf-8")
@@ -954,7 +967,9 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (out / "eval_report.json").exists()
 
-    @pytest.mark.parametrize("classes", [[1, 1, 1], [2, 1, 0]], ids=["repeated", "unordered"])
+    @pytest.mark.parametrize(
+        "classes", [[1, 1, 1], [2, 1, 0], []], ids=["repeated", "unordered", "empty"]
+    )
     def test_model_classes_not_strictly_increasing(self, labeled_csv, tmp_path, capsys, classes):
         out = tmp_path / "run"
         run_prepare(labeled_csv, out)
@@ -965,7 +980,8 @@ class TestExitCodes:
         (out / "model.json").write_text(json.dumps(data), "utf-8")
         capsys.readouterr()
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
-        assert "strictly increasing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{out / 'model.json'}: classes must be" in err and "strictly increasing" in err
         assert not (out / "eval_report.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "crossval"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from sgdtext.evaluation import (
     CrossValidationError,
     confusion,
     cross_validate,
-    cv_to_dict,
     per_class_metrics,
     render_class_report,
     render_cv_line,
@@ -345,7 +345,7 @@ class TestCrossValidate:
         documents, labels = signature_corpus(n_classes=2, per_class=6)
         [report] = cross_validate(documents, labels, [PipelineConfig(seed=1)], k=2)
         assert render_cv_line(report) == "1.00000 (+/- 0.00000)"
-        data = cv_to_dict(report)
+        data = asdict(report)
         assert data["mean"] == 1.0
         assert len(data["fold_accuracies"]) == 2
         assert "total_seconds" in data

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgdtext import features, sgd
-from sgdtext.features import NgramRange, count
-from sgdtext.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
+from sgdtext.features import NORMS, NgramRange, count
+from sgdtext.pipeline import (
+    FittedPipeline,
+    PipelineConfig,
+    fit_group,
+    fit_pipeline,
+    predict_pipeline,
+)
 from sgdtext.resample import smote
 from sgdtext.seeds import substream
 
@@ -65,7 +75,6 @@ class TestFitPipeline:
             resampled.vectors,
             resampled.labels,
             replace(config, seed=substream(config.seed, "shuffle")),
-            feature_dim=len(tfidf.vocabulary),
         )
         assert len(resampled.records) > 0
         assert tfidf_to_dict(fitted.tfidf) == tfidf_to_dict(tfidf)
@@ -90,6 +99,39 @@ class TestFitPipeline:
             fit_pipeline(count([["a"]], NgramRange(1, 1)), [1, 2], PipelineConfig())
 
 
+class TestModelWidth:
+    @pytest.mark.filterwarnings("ignore:class .* has a single member")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from("abcdefg"), max_size=8), min_size=2, max_size=8),
+        ngram_range=st.sampled_from((NgramRange(1, 1), NgramRange(1, 2), NgramRange(2, 3))),
+        use_smote=st.booleans(),
+        data=st.data(),
+    )
+    def test_every_member_is_one_weight_column_per_gram(self, docs, ngram_range, use_smote, data):
+        """The trainers work out a model's width from its rows, and fit keeps exactly the
+        grams that occur in them, with values that stay nonzero: so every fit_group member
+        is as wide as its vocabulary, even where the counts list grams no row holds."""
+        # A fold's training side: a row subset of the shared counts, some rows repeated.
+        positions = data.draw(st.lists(st.integers(0, len(docs) - 1), min_size=2, max_size=10))
+        labels = data.draw(
+            st.lists(st.integers(1, 3), min_size=len(positions), max_size=len(positions))
+            .filter(lambda drawn: len(set(drawn)) > 1)
+        )
+        counts = count(docs, ngram_range).take(positions)
+        assume(counts.rows.nnz)  # fit refuses a vocabulary of no grams
+        configs = [
+            PipelineConfig(
+                ngram_range=ngram_range, norm=norm, use_idf=use_idf, smooth_idf=smooth_idf,
+                epochs=1, smote=use_smote, smote_k=2,
+            )
+            for norm, use_idf, smooth_idf in itertools.product(NORMS, (True, False), (True, False))
+        ]
+        for fitted in fit_group(counts, labels, configs):
+            assert isinstance(fitted, FittedPipeline)
+            assert fitted.model.feature_dim == len(fitted.tfidf.grams)
+
+
 class TestPipelineConfig:
     @pytest.mark.parametrize(
         "field, value, message",
@@ -98,6 +140,7 @@ class TestPipelineConfig:
             ("penalty", "l3", "penalty must be one of"),
             ("alpha", -1.0, "alpha must be positive"),
             ("alpha", float("nan"), "alpha must be positive"),
+            ("alpha", math.inf, "alpha must be positive and finite"),
             ("epochs", 0, "epochs must be >= 1"),
             ("smote_k", 0, "smote_k must be >= 1"),
             ("loss", "hinge", "loss must be one of"),

@@ -239,12 +239,6 @@ class TestFitBinary:
         with pytest.raises(NumericError, match="sample 2 has non-finite"):
             binary_row(X, [1.0, -1.0, 1.0], PipelineConfig())
 
-    def test_feature_dim_extends_weight_vector(self):
-        X = dense_rows(np.eye(2))
-        w, _ = binary_row(X, [1.0, -1.0], PipelineConfig(), feature_dim=7)
-        assert w.shape == (7,)
-        assert np.all(w[2:] == 0.0)
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="penalty"):
             PipelineConfig(penalty="elastic")
@@ -258,7 +252,7 @@ class TestDecisionPredict:
     def model(self) -> LinearModel:
         weights = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, -1.0]])
         intercepts = np.array([0.1, -0.2, 0.0])
-        return LinearModel(weights=weights, intercepts=intercepts, classes=[2, 5, 9], feature_dim=2)
+        return LinearModel(weights=weights, intercepts=intercepts, classes=[2, 5, 9])
 
     def test_scores(self):
         scores = decision(self.model(), rows({0: 1.0, 1: 1.0}, {1: 1.0}))
@@ -280,9 +274,7 @@ class TestDecisionPredict:
 
     def test_tie_breaks_toward_first_class(self):
         weights = np.zeros((2, 1))
-        model = LinearModel(
-            weights=weights, intercepts=np.zeros(2), classes=[3, 8], feature_dim=1
-        )
+        model = LinearModel(weights=weights, intercepts=np.zeros(2), classes=[3, 8])
         assert predict(model, rows({0: 1.0})) == [3]
 
 
@@ -722,7 +714,6 @@ def linear_models(draw) -> LinearModel:
         weights=np.array(weights, dtype=np.float64).reshape(k, feature_dim),
         intercepts=np.array(intercepts),
         classes=sorted(classes),
-        feature_dim=feature_dim,
     )
 
 
@@ -744,9 +735,7 @@ class TestModelSerialization:
 
     def test_zero_weights_stored_sparsely(self):
         weights = np.array([[0.0, 3.0, 0.0]])
-        model = LinearModel(
-            weights=weights, intercepts=np.array([0.5]), classes=[1], feature_dim=3
-        )
+        model = LinearModel(weights=weights, intercepts=np.array([0.5]), classes=[1])
         data = model_to_dict(model)
         assert data["weights"][0] == [[1, 3.0]]
 
@@ -795,9 +784,7 @@ class TestModelSerialization:
         ],
     )
     def test_bad_weights_rejected(self, row, intercept, message):
-        model = LinearModel(
-            weights=np.zeros((2, 6)), intercepts=np.zeros(2), classes=[1, 2], feature_dim=6
-        )
+        model = LinearModel(weights=np.zeros((2, 6)), intercepts=np.zeros(2), classes=[1, 2])
         data = model_to_dict(model)
         data["weights"][1] = row
         data["intercepts"][0] = intercept
@@ -817,7 +804,6 @@ class TestModelSerialization:
             weights=np.array([[0.0, -0.0, 0.0], [5e-324, 1e16, 2.0], [-1e308, -0.0, 0.1]]),
             intercepts=np.array([-0.0, 5e-324, -1e308]),
             classes=[-3, 7, 2**64],
-            feature_dim=3,
         )
     )
     def test_save_writes_the_bytes_of_the_oracle_dump(self, tmp_path, model):
@@ -834,8 +820,7 @@ class TestModelSerialization:
         save_model(self.fitted(), path)
         before = path.read_bytes()
         bad = LinearModel(
-            weights=np.array([[weight, 0.0]]), intercepts=np.array([intercept]), classes=[1],
-            feature_dim=2,
+            weights=np.array([[weight, 0.0]]), intercepts=np.array([intercept]), classes=[1]
         )
         with pytest.raises(NumericError, match="non-finite"):
             save_model(bad, path)
