@@ -22,7 +22,6 @@ from .features import (
     SparseRows,
     TfidfModel,
     count,
-    extract_ngrams,
     fit,
     transform,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "cross_validate",
     "decision",
     "enumerate_grid",
-    "extract_ngrams",
     "fit",
     "fit_multiclass",
     "fit_pipeline",

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -144,6 +145,7 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
     manifest_path = out_dir / "split.json"
     documents: list[list[str]] = []
     labels: list[int] = []
+    line_numbers: list[int] = []
     # Read as bytes, so a line that is not UTF-8 fails json.loads like one that is not JSON.
     with corpus_path.open("rb") as fh:
         for line_number, line in enumerate(fh, start=1):
@@ -153,13 +155,20 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
                 row = json.loads(line)
             except (ValueError, RecursionError):
                 row = None
-            if not (isinstance(row, dict) and type(row.get("label")) is int and row["label"] >= 0
-                    and isinstance(row.get("tokens"), list)
-                    and all(isinstance(t, str) for t in row["tokens"])):
+            tokens = row.get("tokens") if isinstance(row, dict) else None
+            # A list of tokens means row is a dict.
+            if not (type(tokens) is list and type(row.get("label")) is int and row["label"] >= 0
+                    and set(map(type, tokens)) <= {str}):
                 raise ValueError(f"{corpus_path}: line {line_number} needs an integer label >= 0 "
                                  "and a list of string tokens")
-            documents.append(row["tokens"])
+            documents.append(tokens)
             labels.append(row["label"])
+            line_numbers.append(line_number)
+    # The distinct tokens are checked at once; only a failure looks for its line.
+    if features.breaks_token_rule(set(chain.from_iterable(documents))):
+        line_number = next(n for n, tokens in zip(line_numbers, documents)
+                           if features.breaks_token_rule(tokens))
+        raise ValueError(f"{corpus_path}: line {line_number}: {features.TOKEN_RULE}")
     manifest = read_json(manifest_path)
     return LabeledCorpus(documents, labels), _split_sides(manifest, len(labels), manifest_path)
 

@@ -15,13 +15,14 @@ L2 normalization of the resulting vector.
 from __future__ import annotations
 
 import math
+import re
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -168,24 +169,6 @@ class TfidfModel:
         return np.log(self.n_docs / df) + 1.0
 
 
-def extract_ngrams(tokens: Sequence[str], ngram_range: NgramRange) -> Counter[str]:
-    """Count every contiguous n-gram for each n in [lo, hi].
-
-    N-grams of more than one token join the tokens with a single space.
-    Fewer tokens than lo yields an empty multiset.
-    """
-    counts: Counter[str] = Counter()
-    n_tokens = len(tokens)
-    for n in range(ngram_range.lo, ngram_range.hi + 1):
-        if n > n_tokens:
-            break
-        if n == 1:
-            counts.update(tokens)
-        else:
-            counts.update(" ".join(tokens[i : i + n]) for i in range(n_tokens - n + 1))
-    return counts
-
-
 @dataclass(frozen=True, eq=False)
 class NgramCounts:
     """Per-document n-gram counts of one batch of documents, as a CSR count matrix.
@@ -227,29 +210,104 @@ class NgramCounts:
         return doc_freq[present], grams, column
 
 
+TOKEN_RULE = "every token must be nonempty, with every character above U+0020 (space)"
+_SPACE_OR_CONTROL = re.compile(r"[\x00- ]")
+
+# Gram codes are int64: one never reaches this.
+_CODE_LIMIT = 2**63
+
+
+def breaks_token_rule(tokens: Collection[str]) -> bool:
+    """Whether some token is empty or has a character at or below U+0020: see count."""
+    return "" in tokens or _SPACE_OR_CONTROL.search("".join(tokens)) is not None
+
+
 def count(documents: Iterable[Sequence[str]], ngram_range: NgramRange) -> NgramCounts:
     """Count every document's n-grams in one pass: one row per document, in order.
 
-    A document shorter than ngram_range.lo gets an empty row.
+    A document shorter than ngram_range.lo gets an empty row. N-grams of
+    more than one token join the tokens with a single space.
+
+    Every token must be nonempty, with every character above U+0020, or this
+    raises ValueError. Then " " sorts below every token character, so gram
+    strings sort as the tuples of their tokens' ranks, zero-padded to hi
+    tokens; distinct tuples join to distinct strings. The grams are counted
+    on those tuples, coded as int64, with integer sorts: each gram's string
+    is built once, for the gram list.
     """
-    ids: dict[str, int] = {}
-    indptr, columns, counts = array("q", [0]), array("q"), array("d")
-    for tokens in documents:
-        grams = extract_ngrams(tokens, ngram_range)
-        columns.extend(ids.setdefault(gram, len(ids)) for gram in grams)
-        counts.extend(grams.values())
-        indptr.append(len(columns))
-    grams = sorted(ids)
-    # Renumber the columns from first-seen order to gram order.
-    rank = np.empty(len(grams), dtype=np.int64)
-    rank[np.fromiter(map(ids.__getitem__, grams), dtype=np.int64, count=len(grams))] = (
-        np.arange(len(grams))
+    lo, hi = ngram_range.lo, ngram_range.hi
+    documents = list(documents)  # read twice, so a generator is held as a list
+    vocab = sorted(set(chain.from_iterable(documents)))
+    if breaks_token_rule(vocab):
+        raise ValueError(TOKEN_RULE)
+    # Token ranks start at 1: 0 pads a gram shorter than hi.
+    base = len(vocab) + 1
+    rank = dict(zip(vocab, range(1, base)))
+    lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
+    ids = np.fromiter(
+        map(rank.__getitem__, chain.from_iterable(documents)), dtype=np.int32,
+        count=int(lengths.sum()),
     )
-    del ids
-    ranked, order = _sort_rows(indptr, rank[np.frombuffer(columns, dtype=np.int64)], len(grams))
-    del rank, columns
-    rows = SparseRows(indptr, ranked, np.frombuffer(counts)[order])
-    return NgramCounts(grams, rows, ngram_range)
+    # Each intermediate is deleted once used: the peak memory stays low.
+    del rank, documents
+    position = np.int32 if ids.size + hi < 2**31 else np.int64
+    # Each token's document, and how many tokens its document has from it on.
+    doc = np.repeat(np.arange(lengths.size, dtype=position), lengths)
+    room = np.cumsum(lengths)[doc]
+    room -= np.arange(ids.size)
+    # Every occurrence is a start position, in blocks by gram length lo..hi.
+    starts = [np.flatnonzero(room >= n).astype(position) for n in range(lo, hi + 1)]
+    del room
+    block = np.cumsum([0] + [s.size for s in starts]).tolist()
+    start = np.concatenate(starts)
+    del starts
+    # Append each occurrence's ranks, one token at a time; a code stays below
+    # bound. Where the next token would overflow, the prefixes so far are
+    # replaced by their dense rank, which keeps their order.
+    code = np.zeros(start.size, dtype=np.int64)
+    bound = 1
+    for k in range(hi):
+        if bound * base > _CODE_LIMIT:
+            prefixes, code = np.unique(code, return_inverse=True)
+            bound = prefixes.size
+        code *= base
+        longer = block[max(k + 1 - lo, 0)]  # the blocks of grams longer than k
+        code[longer:] += ids[start[longer:] + k]
+        bound *= base
+    # The columns are the distinct codes, in gram order.
+    distinct, column = np.unique(code, return_inverse=True)
+    n_grams = distinct.size
+    del code, distinct
+    gram_start = np.empty(n_grams, dtype=position)
+    gram_start[column] = start
+    gram_size = np.empty(n_grams, dtype=np.min_scalar_type(hi))
+    for n, a, b in zip(range(lo, hi + 1), block, block[1:]):
+        gram_size[column[a:b]] = n
+    # Sorting row * n_grams + column puts each row's occurrences together, in
+    # column order: each run of one key is one entry, its length the count.
+    key = np.multiply(doc[start], n_grams, dtype=np.int64)
+    del doc, start
+    key += column
+    del column
+    key.sort()
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    values = np.diff(first, append=key.size).astype(np.float64)
+    key = key[first]
+    del first
+    indptr = np.searchsorted(key, np.arange(lengths.size + 1) * n_grams)
+    key %= n_grams
+    rows = SparseRows(indptr, key, values)
+    del key, values
+    words = np.array(["", *vocab], dtype=object)
+    grams = np.empty(n_grams, dtype=object)
+    for n in range(lo, hi + 1):
+        columns = np.flatnonzero(gram_size == n)
+        at = gram_start[columns]
+        parts = [words[ids[at + k]] for k in range(n)]
+        grams[columns] = parts[0] if n == 1 else np.fromiter(
+            map(" ".join, zip(*parts)), dtype=object, count=columns.size
+        )
+    return NgramCounts(grams.tolist(), rows, ngram_range)
 
 
 def _check_range(counts: NgramCounts, ngram_range: NgramRange) -> None:
@@ -312,23 +370,6 @@ def transform(model: TfidfModel, counts: NgramCounts) -> SparseRows:
     if keep.all():
         return SparseRows(indptr, index_array, values)
     return SparseRows(_kept(indptr, keep), index_array[keep], values[keep])
-
-
-def _sort_rows(
-    indptr: np.ndarray, columns: np.ndarray, n_columns: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's columns in increasing order, and the permutation that sorts them.
-
-    The rows stay in place: the sort key of an entry is row * n_columns + column.
-    """
-    lengths = np.diff(indptr)
-    key = np.repeat(np.arange(lengths.size) * n_columns, lengths)
-    key += columns
-    del columns  # frees a temporary the caller handed over, before the sort
-    order = np.argsort(key)
-    key = key[order]
-    key %= max(n_columns, 1)
-    return key, order
 
 
 def _kept(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -177,7 +177,8 @@ def grid_search(
 
 
 def candidate_to_dict(candidate: Candidate) -> dict:
-    return {**asdict(candidate), "params": params_to_dict(candidate.params)}
+    # vars, not asdict: asdict would deep-copy params only for this to replace them.
+    return {**vars(candidate), "params": params_to_dict(candidate.params)}
 
 
 def params_to_dict(config: PipelineConfig) -> dict:

@@ -353,19 +353,26 @@ def model_from_dict(data: dict, vocabulary: tuple[object, int] | None = None) ->
         intercepts = np.asarray(data["intercepts"], dtype=np.float64)
         weights = np.zeros((len(classes), feature_dim), dtype=np.float64)
         for k, row in enumerate(data["weights"]):
-            idx = [j for j, _ in row]
-            if not all(type(j) is int for j in idx):
+            # zip(*row) would cut every pair to the shortest one, so the lengths are
+            # checked; a pair of two that is not a list fails the type checks below.
+            if not set(map(len, row)) <= {2}:
+                raise ValueError(f"weight row {k} holds a pair that is not [index, value]")
+            if not row:
+                continue
+            js, values = zip(*row)
+            if not set(map(type, js)) <= {int}:
                 raise ModelFormatError(f"weight row {k} has a non-integer feature index")
-            idx = np.asarray(idx, dtype=np.int64)
-            if idx.size and not (
-                idx.min() >= 0 and idx.max() < feature_dim and np.unique(idx).size == idx.size
+            idx = np.fromiter(js, dtype=np.int64, count=len(js))
+            ordered = np.sort(idx)
+            if not (
+                ordered[0] >= 0 and ordered[-1] < feature_dim and np.all(ordered[1:] > ordered[:-1])
             ):
                 raise ModelFormatError(
                     f"weight row {k} has a negative, duplicate or out-of-range feature index"
                 )
-            if not all(type(value) in (int, float) for _, value in row):
+            if not set(map(type, values)) <= {int, float}:
                 raise ModelFormatError(f"weight row {k} has a value that is not a JSON number")
-            weights[k, idx] = [value for _, value in row]
+            weights[k, idx] = values
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

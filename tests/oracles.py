@@ -2,7 +2,9 @@
 
 None of these run in the library: they are slow, dense, per-document or
 per-class versions of what src/ does, kept so a faster, batched or shared
-path can be checked against them. fit_tokens and transform_documents are
+path can be checked against them. extract_ngrams and count_strings count
+n-grams as gram strings, a Counter per document, as features.count did
+before it counted token ranks. fit_tokens and transform_documents are
 the TF-IDF stages as they read tokens before documents were counted once.
 loss_value gives the losses whose subgradients the trainer uses, and
 binary_row is the binary classifier the tests train through the one-vs-rest
@@ -24,7 +26,7 @@ import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,10 +37,10 @@ from sgdtext.features import (
     TFIDF_FORMAT_VERSION,
     EmptyCorpusError,
     NgramCounts,
+    NgramRange,
     Row,
     SparseRows,
     TfidfModel,
-    extract_ngrams,
 )
 from sgdtext.pipeline import FittedPipeline, PipelineConfig
 from sgdtext.resample import SmoteRecord, SmoteResult, neighbor_table, smote, squared_distance
@@ -83,6 +85,41 @@ def normalize(v: Row, norm: str) -> Row:
     if bool(np.all(keep)):
         return indices, scaled
     return indices[keep], scaled[keep]
+
+
+def extract_ngrams(tokens: Sequence[str], ngram_range: NgramRange) -> Counter[str]:
+    """Count every contiguous n-gram for each n in [lo, hi].
+
+    N-grams of more than one token join the tokens with a single space.
+    Fewer tokens than lo yields an empty multiset.
+    """
+    counts: Counter[str] = Counter()
+    n_tokens = len(tokens)
+    for n in range(ngram_range.lo, ngram_range.hi + 1):
+        if n > n_tokens:
+            break
+        if n == 1:
+            counts.update(tokens)
+        else:
+            counts.update(" ".join(tokens[i : i + n]) for i in range(n_tokens - n + 1))
+    return counts
+
+
+def count_strings(documents: Iterable[Sequence[str]], ngram_range: NgramRange) -> NgramCounts:
+    """features.count on gram strings: a Counter per document, a dict lookup per gram.
+
+    features.count must equal it byte for byte on tokens that keep its rule.
+    """
+    per_document = [extract_ngrams(tokens, ngram_range) for tokens in documents]
+    grams = sorted(set().union(*per_document))
+    column = {gram: j for j, gram in enumerate(grams)}
+    indptr, indices, values = [0], [], []
+    for counts in per_document:
+        for gram in sorted(counts):
+            indices.append(column[gram])
+            values.append(counts[gram])
+        indptr.append(len(indices))
+    return NgramCounts(grams, SparseRows(indptr, indices, values), ngram_range)
 
 
 def fit_tokens(documents: Sequence[Sequence[str]], config: PipelineConfig) -> TfidfModel:

@@ -582,9 +582,12 @@ class TestMalformedInputFiles:
             {"label": 1, "tokens": "bomb"},
             {"label": 1, "tokens": 5},
             [1, 2],
+            {"label": 1, "tokens": ["bomb", ""]},
+            {"label": 1, "tokens": ["car bomb"]},
+            {"label": 1, "tokens": ["car\tbomb", "bomb"]},
         ],
         ids=["float-label", "negative-label", "bool-label", "string-tokens", "scalar-tokens",
-             "list-row"],
+             "list-row", "empty-token", "space-in-token", "tab-in-token"],
     )
     def test_corpus_row(self, prepared, capsys, row):
         path = prepared / "corpus.jsonl"

@@ -21,7 +21,6 @@ from sgdtext.features import (
     TfidfFormatError,
     TfidfModel,
     count,
-    extract_ngrams,
     fit,
     load_tfidf,
     save_tfidf,
@@ -30,7 +29,9 @@ from sgdtext.features import (
 )
 from sgdtext.pipeline import PipelineConfig
 
-from oracles import fit_tokens, normalize, tfidf_to_dict, transform_documents
+from oracles import (
+    count_strings, extract_ngrams, fit_tokens, normalize, tfidf_to_dict, transform_documents,
+)
 from rows import (
     batch_bytes, fit_on, from_rows, row, row_bytes, rows, to_dense, to_dict, vectorize,
 )
@@ -187,6 +188,8 @@ class TestSparseRows:
 
 
 class TestExtractNgrams:
+    """The string oracle count is checked against."""
+
     def test_unigram_counts(self):
         counts = extract_ngrams(["a", "b", "a"], NgramRange(1, 1))
         assert counts == {"a": 2, "b": 1}
@@ -232,6 +235,62 @@ class TestCount:
         taken = counts.take([3, 0, 1, 2])
         assert taken.grams is counts.grams and taken.ngram_range == counts.ngram_range
         assert batch_bytes(taken.rows) == batch_bytes(counts.rows.take([3, 0, 1, 2]))
+
+
+# Characters above U+0020 that sort on either side of letters, and past the BMP.
+ODD_CHARACTERS = ["!", "~", "\u00e9", "\u2028", "\U0001f600", "a", "b"]
+# Tokens that are prefixes of one another, so a gram and a longer one share a start.
+PREFIX_TOKENS = ["a", "a!", "ab", "b"]
+ORACLE_TOKENS = st.one_of(
+    st.sampled_from(PREFIX_TOKENS),
+    st.text(st.sampled_from(ODD_CHARACTERS), min_size=1, max_size=3),
+    st.text(st.characters(min_codepoint=0x21), min_size=1, max_size=2),
+)
+ORACLE_RANGES = (
+    NgramRange(1, 1), NgramRange(1, 2), NgramRange(2, 3), NgramRange(3, 3), NgramRange(1, 4),
+)
+
+
+def assert_same_counts(got, expected):
+    assert got.grams == expected.grams and got.ngram_range == expected.ngram_range
+    assert batch_bytes(got.rows) == batch_bytes(expected.rows)
+
+
+class TestCountOracle:
+    """count on token ranks equals the gram-string oracle bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        docs=st.lists(st.lists(ORACLE_TOKENS, max_size=8), max_size=6),
+        ngram_range=st.sampled_from(ORACLE_RANGES),
+        as_generator=st.booleans(),
+    )
+    def test_equals_the_string_oracle(self, docs, ngram_range, as_generator):
+        """Empty documents, documents shorter than lo, no documents, and a generator
+        (as eval passes) all count as the oracle does."""
+        got = count((d for d in docs) if as_generator else docs, ngram_range)
+        assert_same_counts(got, count_strings(docs, ngram_range))
+
+    @pytest.mark.parametrize("ngram_range", [NgramRange(1, 6), NgramRange(5, 12)])
+    def test_codes_past_int64_are_reranked(self, ngram_range):
+        """With 3000 distinct tokens, (U + 1) ** hi is far above 2**63."""
+        rng = np.random.default_rng(0)
+        words = [f"w{i:04d}" for i in range(3000)]
+        phrase = [words[i] for i in rng.integers(0, 3000, 15)]
+        docs = [words, phrase * 3, [words[i] for i in rng.integers(0, 3000, 40)] + phrase, []]
+        assert (len(words) + 1) ** ngram_range.hi > 2**63
+        assert_same_counts(count(docs, ngram_range), count_strings(docs, ngram_range))
+
+    def test_grams_of_hundreds_of_tokens(self):
+        """hi = 300 over two distinct tokens: the codes re-rank every 39 or so tokens."""
+        docs = [["a", "b"] * 130, ["b", "a"] * 100, ["a"] * 255]
+        ngram_range = NgramRange(250, 300)
+        assert_same_counts(count(docs, ngram_range), count_strings(docs, ngram_range))
+
+    @pytest.mark.parametrize("token", ["", "a b", "a\tb", "b\n", "\x00", " "])
+    def test_a_token_with_space_or_control_or_none_raises(self, token):
+        with pytest.raises(ValueError, match="U\\+0020"):
+            count([["a", "b"], ["c", token]], NgramRange(1, 2))
 
 
 class TestFit:

@@ -781,6 +781,13 @@ class TestModelSerialization:
             ([[2, 0.5]], float("-inf"), "non-finite"),
             pytest.param([[2, 10**400]], 0.0, "malformed model file", id="huge-int-weight"),
             pytest.param([[2, 0.5]], 10**400, "malformed model file", id="huge-int-intercept"),
+            pytest.param(
+                [[2, 0.5], [3, 0.5, 1.0], [4, 0.25]], 0.0, "malformed model file",
+                id="three-element-pair",
+            ),
+            pytest.param(
+                [[2, 0.5], [3], [4, 0.25]], 0.0, "malformed model file", id="one-element-pair"
+            ),
         ],
     )
     def test_bad_weights_rejected(self, row, intercept, message):
