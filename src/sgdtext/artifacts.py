@@ -48,13 +48,13 @@ def write_json_rows(path: str | Path, head: dict, key: str, chunks: Iterable[str
 
 
 def read_json(path: str | Path, error: type[ValueError] = ValueError) -> object:
-    """The value in the UTF-8 JSON file at path.
+    """The value in the UTF-8 JSON file at path, after a byte order mark if it starts with one.
 
     An unreadable path raises the OSError that opening it gives, such as
     FileNotFoundError or IsADirectoryError; content that is not UTF-8, not
     JSON or nested too deep to parse raises error. Both messages name the path.
     """
     try:
-        return json.loads(Path(path).read_text("utf-8"))
+        return json.loads(Path(path).read_text("utf-8-sig"))
     except (ValueError, RecursionError) as exc:
         raise error(f"{path} is not valid JSON: {exc}") from exc

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
@@ -20,6 +21,7 @@ from . import corpus, features, sgd
 from .artifacts import atomic_write, read_json
 from .corpus import LabeledCorpus
 from .evaluation import (
+    AVERAGED,
     CrossValidationError,
     confusion,
     cross_validate,
@@ -35,6 +37,7 @@ from .search import (
     candidate_to_dict,
     grid_search,
     load_grid_spec,
+    params_from_dict,
     params_label,
     params_to_dict,
     render_grid_table,
@@ -45,6 +48,9 @@ from .seeds import substream
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# The four TF-IDF fields of a PipelineConfig, which tfidf.json records.
+TFIDF_FIELDS = TUNED_FIELDS[:4]
 
 
 def _fraction(text: str) -> float:
@@ -190,16 +196,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         for label, tokens in zip(loaded.labels, loaded.documents):
             fh.write(json.dumps({"label": label, "tokens": tokens}, sort_keys=True) + "\n")
 
-    train_set = set(plan.train_indices)
-    histogram: dict[str, dict[str, int]] = {}
-    for cls in loaded.classes():
-        histogram[str(cls)] = {"train": 0, "test": 0}
-    for index, label in enumerate(loaded.labels):
-        histogram[str(label)]["train" if index in train_set else "test"] += 1
-    totals = {
-        "train": len(plan.train_indices),
-        "test": len(plan.test_indices),
-    }
+    sides = {"train": plan.train_indices, "test": plan.test_indices}
+    tally = {side: Counter(loaded.labels[i] for i in indices) for side, indices in sides.items()}
+    histogram = {str(cls): {side: tally[side][cls] for side in sides} for cls in loaded.classes()}
+    totals = {side: len(indices) for side, indices in sides.items()}
     _write_json(
         out_dir / "split.json",
         {
@@ -216,8 +216,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
     lines = ["Class\tTraining Set\tTesting Set"]
     for cls in loaded.classes():
-        row = histogram[str(cls)]
-        lines.append(f"{cls}\t{row['train']}\t{row['test']}")
+        lines.append(f"{cls}\t{tally['train'][cls]}\t{tally['test'][cls]}")
     lines.append(f"Totals\t{totals['train']}\t{totals['test']}")
     _write_text(out_dir / "histogram.txt", "\n".join(lines) + "\n")
 
@@ -260,81 +259,65 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_eval_flags(args: argparse.Namespace, out_dir: Path, tfidf: features.TfidfModel) -> None:
-    """Raise ValueError if a pipeline flag or --seed given to eval disagrees with the train run."""
-    tfidf_path = out_dir / "tfidf.json"
-    recorded = {
-        "ngram_range": (tfidf.ngram_range, tfidf_path),
-        "norm": (tfidf.norm, tfidf_path),
-        "use_idf": (tfidf.use_idf, tfidf_path),
-        "smooth_idf": (tfidf.smooth_idf, tfidf_path),
-    }
-    given = vars(args)
-    meta_flags = ("loss", "penalty", "alpha", "epochs", "smote", "seed")
-    if any(flag in given for flag in meta_flags):
-        meta_path = out_dir / "train_meta.json"
-        meta = read_json(meta_path)
-        try:
-            recorded.update(
-                loss=(meta["loss"], meta_path),
-                penalty=(meta["params"]["penalty"], meta_path),
-                alpha=(meta["params"]["alpha"], meta_path),
-                epochs=(meta["epochs"], meta_path),
-                smote=(meta["smote"], meta_path),
-                seed=(meta["seed"], meta_path),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{meta_path} is malformed: missing {exc}") from exc
-    for name, (value, path) in recorded.items():
-        if name in given and given[name] != value:
-            flag = PIPELINE_FLAGS[name][0] if name in PIPELINE_FLAGS else f"--{name}"
-            raise ValueError(
-                f"eval was given {flag} {given[name]!r} but {path} "
-                f"records {value!r} from the train run"
-            )
+def _load_run(out_dir: Path) -> tuple[FittedPipeline, PipelineConfig]:
+    """The train run in out_dir: its fitted pipeline and the PipelineConfig it recorded.
+
+    Reads tfidf.json, then model.json, whose width is checked against the
+    vocabulary before its weights are allocated, then train_meta.json. The
+    config's seed is train's --seed, and its smote_k the default, since
+    train does not record it. Raises ValueError naming the file for a
+    train_meta.json that does not make a PipelineConfig, or naming both for
+    one whose TF-IDF settings are not tfidf.json's.
+    """
+    tfidf_path, meta_path = out_dir / "tfidf.json", out_dir / "train_meta.json"
+    tfidf = features.load_tfidf(tfidf_path)
+    model = sgd.load_model(out_dir / "model.json", (tfidf_path, len(tfidf.grams)))
+    meta = read_json(meta_path)
+    try:
+        base = PipelineConfig(**{name: meta[name] for name in ("loss", "epochs", "smote", "seed")})
+        recorded = params_from_dict(meta["params"], base)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path} is malformed: {exc!r}") from exc
+    if any(getattr(recorded, name) != getattr(tfidf, name) for name in TFIDF_FIELDS):
+        raise ValueError(f"{meta_path} and {tfidf_path} record different TF-IDF settings; "
+                         "they are not from the same train run")
+    return FittedPipeline(tfidf, model), recorded
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    tfidf = features.load_tfidf(out_dir / "tfidf.json")
-    model = sgd.load_model(out_dir / "model.json", (out_dir / "tfidf.json", len(tfidf.grams)))
-    _check_eval_flags(args, out_dir, tfidf)
+    fitted, recorded = _load_run(out_dir)
+    for name, value in vars(args).items():
+        if (name in PIPELINE_FLAGS or name == "seed") and value != getattr(recorded, name):
+            flag = PIPELINE_FLAGS[name][0] if name in PIPELINE_FLAGS else f"--{name}"
+            path = out_dir / ("tfidf.json" if name in TFIDF_FIELDS else "train_meta.json")
+            raise ValueError(f"eval was given {flag} {value!r} but {path} "
+                             f"records {getattr(recorded, name)!r} from the train run")
     loaded, sides = _load_prepared(out_dir)
 
     indices = sides[args.on]
     if not indices:
         raise corpus.CorpusError(f"the {args.on} side of the split is empty")
     started = time.perf_counter()
-    fitted = FittedPipeline(tfidf=tfidf, model=model)
-    counts = features.count((loaded.documents[i] for i in indices), tfidf.ngram_range)
+    counts = features.count((loaded.documents[i] for i in indices), fitted.tfidf.ngram_range)
     predictions = predict_pipeline(fitted, counts)
     elapsed = time.perf_counter() - started
 
     true_labels = [loaded.labels[i] for i in indices]
-    classes = sorted(set(model.classes) | set(true_labels))
+    classes = sorted(set(fitted.model.classes) | set(true_labels))
     report = per_class_metrics(confusion(true_labels, predictions, classes))
-    weighted_precision, weighted_recall, weighted_f1 = report.weighted_avg
 
     _write_json(
         out_dir / "eval_report.json",
         {
             "on": args.on,
             "report": report_to_dict(report),
-            "summary": {
-                "accuracy": report.accuracy,
-                "precision": weighted_precision,
-                "recall": weighted_recall,
-                "f1": weighted_f1,
-            },
+            "summary": {"accuracy": report.accuracy, **dict(zip(AVERAGED, report.weighted_avg))},
             "elapsed_seconds": elapsed,
         },
     )
-    text = (
-        f"accuracy\t{report.accuracy:.5f}\n"
-        + render_class_report(report)
-        + f"summary\t{report.accuracy:.5f}\t{weighted_precision:.5f}"
-        f"\t{weighted_recall:.5f}\t{weighted_f1:.5f}\n"
-    )
+    summary = "\t".join(f"{value:.5f}" for value in (report.accuracy, *report.weighted_avg))
+    text = f"accuracy\t{report.accuracy:.5f}\n{render_class_report(report)}summary\t{summary}\n"
     _write_text(out_dir / "eval_report.txt", text)
     print(f"accuracy on {args.on}: {report.accuracy:.5f}")
     return EXIT_OK

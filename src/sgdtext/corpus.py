@@ -75,13 +75,13 @@ class SplitPlan:
 def load_stop_words(path: str | Path | None = None) -> frozenset[str]:
     """Read a stop-word file: one word per line, '#' lines are comments.
 
-    With no path, returns the packaged English list.
+    A leading byte order mark is skipped. With no path, returns the packaged English list.
     """
     if path is None:
         text = resources.files("sgdtext").joinpath("data/stopwords.txt").read_text("utf-8")
     else:
         try:
-            text = Path(path).read_text("utf-8")
+            text = Path(path).read_text("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     words = set()
@@ -111,9 +111,10 @@ def load_corpus(
 ) -> LoadResult:
     """Load a labeled CSV corpus, dropping rows whose text is null or cleans to nothing.
 
-    Raises the OSError of an unreadable path, CorpusError naming a file that
-    is not UTF-8 or not CSV, or MissingColumnError or LabelValueError, which
-    name the file and the offending column or line number.
+    A leading byte order mark is skipped. Raises the OSError of an unreadable
+    path, CorpusError naming a file that is not UTF-8 or not CSV, or
+    MissingColumnError or LabelValueError naming the file and the offending
+    column or line number.
     """
     schema = schema or SCHEMAS["generic"]
     documents: list[list[str]] = []
@@ -121,7 +122,7 @@ def load_corpus(
     dropped = 0
     total = 0
     try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
             for column in (schema.label_column, schema.text_column):

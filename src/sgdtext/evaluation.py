@@ -9,9 +9,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import features
+from . import features, sgd
 from .pipeline import PipelineConfig, fit_group, predict_pipeline
 from .seeds import substream
+
+# The averaged metrics, in the order of ClassReport's average tuples.
+AVERAGED = ("precision", "recall", "f1")
 
 
 class CrossValidationError(RuntimeError):
@@ -84,6 +87,8 @@ def confusion(
         raise ValueError("true and predicted labels must have equal length")
     class_list = [int(c) for c in classes]
     index = {c: i for i, c in enumerate(class_list)}
+    if len(index) != len(class_list):
+        raise ValueError(f"the class list {class_list} lists a class twice")
     counts = np.zeros((len(class_list), len(class_list)), dtype=np.int64)
     for t, p in zip(true_labels, predicted_labels):
         if int(t) not in index:
@@ -110,7 +115,6 @@ def per_class_metrics(cm: ConfusionMatrix) -> ClassReport:
     if total == 0:
         raise ValueError("empty confusion matrix")
     per_class: dict[int, ClassMetrics] = {}
-    precisions, recalls, f1s, supports = [], [], [], []
     for i, cls in enumerate(cm.classes):
         tp = float(counts[i, i])
         support = int(counts[i, :].sum())
@@ -119,16 +123,10 @@ def per_class_metrics(cm: ConfusionMatrix) -> ClassReport:
         recall = _safe_div(tp, float(support))
         f1 = _safe_div(2.0 * precision * recall, precision + recall)
         per_class[cls] = ClassMetrics(precision, recall, f1, support)
-        precisions.append(precision)
-        recalls.append(recall)
-        f1s.append(f1)
-        supports.append(support)
-    k = len(cm.classes)
-    macro = (sum(precisions) / k, sum(recalls) / k, sum(f1s) / k)
-    weighted = (
-        sum(p * s for p, s in zip(precisions, supports)) / total,
-        sum(r * s for r, s in zip(recalls, supports)) / total,
-        sum(f * s for f, s in zip(f1s, supports)) / total,
+    metrics = per_class.values()
+    macro = tuple(sum(getattr(m, name) for m in metrics) / len(metrics) for name in AVERAGED)
+    weighted = tuple(
+        sum(getattr(m, name) * m.support for m in metrics) / total for name in AVERAGED
     )
     accuracy = float(np.trace(counts)) / total
     return ClassReport(
@@ -189,7 +187,7 @@ def cross_validate(
     those counts once. Every fold refits the vectorizer (and the optional
     resampler) on its k-1 training folds only, so the held-out fold never
     leaks into the vocabulary. Each fold fits the configs that share an
-    n-gram range, loss, penalty and epochs as one group (pipeline.fit_group,
+    n-gram range and an sgd.pass_key as one group (pipeline.fit_group,
     one stacked SGD pass), predicts with each, and frees the group before
     the next. Returns one CvReport per config, in order; a config whose fold
     fails gets that fold's CrossValidationError, with the failure as its
@@ -212,7 +210,7 @@ def cross_validate(
     failed: dict[int, CrossValidationError] = {}
     groups: dict[tuple, list[int]] = {}
     for c, config in enumerate(configs):
-        key = (config.ngram_range, config.loss, config.penalty, config.epochs)
+        key = (config.ngram_range, *sgd.pass_key(config))
         groups.setdefault(key, []).append(c)
     for fold_index, held_out in enumerate(plan.folds):
         train_indices = sorted(all_indices.difference(held_out))
@@ -259,12 +257,11 @@ def cross_validate(
 
 
 def report_to_dict(report: ClassReport) -> dict:
-    names = ("precision", "recall", "f1")
     return {
         "classes": report.classes,
         "per_class": {str(cls): asdict(m) for cls, m in report.per_class.items()},
-        "macro_avg": dict(zip(names, report.macro_avg)),
-        "weighted_avg": dict(zip(names, report.weighted_avg)),
+        "macro_avg": dict(zip(AVERAGED, report.macro_avg)),
+        "weighted_avg": dict(zip(AVERAGED, report.weighted_avg)),
         "accuracy": report.accuracy,
         "total_support": report.total_support,
     }

@@ -102,7 +102,7 @@ def fit_group(
 ) -> list[FittedPipeline | Exception]:
     """fit_pipeline for each config on the same counts, training the classifiers together.
 
-    The configs must share loss, penalty, epochs and seed. Each config fits
+    The configs must share one sgd.pass_key. Each config fits
     and applies its own vectorizer. Every fit on one counts object keeps the
     same grams, and each value idf * tf >= 1 stays nonzero when divided by a
     finite row norm, so all the configs' vectors have one pattern (indptr

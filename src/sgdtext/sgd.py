@@ -270,6 +270,11 @@ def _fit_rows(
     return W, B
 
 
+def pass_key(config: PipelineConfig) -> tuple[str, str, int, int]:
+    """What configs must share to train in one fit_stacked pass: loss, penalty, epochs, seed."""
+    return (config.loss, config.penalty, config.epochs, config.seed)
+
+
 def fit_stacked(
     X: SparseRows,
     values: np.ndarray,
@@ -280,15 +285,14 @@ def fit_stacked(
 
     X gives the rows' pattern (indptr and indices); row c of values, a
     len(configs) x X.nnz array, holds config c's values in that pattern. The
-    configs must share loss, penalty, epochs and seed; alpha may differ. A
-    model's width is one more than X's largest feature index (0 if X has no
-    nonzeros). Each model is bitwise what fit_multiclass gives for its
-    config alone on its values. A config whose values are non-finite, or
-    whose training diverges, gets that NumericError in place of its model,
-    and the others are unaffected.
+    configs must share one pass_key; alpha may differ. A model's width is
+    one more than X's largest feature index (0 if X has no nonzeros). Each
+    model is bitwise what fit_multiclass gives for its config alone on its
+    values. A config whose values are non-finite, or whose training
+    diverges, gets that NumericError in place of its model, and the others
+    are unaffected.
     """
-    shared = {(c.loss, c.penalty, c.epochs, c.seed) for c in configs}
-    if len(shared) != 1:
+    if len({pass_key(c) for c in configs}) != 1:
         raise ValueError("stacked configs need one loss, penalty, epochs and seed")
     if values.shape != (len(configs), X.nnz):
         raise ValueError("values must hold one row of X.nnz values per config")

@@ -260,3 +260,43 @@ def test_each_fact_is_stated_once():
         f"{stem}.{node.name}" for stem, node in functions if node.name in ("cv_to_dict", "_score")
     ]
     assert restated == []
+
+
+def test_eval_reads_its_train_run_in_one_place():
+    """cli._load_run is the one reader of train_meta.json, and its params go through search.
+
+    _check_eval_flags is gone. Outside search.py, a "params" value is only
+    ever passed whole to params_from_dict, never indexed by hand.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text("utf-8"))
+        for path in Path(sgdtext.__file__).parent.glob("*.py")
+    }
+    functions = {
+        f"{stem}.{node.name}": node
+        for stem, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "cli._check_eval_flags" not in functions
+    readers = sorted(
+        name for name, func in functions.items()
+        if any(isinstance(node, ast.Constant) and node.value == "train_meta.json"
+               for node in ast.walk(func))
+        and any(isinstance(node, ast.Call) and ast.unparse(node.func) == "read_json"
+                for node in ast.walk(func))
+    )
+    assert readers == ["cli._load_run"]
+    passed_whole = set()
+    by_hand = []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("params_from_dict"):
+                passed_whole.update(map(id, node.args))
+        by_hand += [
+            f"{stem}.py:{node.lineno}" for node in ast.walk(tree)
+            if stem != "search" and isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant) and node.slice.value == "params"
+            and id(node) not in passed_whole
+        ]
+    assert by_hand == []

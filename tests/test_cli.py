@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from sgdtext import evaluation, search, sgd
-from sgdtext.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, _config_from_args, build_parser, main
+from sgdtext.cli import (
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    _config_from_args,
+    _load_run,
+    build_parser,
+    main,
+)
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.seeds import substream
 
@@ -93,6 +103,24 @@ class TestPrepare:
             for line in (out / "corpus.jsonl").read_text("utf-8").splitlines()
         ]
         assert rows[0]["tokens"] == ["the", "bomb"]
+
+    def test_input_files_may_start_with_a_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one.
+        csv_path, stop_path = tmp_path / "data.csv", tmp_path / "stop.txt"
+        csv_path.write_text(
+            'label,text\n0,"the bomb"\n0,"the knife"\n1,"a gun"\n1,"a rifle"\n', "utf-8-sig"
+        )
+        stop_path.write_text("the\na\n", "utf-8-sig")
+        assert csv_path.read_bytes().startswith(codecs.BOM_UTF8)
+        out = tmp_path / "run"
+        code = run_prepare(csv_path, out, "--split", "0.5", "--stopwords", str(stop_path))
+        assert code == EXIT_OK
+        rows = [
+            json.loads(line)
+            for line in (out / "corpus.jsonl").read_text("utf-8").splitlines()
+        ]
+        assert [r["label"] for r in rows] == [0, 0, 1, 1]
+        assert [r["tokens"] for r in rows] == [["bomb"], ["knife"], ["gun"], ["rifle"]]
 
     def test_gtd_schema_columns(self, tmp_path):
         csv_path = tmp_path / "gtd.csv"
@@ -205,6 +233,72 @@ class TestTrainEval:
     def test_eval_accepts_the_seed_of_the_train_run(self, prepared):
         main(["train", "--seed", "12", "--out", str(prepared)])
         assert main(["eval", "--seed", "12", "--out", str(prepared)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("ngram_range", [2, 3]), ("norm", "l1"), ("use_idf", False), ("smooth_idf", False)],
+    )
+    def test_eval_rejects_a_train_meta_that_disagrees_with_tfidf(
+        self, prepared, capsys, name, value
+    ):
+        main(["train", "--out", str(prepared)])
+        meta_path = prepared / "train_meta.json"
+        meta = read_json(meta_path)
+        meta["params"][name] = value
+        meta_path.write_text(json.dumps(meta), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(prepared)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(meta_path) in err and str(prepared / "tfidf.json") in err
+        assert "not from the same train run" in err
+        assert not (prepared / "eval_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, flags",
+        [
+            ("seed", True, ["--seed", "1"]),
+            ("epochs", 5.0, ["--epochs", "5"]),
+            ("loss", "hinge", []),
+            ("params", [], []),
+        ],
+    )
+    def test_eval_rejects_a_wrongly_typed_train_meta(self, prepared, capsys, key, value, flags):
+        main(["train", "--out", str(prepared)])
+        meta_path = prepared / "train_meta.json"
+        meta = read_json(meta_path)
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", *flags, "--out", str(prepared)]) == EXIT_DATA
+        assert f"{meta_path} is malformed" in capsys.readouterr().err
+        assert not (prepared / "eval_report.json").exists()
+
+    def test_eval_needs_train_meta(self, prepared, capsys):
+        main(["train", "--out", str(prepared)])
+        (prepared / "train_meta.json").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--out", str(prepared)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "required file is missing" in err and "train_meta.json" in err
+        assert not (prepared / "eval_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, seed",
+        [
+            ([], 0),
+            (["--loss", "logreg", "--penalty", "l1", "--norm", "l1", "--no-use-idf"], 7),
+            (["--loss", "perceptron", "--ngram", "1,2", "--no-smooth-idf", "--smote",
+              "--alpha", "0.001", "--epochs", "2"], 12),
+            (["--penalty", "l1", "--norm", "none", "--ngram", "1,2", "--smote"], 3),
+        ],
+    )
+    def test_load_run_returns_the_train_config(self, prepared, flags, seed):
+        argv = ["train", *flags, "--seed", str(seed), "--out", str(prepared)]
+        assert main(argv) == EXIT_OK
+        trained = _config_from_args(build_parser().parse_args(argv), "pipeline")
+        fitted, recorded = _load_run(prepared)
+        assert recorded == replace(trained, seed=seed)
+        assert fitted.tfidf.ngram_range == trained.ngram_range
 
     def test_eval_flags_against_malformed_train_meta(self, prepared, capsys):
         main(["train", "--out", str(prepared)])
@@ -612,7 +706,7 @@ class TestInputFileErrors:
         "split.json": ["train"],
         "tfidf.json": ["eval"],
         "model.json": ["eval"],
-        "train_meta.json": ["eval", "--loss", "svm"],
+        "train_meta.json": ["eval"],
         "grid.json": ["gridsearch", "--grid", "RUN/grid.json"],
         "results.json": ["compare", "--tuned-from", "RUN/results.json", "--k", "2"],
     }

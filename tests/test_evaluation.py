@@ -53,6 +53,10 @@ class TestConfusion:
         with pytest.raises(ValueError, match="equal length"):
             confusion([1, 2], [1], [1, 2])
 
+    def test_a_class_listed_twice_is_rejected(self):
+        with pytest.raises(ValueError, match="twice"):
+            confusion([1, 2], [1, 2], [1, 1, 2])
+
     def test_classes_without_samples_allowed(self):
         cm = confusion([1], [1], [1, 2, 3])
         assert cm.counts.shape == (3, 3)

@@ -93,6 +93,11 @@ class TestGridSpecIO:
         spec = load_grid_spec(path)
         assert spec.ngram_ranges == [NgramRange(2, 2)]
 
+    def test_load_from_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"ngram_ranges": [[2, 2]]}), "utf-8-sig")
+        assert load_grid_spec(path).ngram_ranges == [NgramRange(2, 2)]
+
     def test_scalar_axis_rejected(self):
         with pytest.raises(ValueError, match="malformed grid spec"):
             grid_spec_from_dict({"alphas": 5})
