@@ -6,7 +6,7 @@ import contextlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 
 @contextlib.contextmanager
@@ -47,14 +47,20 @@ def write_json_rows(path: str | Path, head: dict, key: str, chunks: Iterable[str
         fh.write("]\n}" if separator == "\n" else "\n ]\n}")
 
 
-def read_json(path: str | Path, error: type[ValueError] = ValueError) -> object:
-    """The value in the UTF-8 JSON file at path, after a byte order mark if it starts with one.
+def read_json(path: str | Path, error: type[ValueError] = ValueError,
+              parse: Callable[[object], object] = lambda value: value) -> object:
+    """parse(value) for the value in the UTF-8 JSON file at path, after a byte order mark if any.
 
     An unreadable path raises the OSError that opening it gives, such as
-    FileNotFoundError or IsADirectoryError; content that is not UTF-8, not
-    JSON or nested too deep to parse raises error. Both messages name the path.
+    FileNotFoundError or IsADirectoryError. Content that is not UTF-8, not
+    JSON or nested too deep to parse raises error, and so does parse raising
+    error; both messages name the path.
     """
     try:
-        return json.loads(Path(path).read_text("utf-8-sig"))
+        value = json.loads(Path(path).read_text("utf-8-sig"))
     except (ValueError, RecursionError) as exc:
         raise error(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(value)
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc

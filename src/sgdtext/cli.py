@@ -130,25 +130,24 @@ def _write_json(path: Path, data: dict) -> None:
     _write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _split_sides(manifest: object, n: int, path: Path) -> dict[str, list[int]]:
+def _split_sides(manifest: object, n: int) -> dict[str, list[int]]:
     """A split manifest's "train" and "test" sides: disjoint lists of distinct ints in [0, n)."""
     sides = {}
     for side in ("train", "test"):
         indices = manifest.get(f"{side}_indices") if isinstance(manifest, dict) else None
         if not (isinstance(indices, list) and all(type(i) is int and 0 <= i < n for i in indices)):
-            raise ValueError(f"{path}: {side}_indices must be a list of integers in [0, {n})")
+            raise ValueError(f"{side}_indices must be a list of integers in [0, {n})")
         if len(set(indices)) != len(indices):
-            raise ValueError(f"{path}: {side}_indices lists an index twice")
+            raise ValueError(f"{side}_indices lists an index twice")
         sides[side] = indices
     if not set(sides["train"]).isdisjoint(sides["test"]):
-        raise ValueError(f"{path}: an index is on both the train and the test side")
+        raise ValueError("an index is on both the train and the test side")
     return sides
 
 
 def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
     """The prepared corpus and its checked split sides, keyed "train" and "test"."""
     corpus_path = out_dir / "corpus.jsonl"
-    manifest_path = out_dir / "split.json"
     documents: list[list[str]] = []
     labels: list[int] = []
     line_numbers: list[int] = []
@@ -175,8 +174,8 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
         line_number = next(n for n, tokens in zip(line_numbers, documents)
                            if features.breaks_token_rule(tokens))
         raise ValueError(f"{corpus_path}: line {line_number}: {features.TOKEN_RULE}")
-    manifest = read_json(manifest_path)
-    return LabeledCorpus(documents, labels), _split_sides(manifest, len(labels), manifest_path)
+    sides = read_json(out_dir / "split.json", parse=lambda data: _split_sides(data, len(labels)))
+    return LabeledCorpus(documents, labels), sides
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
@@ -187,7 +186,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         raise corpus.CorpusError(
             f"only {len(loaded)} usable rows after cleaning; need at least 2"
         )
-    plan = corpus.split(len(loaded), args.split, substream(args.seed, "split"), loaded.labels)
+    plan = corpus.split(loaded.labels, args.split, substream(args.seed, "split"))
     # Only a prepare that got this far creates its output directory.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,7 +377,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     config = _config_from_args(args, "compare")
     documents, labels = _train_split(out_dir)
-    tuned = winner_params(read_json(args.tuned_from), config) if args.tuned_from else config
+    tuned = (read_json(args.tuned_from, parse=lambda results: winner_params(results, config))
+             if args.tuned_from else config)
     # The default arm keeps loss, epochs and SMOTE; its six tuned values are the defaults.
     default = replace(config, **{f: getattr(PipelineConfig(), f) for f in TUNED_FIELDS})
     default_report, tuned_report = cross_validate(documents, labels, [default, tuned], args.k)

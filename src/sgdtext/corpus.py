@@ -159,65 +159,56 @@ def load_corpus(
     return LoadResult(LabeledCorpus(documents, labels), dropped=dropped, total_rows=total)
 
 
-def split(n: int, train_fraction: float, seed: int, labels: Sequence[int]) -> SplitPlan:
-    """Stratified train/test split over indices 0..n-1.
+def by_class(labels: Sequence[int]) -> dict[int, list[int]]:
+    """Each class's positions in labels, in index order, keyed by int(label) in ascending order."""
+    groups: dict[int, list[int]] = {}
+    for index, label in enumerate(labels):
+        groups.setdefault(int(label), []).append(index)
+    return dict(sorted(groups.items()))
+
+
+def split(labels: Sequence[int], train_fraction: float, seed: int) -> SplitPlan:
+    """Stratified train/test split over the indices of labels.
 
     Each class contributes floor(train_fraction * class_count) training
     samples, then the classes with the largest fractional remainders take
-    one extra until the total reaches round(train_fraction * n). Every
-    class therefore stays within one sample of its exact proportion while
-    the overall count lands on the rounded target. Membership within a
+    one extra until the total reaches round(train_fraction * len(labels)).
+    Every class therefore stays within one sample of its exact proportion
+    while the overall count lands on the rounded target. Membership within a
     class is decided by a seeded shuffle; single-member classes go to the
     training side with a warning.
     """
+    n = len(labels)
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if n < 2:
         raise ValueError(f"need at least 2 samples to split, got {n}")
-    if len(labels) != n:
-        raise ValueError(f"labels length {len(labels)} does not match n={n}")
 
-    by_class: dict[int, list[int]] = {}
-    for index, label in enumerate(labels):
-        by_class.setdefault(label, []).append(index)
-    classes = sorted(by_class)
-
-    target_total = round(train_fraction * n)
+    groups = by_class(labels)
     take: dict[int, int] = {}
     remainders: list[tuple[float, int]] = []
-    for cls in classes:
-        size = len(by_class[cls])
-        if size == 1:
-            warnings.warn(
-                f"class {cls} has a single member; assigning it to the training set",
-                stacklevel=2,
-            )
+    for cls, members in groups.items():
+        if len(members) == 1:
+            warnings.warn(f"class {cls} has a single member; assigning it to the training set",
+                          stacklevel=2)
             take[cls] = 1
             continue
-        exact = train_fraction * size
+        exact = train_fraction * len(members)
         take[cls] = int(math.floor(exact))
         remainders.append((exact - take[cls], cls))
 
-    leftover = target_total - sum(take.values())
-    # Hand out the remaining slots to the largest remainders; ties go to
-    # the lower class id so the allocation is deterministic.
+    # Hand out the remaining slots to the largest remainders; ties go to the
+    # lower class id so the allocation is deterministic. A class of two or
+    # more keeps a test member, since floor(f * size) + 1 <= size for f < 1.
+    leftover = max(round(train_fraction * n) - sum(take.values()), 0)
     remainders.sort(key=lambda item: (-item[0], item[1]))
-    for _, cls in remainders:
-        if leftover <= 0:
-            break
-        if take[cls] < len(by_class[cls]):
-            take[cls] += 1
-            leftover -= 1
+    for _, cls in remainders[:leftover]:
+        take[cls] += 1
 
     rng = np.random.default_rng(seed)
-    train: list[int] = []
-    test: list[int] = []
-    for cls in classes:
-        members = np.asarray(by_class[cls], dtype=np.int64)
-        shuffled = members[rng.permutation(members.size)]
-        split_at = take[cls]
-        train.extend(int(i) for i in shuffled[:split_at])
-        test.extend(int(i) for i in shuffled[split_at:])
-    train.sort()
-    test.sort()
-    return SplitPlan(train_indices=train, test_indices=test)
+    train, test = [], []
+    for cls, members in groups.items():
+        shuffled = rng.permutation(members).tolist()
+        train += shuffled[: take[cls]]
+        test += shuffled[take[cls] :]
+    return SplitPlan(train_indices=sorted(train), test_indices=sorted(test))

@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import features, sgd
+from .corpus import by_class
 from .pipeline import PipelineConfig, fit_group, predict_pipeline
 from .seeds import substream
 
@@ -151,25 +152,16 @@ def stratified_kfold(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available samples")
-    by_class: dict[int, list[int]] = {}
-    for index, label in enumerate(labels):
-        by_class.setdefault(int(label), []).append(index)
-    small = sorted(c for c, members in by_class.items() if len(members) < k)
+    groups = by_class(labels)
+    small = [c for c, members in groups.items() if len(members) < k]
     if small:
         warnings.warn(
             f"classes {small} have fewer than k={k} members; some folds will lack them",
             stacklevel=2,
         )
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    position = 0
-    for cls in sorted(by_class):
-        members = np.asarray(by_class[cls], dtype=np.int64)
-        for index in members[rng.permutation(members.size)]:
-            folds[position % k].append(int(index))
-            position += 1
-    for fold in folds:
-        fold.sort()
+    dealt = [i for members in groups.values() for i in rng.permutation(members).tolist()]
+    folds = [sorted(dealt[f::k]) for f in range(k)]
     return FoldPlan(folds=folds)
 
 

@@ -459,8 +459,4 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    data = read_json(path, TfidfFormatError)
-    try:
-        return tfidf_from_dict(data)
-    except TfidfFormatError as exc:
-        raise TfidfFormatError(f"{path}: {exc}") from exc
+    return read_json(path, TfidfFormatError, tfidf_from_dict)

@@ -8,13 +8,13 @@ same-class neighbors b (Euclidean distance), and a uniform gap in [0, 1).
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .corpus import by_class
 from .features import Row, SparseRows
 from .seeds import substream
 
@@ -164,16 +164,15 @@ def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> Smote
     """
     if len(X) != len(labels):
         raise ValueError("X and labels must have equal length")
-    counts = Counter(int(lab) for lab in labels)
-    if len(counts) < 2:
-        raise ValueError(f"need at least 2 classes to resample, got {sorted(counts)}")
-    target = max(counts.values())
+    groups = by_class(labels)
+    if len(groups) < 2:
+        raise ValueError(f"need at least 2 classes to resample, got {list(groups)}")
+    target = max(map(len, groups.values()))
 
     # Draw every synthetic sample's provenance first; the rows themselves
     # are built one class at a time while the output batch is filled.
     records: list[SmoteRecord] = []
-    for cls in sorted(counts):
-        members = [i for i, lab in enumerate(labels) if int(lab) == cls]
+    for cls, members in groups.items():
         need = target - len(members)
         if need <= 0:
             continue

@@ -104,7 +104,7 @@ def grid_spec_from_dict(data: object) -> GridSpec:
 
 
 def load_grid_spec(path: str | Path) -> GridSpec:
-    return grid_spec_from_dict(read_json(path))
+    return read_json(path, parse=grid_spec_from_dict)
 
 
 def enumerate_grid(spec: GridSpec, base: PipelineConfig) -> list[PipelineConfig]:
@@ -143,8 +143,10 @@ def grid_search(
     set too small for spec.inner_folds raises ValueError before any
     candidate runs.
     """
+    if len(documents) != len(labels):
+        raise ValueError("documents and labels must have equal length")
     combos = enumerate_grid(spec, base)
-    plan = corpus.split(len(documents), spec.dev_fraction, substream(base.seed, "dev"), labels)
+    plan = corpus.split(labels, spec.dev_fraction, substream(base.seed, "dev"))
     score_configs = functools.partial(
         cross_validate,
         [documents[i] for i in plan.train_indices],

@@ -419,8 +419,4 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path, vocabulary: tuple[object, int] | None = None) -> LinearModel:
-    data = read_json(path, ModelFormatError)
-    try:
-        return model_from_dict(data, vocabulary)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+    return read_json(path, ModelFormatError, lambda data: model_from_dict(data, vocabulary))

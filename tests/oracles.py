@@ -16,7 +16,10 @@ for byte without building them. fit_pipeline_alone fits one config's
 vectorizer, SMOTE and classifier in passes of their own, as fit_pipeline did
 before it became pipeline.fit_group's case of one config. fit_rows_every_step
 is sgd._fit_rows as it was before it skipped the hinge steps that move
-nothing.
+nothing. split_by_loops and kfold_by_loops are corpus.split and
+evaluation.stratified_kfold as they were before both read corpus.by_class:
+each groups the labels with a loop of its own, and the folds are dealt one
+index at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from sgdtext import features
-from sgdtext.evaluation import ConfusionMatrix
+from sgdtext.corpus import SplitPlan
+from sgdtext.evaluation import ConfusionMatrix, FoldPlan
 from sgdtext.features import (
     NORMS,
     TFIDF_FORMAT_VERSION,
@@ -553,3 +557,85 @@ def smote_per_record(X: SparseRows, labels: Sequence[int], config: PipelineConfi
         labels=[int(lab) for lab in labels] + [r.label for r in records],
         records=records,
     )
+
+
+def split_by_loops(n: int, train_fraction: float, seed: int, labels: Sequence[int]) -> SplitPlan:
+    """corpus.split with its own class loop and a guarded hand-out of the leftover slots."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if n < 2:
+        raise ValueError(f"need at least 2 samples to split, got {n}")
+    if len(labels) != n:
+        raise ValueError(f"labels length {len(labels)} does not match n={n}")
+
+    by_class: dict[int, list[int]] = {}
+    for index, label in enumerate(labels):
+        by_class.setdefault(label, []).append(index)
+    classes = sorted(by_class)
+
+    target_total = round(train_fraction * n)
+    take: dict[int, int] = {}
+    remainders: list[tuple[float, int]] = []
+    for cls in classes:
+        size = len(by_class[cls])
+        if size == 1:
+            warnings.warn(
+                f"class {cls} has a single member; assigning it to the training set",
+                stacklevel=2,
+            )
+            take[cls] = 1
+            continue
+        exact = train_fraction * size
+        take[cls] = int(math.floor(exact))
+        remainders.append((exact - take[cls], cls))
+
+    leftover = target_total - sum(take.values())
+    remainders.sort(key=lambda item: (-item[0], item[1]))
+    for _, cls in remainders:
+        if leftover <= 0:
+            break
+        if take[cls] < len(by_class[cls]):
+            take[cls] += 1
+            leftover -= 1
+
+    rng = np.random.default_rng(seed)
+    train: list[int] = []
+    test: list[int] = []
+    for cls in classes:
+        members = np.asarray(by_class[cls], dtype=np.int64)
+        shuffled = members[rng.permutation(members.size)]
+        split_at = take[cls]
+        train.extend(int(i) for i in shuffled[:split_at])
+        test.extend(int(i) for i in shuffled[split_at:])
+    train.sort()
+    test.sort()
+    return SplitPlan(train_indices=train, test_indices=test)
+
+
+def kfold_by_loops(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
+    """evaluation.stratified_kfold with its own class loop, dealing one index at a time."""
+    n = len(labels)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds the {n} available samples")
+    by_class: dict[int, list[int]] = {}
+    for index, label in enumerate(labels):
+        by_class.setdefault(int(label), []).append(index)
+    small = sorted(c for c, members in by_class.items() if len(members) < k)
+    if small:
+        warnings.warn(
+            f"classes {small} have fewer than k={k} members; some folds will lack them",
+            stacklevel=2,
+        )
+    rng = np.random.default_rng(seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    position = 0
+    for cls in sorted(by_class):
+        members = np.asarray(by_class[cls], dtype=np.int64)
+        for index in members[rng.permutation(members.size)]:
+            folds[position % k].append(int(index))
+            position += 1
+    for fold in folds:
+        fold.sort()
+    return FoldPlan(folds=folds)

@@ -350,7 +350,7 @@ def test_smote_recovers_silent_class():
         documents.append(["alpha", "common", "r1"])
         labels.append(3)
 
-    plan = corpus.split(len(documents), 0.7, 99, labels)
+    plan = corpus.split(labels, 0.7, 99)
     train_docs = [documents[i] for i in plan.train_indices]
     train_labels = [labels[i] for i in plan.train_indices]
     test_docs = [documents[i] for i in plan.test_indices]
@@ -417,7 +417,7 @@ def test_full_corpus_protocol(tmp_path):
     documents = [rows[i]["tokens"] for i in train_indices]
     labels = [rows[i]["label"] for i in train_indices]
     if len(documents) > 9000:  # keep the check at desk scale
-        sub = corpus.split(len(documents), 9000 / len(documents), 1, labels)
+        sub = corpus.split(labels, 9000 / len(documents), 1)
         documents = [documents[i] for i in sub.train_indices]
         labels = [labels[i] for i in sub.train_indices]
 

@@ -78,6 +78,21 @@ class TestReadJson:
         with pytest.raises(FormatError, match=message):
             artifacts.read_json(path, FormatError)
 
+    def test_parse_errors_of_the_given_class_name_the_path(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text('{"a": 1}', "utf-8")
+        assert artifacts.read_json(path, parse=lambda value: value["a"] + 1) == 2
+
+        def reject(value):
+            raise FormatError(f"no key b in {sorted(value)}")
+
+        with pytest.raises(FormatError, match=re.escape(f"{path}: no key b in ['a']")) as info:
+            artifacts.read_json(path, FormatError, reject)
+        assert isinstance(info.value.__cause__, FormatError)
+        # An error of another class is the parser's own fault and passes through as it is.
+        with pytest.raises(KeyError, match="'b'"):
+            artifacts.read_json(path, FormatError, lambda value: value["b"])
+
     def test_unreadable_path_raises_the_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "absent.json"))):
             artifacts.read_json(tmp_path / "absent.json", FormatError)
@@ -175,6 +190,23 @@ def test_one_fold_loop():
         if "stratified_kfold" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert callers == ["evaluation.cross_validate"]
+
+
+def test_labels_are_grouped_by_class_in_one_place():
+    """corpus.by_class is the one loop over labels by position: split, stratified_kfold and
+    smote call it, and no other package function iterates enumerate(labels)."""
+    callers = sorted(
+        f"{path.stem}.{owner}"
+        for path, owner, node in package_calls()
+        if "by_class" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert callers == ["corpus.split", "evaluation.stratified_kfold", "resample.smote"]
+    loops = [
+        f"{path.stem}.{owner}"
+        for path, owner, node in package_calls()
+        if ast.unparse(node) == "enumerate(labels)"
+    ]
+    assert loops == ["corpus.by_class"]
 
 
 def test_rows_are_gathered_by_sparse_rows_take():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sgdtext import evaluation, search, sgd
@@ -192,6 +193,14 @@ class TestTrainEval:
         report = read_json(prepared / "eval_report.json")
         assert report["on"] == "train"
         assert report["summary"]["accuracy"] == 1.0
+
+    def test_blank_corpus_lines_are_skipped(self, prepared):
+        main(["train", "--out", str(prepared), "--seed", "5"])
+        model = (prepared / "model.json").read_bytes()
+        path = prepared / "corpus.jsonl"
+        path.write_text(path.read_text("utf-8").replace("\n", "\n\n", 3) + " \t\n", "utf-8")
+        assert main(["train", "--out", str(prepared), "--seed", "5"]) == EXIT_OK
+        assert (prepared / "model.json").read_bytes() == model
 
     def test_eval_without_train_artifacts(self, prepared, capsys):
         assert main(["eval", "--out", str(prepared)]) == EXIT_DATA
@@ -542,26 +551,82 @@ class TestGoldenArtifacts:
             payload = path.read_bytes()
         return hashlib.sha256(payload).hexdigest()
 
-    def run_all(self, signature_corpus, tmp_path):
+    # A second run pins L1 and logreg arithmetic, which the run above never trains,
+    # on a noisy corpus whose vocabulary is large enough for L1 to zero some weights.
+    L1_LOGREG_FLAGS = ("--loss", "logreg", "--penalty", "l1", "--ngram", "1,2")
+    L1_GRID = {**GRID, "ngram_ranges": [[1, 2]], "penalties": ["l1"], "alphas": [1e-4]}
+
+    L1_LOGREG_DIGESTS = {
+        "corpus.jsonl": "f491102ca72f60fc9642314907320f40baa43cf3ae4fced08d6378600ac85766",
+        "cv_report.json": "a8e67556fee68183a5567af38b13907f105bf1430642d89739262e53cf69b981",
+        "cv_report.txt": "a4f1e298b63277f2e95874a4ad07cc48ed30640750e60019044a719b7f82fd94",
+        "eval_report.json": "1e853be1347fd81a927872e14181dbbc7ed9b25e49f1527565ef9637f6399f85",
+        "eval_report.txt": "4e93ffb8888080cc7f0f9b595a11b69663f919a1d8a4dbd0f140d5405424cd9e",
+        "grid_results.json": "d360272683f46667709356fd873130164c93c1beb7ea636e73faefb937aa3c97",
+        "grid_results.txt": "7cb2e1e4124905afcc583bf8ec5636f061845b4ef18f0534b07d21c3aea4b63d",
+        "histogram.txt": "2d20616d634f8ae44c48bf54100f397a2a935bdc47ffadcd96fc02852352b79b",
+        "model.json": "31691a7813a7cc728f9651b92d70f01133f22bfaeaea18a33b602a843e8306c8",
+        "model.json@raw": "44b80e72e0a3a29bdf1eb35e62a623a8d4d885a6a081a0d9d231ff8417b39adb",
+        "split.json": "167bb742d7d3d99fc0a42e58bdc61abcbcc5361cc1c9559fce730692d16a004b",
+        "tfidf.json": "66e5f39888e5cfbd563fd1852e7d1a338db709679c6c859a054ed3b31468cfbb",
+        "train_meta.json": "92702605df7fe9f688598ff1336cd1b943ada775af27594235eeb3e3089e2a89",
+    }
+
+    @staticmethod
+    def signature_rows(signature_corpus) -> list[str]:
         documents, labels = signature_corpus(n_classes=3, per_class=12)
         # Digits do not survive cleaning, so spell each class token with letters,
         # and keep half of the last class so --smote has a minority to grow.
         letters = str.maketrans("0123456789", "abcdefghij")
-        rows = [
+        return [
             f'{label},"{" ".join(doc).translate(letters)}"'
             for index, (doc, label) in enumerate(zip(documents, labels))
             if label != 3 or index % 2 == 0
         ]
-        csv_path = tmp_path / "signature.csv"
+
+    @staticmethod
+    def noisy_rows() -> list[str]:
+        """300 documents of three classes, 4-11 words each, drawn by a fixed LCG.
+
+        Each word is one of its class's 40 words or, half the time, any of the 120.
+        """
+        state = 12345
+
+        def draw(n: int) -> int:
+            nonlocal state
+            state = (state * 1103515245 + 12345) % 2**31
+            return (state >> 8) % n
+
+        words = [f"x{a}{b}{c}" for a in "bcdfg" for b in "aeiou" for c in "klmnpr"][:120]
+        rows = []
+        for i in range(300):
+            label = (0, 0, 1, 2)[i % 4]
+            doc = [words[40 * label + draw(40)] if draw(2) else words[draw(120)]
+                   for _ in range(4 + draw(8))]
+            rows.append(f"{label},{' '.join(doc)}")
+        return rows
+
+    @staticmethod
+    def prepare(tmp_path, rows: list[str], grid: dict):
+        """Prepare rows as a CSV with --seed 7; returns the run command and the grid's path."""
+        csv_path = tmp_path / "corpus.csv"
         csv_path.write_text("label,text\n" + "\n".join(rows) + "\n", "utf-8")
         grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps(self.GRID), "utf-8")
+        grid_path.write_text(json.dumps(grid), "utf-8")
         out = tmp_path / "run"
 
         def run(*argv):
             assert main([*argv, "--seed", "7", "--out", str(out)]) == EXIT_OK
 
         run("prepare", "--input", str(csv_path))
+        return run, grid_path
+
+    def digests(self, out) -> dict[str, str]:
+        return {p.name: self.digest(p) for p in sorted(out.iterdir())}
+
+    def run_all(self, signature_corpus, tmp_path):
+        run, grid_path = self.prepare(tmp_path, self.signature_rows(signature_corpus), self.GRID)
+        out = tmp_path / "run"
         run("train", "--ngram", "1,2")
         run("eval", "--ngram", "1,2")
         run("crossval", "--smote", "--k", "3")
@@ -569,9 +634,23 @@ class TestGoldenArtifacts:
         run("compare", "--tuned-from", str(out / "grid_results.json"), "--k", "3")
         tuned_compare = self.digest(out / "compare.json"), self.digest(out / "compare.txt")
         run("compare", "--ngram", "1,2", "--alpha", "0.001", "--k", "3")
-        digests = {p.name: self.digest(p) for p in sorted(out.iterdir())}
+        digests = self.digests(out)
         digests["compare.json@tuned-from"], digests["compare.txt@tuned-from"] = tuned_compare
         return out, digests
+
+    def test_l1_logreg_artifacts_match_their_pinned_digests(self, tmp_path, capsys):
+        run, grid_path = self.prepare(tmp_path, self.noisy_rows(), self.L1_GRID)
+        run("train", *self.L1_LOGREG_FLAGS)
+        run("eval", *self.L1_LOGREG_FLAGS)
+        run("crossval", *self.L1_LOGREG_FLAGS, "--k", "3")
+        run("gridsearch", "--loss", "logreg", "--grid", str(grid_path))
+        out = tmp_path / "run"
+        digests = self.digests(out)
+        digests["model.json@raw"] = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+        assert digests == self.L1_LOGREG_DIGESTS
+        weights = read_json(out / "model.json")["weights"]
+        assert 0 < sum(map(len, weights)) < 3 * 1393  # L1 zeroed some of the 1393 columns
+        assert "accuracy on test: 0.80000" in capsys.readouterr().out
 
     def test_every_artifact_matches_its_pinned_digest(self, signature_corpus, tmp_path, capsys):
         out, digests = self.run_all(signature_corpus, tmp_path)
@@ -651,6 +730,22 @@ class TestMalformedInputFiles:
         assert message in capsys.readouterr().err
         assert not (prepared / "grid_results.json").exists()
         assert scored == []
+
+    def test_gridsearch_grid_message_names_the_file(self, prepared, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text('{"alphas": 5}', "utf-8")
+        assert main(["gridsearch", "--grid", str(path), "--out", str(prepared)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: malformed grid spec: axis 'alphas' must be a JSON array\n"
+
+    def test_compare_tuned_from_message_names_the_file(self, prepared, tmp_path, capsys):
+        path = tmp_path / "results.json"
+        path.write_text('{"candidates": [{"rank": 1}]}', "utf-8")
+        code = main(["compare", "--tuned-from", str(path), "--k", "2", "--out", str(prepared)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: malformed grid results candidate: KeyError('params')\n"
+        assert not (prepared / "compare.json").exists()
 
     def test_compare_tuned_from_a_failed_winner(self, prepared, tmp_path, capsys):
         path = tmp_path / "results.json"
@@ -898,6 +993,11 @@ class TestUsageErrors:
         assert "argument --alpha: expected a positive finite number" in capsys.readouterr().err
         assert not (prepared / "model.json").exists()
 
+    def test_zero_epochs(self, prepared, capsys):
+        assert self.exit_code(["train", "--epochs", "0", "--out", str(prepared)]) == 2
+        assert "argument --epochs: expected a positive integer, got '0'" in capsys.readouterr().err
+        assert not (prepared / "model.json").exists()
+
     @pytest.mark.parametrize("command", ["crossval", "compare"])
     def test_one_fold(self, prepared, capsys, command):
         assert self.exit_code([command, "--k", "1", "--out", str(prepared)]) == 2
@@ -930,6 +1030,32 @@ class TestExitCodes:
         csv_path.write_text("label,text\nbomb,words\n", "utf-8")
         assert run_prepare(csv_path, tmp_path / "run") == EXIT_DATA
         assert f"{csv_path}: line 2: label 'bomb' is not an integer" in capsys.readouterr().err
+
+    def test_train_that_diverges_writes_no_model(self, labeled_csv, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+
+        def diverge(X, values, Y, configs, feature_dim):
+            shape = (len(configs), Y.shape[1])
+            return np.full((*shape, feature_dim), np.inf), np.zeros(shape)
+
+        monkeypatch.setattr(sgd, "_fit_rows", diverge)
+        capsys.readouterr()
+        assert main(["train", "--out", str(out)]) == EXIT_NUMERIC
+        assert "training diverged to non-finite weights" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_eval_on_an_empty_test_side(self, tmp_path, capsys):
+        csv_path = tmp_path / "two.csv"
+        csv_path.write_text('label,text\n0,"car bomb"\n1,"armed assault"\n', "utf-8")
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="single member"):
+            assert run_prepare(csv_path, out) == EXIT_OK
+        assert "-> 2 train / 0 test" in capsys.readouterr().out
+        assert main(["train", "--out", str(out)]) == EXIT_OK
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        assert "the test side of the split is empty" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
 
     def test_corrupt_model_file(self, labeled_csv, tmp_path, capsys):
         out = tmp_path / "run"

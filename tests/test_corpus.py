@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgdtext import corpus
 from sgdtext.corpus import (
@@ -18,6 +21,9 @@ from sgdtext.corpus import (
     load_stop_words,
     split,
 )
+from sgdtext.evaluation import stratified_kfold
+
+from oracles import kfold_by_loops, split_by_loops
 
 
 class TestCleanText:
@@ -118,7 +124,7 @@ class TestLoadCorpus:
 class TestSplit:
     def test_partition_is_disjoint_and_complete(self):
         labels = [i % 4 for i in range(100)]
-        plan = split(100, 0.7, 5, labels)
+        plan = split(labels, 0.7, 5)
         combined = sorted(plan.train_indices + plan.test_indices)
         assert combined == list(range(100))
         assert not set(plan.train_indices) & set(plan.test_indices)
@@ -130,7 +136,7 @@ class TestSplit:
             n = int(rng.integers(10, 400))
             labels = [int(c) for c in rng.integers(0, 5, size=n)]
             fraction = float(rng.uniform(0.2, 0.9))
-            plan = split(n, fraction, trial, labels)
+            plan = split(labels, fraction, trial)
             assert len(plan.train_indices) == round(fraction * n)
 
     def test_per_class_counts_stay_proportional(self):
@@ -138,7 +144,7 @@ class TestSplit:
         for trial in range(20):
             n = int(rng.integers(40, 500))
             labels = [int(c) for c in rng.integers(0, 4, size=n)]
-            plan = split(n, 0.7, trial, labels)
+            plan = split(labels, 0.7, trial)
             train_counts = Counter(labels[i] for i in plan.train_indices)
             for cls, count in Counter(labels).items():
                 if count == 1:
@@ -153,7 +159,7 @@ class TestSplit:
             labels.extend([cls] * count)
         n = len(labels)
         assert n == 102669
-        plan = split(n, 0.7, 0, labels)
+        plan = split(labels, 0.7, 0)
         assert len(plan.train_indices) == 71868
         assert len(plan.test_indices) == 30801
         train_counts = Counter(labels[i] for i in plan.train_indices)
@@ -163,42 +169,80 @@ class TestSplit:
     def test_single_member_class_goes_to_train_with_warning(self):
         labels = [0] * 9 + [1]
         with pytest.warns(UserWarning, match="single member"):
-            plan = split(10, 0.5, 3, labels)
+            plan = split(labels, 0.5, 3)
         assert labels.index(1) in [i for i in plan.train_indices]
 
     def test_deterministic_for_seed(self):
         labels = [i % 3 for i in range(60)]
-        first = split(60, 0.6, 17, labels)
-        second = split(60, 0.6, 17, labels)
+        first = split(labels, 0.6, 17)
+        second = split(labels, 0.6, 17)
         assert first.train_indices == second.train_indices
         assert first.test_indices == second.test_indices
 
     def test_different_seeds_differ(self):
         labels = [i % 3 for i in range(60)]
-        memberships = {tuple(split(60, 0.6, seed, labels).train_indices) for seed in range(6)}
+        memberships = {tuple(split(labels, 0.6, seed).train_indices) for seed in range(6)}
         assert len(memberships) > 1
 
     def test_indices_sorted(self):
         labels = [i % 5 for i in range(50)]
-        plan = split(50, 0.7, 2, labels)
+        plan = split(labels, 0.7, 2)
         assert plan.train_indices == sorted(plan.train_indices)
         assert plan.test_indices == sorted(plan.test_indices)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="train_fraction"):
-            split(10, 1.0, 0, [0] * 10)
+            split([0] * 10, 1.0, 0)
         with pytest.raises(ValueError, match="at least 2"):
-            split(1, 0.5, 0, [0])
-        with pytest.raises(ValueError, match="labels length"):
-            split(10, 0.5, 0, [0] * 9)
+            split([0], 0.5, 0)
 
     def test_fraction_extremes_keep_both_sides_for_majority(self):
         labels = [0] * 50 + [1] * 50
-        plan = split(100, 0.9, 1, labels)
+        plan = split(labels, 0.9, 1)
         train_counts = Counter(labels[i] for i in plan.train_indices)
         test_counts = Counter(labels[i] for i in plan.test_indices)
         assert train_counts[0] == 45 and train_counts[1] == 45
         assert test_counts[0] == 5 and test_counts[1] == 5
+
+
+@st.composite
+def class_labels(draw):
+    """Labels of 1-6 classes with gapped ids, 1-12 members each, in a shuffled order."""
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=len(ids), max_size=len(ids)))
+    labels = [cls for cls, size in zip(ids, sizes) for _ in range(size)]
+    return draw(st.permutations(labels))
+
+
+def with_warnings(fn, *args):
+    """fn(*args) and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+class TestStratifyOracle:
+    """split and stratified_kfold share corpus.by_class and deal by slicing, as the loops did."""
+
+    def test_by_class(self):
+        assert corpus.by_class([7, 2, 7, np.int64(0), 2]) == {0: [3], 2: [1, 4], 7: [0, 2]}
+        assert list(corpus.by_class([9, 3, 5, 3])) == [3, 5, 9]
+        assert corpus.by_class([]) == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=class_labels(), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32))
+    def test_split_equals_the_loops(self, labels, fraction, seed):
+        assume(len(labels) >= 2)
+        expected = with_warnings(split_by_loops, len(labels), fraction, seed, labels)
+        assert with_warnings(split, labels, fraction, seed) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=class_labels(), k=st.integers(2, 12), seed=st.integers(0, 2**32))
+    def test_kfold_equals_the_loops(self, labels, k, seed):
+        assume(k <= len(labels))
+        expected = with_warnings(kfold_by_loops, labels, k, seed)
+        assert with_warnings(stratified_kfold, labels, k, seed) == expected
 
 
 class TestSchemas:

@@ -98,6 +98,19 @@ class TestFitPipeline:
         with pytest.raises(ValueError, match="equal length"):
             fit_pipeline(count([["a"]], NgramRange(1, 1)), [1, 2], PipelineConfig())
 
+    def test_a_failed_fit_is_raised(self, signature_corpus):
+        documents, _ = signature_corpus(n_classes=2, per_class=4)
+        with pytest.raises(ValueError, match="at least 2 distinct classes"):
+            fit_pipeline(count(documents, NgramRange(1, 1)), [1] * len(documents), PipelineConfig())
+
+    def test_a_failed_stacked_pass_is_every_member_result(self, signature_corpus):
+        documents, _ = signature_corpus(n_classes=2, per_class=4)
+        configs = [PipelineConfig(alpha=1e-3), PipelineConfig(alpha=1e-4)]
+        assert sgd.pass_key(configs[0]) == sgd.pass_key(configs[1])
+        first, second = fit_group(count(documents, NgramRange(1, 1)), [1] * len(documents), configs)
+        assert isinstance(first, ValueError) and second is first
+        assert "at least 2 distinct classes" in str(first)
+
 
 class TestModelWidth:
     @pytest.mark.filterwarnings("ignore:class .* has a single member")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -92,6 +93,13 @@ class TestGridSpecIO:
         path.write_text(json.dumps({"ngram_ranges": [[2, 2]]}), "utf-8")
         spec = load_grid_spec(path)
         assert spec.ngram_ranges == [NgramRange(2, 2)]
+
+    def test_load_from_file_names_the_file_in_a_shape_error(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"norms": "l2"}), "utf-8")
+        message = f"{path}: malformed grid spec: axis 'norms' must be a JSON array"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_grid_spec(path)
 
     def test_load_from_file_with_a_byte_order_mark(self, tmp_path):
         path = tmp_path / "grid.json"
@@ -257,6 +265,17 @@ class TestGridSearch:
         candidates = grid_search(documents, labels, PipelineConfig(seed=5), spec)
         assert candidates[0].mean == candidates[1].mean
         assert candidates[0].std == candidates[1].std
+
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short-labels", "long-labels"])
+    def test_length_mismatch(self, signature_corpus, monkeypatch, extra):
+        scored = []
+        monkeypatch.setattr(search, "cross_validate", lambda *args, **kwargs: scored.append(args))
+        documents, labels = signature_corpus(n_classes=3, per_class=8)
+        labels = labels[:extra] if extra < 0 else labels + labels[:extra]
+        with pytest.raises(ValueError, match="documents and labels must have equal length"):
+            grid_search(documents, labels, PipelineConfig(seed=5), tiny_spec())
+        assert scored == []
 
 
 class TestRenderGridTable:
