@@ -11,7 +11,7 @@ import numpy as np
 
 from . import features, sgd
 from .corpus import by_class
-from .pipeline import PipelineConfig, fit_group, predict_pipeline
+from .pipeline import PipelineConfig, fit_group, vector_key
 from .seeds import substream
 
 # The averaged metrics, in the order of ClassReport's average tuples.
@@ -180,8 +180,9 @@ def cross_validate(
     resampler) on its k-1 training folds only, so the held-out fold never
     leaks into the vocabulary. Each fold fits the configs that share an
     n-gram range and an sgd.pass_key as one group (pipeline.fit_group,
-    one stacked SGD pass), predicts with each, and frees the group before
-    the next. Returns one CvReport per config, in order; a config whose fold
+    one stacked SGD pass), transforms its held-out rows once per vector_key,
+    predicts once per model, and frees the group before the next. Returns
+    one CvReport per config, in order; a config whose fold
     fails gets that fold's CrossValidationError, with the failure as its
     __cause__, sits out the remaining folds, and the other configs carry on.
     std is the population value. A config's fold_seconds entry is an equal
@@ -202,8 +203,7 @@ def cross_validate(
     failed: dict[int, CrossValidationError] = {}
     groups: dict[tuple, list[int]] = {}
     for c, config in enumerate(configs):
-        key = (config.ngram_range, *sgd.pass_key(config))
-        groups.setdefault(key, []).append(c)
+        groups.setdefault((config.ngram_range, *sgd.pass_key(config)), []).append(c)
     for fold_index, held_out in enumerate(plan.folds):
         train_indices = sorted(all_indices.difference(held_out))
         train_labels = [labels[i] for i in train_indices]
@@ -218,12 +218,16 @@ def cross_validate(
             fitted = fit_group(
                 train_counts, train_labels, [replace(configs[c], seed=fold_seed) for c in live]
             )
-            scored = []
+            scored, vectors, predicted = [], {}, {}
             for c, result in zip(live, fitted):
                 try:
                     if isinstance(result, Exception):
                         raise result
-                    predictions = predict_pipeline(result, held_out_counts)
+                    if (key := vector_key(configs[c])) not in vectors:
+                        vectors[key] = features.transform(result.tfidf, held_out_counts)
+                    if result.model not in predicted:  # twins share one model object
+                        predicted[result.model] = sgd.predict(result.model, vectors[key])
+                    predictions = predicted[result.model]
                 except Exception as exc:  # becomes this config's result; the others carry on
                     failed[c] = CrossValidationError(fold_index, str(exc))
                     failed[c].__cause__ = exc
@@ -231,7 +235,7 @@ def cross_validate(
                 correct = sum(1 for i, pred in zip(held_out, predictions) if pred == labels[i])
                 accuracies[c].append(correct / len(held_out))
                 scored.append(c)
-            del fitted, result  # free this group's models before the next group is fitted
+            del fitted, result, vectors, predicted  # freed before the next group is fitted
             share = (time.perf_counter() - started) / len(live)
             for c in scored:
                 fold_seconds[c].append(share)

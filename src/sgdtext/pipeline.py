@@ -57,12 +57,10 @@ class PipelineConfig:
             if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
                 kinds = " or ".join(t.__name__ for t in types)
                 raise ValueError(f"{name} must be {kinds}, got {value!r}")
-        if self.loss not in sgd.LOSSES:
-            raise ValueError(f"loss must be one of {sgd.LOSSES}, got {self.loss!r}")
-        if self.norm not in features.NORMS:
-            raise ValueError(f"norm must be one of {features.NORMS}, got {self.norm!r}")
-        if self.penalty not in sgd.PENALTIES:
-            raise ValueError(f"penalty must be one of {sgd.PENALTIES}, got {self.penalty!r}")
+        choices = {"loss": sgd.LOSSES, "norm": features.NORMS, "penalty": sgd.PENALTIES}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.epochs < 1:
@@ -95,6 +93,16 @@ def fit_pipeline(
     return fitted
 
 
+def twin_key(config: PipelineConfig) -> PipelineConfig:
+    """config as it computes: without IDF, smooth_idf changes nothing, so it reads False."""
+    return replace(config, smooth_idf=False) if config.smooth_idf and not config.use_idf else config
+
+
+def vector_key(config: PipelineConfig) -> tuple[str, bool, bool]:
+    """The settings transform reads: fits on one counts object with equal keys give equal rows."""
+    return config.norm, config.use_idf, twin_key(config).smooth_idf
+
+
 def fit_group(
     counts: NgramCounts,
     labels: Sequence[int],
@@ -102,49 +110,57 @@ def fit_group(
 ) -> list[FittedPipeline | Exception]:
     """fit_pipeline for each config on the same counts, training the classifiers together.
 
-    The configs must share one sgd.pass_key. Each config fits
-    and applies its own vectorizer. Every fit on one counts object keeps the
-    same grams, and each value idf * tf >= 1 stays nonzero when divided by a
-    finite row norm, so all the configs' vectors have one pattern (indptr
-    and indices), in which every gram occurs: each model, as wide as its
-    rows, has one weight column per gram. The configs without SMOTE train
-    in one sgd.fit_stacked pass on that pattern, which keeps only their
-    values. A SMOTE config, or the one config without SMOTE, trains alone
-    through sgd.fit_multiclass. Each result is a FittedPipeline, or the
-    exception its fit raised.
+    The configs must share one sgd.pass_key. Each config fits its own
+    vectorizer; the counts are transformed once per vector_key, and twins
+    (equal twin_key) share one model or exception. Every fit on one counts
+    object keeps the same grams, and each value idf * tf >= 1 stays nonzero
+    when divided by a finite row norm, so all the vectors have one pattern
+    (indptr and indices), in which every gram occurs: each model, as wide as
+    its rows, has one weight column per gram. The distinct configs without
+    SMOTE train in one sgd.fit_stacked pass on that pattern. A SMOTE config,
+    or the one config without SMOTE, trains alone through sgd.fit_multiclass.
+    Each result is a FittedPipeline, or the exception its fit raised.
     """
     if len(counts) != len(labels):
         raise ValueError("documents and labels must have equal length")
     train_labels = [int(lab) for lab in labels]
-    shuffles = [replace(config, seed=substream(config.seed, "shuffle")) for config in configs]
     alone = sum(not config.smote for config in configs) == 1
-    results: list[FittedPipeline | Exception | None] = [None] * len(configs)
-    stacked: list[tuple[int, TfidfModel]] = []
-    for c, config in enumerate(configs):
+    results: list[FittedPipeline | TfidfModel | Exception] = []
+    # Rows per vector key; per twin key, its model or exception, or its stacked (shuffle, rows).
+    vectors, trained, stacked = {}, {}, {}
+    for config in configs:
         try:
-            tfidf = features.fit(counts, config)
-            X, y = features.transform(tfidf, counts), train_labels
+            results.append(tfidf := features.fit(counts, config))
+        except Exception as exc:  # becomes this config's result; the others carry on
+            results.append(exc)
+            continue
+        twin, shuffle = twin_key(config), replace(config, seed=substream(config.seed, "shuffle"))
+        if twin in trained or twin in stacked:
+            continue
+        try:
+            if (key := vector_key(config)) not in vectors:
+                vectors[key] = features.transform(tfidf, counts)
+            X, y = vectors[key], train_labels
             if config.smote:
                 resampled = smote(X, y, replace(config, seed=substream(config.seed, "smote")))
                 X, y = resampled.vectors, resampled.labels
             if config.smote or alone:
-                results[c] = FittedPipeline(tfidf, sgd.fit_multiclass(X, y, shuffles[c]))
-                continue
-        except Exception as exc:  # becomes this config's result; the others carry on
-            results[c] = exc
-            continue
-        if not stacked:  # the shared pattern, and room for the values of every config left
-            pattern, values = X, np.empty((len(configs) - c, X.nnz))
-        values[len(stacked)] = X.values
-        stacked.append((c, tfidf))
+                trained[twin] = sgd.fit_multiclass(X, y, shuffle)
+            else:
+                stacked[twin] = shuffle, X
+        except Exception as exc:
+            trained[twin] = exc
     if stacked:
-        try:
-            models = sgd.fit_stacked(
-                pattern, values[: len(stacked)], train_labels, [shuffles[c] for c, _ in stacked]
-            )
+        shuffles, rows = zip(*stacked.values())
+        values = np.stack([X.values for X in rows])  # one row per distinct config
+        try:  # on the pattern all the rows share
+            models = sgd.fit_stacked(rows[0], values, train_labels, shuffles)
         except Exception as exc:  # a lone pass would raise it for every member
             models = [exc] * len(stacked)
-        for (c, tfidf), model in zip(stacked, models):
+        trained.update(zip(stacked, models))
+    for c, (config, tfidf) in enumerate(zip(configs, results)):
+        if isinstance(tfidf, TfidfModel):
+            model = trained[twin_key(config)]
             results[c] = model if isinstance(model, Exception) else FittedPipeline(tfidf, model)
     return results
 

@@ -58,3 +58,25 @@ def labeled_csv(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("\n".join(rows) + "\n", "utf-8")
     return path
+
+
+@pytest.fixture
+def read_only_vectors(monkeypatch):
+    """Make every batch features.transform returns read-only, and count the calls.
+
+    A pipeline that shares one batch among several configs then raises if
+    any of them writes to it.
+    """
+    from sgdtext import features
+
+    transform, calls = features.transform, []
+
+    def frozen(model, counts):
+        batch = transform(model, counts)
+        for array in (batch.indptr, batch.indices, batch.values):
+            array.flags.writeable = False
+        calls.append(model)
+        return batch
+
+    monkeypatch.setattr(features, "transform", frozen)
+    return calls

@@ -23,7 +23,7 @@ from sgdtext.evaluation import (
     stratified_kfold,
 )
 from sgdtext.features import EmptyCorpusError, NgramRange
-from sgdtext.pipeline import PipelineConfig
+from sgdtext.pipeline import PipelineConfig, twin_key
 from sgdtext.search import GridSpec, enumerate_grid
 from sgdtext.seeds import substream
 
@@ -227,6 +227,21 @@ SCORED_CONFIGS = [
 ]
 
 
+# Pairs that share one vector key. The first two are twins (one twin_key),
+# the last is not: SMOTE keeps its model apart.
+TWIN_PAIRS = {
+    "without-idf": [
+        PipelineConfig(use_idf=False, seed=5),
+        PipelineConfig(use_idf=False, smooth_idf=False, seed=5),
+    ],
+    "smote-without-idf": [
+        PipelineConfig(use_idf=False, smote=True, smote_k=2, seed=5),
+        PipelineConfig(use_idf=False, smooth_idf=False, smote=True, smote_k=2, seed=5),
+    ],
+    "smote-and-not": [PipelineConfig(smote=True, smote_k=2, seed=5), PipelineConfig(seed=5)],
+}
+
+
 class TestCrossValidate:
     def test_separable_corpus_scores_perfectly(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=9)
@@ -272,13 +287,15 @@ class TestCrossValidate:
         assert len(taken) == 2 * 2 * 2  # folds x n-gram ranges x (train, held out)
 
     def test_the_default_grid_trains_one_stacked_pass_per_fold_and_group(
-        self, signature_corpus, monkeypatch
+        self, signature_corpus, monkeypatch, read_only_vectors
     ):
         # Groups share n-gram range, loss, penalty and epochs: 2 ranges x 2 penalties.
+        # A group's 24 members hold 6 vector keys (norm x use_idf x effective
+        # smooth_idf) and 18 twin keys (those x 3 alphas).
         documents, labels = signature_corpus(n_classes=2, per_class=6)
         configs = enumerate_grid(GridSpec(), PipelineConfig(epochs=1, seed=5))
-        passes, fits = [], []
-        fit_rows, fit = sgd._fit_rows, features.fit
+        passes, fits, decisions = [], [], []
+        fit_rows, fit, decision = sgd._fit_rows, features.fit, sgd.decision
         monkeypatch.setattr(
             sgd, "_fit_rows",
             lambda X, values, *rest: passes.append(len(values)) or fit_rows(X, values, *rest),
@@ -286,10 +303,16 @@ class TestCrossValidate:
         monkeypatch.setattr(
             features, "fit", lambda counts, config: fits.append(config) or fit(counts, config)
         )
+        monkeypatch.setattr(
+            sgd, "decision", lambda *args: decisions.append(args) or decision(*args)
+        )
         reports = cross_validate(documents, labels, configs, k=3)
         assert len(configs) == 96 and all(r.mean == 1.0 for r in reports)
-        assert passes == [24] * 12
+        assert passes == [18] * 12
         assert len(fits) == 288
+        # Per fold and group: 6 training and 6 held-out transforms, 18 predictions.
+        assert len(read_only_vectors) == 144
+        assert len(decisions) == 216
 
     def test_configs_score_as_they_would_alone(self):
         documents, labels = noisy_corpus()
@@ -299,6 +322,22 @@ class TestCrossValidate:
         for joint, lone in zip(together, alone):
             assert joint.fold_accuracies == lone.fold_accuracies
             assert (joint.mean, joint.std) == (lone.mean, lone.std)
+
+    @pytest.mark.parametrize("pair", TWIN_PAIRS.values(), ids=list(TWIN_PAIRS))
+    def test_twins_score_as_they_would_alone(self, pair, read_only_vectors):
+        documents, labels = noisy_corpus()
+        labels = [1] * 12 + labels[12:]  # skew: 28/16/16, so SMOTE adds rows
+        together = cross_validate(documents, labels, pair, k=4)
+        shared = len(read_only_vectors)
+        alone = [cross_validate(documents, labels, [c], k=4)[0] for c in pair]
+        for joint, lone in zip(together, alone):
+            assert joint.fold_accuracies == lone.fold_accuracies
+            assert (joint.mean, joint.std) == (lone.mean, lone.std)
+        # Twins score alike; SMOTE's pair scores apart, so it shares no model.
+        twins = twin_key(pair[0]) == twin_key(pair[1])
+        assert (alone[0].fold_accuracies == alone[1].fold_accuracies) == twins
+        # One vector key: per fold, one training and one held-out transform.
+        assert shared == 4 * 2 and len(read_only_vectors) == shared + 2 * shared
 
     def test_a_failed_config_leaves_the_others_as_they_would_be_alone(self):
         documents, labels = noisy_corpus()

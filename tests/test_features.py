@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 import re
@@ -27,7 +29,7 @@ from sgdtext.features import (
     tfidf_from_dict,
     transform,
 )
-from sgdtext.pipeline import PipelineConfig
+from sgdtext.pipeline import PipelineConfig, vector_key
 
 from oracles import (
     count_strings, extract_ngrams, fit_tokens, normalize, tfidf_to_dict, transform_documents,
@@ -453,6 +455,75 @@ class TestOnePattern:
             assert X.nnz == counts.rows.nnz
             patterns.add((X.indptr.tobytes(), X.indices.tobytes()))
         assert len(patterns) == 1
+
+
+# Every (norm, use_idf, smooth_idf) setting of a vectorizer.
+WEIGHTINGS = list(itertools.product(NORMS, (True, False), (True, False)))
+
+
+class TestVectorKey:
+    """pipeline.fit_group and cross_validate transform once per vector_key and share the rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        docs=st.lists(st.lists(TOKENS, max_size=20), min_size=1, max_size=8),
+        other_docs=st.lists(st.lists(TOKENS, max_size=20), max_size=6),
+        ngram_range=st.sampled_from(NGRAMS),
+        data=st.data(),
+    )
+    def test_fits_with_equal_keys_transform_bitwise_equal(
+        self, docs, other_docs, ngram_range, data
+    ):
+        counted = count(docs, ngram_range)
+        # A fold's sides: row subsets of one count, which share its gram list.
+        train, held_out = (
+            counted.take(data.draw(st.lists(st.integers(0, len(docs) - 1), max_size=10)))
+            for _ in range(2)
+        )
+        assume(train.rows.nnz)
+        others = (train, held_out, count(other_docs, ngram_range))
+        by_key: dict[tuple, list[tuple]] = {}
+        for norm, use_idf, smooth_idf in WEIGHTINGS:
+            config = PipelineConfig(
+                ngram_range=ngram_range, norm=norm, use_idf=use_idf, smooth_idf=smooth_idf
+            )
+            model = fit(train, config)
+            by_key.setdefault(vector_key(config), []).append(
+                [batch_bytes(transform(model, counts)) for counts in others]
+            )
+        # Without IDF the two smooth_idf settings meet: 12 settings, 9 keys.
+        assert len(by_key) == 9
+        for outputs in by_key.values():
+            assert all(output == outputs[0] for output in outputs)
+
+    @pytest.mark.parametrize("norm, use_idf, smooth_idf", WEIGHTINGS)
+    def test_transform_reads_no_field_outside_the_key_and_the_shared_arrays(
+        self, norm, use_idf, smooth_idf
+    ):
+        """A setting added to TfidfModel and read by transform must join vector_key too."""
+        read: set[str] = set()
+
+        class Recording(TfidfModel):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        counted = count([["a", "b", "a"], ["b", "c"], ["c", "d", "d"]], NgramRange(1, 2))
+        train = counted.take([0, 1])
+        config = PipelineConfig(
+            ngram_range=NgramRange(1, 2), norm=norm, use_idf=use_idf, smooth_idf=smooth_idf
+        )
+        fitted = fit(train, config)
+        model = Recording(**{f.name: getattr(fitted, f.name) for f in dataclasses.fields(fitted)})
+        for counts in (train, counted, count([["a", "e"]], NgramRange(1, 2))):
+            assert batch_bytes(transform(model, counts)) == batch_bytes(transform(fitted, counts))
+        assert np.array_equal(model.idf_array, fitted.idf_array)
+        key = {"norm", "use_idf", "smooth_idf"}
+        # What every fit on one counts object shares: its range, grams and frequencies.
+        shared = {"ngram_range", "grams", "doc_freq", "n_docs", "fitted_on"}
+        fields = {f.name for f in dataclasses.fields(TfidfModel)}
+        assert read & fields <= key | shared
+        assert {"norm", "use_idf", "grams"} <= read
 
 
 class TestBatchTransformProperty:

@@ -112,6 +112,63 @@ class TestFitPipeline:
         assert "at least 2 distinct classes" in str(first)
 
 
+class TestTwins:
+    """Configs equal but for smooth_idf without IDF (equal twin_key) train one model."""
+
+    def test_twins_share_one_model_and_keep_their_own_vectorizer(
+        self, signature_corpus, read_only_vectors
+    ):
+        documents, labels = signature_corpus(n_classes=3, per_class=6)
+        labels = [1] * 8 + labels[8:]  # skew: 8/4/6, so SMOTE adds rows
+        counts = count(documents, NgramRange(1, 1))
+        base = PipelineConfig(use_idf=False, epochs=2, seed=3)
+        smoted = replace(base, smote=True, smote_k=2)
+        configs = [
+            base,
+            replace(base, smooth_idf=False),  # base's twin
+            replace(base, alpha=1e-3),
+            smoted,
+            replace(smoted, smooth_idf=False),  # smoted's twin
+            replace(smoted, smote_k=3),
+            replace(base, use_idf=True),
+        ]
+        fitted = fit_group(counts, labels, configs)
+        models = [result.model for result in fitted]
+        assert models[0] is models[1] and models[3] is models[4]
+        assert len({id(model) for model in models}) == 5
+        # One transform per vector key: without IDF, and with smoothed IDF.
+        assert len(read_only_vectors) == 2
+        assert [r.tfidf.smooth_idf for r in fitted] == [c.smooth_idf for c in configs]
+        # SMOTE's rows change the model: its twin key keeps it apart from base's.
+        assert not np.array_equal(models[0].weights, models[3].weights)
+        for result, config in zip(fitted, configs):
+            [lone] = fit_group(counts, labels, [config])
+            assert tfidf_to_dict(result.tfidf) == tfidf_to_dict(lone.tfidf)
+            assert np.array_equal(result.model.weights, lone.model.weights)
+            assert np.array_equal(result.model.intercepts, lone.model.intercepts)
+
+    def test_the_stacked_pass_trains_one_row_per_twin_key(self, signature_corpus, monkeypatch):
+        documents, labels = signature_corpus(n_classes=3, per_class=4)
+        base = PipelineConfig(use_idf=False, seed=3)
+        configs = [base, replace(base, smooth_idf=False), replace(base, alpha=1e-3), base]
+        passes = []
+        fit_rows = sgd._fit_rows
+        monkeypatch.setattr(
+            sgd, "_fit_rows",
+            lambda X, values, *rest: passes.append(len(values)) or fit_rows(X, values, *rest),
+        )
+        fitted = fit_group(count(documents, NgramRange(1, 1)), labels, configs)
+        assert passes == [2]
+        assert fitted[0].model is fitted[1].model is fitted[3].model
+        assert fitted[2].model is not fitted[0].model
+
+    def test_twins_share_a_failure(self, signature_corpus):
+        documents, _ = signature_corpus(n_classes=2, per_class=4)
+        configs = [PipelineConfig(use_idf=False, smote=True, smooth_idf=s) for s in (True, False)]
+        first, second = fit_group(count(documents, NgramRange(1, 1)), [1] * len(documents), configs)
+        assert isinstance(first, ValueError) and second is first
+
+
 class TestModelWidth:
     @pytest.mark.filterwarnings("ignore:class .* has a single member")
     @settings(max_examples=60, deadline=None)
