@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -216,7 +216,7 @@ def cross_validate(
             started = time.perf_counter()
             train_counts, held_out_counts = sides[configs[live[0]].ngram_range]
             fitted = fit_group(
-                train_counts, train_labels, [replace(configs[c], seed=fold_seed) for c in live]
+                train_counts, train_labels, [configs[c].reseed(fold_seed) for c in live]
             )
             scored, vectors, predicted = [], {}, {}
             for c, result in zip(live, fitted):

@@ -11,7 +11,7 @@ base config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,11 +52,8 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         # A wrongly typed or out-of-range value fails here, not in the middle of a fit.
-        for name, types in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-                kinds = " or ".join(t.__name__ for t in types)
-                raise ValueError(f"{name} must be {kinds}, got {value!r}")
+        for name in _FIELD_TYPES:
+            _check_type(name, getattr(self, name))
         choices = {"loss": sgd.LOSSES, "norm": features.NORMS, "penalty": sgd.PENALTIES}
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:
@@ -67,6 +64,28 @@ class PipelineConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.smote_k < 1:
             raise ValueError(f"smote_k must be >= 1, got {self.smote_k}")
+
+    def reseed(self, seed: int) -> PipelineConfig:
+        """This config with another seed, checking only the seed: the other fields passed.
+
+        dataclasses.replace would run every check again, once per fold and fit.
+        """
+        _check_type("seed", seed)
+        return _unchecked_replace(self, seed=seed)
+
+
+def _check_type(name: str, value: object) -> None:
+    types = _FIELD_TYPES[name]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        kinds = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{name} must be {kinds}, got {value!r}")
+
+
+def _unchecked_replace(config: PipelineConfig, **changes) -> PipelineConfig:
+    """dataclasses.replace without __post_init__, for changes that pass its checks."""
+    copy = object.__new__(type(config))
+    copy.__dict__.update(config.__dict__, **changes)
+    return copy
 
 
 @dataclass
@@ -95,7 +114,9 @@ def fit_pipeline(
 
 def twin_key(config: PipelineConfig) -> PipelineConfig:
     """config as it computes: without IDF, smooth_idf changes nothing, so it reads False."""
-    return replace(config, smooth_idf=False) if config.smooth_idf and not config.use_idf else config
+    if config.smooth_idf and not config.use_idf:
+        return _unchecked_replace(config, smooth_idf=False)
+    return config
 
 
 def vector_key(config: PipelineConfig) -> tuple[str, bool, bool]:
@@ -134,7 +155,7 @@ def fit_group(
         except Exception as exc:  # becomes this config's result; the others carry on
             results.append(exc)
             continue
-        twin, shuffle = twin_key(config), replace(config, seed=substream(config.seed, "shuffle"))
+        twin, shuffle = twin_key(config), config.reseed(substream(config.seed, "shuffle"))
         if twin in trained or twin in stacked:
             continue
         try:
@@ -142,7 +163,7 @@ def fit_group(
                 vectors[key] = features.transform(tfidf, counts)
             X, y = vectors[key], train_labels
             if config.smote:
-                resampled = smote(X, y, replace(config, seed=substream(config.seed, "smote")))
+                resampled = smote(X, y, config.reseed(substream(config.seed, "smote")))
                 X, y = resampled.vectors, resampled.labels
             if config.smote or alone:
                 trained[twin] = sgd.fit_multiclass(X, y, shuffle)

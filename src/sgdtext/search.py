@@ -154,7 +154,7 @@ def grid_search(
         k=spec.inner_folds,
     )
     # Candidate.params keeps base.seed; the scored copies share the inner-CV seed.
-    configs = [replace(c, seed=substream(base.seed, "inner-cv")) for c in combos]
+    configs = [c.reseed(substream(base.seed, "inner-cv")) for c in combos]
     workers = min(jobs, len(configs))
     if workers <= 1:
         reports = score_configs(configs)

@@ -18,6 +18,7 @@ dense inputs reduces exactly to per-step soft thresholding.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -165,6 +166,94 @@ def _logreg_dmargin(margins: np.ndarray) -> np.ndarray:
     return np.array(flat).reshape(margins.shape)
 
 
+# The compiled step loop: None until the first fit tries to load it, False where it cannot.
+_kernel = None
+_BUILD = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
+
+
+def _step_kernel():
+    """_numpy_steps compiled from _sgd_kernel.c, or False where it cannot be had.
+
+    Loaded on the first call. A missing compiler, a failed build, a BLAS
+    without ddot or a ddot that differs from numpy's matmul leaves the numpy
+    loop, silently: the kernel only makes the same bytes sooner.
+    """
+    global _kernel
+    if _kernel is None:
+        try:
+            _kernel = _load_kernel()
+        except Exception:  # whatever stops it, the numpy loop gives the same bytes
+            _kernel = False
+    return _kernel
+
+
+def _blas_ddot() -> int:
+    """The address of the ddot that numpy's matmul calls, found through numpy's own handle."""
+    import ctypes
+
+    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    name = next(name for name in _DDOT_SYMBOLS if hasattr(blas, name))
+    return ctypes.cast(getattr(blas, name), ctypes.c_void_p).value
+
+
+def _load_kernel():
+    """Build the kernel once per source and flags into the user's cache; bind and probe it."""
+    import ctypes
+    import hashlib
+    import subprocess
+    import tempfile
+
+    source = Path(__file__).with_name("_sgd_kernel.c")
+    name = f"kernel-{hashlib.sha256(source.read_bytes() + repr(_BUILD).encode()).hexdigest()}.so"
+
+    def built(directory: Path) -> ctypes.CDLL:
+        if not (directory / name).exists():
+            # Built under a private name, then renamed: racing builds each leave a whole file.
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+            os.close(fd)
+            try:
+                subprocess.run([*_BUILD, "-o", tmp, source, "-lm"], check=True, capture_output=True)
+                os.replace(tmp, directory / name)
+            finally:
+                Path(tmp).unlink(missing_ok=True)
+        return ctypes.CDLL(str(directory / name))
+
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "sgdtext"
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        lib = built(cache)
+    except OSError:  # the cache cannot hold a loadable kernel: build one for this process
+        with tempfile.TemporaryDirectory() as scratch:
+            lib = built(Path(scratch))
+    ddot = _blas_ddot()
+    signature = (ctypes.c_double, ctypes.c_int64, *[ctypes.c_void_p, ctypes.c_int64] * 2)
+    dot = ctypes.CFUNCTYPE(*signature)(ddot)
+    x, y = np.random.default_rng(0).standard_normal((2, 300))
+    for n in range(1, 301):  # numpy's dot adds ddot's result to 0.0, as the kernel does
+        got = 0.0 + dot(n, x.ctypes.data, 1, y[-n:].ctypes.data, 1)
+        if np.float64(got).tobytes() != np.matmul(x[None, :n], y[-n:, None]).tobytes():
+            return False
+    fit = lib.fit_rows
+    fit.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 13
+    fit.restype = None
+
+    def steps(X, values, Y, order, loss, tables, W, B, settled) -> None:
+        C, K, d = W.shape
+        # The C loop indexes without bounds checks, so what it indexes is checked here.
+        if Y.shape != (len(X), K) or values.shape != (C, X.nnz):
+            raise ValueError("Y must be n x K and values C x nnz")
+        _check_feature_range(X, d)
+        scratch = np.empty(C * K * (int(np.diff(X.indptr).max(initial=0)) + 1))
+        Y = np.ascontiguousarray(Y, dtype=np.float64)
+        tables = (*tables, None)[:4]  # L1 has three tables, L2 four
+        arrays = [order, X.indptr, X.indices, values, Y, *tables, W, B, settled, scratch]
+        pointers = [None if a is None else a.ctypes.data for a in arrays]
+        fit(ddot, LOSSES.index(loss), tables[3] is None, C, K, d, X.nnz, len(order), *pointers)
+
+    return steps
+
+
 def _fit_rows(
     X: SparseRows,
     values: np.ndarray,
@@ -178,12 +267,10 @@ def _fit_rows(
     values in X's pattern. The configs share loss, penalty, epochs and seed,
     so they share the visit order. Step size, wscale and L1 accrual depend
     only on the step count and each config's alpha, so they are tabulated
-    up front. Each margin is its own dot product over a contiguous row (a
-    scalar-output matmul runs the same ddot as a 1-D row @ vals), so every
-    row is bitwise equal to a lone fit of its config. A hinge step with no
-    class active skips the step's arithmetic: each entry would be +-0.0,
-    which moves nothing, so the skip changes no byte. Returns (C x K x d
-    weights, C x K intercepts); non-finite rows are left to the caller.
+    up front. The steps run in the compiled kernel where it loads (see
+    _step_kernel), else in _numpy_steps; both give the same bytes. Returns
+    (C x K x d weights, C x K intercepts); non-finite rows are left to the
+    caller.
     """
     config = configs[0]
     C, K = len(configs), Y.shape[1]
@@ -194,24 +281,50 @@ def _fit_rows(
         np.stack(column, axis=1)[:, :, None]
         for column in zip(*(_schedule(c, steps) for c in configs))
     ]
+    order = np.concatenate(epoch_orders(len(X), config))
+    W = np.zeros((C, K, feature_dim), dtype=np.float64)
+    B = np.zeros((C, K), dtype=np.float64)
+    # The step at which L1 last settled each weight's penalty.
+    settled = np.zeros(feature_dim, dtype=np.int64)
+    # The kernel reads values in place, which must be rows of contiguous doubles.
+    kernel = values.dtype == np.float64 and values.flags.c_contiguous and _step_kernel()
+    (kernel or _numpy_steps)(X, values, Y, order, config.loss, tables, W, B, settled)
+    for c in range(C):
+        # The third table is L1's accrual before each step, or L2's wscale after it.
+        if l1:
+            accrued = tables[2][:, c, 0]
+            W[c] = _soft_threshold(W[c], accrued[-1] - accrued.take(settled))
+        elif (wscale := tables[2][-1, c, 0]) != 1.0:
+            W[c] *= wscale
+    return W, B
+
+
+def _numpy_steps(X, values, Y, order, loss, tables, W, B, settled) -> None:
+    """_fit_rows' steps in numpy, updating W, B and (under L1) settled in place.
+
+    Each margin is its own dot product over a contiguous row (a
+    scalar-output matmul runs the same ddot as a 1-D row @ vals), so every
+    row is bitwise equal to a lone fit of its config. A hinge step with no
+    class active skips the step's arithmetic: each entry would be +-0.0,
+    which moves nothing, so the skip changes no byte.
+    """
+    C, K, _ = W.shape
+    l1 = len(tables) == 3
     if l1:
         eta, owed, accrued = tables
         owed = owed[:, :, :, None, None]
         # A weight's L1 debt is the accrual now less the accrual at the step
         # that last settled it.
         accrued_by_config = accrued[:, :, 0].T.copy()
-        settled = np.zeros(feature_dim, dtype=np.int64)
     else:
         eta, before, after, renorm = tables
         renormalizes = renorm.any(axis=(1, 2)).tolist()
         before = np.repeat(before, K, axis=2)  # C x K per step, as the margins are
-    W = np.zeros((C, K, feature_dim), dtype=np.float64)
-    blocks = W.reshape(C, K, 1, feature_dim)
-    B = np.zeros((C, K), dtype=np.float64)
+    blocks = W.reshape(C, K, 1, W.shape[2])
     raw = np.empty((C, K, 1, 1), dtype=np.float64)
     margins = raw.reshape(C, K)
     # The hinge losses' dloss/dmargin is -1 or 0, so eta * dloss * y is -eta * y or 0 * y.
-    hinge = {"svm": (np.less, 1.0), "perceptron": (np.less_equal, 0.0)}.get(config.loss)
+    hinge = {"svm": (np.less, 1.0), "perceptron": (np.less_equal, 0.0)}.get(loss)
     less, kink = hinge or (None, 0.0)
     minus_Y, zero_Y = -Y, 0.0 * Y
     # Operands shaped once as the steps use them, since numpy's calls are slower
@@ -220,54 +333,44 @@ def _fit_rows(
     Y, kink = np.repeat(Y[:, None, :], C, axis=1), np.array(kink)
     columns, values = values[:, None, :, None], values[:, None, None, :]
     indptr = X.indptr.tolist()
-    s = -1
-    for order in epoch_orders(len(X), config):
-        for i in order.tolist():
-            s += 1
-            start, end = indptr[i], indptr[i + 1]
-            idx = X.indices[start:end]
-            sub = blocks.take(idx, axis=3)
-            if l1:
-                paid = accrued_by_config.take(settled.take(idx), axis=1)
-                sub = _soft_threshold(sub, (accrued[s] - paid)[:, None, None, :])
-            np.matmul(sub, columns[:, :, start:end], out=raw)
-            y = Y[i]
-            # Under L1 the wscale is always 1.0, and 1.0 * m is m.
-            margin = y * ((margins if l1 else before[s] * margins) + B)
-            if not less:
-                step = eta[s] * _logreg_dmargin(margin) * y
-            elif np.count_nonzero(active := less(margin, kink)):
-                step = np.where(active, eta[s] * minus_Y[i], zero_Y[i])
-            else:  # every step would be +-0.0, so the sample moves nothing
-                step = None
-            if not l1 and renormalizes[s]:
-                for c in np.flatnonzero(renorm[s, :, 0]):
-                    W[c] *= renorm[s, c, 0]
-                    sub[c] *= renorm[s, c, 0]
-            # An active class's step is 0.0 too, where eta underflows at a huge alpha.
-            moved = step is not None and np.count_nonzero(step)
-            if moved:
-                delta = (step if l1 else step / after[s])[:, :, None, None] * values[..., start:end]
-                if C == 1:
-                    sub -= delta
-                else:
-                    # A config whose K steps are all zero skips the subtraction, as a
-                    # lone pass does: subtracting -0.0 would turn a -0.0 weight into 0.0.
-                    np.subtract(sub, delta, out=sub, where=step.any(axis=1)[:, None, None, None])
-                # An intercept is never -0.0, so subtracting a zero step leaves it unchanged.
-                B -= step
-            if l1:
-                sub = _soft_threshold(sub, owed[s])
-                settled[idx] = s + 1
-            if l1 or moved:
-                blocks[..., idx] = sub
-    for c in range(C):
+    for s, i in enumerate(order.tolist()):
+        start, end = indptr[i], indptr[i + 1]
+        idx = X.indices[start:end]
+        sub = blocks.take(idx, axis=3)
         if l1:
-            paid = accrued_by_config[c].take(settled)
-            W[c] = _soft_threshold(W[c], accrued[-1, c] - paid)
-        elif after[-1, c, 0] != 1.0:
-            W[c] *= after[-1, c, 0]
-    return W, B
+            paid = accrued_by_config.take(settled.take(idx), axis=1)
+            sub = _soft_threshold(sub, (accrued[s] - paid)[:, None, None, :])
+        np.matmul(sub, columns[:, :, start:end], out=raw)
+        y = Y[i]
+        # Under L1 the wscale is always 1.0, and 1.0 * m is m.
+        margin = y * ((margins if l1 else before[s] * margins) + B)
+        if not less:
+            step = eta[s] * _logreg_dmargin(margin) * y
+        elif np.count_nonzero(active := less(margin, kink)):
+            step = np.where(active, eta[s] * minus_Y[i], zero_Y[i])
+        else:  # every step would be +-0.0, so the sample moves nothing
+            step = None
+        if not l1 and renormalizes[s]:
+            for c in np.flatnonzero(renorm[s, :, 0]):
+                W[c] *= renorm[s, c, 0]
+                sub[c] *= renorm[s, c, 0]
+        # An active class's step is 0.0 too, where eta underflows at a huge alpha.
+        moved = step is not None and np.count_nonzero(step)
+        if moved:
+            delta = (step if l1 else step / after[s])[:, :, None, None] * values[..., start:end]
+            if C == 1:
+                sub -= delta
+            else:
+                # A config whose K steps are all zero skips the subtraction, as a
+                # lone pass does: subtracting -0.0 would turn a -0.0 weight into 0.0.
+                np.subtract(sub, delta, out=sub, where=step.any(axis=1)[:, None, None, None])
+            # An intercept is never -0.0, so subtracting a zero step leaves it unchanged.
+            B -= step
+        if l1:
+            sub = _soft_threshold(sub, owed[s])
+            settled[idx] = s + 1
+        if l1 or moved:
+            blocks[..., idx] = sub
 
 
 def pass_key(config: PipelineConfig) -> tuple[str, str, int, int]:

@@ -80,3 +80,23 @@ def read_only_vectors(monkeypatch):
 
     monkeypatch.setattr(features, "transform", frozen)
     return calls
+
+
+@pytest.fixture(scope="class", params=["numpy", "kernel"])
+def step_loop(request):
+    """Run sgd._fit_rows' steps in the numpy loop or in the compiled kernel.
+
+    Patches the kernel handle off, or loads it and patches it on; the kernel
+    case skips where the kernel cannot be built or bound. Class-scoped, so
+    Hypothesis tests can use it.
+    """
+    from sgdtext import sgd
+
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "numpy":
+            patch.setattr(sgd, "_kernel", False)
+        else:
+            patch.setattr(sgd, "_kernel", None)
+            if not sgd._step_kernel():
+                pytest.skip("the compiled kernel does not load here")
+        yield request.param

@@ -670,6 +670,11 @@ class TestGoldenArtifacts:
             assert self.digest(out / name) == digests[name]
 
 
+@pytest.mark.usefixtures("step_loop")
+class TestGoldenArtifactsInEachLoop(TestGoldenArtifacts):
+    """The pinned digests, and the --jobs 2 sweep, with the numpy loop and with the kernel."""
+
+
 class TestMalformedInputFiles:
     @pytest.fixture
     def prepared(self, labeled_csv, tmp_path):

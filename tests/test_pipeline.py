@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from sgdtext.pipeline import (
     fit_group,
     fit_pipeline,
     predict_pipeline,
+    twin_key,
 )
 from sgdtext.resample import smote
 from sgdtext.seeds import substream
@@ -247,6 +249,28 @@ class TestPipelineConfig:
             PipelineConfig(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be "):
             replace(PipelineConfig(), **{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, False, "3", None])
+    def test_reseed_checks_the_seed(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be int, got {re.escape(repr(seed))}$"):
+            PipelineConfig().reseed(seed)
+
+    def test_reseed_and_twin_key_equal_replace(self, monkeypatch):
+        configs = [
+            PipelineConfig(ngram_range=NgramRange(1, 2), norm="l1", use_idf=False, alpha=1e-3,
+                           loss="logreg", penalty="l1", epochs=2, smote=True, smote_k=3, seed=9),
+            PipelineConfig(use_idf=False, smooth_idf=True),
+            PipelineConfig(),
+        ]
+        expected = [(replace(c, seed=2**63), replace(c, smooth_idf=c.use_idf and c.smooth_idf))
+                    for c in configs]
+        # Neither runs __post_init__'s checks again.
+        monkeypatch.setattr(PipelineConfig, "__post_init__", lambda self: pytest.fail("checked"))
+        for config, (reseeded, twin) in zip(configs, expected):
+            got = config.reseed(2**63), twin_key(config)
+            assert got == (reseeded, twin)
+            assert [vars(g) for g in got] == [vars(reseeded), vars(twin)]
+        assert configs[2].seed == 0 and twin_key(configs[2]) is configs[2]
 
     def test_each_loss_trains_its_own_model(self, signature_corpus):
         documents, labels = signature_corpus(n_classes=3, per_class=4)

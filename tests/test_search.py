@@ -278,6 +278,15 @@ class TestGridSearch:
         assert scored == []
 
 
+@pytest.mark.usefixtures("step_loop")
+class TestParallelRankingInEachLoop:
+    """The --jobs 2 ranking equals the sequential one with the numpy loop and with the kernel."""
+
+    test_parallel_ranking_matches_sequential = (
+        TestGridSearch.test_parallel_ranking_matches_sequential
+    )
+
+
 class TestRenderGridTable:
     def test_header_and_rows(self):
         params = PipelineConfig(NgramRange(1, 2), "l2", True, True, "l2", 1e-05)

@@ -638,6 +638,35 @@ class TestEveryStepOracle:
         active = margins < 1.0 if loss == "svm" else margins <= 0.0
         assert active[1:].any()
 
+    @pytest.mark.parametrize("loss", sgd.LOSSES)
+    def test_negative_zero_weights(self, loss):
+        # Subnormal values make the renormalizations at alpha 1e9 underflow
+        # negative weights to -0.0. A step that moves some classes subtracts
+        # 0.0 * y, +0.0 or -0.0, from the other classes' weights, and that
+        # sign decides whether such a zero stays -0.0.
+        X, labels = tfidf_problem(0, 3, NgramRange(1, 1), n=40)
+        values = np.stack([X.values * 1e-314, X.values])
+        configs = [
+            PipelineConfig(loss=loss, alpha=alpha, epochs=8, seed=2) for alpha in (1e9, 1e-2)
+        ]
+        for c in (1, 2):
+            self.assert_oracle_parity(X, values[:c], labels, configs[:c])
+
+
+@pytest.mark.usefixtures("step_loop")
+class TestEveryStepOracleInEachLoop(TestEveryStepOracle):
+    """TestEveryStepOracle with the numpy loop and with the compiled kernel."""
+
+
+@pytest.mark.usefixtures("step_loop")
+class TestSharedPassParityInEachLoop(TestSharedPassParity):
+    """TestSharedPassParity with the numpy loop and with the compiled kernel."""
+
+
+@pytest.mark.usefixtures("step_loop")
+class TestStackedParityInEachLoop(TestStackedParity):
+    """TestStackedParity with the numpy loop and with the compiled kernel."""
+
 
 def test_scalar_output_matmul_is_the_per_row_dot():
     # The pass computes all its margins with one matmul of a take along the
