@@ -11,7 +11,7 @@ import numpy as np
 
 from . import features, sgd
 from .corpus import by_class
-from .pipeline import PipelineConfig, fit_group, vector_key
+from .pipeline import PipelineConfig, fit_group, predict_group
 from .seeds import substream
 
 # The averaged metrics, in the order of ClassReport's average tuples.
@@ -180,8 +180,8 @@ def cross_validate(
     resampler) on its k-1 training folds only, so the held-out fold never
     leaks into the vocabulary. Each fold fits the configs that share an
     n-gram range and an sgd.pass_key as one group (pipeline.fit_group,
-    one stacked SGD pass), transforms its held-out rows once per vector_key,
-    predicts once per model, and frees the group before the next. Returns
+    one stacked SGD pass), predicts its held-out rows as one group
+    (pipeline.predict_group), and frees the group before the next. Returns
     one CvReport per config, in order; a config whose fold
     fails gets that fold's CrossValidationError, with the failure as its
     __cause__, sits out the remaining folds, and the other configs carry on.
@@ -215,27 +215,17 @@ def cross_validate(
                 continue
             started = time.perf_counter()
             train_counts, held_out_counts = sides[configs[live[0]].ngram_range]
-            fitted = fit_group(
-                train_counts, train_labels, [configs[c].reseed(fold_seed) for c in live]
-            )
-            scored, vectors, predicted = [], {}, {}
-            for c, result in zip(live, fitted):
-                try:
-                    if isinstance(result, Exception):
-                        raise result
-                    if (key := vector_key(configs[c])) not in vectors:
-                        vectors[key] = features.transform(result.tfidf, held_out_counts)
-                    if result.model not in predicted:  # twins share one model object
-                        predicted[result.model] = sgd.predict(result.model, vectors[key])
-                    predictions = predicted[result.model]
-                except Exception as exc:  # becomes this config's result; the others carry on
-                    failed[c] = CrossValidationError(fold_index, str(exc))
-                    failed[c].__cause__ = exc
+            group = [configs[c].reseed(fold_seed) for c in live]
+            predicted = predict_group(fit_group(train_counts, train_labels, group), held_out_counts)
+            scored = []
+            for c, predictions in zip(live, predicted):
+                if isinstance(predictions, Exception):  # a failed fit; the others carry on
+                    failed[c] = CrossValidationError(fold_index, str(predictions))
+                    failed[c].__cause__ = predictions
                     continue
                 correct = sum(1 for i, pred in zip(held_out, predictions) if pred == labels[i])
                 accuracies[c].append(correct / len(held_out))
                 scored.append(c)
-            del fitted, result, vectors, predicted  # freed before the next group is fitted
             share = (time.perf_counter() - started) / len(live)
             for c in scored:
                 fold_seconds[c].append(share)

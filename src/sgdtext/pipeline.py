@@ -119,9 +119,9 @@ def twin_key(config: PipelineConfig) -> PipelineConfig:
     return config
 
 
-def vector_key(config: PipelineConfig) -> tuple[str, bool, bool]:
+def vector_key(settings: PipelineConfig | TfidfModel) -> tuple[str, bool, bool]:
     """The settings transform reads: fits on one counts object with equal keys give equal rows."""
-    return config.norm, config.use_idf, twin_key(config).smooth_idf
+    return settings.norm, settings.use_idf, settings.use_idf and settings.smooth_idf
 
 
 def fit_group(
@@ -131,7 +131,8 @@ def fit_group(
 ) -> list[FittedPipeline | Exception]:
     """fit_pipeline for each config on the same counts, training the classifiers together.
 
-    The configs must share one sgd.pass_key. Each config fits its own
+    The configs without SMOTE must share one sgd.pass_key, or this raises
+    ValueError before fitting anything. Each config fits its own
     vectorizer; the counts are transformed once per vector_key, and twins
     (equal twin_key) share one model or exception. Every fit on one counts
     object keeps the same grams, and each value idf * tf >= 1 stays nonzero
@@ -144,6 +145,8 @@ def fit_group(
     """
     if len(counts) != len(labels):
         raise ValueError("documents and labels must have equal length")
+    if len({sgd.pass_key(config) for config in configs if not config.smote}) > 1:
+        raise ValueError("the configs without SMOTE need one loss, penalty, epochs and seed")
     train_labels = [int(lab) for lab in labels]
     alone = sum(not config.smote for config in configs) == 1
     results: list[FittedPipeline | TfidfModel | Exception] = []
@@ -187,4 +190,24 @@ def fit_group(
 
 
 def predict_pipeline(fitted: FittedPipeline, counts: NgramCounts) -> list[int]:
-    return sgd.predict(fitted.model, features.transform(fitted.tfidf, counts))
+    return predict_group([fitted], counts)[0]
+
+
+def predict_group(
+    fitted: Sequence[FittedPipeline | Exception], counts: NgramCounts
+) -> list[list[int] | Exception]:
+    """predict_pipeline for each of fit_group's results on the same counts, sharing the work.
+
+    The counts are transformed once per vector_key and training counts (the
+    fits on one counts object share one doc_freq array), and each model
+    object predicts once. A fit's exception is passed through as its result.
+    """
+    vectors, predicted = {}, {}
+    for result in fitted:
+        if isinstance(result, FittedPipeline):
+            key = (id(result.tfidf.doc_freq), *vector_key(result.tfidf))  # all results are alive
+            if key not in vectors:
+                vectors[key] = features.transform(result.tfidf, counts)
+            if result.model not in predicted:  # twins share one model object
+                predicted[result.model] = sgd.predict(result.model, vectors[key])
+    return [r if isinstance(r, Exception) else predicted[r.model] for r in fitted]

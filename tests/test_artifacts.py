@@ -259,6 +259,25 @@ def test_pipelines_are_fitted_in_one_place():
     assert defined == []
 
 
+def test_pipelines_predict_in_one_place():
+    """pipeline.py is the only code that transforms counts or predicts with a model.
+
+    fit_group transforms its training rows; predict_group, of which
+    predict_pipeline is the case of one pipeline, transforms and predicts
+    held-out rows.
+    """
+    calls = sorted(
+        f"{path.stem}.{owner}: {ast.unparse(node.func)}"
+        for path, owner, node in package_calls()
+        if getattr(node.func, "attr", getattr(node.func, "id", None)) in {"transform", "predict"}
+    )
+    assert calls == [
+        "pipeline.fit_group: features.transform",
+        "pipeline.predict_group: features.transform",
+        "pipeline.predict_group: sgd.predict",
+    ]
+
+
 def test_each_fact_is_stated_once():
     """A trainer works out a model's width, and a report's JSON form is its dataclass's.
 

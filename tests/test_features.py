@@ -462,7 +462,7 @@ WEIGHTINGS = list(itertools.product(NORMS, (True, False), (True, False)))
 
 
 class TestVectorKey:
-    """pipeline.fit_group and cross_validate transform once per vector_key and share the rows."""
+    """pipeline.fit_group and predict_group transform once per vector_key and share the rows."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -488,6 +488,7 @@ class TestVectorKey:
                 ngram_range=ngram_range, norm=norm, use_idf=use_idf, smooth_idf=smooth_idf
             )
             model = fit(train, config)
+            assert vector_key(model) == vector_key(config)
             by_key.setdefault(vector_key(config), []).append(
                 [batch_bytes(transform(model, counts)) for counts in others]
             )

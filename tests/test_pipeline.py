@@ -19,6 +19,7 @@ from sgdtext.pipeline import (
     PipelineConfig,
     fit_group,
     fit_pipeline,
+    predict_group,
     predict_pipeline,
     twin_key,
 )
@@ -113,6 +114,24 @@ class TestFitPipeline:
         assert isinstance(first, ValueError) and second is first
         assert "at least 2 distinct classes" in str(first)
 
+    def test_a_mixed_group_is_rejected_before_fitting(self, signature_corpus, monkeypatch):
+        documents, labels = signature_corpus(n_classes=3, per_class=4)
+        counts = count(documents, NgramRange(1, 1))
+        fits = []
+        fit = features.fit
+        monkeypatch.setattr(
+            features, "fit", lambda counts, config: fits.append(config) or fit(counts, config)
+        )
+        mixed = [PipelineConfig(penalty="l1"), PipelineConfig(penalty="l2")]
+        with pytest.raises(ValueError, match="^the configs without SMOTE need one loss, penalty"):
+            fit_group(counts, labels, mixed)
+        assert fits == []
+        # Only the configs without SMOTE share a pass: a SMOTE member may differ.
+        group = [mixed[0], replace(mixed[1], smote=True, smote_k=2, loss="logreg", epochs=2)]
+        for result, config in zip(fit_group(counts, labels, group), group):
+            [lone] = fit_group(counts, labels, [config])
+            assert np.array_equal(result.model.weights, lone.model.weights)
+
 
 class TestTwins:
     """Configs equal but for smooth_idf without IDF (equal twin_key) train one model."""
@@ -169,6 +188,74 @@ class TestTwins:
         configs = [PipelineConfig(use_idf=False, smote=True, smooth_idf=s) for s in (True, False)]
         first, second = fit_group(count(documents, NgramRange(1, 1)), [1] * len(documents), configs)
         assert isinstance(first, ValueError) and second is first
+
+
+class TestPredictGroup:
+    """predict_group shares fit_group's work on held-out rows: one transform per vector key
+    and training counts, one prediction per model object."""
+
+    @staticmethod
+    def group(signature_corpus):
+        documents, labels = signature_corpus(n_classes=3, per_class=6)
+        labels = [1] * 8 + labels[8:]  # skew: 8/4/6, so SMOTE adds rows
+        counted = count(documents, NgramRange(1, 1))
+        base = PipelineConfig(use_idf=False, epochs=2, seed=3)
+        configs = [
+            base,
+            replace(base, smooth_idf=False),  # base's twin
+            replace(base, alpha=1e-3),
+            replace(base, smote=True, smote_k=2),
+            replace(base, ngram_range=NgramRange(1, 2)),  # its fit fails: the counts are 1-grams
+            replace(base, use_idf=True),
+            replace(base, norm="l1"),
+        ]
+        train, held_out = counted.take(range(0, 18, 2)), counted.take(range(1, 18, 2))
+        return fit_group(train, labels[::2], configs), held_out
+
+    def test_each_result_is_its_member_predicted_alone(self, signature_corpus):
+        fitted, held_out = self.group(signature_corpus)
+        assert fitted[0].model is fitted[1].model and isinstance(fitted[4], ValueError)
+        unseen = count([["sig0", "sig2"], ["novel"], ["common", "sig1"]], NgramRange(1, 1))
+        for counts in (held_out, unseen):
+            predicted = predict_group(fitted, counts)
+            assert predicted[4] is fitted[4]
+            for result, predictions in zip(fitted, predicted):
+                if isinstance(result, FittedPipeline):
+                    assert predictions == predict_pipeline(result, counts)
+
+    def test_one_transform_per_vector_key_and_one_decision_per_model(
+        self, signature_corpus, read_only_vectors, monkeypatch
+    ):
+        fitted, held_out = self.group(signature_corpus)
+        decisions = []
+        decision = sgd.decision
+        monkeypatch.setattr(
+            sgd, "decision", lambda model, X: decisions.append(model) or decision(model, X)
+        )
+        transformed = len(read_only_vectors)
+        predict_group(fitted, held_out)
+        # Keys: without IDF (L2 and L1) and with IDF. Models: the twins share one of six.
+        assert len(read_only_vectors) - transformed == 3
+        assert len(decisions) == len({id(model) for model in decisions}) == 5
+
+    def test_pipelines_fitted_on_different_counts_share_no_batch(
+        self, signature_corpus, read_only_vectors
+    ):
+        documents, labels = signature_corpus(n_classes=3, per_class=4)
+        # The same labels on other grams: class k owns tag{k} where it owned sig{k}.
+        retagged = [[token.replace("sig", "tag") for token in doc] for doc in documents]
+        configs = [PipelineConfig(seed=2), PipelineConfig(alpha=1e-3, seed=2)]
+        fitted = [
+            result
+            for docs in (documents, retagged)
+            for result in fit_group(count(docs, NgramRange(1, 1)), labels, configs)
+        ]
+        held_out = count([["sig0", "tag2"], ["sig2", "tag0"]], NgramRange(1, 1))
+        transformed = len(read_only_vectors)
+        predicted = predict_group(fitted, held_out)
+        assert len(read_only_vectors) - transformed == 2  # one per counts, both of one key
+        assert predicted == [predict_pipeline(result, held_out) for result in fitted]
+        assert predicted == [[1, 3]] * 2 + [[3, 1]] * 2
 
 
 class TestModelWidth:
