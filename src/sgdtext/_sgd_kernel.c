@@ -8,7 +8,7 @@
 
      order     steps sample indices, the epochs' visit orders one after another
      indptr    n + 1 row offsets of the CSR pattern, indices its nnz columns
-     values    C x nnz, row c holding config c's values in that pattern
+     rows      C addresses, rows[c] of config c's nnz values in that pattern
      Y         n x K labels, +1 or -1
      W, B      C x K x d weights and C x K intercepts, updated in place
      settled   d steps, per feature, at which L1 last settled it (L1 only)
@@ -47,9 +47,9 @@ static double logreg_dmargin(double m)
 }
 
 void fit_rows(ddot_fn ddot, int64_t loss, int64_t l1, int64_t C, int64_t K,
-              int64_t d, int64_t nnz, int64_t steps, const int64_t *order,
+              int64_t d, int64_t steps, const int64_t *order,
               const int64_t *indptr, const int64_t *indices,
-              const double *values, const double *Y, const double *eta,
+              const double *const *rows, const double *Y, const double *eta,
               const double *t1, const double *t2, const double *t3,
               double *W, double *B, int64_t *settled, double *scratch)
 {
@@ -61,7 +61,7 @@ void fit_rows(ddot_fn ddot, int64_t loss, int64_t l1, int64_t C, int64_t K,
         double *sub = scratch, *step = scratch + C * K * n;
         int moved = 0;
         for (int64_t c = 0; c < C; c++) {
-            const double *x = values + c * nnz + start;
+            const double *x = rows[c] + start;
             for (int64_t j = 0; j < n; j++) {
                 /* Under L1, the penalty accrued since the weight was last settled. */
                 double owed = l1 ? t2[s * C + c] - t2[settled[idx[j]] * C + c] : 0.0;
@@ -99,7 +99,7 @@ void fit_rows(ddot_fn ddot, int64_t loss, int64_t l1, int64_t C, int64_t K,
         }
         if (moved) {
             for (int64_t c = 0; c < C; c++) {
-                const double *x = values + c * nnz + start;
+                const double *x = rows[c] + start;
                 const double *g = step + c * K;
                 int any = 0;
                 for (int64_t k = 0; k < K; k++)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import features, sgd
 from .features import NgramCounts, NgramRange, TfidfModel
 from .resample import smote
@@ -176,9 +174,8 @@ def fit_group(
             trained[twin] = exc
     if stacked:
         shuffles, rows = zip(*stacked.values())
-        values = np.stack([X.values for X in rows])  # one row per distinct config
-        try:  # on the pattern all the rows share
-            models = sgd.fit_stacked(rows[0], values, train_labels, shuffles)
+        try:  # on the pattern all the rows share; one vector key's rows are one array
+            models = sgd.fit_stacked(rows[0], [X.values for X in rows], train_labels, shuffles)
         except Exception as exc:  # a lone pass would raise it for every member
             models = [exc] * len(stacked)
         trained.update(zip(stacked, models))

@@ -235,42 +235,44 @@ def _load_kernel():
         if np.float64(got).tobytes() != np.matmul(x[None, :n], y[-n:, None]).tobytes():
             return False
     fit = lib.fit_rows
-    fit.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 7 + [ctypes.c_void_p] * 13
+    fit.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 13
     fit.restype = None
 
     def steps(X, values, Y, order, loss, tables, W, B, settled) -> None:
         C, K, d = W.shape
+        rows = [np.ascontiguousarray(row, dtype=np.float64) for row in values]  # held through fit
         # The C loop indexes without bounds checks, so what it indexes is checked here.
-        if Y.shape != (len(X), K) or values.shape != (C, X.nnz):
-            raise ValueError("Y must be n x K and values C x nnz")
+        if Y.shape != (len(X), K) or [row.shape for row in rows] != [(X.nnz,)] * C:
+            raise ValueError("Y must be n x K and values C rows of nnz")
         _check_feature_range(X, d)
         scratch = np.empty(C * K * (int(np.diff(X.indptr).max(initial=0)) + 1))
         Y = np.ascontiguousarray(Y, dtype=np.float64)
         tables = (*tables, None)[:4]  # L1 has three tables, L2 four
-        arrays = [order, X.indptr, X.indices, values, Y, *tables, W, B, settled, scratch]
+        addresses = np.array([row.ctypes.data for row in rows], dtype=np.uintp)
+        arrays = [order, X.indptr, X.indices, addresses, Y, *tables, W, B, settled, scratch]
         pointers = [None if a is None else a.ctypes.data for a in arrays]
-        fit(ddot, LOSSES.index(loss), tables[3] is None, C, K, d, X.nnz, len(order), *pointers)
+        fit(ddot, LOSSES.index(loss), tables[3] is None, C, K, d, len(order), *pointers)
 
     return steps
 
 
 def _fit_rows(
     X: SparseRows,
-    values: np.ndarray,
+    values: Sequence[np.ndarray],
     Y: np.ndarray,
     configs: Sequence[PipelineConfig],
     feature_dim: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train C x K weight rows and intercepts in one pass: one row per (config, column of Y).
 
-    Y is an n x K matrix of +-1 labels; row c of values holds config c's
-    values in X's pattern. The configs share loss, penalty, epochs and seed,
-    so they share the visit order. Step size, wscale and L1 accrual depend
-    only on the step count and each config's alpha, so they are tabulated
-    up front. The steps run in the compiled kernel where it loads (see
-    _step_kernel), else in _numpy_steps; both give the same bytes. Returns
-    (C x K x d weights, C x K intercepts); non-finite rows are left to the
-    caller.
+    Y is an n x K matrix of +-1 labels; values[c], a float row, holds config
+    c's X.nnz values in X's pattern. The configs share loss, penalty, epochs
+    and seed, so they share the visit order. Step size, wscale and L1 accrual
+    depend only on the step count and each config's alpha, so they are
+    tabulated up front. The steps run in the compiled kernel where it loads
+    (see _step_kernel), reading each row in place, else in _numpy_steps,
+    which stacks the rows; both give the same bytes. Returns (C x K x d
+    weights, C x K intercepts); non-finite rows are left to the caller.
     """
     config = configs[0]
     C, K = len(configs), Y.shape[1]
@@ -286,9 +288,7 @@ def _fit_rows(
     B = np.zeros((C, K), dtype=np.float64)
     # The step at which L1 last settled each weight's penalty.
     settled = np.zeros(feature_dim, dtype=np.int64)
-    # The kernel reads values in place, which must be rows of contiguous doubles.
-    kernel = values.dtype == np.float64 and values.flags.c_contiguous and _step_kernel()
-    (kernel or _numpy_steps)(X, values, Y, order, config.loss, tables, W, B, settled)
+    (_step_kernel() or _numpy_steps)(X, values, Y, order, config.loss, tables, W, B, settled)
     for c in range(C):
         # The third table is L1's accrual before each step, or L2's wscale after it.
         if l1:
@@ -308,6 +308,7 @@ def _numpy_steps(X, values, Y, order, loss, tables, W, B, settled) -> None:
     class active skips the step's arithmetic: each entry would be +-0.0,
     which moves nothing, so the skip changes no byte.
     """
+    values = np.asarray(values, dtype=np.float64)  # the rows stacked C x nnz, for matmul
     C, K, _ = W.shape
     l1 = len(tables) == 3
     if l1:
@@ -380,24 +381,24 @@ def pass_key(config: PipelineConfig) -> tuple[str, str, int, int]:
 
 def fit_stacked(
     X: SparseRows,
-    values: np.ndarray,
+    values: Sequence[np.ndarray],
     labels: Sequence[int],
     configs: Sequence[PipelineConfig],
 ) -> list[LinearModel | NumericError]:
     """One one-vs-rest model per config, all trained in one pass over X's rows.
 
-    X gives the rows' pattern (indptr and indices); row c of values, a
-    len(configs) x X.nnz array, holds config c's values in that pattern. The
-    configs must share one pass_key; alpha may differ. A model's width is
-    one more than X's largest feature index (0 if X has no nonzeros). Each
-    model is bitwise what fit_multiclass gives for its config alone on its
-    values. A config whose values are non-finite, or whose training
-    diverges, gets that NumericError in place of its model, and the others
-    are unaffected.
+    X gives the rows' pattern (indptr and indices); values[c], a float row of
+    X.nnz values that the pass reads where it is, holds config c's values in
+    that pattern. The configs must share one pass_key; alpha may differ. A
+    model's width is one more than X's largest feature index (0 if X has no
+    nonzeros). Each model is bitwise what fit_multiclass gives for its
+    config alone on its values. A config whose values are non-finite, or
+    whose training diverges, gets that NumericError in place of its model,
+    and the others are unaffected.
     """
     if len({pass_key(c) for c in configs}) != 1:
         raise ValueError("stacked configs need one loss, penalty, epochs and seed")
-    if values.shape != (len(configs), X.nnz):
+    if [np.shape(row) for row in values] != [(X.nnz,)] * len(configs):
         raise ValueError("values must hold one row of X.nnz values per config")
     if len(X) != len(labels):
         raise ValueError("X and labels must have equal length")
@@ -412,9 +413,8 @@ def fit_stacked(
         return results
     feature_dim = 1 + (int(X.indices.max()) if X.nnz else -1)
     Y = np.where(np.asarray(labels)[:, None] == np.asarray(classes), 1.0, -1.0)
-    if len(live) < len(configs):
-        values = values[live]
-    W, B = _fit_rows(X, values, Y, [configs[c] for c in live], feature_dim)
+    rows = [values[c] for c in live]
+    W, B = _fit_rows(X, rows, Y, [configs[c] for c in live], feature_dim)
     for row, c in enumerate(live):
         if np.all(np.isfinite(W[row])) and np.all(np.isfinite(B[row])):
             results[c] = LinearModel(weights=W[row], intercepts=B[row], classes=classes)
@@ -426,9 +426,9 @@ def fit_stacked(
 def fit_multiclass(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> LinearModel:
     """One-vs-rest: row k is trained on labels +1 for classes[k] and -1 for the rest.
 
-    This is fit_stacked's case of one config, on X's own values.
+    This is fit_stacked's case of one config, on X's own values as its row.
     """
-    [model] = fit_stacked(X, X.values[None], labels, [config])
+    [model] = fit_stacked(X, [X.values], labels, [config])
     if isinstance(model, NumericError):
         raise model
     return model

@@ -183,6 +183,33 @@ class TestTwins:
         assert fitted[0].model is fitted[1].model is fitted[3].model
         assert fitted[2].model is not fitted[0].model
 
+    def test_the_stacked_pass_reads_the_transformed_values_in_place(
+        self, signature_corpus, monkeypatch
+    ):
+        # Two vector keys of three alphas each: six rows in one pass, and two arrays.
+        documents, labels = signature_corpus(n_classes=3, per_class=4)
+        configs = [
+            PipelineConfig(norm=norm, alpha=alpha, seed=3)
+            for norm in ("l2", "l1")
+            for alpha in (1e-4, 1e-3, 1e-2)
+        ]
+        batches, passes = [], []
+        transform, fit_rows = features.transform, sgd._fit_rows
+        monkeypatch.setattr(
+            features, "transform", lambda *args: batches.append(transform(*args)) or batches[-1]
+        )
+        monkeypatch.setattr(
+            sgd, "_fit_rows",
+            lambda X, values, *rest: passes.append(values) or fit_rows(X, values, *rest),
+        )
+        fit_group(count(documents, NgramRange(1, 1)), labels, configs)
+        [rows] = passes
+        assert len(batches) == 2 and len(rows) == len(configs)
+        # Each row is the values array of a batch transform returned, one per vector key.
+        assert [[row is batch.values for batch in batches] for row in rows] == (
+            [[True, False]] * 3 + [[False, True]] * 3
+        )
+
     def test_twins_share_a_failure(self, signature_corpus):
         documents, _ = signature_corpus(n_classes=2, per_class=4)
         configs = [PipelineConfig(use_idf=False, smote=True, smooth_idf=s) for s in (True, False)]

@@ -668,6 +668,75 @@ class TestStackedParityInEachLoop(TestStackedParity):
     """TestStackedParity with the numpy loop and with the compiled kernel."""
 
 
+def float_rows_problem():
+    """A pattern, labels, three configs, and a C-ordered float64 block exact in float32.
+
+    Rows 0 and 2 are equal, so one array object can stand for both.
+    """
+    X, labels = tfidf_problem(3, 3, NgramRange(1, 2))
+    block = np.stack([X.values, 0.5 * X.values, X.values]).astype(np.float32).astype(np.float64)
+    configs = [PipelineConfig(alpha=alpha, epochs=2, seed=4) for alpha in (1e-3, 1e-2, 1e-4)]
+    return X, labels, block, configs
+
+
+def repeated_rows(block):
+    row = block[0].copy()
+    return [row, block[1].copy(), row]
+
+
+@pytest.mark.usefixtures("step_loop")
+class TestValuesAreRowsReadInPlace:
+    """fit_stacked takes one row per config, in any float layout, and trains on its values."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda block: [row.copy() for row in block],
+            repeated_rows,
+            lambda block: [row.astype(np.float32) for row in block],
+            np.asfortranarray,
+        ],
+        ids=["list", "one-object-repeated", "float32", "fortran-block"],
+    )
+    def test_every_layout_gives_the_c_ordered_blocks_bytes(self, layout, step_loop, monkeypatch):
+        X, labels, block, configs = float_rows_problem()
+        expected = fit_stacked(X, block, labels, configs)
+        numpy_passes = []
+        numpy_steps = sgd._numpy_steps
+        monkeypatch.setattr(
+            sgd, "_numpy_steps", lambda *args: numpy_passes.append(1) or numpy_steps(*args)
+        )
+        for got, want in zip(fit_stacked(X, layout(block), labels, configs), expected):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.intercepts.tobytes() == want.intercepts.tobytes()
+        # The kernel reads every layout; none falls back to the numpy loop.
+        assert numpy_passes == ([1] if step_loop == "numpy" else [])
+
+    def test_a_row_of_the_wrong_length_is_rejected(self):
+        X, labels, block, configs = float_rows_problem()
+        for values in ([block[0], block[1][:-1], block[2]], [block[0], block[1]], block[:, :-1]):
+            with pytest.raises(ValueError, match="one row of X.nnz values per config"):
+                fit_stacked(X, values, labels, configs)
+
+
+def test_the_kernel_checks_every_row_before_it_runs(monkeypatch):
+    monkeypatch.setattr(sgd, "_kernel", None)
+    if not (kernel := sgd._step_kernel()):
+        pytest.skip("the compiled kernel does not load here")
+    calls = []
+    monkeypatch.setattr(sgd, "_kernel", lambda *args: calls.append(args) or kernel(*args))
+    X, labels, block, configs = float_rows_problem()
+    fit_stacked(X, block, labels, configs)
+    [(X, values, Y, order, loss, tables, W, B, settled)] = calls
+    assert W.any()  # a run writes the weights
+    W, B, settled = np.zeros_like(W), np.zeros_like(B), np.zeros_like(settled)
+    # A view one short of a row: reading past its end would stay inside the block.
+    short = [values[0], values[1][:-1], values[2]]
+    with pytest.raises(ValueError, match="values C rows of nnz"):
+        kernel(X, short, Y, order, loss, tables, W, B, settled)
+    assert not (W.any() or B.any() or settled.any())
+
+
 def test_scalar_output_matmul_is_the_per_row_dot():
     # The pass computes all its margins with one matmul of a take along the
     # last axis of the C x K x 1 x d weight block and a slice of the
