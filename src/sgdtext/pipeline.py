@@ -138,7 +138,9 @@ def fit_group(
     (indptr and indices), in which every gram occurs: each model, as wide as
     its rows, has one weight column per gram. The distinct configs without
     SMOTE train in one sgd.fit_stacked pass on that pattern. A SMOTE config,
-    or the one config without SMOTE, trains alone through sgd.fit_multiclass.
+    or the one config without SMOTE, trains alone through sgd.fit_multiclass;
+    consecutive SMOTE configs with equal vector_key, smote_k and seed share
+    one smote call, as smote reads nothing else.
     Each result is a FittedPipeline, or the exception its fit raised.
     """
     if len(counts) != len(labels):
@@ -150,6 +152,7 @@ def fit_group(
     results: list[FittedPipeline | TfidfModel | Exception] = []
     # Rows per vector key; per twin key, its model or exception, or its stacked (shuffle, rows).
     vectors, trained, stacked = {}, {}, {}
+    smoted_key = None  # (vector key, smote_k, seed) of the last smote call that returned
     for config in configs:
         try:
             results.append(tfidf := features.fit(counts, config))
@@ -164,8 +167,10 @@ def fit_group(
                 vectors[key] = features.transform(tfidf, counts)
             X, y = vectors[key], train_labels
             if config.smote:
-                resampled = smote(X, y, config.reseed(substream(config.seed, "smote")))
-                X, y = resampled.vectors, resampled.labels
+                if (key, config.smote_k, config.seed) != smoted_key:
+                    smoted = smote(X, y, config.reseed(substream(config.seed, "smote")))
+                    smoted_key = key, config.smote_k, config.seed
+                X, y = smoted.vectors, smoted.labels
             if config.smote or alone:
                 trained[twin] = sgd.fit_multiclass(X, y, shuffle)
             else:

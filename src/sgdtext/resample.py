@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -52,6 +52,9 @@ def squared_distance(a: Row, b: Row) -> float:
 # Unit roundoff and smallest positive subnormal of float64.
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
+# The most screen values neighbor_table holds at once, so that a large class
+# never holds an n x n matrix.
+_SCREEN_VALUES = 2**20
 
 
 def _gamma(m: int) -> float:
@@ -59,14 +62,19 @@ def _gamma(m: int) -> float:
     return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
 
 
+def _block_rows(n: int) -> int:
+    """How many rows of an n-point screen neighbor_table computes at once: at least one."""
+    return max(1, _SCREEN_VALUES // n)
+
+
 def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
     """Row q lists the k nearest points to row q of points by Euclidean distance, excluding q.
 
     k is clamped to len(points) - 1; exact distance ties resolve to the
     lower index. Each row equals a stable argsort of squared_distance from
-    row q, which defines the order; it is screened with the Gram form
-    |a|^2 + |b|^2 - 2 a.b and recomputed exactly only where the screen
-    cannot separate the candidates.
+    row q, which defines the order; blocks of rows are screened at once with
+    the Gram form |a|^2 + |b|^2 - 2 a.b, and a row is recomputed exactly only
+    where the screen cannot separate its candidates.
     """
     n = len(points)
     if n < 2:
@@ -85,7 +93,7 @@ def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
     shared_count = int(shared.sum())
     dense = np.zeros((n, shared_count), dtype=np.float64)
     dense[rows[keep], (np.cumsum(shared) - 1)[column[keep]]] = points.values[keep]
-    sq = np.array([values @ values for _, values in map(points.row, range(n))], dtype=np.float64)
+    sq = np.bincount(rows, weights=points.values * points.values, minlength=n)
 
     # Rounding bound, with u the unit roundoff and gamma_m = m*u / (1 - m*u).
     # Let N be the largest nnz, s the shared-column count, S_i = |x_i|^2 and
@@ -96,6 +104,7 @@ def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
     # - Screen value A = fl(fl(sq_a + sq_b) - 2 g): sq_i carries
     #   |sq_i - S_i| <= gamma_N S_i; g, the s-term dot product over the shared
     #   columns, carries |g - a.b| <= gamma_s sum|a_c b_c| <= gamma_s (S_a + S_b) / 2;
+    #   both hold for any summation order, so for bincount's and a gemm's too;
     #   doubling is exact; the addition and the subtraction round once each
     #   on operands no larger than about S_a + S_b. So
     #   |A - T| <= (gamma_N + gamma_s + 3u + O(u^2)) (S_a + S_b)
@@ -111,36 +120,34 @@ def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
     terms = 2 * max_nnz + shared_count + 8
     bound = 8.0 * _gamma(terms) * float(sq.max()) + 2 * terms * _SMALLEST_SUBNORMAL
 
-    table: list[list[int]] = []
-    for q in range(n):
-        approx = sq[q] + sq - 2.0 * (dense @ dense[q])
-        approx[q] = np.inf
-        order = np.argsort(approx, kind="stable")
-        head = approx[order[: k + 1]]
-        if np.all(np.diff(head) > 2.0 * bound):
-            table.append([int(i) for i in order[:k]])
-            continue
-        # Near-tie: only points whose screen value is within 2 * bound of
-        # the k-th can be among the exact k nearest. Rank those exactly,
-        # by (distance, index) as the stable argsort of exact values does.
-        # (Subtracting first keeps the rounding from dropping a candidate.)
-        candidates = np.flatnonzero(approx - head[k - 1] <= 2.0 * bound)
-        exact = [squared_distance(points.row(q), points.row(int(i))) for i in candidates]
-        ranked = sorted(zip(exact, candidates.tolist()))
-        table.append([int(i) for _, i in ranked[:k]])
-    return table
+    table = np.empty((n, k), dtype=np.intp)
+    step = _block_rows(n)
+    for lo in range(0, n, step):
+        approx = sq[lo : lo + step, None] + sq - 2.0 * (dense[lo : lo + step] @ dense.T)
+        np.fill_diagonal(approx[:, lo:], np.inf)  # no point is its own neighbor
+        order = np.argsort(approx, axis=1, kind="stable")[:, : k + 1]
+        head = np.take_along_axis(approx, order, axis=1)
+        table[lo : lo + step] = order[:, :k]
+        for q in lo + np.flatnonzero(~np.all(np.diff(head, axis=1) > 2.0 * bound, axis=1)):
+            # Near-tie: only points whose screen value is within 2 * bound of
+            # the k-th can be among the exact k nearest. Rank those exactly,
+            # by (distance, index) as the stable argsort of exact values does.
+            # (Subtracting first keeps the rounding from dropping a candidate.)
+            candidates = np.flatnonzero(approx[q - lo] - head[q - lo, k - 1] <= 2.0 * bound)
+            exact = [squared_distance(points.row(q), points.row(int(i))) for i in candidates]
+            table[q] = [i for _, i in sorted(zip(exact, candidates.tolist()))[:k]]
+    return table.tolist()
 
 
-def _synthesize(X: SparseRows, records: Sequence[SmoteRecord]) -> SparseRows:
-    """The synthetic rows of records, in order, as one batch: a + gap * (b - a) for each.
+def _synthesize(X: SparseRows, base: np.ndarray, neighbor: np.ndarray, gap: np.ndarray) -> SparseRows:
+    """Row i is a + gap[i] * (b - a), for a = X's row base[i] and b = its row neighbor[i].
 
     The entries of base a and neighbor b merge by the key row * width + column,
     and exact zeros are dropped. The operations are those of one pair at a
     time, so each value is bitwise that pair's; for finite rows, gap 0 gives a.
     """
-    n = len(records)
-    pairs = X.take([r.base_index for r in records] + [r.neighbor_index for r in records])
-    gap = np.array([r.gap for r in records], dtype=np.float64)
+    n = len(base)
+    pairs = X.take(np.concatenate([base, neighbor]))
     width = int(pairs.indices.max(initial=0)) + 1
     rows = np.repeat(np.tile(np.arange(n), 2), np.diff(pairs.indptr))
     keys, where = np.unique(rows * width + pairs.indices, return_inverse=True)
@@ -152,6 +159,60 @@ def _synthesize(X: SparseRows, records: Sequence[SmoteRecord]) -> SparseRows:
     keep = values != 0.0
     keys = keys[keep]
     return SparseRows(np.searchsorted(keys, np.arange(n + 1) * width), keys % width, values[keep])
+
+
+def _scalar_draws(rng: np.random.Generator, n: int, k: int, need: int) -> tuple[np.ndarray, ...]:
+    """need rounds of rng.integers(n), rng.integers(k) and rng.random(), as three arrays."""
+    a, b, gap = np.empty(need, dtype=np.intp), np.empty(need, dtype=np.intp), np.empty(need)
+    for i in range(need):
+        a[i], b[i], gap[i] = rng.integers(n), rng.integers(k), rng.random()
+    return a, b, gap
+
+
+def _draws(rng: np.random.Generator, n: int, k: int, need: int) -> tuple[np.ndarray, ...] | None:
+    """_scalar_draws on a fresh rng, read off its raw PCG64 stream in one call, or None.
+
+    integers(m) is Lemire's (u * m) >> 32 of a 32-bit u, drawn again while the
+    low half of u * m is below (2^32 - m) % m; PCG64's u is the low half of a
+    fresh word, then its buffered high half; random() is a word's top 53 bits
+    times 2^-53. So a round reads two words: a from the first's low half, b
+    from its high half, the gap from the second. None, before any draw, for
+    another bit generator, k < 2 (integers(1) draws nothing) or n >= 2^32;
+    None after it if numpy would have drawn any u again.
+    """
+    bits = rng.bit_generator
+    if type(bits) is not np.random.PCG64 or k < 2 or n >= 2**32:
+        return None
+    raw = bits.random_raw(2 * need)
+    a, b = (raw[0::2] & 0xFFFFFFFF) * np.uint64(n), (raw[0::2] >> 32) * np.uint64(k)
+    if any(np.any((u & 0xFFFFFFFF) < (2**32 - m) % m) for u, m in ((a, n), (b, k))):
+        return None
+    return (a >> 32).astype(np.intp), (b >> 32).astype(np.intp), (raw[1::2] >> 11) * 2.0**-53
+
+
+# (seed, n, k, need) cases on which _draws must equal _scalar_draws before smote uses it,
+# so that a numpy which draws otherwise keeps the scalar calls.
+_PROBES = ((0, 2, 2, 1), (1, 9, 5, 300), (2, 4099, 6, 300))
+_raw_draws: bool | None = None  # whether _probe passed; None until the first draw
+
+
+def _probe() -> bool:
+    for seed, *case in _PROBES:
+        got = _draws(np.random.default_rng(seed), *case)
+        want = _scalar_draws(np.random.default_rng(seed), *case)
+        if got is None or not all(map(np.array_equal, got, want)):
+            return False
+    return True
+
+
+def _class_draws(seed: int, n: int, k: int, need: int) -> tuple[np.ndarray, ...]:
+    """_scalar_draws on default_rng(seed), read off the raw stream once the probe has passed."""
+    global _raw_draws
+    if _raw_draws is None:
+        _raw_draws = _probe()
+    drawn = _draws(np.random.default_rng(seed), n, k, need) if _raw_draws else None
+    # random_raw has moved that generator on, so the scalar calls start afresh.
+    return _scalar_draws(np.random.default_rng(seed), n, k, need) if drawn is None else drawn
 
 
 def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> SmoteResult:
@@ -169,29 +230,29 @@ def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> Smote
         raise ValueError(f"need at least 2 classes to resample, got {list(groups)}")
     target = max(map(len, groups.values()))
 
-    # Draw every synthetic sample's provenance first; the rows themselves
-    # are built one class at a time while the output batch is filled.
-    records: list[SmoteRecord] = []
+    # Draw every synthetic sample's provenance first: per growing class, its
+    # label and its samples' base positions, neighbor positions and gaps. The
+    # rows themselves are built one class at a time while the output batch is filled.
+    drawn = []
     for cls, members in groups.items():
         need = target - len(members)
         if need <= 0:
             continue
-        rng = np.random.default_rng(substream(config.seed, f"smote-class-{cls}"))
+        members = np.array(members)
         if len(members) == 1:
             warnings.warn(
                 f"class {cls} has a single member; oversampling by duplication",
                 stacklevel=2,
             )
-            records.extend(SmoteRecord(cls, members[0], members[0], 0.0) for _ in range(need))
+            drawn.append((cls, members.repeat(need), members.repeat(need), np.zeros(need)))
             continue
         k = min(config.smote_k, len(members) - 1)
-        table = neighbor_table(X.take(members), k)
-        for _ in range(need):
-            a_local = int(rng.integers(len(members)))
-            b_local = table[a_local][int(rng.integers(k))]
-            gap = float(rng.random())
-            records.append(SmoteRecord(cls, members[a_local], members[b_local], gap))
-    synthetic = (_synthesize(X, list(group)) for _, group in groupby(records, lambda r: r.label))
+        table = np.array(neighbor_table(X.take(members), k))
+        a, b, gap = _class_draws(substream(config.seed, f"smote-class-{cls}"), len(members), k, need)
+        drawn.append((cls, members[a], members[table[a, b]], gap))
+    records = [SmoteRecord(cls, *fields) for cls, *arrays in drawn
+               for fields in zip(*(array.tolist() for array in arrays))]
+    synthetic = (_synthesize(X, *arrays) for _, *arrays in drawn)
     return SmoteResult(
         vectors=SparseRows.concat(chain([X], synthetic)),
         labels=[int(lab) for lab in labels] + [r.label for r in records],

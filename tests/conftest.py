@@ -111,3 +111,19 @@ def step_loop(request):
             if not sgd._step_kernel():
                 pytest.skip("the compiled kernel does not load here")
         yield request.param
+
+
+@pytest.fixture(scope="class", params=["raw", "scalar"])
+def draw_path(request):
+    """Draw SMOTE's provenance from the raw PCG64 stream or with the scalar Generator calls.
+
+    Patches resample._raw_draws to the probe's verdict, or off; the raw case
+    skips where the probe fails. Class-scoped, so Hypothesis tests can use it.
+    """
+    from sgdtext import resample
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resample, "_raw_draws", request.param == "raw" and resample._probe())
+        if request.param == "raw" and not resample._raw_draws:
+            pytest.skip("the raw-stream draws differ from numpy's here")
+        yield request.param

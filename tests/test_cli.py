@@ -675,6 +675,18 @@ class TestGoldenArtifactsInEachLoop(TestGoldenArtifacts):
     """The pinned digests, and the --jobs 2 sweep, with the numpy loop and with the kernel."""
 
 
+@pytest.mark.usefixtures("draw_path")
+class TestGoldenSmoteInEachDrawPath:
+    """The pinned crossval --smote digests, with the raw-stream draws and with the scalar calls."""
+
+    def test_crossval_smote_matches_its_pinned_digests(self, signature_corpus, tmp_path):
+        golden = TestGoldenArtifacts
+        run, _ = golden.prepare(tmp_path, golden.signature_rows(signature_corpus), golden.GRID)
+        run("crossval", "--smote", "--k", "3")
+        for name in ("cv_report.json", "cv_report.txt"):
+            assert golden.digest(tmp_path / "run" / name) == golden.DIGESTS[name]
+
+
 class TestMalformedInputFiles:
     @pytest.fixture
     def prepared(self, labeled_csv, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgdtext import features, sgd
+from sgdtext import features, pipeline, sgd
 from sgdtext.features import NORMS, NgramRange, count
 from sgdtext.pipeline import (
     FittedPipeline,
@@ -24,6 +24,7 @@ from sgdtext.pipeline import (
     twin_key,
 )
 from sgdtext.resample import smote
+from sgdtext.search import GridSpec, enumerate_grid
 from sgdtext.seeds import substream
 
 from oracles import tfidf_to_dict
@@ -209,6 +210,58 @@ class TestTwins:
         assert [[row is batch.values for batch in batches] for row in rows] == (
             [[True, False]] * 3 + [[False, True]] * 3
         )
+
+    @staticmethod
+    def smote_calls(monkeypatch) -> list[PipelineConfig]:
+        calls = []
+        monkeypatch.setattr(
+            pipeline, "smote", lambda X, y, config: calls.append(config) or smote(X, y, config)
+        )
+        return calls
+
+    @staticmethod
+    def assert_each_equals_its_lone_fit(counts, labels, configs, fitted):
+        for result, config in zip(fitted, configs):
+            lone = fit_pipeline(counts, labels, config)
+            assert tfidf_to_dict(result.tfidf) == tfidf_to_dict(lone.tfidf)
+            assert np.array_equal(result.model.weights, lone.model.weights)
+            assert np.array_equal(result.model.intercepts, lone.model.intercepts)
+
+    # Classes of 10, 4 and 6 distinct documents, so that SMOTE's draws show in the rows.
+    VARIED = (
+        [[f"sig{c}", f"w{i % 7}", f"w{3 * i % 5}"] for c, n in ((1, 10), (2, 4), (3, 6))
+         for i in range(n)],
+        [1] * 10 + [2] * 4 + [3] * 6,
+    )
+
+    def test_one_smote_call_per_vector_key(self, monkeypatch):
+        # A default-grid group, one n-gram range and penalty, with SMOTE:
+        # 24 configs, 18 twin keys and 6 vector keys.
+        documents, labels = self.VARIED
+        counts = count(documents, NgramRange(1, 1))
+        base = PipelineConfig(smote=True, smote_k=2, epochs=2, seed=3)
+        configs = [c for c in enumerate_grid(GridSpec(), base)
+                   if c.ngram_range == NgramRange(1, 1) and c.penalty == "l2"]
+        calls = self.smote_calls(monkeypatch)
+        fitted = fit_group(counts, labels, configs)
+        assert len(configs) == 24 and len(calls) == 6
+        self.assert_each_equals_its_lone_fit(counts, labels, configs, fitted)
+
+    def test_a_smote_call_is_shared_only_on_equal_smote_k_and_seed(self, monkeypatch):
+        documents, labels = self.VARIED
+        counts = count(documents, NgramRange(1, 1))
+        base = PipelineConfig(smote=True, smote_k=2, epochs=2, seed=3)
+        configs = [
+            base,
+            replace(base, alpha=1e-3),  # shares base's call
+            replace(base, smote_k=3),
+            replace(base, smote_k=3, seed=4),
+            replace(base, smote_k=3, seed=4, alpha=1e-3),  # shares the call before
+        ]
+        calls = self.smote_calls(monkeypatch)
+        fitted = fit_group(counts, labels, configs)
+        assert len(calls) == 3
+        self.assert_each_equals_its_lone_fit(counts, labels, configs, fitted)
 
     def test_twins_share_a_failure(self, signature_corpus):
         documents, _ = signature_corpus(n_classes=2, per_class=4)

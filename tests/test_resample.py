@@ -135,6 +135,15 @@ def oracle_table(points: SparseRows, k: int) -> list[list[int]]:
     return [knn_indices_oracle(points, q, k) for q in range(len(points))]
 
 
+def provenance(records: list[SmoteRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base positions, neighbor positions and gaps of records, as _synthesize takes them."""
+    return (
+        np.array([r.base_index for r in records], dtype=np.intp),
+        np.array([r.neighbor_index for r in records], dtype=np.intp),
+        np.array([r.gap for r in records], dtype=np.float64),
+    )
+
+
 def tfidf_classes(seed: int, ngram_range: NgramRange, norm: str) -> list[SparseRows]:
     """TF-IDF vectors of a small Zipf-like corpus, split into three classes.
 
@@ -226,6 +235,18 @@ class TestNeighborTable:
         assert table[0] == [1]
         assert table == oracle_table(points, 1)
 
+    def test_near_tie_in_a_later_block(self, monkeypatch):
+        # The near-tie above, after three far points: in blocks of 3 rows, or
+        # of 1 (TestNeighborTableInBlocks), query 3 is screened in a later block.
+        far = [{5: 100.0}, {6: 200.0}, {7: 300.0}]
+        points = rows(*far, {0: 0.2, 1: 0.3}, {0: 0.9, 1: 0.4}, {0: 0.9, 1: 0.2})
+        counting = CountingDistance()
+        monkeypatch.setattr(resample, "squared_distance", counting)
+        table = neighbor_table(points, 1)
+        assert counting.calls > 0
+        assert table[3] == [4]
+        assert table == oracle_table(points, 1)
+
     def test_separated_points_skip_the_exact_rerank(self, monkeypatch):
         points = rows(*({0: float(2**i)} for i in range(6)))
         counting = CountingDistance()
@@ -253,6 +274,19 @@ class TestNeighborTable:
         two = rows({0: 1.0}, {0: 2.0})
         with pytest.raises(ValueError, match="k must be"):
             neighbor_table(two, 0)
+
+
+@pytest.fixture(scope="class", params=[1, 3], ids=["1-row", "3-row"])
+def screen_rows(request):
+    """Screen the neighbor table in blocks of 1 or 3 rows instead of one block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resample, "_block_rows", lambda n: request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("screen_rows")
+class TestNeighborTableInBlocks(TestNeighborTable):
+    """Every TestNeighborTable case, with the table screened a few rows at a time."""
 
 
 @st.composite
@@ -330,7 +364,75 @@ class TestSmoteProperty:
         expected = from_rows(
             interpolate(X.row(r.base_index), X.row(r.neighbor_index), r.gap) for r in records
         )
-        assert batch_bytes(resample._synthesize(X, records)) == batch_bytes(expected)
+        assert batch_bytes(resample._synthesize(X, *provenance(records))) == batch_bytes(expected)
+
+
+@pytest.mark.usefixtures("draw_path")
+class TestSmotePropertyInEachDrawPath(TestSmoteProperty):
+    """The per-record oracle, with the draws read off the raw stream and with the scalar calls."""
+
+
+def scalar_triples(seed: int, n: int, k: int, need: int) -> list[tuple[int, int, float]]:
+    """need rounds of integers(n), integers(k) and random() on default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(n)), int(rng.integers(k)), float(rng.random())) for _ in range(need)]
+
+
+def triples(drawn: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[tuple[int, int, float]]:
+    return list(zip(*(array.tolist() for array in drawn)))
+
+
+class TestDraws:
+    """_draws reads the scalar Generator calls' values off the raw PCG64 stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        n=st.integers(2, 10**4),
+        k=st.integers(2, 6),
+        need=st.integers(0, 500),
+    )
+    @example(seed=0, n=2, k=2, need=0)
+    @example(seed=2**64, n=10**4, k=6, need=500)
+    def test_equals_the_scalar_calls(self, seed, n, k, need):
+        drawn = resample._draws(np.random.default_rng(seed), n, k, need)
+        # The scalar calls read 2 * need words and leave no half buffered,
+        # unless numpy rejected a draw and drew again; then _draws must decline.
+        rng, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [(int(rng.integers(n)), int(rng.integers(k)), float(rng.random()))
+                    for _ in range(need)]
+        plain.bit_generator.advance(2 * need)
+        if all(rng.bit_generator.state[key] == plain.bit_generator.state[key]
+               for key in ("state", "has_uint32")):
+            assert drawn is not None and triples(drawn) == expected
+            assert drawn[2].dtype == np.float64
+        else:
+            assert drawn is None
+
+    def test_declines_what_it_cannot_read(self):
+        assert resample._draws(np.random.default_rng(0), 10, 1, 5) is None  # integers(1) draws nothing
+        assert resample._draws(np.random.default_rng(0), 2**32, 3, 5) is None
+        for bits in (np.random.MT19937(0), np.random.PCG64DXSM(0), np.random.Philox(0)):
+            assert resample._draws(np.random.Generator(bits), 10, 3, 5) is None
+
+    def test_a_rejected_draw_falls_back_to_a_fresh_generator(self, monkeypatch):
+        # Lemire's threshold for 3 * 2^30 is 2^30: about a quarter of its draws are redrawn.
+        n = 3 * 2**30
+        assert resample._draws(np.random.default_rng(5), n, 5, 100) is None
+        monkeypatch.setattr(resample, "_raw_draws", True)
+        assert triples(resample._class_draws(5, n, 5, 100)) == scalar_triples(5, n, 5, 100)
+
+    def test_smote_reads_the_raw_stream_where_the_probe_passes(self, monkeypatch):
+        if not resample._probe():
+            pytest.skip("the raw-stream draws differ from numpy's here")
+        X, labels = TestSmote().imbalanced()  # classes of 12, 5 and 3: k >= 2
+        scalar, scalar_draws = [], resample._scalar_draws
+        monkeypatch.setattr(resample, "_raw_draws", True)
+        monkeypatch.setattr(
+            resample, "_scalar_draws", lambda *args: scalar.append(args) or scalar_draws(*args)
+        )
+        smote(X, labels, PipelineConfig(seed=1))
+        assert scalar == []
 
 
 class TestSmote:
@@ -408,9 +510,9 @@ class TestSmote:
         X, labels = self.imbalanced()
         calls = []
 
-        def counting(X, records):
-            calls.append([r.label for r in records])
-            return synthesize(X, records)
+        def counting(X, base, neighbor, gap):
+            calls.append([labels[i] for i in base])
+            return synthesize(X, base, neighbor, gap)
 
         synthesize = resample._synthesize
         monkeypatch.setattr(resample, "_synthesize", counting)
