@@ -1,10 +1,12 @@
-/* The per-sample step loop of sgdtext.sgd._fit_rows, compiled.
+/* Two loops of sgdtext.sgd, compiled: fit_rows, the per-sample step loop of
+   _fit_rows, and decide, the per-row products of decision.
 
-   It performs the numpy loop's operations in the same order on the same
-   IEEE doubles, so every weight and intercept is bitwise the numpy pass's:
-   each margin goes through the ddot that numpy's matmul calls, passed in
-   as a function pointer, and must be built with -ffp-contract=off so that
-   no multiply and add fuse. All arrays are numpy's, C-contiguous:
+   Each performs the numpy loop's operations in the same order on the same
+   IEEE doubles, so every result is bitwise the numpy loop's: each margin
+   goes through the ddot, and each product through the dgemv, that numpy's
+   matmul calls, passed in as function pointers, and the file must be built
+   with -ffp-contract=off so that no multiply and add fuse. All arrays are
+   numpy's, C-contiguous. fit_rows reads:
 
      order     steps sample indices, the epochs' visit orders one after another
      indptr    n + 1 row offsets of the CSR pattern, indices its nnz columns
@@ -24,6 +26,12 @@
 
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
                           const double *y, int64_t incy);
+/* cblas_dgemv of a 64-bit-integer BLAS; the order and transpose are C enums. */
+typedef void (*dgemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha,
+                         const double *a, int64_t lda, const double *x, int64_t incx,
+                         double beta, double *y, int64_t incy);
+
+enum { COL_MAJOR = 102, NO_TRANS = 111 };
 
 enum { SVM, LOGREG, PERCEPTRON };
 
@@ -127,5 +135,31 @@ void fit_rows(ddot_fn ddot, int64_t loss, int64_t l1, int64_t C, int64_t K,
             for (int64_t ck = 0; ck < C * K; ck++)
                 for (int64_t j = 0; j < n; j++)
                     W[ck * d + idx[j]] = sub[ck * n + j];
+    }
+}
+
+/* decision's products: scores[i * K + k] = w_k . x_i for each row i of a
+   CSR batch, with W the K x d weights (K >= 2), as numpy's matmul computes
+   W[:, idx] @ vals. That gather is an n x K C-ordered copy, which matmul
+   hands dgemv as a column-major K x n matrix; numpy gives an empty row
+   zeros, and a row of one entry 0.0 + w * v without BLAS. scores must be
+   zeros on entry, and block hold K x (longest row) doubles. */
+void decide(dgemv_fn dgemv, int64_t rows, int64_t K, int64_t d, const int64_t *indptr,
+            const int64_t *indices, const double *values, const double *W,
+            double *scores, double *block)
+{
+    for (int64_t i = 0; i < rows; i++) {
+        int64_t start = indptr[i], n = indptr[i + 1] - start;
+        const int64_t *idx = indices + start;
+        double *out = scores + i * K;
+        if (n == 1) {
+            for (int64_t k = 0; k < K; k++)
+                out[k] = 0.0 + W[k * d + idx[0]] * values[start];
+        } else if (n > 1) {
+            for (int64_t j = 0; j < n; j++)
+                for (int64_t k = 0; k < K; k++)
+                    block[j * K + k] = W[k * d + idx[j]];
+            dgemv(COL_MAJOR, NO_TRANS, K, n, 1.0, block, K, values + start, 1, 0.0, out, 1);
+        }
     }
 }

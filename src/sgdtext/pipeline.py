@@ -137,10 +137,11 @@ def fit_group(
     when divided by a finite row norm, so all the vectors have one pattern
     (indptr and indices), in which every gram occurs: each model, as wide as
     its rows, has one weight column per gram. The distinct configs without
-    SMOTE train in one sgd.fit_stacked pass on that pattern. A SMOTE config,
-    or the one config without SMOTE, trains alone through sgd.fit_multiclass;
-    consecutive SMOTE configs with equal vector_key, smote_k and seed share
-    one smote call, as smote reads nothing else.
+    SMOTE train in one sgd.fit_stacked pass on that pattern. Consecutive
+    SMOTE configs with equal vector_key, smote_k and seed share one smote
+    call, as smote reads nothing else, and those of them with one pass_key
+    train in one fit_stacked pass on its batch. A pass of one twin key
+    trains through sgd.fit_multiclass instead.
     Each result is a FittedPipeline, or the exception its fit raised.
     """
     if len(counts) != len(labels):
@@ -148,11 +149,28 @@ def fit_group(
     if len({sgd.pass_key(config) for config in configs if not config.smote}) > 1:
         raise ValueError("the configs without SMOTE need one loss, penalty, epochs and seed")
     train_labels = [int(lab) for lab in labels]
-    alone = sum(not config.smote for config in configs) == 1
     results: list[FittedPipeline | TfidfModel | Exception] = []
-    # Rows per vector key; per twin key, its model or exception, or its stacked (shuffle, rows).
-    vectors, trained, stacked = {}, {}, {}
-    smoted_key = None  # (vector key, smote_k, seed) of the last smote call that returned
+    # Rows per vector key; per twin key, its model or exception. A pass holds,
+    # per twin key, its (shuffle, rows): one pass without SMOTE, and one on
+    # the last smote call's batch.
+    vectors, trained, plain, smoted_pass = {}, {}, {}, {}
+
+    def train(members: dict, labels: list[int]) -> None:
+        if len(members) == 1:
+            [(twin, (shuffle, X))] = members.items()
+            try:
+                trained[twin] = sgd.fit_multiclass(X, labels, shuffle)
+            except Exception as exc:
+                trained[twin] = exc
+            return
+        shuffles, rows = zip(*members.values())
+        try:  # on the pattern the rows share; one vector key's or smote call's rows are one array
+            models = sgd.fit_stacked(rows[0], [X.values for X in rows], labels, shuffles)
+        except Exception as exc:  # a lone pass would raise it for every member
+            models = [exc] * len(members)
+        trained.update(zip(members, models))
+
+    smoted = smoted_key = pass_on = None  # the last smote call that returned, and their keys
     for config in configs:
         try:
             results.append(tfidf := features.fit(counts, config))
@@ -160,30 +178,31 @@ def fit_group(
             results.append(exc)
             continue
         twin, shuffle = twin_key(config), config.reseed(substream(config.seed, "shuffle"))
-        if twin in trained or twin in stacked:
+        if twin in trained or twin in plain or twin in smoted_pass:
             continue
         try:
             if (key := vector_key(config)) not in vectors:
                 vectors[key] = features.transform(tfidf, counts)
-            X, y = vectors[key], train_labels
-            if config.smote:
-                if (key, config.smote_k, config.seed) != smoted_key:
-                    smoted = smote(X, y, config.reseed(substream(config.seed, "smote")))
-                    smoted_key = key, config.smote_k, config.seed
-                X, y = smoted.vectors, smoted.labels
-            if config.smote or alone:
-                trained[twin] = sgd.fit_multiclass(X, y, shuffle)
-            else:
-                stacked[twin] = shuffle, X
+            if not config.smote:
+                plain[twin] = shuffle, vectors[key]
+                continue
+            batch = key, config.smote_k, config.seed
+            if (batch, sgd.pass_key(config)) != pass_on and smoted_pass:
+                train(smoted_pass, smoted.labels)
+                smoted_pass = {}
+            if batch != smoted_key:
+                smoted = smote(
+                    vectors[key], train_labels, config.reseed(substream(config.seed, "smote"))
+                )
+                smoted_key = batch
+            pass_on = batch, sgd.pass_key(config)
+            smoted_pass[twin] = shuffle, smoted.vectors
         except Exception as exc:
             trained[twin] = exc
-    if stacked:
-        shuffles, rows = zip(*stacked.values())
-        try:  # on the pattern all the rows share; one vector key's rows are one array
-            models = sgd.fit_stacked(rows[0], [X.values for X in rows], train_labels, shuffles)
-        except Exception as exc:  # a lone pass would raise it for every member
-            models = [exc] * len(stacked)
-        trained.update(zip(stacked, models))
+    if smoted_pass:
+        train(smoted_pass, smoted.labels)
+    if plain:
+        train(plain, train_labels)
     for c, (config, tfidf) in enumerate(zip(configs, results)):
         if isinstance(tfidf, TfidfModel):
             model = trained[twin_key(config)]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -34,9 +35,22 @@ class SmoteRecord:
 
 @dataclass
 class SmoteResult:
+    """The resampled batch and its labels.
+
+    drawn holds the synthetic samples' provenance, per grown class in row
+    order: its label and the arrays of base positions, neighbor positions
+    and gaps, one entry per sample.
+    """
+
     vectors: SparseRows
     labels: list[int]
-    records: list[SmoteRecord]
+    drawn: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+
+    @cached_property
+    def records(self) -> list[SmoteRecord]:
+        """One SmoteRecord per synthetic sample, in row order, built on first use."""
+        return [SmoteRecord(cls, *fields) for cls, *arrays in self.drawn
+                for fields in zip(*(array.tolist() for array in arrays))]
 
 
 def squared_distance(a: Row, b: Row) -> float:
@@ -219,9 +233,9 @@ def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> Smote
     """Append synthetic minority samples until every class reaches the majority count.
 
     Reads config.smote_k, the neighbor count, and config.seed. Originals
-    come first, bit-identical to the input; synthetic samples follow with
-    one provenance record each. Deterministic for a fixed seed (per-class
-    substreams, so class order does not couple the draws).
+    come first, bit-identical to the input; synthetic samples follow, with
+    their drawn provenance in SmoteResult.drawn. Deterministic for a fixed
+    seed (per-class substreams, so class order does not couple the draws).
     """
     if len(X) != len(labels):
         raise ValueError("X and labels must have equal length")
@@ -250,11 +264,10 @@ def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> Smote
         table = np.array(neighbor_table(X.take(members), k))
         a, b, gap = _class_draws(substream(config.seed, f"smote-class-{cls}"), len(members), k, need)
         drawn.append((cls, members[a], members[table[a, b]], gap))
-    records = [SmoteRecord(cls, *fields) for cls, *arrays in drawn
-               for fields in zip(*(array.tolist() for array in arrays))]
     synthetic = (_synthesize(X, *arrays) for _, *arrays in drawn)
+    grown = chain.from_iterable(repeat(cls, len(gap)) for cls, *_, gap in drawn)
     return SmoteResult(
         vectors=SparseRows.concat(chain([X], synthetic)),
-        labels=[int(lab) for lab in labels] + [r.label for r in records],
-        records=records,
+        labels=[int(lab) for lab in labels] + list(grown),
+        drawn=drawn,
     )

@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,13 +84,28 @@ def _check_feature_range(X: SparseRows, feature_dim: int) -> None:
 
 
 def decision(model: LinearModel, X: SparseRows) -> np.ndarray:
-    """Per-class scores w_k . x + b_k: an n x K array, one row per sample."""
+    """Per-class scores w_k . x + b_k: an n x K array, one row per sample.
+
+    Each row's products are numpy's matmul of its gathered weights and its
+    values. They run in the compiled kernel's decide where it loads (see
+    _compiled), which calls the dgemv that matmul calls, else one matmul per
+    row in _numpy_decision; both give the same bytes. The intercepts are
+    added in numpy either way.
+    """
     _check_feature_range(X, model.feature_dim)
-    scores = np.empty((len(X), len(model.classes)), dtype=np.float64)
+    weights = np.ascontiguousarray(model.weights, dtype=np.float64)
+    # With one class, matmul takes ddot instead of dgemv, so that model stays in numpy.
+    kernel = len(weights) > 1 and _compiled()
+    return (kernel.decide if kernel else _numpy_decision)(weights, X) + model.intercepts
+
+
+def _numpy_decision(weights: np.ndarray, X: SparseRows) -> np.ndarray:
+    """decision's products w_k . x, one matmul per row."""
+    scores = np.empty((len(X), len(weights)), dtype=np.float64)
     for i in range(len(X)):
         idx, vals = X.row(i)
-        scores[i] = model.weights[:, idx] @ vals
-    return scores + model.intercepts
+        scores[i] = weights[:, idx] @ vals
+    return scores
 
 
 def predict(model: LinearModel, X: SparseRows) -> list[int]:
@@ -166,38 +181,47 @@ def _logreg_dmargin(margins: np.ndarray) -> np.ndarray:
     return np.array(flat).reshape(margins.shape)
 
 
-# The compiled step loop: None until the first fit tries to load it, False where it cannot.
-_kernel = None
+class _Kernel(NamedTuple):
+    """The compiled kernel's two loops, bound: _numpy_steps' and _numpy_decision's."""
+
+    steps: Callable[..., None]
+    decide: Callable[[np.ndarray, SparseRows], np.ndarray]
+
+
+# The compiled kernel: None until the first fit or decision tries to load it, False where it cannot.
+_kernel: _Kernel | None | bool = None
 _BUILD = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _DDOT_SYMBOLS = ("scipy_cblas_ddot64_", "cblas_ddot64_")
+_DGEMV_SYMBOLS = ("scipy_cblas_dgemv64_", "cblas_dgemv64_")
 
 
-def _step_kernel():
-    """_numpy_steps compiled from _sgd_kernel.c, or False where it cannot be had.
+def _compiled() -> _Kernel | bool:
+    """The loops of _sgd_kernel.c, bound, or False where they cannot be had.
 
     Loaded on the first call. A missing compiler, a failed build, a BLAS
-    without ddot or a ddot that differs from numpy's matmul leaves the numpy
-    loop, silently: the kernel only makes the same bytes sooner.
+    without ddot or dgemv, or a ddot or dgemv that differs from numpy's
+    matmul leaves both numpy loops, silently: the kernel only makes the same
+    bytes sooner.
     """
     global _kernel
     if _kernel is None:
         try:
             _kernel = _load_kernel()
-        except Exception:  # whatever stops it, the numpy loop gives the same bytes
+        except Exception:  # whatever stops it, the numpy loops give the same bytes
             _kernel = False
     return _kernel
 
 
-def _blas_ddot() -> int:
-    """The address of the ddot that numpy's matmul calls, found through numpy's own handle."""
+def _blas(symbols: tuple[str, ...]) -> int:
+    """The address of the first of symbols in numpy's BLAS, found through numpy's own handle."""
     import ctypes
 
     blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    name = next(name for name in _DDOT_SYMBOLS if hasattr(blas, name))
+    name = next(name for name in symbols if hasattr(blas, name))
     return ctypes.cast(getattr(blas, name), ctypes.c_void_p).value
 
 
-def _load_kernel():
+def _load_kernel() -> _Kernel | bool:
     """Build the kernel once per source and flags into the user's cache; bind and probe it."""
     import ctypes
     import hashlib
@@ -226,7 +250,7 @@ def _load_kernel():
     except OSError:  # the cache cannot hold a loadable kernel: build one for this process
         with tempfile.TemporaryDirectory() as scratch:
             lib = built(Path(scratch))
-    ddot = _blas_ddot()
+    ddot, dgemv = _blas(_DDOT_SYMBOLS), _blas(_DGEMV_SYMBOLS)
     signature = (ctypes.c_double, ctypes.c_int64, *[ctypes.c_void_p, ctypes.c_int64] * 2)
     dot = ctypes.CFUNCTYPE(*signature)(ddot)
     x, y = np.random.default_rng(0).standard_normal((2, 300))
@@ -237,6 +261,9 @@ def _load_kernel():
     fit = lib.fit_rows
     fit.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 13
     fit.restype = None
+    gemv = lib.decide
+    gemv.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6
+    gemv.restype = None
 
     def steps(X, values, Y, order, loss, tables, W, B, settled) -> None:
         C, K, d = W.shape
@@ -253,7 +280,32 @@ def _load_kernel():
         pointers = [None if a is None else a.ctypes.data for a in arrays]
         fit(ddot, LOSSES.index(loss), tables[3] is None, C, K, d, len(order), *pointers)
 
-    return steps
+    def products(weights, indptr, indices, values) -> np.ndarray:
+        # weights is C-contiguous float64, K >= 2, and every index below its width:
+        # the C loop indexes without bounds checks, and decision has checked them.
+        K, d = weights.shape
+        scores = np.zeros((len(indptr) - 1, K))
+        block = np.empty(K * int(np.diff(indptr).max(initial=0)))
+        arrays = (indptr, indices, values, weights, scores, block)
+        gemv(dgemv, len(indptr) - 1, K, d, *(a.ctypes.data for a in arrays))
+        return scores
+
+    # Every row length from 0 to 300 falls to one K, and each K scores a row of one
+    # entry, -0.0, and an empty row; -0.0 is among the weights and values.
+    rng = np.random.default_rng(0)
+    for K in range(2, 8):
+        weights = rng.standard_normal((K, 400))
+        weights[:, ::5] = -0.0
+        lengths, columns = np.r_[1, 0, np.arange(K - 2, 301, 6)], rng.permutation(400)
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        indices = np.concatenate([np.sort(columns[:n]) for n in lengths])
+        values = rng.standard_normal(indices.size)
+        values[::7] = -0.0
+        want = [weights[:, indices[a:b]] @ values[a:b] for a, b in zip(indptr, indptr[1:])]
+        if products(weights, indptr, indices, values).tobytes() != np.array(want).tobytes():
+            return False
+
+    return _Kernel(steps, lambda weights, X: products(weights, X.indptr, X.indices, X.values))
 
 
 def _fit_rows(
@@ -270,7 +322,7 @@ def _fit_rows(
     and seed, so they share the visit order. Step size, wscale and L1 accrual
     depend only on the step count and each config's alpha, so they are
     tabulated up front. The steps run in the compiled kernel where it loads
-    (see _step_kernel), reading each row in place, else in _numpy_steps,
+    (see _compiled), reading each row in place, else in _numpy_steps,
     which stacks the rows; both give the same bytes. Returns (C x K x d
     weights, C x K intercepts); non-finite rows are left to the caller.
     """
@@ -288,7 +340,8 @@ def _fit_rows(
     B = np.zeros((C, K), dtype=np.float64)
     # The step at which L1 last settled each weight's penalty.
     settled = np.zeros(feature_dim, dtype=np.int64)
-    (_step_kernel() or _numpy_steps)(X, values, Y, order, config.loss, tables, W, B, settled)
+    steps = kernel.steps if (kernel := _compiled()) else _numpy_steps
+    steps(X, values, Y, order, config.loss, tables, W, B, settled)
     for c in range(C):
         # The third table is L1's accrual before each step, or L2's wscale after it.
         if l1:

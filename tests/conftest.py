@@ -95,11 +95,11 @@ def read_only_vectors(monkeypatch):
 
 @pytest.fixture(scope="class", params=["numpy", "kernel"])
 def step_loop(request):
-    """Run sgd._fit_rows' steps in the numpy loop or in the compiled kernel.
+    """Run sgd._fit_rows' steps and sgd.decision's products in numpy or in the compiled kernel.
 
-    Patches the kernel handle off, or loads it and patches it on; the kernel
-    case skips where the kernel cannot be built or bound. Class-scoped, so
-    Hypothesis tests can use it.
+    Patches the kernel handle, which binds both loops, off, or loads it and
+    patches it on; the kernel case skips where the kernel cannot be built or
+    bound. Class-scoped, so Hypothesis tests can use it.
     """
     from sgdtext import sgd
 
@@ -108,7 +108,7 @@ def step_loop(request):
             patch.setattr(sgd, "_kernel", False)
         else:
             patch.setattr(sgd, "_kernel", None)
-            if not sgd._step_kernel():
+            if not sgd._compiled():
                 pytest.skip("the compiled kernel does not load here")
         yield request.param
 

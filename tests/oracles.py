@@ -47,7 +47,7 @@ from sgdtext.features import (
     TfidfModel,
 )
 from sgdtext.pipeline import FittedPipeline, PipelineConfig
-from sgdtext.resample import SmoteRecord, SmoteResult, neighbor_table, smote, squared_distance
+from sgdtext.resample import SmoteResult, neighbor_table, smote, squared_distance
 from sgdtext.seeds import substream
 from sgdtext.sgd import (
     MODEL_FORMAT_VERSION,
@@ -533,7 +533,7 @@ def smote_per_record(X: SparseRows, labels: Sequence[int], config: PipelineConfi
     """
     counts = Counter(int(lab) for lab in labels)
     target = max(counts.values())
-    records: list[SmoteRecord] = []
+    drawn: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
     for cls in sorted(counts):
         members = [i for i, lab in enumerate(labels) if int(lab) == cls]
         need = target - len(members)
@@ -542,20 +542,27 @@ def smote_per_record(X: SparseRows, labels: Sequence[int], config: PipelineConfi
         rng = np.random.default_rng(substream(config.seed, f"smote-class-{cls}"))
         if len(members) == 1:
             warnings.warn(f"class {cls} has a single member; oversampling by duplication")
-            records.extend(SmoteRecord(cls, members[0], members[0], 0.0) for _ in range(need))
-            continue
-        k = min(config.smote_k, len(members) - 1)
-        table = neighbor_table(from_rows(X.row(i) for i in members), k)
-        for _ in range(need):
-            a_local = int(rng.integers(len(members)))
-            b_local = table[a_local][int(rng.integers(k))]
-            gap = float(rng.random())
-            records.append(SmoteRecord(cls, members[a_local], members[b_local], gap))
-    synthetic = (interpolate(X.row(r.base_index), X.row(r.neighbor_index), r.gap) for r in records)
+            samples = [(members[0], members[0], 0.0)] * need
+        else:
+            k = min(config.smote_k, len(members) - 1)
+            table = neighbor_table(from_rows(X.row(i) for i in members), k)
+            samples = []
+            for _ in range(need):
+                a_local = int(rng.integers(len(members)))
+                b_local = table[a_local][int(rng.integers(k))]
+                gap = float(rng.random())
+                samples.append((members[a_local], members[b_local], gap))
+        bases, neighbors, gaps = zip(*samples)
+        drawn.append((cls, np.array(bases, dtype=np.intp), np.array(neighbors, dtype=np.intp),
+                      np.array(gaps, dtype=np.float64)))
+    synthetic = (
+        interpolate(X.row(a), X.row(b), gap)
+        for _, *arrays in drawn for a, b, gap in zip(*(array.tolist() for array in arrays))
+    )
     return SmoteResult(
         vectors=from_rows(chain(map(X.row, range(len(X))), synthetic)),
-        labels=[int(lab) for lab in labels] + [r.label for r in records],
-        records=records,
+        labels=[int(lab) for lab in labels] + [cls for cls, *_, gaps in drawn for _ in gaps],
+        drawn=drawn,
     )
 
 

@@ -672,7 +672,7 @@ class TestGoldenArtifacts:
 
 @pytest.mark.usefixtures("step_loop")
 class TestGoldenArtifactsInEachLoop(TestGoldenArtifacts):
-    """The pinned digests, and the --jobs 2 sweep, with the numpy loop and with the kernel."""
+    """The pinned digests, and the --jobs 2 sweep, with the numpy loops and with the kernel."""
 
 
 @pytest.mark.usefixtures("draw_path")

@@ -1,7 +1,8 @@
-"""Tests of the compiled step kernel's build, binding and fallbacks.
+"""Tests of the compiled kernel's build, binding, fallbacks and decide.
 
-Every way the kernel can fail to load leaves the numpy loop, which must
-give the same bytes, exit codes and output as a run with the kernel.
+Every way the kernel can fail to load leaves both numpy loops, the steps
+and decision's products, which must give the same bytes, exit codes and
+output as a run with the kernel.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ import ctypes
 import fnmatch
 import re
 import shutil
+import os
 import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -18,19 +21,27 @@ import numpy as np
 import pytest
 
 import sgdtext
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sgdtext import sgd
 from sgdtext.cli import EXIT_OK, main
+from sgdtext.features import SparseRows
+from sgdtext.sgd import LinearModel, decision
 
 SOURCE = Path(sgdtext.__file__).with_name("_sgd_kernel.c")
 HAS_CC = shutil.which("cc") is not None
-try:  # numpy 2's extension module; the kernel binds numpy's ddot only there
+try:  # numpy 2's extension module; the kernel binds numpy's ddot and dgemv only there
     BLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    HAS_DDOT = any(hasattr(BLAS, name) for name in sgd._DDOT_SYMBOLS)
+    HAS_BLAS = all(
+        any(hasattr(BLAS, name) for name in symbols)
+        for symbols in (sgd._DDOT_SYMBOLS, sgd._DGEMV_SYMBOLS)
+    )
 except AttributeError:
-    HAS_DDOT = False
+    HAS_BLAS = False
 
 needs_build = pytest.mark.skipif(
-    not (HAS_CC and HAS_DDOT), reason="needs a cc on PATH and a ddot in numpy's BLAS"
+    not (HAS_CC and HAS_BLAS), reason="needs a cc on PATH and a ddot and dgemv in numpy's BLAS"
 )
 
 
@@ -86,16 +97,46 @@ def sequential_ddot():
     return dot
 
 
+def reversed_dgemv():
+    """A column-major, untransposed dgemv that sums each row from its last column to its first."""
+
+    @ctypes.CFUNCTYPE(
+        None, ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
+        ctypes.c_void_p, ctypes.c_int64,
+    )
+    def gemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy):
+        double = ctypes.POINTER(ctypes.c_double)
+        block = np.ctypeslib.as_array(ctypes.cast(a, double), (n, lda))
+        xs = np.ctypeslib.as_array(ctypes.cast(x, double), (n,)).tolist()
+        ys = np.ctypeslib.as_array(ctypes.cast(y, double), (m,))
+        for i in range(m):
+            total = 0.0
+            for j in reversed(range(n)):
+                total += float(block[j, i]) * xs[j]
+            ys[i] = total
+
+    return gemv
+
+
+def patch_blas(monkeypatch, symbols, function):
+    """Make sgd._blas give function's address for symbols, and numpy's for the rest."""
+    blas = sgd._blas
+    address = ctypes.cast(function, ctypes.c_void_p).value
+    monkeypatch.setattr(sgd, "_blas", lambda wanted: address if wanted == symbols else blas(wanted))
+
+
 class TestKernelLoads:
     @needs_build
     def test_the_kernel_builds_binds_and_is_cached(self, fresh_cache, numpy_run):
         # Loaded directly, so a failure raises here instead of falling back.
-        assert callable(sgd._load_kernel())
+        kernel = sgd._load_kernel()
+        assert callable(kernel.steps) and callable(kernel.decide)
         [built] = fresh_cache.iterdir()
         assert re.fullmatch(r"kernel-[0-9a-f]{64}\.so", built.name)
         run, reference = numpy_run
         assert run() == reference
-        assert callable(sgd._kernel)  # the fit above loaded it through the handle
+        assert isinstance(sgd._kernel, sgd._Kernel)  # the fit above loaded it through the handle
 
     @needs_build
     def test_racing_builds_leave_one_loadable_file(self, fresh_cache, monkeypatch):
@@ -120,10 +161,12 @@ class TestKernelLoads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert errors == [] and len(kernels) == 2 and all(map(callable, kernels))
+        assert errors == [] and len(kernels) == 2
+        assert all(isinstance(kernel, sgd._Kernel) for kernel in kernels)
         [built] = fresh_cache.iterdir()
         assert built.suffix == ".so"
         assert ctypes.CDLL(str(built)).fit_rows is not None
+        assert ctypes.CDLL(str(built)).decide is not None
 
     @pytest.mark.skipif(not HAS_CC, reason="needs a cc on PATH")
     def test_the_source_compiles_without_warnings(self, tmp_path):
@@ -143,9 +186,20 @@ class TestKernelLoads:
         ]["sgdtext"]
         assert any(fnmatch.fnmatch(SOURCE.name, pattern) for pattern in package_data)
 
+    def test_importing_the_cli_loads_no_kernel(self, tmp_path):
+        # The kernel loads on the first fit or decision, never at import, which setup_s times.
+        src = str(Path(sgdtext.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "XDG_CACHE_HOME": str(tmp_path / "cache")}
+        code = "import sgdtext.cli\nfrom sgdtext import sgd\nprint(repr(sgd._kernel))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "None\n"
+        assert not (tmp_path / "cache").exists()
+
 
 class TestFallbacks:
-    """Each failure leaves the numpy loop: the same bytes and output, exit 0."""
+    """Each failure leaves both numpy loops: the same bytes and output, exit 0."""
 
     @pytest.mark.parametrize(
         "build",
@@ -165,10 +219,24 @@ class TestFallbacks:
         assert run() == reference
         assert sgd._kernel is False
 
+    def test_a_blas_without_dgemv(self, fresh_cache, numpy_run, monkeypatch):
+        monkeypatch.setattr(sgd, "_DGEMV_SYMBOLS", ("no_such_dgemv64_",))
+        run, reference = numpy_run
+        assert run() == reference
+        assert sgd._kernel is False
+
     @needs_build
     def test_a_ddot_that_differs_from_matmul(self, fresh_cache, numpy_run, monkeypatch):
         dot = sequential_ddot()
-        monkeypatch.setattr(sgd, "_blas_ddot", lambda: ctypes.cast(dot, ctypes.c_void_p).value)
+        patch_blas(monkeypatch, sgd._DDOT_SYMBOLS, dot)
+        run, reference = numpy_run
+        assert run() == reference
+        assert sgd._kernel is False
+
+    @needs_build
+    def test_a_dgemv_that_differs_from_matmul(self, fresh_cache, numpy_run, monkeypatch):
+        gemv = reversed_dgemv()
+        patch_blas(monkeypatch, sgd._DGEMV_SYMBOLS, gemv)
         run, reference = numpy_run
         assert run() == reference
         assert sgd._kernel is False
@@ -184,5 +252,79 @@ class TestFallbacks:
         monkeypatch.setattr(sgd, "_kernel", None)
         run, reference = numpy_run
         assert run() == reference
-        assert callable(sgd._kernel)
+        assert isinstance(sgd._kernel, sgd._Kernel)
         assert blocker.read_text("utf-8") == ""
+
+
+def unchecked_rows(lengths, indices, values) -> SparseRows:
+    """A batch of rows as given, without SparseRows' checks, so that a value may be -0.0."""
+    X = SparseRows.__new__(SparseRows)
+    X.indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    X.indices, X.values = np.asarray(indices, dtype=np.int64), np.asarray(values)
+    return X
+
+
+@st.composite
+def decision_problems(draw):
+    """A model of 2 to 7 classes and rows of 0, 1, 2 or more entries, with -0.0 among both."""
+    K, d = draw(st.integers(2, 7)), draw(st.integers(2, 300))
+    lengths = draw(st.lists(
+        st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, d)), min_size=1, max_size=12
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indices = [np.sort(rng.choice(d, size=n, replace=False)) for n in lengths]
+    values = rng.standard_normal(sum(lengths))
+    weights = rng.standard_normal((K, d)) * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    for array in (values, weights.reshape(-1)):  # -0.0 at a drawn share of the entries
+        array[rng.random(array.size) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    model = LinearModel(weights=weights, intercepts=rng.standard_normal(K), classes=list(range(K)))
+    return model, unchecked_rows(lengths, np.concatenate(indices), values)
+
+
+@needs_build
+class TestCompiledDecision:
+    """decision through the kernel's decide, against the numpy loop it replaces."""
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        if not (kernel := sgd._load_kernel()):
+            pytest.skip("the kernel's probes fail here")
+        return kernel
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=decision_problems())
+    def test_decide_equals_the_numpy_loop_byte_for_byte(self, kernel, problem):
+        model, X = problem
+        weights = model.weights
+        assert kernel.decide(weights, X).tobytes() == sgd._numpy_decision(weights, X).tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sgd, "_kernel", kernel)
+            compiled = decision(model, X)
+            patch.setattr(sgd, "_kernel", False)
+            assert compiled.tobytes() == decision(model, X).tobytes()
+
+    def test_a_model_of_one_class_keeps_the_numpy_loop(self, kernel, monkeypatch):
+        # matmul takes ddot, not dgemv, for one weight row.
+        model = LinearModel(weights=np.array([[1.5, -2.0, 0.25]]), intercepts=np.array([0.5]),
+                            classes=[4])
+        X = unchecked_rows([0, 1, 2, 3], [2, 0, 1, 0, 1, 2], [3.0, 1.0, 2.0, 0.1, 0.2, 0.3])
+        loop, entered = sgd._numpy_decision, []
+        monkeypatch.setattr(sgd, "_kernel", kernel)
+        monkeypatch.setattr(sgd, "_numpy_decision", lambda *args: entered.append(1) or loop(*args))
+        assert decision(model, X).tobytes() == (loop(model.weights, X) + 0.5).tobytes()
+        assert entered == [1]
+
+    def test_no_numpy_loop_runs_while_the_kernel_is_loaded(self, kernel, numpy_run, monkeypatch):
+        entered = []
+        for name in ("_numpy_steps", "_numpy_decision"):
+            loop = getattr(sgd, name)
+            monkeypatch.setattr(
+                sgd, name, lambda *args, name=name, loop=loop: entered.append(name) or loop(*args)
+            )
+        run, reference = numpy_run
+        monkeypatch.setattr(sgd, "_kernel", kernel)
+        assert run() == reference
+        assert entered == []
+        monkeypatch.setattr(sgd, "_kernel", False)
+        assert run() == reference
+        assert set(entered) == {"_numpy_steps", "_numpy_decision"}

@@ -263,6 +263,57 @@ class TestTwins:
         assert len(calls) == 3
         self.assert_each_equals_its_lone_fit(counts, labels, configs, fitted)
 
+    @staticmethod
+    def count_passes(monkeypatch) -> tuple[list, list]:
+        """The values rows of each pass _fit_rows runs, and the args of each fit_multiclass call."""
+        passes, lone = [], []
+        fit_rows, fit_multiclass = sgd._fit_rows, sgd.fit_multiclass
+        monkeypatch.setattr(
+            sgd, "_fit_rows",
+            lambda X, values, *rest: passes.append(values) or fit_rows(X, values, *rest),
+        )
+        monkeypatch.setattr(
+            sgd, "fit_multiclass", lambda *args: lone.append(args) or fit_multiclass(*args)
+        )
+        return passes, lone
+
+    def test_the_members_of_one_smote_call_train_in_one_pass(self, monkeypatch):
+        # A default-grid group with SMOTE: 6 smote calls, each shared by 3 twin keys.
+        documents, labels = self.VARIED
+        counts = count(documents, NgramRange(1, 1))
+        base = PipelineConfig(smote=True, smote_k=2, epochs=2, seed=3)
+        configs = [c for c in enumerate_grid(GridSpec(), base)
+                   if c.ngram_range == NgramRange(1, 1) and c.penalty == "l2"]
+        calls = self.smote_calls(monkeypatch)
+        passes, lone = self.count_passes(monkeypatch)
+        fitted = fit_group(counts, labels, configs)
+        assert [len(values) for values in passes] == [3] * 6 and lone == []
+        # Each pass reads its smote call's values in place, once per member.
+        assert len(calls) == 6
+        assert all(values[0] is values[1] is values[2] for values in passes)
+        assert len({id(values[0]) for values in passes}) == 6
+        self.assert_each_equals_its_lone_fit(counts, labels, configs, fitted)
+
+    def test_a_smote_pass_holds_one_pass_key_and_a_lone_member_fits_alone(self, monkeypatch):
+        documents, labels = self.VARIED
+        counts = count(documents, NgramRange(1, 1))
+        base = PipelineConfig(smote=True, smote_k=2, epochs=2, seed=3)
+        configs = [
+            base,
+            replace(base, alpha=1e-3),
+            replace(base, loss="logreg"),  # one smote call, another pass key
+            replace(base, loss="logreg", alpha=1e-3),
+            replace(base, alpha=1e-2),  # alone in its pass
+            replace(base, smote_k=3),  # alone in its smote call
+        ]
+        calls = self.smote_calls(monkeypatch)
+        passes, lone = self.count_passes(monkeypatch)
+        fitted = fit_group(counts, labels, configs)
+        assert len(calls) == 2
+        assert [len(values) for values in passes] == [2, 2, 1, 1]
+        assert [args[2].alpha for args in lone] == [1e-2, 1e-4]
+        self.assert_each_equals_its_lone_fit(counts, labels, configs, fitted)
+
     def test_twins_share_a_failure(self, signature_corpus):
         documents, _ = signature_corpus(n_classes=2, per_class=4)
         configs = [PipelineConfig(use_idf=False, smote=True, smooth_idf=s) for s in (True, False)]

@@ -520,6 +520,19 @@ class TestSmote:
         assert calls == [[2] * 7, [3] * 9]
         assert sum(map(len, calls)) == len(result.records)
 
+    def test_records_are_built_on_first_use_from_the_drawn_arrays(self):
+        X, labels = self.imbalanced()
+        result = smote(X, labels, PipelineConfig(seed=5))
+        assert "records" not in vars(result)
+        assert [cls for cls, *_ in result.drawn] == [2, 3]
+        records = result.records
+        assert result.records is records  # cached
+        assert [r.label for r in records] == result.labels[len(labels):]
+        for field, column in zip(("base_index", "neighbor_index", "gap"), range(1, 4)):
+            drawn = np.concatenate([arrays[column] for arrays in result.drawn])
+            assert [getattr(r, field) for r in records] == drawn.tolist()
+        assert all(type(r.base_index) is int and type(r.gap) is float for r in records)
+
     def test_deterministic_per_seed(self):
         X, labels = self.imbalanced()
         first = smote(X, labels, PipelineConfig(seed=8))

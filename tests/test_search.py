@@ -280,7 +280,7 @@ class TestGridSearch:
 
 @pytest.mark.usefixtures("step_loop")
 class TestParallelRankingInEachLoop:
-    """The --jobs 2 ranking equals the sequential one with the numpy loop and with the kernel."""
+    """The --jobs 2 ranking equals the sequential one with the numpy loops and with the kernel."""
 
     test_parallel_ranking_matches_sequential = (
         TestGridSearch.test_parallel_ranking_matches_sequential

@@ -278,6 +278,11 @@ class TestDecisionPredict:
         assert predict(model, rows({0: 1.0})) == [3]
 
 
+@pytest.mark.usefixtures("step_loop")
+class TestDecisionPredictInEachLoop(TestDecisionPredict):
+    """TestDecisionPredict with the numpy loop and with the compiled kernel."""
+
+
 class TestFitMulticlass:
     def test_two_class_rows_are_exact_mirrors(self):
         # Swapping +1/-1 labels negates every update, so the two
@@ -721,10 +726,12 @@ class TestValuesAreRowsReadInPlace:
 
 def test_the_kernel_checks_every_row_before_it_runs(monkeypatch):
     monkeypatch.setattr(sgd, "_kernel", None)
-    if not (kernel := sgd._step_kernel()):
+    if not (loaded := sgd._compiled()):
         pytest.skip("the compiled kernel does not load here")
-    calls = []
-    monkeypatch.setattr(sgd, "_kernel", lambda *args: calls.append(args) or kernel(*args))
+    calls, kernel = [], loaded.steps
+    monkeypatch.setattr(
+        sgd, "_kernel", loaded._replace(steps=lambda *args: calls.append(args) or kernel(*args))
+    )
     X, labels, block, configs = float_rows_problem()
     fit_stacked(X, block, labels, configs)
     [(X, values, Y, order, loss, tables, W, B, settled)] = calls
