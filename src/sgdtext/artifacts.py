@@ -32,9 +32,10 @@ def write_json_rows(path: str | Path, head: dict, key: str, chunks: Iterable[str
 
     rows is a list, and key sorts after every key of head. chunks yields the
     rows' text as that dump lays it out, each row's lines indented by two
-    spaces or more, the rows of a chunk joined by ",\n". Only head goes
-    through json.dumps; each chunk is written as it arrives, so the text of
-    the rows is never held whole.
+    spaces or more, the rows of a chunk joined by ",\n": one weight row of
+    model.json (its two base64 strings) or a block of tfidf.json's vocabulary
+    rows. Only head goes through json.dumps; each chunk is written as it
+    arrives, so the text of the rows is never held whole.
     """
     with atomic_write(path) as fh:
         # Cut head's closing "\n}" so that key's list goes in as its last entry.

@@ -233,9 +233,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     fitted = fit_pipeline(features.count(documents, config.ngram_range), labels, config)
     elapsed = time.perf_counter() - started
-    # Free the corpus before the artifacts are written: writing model.json still
-    # sets train's peak memory, if only just above the fit's.
-    del documents, labels
     # The model goes last: a run cut short leaves no new model.json beside
     # an older tfidf.json or train_meta.json.
     features.save_tfidf(fitted.tfidf, out_dir / "tfidf.json")
@@ -246,6 +243,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "params": params_to_dict(config),
             "epochs": config.epochs,
             "smote": config.smote,
+            "smote_k": config.smote_k,
             "seed": args.seed,
             "elapsed_seconds": elapsed,
         },
@@ -263,8 +261,7 @@ def _load_run(out_dir: Path) -> tuple[FittedPipeline, PipelineConfig]:
 
     Reads tfidf.json, then model.json, whose width is checked against the
     vocabulary before its weights are allocated, then train_meta.json. The
-    config's seed is train's --seed, and its smote_k the default, since
-    train does not record it. Raises ValueError naming the file for a
+    config's seed is train's --seed. Raises ValueError naming the file for a
     train_meta.json that does not make a PipelineConfig, or naming both for
     one whose TF-IDF settings are not tfidf.json's.
     """
@@ -273,7 +270,8 @@ def _load_run(out_dir: Path) -> tuple[FittedPipeline, PipelineConfig]:
     model = sgd.load_model(out_dir / "model.json", (tfidf_path, len(tfidf.grams)))
     meta = read_json(meta_path)
     try:
-        base = PipelineConfig(**{name: meta[name] for name in ("loss", "epochs", "smote", "seed")})
+        fields = ("loss", "epochs", "smote", "smote_k", "seed")
+        base = PipelineConfig(**{name: meta[name] for name in fields})
         recorded = params_from_dict(meta["params"], base)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{meta_path} is malformed: {exc!r}") from exc

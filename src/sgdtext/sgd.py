@@ -17,6 +17,7 @@ dense inputs reduces exactly to per-step soft thresholding.
 
 from __future__ import annotations
 
+import base64
 import math
 import os
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .features import SparseRows
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 LOSSES = ("svm", "logreg", "perceptron")
 PENALTIES = ("l1", "l2")
@@ -513,26 +514,24 @@ def model_from_dict(data: dict, vocabulary: tuple[object, int] | None = None) ->
         intercepts = np.asarray(data["intercepts"], dtype=np.float64)
         weights = np.zeros((len(classes), feature_dim), dtype=np.float64)
         for k, row in enumerate(data["weights"]):
-            # zip(*row) would cut every pair to the shortest one, so the lengths are
-            # checked; a pair of two that is not a list fails the type checks below.
-            if not set(map(len, row)) <= {2}:
-                raise ValueError(f"weight row {k} holds a pair that is not [index, value]")
-            if not row:
-                continue
-            js, values = zip(*row)
-            if not set(map(type, js)) <= {int}:
-                raise ModelFormatError(f"weight row {k} has a non-integer feature index")
-            idx = np.fromiter(js, dtype=np.int64, count=len(js))
-            ordered = np.sort(idx)
-            if not (
-                ordered[0] >= 0 and ordered[-1] < feature_dim and np.all(ordered[1:] > ordered[:-1])
+            if not (type(row) is list and len(row) == 2 and set(map(type, row)) == {str}):
+                raise ModelFormatError(f"weight row {k} is not two base64 strings")
+            try:
+                js, values = (base64.b64decode(text, validate=True) for text in row)
+            except ValueError as exc:  # binascii.Error: a bad character or bad padding
+                raise ModelFormatError(f"weight row {k} is not base64: {exc}") from exc
+            if len(js) % 8 or len(js) != len(values):
+                raise ModelFormatError(
+                    f"weight row {k} does not hold equal counts of 8-byte indices and values"
+                )
+            idx = np.frombuffer(js, dtype="<i8")
+            if idx.size and not (
+                idx[0] >= 0 and idx[-1] < feature_dim and np.all(idx[1:] > idx[:-1])
             ):
                 raise ModelFormatError(
                     f"weight row {k} has a negative, duplicate or out-of-range feature index"
                 )
-            if not set(map(type, values)) <= {int, float}:
-                raise ModelFormatError(f"weight row {k} has a value that is not a JSON number")
-            weights[k, idx] = values
+            weights[k, idx] = np.frombuffer(values, dtype="<f8")
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
@@ -545,23 +544,21 @@ def model_from_dict(data: dict, vocabulary: tuple[object, int] | None = None) ->
 
 
 def _weight_row(row: np.ndarray) -> str:
-    """One weight row as model.json lays it out: its nonzero [index, value] pairs."""
+    """One weight row as model.json lays it out: its nonzeros' indices and values, in base64."""
     nz = np.flatnonzero(row)
-    if not nz.size:
-        return "  []"
-    # The reprs are what json's encoder writes for an int and a finite float.
-    pairs = zip(map(int.__repr__, nz.tolist()), map(float.__repr__, row[nz].tolist()))
-    body = "\n   ],\n   [\n    ".join(map(",\n    ".join, pairs))
-    return f"  [\n   [\n    {body}\n   ]\n  ]"
+    js, values = (base64.b64encode(a.tobytes()).decode("ascii")
+                  for a in (nz.astype("<i8"), row[nz].astype("<f8")))
+    return f'  [\n   "{js}",\n   "{values}"\n  ]'
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
     """Write model.json: sorted keys, a one-space indent, each weight row stored sparsely.
 
-    Row k of "weights" lists the [index, value] pairs of w_k's nonzeros in
-    index order. The rows are written one at a time. A non-finite weight or
-    intercept raises NumericError and leaves path as it was, since
-    load_model would reject the file.
+    Row k of "weights" is two strings: the base64 of the little-endian int64
+    indices of w_k's nonzeros, in index order, then of their float64 values.
+    The rows are written one at a time. A non-finite weight or intercept
+    raises NumericError and leaves path as it was, since load_model would
+    reject the file.
     """
     if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.intercepts))):
         raise NumericError("the model holds a non-finite weight or intercept")

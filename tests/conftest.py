@@ -6,18 +6,6 @@ import numpy as np
 import pytest
 
 
-@pytest.fixture(scope="session", autouse=True)
-def kernel_cache(tmp_path_factory):
-    """Build the compiled step kernel into a session directory, not the user's cache.
-
-    Set in the environment, so CLI subprocesses share it: the kernel compiles
-    once per session. tests/test_kernel.py points each of its tests elsewhere.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        yield
-
-
 @pytest.fixture
 def signature_corpus():
     """Factory for a separable corpus: class k owns the token sig{k}."""

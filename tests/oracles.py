@@ -12,7 +12,8 @@ trainer. interpolate and smote_per_record build SMOTE's synthetic rows one
 record at a time, as resample.smote did before it built a class at once.
 model_to_dict and tfidf_to_dict are the dicts whose json.dump(...,
 sort_keys=True, indent=1) sgd.save_model and features.save_tfidf write byte
-for byte without building them. fit_pipeline_alone fits one config's
+for byte without building them; model_to_dict packs each weight_row with
+struct, not numpy. fit_pipeline_alone fits one config's
 vectorizer, SMOTE and classifier in passes of their own, as fit_pipeline did
 before it became pipeline.fit_group's case of one config. fit_rows_every_step
 is sgd._fit_rows as it was before it skipped the hinge steps that move
@@ -24,7 +25,9 @@ index at a time.
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -455,13 +458,21 @@ def batch_gd_oracle(
     return w, b
 
 
+def weight_row(indices: Sequence[int], values: Sequence[float]) -> list[str]:
+    """One model.json weight row: the base64 of indices packed as "<q", then of values as "<d"."""
+    return [
+        base64.b64encode(struct.pack(f"<{len(indices)}q", *indices)).decode("ascii"),
+        base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii"),
+    ]
+
+
 def model_to_dict(model: LinearModel) -> dict:
-    """JSON-ready form; weight rows are stored sparsely as [index, value] pairs."""
+    """JSON-ready form; each weight row holds its nonzeros as a weight_row, in index order."""
     rows = []
     for k in range(len(model.classes)):
         row = model.weights[k]
-        nz = np.nonzero(row)[0]
-        rows.append([[int(j), float(row[j])] for j in nz])
+        nz = [int(j) for j in np.nonzero(row)[0]]
+        rows.append(weight_row(nz, [float(row[j]) for j in nz]))
     return {
         "version": MODEL_FORMAT_VERSION,
         "classes": [int(c) for c in model.classes],

@@ -137,7 +137,8 @@ def test_no_module_calls_json_dump():
     """json.dump with an indent runs the pure-Python encoder, one write per token.
 
     Small files go through json.dumps; model.json and tfidf.json are streamed
-    a row or a block at a time by artifacts.write_json_rows.
+    by artifacts.write_json_rows, model.json one weight row (two base64
+    strings) at a time and tfidf.json a block of vocabulary rows at a time.
     """
     found = [
         f"{path.name}:{node.lineno}"
@@ -152,6 +153,8 @@ def test_the_dict_forms_of_the_artifacts_are_test_oracles():
     """model_to_dict and tfidf_to_dict are defined only in tests/oracles.py.
 
     save_model and save_tfidf write the bytes of their dumps without building them.
+    model_to_dict packs each weight row with struct, so the oracle of model.json's
+    base64 rows does not share save_model's numpy encoding.
     """
     files = [*Path(sgdtext.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
     defined = sorted(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import base64
 import codecs
 import hashlib
 import json
@@ -26,6 +27,8 @@ from sgdtext.cli import (
 )
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.seeds import substream
+
+from oracles import weight_row
 
 
 def run_prepare(csv_path, out_dir, *extra: str) -> int:
@@ -156,6 +159,7 @@ class TestTrainEval:
         assert meta["loss"] == "svm"
         assert meta["seed"] == 5
         assert meta["smote"] is False
+        assert meta["smote_k"] == 5
         assert meta["elapsed_seconds"] >= 0.0
 
     def test_vocabulary_never_includes_test_only_tokens(self, prepared):
@@ -267,6 +271,8 @@ class TestTrainEval:
         [
             ("seed", True, ["--seed", "1"]),
             ("epochs", 5.0, ["--epochs", "5"]),
+            ("smote_k", 2.5, []),
+            ("smote_k", 0, []),
             ("loss", "hinge", []),
             ("params", [], []),
         ],
@@ -299,6 +305,7 @@ class TestTrainEval:
             (["--loss", "perceptron", "--ngram", "1,2", "--no-smooth-idf", "--smote",
               "--alpha", "0.001", "--epochs", "2"], 12),
             (["--penalty", "l1", "--norm", "none", "--ngram", "1,2", "--smote"], 3),
+            (["--smote", "--smote-k", "3"], 4),
         ],
     )
     def test_load_run_returns_the_train_config(self, prepared, flags, seed):
@@ -529,16 +536,16 @@ class TestGoldenArtifacts:
         "grid_results.json": "582530e9651f9e1b483c9cb6ec54ba018c1578efa1c5ae7fa32b741d9d984655",
         "grid_results.txt": "e00c21aaebda593866e32a603ea4d70c2a77f93a4153fafc6cac2f46d59a78fb",
         "histogram.txt": "34247faa5fa5e00b07110254ce1a5ab4fcc7b646b6436e721e1272b5cb0629aa",
-        "model.json": "fa6a36b98a88b4ee73faa81de737b85ab7c267f4fb9be21798b28c92cf9ae032",
+        "model.json": "7ed0dafebbe23b0404813d3d2977cc80437a6276074deba59929e428465cf4a2",
         "split.json": "79cb60d2fb30091825eba98d2c12c0e512ea9aa197b6e36c4c123381e5e57d85",
         "tfidf.json": "1de3db899d529b1eabce19ef8be7a5b162a0a5daf5c84d4305ac6a9ddee73233",
-        "train_meta.json": "5c4a5d26bd2313bb96cfa1cc42a64a34a2bc1a7b4cab346168da5aa1a17264ef",
+        "train_meta.json": "b6a3d8ccc544264ea8ae58b7df1ef6a3ad425cb087c2d756998496204100ccea",
     }
 
     # The two large artifacts hashed as written, which pins their layout:
     # sorted keys and a one-space indent.
     RAW_DIGESTS = {
-        "model.json": "513a17f32b0b5a4d777daac39a0427d0b347ec62f9ab4c69a57ca314c3bf5cc6",
+        "model.json": "9c34aac0096938124552b20dd6d67fd69ab374eb85bbd07cc5a704a6618d04ba",
         "tfidf.json": "131337c4fb2ca8edf0269585d86b23be45dff1c34622191badafe541d6fff152",
     }
 
@@ -565,11 +572,11 @@ class TestGoldenArtifacts:
         "grid_results.json": "d360272683f46667709356fd873130164c93c1beb7ea636e73faefb937aa3c97",
         "grid_results.txt": "7cb2e1e4124905afcc583bf8ec5636f061845b4ef18f0534b07d21c3aea4b63d",
         "histogram.txt": "2d20616d634f8ae44c48bf54100f397a2a935bdc47ffadcd96fc02852352b79b",
-        "model.json": "31691a7813a7cc728f9651b92d70f01133f22bfaeaea18a33b602a843e8306c8",
-        "model.json@raw": "44b80e72e0a3a29bdf1eb35e62a623a8d4d885a6a081a0d9d231ff8417b39adb",
+        "model.json": "6040a5744bfcf0cdf8cd63dd11b0a6f45402d9c31423f38a47b87816449ffa8f",
+        "model.json@raw": "46c29c7860a75f2fcbc0ad50ba7e00d9530c00a74ab217d88ec6b84f83e87fb2",
         "split.json": "167bb742d7d3d99fc0a42e58bdc61abcbcc5361cc1c9559fce730692d16a004b",
         "tfidf.json": "66e5f39888e5cfbd563fd1852e7d1a338db709679c6c859a054ed3b31468cfbb",
-        "train_meta.json": "92702605df7fe9f688598ff1336cd1b943ada775af27594235eeb3e3089e2a89",
+        "train_meta.json": "9bc7ae6331e659af6455af69c0b05daa0a927d21c6a77643f0f8f5e172a4cf8f",
     }
 
     @staticmethod
@@ -648,8 +655,12 @@ class TestGoldenArtifacts:
         digests = self.digests(out)
         digests["model.json@raw"] = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
         assert digests == self.L1_LOGREG_DIGESTS
-        weights = read_json(out / "model.json")["weights"]
-        assert 0 < sum(map(len, weights)) < 3 * 1393  # L1 zeroed some of the 1393 columns
+        model = sgd.load_model(out / "model.json")
+        assert model.weights.shape == (3, 1393)
+        # L1 zeroed some of the 1393 columns: count the stored indices, which are the nonzeros.
+        stored = sum(len(base64.b64decode(indices)) // 8 for indices, _ in
+                     read_json(out / "model.json")["weights"])
+        assert 0 < stored == np.count_nonzero(model.weights) < 3 * 1393
         assert "accuracy on test: 0.80000" in capsys.readouterr().out
 
     def test_every_artifact_matches_its_pinned_digest(self, signature_corpus, tmp_path, capsys):
@@ -1088,7 +1099,7 @@ class TestExitCodes:
         main(["train", "--out", str(out)])
         data = json.loads((out / "model.json").read_text("utf-8"))
         data["intercepts"][0] = float("nan")
-        data["weights"][0].append([-1, 0.5])
+        data["weights"][0] = weight_row([-1], [0.5])
         (out / "model.json").write_text(json.dumps(data), "utf-8")
         capsys.readouterr()
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
@@ -1099,7 +1110,7 @@ class TestExitCodes:
         run_prepare(labeled_csv, out)
         main(["train", "--out", str(out)])
         data = json.loads((out / "model.json").read_text("utf-8"))
-        data["weights"][0] = [[0, float("inf")]]
+        data["weights"][0] = weight_row([0], [float("inf")])
         (out / "model.json").write_text(json.dumps(data), "utf-8")
         capsys.readouterr()
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
@@ -1178,12 +1189,8 @@ class TestExitCodes:
         [
             ("float-classes", "classes and feature_dim must be JSON integers"),
             ("float-feature-dim", "classes and feature_dim must be JSON integers"),
-            ("float-index", "weight row 0 has a non-integer feature index"),
-            ("bool-index", "weight row 0 has a non-integer feature index"),
             ("string-intercept", "intercepts must be JSON numbers"),
             ("bool-intercept", "intercepts must be JSON numbers"),
-            ("string-weight", "weight row 0 has a value that is not a JSON number"),
-            ("bool-weight", "weight row 0 has a value that is not a JSON number"),
         ],
     )
     def test_model_with_a_wrongly_typed_value(self, labeled_csv, tmp_path, capsys, fault, message):
@@ -1195,16 +1202,56 @@ class TestExitCodes:
             data["classes"] = [0.5, 1.9, 2.2]
         elif fault == "float-feature-dim":
             data["feature_dim"] += 0.5
-        elif fault.endswith("intercept"):
-            data["intercepts"][0] = "0.5" if fault == "string-intercept" else True
-        elif fault.endswith("weight"):
-            data["weights"][0] = [[0, "1.5" if fault == "string-weight" else True]]
         else:
-            data["weights"][0] = [[1.5 if fault == "float-index" else True, 0.5]]
+            data["intercepts"][0] = "0.5" if fault == "string-intercept" else True
         (out / "model.json").write_text(json.dumps(data), "utf-8")
         capsys.readouterr()
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
         assert message in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param([*weight_row([0], [0.5]), ""], "is not two base64 strings",
+                         id="three-strings"),
+            pytest.param(weight_row([0], [0.5])[:1], "is not two base64 strings", id="one-string"),
+            pytest.param([[0, 0.5]], "is not two base64 strings", id="version-1-row"),
+            pytest.param([True, "AAAAAAAA4D8="], "is not two base64 strings", id="bool-indices"),
+            pytest.param(["AAAAAAAA4D8=", 0.5], "is not two base64 strings", id="float-values"),
+            pytest.param(["AAAA-AAAAAA=", "AAAAAAAA4D8="], "is not base64",
+                         id="non-base64-character"),
+            pytest.param(["AAAAAAAAAAA", "AAAAAAAA4D8="], "is not base64", id="bad-padding"),
+            pytest.param(["AAAAAA==", "AAAAAAAA4D8="], "does not hold equal counts",
+                         id="length-not-a-multiple-of-8"),
+            pytest.param(weight_row([0, 1], [0.5]), "does not hold equal counts",
+                         id="unequal-counts"),
+        ],
+    )
+    def test_model_with_a_bad_weight_row(self, labeled_csv, tmp_path, capsys, row, message):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "model.json").read_text("utf-8"))
+        data["weights"][0] = row
+        (out / "model.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        assert f"{out / 'model.json'}: weight row 0 {message}" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
+    def test_a_version_1_model_is_refused(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "model.json").read_text("utf-8"))
+        data["version"] = 1
+        data["weights"] = [[[0, 0.5], [2, -0.25]] for _ in data["weights"]]
+        (out / "model.json").write_text(json.dumps(data, sort_keys=True, indent=1), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{out / 'model.json'}: unsupported model format version 1; expected 2" in err
         assert not (out / "eval_report.json").exists()
 
     @pytest.mark.parametrize(

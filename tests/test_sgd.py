@@ -40,6 +40,7 @@ from oracles import (
     fit_rows_every_step,
     loss_value,
     model_to_dict,
+    weight_row,
     regularized_objective,
     tfidf_to_dict,
 )
@@ -839,10 +840,12 @@ class TestModelSerialization:
         assert loaded.feature_dim == model.feature_dim
 
     def test_zero_weights_stored_sparsely(self):
-        weights = np.array([[0.0, 3.0, 0.0]])
+        weights = np.array([[0.0, 3.0, -0.0]])
         model = LinearModel(weights=weights, intercepts=np.array([0.5]), classes=[1])
         data = model_to_dict(model)
-        assert data["weights"][0] == [[1, 3.0]]
+        # struct.pack("<q", 1) and struct.pack("<d", 3.0) in base64.
+        assert data["weights"][0] == weight_row([1], [3.0]) == ["AQAAAAAAAAA=", "AAAAAAAACEA="]
+        assert model_from_dict(data).weights.tobytes() == np.array([[0.0, 3.0, 0.0]]).tobytes()
 
     def test_version_mismatch(self):
         data = model_to_dict(self.fitted())
@@ -852,7 +855,14 @@ class TestModelSerialization:
 
     def test_malformed_payload(self):
         with pytest.raises(ModelFormatError, match="malformed"):
-            model_from_dict({"version": 1, "classes": [1]})
+            model_from_dict({"version": sgd.MODEL_FORMAT_VERSION, "classes": [1]})
+
+    def test_a_version_1_layout_is_refused_with_the_version_message(self):
+        data = {"version": 1, "classes": [1, 2], "feature_dim": 3, "intercepts": [0.0, 0.5],
+                "weights": [[[0, 1.5]], [[1, -2.0], [2, 0.25]]]}
+        message = "^unsupported model format version 1; expected 2$"
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_dict(data)
 
     def test_inconsistent_class_count(self):
         data = model_to_dict(self.fitted())
@@ -877,21 +887,54 @@ class TestModelSerialization:
     @pytest.mark.parametrize(
         "row, intercept, message",
         [
-            ([[-1, 0.5]], 0.0, "negative, duplicate or out-of-range"),
-            ([[2, 0.5], [2, 0.25]], 0.0, "negative, duplicate or out-of-range"),
-            ([[6, 0.5]], 0.0, "negative, duplicate or out-of-range"),
-            ([[2, float("nan")]], 0.0, "non-finite"),
-            ([[2, float("inf")]], 0.0, "non-finite"),
-            ([[2, 0.5]], float("nan"), "non-finite"),
-            ([[2, 0.5]], float("-inf"), "non-finite"),
-            pytest.param([[2, 10**400]], 0.0, "malformed model file", id="huge-int-weight"),
-            pytest.param([[2, 0.5]], 10**400, "malformed model file", id="huge-int-intercept"),
+            (weight_row([-1], [0.5]), 0.0, "negative, duplicate or out-of-range"),
+            (weight_row([2, 2], [0.5, 0.25]), 0.0, "negative, duplicate or out-of-range"),
+            (weight_row([6], [0.5]), 0.0, "negative, duplicate or out-of-range"),
             pytest.param(
-                [[2, 0.5], [3, 0.5, 1.0], [4, 0.25]], 0.0, "malformed model file",
-                id="three-element-pair",
+                weight_row([5, 0], [0.5, -1.0]), 0.0, "negative, duplicate or out-of-range",
+                id="decreasing-indices",
+            ),
+            (weight_row([2], [float("nan")]), 0.0, "non-finite"),
+            (weight_row([2], [float("inf")]), 0.0, "non-finite"),
+            (weight_row([2], [0.5]), float("nan"), "non-finite"),
+            (weight_row([2], [0.5]), float("-inf"), "non-finite"),
+            pytest.param(
+                weight_row([2], [0.5]), 10**400, "malformed model file", id="huge-int-intercept"
             ),
             pytest.param(
-                [[2, 0.5], [3], [4, 0.25]], 0.0, "malformed model file", id="one-element-pair"
+                [*weight_row([2], [0.5]), ""], 0.0, "weight row 1 is not two base64 strings",
+                id="three-strings",
+            ),
+            pytest.param(
+                weight_row([2], [0.5])[:1], 0.0, "weight row 1 is not two base64 strings",
+                id="one-string",
+            ),
+            pytest.param(
+                [[2, 0.5]], 0.0, "weight row 1 is not two base64 strings", id="version-1-row"
+            ),
+            pytest.param(
+                [2, weight_row([2], [0.5])[1]], 0.0, "weight row 1 is not two base64 strings",
+                id="number-for-indices",
+            ),
+            pytest.param(
+                ["AgAAAAAA*AA=", weight_row([2], [0.5])[1]], 0.0, "weight row 1 is not base64",
+                id="non-base64-character",
+            ),
+            pytest.param(
+                ["AgAAAAAAAA\u00e9=", weight_row([2], [0.5])[1]], 0.0,
+                "weight row 1 is not base64", id="non-ascii-character",
+            ),
+            pytest.param(
+                ["AgAAAAAAAAA", weight_row([2], [0.5])[1]], 0.0, "weight row 1 is not base64",
+                id="bad-padding",
+            ),
+            pytest.param(
+                ["AgAAAA==", "AAAAAAAA4D8="], 0.0, "equal counts of 8-byte indices and values",
+                id="length-not-a-multiple-of-8",
+            ),
+            pytest.param(
+                weight_row([2], [0.5, 0.25]), 0.0, "equal counts of 8-byte indices and values",
+                id="unequal-counts",
             ),
         ],
     )
@@ -902,7 +945,7 @@ class TestModelSerialization:
         data["intercepts"][0] = intercept
         with pytest.raises(ModelFormatError, match=message):
             model_from_dict(data)
-        data["weights"][1] = [[5, 0.5], [0, -1.0]]
+        data["weights"][1] = weight_row([0, 5], [-1.0, 0.5])
         data["intercepts"][0] = 0.25
         loaded = model_from_dict(data)
         assert loaded.weights[1].tolist() == [-1.0, 0, 0, 0, 0, 0.5]
