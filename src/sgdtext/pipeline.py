@@ -129,80 +129,63 @@ def fit_group(
 ) -> list[FittedPipeline | Exception]:
     """fit_pipeline for each config on the same counts, training the classifiers together.
 
-    The configs without SMOTE must share one sgd.pass_key, or this raises
-    ValueError before fitting anything. Each config fits its own
-    vectorizer; the counts are transformed once per vector_key, and twins
-    (equal twin_key) share one model or exception. Every fit on one counts
-    object keeps the same grams, and each value idf * tf >= 1 stays nonzero
-    when divided by a finite row norm, so all the vectors have one pattern
-    (indptr and indices), in which every gram occurs: each model, as wide as
-    its rows, has one weight column per gram. The distinct configs without
-    SMOTE train in one sgd.fit_stacked pass on that pattern. Consecutive
-    SMOTE configs with equal vector_key, smote_k and seed share one smote
-    call, as smote reads nothing else, and those of them with one pass_key
-    train in one fit_stacked pass on its batch. A pass of one twin key
-    trains through sgd.fit_multiclass instead.
+    Each config fits its own vectorizer; the counts are transformed once per
+    vector_key, and twins (equal twin_key) share one model or exception. The
+    twin keys are grouped by the rows they train on, then by sgd.pass_key.
+    Those without SMOTE train on their transformed rows: every fit on one
+    counts object keeps the same grams, and each value idf * tf >= 1 stays
+    nonzero when divided by a finite row norm, so all the vectors have one
+    pattern (indptr and indices), in which every gram occurs, and each model,
+    as wide as its rows, has one weight column per gram. The SMOTE configs
+    with equal vector_key, smote_k and seed share one smote call, as smote
+    reads nothing else, and train on its rows; if it fails, each of them gets
+    its exception. Each pass_key group trains in one sgd.fit_stacked pass, or,
+    if it holds one twin key, through sgd.fit_multiclass.
     Each result is a FittedPipeline, or the exception its fit raised.
     """
     if len(counts) != len(labels):
         raise ValueError("documents and labels must have equal length")
-    if len({sgd.pass_key(config) for config in configs if not config.smote}) > 1:
-        raise ValueError("the configs without SMOTE need one loss, penalty, epochs and seed")
     train_labels = [int(lab) for lab in labels]
     results: list[FittedPipeline | TfidfModel | Exception] = []
-    # Rows per vector key; per twin key, its model or exception. A pass holds,
-    # per twin key, its (shuffle, rows): one pass without SMOTE, and one on
-    # the last smote call's batch.
-    vectors, trained, plain, smoted_pass = {}, {}, {}, {}
-
-    def train(members: dict, labels: list[int]) -> None:
-        if len(members) == 1:
-            [(twin, (shuffle, X))] = members.items()
-            try:
-                trained[twin] = sgd.fit_multiclass(X, labels, shuffle)
-            except Exception as exc:
-                trained[twin] = exc
-            return
-        shuffles, rows = zip(*members.values())
-        try:  # on the pattern the rows share; one vector key's or smote call's rows are one array
-            models = sgd.fit_stacked(rows[0], [X.values for X in rows], labels, shuffles)
-        except Exception as exc:  # a lone pass would raise it for every member
-            models = [exc] * len(members)
-        trained.update(zip(members, models))
-
-    smoted = smoted_key = pass_on = None  # the last smote call that returned, and their keys
+    # Rows per vector key; per twin key, its model or exception; per batch (None
+    # for the transformed rows, else a smote call's vector key, smote_k and seed)
+    # and pass key, each twin key's shuffle config.
+    vectors, trained, passes = {}, {}, {}
     for config in configs:
         try:
-            results.append(tfidf := features.fit(counts, config))
+            tfidf = features.fit(counts, config)
+            if (key := vector_key(config)) not in vectors:
+                vectors[key] = features.transform(tfidf, counts)
         except Exception as exc:  # becomes this config's result; the others carry on
             results.append(exc)
             continue
-        twin, shuffle = twin_key(config), config.reseed(substream(config.seed, "shuffle"))
-        if twin in trained or twin in plain or twin in smoted_pass:
-            continue
-        try:
-            if (key := vector_key(config)) not in vectors:
-                vectors[key] = features.transform(tfidf, counts)
-            if not config.smote:
-                plain[twin] = shuffle, vectors[key]
-                continue
-            batch = key, config.smote_k, config.seed
-            if (batch, sgd.pass_key(config)) != pass_on and smoted_pass:
-                train(smoted_pass, smoted.labels)
-                smoted_pass = {}
-            if batch != smoted_key:
+        results.append(tfidf)
+        batch = (key, config.smote_k, config.seed) if config.smote else None
+        group = passes.setdefault(batch, {}).setdefault(sgd.pass_key(config), {})
+        group[twin_key(config)] = config.reseed(substream(config.seed, "shuffle"))
+    for batch, groups in passes.items():
+        rows, batch_labels = None, train_labels
+        if batch is not None:
+            [[first, *_], *_] = groups.values()  # smote reads its smote_k and seed
+            try:
                 smoted = smote(
-                    vectors[key], train_labels, config.reseed(substream(config.seed, "smote"))
+                    vectors[batch[0]], train_labels, first.reseed(substream(first.seed, "smote"))
                 )
-                smoted_key = batch
-            pass_on = batch, sgd.pass_key(config)
-            smoted_pass[twin] = shuffle, smoted.vectors
-        except Exception as exc:
-            trained[twin] = exc
-    if smoted_pass:
-        train(smoted_pass, smoted.labels)
-    if plain:
-        train(plain, train_labels)
+            except Exception as exc:  # every member of the batch gets it
+                trained.update((twin, exc) for members in groups.values() for twin in members)
+                continue
+            rows, batch_labels = smoted.vectors, smoted.labels
+        for members in groups.values():
+            X = [vectors[vector_key(twin)] if rows is None else rows for twin in members]
+            shuffles = list(members.values())
+            try:  # a stacked pass reads each member's values in place, on the pattern they share
+                if len(members) == 1:
+                    models = [sgd.fit_multiclass(X[0], batch_labels, shuffles[0])]
+                else:
+                    models = sgd.fit_stacked(X[0], [x.values for x in X], batch_labels, shuffles)
+            except Exception as exc:  # a lone fit of each member would raise it
+                models = [exc] * len(members)
+            trained.update(zip(members, models))
     for c, (config, tfidf) in enumerate(zip(configs, results)):
         if isinstance(tfidf, TfidfModel):
             model = trained[twin_key(config)]

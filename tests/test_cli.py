@@ -663,6 +663,23 @@ class TestGoldenArtifacts:
         assert 0 < stored == np.count_nonzero(model.weights) < 3 * 1393
         assert "accuracy on test: 0.80000" in capsys.readouterr().out
 
+    # A third run pins gridsearch --smote, the one command that trains SMOTE members
+    # together: both norms, use_idf and smooth_idf values give twins and many smote calls.
+    SMOTE_GRID = {**GRID, "norms": ["l1", "l2"], "use_idf": [True, False],
+                  "smooth_idf": [True, False]}
+
+    SMOTE_GRID_DIGESTS = {
+        "grid_results.json": "5db55f9772e70daa9f687f2e0e8b8af1764ebba7e4be95d4db88720a1d10404a",
+        "grid_results.txt": "8a93543cd6c0cd10659b85563835a9f1911fe6cbcefcba4303baac9da2bd22d9",
+    }
+
+    def test_gridsearch_smote_matches_its_pinned_digests(self, tmp_path):
+        run, grid_path = self.prepare(tmp_path, self.noisy_rows(), self.SMOTE_GRID)
+        run("gridsearch", "--smote", "--smote-k", "3", "--grid", str(grid_path))
+        out = tmp_path / "run"
+        digests = {name: self.digest(out / name) for name in self.SMOTE_GRID_DIGESTS}
+        assert digests == self.SMOTE_GRID_DIGESTS
+
     def test_every_artifact_matches_its_pinned_digest(self, signature_corpus, tmp_path, capsys):
         out, digests = self.run_all(signature_corpus, tmp_path)
         assert "best: (1, 1),'l2',True,True,'l2',0.001 mean=" in capsys.readouterr().out

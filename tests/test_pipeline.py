@@ -115,23 +115,23 @@ class TestFitPipeline:
         assert isinstance(first, ValueError) and second is first
         assert "at least 2 distinct classes" in str(first)
 
-    def test_a_mixed_group_is_rejected_before_fitting(self, signature_corpus, monkeypatch):
+    def test_a_mixed_group_trains_one_pass_per_pass_key(self, signature_corpus, monkeypatch):
         documents, labels = signature_corpus(n_classes=3, per_class=4)
         counts = count(documents, NgramRange(1, 1))
-        fits = []
-        fit = features.fit
-        monkeypatch.setattr(
-            features, "fit", lambda counts, config: fits.append(config) or fit(counts, config)
-        )
-        mixed = [PipelineConfig(penalty="l1"), PipelineConfig(penalty="l2")]
-        with pytest.raises(ValueError, match="^the configs without SMOTE need one loss, penalty"):
-            fit_group(counts, labels, mixed)
-        assert fits == []
-        # Only the configs without SMOTE share a pass: a SMOTE member may differ.
-        group = [mixed[0], replace(mixed[1], smote=True, smote_k=2, loss="logreg", epochs=2)]
-        for result, config in zip(fit_group(counts, labels, group), group):
-            [lone] = fit_group(counts, labels, [config])
-            assert np.array_equal(result.model.weights, lone.model.weights)
+        group = [
+            PipelineConfig(penalty="l1"),
+            PipelineConfig(penalty="l2"),
+            PipelineConfig(penalty="l1", alpha=1e-3),
+            PipelineConfig(smote=True, smote_k=2, loss="logreg", epochs=2),
+        ]
+        passes, lone = TestTwins.count_passes(monkeypatch)
+        fitted = fit_group(counts, labels, group)
+        assert [len(values) for values in passes] == [2, 1, 1]
+        # The L1 members stack, the L2 member and the SMOTE member each fit alone.
+        assert [(args[2].penalty, args[2].loss) for args in lone] == [
+            ("l2", "svm"), ("l2", "logreg")
+        ]
+        TestTwins.assert_each_equals_its_lone_fit(counts, labels, group, fitted)
 
 
 class TestTwins:
@@ -303,16 +303,44 @@ class TestTwins:
             replace(base, alpha=1e-3),
             replace(base, loss="logreg"),  # one smote call, another pass key
             replace(base, loss="logreg", alpha=1e-3),
-            replace(base, alpha=1e-2),  # alone in its pass
+            replace(base, alpha=1e-2),  # joins base's pass
             replace(base, smote_k=3),  # alone in its smote call
         ]
         calls = self.smote_calls(monkeypatch)
         passes, lone = self.count_passes(monkeypatch)
         fitted = fit_group(counts, labels, configs)
         assert len(calls) == 2
-        assert [len(values) for values in passes] == [2, 2, 1, 1]
-        assert [args[2].alpha for args in lone] == [1e-2, 1e-4]
+        assert [len(values) for values in passes] == [3, 2, 1]
+        assert [args[2].alpha for args in lone] == [1e-4]
         self.assert_each_equals_its_lone_fit(counts, labels, configs, fitted)
+
+    def test_the_members_of_one_smote_call_need_not_be_consecutive(self, monkeypatch):
+        documents, labels = self.VARIED
+        counts = count(documents, NgramRange(1, 1))
+        base = PipelineConfig(smote=True, smote_k=2, epochs=2, seed=3)
+        configs = [base, replace(base, smote_k=3), replace(base, alpha=1e-3)]
+        calls = self.smote_calls(monkeypatch)
+        passes, lone = self.count_passes(monkeypatch)
+        fitted = fit_group(counts, labels, configs)
+        assert [config.smote_k for config in calls] == [2, 3]
+        assert [len(values) for values in passes] == [2, 1]
+        assert [args[2].smote_k for args in lone] == [3]
+        self.assert_each_equals_its_lone_fit(counts, labels, configs, fitted)
+
+    def test_a_failed_smote_call_runs_once_and_is_every_member_result(self, monkeypatch):
+        documents, labels = self.VARIED
+        base = PipelineConfig(smote=True, smote_k=2, epochs=2, seed=3)
+        calls = []
+
+        def failing(X, y, config):
+            calls.append(config)
+            raise ValueError("no neighbours")
+
+        monkeypatch.setattr(pipeline, "smote", failing)
+        configs = [base, replace(base, loss="logreg")]  # one smote call, two pass keys
+        first, second = fit_group(count(documents, NgramRange(1, 1)), labels, configs)
+        assert len(calls) == 1
+        assert isinstance(first, ValueError) and second is first
 
     def test_twins_share_a_failure(self, signature_corpus):
         documents, _ = signature_corpus(n_classes=2, per_class=4)

@@ -531,7 +531,7 @@ class TestStackedParity:
             PipelineConfig(norm="l2", smooth_idf=False, alpha=1e-2, seed=3),
         ]
         group = fit_group(counts, labels, configs)
-        assert passes == [1, 4]  # the SMOTE member alone, then the stack
+        assert passes == [4, 1]  # the stack, then the SMOTE member alone
         assert [config.smote for config in lone] == [True]
         for config, fitted in zip(configs, group):
             for got in (fitted, fit_pipeline(counts, labels, config)):
