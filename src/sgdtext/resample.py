@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Sequence
 
@@ -21,16 +20,6 @@ from .seeds import substream
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
-
-
-@dataclass(frozen=True)
-class SmoteRecord:
-    """Provenance of one synthetic sample: positions refer to the input rows."""
-
-    label: int
-    base_index: int
-    neighbor_index: int
-    gap: float
 
 
 @dataclass
@@ -45,12 +34,6 @@ class SmoteResult:
     vectors: SparseRows
     labels: list[int]
     drawn: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
-
-    @cached_property
-    def records(self) -> list[SmoteRecord]:
-        """One SmoteRecord per synthetic sample, in row order, built on first use."""
-        return [SmoteRecord(cls, *fields) for cls, *arrays in self.drawn
-                for fields in zip(*(array.tolist() for array in arrays))]
 
 
 def squared_distance(a: Row, b: Row) -> float:
@@ -81,8 +64,8 @@ def _block_rows(n: int) -> int:
     return max(1, _SCREEN_VALUES // n)
 
 
-def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
-    """Row q lists the k nearest points to row q of points by Euclidean distance, excluding q.
+def neighbor_table(points: SparseRows, k: int) -> np.ndarray:
+    """An n x k intp array: row q holds the k points nearest row q by Euclidean distance, not q.
 
     k is clamped to len(points) - 1; exact distance ties resolve to the
     lower index. Each row equals a stable argsort of squared_distance from
@@ -150,7 +133,7 @@ def neighbor_table(points: SparseRows, k: int) -> list[list[int]]:
             candidates = np.flatnonzero(approx[q - lo] - head[q - lo, k - 1] <= 2.0 * bound)
             exact = [squared_distance(points.row(q), points.row(int(i))) for i in candidates]
             table[q] = [i for _, i in sorted(zip(exact, candidates.tolist()))[:k]]
-    return table.tolist()
+    return table
 
 
 def _synthesize(X: SparseRows, base: np.ndarray, neighbor: np.ndarray, gap: np.ndarray) -> SparseRows:
@@ -261,7 +244,7 @@ def smote(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> Smote
             drawn.append((cls, members.repeat(need), members.repeat(need), np.zeros(need)))
             continue
         k = min(config.smote_k, len(members) - 1)
-        table = np.array(neighbor_table(X.take(members), k))
+        table = neighbor_table(X.take(members), k)
         a, b, gap = _class_draws(substream(config.seed, f"smote-class-{cls}"), len(members), k, need)
         drawn.append((cls, members[a], members[table[a, b]], gap))
     synthetic = (_synthesize(X, *arrays) for _, *arrays in drawn)

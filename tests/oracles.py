@@ -9,7 +9,9 @@ the TF-IDF stages as they read tokens before documents were counted once.
 loss_value gives the losses whose subgradients the trainer uses, and
 binary_row is the binary classifier the tests train through the one-vs-rest
 trainer. interpolate and smote_per_record build SMOTE's synthetic rows one
-record at a time, as resample.smote did before it built a class at once.
+record at a time, as resample.smote did before it built a class at once;
+records lists a SmoteResult's drawn provenance as one SmoteRecord per
+synthetic sample, as SmoteResult.records did while the library kept it.
 model_to_dict and tfidf_to_dict are the dicts whose json.dump(...,
 sort_keys=True, indent=1) sgd.save_model and features.save_tfidf write byte
 for byte without building them; model_to_dict packs each weight_row with
@@ -30,7 +32,7 @@ import math
 import struct
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -534,6 +536,22 @@ def interpolate(a: Row, b: Row, gap: float) -> Row:
     values = av + gap * (bv - av)
     keep = values != 0.0
     return idx[keep], values[keep]
+
+
+@dataclass(frozen=True)
+class SmoteRecord:
+    """Provenance of one synthetic sample: positions refer to the input rows."""
+
+    label: int
+    base_index: int
+    neighbor_index: int
+    gap: float
+
+
+def records(result: SmoteResult) -> list[SmoteRecord]:
+    """One SmoteRecord per synthetic sample of result, in row order, with Python ints and floats."""
+    return [SmoteRecord(cls, *fields) for cls, *arrays in result.drawn
+            for fields in zip(*(array.tolist() for array in arrays))]
 
 
 def smote_per_record(X: SparseRows, labels: Sequence[int], config: PipelineConfig) -> SmoteResult:

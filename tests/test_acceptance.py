@@ -38,6 +38,7 @@ from oracles import (
     loss_value,
     micro_averages,
     normalize,
+    records,
     regularized_objective,
 )
 from rows import Row, fit_on, from_rows, row, row_bytes, rows_of, to_dict, vectorize
@@ -225,8 +226,9 @@ def test_smote_histogram_and_provenance():
 
     dense = np.array([dense_of(v, 12) for v in points])
     synthetics = rows_of(result.vectors)[len(X):]
-    assert len(synthetics) == len(result.records) == 30 + 35
-    for record, vector in zip(result.records, synthetics):
+    samples = records(result)
+    assert len(synthetics) == len(samples) == 30 + 35
+    for record, vector in zip(samples, synthetics):
         assert 0.0 <= record.gap < 1.0
         assert labels[record.base_index] == record.label
         assert labels[record.neighbor_index] == record.label

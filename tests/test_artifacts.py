@@ -150,20 +150,22 @@ def test_no_module_calls_json_dump():
 
 
 def test_the_dict_forms_of_the_artifacts_are_test_oracles():
-    """model_to_dict and tfidf_to_dict are defined only in tests/oracles.py.
+    """model_to_dict, tfidf_to_dict, SmoteRecord and records are defined only in tests/oracles.py.
 
     save_model and save_tfidf write the bytes of their dumps without building them.
     model_to_dict packs each weight row with struct, so the oracle of model.json's
-    base64 rows does not share save_model's numpy encoding.
+    base64 rows does not share save_model's numpy encoding. smote's provenance is
+    SmoteResult.drawn's arrays; one SmoteRecord per sample is only the tests' view of it.
     """
+    names = ("model_to_dict", "tfidf_to_dict", "SmoteRecord", "records")
     files = [*Path(sgdtext.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
     defined = sorted(
         f"{path.parent.name}/{path.name}:{node.name}"
         for path in files
         for node in ast.walk(ast.parse(path.read_text("utf-8")))
-        if isinstance(node, ast.FunctionDef) and node.name in ("model_to_dict", "tfidf_to_dict")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
     )
-    assert defined == ["tests/oracles.py:model_to_dict", "tests/oracles.py:tfidf_to_dict"]
+    assert defined == [f"tests/oracles.py:{name}" for name in sorted(names)]
 
 
 def test_documents_are_tokenized_in_one_place():

@@ -27,7 +27,7 @@ from sgdtext.resample import smote
 from sgdtext.search import GridSpec, enumerate_grid
 from sgdtext.seeds import substream
 
-from oracles import tfidf_to_dict
+from oracles import records, tfidf_to_dict
 
 
 class TestFitPipeline:
@@ -80,7 +80,7 @@ class TestFitPipeline:
             resampled.labels,
             replace(config, seed=substream(config.seed, "shuffle")),
         )
-        assert len(resampled.records) > 0
+        assert len(records(resampled)) > 0
         assert tfidf_to_dict(fitted.tfidf) == tfidf_to_dict(tfidf)
         assert fitted.model.weights.tobytes() == model.weights.tobytes()
         assert fitted.model.intercepts.tobytes() == model.intercepts.tobytes()

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from sgdtext import resample
 from sgdtext.features import NORMS, NgramRange, SparseRows
 from sgdtext.pipeline import PipelineConfig
-from sgdtext.resample import SmoteRecord, neighbor_table, smote, squared_distance
-from oracles import interpolate, knn_indices_oracle, smote_per_record
+from sgdtext.resample import neighbor_table, smote, squared_distance
+from oracles import SmoteRecord, interpolate, knn_indices_oracle, records, smote_per_record
 from rows import (
     Row, batch_bytes, fit_on, from_rows, row, row_bytes, rows, rows_of, to_dict, vectorize,
 )
@@ -135,12 +135,12 @@ def oracle_table(points: SparseRows, k: int) -> list[list[int]]:
     return [knn_indices_oracle(points, q, k) for q in range(len(points))]
 
 
-def provenance(records: list[SmoteRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The base positions, neighbor positions and gaps of records, as _synthesize takes them."""
+def provenance(samples: list[SmoteRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base positions, neighbor positions and gaps of samples, as _synthesize takes them."""
     return (
-        np.array([r.base_index for r in records], dtype=np.intp),
-        np.array([r.neighbor_index for r in records], dtype=np.intp),
-        np.array([r.gap for r in records], dtype=np.float64),
+        np.array([r.base_index for r in samples], dtype=np.intp),
+        np.array([r.neighbor_index for r in samples], dtype=np.intp),
+        np.array([r.gap for r in samples], dtype=np.float64),
     )
 
 
@@ -188,40 +188,40 @@ class TestNeighborTable:
         for seed in (61, 62):
             for points in tfidf_classes(seed, ngram, norm):
                 for k in (1, 3, 5):
-                    assert neighbor_table(points, k) == oracle_table(points, k)
+                    assert neighbor_table(points, k).tolist() == oracle_table(points, k)
 
     def test_exact_duplicates(self):
         rng = np.random.default_rng(63)
         points = rows_of(random_points(rng, 8))
         points = from_rows(points + [points[3], points[0], points[3], points[7]])
         for k in (1, 2, 4, 11):
-            assert neighbor_table(points, k) == oracle_table(points, k)
+            assert neighbor_table(points, k).tolist() == oracle_table(points, k)
 
     def test_values_whose_products_underflow(self):
         rng = np.random.default_rng(66)
         points = [(idx, vals * 1e-160) for idx, vals in rows_of(random_points(rng, 10))]
         points = from_rows(points + [points[2]])
         for k in (1, 3):
-            assert neighbor_table(points, k) == oracle_table(points, k)
+            assert neighbor_table(points, k).tolist() == oracle_table(points, k)
 
     def test_all_empty_class(self):
         points = rows(*[{}] * 5)
-        table = neighbor_table(points, 3)
+        table = neighbor_table(points, 3).tolist()
         assert table == oracle_table(points, 3)
         assert table[0] == [1, 2, 3]
         assert table[4] == [0, 1, 2]
 
     def test_two_points(self):
         points = rows({0: 1.0}, {1: 2.0})
-        assert neighbor_table(points, 1) == [[1], [0]]
-        assert neighbor_table(points, 5) == [[1], [0]]
+        assert neighbor_table(points, 1).tolist() == [[1], [0]]
+        assert neighbor_table(points, 5).tolist() == [[1], [0]]
 
     def test_k_clamped_to_population(self):
         rng = np.random.default_rng(64)
         points = random_points(rng, 6)
         table = neighbor_table(points, 10)
-        assert table == oracle_table(points, 10)
-        assert all(len(row) == 5 for row in table)
+        assert table.dtype == np.intp and table.shape == (6, 5)
+        assert table.tolist() == oracle_table(points, 10)
 
     def test_near_tie_takes_the_exact_rerank(self, monkeypatch):
         # Both neighbours lie at distance^2 0.7^2 + 0.1^2 from the query, but
@@ -230,7 +230,7 @@ class TestNeighborTable:
         points = rows({0: 0.2, 1: 0.3}, {0: 0.9, 1: 0.4}, {0: 0.9, 1: 0.2})
         counting = CountingDistance()
         monkeypatch.setattr(resample, "squared_distance", counting)
-        table = neighbor_table(points, 1)
+        table = neighbor_table(points, 1).tolist()
         assert counting.calls > 0
         assert table[0] == [1]
         assert table == oracle_table(points, 1)
@@ -242,7 +242,7 @@ class TestNeighborTable:
         points = rows(*far, {0: 0.2, 1: 0.3}, {0: 0.9, 1: 0.4}, {0: 0.9, 1: 0.2})
         counting = CountingDistance()
         monkeypatch.setattr(resample, "squared_distance", counting)
-        table = neighbor_table(points, 1)
+        table = neighbor_table(points, 1).tolist()
         assert counting.calls > 0
         assert table[3] == [4]
         assert table == oracle_table(points, 1)
@@ -251,7 +251,7 @@ class TestNeighborTable:
         points = rows(*({0: float(2**i)} for i in range(6)))
         counting = CountingDistance()
         monkeypatch.setattr(resample, "squared_distance", counting)
-        assert neighbor_table(points, 2) == oracle_table(points, 2)
+        assert neighbor_table(points, 2).tolist() == oracle_table(points, 2)
         assert counting.calls == 0
 
     def test_smote_equals_oracle_driven_smote(self, monkeypatch):
@@ -260,10 +260,12 @@ class TestNeighborTable:
         labels = [cls for cls, points in enumerate(classes) for _ in range(len(points))]
         config = PipelineConfig(smote_k=3, seed=10)
         fast = smote(X, labels, config)
-        monkeypatch.setattr(resample, "neighbor_table", oracle_table)
+        monkeypatch.setattr(
+            resample, "neighbor_table", lambda points, k: np.array(oracle_table(points, k), np.intp)
+        )
         slow = smote(X, labels, config)
         assert fast.labels == slow.labels
-        assert fast.records == slow.records
+        assert records(fast) == records(slow)
         assert len(fast.vectors) == len(slow.vectors)
         assert batch_bytes(fast.vectors) == batch_bytes(slow.vectors)
 
@@ -313,7 +315,7 @@ class TestNeighborTableProperty:
     @settings(max_examples=300, deadline=None)
     @given(points=sparse_classes(), k=st.integers(1, 6))
     def test_equals_oracle(self, points, k):
-        assert neighbor_table(points, k) == oracle_table(points, k)
+        assert neighbor_table(points, k).tolist() == oracle_table(points, k)
 
 
 @st.composite
@@ -335,8 +337,8 @@ def cancelling_records(draw) -> tuple[SparseRows, list[SmoteRecord]]:
     X = from_rows(row(pairs) for pairs in drawn)
     position = st.integers(0, len(X) - 1)
     gap = st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
-    records = draw(st.lists(st.builds(SmoteRecord, st.just(0), position, position, gap)))
-    return X, records
+    samples = draw(st.lists(st.builds(SmoteRecord, st.just(0), position, position, gap)))
+    return X, samples
 
 
 class TestSmoteProperty:
@@ -352,7 +354,7 @@ class TestSmoteProperty:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fast, slow = smote(X, labels, config), smote_per_record(X, labels, config)
-        assert fast.records == slow.records
+        assert records(fast) == records(slow)
         assert fast.labels == slow.labels
         assert batch_bytes(fast.vectors) == batch_bytes(slow.vectors)
 
@@ -360,11 +362,11 @@ class TestSmoteProperty:
     @given(drawn=cancelling_records())
     @example(drawn=(rows({0: 1.0}, {0: -1.0}), [SmoteRecord(0, 0, 1, 0.5)]))
     def test_batch_interpolation_equals_interpolate(self, drawn):
-        X, records = drawn
+        X, samples = drawn
         expected = from_rows(
-            interpolate(X.row(r.base_index), X.row(r.neighbor_index), r.gap) for r in records
+            interpolate(X.row(r.base_index), X.row(r.neighbor_index), r.gap) for r in samples
         )
-        assert batch_bytes(resample._synthesize(X, *provenance(records))) == batch_bytes(expected)
+        assert batch_bytes(resample._synthesize(X, *provenance(samples))) == batch_bytes(expected)
 
 
 @pytest.mark.usefixtures("draw_path")
@@ -449,7 +451,7 @@ class TestSmote:
         X, labels = self.imbalanced()
         result = smote(X, labels, PipelineConfig(seed=1))
         assert Counter(result.labels) == {1: 12, 2: 12, 3: 12}
-        assert len(result.records) == (12 - 5) + (12 - 3)
+        assert len(records(result)) == (12 - 5) + (12 - 3)
 
     def test_originals_prefix_untouched(self):
         X, labels = self.imbalanced()
@@ -462,7 +464,7 @@ class TestSmote:
         X, labels = self.imbalanced()
         result = smote(X, labels, PipelineConfig(seed=3))
         synthetics = rows_of(result.vectors)[len(X):]
-        for record, vector in zip(result.records, synthetics):
+        for record, vector in zip(records(result), synthetics):
             assert labels[record.base_index] == record.label
             assert labels[record.neighbor_index] == record.label
             assert 0.0 <= record.gap < 1.0
@@ -474,7 +476,7 @@ class TestSmote:
         X, labels = self.imbalanced()
         config = PipelineConfig(smote_k=3, seed=4)
         result = smote(X, labels, config)
-        for record in result.records:
+        for record in records(result):
             members = [i for i, lab in enumerate(labels) if lab == record.label]
             class_points = from_rows(X.row(i) for i in members)
             local_base = members.index(record.base_index)
@@ -491,7 +493,7 @@ class TestSmote:
         assert counts[1] == 8
         assert counts[2] == 8
         assert counts[3] == 8
-        assert all(record.label == 3 for record in result.records)
+        assert all(record.label == 3 for record in records(result))
 
     def test_single_member_class_duplicates_with_warning(self):
         rng = np.random.default_rng(55)
@@ -504,7 +506,7 @@ class TestSmote:
         ]
         assert len(synthetics) == 3
         assert all(row_bytes(v) == row_bytes(X.row(4)) for v in synthetics)
-        assert all(r.gap == 0.0 and r.base_index == 4 for r in result.records)
+        assert all(r.gap == 0.0 and r.base_index == 4 for r in records(result))
 
     def test_interpolates_once_per_growing_class(self, monkeypatch):
         X, labels = self.imbalanced()
@@ -518,29 +520,27 @@ class TestSmote:
         monkeypatch.setattr(resample, "_synthesize", counting)
         result = smote(X, labels, PipelineConfig(seed=5))
         assert calls == [[2] * 7, [3] * 9]
-        assert sum(map(len, calls)) == len(result.records)
+        assert sum(map(len, calls)) == len(records(result))
 
-    def test_records_are_built_on_first_use_from_the_drawn_arrays(self):
+    def test_drawn_holds_each_grown_class_in_row_order(self):
         X, labels = self.imbalanced()
         result = smote(X, labels, PipelineConfig(seed=5))
-        assert "records" not in vars(result)
         assert [cls for cls, *_ in result.drawn] == [2, 3]
-        records = result.records
-        assert result.records is records  # cached
-        assert [r.label for r in records] == result.labels[len(labels):]
+        samples = records(result)
+        assert [r.label for r in samples] == result.labels[len(labels):]
         for field, column in zip(("base_index", "neighbor_index", "gap"), range(1, 4)):
             drawn = np.concatenate([arrays[column] for arrays in result.drawn])
-            assert [getattr(r, field) for r in records] == drawn.tolist()
-        assert all(type(r.base_index) is int and type(r.gap) is float for r in records)
+            assert [getattr(r, field) for r in samples] == drawn.tolist()
+        assert all(type(r.base_index) is int and type(r.gap) is float for r in samples)
 
     def test_deterministic_per_seed(self):
         X, labels = self.imbalanced()
         first = smote(X, labels, PipelineConfig(seed=8))
         second = smote(X, labels, PipelineConfig(seed=8))
-        assert first.records == second.records
+        assert records(first) == records(second)
         assert batch_bytes(first.vectors) == batch_bytes(second.vectors)
         third = smote(X, labels, PipelineConfig(seed=9))
-        assert first.records != third.records
+        assert records(first) != records(third)
 
     def test_validation(self):
         X, labels = self.imbalanced()
