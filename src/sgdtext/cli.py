@@ -8,12 +8,14 @@ dedicated *_seconds JSON keys so rerun outputs differ only there.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
 from collections import Counter
 from dataclasses import asdict, replace
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -145,15 +147,57 @@ def _split_sides(manifest: object, n: int) -> dict[str, list[int]]:
     return sides
 
 
+# The keys of a corpus.jsonl row, as cmd_prepare writes it.
+_ROW_KEYS = frozenset(("label", "tokens"))
+
+
+def _one_row_per_line(parsed: object, n: int) -> tuple[list[list[str]], list[int]] | None:
+    """The documents and labels of n lines parsed as [[line 1],[line 2],...], or None.
+
+    None unless parsed holds n one-element lists, each of a row with only an
+    integer label >= 0 and a list of string tokens, the tokens keeping the
+    token rule.
+    """
+    if not (type(parsed) is list and len(parsed) == n and set(map(type, parsed)) == {list}
+            and set(map(len, parsed)) == {1}):
+        return None
+    rows = list(chain.from_iterable(parsed))
+    if not (set(map(type, rows)) == {dict} and set(map(frozenset, rows)) == {_ROW_KEYS}):
+        return None
+    labels = list(map(itemgetter("label"), rows))
+    documents = list(map(itemgetter("tokens"), rows))
+    # Every token is a str before any set of tokens is built.
+    if (set(map(type, labels)) == {int} and min(labels) >= 0
+            and set(map(type, documents)) == {list}
+            and set(map(type, chain.from_iterable(documents))) <= {str}
+            and not features.breaks_token_rule(set(chain.from_iterable(documents)))):
+        return documents, labels
+    return None
+
+
 def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
-    """The prepared corpus and its checked split sides, keyed "train" and "test"."""
+    """The prepared corpus and its checked split sides, keyed "train" and "test".
+
+    corpus.jsonl is parsed in one json.loads and checked a batch at a time;
+    only a file that fails is read line by line, to name its first bad line.
+    """
     corpus_path = out_dir / "corpus.jsonl"
-    documents: list[list[str]] = []
-    labels: list[int] = []
-    line_numbers: list[int] = []
     # Read as bytes, so a line that is not UTF-8 fails json.loads like one that is not JSON.
-    with corpus_path.open("rb") as fh:
-        for line_number, line in enumerate(fh, start=1):
+    data = corpus_path.read_bytes()
+    # The nonblank lines, split on b"\n" as iterating the file splits them.
+    # Each "],[" follows its line's b"\n", so no string or number spans two
+    # lines; a row holds no container but its token list, so none of those
+    # does either, and n one-element lists are the n lines' rows.
+    lines = list(filter(bytes.strip, data.split(b"\n")))
+    try:
+        batch = _one_row_per_line(json.loads(b"[[" + b"\n],[".join(lines) + b"]]"), len(lines))
+    except (ValueError, RecursionError):
+        batch = None
+    if batch is not None:
+        documents, labels = batch
+    else:
+        documents, labels, line_numbers = [], [], []
+        for line_number, line in enumerate(io.BytesIO(data), start=1):
             if not line.strip():
                 continue
             try:
@@ -169,11 +213,11 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
             documents.append(tokens)
             labels.append(row["label"])
             line_numbers.append(line_number)
-    # The distinct tokens are checked at once; only a failure looks for its line.
-    if features.breaks_token_rule(set(chain.from_iterable(documents))):
-        line_number = next(n for n, tokens in zip(line_numbers, documents)
-                           if features.breaks_token_rule(tokens))
-        raise ValueError(f"{corpus_path}: line {line_number}: {features.TOKEN_RULE}")
+        # The distinct tokens are checked at once; only a failure looks for its line.
+        if features.breaks_token_rule(set(chain.from_iterable(documents))):
+            line_number = next(n for n, tokens in zip(line_numbers, documents)
+                               if features.breaks_token_rule(tokens))
+            raise ValueError(f"{corpus_path}: line {line_number}: {features.TOKEN_RULE}")
     sides = read_json(out_dir / "split.json", parse=lambda data: _split_sides(data, len(labels)))
     return LabeledCorpus(documents, labels), sides
 
@@ -191,9 +235,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with atomic_write(out_dir / "corpus.jsonl") as fh:
-        for label, tokens in zip(loaded.labels, loaded.documents):
-            fh.write(json.dumps({"label": label, "tokens": tokens}, sort_keys=True) + "\n")
+    # One encoder for every row: json.dumps with sort_keys builds one per call.
+    encode = json.JSONEncoder(sort_keys=True).encode
+    text = "".join(encode({"label": label, "tokens": tokens}) + "\n"
+                   for label, tokens in zip(loaded.labels, loaded.documents))
+    _write_text(out_dir / "corpus.jsonl", text)
 
     sides = {"train": plan.train_indices, "test": plan.test_indices}
     tally = {side: Counter(loaded.labels[i] for i in indices) for side, indices in sides.items()}

@@ -360,16 +360,52 @@ def transform(model: TfidfModel, counts: NgramCounts) -> SparseRows:
     values = model.idf_array[index_array]
     values *= tf
     if model.norm != "none":
-        # An empty row gets scale 0, which divides nothing.
-        scales = np.empty(indptr.size - 1, dtype=np.float64)
-        for i, (start, end) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
-            row = values[start:end]
-            scales[i] = np.abs(row).sum() if model.norm == "l1" else math.sqrt(row @ row)
-        values /= np.repeat(scales, np.diff(indptr))
+        values /= np.repeat(_row_norms(indptr, values, model.norm), np.diff(indptr))
     keep = values != 0.0
     if keep.all():
         return SparseRows(indptr, index_array, values)
     return SparseRows(_kept(indptr, keep), index_array[keep], values[keep])
+
+
+# From this many rows on, _row_norms reduces a block of rows of one length at
+# a time; below it, one row at a time, which costs less on a small batch.
+_GROUPED_NORM_ROWS = 128
+
+
+def _row_norms(indptr: np.ndarray, values: np.ndarray, norm: str) -> np.ndarray:
+    """Each row's L1 or L2 norm, reduced over that row alone: 0 for an empty row.
+
+    A row's values are reduced as one contiguous run either way, by a pairwise
+    sum (L1) or a dot product (L2), so the grouped and per-row norms are equal
+    bit for bit.
+    """
+    n = indptr.size - 1
+    scales = np.zeros(n, dtype=np.float64)
+    if n < _GROUPED_NORM_ROWS:
+        for i, (start, end) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
+            row = values[start:end]
+            scales[i] = np.abs(row).sum() if norm == "l1" else math.sqrt(row @ row)
+        return scales
+    # The rows in a stable order by length, their values in that order: each
+    # length's rows are then one (rows, length) block.
+    lengths = np.diff(indptr)
+    order = np.argsort(lengths, kind="stable")
+    sizes = lengths[order]
+    ends = np.cumsum(sizes)
+    gather = np.repeat(indptr[order] - (ends - sizes), sizes)
+    gather += np.arange(values.size)
+    blocked = np.abs(values[gather]) if norm == "l1" else values[gather]
+    reduced = np.zeros(n, dtype=np.float64)
+    first = np.flatnonzero(np.diff(sizes, prepend=0))  # an empty row keeps 0
+    for a, b in zip(first.tolist(), [*first[1:].tolist(), n]):
+        length = int(sizes[a])
+        block = blocked[ends[a] - length : ends[b - 1]].reshape(b - a, length)
+        if norm == "l1":
+            np.add.reduce(block, axis=1, out=reduced[a:b])
+        else:
+            np.matmul(block[:, None, :], block[:, :, None], out=reduced[a:b, None, None])
+    scales[order] = reduced if norm == "l1" else np.sqrt(reduced)
+    return scales
 
 
 def _kept(indptr: np.ndarray, keep: np.ndarray) -> np.ndarray:

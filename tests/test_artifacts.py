@@ -118,7 +118,8 @@ def package_calls():
 def test_files_are_read_through_artifacts():
     """No module checks a path with is_file before opening it, and JSON is parsed in two places.
 
-    artifacts.read_json parses whole files; cli._load_prepared parses the lines of corpus.jsonl.
+    artifacts.read_json parses whole files; cli._load_prepared parses corpus.jsonl, every line
+    in one call, or one line at a time to name the first bad line.
     """
     allowed = {("artifacts", "read_json"), ("cli", "_load_prepared")}
     found = []

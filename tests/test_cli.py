@@ -21,6 +21,7 @@ from sgdtext.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     _config_from_args,
+    _load_prepared,
     _load_run,
     build_parser,
     main,
@@ -832,6 +833,67 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err
         assert "corpus.jsonl: line 1" in err
         assert not (prepared / "model.json").exists()
+
+    # Four rows, written one a line as prepare writes them.
+    ROWS = [
+        {"label": 0, "tokens": ["car", "bomb"]},
+        {"label": 1, "tokens": ["armed", "assault"]},
+        {"label": 0, "tokens": ["bomb"]},
+        {"label": 2, "tokens": ["hostage", "taken", "hostage"]},
+    ]
+    TWO = json.dumps(ROWS[2]).encode() + b"],[" + json.dumps(ROWS[3]).encode()
+    LINES = [json.dumps(row, sort_keys=True).encode() for row in ROWS]
+
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            # Joined in one list, each pair of lines would read as the line
+            # loop refuses to: a row over two lines, and two rows on one.
+            (b'{"label": 0\n"tokens": ["car", "bomb"]}\n' + LINES[1] + b", " + LINES[2]
+             + b"\n" + LINES[3] + b"\n", True),
+            (b'{"label": 0\n"tokens": ["car", "bomb"]}\n' + TWO + b"\n" + LINES[3] + b"\n",
+             True),
+            (b'{"label": 0, "tokens": ["\n"]}\n' + LINES[1] + b"\n" + TWO + b"\n", True),
+            (b'{"label": 0, "tokens": ["car"], "x": [[1\n2]]}\n' + LINES[1] + b"\n" + TWO
+             + b"\n", True),
+            # Read as the line loop reads them: four rows.
+            (LINES[0].replace(b", ", b",\r") + b"\n" + b"\n".join(LINES[1:]) + b"\n", False),
+            (LINES[0] + b"\n" + codecs.BOM_UTF8 + b"\n".join(LINES[1:]) + b"\n", False),
+            (b"\n".join(LINES[:2] + [b"\x0b"] + LINES[2:]) + b"\n", False),
+            (b"\r\n".join(LINES) + b"\r\n", False),
+            (b"\n".join(LINES), False),
+            (LINES[0].replace(b"{", b'{"label": 7, ') + b"\n" + b"\n".join(LINES[1:]) + b"\n",
+             False),
+        ],
+        ids=["row-over-two-lines", "two-rows-bracketed", "token-over-two-lines",
+             "nested-value-over-two-lines", "bare-cr", "bom", "vertical-tab-line", "crlf",
+             "no-final-newline", "duplicate-label"],
+    )
+    def test_corpus_file(self, tmp_path, capsys, text, refused):
+        """The one parse of corpus.jsonl ends as the line loop would, for files that could fool it."""
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "corpus.jsonl").write_bytes(text)
+        split = {"train_indices": [0, 1, 2, 3], "test_indices": []}
+        (out / "split.json").write_text(json.dumps(split), "utf-8")
+        if refused:
+            assert main(["train", "--out", str(out)]) == EXIT_DATA
+            assert "corpus.jsonl: line 1 needs an integer label" in capsys.readouterr().err
+        else:
+            loaded, sides = _load_prepared(out)
+            assert loaded.documents == [row["tokens"] for row in self.ROWS]
+            assert loaded.labels == [row["label"] for row in self.ROWS]
+            assert sides == {"train": [0, 1, 2, 3], "test": []}
+
+    def test_a_prepared_corpus_is_parsed_in_one_call(self, prepared, monkeypatch):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+        loaded, _ = _load_prepared(prepared)
+        assert len(calls) == 2  # corpus.jsonl, then split.json
+        expected = [json.loads(line) for line in (prepared / "corpus.jsonl").open("rb")]
+        assert loaded.documents == [row["tokens"] for row in expected]
+        assert loaded.labels == [row["label"] for row in expected]
 
 
 class TestInputFileErrors:

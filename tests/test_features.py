@@ -565,6 +565,46 @@ class TestBatchTransformProperty:
         assert batch_bytes(got) == batch_bytes(expected)
 
 
+class TestGroupedNorms:
+    """transform's norms equal the per-document oracle's on both sides of the grouping threshold.
+
+    A batch of at least features._GROUPED_NORM_ROWS rows reduces a
+    block of rows of one length at a time, a smaller one row by row.
+    """
+
+    # Distinct unigrams per row, around the blocks numpy's sums and dot
+    # products unroll by, and one length many rows share.
+    LENGTHS = [0, 1, 7, 8, 9, 127, 128, 129, 300] * 3 + [8] * 150
+
+    @staticmethod
+    def documents(seed):
+        rng = np.random.default_rng(seed)
+        vocabulary = [f"w{i}" for i in range(400)]
+        docs = []
+        for length in TestGroupedNorms.LENGTHS:
+            tokens = rng.choice(vocabulary, size=length, replace=False).tolist()
+            docs.append(tokens + tokens[: int(rng.integers(0, length + 1))])
+        return docs
+
+    @pytest.mark.parametrize("extreme", [False, True], ids=["plain", "extreme-weights"])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_equals_per_document_oracle(self, norm, extreme):
+        docs = self.documents(seed=len(norm) + extreme)
+        order = np.random.default_rng(3).permutation(len(docs))
+        docs = [docs[i] for i in order]
+        model = fit_on(docs, PipelineConfig(norm=norm))
+        if extreme:
+            factors = np.random.default_rng(4).choice([1.0, 1e-320, 1e200], len(model.grams))
+            model.idf_array = model.idf_array * factors
+        small = features._GROUPED_NORM_ROWS - 1
+        assert len(docs) > features._GROUPED_NORM_ROWS
+        for batch in (docs[:small], docs):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                expected = transform_documents(model, batch)
+                got = vectorize(model, batch)
+            assert batch_bytes(got) == batch_bytes(expected)
+
+
 # Empty documents, documents shorter than lo = 2, and repeated grams from a small vocabulary.
 FIT_DOCS = st.lists(st.lists(st.sampled_from(VOCAB[:4]), max_size=12), min_size=1, max_size=6)
 
