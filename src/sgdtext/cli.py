@@ -151,6 +151,14 @@ def _split_sides(manifest: object, n: int) -> dict[str, list[int]]:
 _ROW_KEYS = frozenset(("label", "tokens"))
 
 
+def _object_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's dict, or ValueError if any key repeats (json.loads keeps the last)."""
+    row = dict(pairs)
+    if len(row) != len(pairs):
+        raise ValueError("a key repeats")
+    return row
+
+
 def _one_row_per_line(parsed: object, n: int) -> tuple[list[list[str]], list[int]] | None:
     """The documents and labels of n lines parsed as [[line 1],[line 2],...], or None.
 
@@ -186,11 +194,13 @@ def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
     data = corpus_path.read_bytes()
     # The nonblank lines, split on b"\n" as iterating the file splits them.
     # Each "],[" follows its line's b"\n", so no string or number spans two
-    # lines; a row holds no container but its token list, so none of those
-    # does either, and n one-element lists are the n lines' rows.
+    # lines. No object may repeat a key, so no parsed value is dropped, and a
+    # checked row holds no container but its token list: none of those spans
+    # two lines either, and n one-element lists are the n lines' rows.
     lines = list(filter(bytes.strip, data.split(b"\n")))
     try:
-        batch = _one_row_per_line(json.loads(b"[[" + b"\n],[".join(lines) + b"]]"), len(lines))
+        batch = _one_row_per_line(json.loads(b"[[" + b"\n],[".join(lines) + b"]]",
+                                             object_pairs_hook=_object_once), len(lines))
     except (ValueError, RecursionError):
         batch = None
     if batch is not None:

@@ -71,8 +71,7 @@ def neighbor_table(points: SparseRows, k: int) -> np.ndarray:
     lower index. Each row equals a stable argsort of squared_distance from
     row q, which defines the order; blocks of rows are screened at once with
     the Gram form |a|^2 + |b|^2 - 2 a.b, and a row is recomputed exactly only
-    where the screen cannot separate its candidates. A finite candidate
-    byte-equal to row q is at distance 0 without being recomputed.
+    where the screen cannot separate its candidates.
     """
     n = len(points)
     if n < 2:
@@ -119,7 +118,6 @@ def neighbor_table(points: SparseRows, k: int) -> np.ndarray:
     bound = 8.0 * _gamma(terms) * float(sq.max()) + 2 * terms * _SMALLEST_SUBNORMAL
 
     table = np.empty((n, k), dtype=np.intp)
-    twins = None  # built at the first near-tie
     step = _block_rows(n)
     for lo in range(0, n, step):
         approx = sq[lo : lo + step, None] + sq - 2.0 * (dense[lo : lo + step] @ dense.T)
@@ -133,19 +131,7 @@ def neighbor_table(points: SparseRows, k: int) -> np.ndarray:
             # by (distance, index) as the stable argsort of exact values does.
             # (Subtracting first keeps the rounding from dropping a candidate.)
             candidates = np.flatnonzero(approx[q - lo] - head[q - lo, k - 1] <= 2.0 * bound)
-            if twins is None:
-                # Each row's id, shared only by finite rows whose indices and
-                # values are byte-equal (inf - inf is NaN, not 0).
-                ids: dict[tuple[bytes, bytes], int] = {}
-                twins = np.arange(n, 2 * n)  # apart from every id in ids
-                for i in range(n):
-                    indices, values = points.row(i)
-                    if np.isfinite(values).all():
-                        twins[i] = ids.setdefault((indices.tobytes(), values.tobytes()), len(ids))
-            # A twin of row q is at exactly 0.0: each of its differences is x - x.
-            twin = twins[candidates] == twins[q]
-            exact = [0.0 if same else squared_distance(points.row(q), points.row(i))
-                     for i, same in zip(candidates.tolist(), twin.tolist())]
+            exact = [squared_distance(points.row(q), points.row(int(i))) for i in candidates]
             table[q] = [i for _, i in sorted(zip(exact, candidates.tolist()))[:k]]
     return table
 

@@ -856,6 +856,10 @@ class TestMalformedInputFiles:
             (b'{"label": 0, "tokens": ["\n"]}\n' + LINES[1] + b"\n" + TWO + b"\n", True),
             (b'{"label": 0, "tokens": ["car"], "x": [[1\n2]]}\n' + LINES[1] + b"\n" + TWO
              + b"\n", True),
+            # A value under a key that appears again is dropped by json.loads,
+            # so it could span two lines unseen.
+            (b'{"label": [[1\n2]], "label": 0, "tokens": ["car", "bomb"]}\n' + TWO + b"\n"
+             + LINES[3] + b"\n", True),
             # Read as the line loop reads them: four rows.
             (LINES[0].replace(b", ", b",\r") + b"\n" + b"\n".join(LINES[1:]) + b"\n", False),
             (LINES[0] + b"\n" + codecs.BOM_UTF8 + b"\n".join(LINES[1:]) + b"\n", False),
@@ -866,8 +870,8 @@ class TestMalformedInputFiles:
              False),
         ],
         ids=["row-over-two-lines", "two-rows-bracketed", "token-over-two-lines",
-             "nested-value-over-two-lines", "bare-cr", "bom", "vertical-tab-line", "crlf",
-             "no-final-newline", "duplicate-label"],
+             "nested-value-over-two-lines", "repeated-key-over-two-lines", "bare-cr", "bom",
+             "vertical-tab-line", "crlf", "no-final-newline", "duplicate-label"],
     )
     def test_corpus_file(self, tmp_path, capsys, text, refused):
         """The one parse of corpus.jsonl ends as the line loop would, for files that could fool it."""
@@ -888,7 +892,8 @@ class TestMalformedInputFiles:
     def test_a_prepared_corpus_is_parsed_in_one_call(self, prepared, monkeypatch):
         calls = []
         loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+        monkeypatch.setattr(json, "loads",
+                            lambda text, **kw: calls.append(text) or loads(text, **kw))
         loaded, _ = _load_prepared(prepared)
         assert len(calls) == 2  # corpus.jsonl, then split.json
         expected = [json.loads(line) for line in (prepared / "corpus.jsonl").open("rb")]

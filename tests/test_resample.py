@@ -254,17 +254,6 @@ class TestNeighborTable:
         assert neighbor_table(points, 2).tolist() == oracle_table(points, 2)
         assert counting.calls == 0
 
-    def test_identical_rows_take_no_exact_distance(self, monkeypatch):
-        # Every screen value ties, so every row takes the exact re-rank, with
-        # every other row a candidate: 60 * 59 squared_distance calls, but a
-        # byte-equal candidate is at exactly 0.0 without one.
-        points = rows(*[{0: 0.5, 3: 1.25, 7: -2.0}] * 60)
-        counting = CountingDistance()
-        monkeypatch.setattr(resample, "squared_distance", counting)
-        table = neighbor_table(points, 5).tolist()
-        assert counting.calls == 0
-        assert table == oracle_table(points, 5)
-
     def test_smote_equals_oracle_driven_smote(self, monkeypatch):
         classes = tfidf_classes(65, NgramRange(1, 2), "l2")
         X = from_rows(v for points in classes for v in rows_of(points))
