@@ -19,19 +19,11 @@ AVERAGED = ("precision", "recall", "f1")
 
 
 class CrossValidationError(RuntimeError):
-    """A fold failed; carries the fold index and the underlying cause.
-
-    It pickles with its fold and message, but its __cause__ does not cross
-    a process boundary: an unpickled copy has none.
-    """
+    """A fold failed; carries the fold index and the underlying cause."""
 
     def __init__(self, fold: int, message: str) -> None:
         super().__init__(f"fold {fold}: {message}")
         self.fold = fold
-        self.message = message
-
-    def __reduce__(self):
-        return type(self), (self.fold, self.message)
 
 
 @dataclass(eq=False)
@@ -67,7 +59,7 @@ class FoldPlan:
 
 @dataclass
 class CvReport:
-    """One config's fold accuracies and timings; asdict gives its JSON form.
+    """One config's fold accuracies and its call's fold times; asdict gives its JSON form.
 
     Wall-clock values sit in their own keys, so determinism checks can
     compare everything else byte for byte.
@@ -185,8 +177,9 @@ def cross_validate(
     one CvReport per config, in order; a config whose fold
     fails gets that fold's CrossValidationError, with the failure as its
     __cause__, sits out the remaining folds, and the other configs carry on.
-    std is the population value. A config's fold_seconds entry is an equal
-    share of its group's wall time in that fold; total_seconds is their sum.
+    std is the population value. Every report carries the call's k
+    fold_seconds, one clock per fold around all of its work, and their sum,
+    total_seconds; a config timed on its own takes a call of its own.
     """
     n = len(documents)
     if len(labels) != n:
@@ -199,12 +192,13 @@ def cross_validate(
     counts = {r: features.count(documents, r) for r in ranges}
     all_indices = set(range(n))
     accuracies: list[list[float]] = [[] for _ in configs]
-    fold_seconds: list[list[float]] = [[] for _ in configs]
+    fold_seconds: list[float] = []
     failed: dict[int, CrossValidationError] = {}
     groups: dict[tuple, list[int]] = {}
     for c, config in enumerate(configs):
         groups.setdefault((config.ngram_range, *sgd.pass_key(config)), []).append(c)
     for fold_index, held_out in enumerate(plan.folds):
+        started = time.perf_counter()
         train_indices = sorted(all_indices.difference(held_out))
         train_labels = [labels[i] for i in train_indices]
         sides = {r: (c.take(train_indices), c.take(held_out)) for r, c in counts.items()}
@@ -213,11 +207,9 @@ def cross_validate(
             live = [c for c in members if c not in failed]
             if not live:
                 continue
-            started = time.perf_counter()
             train_counts, held_out_counts = sides[configs[live[0]].ngram_range]
             group = [configs[c].reseed(fold_seed) for c in live]
             predicted = predict_group(fit_group(train_counts, train_labels, group), held_out_counts)
-            scored = []
             for c, predictions in zip(live, predicted):
                 if isinstance(predictions, Exception):  # a failed fit; the others carry on
                     failed[c] = CrossValidationError(fold_index, str(predictions))
@@ -225,18 +217,15 @@ def cross_validate(
                     continue
                 correct = sum(1 for i, pred in zip(held_out, predictions) if pred == labels[i])
                 accuracies[c].append(correct / len(held_out))
-                scored.append(c)
-            share = (time.perf_counter() - started) / len(live)
-            for c in scored:
-                fold_seconds[c].append(share)
         del sides  # free this fold's rows before the next fold takes its own
+        fold_seconds.append(time.perf_counter() - started)
     return [
         failed[c] if c in failed else CvReport(
             fold_accuracies=accuracies[c],
             mean=float(np.mean(accuracies[c])),
             std=float(np.std(accuracies[c])),
-            fold_seconds=fold_seconds[c],
-            total_seconds=sum(fold_seconds[c]),
+            fold_seconds=list(fold_seconds),
+            total_seconds=sum(fold_seconds),
         )
         for c in range(len(configs))
     ]

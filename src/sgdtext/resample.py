@@ -7,6 +7,7 @@ same-class neighbors b (Euclidean distance), and a uniform gap in [0, 1).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -190,9 +191,9 @@ def _draws(rng: np.random.Generator, n: int, k: int, need: int) -> tuple[np.ndar
 # (seed, n, k, need) cases on which _draws must equal _scalar_draws before smote uses it,
 # so that a numpy which draws otherwise keeps the scalar calls.
 _PROBES = ((0, 2, 2, 1), (1, 9, 5, 300), (2, 4099, 6, 300))
-_raw_draws: bool | None = None  # whether _probe passed; None until the first draw
 
 
+@functools.cache  # the first draw runs the probe, and every later one reads its verdict
 def _probe() -> bool:
     for seed, *case in _PROBES:
         got = _draws(np.random.default_rng(seed), *case)
@@ -204,10 +205,7 @@ def _probe() -> bool:
 
 def _class_draws(seed: int, n: int, k: int, need: int) -> tuple[np.ndarray, ...]:
     """_scalar_draws on default_rng(seed), read off the raw stream once the probe has passed."""
-    global _raw_draws
-    if _raw_draws is None:
-        _raw_draws = _probe()
-    drawn = _draws(np.random.default_rng(seed), n, k, need) if _raw_draws else None
+    drawn = _draws(np.random.default_rng(seed), n, k, need) if _probe() else None
     # random_raw has moved that generator on, so the scalar calls start afresh.
     return _scalar_draws(np.random.default_rng(seed), n, k, need) if drawn is None else drawn
 

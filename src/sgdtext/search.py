@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import corpus
 from .artifacts import read_json
-from .evaluation import CrossValidationError, cross_validate
+from .evaluation import CvReport, cross_validate
 from .features import NgramRange
 from .pipeline import PipelineConfig
 from .seeds import substream
@@ -63,8 +63,8 @@ class Candidate:
     params: PipelineConfig
     mean: float
     std: float
-    rank: int = 0
     error: str | None = None
+    rank: int = 0
 
 
 def grid_spec_from_dict(data: object) -> GridSpec:
@@ -124,6 +124,14 @@ def enumerate_grid(spec: GridSpec, base: PipelineConfig) -> list[PipelineConfig]
         raise ValueError(f"invalid grid value: {exc}") from exc
 
 
+def _scores(documents: Sequence[Sequence[str]], labels: Sequence[int], k: int,
+            configs: list[PipelineConfig]) -> list[tuple[float, float, str | None]]:
+    """Each config's mean, std and error text, the three values a Candidate takes."""
+    return [(report.mean, report.std, None) if isinstance(report, CvReport)
+            else (float("nan"), float("nan"), f"{type(report).__name__}: {report}")
+            for report in cross_validate(documents, labels, configs, k)]
+
+
 def grid_search(
     documents: Sequence[Sequence[str]],
     labels: Sequence[int],
@@ -139,38 +147,33 @@ def grid_search(
     training seeds, all derived from base.seed, so the ranking is a pure
     function of that seed and is identical for any worker count. With
     jobs > 1, each of up to jobs workers (no more than there are
-    candidates) scores its share in one cross_validate call. A development
-    set too small for spec.inner_folds raises ValueError before any
-    candidate runs.
+    candidates) scores its share in one cross_validate call and sends back
+    each candidate's mean, std and error text. A development set too small
+    for spec.inner_folds raises ValueError before any candidate runs.
     """
     if len(documents) != len(labels):
         raise ValueError("documents and labels must have equal length")
     combos = enumerate_grid(spec, base)
     plan = corpus.split(labels, spec.dev_fraction, substream(base.seed, "dev"))
     score_configs = functools.partial(
-        cross_validate,
+        _scores,
         [documents[i] for i in plan.train_indices],
         [labels[i] for i in plan.train_indices],
-        k=spec.inner_folds,
+        spec.inner_folds,
     )
     # Candidate.params keeps base.seed; the scored copies share the inner-CV seed.
     configs = [c.reseed(substream(base.seed, "inner-cv")) for c in combos]
     workers = min(jobs, len(configs))
     if workers <= 1:
-        reports = score_configs(configs)
+        scores = score_configs(configs)
     else:
-        reports = [None] * len(configs)
+        scores = [None] * len(configs)
         # One task per worker, so each worker is sent the development set once.
         shares = [configs[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for w, share in enumerate(pool.map(score_configs, shares)):
-                reports[w::workers] = share
-    candidates = [
-        Candidate(params, float("nan"), float("nan"), error=f"{type(report).__name__}: {report}")
-        if isinstance(report, CrossValidationError)
-        else Candidate(params, report.mean, report.std)
-        for params, report in zip(combos, reports)
-    ]
+                scores[w::workers] = share
+    candidates = [Candidate(params, *score) for params, score in zip(combos, scores)]
     # A failed candidate ranks after every scored one; the stable sort keeps ties in grid order.
     ranked = sorted(candidates, key=lambda c: (1,) if c.error is not None else (0, -c.mean, c.std))
     for rank, candidate in enumerate(ranked, start=1):

@@ -105,13 +105,14 @@ def step_loop(request):
 def draw_path(request):
     """Draw SMOTE's provenance from the raw PCG64 stream or with the scalar Generator calls.
 
-    Patches resample._raw_draws to the probe's verdict, or off; the raw case
+    Patches resample._probe to return its verdict, or False; the raw case
     skips where the probe fails. Class-scoped, so Hypothesis tests can use it.
     """
     from sgdtext import resample
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(resample, "_raw_draws", request.param == "raw" and resample._probe())
-        if request.param == "raw" and not resample._raw_draws:
+        verdict = request.param == "raw" and resample._probe()
+        patch.setattr(resample, "_probe", lambda: verdict)
+        if request.param == "raw" and not verdict:
             pytest.skip("the raw-stream draws differ from numpy's here")
         yield request.param

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgdtext import evaluation, search, sgd
+from sgdtext import cli, evaluation, resample, search, sgd
 from sgdtext.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -26,6 +26,7 @@ from sgdtext.cli import (
     build_parser,
     main,
 )
+from sgdtext.evaluation import cross_validate
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.seeds import substream
 
@@ -427,8 +428,7 @@ class TestCrossvalGridCompare:
         self, prepared, capsys, monkeypatch, command, flag, code
     ):
         # compare's tuned arm fails and its default arm trains; crossval's one config fails.
-        # Both reach sgd.fit_stacked: compare's two arms in one stacked pass, crossval's
-        # config through fit_multiclass.
+        # Each reaches sgd.fit_stacked through fit_multiclass, one config per call.
         fit = sgd.fit_stacked
 
         def diverge_at_alpha_1e3(X, values, labels, configs, **kwargs):
@@ -504,6 +504,28 @@ class TestCrossvalGridCompare:
         )
         assert code == EXIT_OK
         assert read_json(prepared / "compare.json")["tuned_params"]["alpha"] == 0.001
+
+    @pytest.mark.parametrize("smote", [[], ["--smote"]], ids=["plain", "smote"])
+    def test_compare_times_each_arm_in_its_own_call(self, prepared, monkeypatch, smote):
+        # The arms share an n-gram range and a penalty, so one call would stack them.
+        calls, probes, probe = [], [], resample._probe
+
+        def recording(documents, labels, configs, k):
+            calls.append((len(configs), sgd._kernel is not None, bool(probes)))
+            return cross_validate(documents, labels, configs, k)
+
+        monkeypatch.setattr(sgd, "_kernel", None)
+        monkeypatch.setattr(resample, "_probe", lambda: probes.append(1) or probe())
+        monkeypatch.setattr(cli, "cross_validate", recording)
+        argv = ["compare", "--alpha", "0.001", *smote, "--k", "2", "--out", str(prepared)]
+        assert main(argv) == EXIT_OK
+        # The kernel, and with SMOTE the raw-draw probe, are settled before the first clock.
+        assert calls == [(1, True, bool(smote))] * 2
+        report = read_json(prepared / "compare.json")
+        for arm in ("default", "tuned"):
+            assert report[arm]["total_seconds"] == sum(report[arm]["fold_seconds"])
+        assert report["default"]["fold_seconds"] != report["tuned"]["fold_seconds"]
+        assert report["time_delta_seconds"] != 0.0
 
 
 class TestGoldenArtifacts:

@@ -421,7 +421,7 @@ class TestDraws:
         # Lemire's threshold for 3 * 2^30 is 2^30: about a quarter of its draws are redrawn.
         n = 3 * 2**30
         assert resample._draws(np.random.default_rng(5), n, 5, 100) is None
-        monkeypatch.setattr(resample, "_raw_draws", True)
+        monkeypatch.setattr(resample, "_probe", lambda: True)
         assert triples(resample._class_draws(5, n, 5, 100)) == scalar_triples(5, n, 5, 100)
 
     def test_smote_reads_the_raw_stream_where_the_probe_passes(self, monkeypatch):
@@ -429,7 +429,7 @@ class TestDraws:
             pytest.skip("the raw-stream draws differ from numpy's here")
         X, labels = TestSmote().imbalanced()  # classes of 12, 5 and 3: k >= 2
         scalar, scalar_draws = [], resample._scalar_draws
-        monkeypatch.setattr(resample, "_raw_draws", True)
+        monkeypatch.setattr(resample, "_probe", lambda: True)
         monkeypatch.setattr(
             resample, "_scalar_draws", lambda *args: scalar.append(args) or scalar_draws(*args)
         )

@@ -218,6 +218,19 @@ class TestGridSearch:
             (c.rank, c.params, c.mean, c.std, c.error) for c in parallel
         ]
 
+    def test_parallel_failed_candidate_matches_sequential(self, signature_corpus):
+        # One candidate per worker: the failing one's error text crosses the process boundary.
+        documents, labels = signature_corpus(n_classes=3, per_class=8)
+        spec = tiny_spec(ngram_ranges=[NgramRange(1, 1), NgramRange(4, 4)], alphas=[1e-4])
+        runs = [grid_search(documents, labels, PipelineConfig(seed=2), spec, jobs=jobs)
+                for jobs in (1, 2)]
+        sequential, parallel = [
+            [(c.rank, c.params, repr(c.mean), repr(c.std), c.error) for c in run] for run in runs
+        ]
+        assert sequential == parallel
+        assert sequential[1][2:] == ("nan", "nan", parallel[1][4])
+        assert parallel[1][4].startswith("CrossValidationError: fold 0: ")
+
     def test_workers_clamped_to_candidate_count(self, signature_corpus, monkeypatch):
         # Stands in for the process pool, so no process is ever started.
         pools = []
