@@ -8,7 +8,7 @@ dedicated *_seconds JSON keys so rerun outputs differ only there.
 from __future__ import annotations
 
 import argparse
-import io
+import codecs
 import json
 import sys
 import time
@@ -19,7 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
-from . import corpus, features, resample, sgd
+from . import corpus, features, sgd
 from .artifacts import atomic_write, read_json
 from .corpus import LabeledCorpus
 from .evaluation import (
@@ -150,6 +150,9 @@ def _split_sides(manifest: object, n: int) -> dict[str, list[int]]:
 
 # The keys of a corpus.jsonl row, as cmd_prepare writes it.
 _ROW_KEYS = frozenset(("label", "tokens"))
+# Why lines are not corpus.jsonl rows, each said after "line N" of the first bad line.
+_NOT_ROWS = " needs an integer label >= 0 and a list of string tokens, each key once and no other"
+_BREAKS_TOKEN_RULE = f": {features.TOKEN_RULE}"
 
 
 def _object_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -160,75 +163,56 @@ def _object_once(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return row
 
 
-def _one_row_per_line(parsed: object, n: int) -> tuple[list[list[str]], list[int]] | None:
-    """The documents and labels of n lines parsed as [[line 1],[line 2],...], or None.
+def _rows(lines: list[bytes]) -> tuple[list[list[str]], list[int]] | str:
+    """The documents and labels of nonblank corpus.jsonl lines, or why they are not rows.
 
-    None unless parsed holds n one-element lists, each of a row with only an
-    integer label >= 0 and a list of string tokens, the tokens keeping the
-    token rule.
+    The lines are parsed in one json.loads, as [[line 1\\n],[line 2\\n],...],
+    and checked a batch at a time. The reason is _BREAKS_TOKEN_RULE where
+    only the token rule fails, else _NOT_ROWS.
     """
-    if not (type(parsed) is list and len(parsed) == n and set(map(type, parsed)) == {list}
+    # Each "],[" follows its line's b"\n", so no string or number spans two
+    # lines. No object may repeat a key, so no parsed value is dropped, and a
+    # checked row holds no container but its token list: none of those spans
+    # two lines either, and n one-element lists are the n lines' rows.
+    try:
+        parsed = json.loads(b"[[" + b"\n],[".join(lines) + b"]]", object_pairs_hook=_object_once)
+    except (ValueError, RecursionError):
+        return _NOT_ROWS
+    if not (len(parsed) == len(lines) and set(map(type, parsed)) == {list}
             and set(map(len, parsed)) == {1}):
-        return None
+        return _NOT_ROWS
     rows = list(chain.from_iterable(parsed))
     if not (set(map(type, rows)) == {dict} and set(map(frozenset, rows)) == {_ROW_KEYS}):
-        return None
+        return _NOT_ROWS
     labels = list(map(itemgetter("label"), rows))
     documents = list(map(itemgetter("tokens"), rows))
-    # Every token is a str before any set of tokens is built.
-    if (set(map(type, labels)) == {int} and min(labels) >= 0
+    if not (set(map(type, labels)) == {int} and min(labels) >= 0
             and set(map(type, documents)) == {list}
-            and set(map(type, chain.from_iterable(documents))) <= {str}
-            and not features.breaks_token_rule(set(chain.from_iterable(documents)))):
-        return documents, labels
-    return None
+            and set(map(type, chain.from_iterable(documents))) <= {str}):
+        return _NOT_ROWS
+    # Every token is a str, so a set of them can be built.
+    if features.breaks_token_rule(set(chain.from_iterable(documents))):
+        return _BREAKS_TOKEN_RULE
+    return documents, labels
 
 
 def _load_prepared(out_dir: Path) -> tuple[LabeledCorpus, dict[str, list[int]]]:
     """The prepared corpus and its checked split sides, keyed "train" and "test".
 
-    corpus.jsonl is parsed in one json.loads and checked a batch at a time;
-    only a file that fails is read line by line, to name its first bad line.
+    corpus.jsonl's nonblank lines are read by _rows at once; a file they fail
+    is read by _rows a line at a time, to name its first bad line.
     """
     corpus_path = out_dir / "corpus.jsonl"
-    # Read as bytes, so a line that is not UTF-8 fails json.loads like one that is not JSON.
-    data = corpus_path.read_bytes()
-    # The nonblank lines, split on b"\n" as iterating the file splits them.
-    # Each "],[" follows its line's b"\n", so no string or number spans two
-    # lines. No object may repeat a key, so no parsed value is dropped, and a
-    # checked row holds no container but its token list: none of those spans
-    # two lines either, and n one-element lists are the n lines' rows.
-    lines = list(filter(bytes.strip, data.split(b"\n")))
-    try:
-        batch = _one_row_per_line(json.loads(b"[[" + b"\n],[".join(lines) + b"]]",
-                                             object_pairs_hook=_object_once), len(lines))
-    except (ValueError, RecursionError):
-        batch = None
-    if batch is not None:
-        documents, labels = batch
-    else:
-        documents, labels, line_numbers = [], [], []
-        for line_number, line in enumerate(io.BytesIO(data), start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError):
-                row = None
-            tokens = row.get("tokens") if isinstance(row, dict) else None
-            # A list of tokens means row is a dict.
-            if not (type(tokens) is list and type(row.get("label")) is int and row["label"] >= 0
-                    and set(map(type, tokens)) <= {str}):
-                raise ValueError(f"{corpus_path}: line {line_number} needs an integer label >= 0 "
-                                 "and a list of string tokens")
-            documents.append(tokens)
-            labels.append(row["label"])
-            line_numbers.append(line_number)
-        # The distinct tokens are checked at once; only a failure looks for its line.
-        if features.breaks_token_rule(set(chain.from_iterable(documents))):
-            line_number = next(n for n, tokens in zip(line_numbers, documents)
-                               if features.breaks_token_rule(tokens))
-            raise ValueError(f"{corpus_path}: line {line_number}: {features.TOKEN_RULE}")
+    # Read as bytes, so a line that is not UTF-8 fails json.loads like one that is not JSON,
+    # and split on b"\n" only; one leading byte-order mark goes, as read_json's utf-8-sig drops it.
+    lines = corpus_path.read_bytes().removeprefix(codecs.BOM_UTF8).split(b"\n")
+    nonblank = list(filter(bytes.strip, lines))
+    batch = _rows(nonblank) if nonblank else ([], [])
+    if isinstance(batch, str):
+        number, reason = next((number, reason) for number, line in enumerate(lines, start=1)
+                              if line.strip() and isinstance(reason := _rows([line]), str))
+        raise ValueError(f"{corpus_path}: line {number}{reason}")
+    documents, labels = batch
     sides = read_json(out_dir / "split.json", parse=lambda data: _split_sides(data, len(labels)))
     return LabeledCorpus(documents, labels), sides
 
@@ -379,10 +363,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _cross_validate_one(documents: list[list[str]], labels: list[int], config: PipelineConfig,
                         k: int) -> CvReport:
-    """config's CvReport from a call of its own, after the one-time kernel load and SMOTE probe."""
-    sgd._compiled()
-    if config.smote:
-        resample._probe()
+    """config's CvReport from a cross_validate call of its own."""
     [report] = cross_validate(documents, labels, [config], k)
     if isinstance(report, CrossValidationError):
         raise report  # main takes the exit code from its cause

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import features, sgd
+from . import features, resample, sgd
 from .corpus import by_class
 from .pipeline import PipelineConfig, fit_group, predict_group
 from .seeds import substream
@@ -179,7 +179,8 @@ def cross_validate(
     __cause__, sits out the remaining folds, and the other configs carry on.
     std is the population value. Every report carries the call's k
     fold_seconds, one clock per fold around all of its work, and their sum,
-    total_seconds; a config timed on its own takes a call of its own.
+    total_seconds; a config timed on its own takes a call of its own. No
+    clock holds the process's one-time kernel load or SMOTE probe.
     """
     n = len(documents)
     if len(labels) != n:
@@ -188,6 +189,9 @@ def cross_validate(
     if len(seeds) != 1:
         raise ValueError(f"the configs need one seed, got {seeds}")
     plan = stratified_kfold(labels, k, substream(seeds[0], "folds"))
+    sgd._compiled()
+    if any(config.smote for config in configs):
+        resample._probe()
     ranges = dict.fromkeys(config.ngram_range for config in configs)
     counts = {r: features.count(documents, r) for r in ranges}
     all_indices = set(range(n))

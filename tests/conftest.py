@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,27 @@ def step_loop(request):
             if not sgd._compiled():
                 pytest.skip("the compiled kernel does not load here")
         yield request.param
+
+
+@pytest.fixture
+def fold_clock_reads(monkeypatch):
+    """What each read of cross_validate's fold clock found: (kernel handle set, probe run).
+
+    Starts from a fresh kernel handle and counts the raw-draw probe's calls,
+    so fold 0's first read shows whether either one-time cost is left for it.
+    """
+    from sgdtext import evaluation, resample, sgd
+
+    reads, probes, probe = [], [], resample._probe
+
+    def perf_counter():
+        reads.append((sgd._kernel is not None, bool(probes)))
+        return time.perf_counter()
+
+    monkeypatch.setattr(sgd, "_kernel", None)
+    monkeypatch.setattr(resample, "_probe", lambda: probes.append(1) or probe())
+    monkeypatch.setattr(evaluation, "time", SimpleNamespace(perf_counter=perf_counter))
+    return reads
 
 
 @pytest.fixture(scope="class", params=["raw", "scalar"])

@@ -22,12 +22,15 @@ is sgd._fit_rows as it was before it skipped the hinge steps that move
 nothing. split_by_loops and kfold_by_loops are corpus.split and
 evaluation.stratified_kfold as they were before both read corpus.by_class:
 each groups the labels with a loop of its own, and the folds are dealt one
-index at a time.
+index at a time. rows_by_lines reads corpus.jsonl one json.loads a line, as
+the CLI did before it parsed the file in one call.
 """
 
 from __future__ import annotations
 
 import base64
+import io
+import json
 import math
 import struct
 import warnings
@@ -675,3 +678,33 @@ def kfold_by_loops(labels: Sequence[int], k: int, seed: int) -> FoldPlan:
     for fold in folds:
         fold.sort()
     return FoldPlan(folds=folds)
+
+
+def rows_by_lines(data: bytes) -> tuple[list[list[str]], list[int]]:
+    """The documents and labels of corpus.jsonl's bytes, read one json.loads a nonblank line.
+
+    Raises ValueError naming the first line that is not an integer label >= 0
+    and a list of string tokens; failing that, the first whose tokens break the
+    token rule. A row may hold other keys, or repeat one (the last value counts).
+    """
+    documents, labels, line_numbers = [], [], []
+    for line_number, line in enumerate(io.BytesIO(data), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError):
+            row = None
+        tokens = row.get("tokens") if isinstance(row, dict) else None
+        # A list of tokens means row is a dict.
+        if not (type(tokens) is list and type(row.get("label")) is int and row["label"] >= 0
+                and set(map(type, tokens)) <= {str}):
+            raise ValueError(f"line {line_number} needs an integer label >= 0 "
+                             "and a list of string tokens")
+        documents.append(tokens)
+        labels.append(row["label"])
+        line_numbers.append(line_number)
+    for line_number, tokens in zip(line_numbers, documents):
+        if features.breaks_token_rule(tokens):
+            raise ValueError(f"line {line_number}: {features.TOKEN_RULE}")
+    return documents, labels

@@ -118,10 +118,10 @@ def package_calls():
 def test_files_are_read_through_artifacts():
     """No module checks a path with is_file before opening it, and JSON is parsed in two places.
 
-    artifacts.read_json parses whole files; cli._load_prepared parses corpus.jsonl, every line
-    in one call, or one line at a time to name the first bad line.
+    artifacts.read_json parses whole files; cli._rows parses corpus.jsonl's nonblank lines in
+    one call, all of them, or one at a time to name the first bad line.
     """
-    allowed = {("artifacts", "read_json"), ("cli", "_load_prepared")}
+    allowed = {("artifacts", "read_json"), ("cli", "_rows")}
     found = []
     for path, owner, node in package_calls():
         if not isinstance(node.func, ast.Attribute):

@@ -14,8 +14,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgdtext import cli, evaluation, resample, search, sgd
+from sgdtext import cli, evaluation, features, search, sgd
 from sgdtext.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -30,7 +32,7 @@ from sgdtext.evaluation import cross_validate
 from sgdtext.pipeline import PipelineConfig
 from sgdtext.seeds import substream
 
-from oracles import weight_row
+from oracles import rows_by_lines, weight_row
 
 
 def run_prepare(csv_path, out_dir, *extra: str) -> int:
@@ -506,21 +508,22 @@ class TestCrossvalGridCompare:
         assert read_json(prepared / "compare.json")["tuned_params"]["alpha"] == 0.001
 
     @pytest.mark.parametrize("smote", [[], ["--smote"]], ids=["plain", "smote"])
-    def test_compare_times_each_arm_in_its_own_call(self, prepared, monkeypatch, smote):
+    def test_compare_times_each_arm_in_its_own_call(self, prepared, monkeypatch, smote,
+                                                    fold_clock_reads):
         # The arms share an n-gram range and a penalty, so one call would stack them.
-        calls, probes, probe = [], [], resample._probe
+        calls = []
 
         def recording(documents, labels, configs, k):
-            calls.append((len(configs), sgd._kernel is not None, bool(probes)))
+            calls.append(len(configs))
             return cross_validate(documents, labels, configs, k)
 
-        monkeypatch.setattr(sgd, "_kernel", None)
-        monkeypatch.setattr(resample, "_probe", lambda: probes.append(1) or probe())
         monkeypatch.setattr(cli, "cross_validate", recording)
         argv = ["compare", "--alpha", "0.001", *smote, "--k", "2", "--out", str(prepared)]
         assert main(argv) == EXIT_OK
-        # The kernel, and with SMOTE the raw-draw probe, are settled before the first clock.
-        assert calls == [(1, True, bool(smote))] * 2
+        assert calls == [1, 1]
+        # The kernel, and with SMOTE the raw-draw probe, are settled before fold 0's clock
+        # starts: each arm's two folds read the clock twice each.
+        assert fold_clock_reads == [(True, bool(smote))] * 8
         report = read_json(prepared / "compare.json")
         for arm in ("default", "tuned"):
             assert report[arm]["total_seconds"] == sum(report[arm]["fold_seconds"])
@@ -867,49 +870,75 @@ class TestMalformedInputFiles:
     LINES = [json.dumps(row, sort_keys=True).encode() for row in ROWS]
 
     @pytest.mark.parametrize(
-        "text, refused",
+        "text, bad_line",
         [
-            # Joined in one list, each pair of lines would read as the line
-            # loop refuses to: a row over two lines, and two rows on one.
+            # Joined in one list without brackets of their own, each pair of
+            # lines would read as rows no one line holds: a row over two
+            # lines, and two rows on one.
             (b'{"label": 0\n"tokens": ["car", "bomb"]}\n' + LINES[1] + b", " + LINES[2]
-             + b"\n" + LINES[3] + b"\n", True),
-            (b'{"label": 0\n"tokens": ["car", "bomb"]}\n' + TWO + b"\n" + LINES[3] + b"\n",
-             True),
-            (b'{"label": 0, "tokens": ["\n"]}\n' + LINES[1] + b"\n" + TWO + b"\n", True),
+             + b"\n" + LINES[3] + b"\n", 1),
+            (b'{"label": 0\n"tokens": ["car", "bomb"]}\n' + TWO + b"\n" + LINES[3] + b"\n", 1),
+            (b'{"label": 0, "tokens": ["\n"]}\n' + LINES[1] + b"\n" + TWO + b"\n", 1),
             (b'{"label": 0, "tokens": ["car"], "x": [[1\n2]]}\n' + LINES[1] + b"\n" + TWO
-             + b"\n", True),
+             + b"\n", 1),
             # A value under a key that appears again is dropped by json.loads,
             # so it could span two lines unseen.
             (b'{"label": [[1\n2]], "label": 0, "tokens": ["car", "bomb"]}\n' + TWO + b"\n"
-             + LINES[3] + b"\n", True),
-            # Read as the line loop reads them: four rows.
-            (LINES[0].replace(b", ", b",\r") + b"\n" + b"\n".join(LINES[1:]) + b"\n", False),
-            (LINES[0] + b"\n" + codecs.BOM_UTF8 + b"\n".join(LINES[1:]) + b"\n", False),
-            (b"\n".join(LINES[:2] + [b"\x0b"] + LINES[2:]) + b"\n", False),
-            (b"\r\n".join(LINES) + b"\r\n", False),
-            (b"\n".join(LINES), False),
-            (LINES[0].replace(b"{", b'{"label": 7, ') + b"\n" + b"\n".join(LINES[1:]) + b"\n",
-             False),
+             + LINES[3] + b"\n", 1),
+            # Rows as prepare never writes them: a byte-order mark past the
+            # first line, a repeated key and a key other than label and tokens.
+            (LINES[0] + b"\n" + codecs.BOM_UTF8 + b"\n".join(LINES[1:]) + b"\n", 2),
+            (LINES[0].replace(b"{", b'{"label": 7, ') + b"\n" + b"\n".join(LINES[1:]) + b"\n", 1),
+            (LINES[0].replace(b"{", b'{"id": 7, ') + b"\n" + b"\n".join(LINES[1:]) + b"\n", 1),
+            # Four rows.
+            (LINES[0].replace(b", ", b",\r") + b"\n" + b"\n".join(LINES[1:]) + b"\n", None),
+            (codecs.BOM_UTF8 + b"\n".join(LINES) + b"\n", None),
+            (b"\n".join(LINES[:2] + [b"\x0b"] + LINES[2:]) + b"\n", None),
+            (b"\r\n".join(LINES) + b"\r\n", None),
+            (b"\n".join(LINES), None),
         ],
         ids=["row-over-two-lines", "two-rows-bracketed", "token-over-two-lines",
-             "nested-value-over-two-lines", "repeated-key-over-two-lines", "bare-cr", "bom",
-             "vertical-tab-line", "crlf", "no-final-newline", "duplicate-label"],
+             "nested-value-over-two-lines", "repeated-key-over-two-lines", "bom",
+             "duplicate-label", "extra-key", "bare-cr", "leading-bom", "vertical-tab-line",
+             "crlf", "no-final-newline"],
     )
-    def test_corpus_file(self, tmp_path, capsys, text, refused):
-        """The one parse of corpus.jsonl ends as the line loop would, for files that could fool it."""
+    def test_corpus_file(self, tmp_path, capsys, text, bad_line):
+        """The one parse of corpus.jsonl names the first line that is not one row, or loads all."""
         out = tmp_path / "run"
         out.mkdir()
         (out / "corpus.jsonl").write_bytes(text)
         split = {"train_indices": [0, 1, 2, 3], "test_indices": []}
         (out / "split.json").write_text(json.dumps(split), "utf-8")
-        if refused:
+        if bad_line:
             assert main(["train", "--out", str(out)]) == EXIT_DATA
-            assert "corpus.jsonl: line 1 needs an integer label" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                f"error: {out / 'corpus.jsonl'}: line {bad_line} needs an integer label >= 0 "
+                "and a list of string tokens, each key once and no other\n"
+            )
         else:
             loaded, sides = _load_prepared(out)
             assert loaded.documents == [row["tokens"] for row in self.ROWS]
             assert loaded.labels == [row["label"] for row in self.ROWS]
             assert sides == {"train": [0, 1, 2, 3], "test": []}
+
+    @pytest.mark.parametrize("text", [b"", b"\n \r\n\x0b\n", codecs.BOM_UTF8],
+                             ids=["empty", "blank-lines", "bom-only"])
+    def test_a_file_without_rows_loads_as_zero_rows(self, tmp_path, text):
+        (tmp_path / "corpus.jsonl").write_bytes(text)
+        (tmp_path / "split.json").write_text('{"train_indices": [], "test_indices": []}', "utf-8")
+        loaded, sides = _load_prepared(tmp_path)
+        assert (loaded.documents, loaded.labels) == ([], [])
+        assert sides == {"train": [], "test": []}
+
+    def test_the_first_bad_line_is_named_whatever_its_fault(self, tmp_path, capsys):
+        # Line 1 breaks the token rule, and line 2 is not a row.
+        (tmp_path / "corpus.jsonl").write_bytes(
+            b'{"label": 0, "tokens": ["car bomb"]}\n{"label": -1, "tokens": []}\n'
+        )
+        (tmp_path / "split.json").write_text('{"train_indices": [], "test_indices": []}', "utf-8")
+        assert main(["train", "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'corpus.jsonl'}: line 1: {features.TOKEN_RULE}\n"
 
     def test_a_prepared_corpus_is_parsed_in_one_call(self, prepared, monkeypatch):
         calls = []
@@ -921,6 +950,74 @@ class TestMalformedInputFiles:
         expected = [json.loads(line) for line in (prepared / "corpus.jsonl").open("rb")]
         assert loaded.documents == [row["tokens"] for row in expected]
         assert loaded.labels == [row["label"] for row in expected]
+
+
+# corpus.jsonl values, as the line loop takes them and as it refuses them.
+GOOD_LABELS, BAD_LABELS = [0, 1, 4], [-1, 1.5, True, "2"]
+GOOD_TOKENS, BAD_TOKENS = ["car", "bomb", "car\u2028bomb"], ["", "car bomb", "car\tbomb"]
+
+
+@st.composite
+def corpus_files(draw):
+    """corpus.jsonl bytes, and each row's line number and fault: None, "keys", "shape" or "tokens".
+
+    A "keys" row has an extra or a repeated key, which the line loop reads past.
+    """
+    lines, rows = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        fault = draw(st.sampled_from([None, None, None, "keys", "shape", "tokens"]))
+        label = draw(st.sampled_from(BAD_LABELS if fault == "shape" else GOOD_LABELS))
+        tokens = draw(st.lists(st.sampled_from(
+            GOOD_TOKENS if fault is None else GOOD_TOKENS + BAD_TOKENS), max_size=3))
+        if fault == "tokens":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(BAD_TOKENS)))
+        keys = draw(st.sampled_from(["extra", "repeat"] if fault == "keys" else [None]))
+        row = {"label": label, "tokens": tokens, **({"id": 7} if keys == "extra" else {})}
+        line = json.dumps(row, ensure_ascii=draw(st.booleans()))
+        if keys == "repeat":
+            line = '{"label": ' + json.dumps(label) + ", " + line[1:]
+        if lines:
+            lines += draw(st.lists(st.sampled_from([b"", b" ", b"\x0b", b"\r"]), max_size=2))
+        rows.append((len(lines) + 1, fault))
+        lines.append(line.encode() + draw(st.sampled_from([b"", b"\r"])))
+    if draw(st.booleans()):
+        lines[0] = codecs.BOM_UTF8 + lines[0]
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n"])), rows
+
+
+class TestCorpusReaderParity:
+    """The one-parse reader against the line loop it replaced, tests/oracles.py's rows_by_lines."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("run")
+        (out / "split.json").write_text('{"train_indices": [], "test_indices": []}', "utf-8")
+        return out
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(corpus_files())
+    def test_the_reader_names_the_first_bad_line_and_else_loads_as_the_line_loop(self, run, file):
+        text, rows = file
+        (run / "corpus.jsonl").write_bytes(text)
+        try:
+            loaded, _ = _load_prepared(run)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            got = (loaded.documents, loaded.labels)
+        try:
+            want = rows_by_lines(text)
+        except ValueError as exc:
+            want = str(exc)
+        bad = [(line, fault) for line, fault in rows if fault]
+        if not bad:
+            assert got == want
+            return
+        line, fault = bad[0]
+        rule = f": {features.TOKEN_RULE}" if fault == "tokens" else " needs an integer label"
+        assert got.startswith(f"{run / 'corpus.jsonl'}: line {line}{rule}")
+        if len(bad) == 1 and fault != "keys":
+            assert got.startswith(f"{run / 'corpus.jsonl'}: {want}")
 
 
 class TestInputFileErrors:

@@ -270,6 +270,16 @@ class TestCrossValidate:
         assert first.fold_seconds == second.fold_seconds
         assert first.total_seconds == second.total_seconds == sum(first.fold_seconds)
 
+    def test_one_time_costs_are_settled_before_fold_0_s_clock(self, signature_corpus,
+                                                              fold_clock_reads):
+        documents, labels = signature_corpus(n_classes=2, per_class=6)
+        config = PipelineConfig(smote=True, smote_k=2, seed=5)
+        [report] = cross_validate(documents[:10], labels[:10], [config], k=2)
+        assert report.fold_accuracies == [1.0, 1.0]
+        # Fresh at the call, the kernel handle is set and the probe has run at every
+        # clock read, the start of fold 0 included.
+        assert fold_clock_reads == [(True, True)] * 4
+
     def test_documents_are_counted_once_per_ngram_range(self, signature_corpus, monkeypatch):
         documents, labels = signature_corpus(n_classes=2, per_class=4)
         configs = enumerate_grid(GridSpec(), PipelineConfig(epochs=1, seed=5))
