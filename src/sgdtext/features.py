@@ -80,22 +80,26 @@ class SparseRows:
             raise ValueError("indptr must start at 0 and end at nnz")
         if np.any(np.diff(indptr) < 0):
             raise ValueError("indptr must never decrease")
-        if indices.size:
-            if indices.min() < 0:
-                raise ValueError("feature indices must be non-negative")
-            # A row may start below where the previous one ended: count the step
-            # into each row's first index as 1, then every step must be positive.
-            step = np.empty_like(indices)
-            np.subtract(indices[1:], indices[:-1], out=step[1:])
-            starts = indptr[:-1]
-            step[starts[starts < indices.size]] = 1
-            if np.any(step <= 0):
-                raise ValueError("indices must be strictly increasing within each row")
-            if np.any(values == 0.0):
-                raise ValueError("explicit zeros are not stored")
-        self.indptr = indptr
-        self.indices = indices
-        self.values = values
+        if indices.min(initial=0) < 0:
+            raise ValueError("feature indices must be non-negative")
+        # A row may start below where the previous one ended: count the step
+        # into each row's first index as 1, then every step must be positive.
+        step = np.empty_like(indices)
+        np.subtract(indices[1:], indices[:-1], out=step[1:])
+        starts = indptr[:-1]
+        step[starts[starts < indices.size]] = 1
+        if np.any(step <= 0):
+            raise ValueError("indices must be strictly increasing within each row")
+        if np.any(values == 0.0):
+            raise ValueError("explicit zeros are not stored")
+        self.indptr, self.indices, self.values = indptr, indices, values
+
+    @classmethod
+    def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> "SparseRows":
+        """Unchecked: contiguous int64, int64, float64 arrays derived from checked batches."""
+        rows = object.__new__(cls)
+        rows.indptr, rows.indices, rows.values = indptr, indices, values
+        return rows
 
     @classmethod
     def concat(cls, batches: Iterable["SparseRows"]) -> "SparseRows":
@@ -109,7 +113,7 @@ class SparseRows:
             indptr.frombytes(memoryview(batch.indptr[1:] + len(indices)).cast("B"))
             indices.frombytes(memoryview(batch.indices).cast("B"))
             values.frombytes(memoryview(batch.values).cast("B"))
-        return cls(indptr, indices, values)
+        return cls._trusted(*map(np.frombuffer, (indptr, indices, values), ("i8", "i8", "f8")))
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -124,14 +128,16 @@ class SparseRows:
         return self.indices[start:end], self.values[start:end]
 
     def take(self, positions: Sequence[int]) -> "SparseRows":
-        """The rows at positions, in that order, as a new batch."""
+        """The rows at positions, in that order, as a new batch: each in [0, len), or ValueError."""
         positions = np.asarray(positions, dtype=np.int64)
+        if (bad := positions[(positions < 0) | (positions >= len(self))]).size:
+            raise ValueError(f"position {bad[0]} is outside [0, {len(self)})")
         starts = self.indptr[positions]
         lengths = self.indptr[positions + 1] - starts
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         gather = np.repeat(starts - indptr[:-1], lengths)
         gather += np.arange(indptr[-1])
-        return SparseRows(indptr, self.indices[gather], self.values[gather])
+        return SparseRows._trusted(indptr, self.indices[gather], self.values[gather])
 
 
 @dataclass(eq=False)
@@ -296,7 +302,7 @@ def count(documents: Iterable[Sequence[str]], ngram_range: NgramRange) -> NgramC
     del first
     indptr = np.searchsorted(key, np.arange(lengths.size + 1) * n_grams)
     key %= n_grams
-    rows = SparseRows(indptr, key, values)
+    rows = SparseRows._trusted(indptr, key, values)
     del key, values
     words = np.array(["", *vocab], dtype=object)
     grams = np.empty(n_grams, dtype=object)
@@ -347,9 +353,10 @@ def transform(model: TfidfModel, counts: NgramCounts) -> SparseRows:
     """
     _check_range(counts, model.ngram_range)
     if model.fitted_on is not None and model.fitted_on[0] is counts.grams:
-        column = model.fitted_on[1]
+        # fit's column map of these counts increases: each row stays in order, unchecked.
+        column, build = model.fitted_on[1], SparseRows._trusted
     else:
-        vocab = model.vocabulary
+        vocab, build = model.vocabulary, SparseRows
         column = np.fromiter(
             (vocab.get(gram, -1) for gram in counts.grams), dtype=np.int64, count=len(counts.grams)
         )
@@ -363,8 +370,8 @@ def transform(model: TfidfModel, counts: NgramCounts) -> SparseRows:
         values /= np.repeat(_row_norms(indptr, values, model.norm), np.diff(indptr))
     keep = values != 0.0
     if keep.all():
-        return SparseRows(indptr, index_array, values)
-    return SparseRows(_kept(indptr, keep), index_array[keep], values[keep])
+        return build(indptr, index_array, values)
+    return build(_kept(indptr, keep), index_array[keep], values[keep])
 
 
 # From this many rows on, _row_norms reduces a block of rows of one length at

@@ -140,23 +140,31 @@ def neighbor_table(points: SparseRows, k: int) -> np.ndarray:
 def _synthesize(X: SparseRows, base: np.ndarray, neighbor: np.ndarray, gap: np.ndarray) -> SparseRows:
     """Row i is a + gap[i] * (b - a), for a = X's row base[i] and b = its row neighbor[i].
 
-    The entries of base a and neighbor b merge by the key row * width + column,
-    and exact zeros are dropped. The operations are those of one pair at a
-    time, so each value is bitwise that pair's; for finite rows, gap 0 gives a.
+    The entries of base a and neighbor b merge by the key row * width + column
+    (ValueError if n * width passes int64), exact zeros are dropped, and each
+    value is bitwise that pair's alone; for finite rows, gap 0 gives a.
     """
     n = len(base)
     pairs = X.take(np.concatenate([base, neighbor]))
     width = int(pairs.indices.max(initial=0)) + 1
-    rows = np.repeat(np.tile(np.arange(n), 2), np.diff(pairs.indptr))
-    keys, where = np.unique(rows * width + pairs.indices, return_inverse=True)
-    split = pairs.indptr[n]
+    if n * width > np.iinfo(np.int64).max:
+        raise ValueError(f"feature indices up to {width - 1} are too large to merge {n} rows")
+    keys = np.repeat(np.tile(np.arange(n) * width, 2), np.diff(pairs.indptr)) + pairs.indices
+    # The a half's keys increase, then the b half's: one stable sort merges the two runs.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1]))  # keys are >= 0; [] if none
+    where = np.empty_like(order)
+    where[order] = np.cumsum(first) - 1
+    keys, split = keys[first], pairs.indptr[n]
     av, bv = np.zeros(keys.size), np.zeros(keys.size)
-    av[where[:split]] = pairs.values[:split]
-    bv[where[split:]] = pairs.values[split:]
-    values = av + gap[keys // width] * (bv - av)
+    av[where[:split]], bv[where[split:]] = pairs.values[:split], pairs.values[split:]
+    rows = keys // width
+    values = av + gap[rows] * (bv - av)
     keep = values != 0.0
-    keys = keys[keep]
-    return SparseRows(np.searchsorted(keys, np.arange(n + 1) * width), keys % width, values[keep])
+    keys, rows = keys[keep], rows[keep]
+    keys -= rows * width
+    return SparseRows._trusted(np.searchsorted(rows, np.arange(n + 1)), keys, values[keep])
 
 
 def _scalar_draws(rng: np.random.Generator, n: int, k: int, need: int) -> tuple[np.ndarray, ...]:

@@ -7,9 +7,11 @@ through features.count, as the library does.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import pytest
 
 from sgdtext.features import Row, SparseRows, TfidfModel, count, fit, transform
 from sgdtext.pipeline import PipelineConfig
@@ -65,6 +67,28 @@ def row_bytes(r: Row) -> tuple[bytes, bytes]:
 def batch_bytes(batch: SparseRows) -> tuple[bytes, bytes, bytes]:
     """Bitwise identity of a batch: its three CSR arrays as bytes."""
     return batch.indptr.tobytes(), batch.indices.tobytes(), batch.values.tobytes()
+
+
+@contextmanager
+def unchecked_batches() -> Iterator[list[SparseRows]]:
+    """Every batch SparseRows._trusted builds while the block runs, in order."""
+    built: list[SparseRows] = []
+    trusted = SparseRows._trusted.__func__
+
+    def recording(cls, indptr, indices, values):
+        built.append(trusted(cls, indptr, indices, values))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SparseRows, "_trusted", classmethod(recording))
+        yield built
+
+
+def assert_passes_the_checks(batch: SparseRows) -> None:
+    """The checked constructor takes the batch's arrays as they are, converting none of them."""
+    checked = SparseRows(batch.indptr, batch.indices, batch.values)
+    assert checked.indptr is batch.indptr
+    assert checked.indices is batch.indices and checked.values is batch.values
 
 
 def rows_of(batch: SparseRows) -> list[Row]:

@@ -100,8 +100,8 @@ class TestReadJson:
             artifacts.read_json(tmp_path, FormatError)
 
 
-def package_calls():
-    """(file, outermost enclosing function or None, node) for each call in the package."""
+def package_calls(kind: type[ast.AST] = ast.Call):
+    """(file, outermost enclosing function or None, node) for each node of kind in the package."""
     for path in sorted(Path(sgdtext.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
         # ast.walk visits outer functions first.
@@ -111,7 +111,7 @@ def package_calls():
                 for node in ast.walk(func):
                     owner.setdefault(node, func.name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
+            if isinstance(node, kind):
                 yield path, owner.get(node), node
 
 
@@ -132,6 +132,27 @@ def test_files_are_read_through_artifacts():
         if name == "is_file" or (is_json_parse and (path.stem, owner) not in allowed):
             found.append(f"{path.name}:{node.lineno} calls .{name}(")
     assert found == []
+
+
+def test_only_derived_batches_are_built_unchecked():
+    """SparseRows._trusted skips the checks, so only functions whose batches hold them by
+    construction name it.
+
+    take, concat and count build from checked batches or from their own sort; _synthesize
+    merges the rows of a checked batch; transform builds unchecked only with the column map
+    fit made from the same counts. The corpus, tfidf.json and a library caller's arrays all
+    reach the checked constructor. Every use of the name counts, not only calls: transform
+    picks its constructor before it calls it.
+    """
+    used = {
+        (path.stem, owner)
+        for path, owner, node in package_calls(ast.Attribute)
+        if node.attr == "_trusted"
+    }
+    assert used == {
+        ("features", "take"), ("features", "concat"), ("features", "count"),
+        ("features", "transform"), ("resample", "_synthesize"),
+    }
 
 
 def test_no_module_calls_json_dump():

@@ -35,7 +35,8 @@ from oracles import (
     count_strings, extract_ngrams, fit_tokens, normalize, tfidf_to_dict, transform_documents,
 )
 from rows import (
-    batch_bytes, fit_on, from_rows, row, row_bytes, rows, to_dense, to_dict, vectorize,
+    assert_passes_the_checks, batch_bytes, fit_on, from_rows, row, row_bytes, rows, to_dense,
+    to_dict, unchecked_batches, vectorize,
 )
 
 
@@ -178,6 +179,17 @@ class TestSparseRows:
         assert SparseRows.concat([]).take([]).indptr.tolist() == [0]
         assert rows({0: 1.0}, {}).take([]).indptr.tolist() == [0]
         assert batch_bytes(rows({}, {}).take([1, 0, 1])) == batch_bytes(rows({}, {}, {}))
+
+    @pytest.mark.parametrize("positions, bad", [
+        ([-1], -1), ([-2], -2), ([-3], -3), ([3], 3), ([0, 2, 4, -1], 4), ([1, -5, 9], -5),
+    ])
+    def test_take_refuses_a_position_outside_the_batch(self, positions, bad):
+        """No wrap-around from the end and no row past the last: the first bad position is named."""
+        batch = rows({0: 1.0}, {1: 2.0}, {2: 3.0})
+        with pytest.raises(ValueError, match=rf"^position {bad} is outside \[0, 3\)$"):
+            batch.take(positions)
+        with pytest.raises(ValueError, match=r"position 0 is outside \[0, 0\)"):
+            SparseRows.concat([]).take([0])
 
     def test_concat_stacks_batches_in_order(self):
         first = rows({0: 1.0, 3: 2.0}, {})
@@ -563,6 +575,95 @@ class TestBatchTransformProperty:
             expected = transform_documents(model, docs)
             got = vectorize(model, docs)
         assert batch_bytes(got) == batch_bytes(expected)
+
+
+# Batches with empty rows, and zero-row batches (no arguments to rows).
+BATCHES = st.lists(
+    st.dictionaries(st.integers(0, 9), st.sampled_from([1.0, -2.5, 1e-300, 3.0]), max_size=4),
+    max_size=6,
+).map(lambda pair_sets: rows(*pair_sets))
+
+
+class TestUncheckedBatches:
+    """Every batch SparseRows._trusted builds passes the checked constructor byte for byte.
+
+    _trusted skips the checks for batches derived from checked ones; here each one it builds
+    is checked after all, with no array converted on the way.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=BATCHES, data=st.data())
+    def test_take(self, batch, data):
+        position = st.integers(0, len(batch) - 1)
+        positions = data.draw(st.lists(position, max_size=8) if len(batch) else st.just([]))
+        with unchecked_batches() as built:
+            taken = batch.take(positions)
+        assert built == [taken]
+        assert_passes_the_checks(taken)
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches=st.lists(BATCHES, max_size=4))
+    def test_concat(self, batches):
+        with unchecked_batches() as built:
+            stacked = SparseRows.concat(iter(batches))
+        assert built == [stacked] and len(stacked) == sum(map(len, batches))
+        assert_passes_the_checks(stacked)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        docs=st.lists(st.lists(ORACLE_TOKENS, max_size=8), max_size=6),
+        ngram_range=st.sampled_from(ORACLE_RANGES),
+    )
+    def test_count(self, docs, ngram_range):
+        with unchecked_batches() as built:
+            counts = count(docs, ngram_range)
+        assert built == [counts.rows]
+        assert_passes_the_checks(counts.rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fit_docs=st.lists(
+            st.lists(st.sampled_from(VOCAB), min_size=3, max_size=12), min_size=1, max_size=5
+        ),
+        docs=st.lists(st.lists(TOKENS, max_size=12), max_size=6),
+        ngram_range=st.sampled_from(NGRAMS),
+        norm=st.sampled_from(NORMS),
+        data=st.data(),
+    )
+    def test_transform_of_the_counts_fit_read(self, fit_docs, docs, ngram_range, norm, data):
+        """Held-out rows of the fitted counts, some of whose grams the model lacks; with
+        extreme weights, the scaling also rounds values to zero and drops them."""
+        counts = count(fit_docs + docs, ngram_range)
+        config = PipelineConfig(ngram_range=ngram_range, norm=norm)
+        model = fit(counts.take(range(len(fit_docs))), config)
+        if data.draw(st.booleans(), label="extreme weights"):
+            factors = data.draw(st.lists(
+                st.sampled_from([1.0, 1e-320, 1e200]),
+                min_size=len(model.grams), max_size=len(model.grams),
+            ), label="idf factors")
+            model.idf_array = model.idf_array * np.asarray(factors)
+        held_out = counts.take(range(len(fit_docs), len(counts)))
+        with unchecked_batches() as built, np.errstate(divide="ignore", over="ignore"):
+            got = transform(model, held_out)
+        assert built == [got]
+        assert_passes_the_checks(got)
+
+    def test_transform_checks_a_model_it_was_not_fit_with(self):
+        """A loaded or hand-built model's column map may not increase, so its batch is checked."""
+        model = fit_on([["a", "b"], ["b", "c"]], PipelineConfig())
+        loaded = tfidf_from_dict(json.loads(json.dumps(tfidf_to_dict(model))))
+        counts = count([["c", "a"], []], model.ngram_range)
+        with unchecked_batches() as built:
+            got = transform(loaded, counts)
+        assert built == [] and batch_bytes(got) == batch_bytes(transform(model, counts))
+
+    def test_transform_refuses_a_hand_built_model_with_grams_out_of_order(self):
+        model = TfidfModel(
+            ["b", "a"], np.array([1, 1]), 2, ngram_range=NgramRange(1, 1), use_idf=True,
+            smooth_idf=True, norm="l2",
+        )
+        with pytest.raises(ValueError, match="strictly increasing within each row"):
+            vectorize(model, [["a", "b"]])
 
 
 class TestGroupedNorms:

@@ -17,7 +17,8 @@ from sgdtext.pipeline import PipelineConfig
 from sgdtext.resample import neighbor_table, smote, squared_distance
 from oracles import SmoteRecord, interpolate, knn_indices_oracle, records, smote_per_record
 from rows import (
-    Row, batch_bytes, fit_on, from_rows, row, row_bytes, rows, rows_of, to_dict, vectorize,
+    Row, assert_passes_the_checks, batch_bytes, fit_on, from_rows, row, row_bytes, rows, rows_of,
+    to_dict, unchecked_batches, vectorize,
 )
 
 
@@ -372,6 +373,56 @@ class TestSmoteProperty:
 @pytest.mark.usefixtures("draw_path")
 class TestSmotePropertyInEachDrawPath(TestSmoteProperty):
     """The per-record oracle, with the draws read off the raw stream and with the scalar calls."""
+
+
+def interpolated(X: SparseRows, base, neighbor, gap) -> SparseRows:
+    """The oracle's rows for the draws, one interpolate call per draw."""
+    return from_rows(interpolate(X.row(b), X.row(n), g) for b, n, g in zip(base, neighbor, gap))
+
+
+class TestSynthesize:
+    """_synthesize at the edges of the merge, against interpolate."""
+
+    X = rows({}, {0: 1.0, 3: -2.0}, {3: 4.0, 5: 0.5}, {0: -1.0, 3: 2.0})
+    EDGES = [
+        (0, 2, 0.5),  # an empty base row
+        (1, 0, 0.25),  # an empty neighbor row
+        (0, 0, 0.5),  # both empty
+        (2, 2, 0.75),  # base == neighbor
+        (1, 2, 0.0),  # gap 0
+        (1, 3, 0.5),  # every column cancels
+    ]
+
+    @pytest.mark.parametrize("base, neighbor, gap", EDGES)
+    def test_an_edge_pair_equals_interpolate(self, base, neighbor, gap):
+        draws = np.array([base]), np.array([neighbor]), np.array([gap])
+        got = resample._synthesize(self.X, *draws)
+        assert batch_bytes(got) == batch_bytes(interpolated(self.X, *draws))
+
+    def test_the_edge_pairs_in_one_call_equal_interpolate(self):
+        draws = tuple(np.array(column) for column in zip(*self.EDGES))
+        got = resample._synthesize(self.X, *draws)
+        assert batch_bytes(got) == batch_bytes(interpolated(self.X, *draws))
+
+    def test_keys_past_int64_are_refused(self):
+        """Four draws over width 2**61 + 3 need keys up to 4 * width - 1, past 2**63 - 1."""
+        X = SparseRows([0, 2, 4, 6], [1, 2**61, 2, 2**61 + 1, 3, 2**61 + 2], np.arange(1.0, 7.0))
+        draws = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 2]), np.full(4, 0.5)
+        with pytest.raises(ValueError, match="too large to merge 4 rows"):
+            resample._synthesize(X, *draws)
+        three = tuple(column[:3] for column in draws)  # keys below 3 * width fit
+        assert batch_bytes(resample._synthesize(X, *three)) == batch_bytes(interpolated(X, *three))
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=cancelling_records())
+    def test_builds_batches_that_pass_the_checks(self, drawn):
+        """Both batches it builds unchecked, the gathered pairs and the merged rows."""
+        X, samples = drawn
+        with unchecked_batches() as built:
+            got = resample._synthesize(X, *provenance(samples))
+        assert len(built) == 2 and built[-1] is got
+        for batch in built:
+            assert_passes_the_checks(batch)
 
 
 def scalar_triples(seed: int, n: int, k: int, need: int) -> list[tuple[int, int, float]]:
