@@ -27,25 +27,31 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
-def write_json_rows(path: str | Path, head: dict, key: str, chunks: Iterable[str]) -> None:
-    """Write json.dumps({**head, key: rows}, sort_keys=True, indent=1) to path, atomically.
+def write_json_rows(path: str | Path, head: dict, lists: dict[str, Iterable[str]]) -> None:
+    """Write json.dumps({**head, **rows}, sort_keys=True, indent=1) to path, atomically.
 
-    rows is a list, and key sorts after every key of head. chunks yields the
-    rows' text as that dump lays it out, each row's lines indented by two
-    spaces or more, the rows of a chunk joined by ",\n": one weight row of
-    model.json (its two base64 strings) or a block of tfidf.json's vocabulary
-    rows. Only head goes through json.dumps; each chunk is written as it
-    arrives, so the text of the rows is never held whole.
+    rows[key] is a list for each key of lists, which head does not share, and
+    lists[key] yields its text as the dump lays it out, in chunks: each item's
+    lines indented by two spaces or more, a chunk's items joined by ",\n". A
+    chunk is one weight row of model.json or a block of tfidf.json's grams or
+    document frequencies. Only head's entries go through json.dumps, and each
+    chunk is written as it arrives, so no list's text is ever held whole.
     """
     with atomic_write(path) as fh:
-        # Cut head's closing "\n}" so that key's list goes in as its last entry.
-        fh.write(json.dumps(head, sort_keys=True, indent=1)[:-2] + f',\n "{key}": [')
-        separator = "\n"
-        for chunk in chunks:
+        separator = "{\n"
+        for key in sorted({*head, *lists}):
             fh.write(separator)
-            fh.write(chunk)
             separator = ",\n"
-        fh.write("]\n}" if separator == "\n" else "\n ]\n}")
+            if key in head:  # the entry's lines in the whole dump, without its braces
+                fh.write(json.dumps({key: head[key]}, indent=1)[2:-2])
+                continue
+            fh.write(f" {json.dumps(key)}: [")
+            between = "\n"
+            for chunk in lists[key]:
+                fh.writelines((between, chunk))
+                between = ",\n"
+            fh.write("]" if between == "\n" else "\n ]")
+        fh.write("\n}")
 
 
 def read_json(path: str | Path, error: type[ValueError] = ValueError,

@@ -15,6 +15,7 @@ L2 normalization of the resulting vector.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +34,7 @@ if TYPE_CHECKING:
 
 NORMS = ("l1", "l2", "none")
 
-TFIDF_FORMAT_VERSION = 1
+TFIDF_FORMAT_VERSION = 2
 
 
 class EmptyCorpusError(ValueError):
@@ -123,7 +124,9 @@ class SparseRows:
         return int(self.indices.size)
 
     def row(self, i: int) -> Row:
-        """Views of row i's (indices, values)."""
+        """Views of row i's (indices, values): i in [0, len), or ValueError."""
+        if not 0 <= i < len(self):
+            raise ValueError(f"position {i} is outside [0, {len(self)})")
         start, end = self.indptr[i], self.indptr[i + 1]
         return self.indices[start:end], self.values[start:end]
 
@@ -296,7 +299,7 @@ def count(documents: Iterable[Sequence[str]], ngram_range: NgramRange) -> NgramC
     key += column
     del column
     key.sort()
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    first = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))  # keys are >= 0
     values = np.diff(first, append=key.size).astype(np.float64)
     key = key[first]
     del first
@@ -402,8 +405,8 @@ def _row_norms(indptr: np.ndarray, values: np.ndarray, norm: str) -> np.ndarray:
     gather = np.repeat(indptr[order] - (ends - sizes), sizes)
     gather += np.arange(values.size)
     blocked = np.abs(values[gather]) if norm == "l1" else values[gather]
-    reduced = np.zeros(n, dtype=np.float64)
-    first = np.flatnonzero(np.diff(sizes, prepend=0))  # an empty row keeps 0
+    reduced = np.zeros(n, dtype=np.float64)  # empty rows start no block and keep 0
+    first = np.flatnonzero(np.concatenate((sizes[:1] != 0, sizes[1:] != sizes[:-1])))
     for a, b in zip(first.tolist(), [*first[1:].tolist(), n]):
         length = int(sizes[a])
         block = blocked[ends[a] - length : ends[b - 1]].reshape(b - a, length)
@@ -429,26 +432,19 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
             )
         lo, hi = data["ngram_range"]
         n_docs = data["n_docs"]
-        integers = "n_docs, vocabulary indices and document frequencies must be JSON integers"
-        if type(n_docs) is not int:
-            raise TfidfFormatError(integers)
         if not (type(data["use_idf"]) is bool and type(data["smooth_idf"]) is bool):
             raise TfidfFormatError("use_idf and smooth_idf must be JSON booleans")
-        # One walk: row i is [gram, i, df], each gram above the one before.
-        grams: list[str] = []
-        dfs: list[int] = []
-        for row, (gram, index, df) in enumerate(data["vocabulary"]):
-            if type(gram) is not str:
-                raise TfidfFormatError("vocabulary n-grams must be JSON strings")
-            if type(index) is not int or type(df) is not int:
-                raise TfidfFormatError(integers)
-            if index != row:
-                raise TfidfFormatError("vocabulary indices are not a dense 0..V-1 range in order")
-            if grams and gram <= grams[-1]:
-                fault = "lists an n-gram twice" if gram == grams[-1] else "is not in n-gram order"
-                raise TfidfFormatError(f"the vocabulary {fault}")
-            grams.append(gram)
-            dfs.append(df)
+        grams, dfs = data["grams"], data["doc_freq"]
+        if not (type(grams) is list and type(dfs) is list and len(grams) == len(dfs)):
+            raise TfidfFormatError("grams and doc_freq must be JSON lists of equal length")
+        if type(n_docs) is not int or not set(map(type, dfs)) <= {int}:
+            raise TfidfFormatError("n_docs and document frequencies must be JSON integers")
+        if not set(map(type, grams)) <= {str}:
+            raise TfidfFormatError("vocabulary n-grams must be JSON strings")
+        if not all(map(operator.lt, grams, grams[1:])):
+            twice = next(a == b for a, b in zip(grams, grams[1:]) if not a < b)
+            fault = "lists an n-gram twice" if twice else "is not in n-gram order"
+            raise TfidfFormatError(f"the vocabulary {fault}")
         doc_freq = np.array(dfs, dtype=np.int64)
         if n_docs < 1:
             raise TfidfFormatError(f"n_docs must be >= 1, got {n_docs}")
@@ -471,24 +467,20 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
     return model
 
 
-# Vocabulary rows formatted and written at a time: bounds the text held at once.
+# Grams or document frequencies formatted and written at a time: bounds the text held at once.
 _VOCABULARY_BLOCK = 4096
 
 
-def _vocabulary_blocks(model: TfidfModel) -> Iterator[str]:
-    grams, doc_freq = model.grams, model.doc_freq.tolist()
-    for start in range(0, len(grams), _VOCABULARY_BLOCK):
-        yield ",\n".join(
-            f"  [\n   {encode_basestring_ascii(grams[i])},\n   {i!r},\n   {doc_freq[i]!r}\n  ]"
-            for i in range(start, min(start + _VOCABULARY_BLOCK, len(grams)))
-        )
+def _blocks(items: list, encode: Callable[[object], str]) -> Iterator[str]:
+    for start in range(0, len(items), _VOCABULARY_BLOCK):
+        yield "  " + ",\n  ".join(map(encode, items[start : start + _VOCABULARY_BLOCK]))
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    """Write tfidf.json: sorted keys, a one-space indent, the vocabulary as [ngram, index, df] rows.
+    """Write tfidf.json: sorted keys, a one-space indent, the vocabulary as two lists.
 
-    The vocabulary is indexed in n-gram order, so its rows are written in
-    index order, a block at a time.
+    "grams" lists the n-grams in index order, which is n-gram order, and
+    "doc_freq" their document frequencies; both are written a block at a time.
     """
     head = {
         "version": TFIDF_FORMAT_VERSION,
@@ -498,7 +490,8 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
         "norm": model.norm,
         "n_docs": model.n_docs,
     }
-    write_json_rows(path, head, "vocabulary", _vocabulary_blocks(model))
+    write_json_rows(path, head, {"grams": _blocks(model.grams, encode_basestring_ascii),
+                                 "doc_freq": _blocks(model.doc_freq.tolist(), int.__repr__)})
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:

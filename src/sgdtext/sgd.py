@@ -568,7 +568,7 @@ def save_model(model: LinearModel, path: str | Path) -> None:
         "feature_dim": int(model.feature_dim),
         "intercepts": [float(v) for v in model.intercepts],
     }
-    write_json_rows(path, head, "weights", map(_weight_row, model.weights))
+    write_json_rows(path, head, {"weights": map(_weight_row, model.weights)})
 
 
 def load_model(path: str | Path, vocabulary: tuple[object, int] | None = None) -> LinearModel:

@@ -176,10 +176,8 @@ def transform_documents(model: TfidfModel, documents: Sequence[Sequence[str]]) -
 
 
 def tfidf_to_dict(model: TfidfModel) -> dict:
-    """JSON-ready form; the vocabulary is stored as sorted [ngram, index, df] rows."""
-    rows = sorted(
-        [gram, index, int(df)] for index, (gram, df) in enumerate(zip(model.grams, model.doc_freq))
-    )
+    """JSON-ready form; the vocabulary is stored as two lists, the grams sorted and their dfs."""
+    pairs = sorted((gram, int(df)) for gram, df in zip(model.grams, model.doc_freq))
     return {
         "version": TFIDF_FORMAT_VERSION,
         "ngram_range": [model.ngram_range.lo, model.ngram_range.hi],
@@ -187,7 +185,8 @@ def tfidf_to_dict(model: TfidfModel) -> dict:
         "smooth_idf": model.smooth_idf,
         "norm": model.norm,
         "n_docs": model.n_docs,
-        "vocabulary": rows,
+        "grams": [gram for gram, _ in pairs],
+        "doc_freq": [df for _, df in pairs],
     }
 
 

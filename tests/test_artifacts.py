@@ -160,7 +160,8 @@ def test_no_module_calls_json_dump():
 
     Small files go through json.dumps; model.json and tfidf.json are streamed
     by artifacts.write_json_rows, model.json one weight row (two base64
-    strings) at a time and tfidf.json a block of vocabulary rows at a time.
+    strings) at a time and tfidf.json's two lists, its grams and their
+    document frequencies, a block at a time.
     """
     found = [
         f"{path.name}:{node.lineno}"

@@ -179,7 +179,7 @@ class TestTrainEval:
         test_tokens = {
             token for i in manifest["test_indices"] for token in rows[i]["tokens"]
         }
-        vocabulary = {gram for gram, _, _ in read_json(prepared / "tfidf.json")["vocabulary"]}
+        vocabulary = set(read_json(prepared / "tfidf.json")["grams"])
         assert vocabulary == train_tokens
         assert not (test_tokens - train_tokens) & vocabulary
 
@@ -564,7 +564,7 @@ class TestGoldenArtifacts:
         "histogram.txt": "34247faa5fa5e00b07110254ce1a5ab4fcc7b646b6436e721e1272b5cb0629aa",
         "model.json": "7ed0dafebbe23b0404813d3d2977cc80437a6276074deba59929e428465cf4a2",
         "split.json": "79cb60d2fb30091825eba98d2c12c0e512ea9aa197b6e36c4c123381e5e57d85",
-        "tfidf.json": "1de3db899d529b1eabce19ef8be7a5b162a0a5daf5c84d4305ac6a9ddee73233",
+        "tfidf.json": "20afa9ac28896675bb03e2e1456f981ab696231d989df5288445630f04323b88",
         "train_meta.json": "b6a3d8ccc544264ea8ae58b7df1ef6a3ad425cb087c2d756998496204100ccea",
     }
 
@@ -572,7 +572,7 @@ class TestGoldenArtifacts:
     # sorted keys and a one-space indent.
     RAW_DIGESTS = {
         "model.json": "9c34aac0096938124552b20dd6d67fd69ab374eb85bbd07cc5a704a6618d04ba",
-        "tfidf.json": "131337c4fb2ca8edf0269585d86b23be45dff1c34622191badafe541d6fff152",
+        "tfidf.json": "0203e49309bce669a667d422d05df6ccacd2ee521335aec9c1726617208614f2",
     }
 
     @staticmethod
@@ -601,7 +601,7 @@ class TestGoldenArtifacts:
         "model.json": "6040a5744bfcf0cdf8cd63dd11b0a6f45402d9c31423f38a47b87816449ffa8f",
         "model.json@raw": "46c29c7860a75f2fcbc0ad50ba7e00d9530c00a74ab217d88ec6b84f83e87fb2",
         "split.json": "167bb742d7d3d99fc0a42e58bdc61abcbcc5361cc1c9559fce730692d16a004b",
-        "tfidf.json": "66e5f39888e5cfbd563fd1852e7d1a338db709679c6c859a054ed3b31468cfbb",
+        "tfidf.json": "5b92ffbee1f5e39fa957e4e0a398b7ee6b776ec88dce51bff94e3d89acd942d0",
         "train_meta.json": "9bc7ae6331e659af6455af69c0b05daa0a927d21c6a77643f0f8f5e172a4cf8f",
     }
 
@@ -1331,6 +1331,8 @@ class TestExitCodes:
             ),
             ("df", 0, "document frequencies"),
             ("df", -4, "document frequencies"),
+            ("df", None, "document frequencies must lie in [1, n_docs = "),
+            pytest.param("df", 10**30, "malformed vectorizer file", id="df-huge-int"),
         ],
     )
     def test_vectorizer_with_an_out_of_range_value(
@@ -1340,8 +1342,8 @@ class TestExitCodes:
         run_prepare(labeled_csv, out)
         main(["train", "--out", str(out)])
         data = json.loads((out / "tfidf.json").read_text("utf-8"))
-        if field == "df":
-            data["vocabulary"][0][2] = value
+        if field == "df":  # None: one above n_docs
+            data["doc_freq"][0] = data["n_docs"] + 1 if value is None else value
         else:
             data[field] = value
         (out / "tfidf.json").write_text(json.dumps(data), "utf-8")
@@ -1357,15 +1359,15 @@ class TestExitCodes:
             ("smooth_idf", int, "use_idf and smooth_idf must be JSON booleans"),
             ("n_docs", float, "must be JSON integers"),
             ("n_docs", bool, "must be JSON integers"),
-            ("index", float, "must be JSON integers"),
             ("df", lambda v: v + 0.5, "must be JSON integers"),
+            ("df", bool, "must be JSON integers"),
             ("ngram_range", lambda v: [float(b) for b in v], "n-gram bounds must be integers"),
             ("ngram_range", lambda v: [True, True], "n-gram bounds must be integers"),
             ("gram", lambda v: 12345, "n-grams must be JSON strings"),
             ("gram", lambda v: None, "n-grams must be JSON strings"),
         ],
         ids=["string-use-idf", "integer-smooth-idf", "float-n-docs", "bool-n-docs",
-             "float-index", "float-df", "float-ngram-bounds", "bool-ngram-bounds",
+             "float-df", "bool-df", "float-ngram-bounds", "bool-ngram-bounds",
              "number-gram", "null-gram"],
     )
     def test_vectorizer_with_a_wrongly_typed_value(
@@ -1375,9 +1377,9 @@ class TestExitCodes:
         run_prepare(labeled_csv, out)
         main(["train", "--out", str(out)])
         data = json.loads((out / "tfidf.json").read_text("utf-8"))
-        if field in ("gram", "index", "df"):
-            position = ("gram", "index", "df").index(field)
-            data["vocabulary"][0][position] = spoil(data["vocabulary"][0][position])
+        if field in ("gram", "df"):
+            column = data["grams" if field == "gram" else "doc_freq"]
+            column[0] = spoil(column[0])
         else:
             data[field] = spoil(data[field])
         (out / "tfidf.json").write_text(json.dumps(data), "utf-8")
@@ -1385,6 +1387,54 @@ class TestExitCodes:
         assert main(["eval", "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert message in err and str(out / "tfidf.json") in err
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda d: d["doc_freq"].pop(), "grams and doc_freq must be JSON lists of equal length"),
+            (lambda d: d["grams"].pop(), "grams and doc_freq must be JSON lists of equal length"),
+            (lambda d: d.update(grams=" ".join(d["grams"])),
+             "grams and doc_freq must be JSON lists of equal length"),
+            (lambda d: d.update(doc_freq=dict(zip(d["grams"], d["doc_freq"]))),
+             "grams and doc_freq must be JSON lists of equal length"),
+            (lambda d: d["grams"].reverse(), "the vocabulary is not in n-gram order"),
+            (lambda d: d["grams"].__setitem__(1, d["grams"][0]),
+             "the vocabulary lists an n-gram twice"),
+        ],
+        ids=["fewer-dfs", "fewer-grams", "grams-as-a-string", "dfs-as-an-object",
+             "grams-out-of-order", "repeated-gram"],
+    )
+    def test_vectorizer_with_a_malformed_vocabulary(
+        self, labeled_csv, tmp_path, capsys, spoil, message
+    ):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "tfidf.json").read_text("utf-8"))
+        spoil(data)
+        (out / "tfidf.json").write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{out / 'tfidf.json'}: {message}" in err
+        assert not (out / "eval_report.json").exists()
+
+    def test_a_version_1_vectorizer_is_refused(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_prepare(labeled_csv, out)
+        main(["train", "--out", str(out)])
+        data = json.loads((out / "tfidf.json").read_text("utf-8"))
+        data["version"] = 1
+        data["vocabulary"] = [
+            [gram, index, df]
+            for index, (gram, df) in enumerate(zip(data.pop("grams"), data.pop("doc_freq")))
+        ]
+        (out / "tfidf.json").write_text(json.dumps(data, sort_keys=True, indent=1), "utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{out / 'tfidf.json'}: unsupported vectorizer format version 1; expected 2" in err
         assert not (out / "eval_report.json").exists()
 
     @pytest.mark.parametrize(

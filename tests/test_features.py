@@ -191,6 +191,18 @@ class TestSparseRows:
         with pytest.raises(ValueError, match=r"position 0 is outside \[0, 0\)"):
             SparseRows.concat([]).take([0])
 
+    @pytest.mark.parametrize("i", [-1, -2, -3, -4, 3, 4, np.int64(-1), np.int64(3)])
+    def test_row_refuses_a_position_outside_the_batch(self, i):
+        """As take: row(-1) is not an empty row, row(-2) not row 1, row(3) not numpy's IndexError."""
+        batch = rows({0: 1.0}, {1: 2.0}, {2: 3.0})
+        with pytest.raises(ValueError, match=rf"^position {i} is outside \[0, 3\)$"):
+            batch.row(i)
+        with pytest.raises(ValueError, match=r"^position 0 is outside \[0, 0\)$"):
+            SparseRows.concat([]).row(0)
+        assert [row_bytes(batch.row(i)) for i in range(3)] == [
+            row_bytes(row({i: float(i + 1)})) for i in range(3)
+        ]
+
     def test_concat_stacks_batches_in_order(self):
         first = rows({0: 1.0, 3: 2.0}, {})
         second = rows({1: -1.0})
@@ -757,30 +769,21 @@ class TestCountedOracle:
         ),
         ngram_range=st.sampled_from(NGRAMS[:2]),
         norm=st.sampled_from(NORMS),
-        move_rows=st.booleans(),
         data=st.data(),
     )
-    def test_vocabulary_indexed_out_of_gram_order(
-        self, fit_docs, ngram_range, norm, move_rows, data
-    ):
+    def test_vocabulary_indexed_out_of_gram_order(self, fit_docs, ngram_range, norm, data):
         # fit indexes the vocabulary in gram order, and tfidf.json must list it so.
         model = fit_on(fit_docs, PipelineConfig(ngram_range=ngram_range, norm=norm))
         saved = tfidf_to_dict(model)
-        vocabulary = saved["vocabulary"]
-        permutation = data.draw(st.permutations(range(len(vocabulary))))
+        grams, doc_freq = saved["grams"], saved["doc_freq"]
+        permutation = data.draw(st.permutations(range(len(grams))))
         if permutation == sorted(permutation):
             assert tfidf_from_dict(saved).grams == model.grams
             return
-        if move_rows:  # the rows reordered and numbered 0..V-1 again
-            saved["vocabulary"] = [
-                [vocabulary[p][0], index, vocabulary[p][2]] for index, p in enumerate(permutation)
-            ]
-            message = "not in n-gram order"
-        else:  # the rows in gram order, their indices permuted
-            for entry in vocabulary:
-                entry[1] = permutation[entry[1]]
-            message = "dense"
-        with pytest.raises(TfidfFormatError, match=message):
+        # The grams reordered, each with its document frequency.
+        saved["grams"] = [grams[p] for p in permutation]
+        saved["doc_freq"] = [doc_freq[p] for p in permutation]
+        with pytest.raises(TfidfFormatError, match="^the vocabulary is not in n-gram order$"):
             tfidf_from_dict(saved)
 
     def test_counts_of_another_ngram_range_are_rejected(self):
@@ -814,8 +817,8 @@ def tfidf_models(draw) -> TfidfModel:
 
 
 EMPTY_VOCABULARY = {
-    "version": 1, "ngram_range": [1, 2], "use_idf": True, "smooth_idf": False, "norm": "l1",
-    "n_docs": 3, "vocabulary": [],
+    "version": 2, "ngram_range": [1, 2], "use_idf": True, "smooth_idf": False, "norm": "l1",
+    "n_docs": 3, "grams": [], "doc_freq": [],
 }
 
 
@@ -859,16 +862,43 @@ class TestSerialization:
         with pytest.raises(TfidfFormatError, match="version"):
             tfidf_from_dict(data)
 
-    def test_an_ngram_listed_twice_is_rejected(self):
-        data = tfidf_to_dict(fit_on([["a", "b"]], PipelineConfig()))
-        data["vocabulary"] = [["a", 0, 1], ["a", 1, 1]]
-        with pytest.raises(TfidfFormatError, match="twice"):
+    def test_a_version_1_file_is_refused_with_the_version_message(self):
+        data = {"version": 1, "ngram_range": [1, 1], "use_idf": True, "smooth_idf": True,
+                "norm": "l2", "n_docs": 2, "vocabulary": [["a", 0, 1], ["b", 1, 2]]}
+        message = "^unsupported vectorizer format version 1; expected 2$"
+        with pytest.raises(TfidfFormatError, match=message):
             tfidf_from_dict(data)
 
-    def test_sparse_vocabulary_indices_rejected(self):
-        data = tfidf_to_dict(fit_on([["a", "b"]], PipelineConfig()))
-        data["vocabulary"] = [["a", 0, 1], ["b", 2, 1]]
-        with pytest.raises(TfidfFormatError, match="dense"):
+    @pytest.mark.parametrize(
+        "grams, doc_freq, message",
+        [
+            (["a", "a", "b"], [1, 1, 2], "^the vocabulary lists an n-gram twice$"),
+            (["a", "c", "b"], [1, 1, 2], "^the vocabulary is not in n-gram order$"),
+            (["b", "a", "a"], [1, 1, 2], "^the vocabulary is not in n-gram order$"),
+            (["a", "b", "c"], [1, 2], "^grams and doc_freq must be JSON lists of equal length$"),
+            (["a", "b"], [1, 2, 2], "^grams and doc_freq must be JSON lists of equal length$"),
+            ([], [1], "^grams and doc_freq must be JSON lists of equal length$"),
+            ("ab", [1, 2], "^grams and doc_freq must be JSON lists of equal length$"),
+            ({"a": 1, "b": 2}, [1, 2], "^grams and doc_freq must be JSON lists of equal length$"),
+            (["a", "b"], None, "^grams and doc_freq must be JSON lists of equal length$"),
+            (["a", "b"], 2, "^grams and doc_freq must be JSON lists of equal length$"),
+            (["a", 12345], [1, 2], "^vocabulary n-grams must be JSON strings$"),
+            ([None, "b"], [1, 2], "^vocabulary n-grams must be JSON strings$"),
+            ([["a"], "b"], [1, 2], "^vocabulary n-grams must be JSON strings$"),
+            (["a", "b"], [1, True], "^n_docs and document frequencies must be JSON integers$"),
+            (["a", "b"], [1.0, 2], "^n_docs and document frequencies must be JSON integers$"),
+            (["a", "b"], [1, "2"], "^n_docs and document frequencies must be JSON integers$"),
+            (["a", "b"], [1, None], "^n_docs and document frequencies must be JSON integers$"),
+        ],
+        ids=["repeated-gram", "gram-out-of-order", "gram-out-of-order-before-a-repeat",
+             "fewer-dfs", "more-dfs", "empty-grams", "string-grams", "object-grams",
+             "null-doc-freq", "number-doc-freq", "number-gram", "null-gram", "list-gram",
+             "bool-df", "float-df", "string-df", "null-df"],
+    )
+    def test_a_malformed_vocabulary_is_rejected(self, grams, doc_freq, message):
+        data = tfidf_to_dict(fit_on([["a", "b"], ["b"]], PipelineConfig()))
+        data["grams"], data["doc_freq"] = grams, doc_freq
+        with pytest.raises(TfidfFormatError, match=message):
             tfidf_from_dict(data)
 
     def test_invalid_json_file(self, tmp_path):
@@ -893,7 +923,7 @@ class TestSerialization:
 
     def test_missing_key_reported_as_format_error(self):
         with pytest.raises(TfidfFormatError, match="malformed"):
-            tfidf_from_dict({"version": 1})
+            tfidf_from_dict({"version": features.TFIDF_FORMAT_VERSION})
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -910,7 +940,7 @@ class TestSerialization:
     def test_out_of_range_values_rejected(self, field, value, message):
         data = tfidf_to_dict(fit_on([["a", "b"], ["b"]], PipelineConfig(smooth_idf=False)))
         if field == "df":
-            data["vocabulary"][0][2] = value
+            data["doc_freq"][0] = value
         else:
             data[field] = value
         with pytest.raises(TfidfFormatError, match=message):
