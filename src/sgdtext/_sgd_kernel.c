@@ -14,15 +14,30 @@
      Y         n x K labels, +1 or -1
      W, B      C x K x d weights and C x K intercepts, updated in place
      settled   d steps, per feature, at which L1 last settled it (L1 only)
-     scratch   C x K x (longest row + 1) doubles
+     scratch   C x K x (longest row + 1) + longest row doubles
 
    The tables are sgd._schedule's, step-major: under L1, t1 is the penalty
    accrued in each step and t2 the (steps + 1) x C accrual before each
    step; under L2, t1 is the wscale before each step, t2 after it and t3
-   the renormalization factor (0.0 for none). */
+   the renormalization factor (0.0 for none).
+
+   A step of a row of n entries lays the scratch out as sub, the C x K
+   gathered weight rows of n, then step, the C x K steps, then owed, the n
+   L1 debts of one config. Each (config, class) row is one contiguous run:
+   it is gathered in row order (under L1, its config's debts are worked out
+   once, and the threshold then runs over the gathered row) and its margin
+   taken; after every margin, one loop per row subtracts the step, applies
+   L1's per-step threshold and writes the row back, and settled is written
+   after all rows. Two things differ from the numpy loop's spelling and
+   move no byte. soft_threshold masks its maximum's bits instead of
+   branching, and gives the same double for every input. Under L2, a config
+   whose K steps are all zero writes nothing back: its gathered rows equal
+   W's own weights, since a renormalization scales both by the same factor,
+   and an intercept, never -0.0, is unchanged by a zero step. */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
                           const double *y, int64_t incy);
@@ -37,11 +52,16 @@ enum { SVM, LOGREG, PERCEPTRON };
 
 /* np.sign(z) * np.maximum(0.0, np.abs(z) - owed). np.sign(-0.0) is +0.0, as
    the difference of the comparisons gives, and np.maximum returns its second
-   operand on a tie or a NaN. A NaN z makes a NaN either way. */
+   operand on a tie or a NaN: 0.0 > x ? 0.0 : x, here by clearing x's bits
+   where 0.0 > x, without a branch. A NaN z makes a NaN either way. */
 static double soft_threshold(double z, double owed)
 {
     double x = fabs(z) - owed;
-    return (double)((z > 0.0) - (z < 0.0)) * (0.0 > x ? 0.0 : x);
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    bits &= (uint64_t)(0.0 > x) - 1;
+    memcpy(&x, &bits, sizeof x);
+    return (double)((z > 0.0) - (z < 0.0)) * x;
 }
 
 /* sgd.loss_dmargin("logreg", m), with libm's exp as Python's math.exp. */
@@ -65,21 +85,20 @@ void fit_rows(ddot_fn ddot, int64_t loss, int64_t l1, int64_t C, int64_t K,
         int64_t i = order[s], start = indptr[i], n = indptr[i + 1] - start;
         const int64_t *idx = indices + start;
         const double *y = Y + i * K;
-        /* sub is laid out as numpy's C x K x n take, and step follows it. */
-        double *sub = scratch, *step = scratch + C * K * n;
-        int moved = 0;
+        /* sub is laid out as numpy's C x K x n take; step and owed follow it. */
+        double *sub = scratch, *step = scratch + C * K * n, *owed = step + C * K;
         for (int64_t c = 0; c < C; c++) {
             const double *x = rows[c] + start;
-            for (int64_t j = 0; j < n; j++) {
-                /* Under L1, the penalty accrued since the weight was last settled. */
-                double owed = l1 ? t2[s * C + c] - t2[settled[idx[j]] * C + c] : 0.0;
-                for (int64_t k = 0; k < K; k++) {
-                    double z = W[(c * K + k) * d + idx[j]];
-                    sub[(c * K + k) * n + j] = l1 ? soft_threshold(z, owed) : z;
-                }
-            }
+            /* Under L1, the penalty accrued since each weight was last settled. */
+            for (int64_t j = 0; l1 && j < n; j++)
+                owed[j] = t2[s * C + c] - t2[settled[idx[j]] * C + c];
             for (int64_t k = 0; k < K; k++) {
-                const double *row = sub + (c * K + k) * n;
+                const double *w = W + (c * K + k) * d;
+                double *row = sub + (c * K + k) * n;
+                for (int64_t j = 0; j < n; j++)
+                    row[j] = w[idx[j]];
+                for (int64_t j = 0; l1 && j < n; j++)
+                    row[j] = soft_threshold(row[j], owed[j]);
                 /* numpy's dot adds ddot's result to 0.0; an empty row's margin is 0.0. */
                 double raw = n ? 0.0 + ddot(n, row, 1, x, 1) : 0.0;
                 double m = y[k] * ((l1 ? raw : t1[s * C + c] * raw) + B[c * K + k]);
@@ -91,7 +110,6 @@ void fit_rows(ddot_fn ddot, int64_t loss, int64_t l1, int64_t C, int64_t K,
                 else
                     g = 0.0 * y[k];
                 step[c * K + k] = g;
-                moved |= g != 0.0;
             }
         }
         if (!l1) {
@@ -105,36 +123,36 @@ void fit_rows(ddot_fn ddot, int64_t loss, int64_t l1, int64_t C, int64_t K,
                     sub[c * K * n + q] *= r;
             }
         }
-        if (moved) {
-            for (int64_t c = 0; c < C; c++) {
-                const double *x = rows[c] + start;
-                const double *g = step + c * K;
-                int any = 0;
-                for (int64_t k = 0; k < K; k++)
-                    any |= g[k] != 0.0;
-                /* A config whose K steps are all zero subtracts nothing: subtracting
-                   -0.0 would turn a -0.0 weight into 0.0. */
-                for (int64_t k = 0; any && k < K; k++) {
-                    double q = l1 ? g[k] : g[k] / t2[s * C + c];
-                    double *row = sub + (c * K + k) * n;
+        for (int64_t c = 0; c < C; c++) {
+            const double *x = rows[c] + start;
+            const double *g = step + c * K;
+            int any = 0;
+            for (int64_t k = 0; k < K; k++)
+                any |= g[k] != 0.0;
+            /* A config whose K steps are all zero subtracts nothing: subtracting
+               -0.0 would turn a -0.0 weight into 0.0. Under L2 it then leaves
+               its rows and intercepts as they are. */
+            if (!any && !l1)
+                continue;
+            for (int64_t k = 0; k < K; k++) {
+                double q = l1 ? g[k] : g[k] / t2[s * C + c], owe = t1[s * C + c];
+                const double *row = sub + (c * K + k) * n;
+                double *w = W + (c * K + k) * d;
+                if (!any) /* under L1 only: L2 skipped such a config above */
                     for (int64_t j = 0; j < n; j++)
-                        row[j] -= q * x[j];
-                }
-                for (int64_t k = 0; k < K; k++)
+                        w[idx[j]] = soft_threshold(row[j], owe);
+                else if (l1)
+                    for (int64_t j = 0; j < n; j++)
+                        w[idx[j]] = soft_threshold(row[j] - q * x[j], owe);
+                else
+                    for (int64_t j = 0; j < n; j++)
+                        w[idx[j]] = row[j] - q * x[j];
+                if (any)
                     B[c * K + k] -= g[k];
             }
         }
-        if (l1) {
-            for (int64_t c = 0; c < C; c++)
-                for (int64_t q = 0; q < K * n; q++)
-                    sub[c * K * n + q] = soft_threshold(sub[c * K * n + q], t1[s * C + c]);
-            for (int64_t j = 0; j < n; j++)
-                settled[idx[j]] = s + 1;
-        }
-        if (l1 || moved)
-            for (int64_t ck = 0; ck < C * K; ck++)
-                for (int64_t j = 0; j < n; j++)
-                    W[ck * d + idx[j]] = sub[ck * n + j];
+        for (int64_t j = 0; l1 && j < n; j++)
+            settled[idx[j]] = s + 1;
     }
 }
 

@@ -445,14 +445,18 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
             twice = next(a == b for a, b in zip(grams, grams[1:]) if not a < b)
             fault = "lists an n-gram twice" if twice else "is not in n-gram order"
             raise TfidfFormatError(f"the vocabulary {fault}")
-        doc_freq = np.array(dfs, dtype=np.int64)
         if n_docs < 1:
             raise TfidfFormatError(f"n_docs must be >= 1, got {n_docs}")
         # The int64 range doc_freq lives in; past it the IDF's float arithmetic overflows.
         if n_docs > np.iinfo(np.int64).max:
             raise TfidfFormatError("n_docs must be at most 2**63 - 1")
+        outside = TfidfFormatError(f"document frequencies must lie in [1, n_docs = {n_docs}]")
+        try:
+            doc_freq = np.array(dfs, dtype=np.int64)
+        except OverflowError:  # a frequency past int64 is outside [1, n_docs] as well
+            raise outside from None
         if doc_freq.size and not (doc_freq.min() >= 1 and doc_freq.max() <= n_docs):
-            raise TfidfFormatError(f"document frequencies must lie in [1, n_docs = {n_docs}]")
+            raise outside
         norm = data["norm"]
         if norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {norm!r}")

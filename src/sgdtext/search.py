@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -167,6 +166,9 @@ def grid_search(
     if workers <= 1:
         scores = score_configs(configs)
     else:
+        # Imported here: a CLI process that never runs a pool does not pay for its import.
+        from concurrent.futures import ProcessPoolExecutor
+
         scores = [None] * len(configs)
         # One task per worker, so each worker is sent the development set once.
         shares = [configs[w::workers] for w in range(workers)]

@@ -273,7 +273,8 @@ def _load_kernel() -> _Kernel | bool:
         if Y.shape != (len(X), K) or [row.shape for row in rows] != [(X.nnz,)] * C:
             raise ValueError("Y must be n x K and values C rows of nnz")
         _check_feature_range(X, d)
-        scratch = np.empty(C * K * (int(np.diff(X.indptr).max(initial=0)) + 1))
+        longest = int(np.diff(X.indptr).max(initial=0))
+        scratch = np.empty(C * K * (longest + 1) + longest)
         Y = np.ascontiguousarray(Y, dtype=np.float64)
         tables = (*tables, None)[:4]  # L1 has three tables, L2 four
         addresses = np.array([row.ctypes.data for row in rows], dtype=np.uintp)

@@ -1332,7 +1332,14 @@ class TestExitCodes:
             ("df", 0, "document frequencies"),
             ("df", -4, "document frequencies"),
             ("df", None, "document frequencies must lie in [1, n_docs = "),
-            pytest.param("df", 10**30, "malformed vectorizer file", id="df-huge-int"),
+            # Past int64 too, and reported as any other frequency out of range.
+            pytest.param(
+                "df", 10**30, "document frequencies must lie in [1, n_docs = ", id="df-huge-int"
+            ),
+            pytest.param(
+                "df", -(10**30), "document frequencies must lie in [1, n_docs = ",
+                id="df-huge-negative-int",
+            ),
         ],
     )
     def test_vectorizer_with_an_out_of_range_value(

@@ -934,7 +934,10 @@ class TestSerialization:
             ("df", 0, "document frequencies"),
             ("df", -4, "document frequencies"),
             ("df", 3, "document frequencies"),
-            pytest.param("df", 10**30, "malformed vectorizer file", id="df-huge-int"),
+            pytest.param("df", 10**30, "document frequencies must lie", id="df-huge-int"),
+            pytest.param(
+                "df", -(10**30), "document frequencies must lie", id="df-huge-negative-int"
+            ),
         ],
     )
     def test_out_of_range_values_rejected(self, field, value, message):

@@ -79,6 +79,13 @@ def numpy_run(labeled_csv, tmp_path, capsys):
     return run, reference
 
 
+def package_env(**extra: str) -> dict[str, str]:
+    """The environment with this sgdtext first on PYTHONPATH, for a subprocess; extra on top."""
+    src = str(Path(sgdtext.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def sequential_ddot():
     """A ddot-shaped C function pointer that sums in order: not the ddot numpy's matmul calls."""
 
@@ -188,14 +195,79 @@ class TestKernelLoads:
 
     def test_importing_the_cli_loads_no_kernel(self, tmp_path):
         # The kernel loads on the first fit or decision, never at import, which setup_s times.
-        src = str(Path(sgdtext.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               "XDG_CACHE_HOME": str(tmp_path / "cache")}
+        env = package_env(XDG_CACHE_HOME=str(tmp_path / "cache"))
         code = "import sgdtext.cli\nfrom sgdtext import sgd\nprint(repr(sgd._kernel))"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "None\n"
         assert not (tmp_path / "cache").exists()
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # Only gridsearch --jobs > 1 runs a pool, so only it imports one.
+        code = "import sys, sgdtext.cli\nprint('concurrent.futures.process' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+
+def libasan() -> str | None:
+    """The path of cc's AddressSanitizer runtime (gcc's libasan.so), or None where there is none."""
+    if not HAS_CC:
+        return None
+    found = subprocess.run(
+        ["cc", "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    # The compiler prints the bare name back when it has no such file.
+    return found if os.path.isabs(found) and os.path.exists(found) else None
+
+
+# Stacked and lone passes of every loss x penalty, then decide, in a kernel
+# built with AddressSanitizer: a read or write past any array the binding hands
+# the C loops ends the process with a report. The longest row comes last, so
+# the largest step fills the scratch to its end.
+SANITIZED_PASSES = """
+import numpy as np
+from sgdtext import sgd
+from sgdtext.features import SparseRows
+from sgdtext.pipeline import PipelineConfig
+
+sgd._BUILD = (*sgd._BUILD, "-fsanitize=address", "-fno-omit-frame-pointer")
+assert isinstance(sgd._compiled(), sgd._Kernel)
+rng = np.random.default_rng(0)
+lengths, d = [3, 1, 0, 5, 2, 7, 4, 12], 16
+indices = np.concatenate([np.sort(rng.choice(d, n, replace=False)) for n in lengths])
+X = SparseRows(np.concatenate(([0], np.cumsum(lengths))), indices, rng.random(indices.size))
+labels = np.arange(len(lengths)) % 3
+Y = np.where(labels[:, None] == np.arange(3), 1.0, -1.0)
+values = np.stack([X.values, 2.0 * X.values, 0.5 * X.values])
+for loss in sgd.LOSSES:
+    for penalty in sgd.PENALTIES:
+        configs = [
+            PipelineConfig(loss=loss, penalty=penalty, alpha=alpha, epochs=3, seed=1)
+            for alpha in (1e9, 1e-2, 1e-4)
+        ]
+        for C in (1, 3):
+            W, B = sgd._fit_rows(X, values[:C], Y, configs[:C], d)
+            sgd._compiled().decide(W[0], X)
+print("ok")
+"""
+
+
+class TestUnderAddressSanitizer:
+    @needs_build
+    @pytest.mark.skipif(libasan() is None, reason="needs a cc with gcc's libasan.so")
+    def test_the_kernel_stays_inside_its_arrays(self, tmp_path):
+        env = package_env(
+            XDG_CACHE_HOME=str(tmp_path / "cache"), LD_PRELOAD=libasan(),
+            ASAN_OPTIONS="detect_leaks=0",
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", SANITIZED_PASSES], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
 
 
 class TestFallbacks:

@@ -248,7 +248,7 @@ class TestGridSearch:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         documents, labels = signature_corpus(n_classes=3, per_class=8)
         sequential = grid_search(documents, labels, PipelineConfig(seed=4), tiny_spec())
         pooled = grid_search(documents, labels, PipelineConfig(seed=4), tiny_spec(), jobs=500)

@@ -644,6 +644,48 @@ class TestEveryStepOracle:
         active = margins < 1.0 if loss == "svm" else margins <= 0.0
         assert active[1:].any()
 
+    def test_a_renormalization_while_only_another_config_is_active(self):
+        # Config 0's wscale falls under its floor once, on step 177, where none of
+        # its classes is active but one of config 1's is: the step rescales config
+        # 0's weights and moves only config 1's.
+        X, labels = tfidf_problem(3, 3, NgramRange(1, 2))
+        values = np.stack([X.values, 2.0 * X.values])
+        configs = [
+            PipelineConfig(loss="perceptron", alpha=alpha, epochs=6, seed=0)
+            for alpha in (1e9, 1e-2)
+        ]
+        margins = self.assert_oracle_parity(X, values, labels, configs)
+        renormalized = np.flatnonzero(sgd._schedule(configs[0], len(X) * 6)[3])
+        assert renormalized.tolist() == [177]
+        assert not (margins[177, 0] <= 0.0).any() and (margins[177, 1] <= 0.0).any()
+
+    @pytest.mark.parametrize("loss", sgd.LOSSES)
+    def test_an_l1_debt_of_exactly_zero(self, loss):
+        # A feature touched on consecutive steps owes exactly 0.0 when gathered.
+        # Config 0's subnormal values give subnormal weights before each step's
+        # threshold, which stores them as +-0.0, so -0.0 weights are gathered too.
+        X, labels = tfidf_problem(0, 3, NgramRange(1, 1), n=40)
+        values = np.stack([X.values * 1e-314, X.values])
+        configs = [
+            PipelineConfig(loss=loss, penalty="l1", alpha=alpha, epochs=2, seed=2)
+            for alpha in (1e-2, 1e-4)
+        ]
+        calls = []
+
+        def recorded(z, owed):
+            calls.append((z.copy(), np.broadcast_to(owed, z.shape).copy()))
+            return sgd._soft_threshold(z, owed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "_soft_threshold", recorded)
+            self.assert_oracle_parity(X, values, labels, configs)
+        # Each step thresholds the gathered weights by their debts, then the
+        # updated weights by the step's penalty; the final settle comes last.
+        gathered, updated = calls[0:-1:2], calls[1::2]
+        assert any(((owed == 0.0) & (z == 0.0) & np.signbit(z)).any() for z, owed in gathered)
+        tiny = np.finfo(np.float64).tiny
+        assert any(((z != 0.0) & (np.abs(z) < tiny)).any() for z, _ in updated)
+
     @pytest.mark.parametrize("loss", sgd.LOSSES)
     def test_negative_zero_weights(self, loss):
         # Subnormal values make the renormalizations at alpha 1e9 underflow
